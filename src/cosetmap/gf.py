@@ -3,11 +3,23 @@
 Elements of GF(p^k) are coordinate tuples over the power basis (1, w, ..., w^(k-1))
 where w is the class of X modulo the field's irreducible modulus, least degree first.
 All values are immutable and all operations are pure functions.
+
+Underneath, every heavy path runs on integer codes.  The code of an element is
+its `index`; a polynomial is a sequence of codes, constant term first, with no
+trailing zeros.  `FieldCtx.ops()` gives the code arithmetic of one field: plain
+residues for GF(p), and for GF(p^k) log/antilog tables of a primitive element
+plus Zech logarithms for addition in odd characteristic (O(q) memory, built on
+first use).  Irreducibility is Rabin's test and factoring is squarefree, then
+distinct-degree, then equal-degree (Cantor-Zassenhaus) factorisation; both
+work the same way over every GF(q).
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+import operator
+import random
 
 MINUS_INFINITY = float("-inf")  # degree of the zero polynomial
 
@@ -16,6 +28,10 @@ MINUS_INFINITY = float("-inf")  # degree of the zero polynomial
 _BUNDLED_MODULI = {
     (3, 3): (1, 2, 0, 1),  # X^3 - X + 1
 }
+
+# Cantor-Zassenhaus draws its splitting polynomials from this fixed seed, so
+# factoring is deterministic (its result is unique in any case).
+_EDF_SEED = 0
 
 
 def is_prime(n: int) -> bool:
@@ -48,104 +64,518 @@ def factorize(n: int) -> dict[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# Internal polynomial helpers over GF(p) with plain int coefficient tuples
-# (constant term first, no trailing zeros).  Used for modulus validation,
-# element inversion, and the prime-field fast path of factor_monic.
+# Code arithmetic of one field
 # ---------------------------------------------------------------------------
 
-def _ip_trim(c):
-    i = len(c)
-    while i > 0 and c[i - 1] == 0:
-        i -= 1
-    return tuple(c[:i])
+class _Ops:
+    """Arithmetic on the element codes of one field.
+
+    Scalars: add, sub, neg, mul, inv and root (a -> a^(1/p)).  Rows are
+    equal-length sequences of codes: axpy(x, c, y) is the list x + c*y,
+    scale(c, x) the list c*x and vecmat(v, M, width) the row v times the
+    matrix with rows M.  Polynomials: pmul(a, b) is the product of two nonzero
+    ones, reduce(r, tail) the remainder, untrimmed, of the list r (consumed)
+    modulo the monic polynomial with lower coefficients -tail, and
+    horner(f, a) the quotient and remainder of f by X - a.  `one` is the code
+    of 1, p^(k-1).
+    """
+
+    __slots__ = ("p", "q", "one", "add", "sub", "neg", "mul", "inv", "root", "axpy", "scale",
+                 "pmul", "reduce", "horner", "vecmat")
+
+    def __init__(self, p: int, q: int, one: int, **fns):
+        self.p, self.q, self.one = p, q, one
+        for name, fn in fns.items():
+            setattr(self, name, fn)
 
 
-def _ip_add(a, b, p):
-    n = max(len(a), len(b))
-    return _ip_trim([((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)) % p
-                     for i in range(n)])
+def _prime_ops(p: int) -> _Ops:
+    def add(a, b):
+        return (a + b) % p
+
+    def sub(a, b):
+        return (a - b) % p
+
+    def neg(a):
+        return -a % p
+
+    def mul(a, b):
+        return a * b % p
+
+    def inv(a):
+        if not a:
+            raise ZeroDivisionError("division by zero in field")
+        return pow(a, p - 2, p)
+
+    def axpy(x, c, y):
+        return [(a + c * b) % p for a, b in zip(x, y)]
+
+    def scale(c, x):
+        return [c * a % p for a in x]
+
+    # the polynomial loops on plain ints, reduced mod p once at the end
+    def pmul(a, b):
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    out[j] += x * y
+        return [c % p for c in out]
+
+    def reduce(r, tail):
+        for s in range(len(r) - 1 - len(tail), -1, -1):
+            c = r.pop() % p
+            if c:
+                for j, t in enumerate(tail, s):
+                    r[j] += c * t
+        return [c % p for c in r]
+
+    def horner(f, a):
+        acc = 0
+        out = []
+        for c in reversed(f):
+            acc = (acc * a + c) % p
+            out.append(acc)
+        rem = out.pop() if out else 0
+        out.reverse()
+        return out, rem
+
+    def vecmat(v, M, width):
+        out = [0] * width
+        for a, row in zip(v, M):
+            if a:
+                for j, b in enumerate(row):
+                    out[j] += a * b
+        return [c % p for c in out]
+
+    return _Ops(p, p, 1, add=add, sub=sub, neg=neg, mul=mul, inv=inv, root=lambda a: a,
+                axpy=axpy, scale=scale, pmul=pmul, reduce=reduce, horner=horner,
+                vecmat=vecmat)
 
 
-def _ip_mul(a, b, p):
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _ip_trim(out)
+def _row_poly_ops(add, mul, axpy, **_) -> dict:
+    """pmul, reduce, horner and vecmat from the scalar and row ops."""
+
+    def pmul(a, b):
+        lb = len(b)
+        out = [0] * (len(a) + lb - 1)
+        for i, c in enumerate(a):
+            if c:
+                out[i:i + lb] = axpy(out[i:i + lb], c, b)
+        return out
+
+    def reduce(r, tail):
+        for s in range(len(r) - 1 - len(tail), -1, -1):
+            c = r.pop()
+            if c:
+                r[s:] = axpy(r[s:], c, tail)
+        return r
+
+    def horner(f, a):
+        acc = 0
+        out = []
+        for c in reversed(f):
+            acc = add(mul(acc, a), c)
+            out.append(acc)
+        rem = out.pop() if out else 0
+        out.reverse()
+        return out, rem
+
+    def vecmat(v, M, width):
+        out = [0] * width
+        for a, row in zip(v, M):
+            if a:
+                out = axpy(out, a, row)
+        return out
+
+    return dict(pmul=pmul, reduce=reduce, horner=horner, vecmat=vecmat)
 
 
-def _ip_divmod(a, b, p):
-    if not b:
+def _build_tables(ctx: "FieldCtx"):
+    """(log, exp, zech) for a primitive element of GF(p^k).
+
+    exp has period q-1 over two periods, so a sum of two logs indexes it
+    without reduction; zech[d] is the log of 1 + g^d (-1 where that is zero),
+    also over two periods, for odd p only.
+    """
+    from .oracle import MAX_DOMAIN
+    p, k, q = ctx.p, ctx.k, ctx.order
+    if q > MAX_DOMAIN:
+        raise ValueError(f"GF({p}^{k}) has {q} elements, above the {MAX_DOMAIN} limit "
+                         "for its arithmetic tables")
+    fp = _prime_ops(p)
+    m = ctx.modulus
+    n = q - 1
+    primes = list(factorize(n))
+
+    def coords(code):
+        c = [0] * k
+        for j in range(k - 1, -1, -1):
+            code, c[j] = divmod(code, p)
+        return _trim(c)
+
+    # the generator w first, then every nonzero element in index order
+    for g in itertools.chain(([0, 1],), map(coords, range(1, q))):
+        if all(_ppowmod(fp, g, n // r, m) != [1] for r in primes):
+            break
+    log = [0] * q
+    exp = [0] * (2 * n)
+    acc = [1]
+    for i in range(n):
+        code = 0
+        for j in range(k):
+            code = code * p + (acc[j] if j < len(acc) else 0)
+        exp[i] = exp[i + n] = code
+        log[code] = i
+        acc = _pmod(fp, _pmul(fp, acc, g), m)
+    zech = None
+    if p != 2:
+        top = (p - 1) * (q // p)  # codes at or above have constant coordinate p-1
+        zech = [0] * (2 * n)
+        for d in range(n):
+            c = exp[d]
+            s = c - top if c >= top else c + q // p
+            zech[d] = zech[d + n] = log[s] if s else -1
+    return log, exp, zech
+
+
+def _table_ops(ctx: "FieldCtx") -> _Ops:
+    log, exp, zech = ctx._tables()
+    p, q = ctx.p, ctx.order
+    n = q - 1
+    frob_inv = q // p  # a^(1/p) = a^(p^(k-1))
+
+    def mul(a, b):
+        return exp[log[a] + log[b]] if a and b else 0
+
+    def inv(a):
+        if not a:
+            raise ZeroDivisionError("division by zero in field")
+        return exp[n - log[a]]
+
+    def root(a):
+        return exp[log[a] * frob_inv % n] if a else 0
+
+    def scale(c, x):
+        if not c:
+            return [0] * len(x)
+        lc = log[c]
+        return [exp[lc + log[a]] if a else 0 for a in x]
+
+    if p == 2:
+        def axpy(x, c, y):
+            if not c:
+                return list(x)
+            lc = log[c]
+            return [a ^ exp[lc + log[b]] if b else a for a, b in zip(x, y)]
+
+        scalars = dict(add=operator.xor, sub=operator.xor, neg=lambda a: a, mul=mul, inv=inv,
+                       root=root, axpy=axpy, scale=scale)
+        return _Ops(p, q, q // p, **scalars, **_row_poly_ops(**scalars))
+
+    half = n // 2  # -1 = g^((q-1)/2)
+
+    def neg(a):
+        return exp[log[a] + half] if a else 0
+
+    def add(a, b):
+        if not a:
+            return b
+        if not b:
+            return a
+        la = log[a]
+        z = zech[log[b] - la]
+        return exp[la + z] if z >= 0 else 0
+
+    def sub(a, b):
+        return add(a, neg(b))
+
+    def axpy(x, c, y):
+        if not c:
+            return list(x)
+        lc = log[c]
+        out = []
+        for a, b in zip(x, y):
+            if b:
+                t = lc + log[b]
+                if a:
+                    la = log[a]
+                    z = zech[t - la]
+                    a = exp[la + z] if z >= 0 else 0
+                else:
+                    a = exp[t]
+            out.append(a)
+        return out
+
+    scalars = dict(add=add, sub=sub, neg=neg, mul=mul, inv=inv, root=root, axpy=axpy,
+                   scale=scale)
+    return _Ops(p, q, q // p, **scalars, **_row_poly_ops(**scalars))
+
+
+# ---------------------------------------------------------------------------
+# Polynomials as code sequences (constant term first, no trailing zeros).
+# Results are lists; inputs may be any sequence.
+# ---------------------------------------------------------------------------
+
+def _trim(c: list) -> list:
+    while c and not c[-1]:
+        c.pop()
+    return c
+
+
+def _padd(K: _Ops, a, b) -> list:
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    out[:len(b)] = K.axpy(out[:len(b)], K.one, b)
+    return _trim(out)
+
+
+def _psub(K: _Ops, a, b) -> list:
+    out = list(a) + [0] * (len(b) - len(a))
+    out[:len(b)] = K.axpy(out[:len(b)], K.neg(K.one), b)
+    return _trim(out)
+
+
+def _pmul(K: _Ops, a, b) -> list:
+    return K.pmul(a, b) if a and b else []
+
+
+def _monic_tail(K: _Ops, b) -> tuple:
+    """(1/lead(b), -b/lead(b) without its leading term)."""
+    lead_inv = K.one if b[-1] == K.one else K.inv(b[-1])
+    return lead_inv, K.scale(K.neg(lead_inv), b[:-1])
+
+
+def _pdivmod(K: _Ops, a, b) -> tuple[list, list]:
+    db = len(b) - 1
+    if db < 0:
         raise ZeroDivisionError("polynomial division by zero")
     r = list(a)
-    db = len(b) - 1
-    inv_lead = pow(b[-1], p - 2, p)
-    q = [0] * max(0, len(r) - db)
-    while len(r) - 1 >= db and any(r):
-        while r and r[-1] == 0:
-            r.pop()
-        if len(r) - 1 < db:
+    if len(r) <= db:
+        return [], r
+    # divide by the monic b / lead: each step pops the top coefficient c of r
+    # and adds c * (-b / lead) below it
+    lead_inv, tail = _monic_tail(K, b)
+    axpy = K.axpy
+    q = []
+    for s in range(len(r) - 1 - db, -1, -1):
+        c = r.pop()
+        q.append(c)
+        if c:
+            r[s:] = axpy(r[s:], c, tail)
+    q.reverse()
+    if lead_inv != K.one:
+        q = K.scale(lead_inv, q)
+    return q, _trim(r)
+
+
+def _reduce(K: _Ops, r: list, tail) -> list:
+    """r (consumed) modulo the monic polynomial whose lower coefficients are
+    the negated `tail`, as `_monic_tail` gives them."""
+    return _trim(K.reduce(r, tail))
+
+
+def _pmod(K: _Ops, a, b) -> list:
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    return _reduce(K, list(a), _monic_tail(K, b)[1])
+
+
+def _pexact_div(K: _Ops, a, b) -> list:
+    q, r = _pdivmod(K, a, b)
+    if r:
+        raise ArithmeticError("inexact polynomial division")
+    return q
+
+
+def _ppow(K: _Ops, a, n: int) -> list:
+    result = [K.one]
+    while n:
+        if n & 1:
+            result = _pmul(K, result, a)
+        n >>= 1
+        if n:
+            a = _pmul(K, a, a)
+    return result
+
+
+def _ppowmod(K: _Ops, a, n: int, m) -> list:
+    tail = _monic_tail(K, m)[1]
+    base = _reduce(K, list(a), tail)
+    result = None
+    while True:
+        if n & 1:
+            result = base if result is None else _reduce(K, _pmul(K, result, base), tail)
+        n >>= 1
+        if not n:
             break
-        shift = len(r) - 1 - db
-        c = (r[-1] * inv_lead) % p
-        q[shift] = c
-        for i in range(db + 1):
-            r[shift + i] = (r[shift + i] - c * b[i]) % p
-    return _ip_trim(q), _ip_trim(r)
+        base = _reduce(K, _pmul(K, base, base), tail)
+    return _reduce(K, [K.one], tail) if result is None else result
 
 
-def _ip_xgcd(a, b, p):
-    """Extended gcd; returns (g, s, t) with s*a + t*b = g, g monic or zero."""
-    r0, r1 = a, b
-    s0, s1 = (1,), ()
-    t0, t1 = (), (1,)
-    while r1:
-        q, r = _ip_divmod(r0, r1, p)
-        r0, r1 = r1, r
-        s0, s1 = s1, _ip_add(s0, _ip_mul(tuple((-c) % p for c in q), s1, p), p)
-        t0, t1 = t1, _ip_add(t0, _ip_mul(tuple((-c) % p for c in q), t1, p), p)
-    if r0:
-        inv = pow(r0[-1], p - 2, p)
-        r0 = tuple((c * inv) % p for c in r0)
-        s0 = tuple((c * inv) % p for c in s0)
-        t0 = tuple((c * inv) % p for c in t0)
-    return r0, s0, t0
+def _pmonic(K: _Ops, a) -> list:
+    if not a or a[-1] == K.one:
+        return list(a)
+    return K.scale(K.inv(a[-1]), a)
 
 
-def _ip_monic_of_degree(p: int, d: int):
-    """Yield all monic degree-d coefficient tuples in lexicographic order
-    (constant coefficient most significant)."""
-    for lower in itertools.product(range(p), repeat=d):
-        yield lower + (1,)
+def _pgcd(K: _Ops, a, b) -> list:
+    """Monic gcd (the zero polynomial for gcd(0, 0))."""
+    while b:
+        a, b = b, _reduce(K, list(a), _monic_tail(K, b)[1])
+    return _pmonic(K, a)
 
 
-def _ip_irreducibles(p: int, max_degree: int) -> list[tuple[int, ...]]:
-    found: list[tuple[int, ...]] = []
-    for d in range(1, max_degree + 1):
-        for cand in _ip_monic_of_degree(p, d):
-            ok = True
-            for q in found:
-                if 2 * (len(q) - 1) > d:
-                    break
-                if not _ip_divmod(cand, q, p)[1]:
-                    ok = False
-                    break
-            if ok:
-                found.append(cand)
-    return found
+def _pderiv(K: _Ops, a) -> list:
+    p, one, mul = K.p, K.one, K.mul
+    return _trim([mul(j % p * one, a[j]) for j in range(1, len(a))])
 
 
-def _ip_is_irreducible(c, p: int) -> bool:
-    d = len(c) - 1
+def _frobenius_orbit(K: _Ops, f):
+    """Yield X^q, X^(q^2), ... modulo f (degree >= 2).
+
+    The rows X^(q*j) mod f, j < deg f, of the matrix of the GF(q)-linear map
+    h -> h^q are built one after the other as far as they are needed: while
+    q^(i-1) < deg f the i-th power is the row q^(i-1) itself, and later
+    powers apply the matrix to the one before.  Each row is the one before
+    times X^q: a shift by q and a reduction for small q, a product otherwise.
+    """
+    q, one = K.q, K.one
+    d = len(f) - 1
+    tail = _monic_tail(K, f)[1]
+    if q < 2 * d:
+        def step(row):
+            return _reduce(K, [0] * q + row, tail)
+    else:
+        xq = _ppowmod(K, [0, one], q, f)
+
+        def step(row):
+            return _reduce(K, _pmul(K, row, xq), tail)
+    rows = [[one]]
+    e = 1
+    while e < d:
+        while len(rows) <= e:
+            rows.append(step(rows[-1]))
+        h = rows[e]
+        yield h
+        e *= q
+    while len(rows) < d:
+        rows.append(step(rows[-1]))
+    rows = [row + [0] * (d - len(row)) for row in rows]
+    while True:
+        h = _trim(K.vecmat(h, rows, d))
+        yield h
+
+
+def _has_root(K: _Ops, f) -> bool:
+    horner = K.horner
+    return any(not horner(f, a)[1] for a in range(K.q))
+
+
+def _is_irreducible(K: _Ops, f) -> bool:
+    """Rabin's test: X^(q^d) = X mod f, and gcd(X^(q^(d/r)) - X, f) = 1 for
+    every prime r dividing d = deg f.  For r = d that gcd only looks for a
+    root, which is cheaper to look for directly when q <= d."""
+    d = len(f) - 1
     if d < 1:
         return False
-    for q in _ip_irreducibles(p, d // 2):
-        if not _ip_divmod(c, q, p)[1]:
+    if d == 1:
+        return True
+    f = _pmonic(K, f)
+    if not f[0]:
+        return False
+    maximal = {d // r for r in factorize(d)}
+    if K.q <= d:
+        if _has_root(K, f):
             return False
-    return True
+        maximal.discard(1)
+    if d <= 3 and not maximal:
+        return True  # a reducible f of degree <= 3 has a root
+    x = [0, K.one]
+    orbit = _frobenius_orbit(K, f)
+    for i in range(1, d + 1):
+        h = next(orbit)
+        if i in maximal and len(_pgcd(K, f, _psub(K, h, x))) > 1:
+            return False
+        if d <= 3:
+            return True
+    return h == x
+
+
+def _squarefree(K: _Ops, f) -> list[tuple[list, int]]:
+    """Pairs (g, m), g squarefree, monic, of degree >= 1 and pairwise coprime,
+    with the product of the g^m equal to the monic f."""
+    out = []
+    mult = 1
+    p = K.p
+    while len(f) > 1:
+        c = _pgcd(K, f, _pderiv(K, f))
+        if len(c) == 1:
+            out.append((list(f), mult))
+            break
+        w = _pexact_div(K, f, c)
+        i = 1
+        while len(w) > 1:
+            y = _pgcd(K, w, c)
+            z = _pexact_div(K, w, y)
+            if len(z) > 1:
+                out.append((z, i * mult))
+            w = y
+            c = _pexact_div(K, c, y)
+            i += 1
+        # what is left of c has every multiplicity divisible by p
+        f = [K.root(c[j]) for j in range(0, len(c), p)]
+        mult *= p
+    return out
+
+
+def _ddf(K: _Ops, f, first: int = 1) -> list[tuple[list, int]]:
+    """Distinct-degree factorisation of a squarefree monic f with no
+    irreducible factor of degree below `first`: pairs (g, i) with g the
+    product of the irreducible factors of degree i."""
+    out = []
+    rest = f
+    if len(f) > 2:
+        orbit = _frobenius_orbit(K, f)
+        x = [0, K.one]
+        i = 0
+        while 2 * (i + 1) <= len(rest) - 1:
+            i += 1
+            h = next(orbit)
+            if i < first:
+                continue
+            g = _pgcd(K, rest, _psub(K, h, x))
+            if len(g) > 1:
+                out.append((g, i))
+                rest = _pexact_div(K, rest, g)
+    if len(rest) > 1:
+        out.append((rest, len(rest) - 1))
+    return out
+
+
+def _edf(K: _Ops, f, i: int, rng: random.Random) -> list[list]:
+    """Equal-degree factorisation (Cantor-Zassenhaus) of a squarefree monic f
+    whose irreducible factors all have degree i."""
+    d = len(f) - 1
+    if d == i:
+        return [f]
+    q = K.q
+    while True:
+        a = _trim([rng.randrange(q) for _ in range(d)])
+        if len(a) < 2:
+            continue
+        if q % 2:
+            b = _psub(K, _ppowmod(K, a, (q ** i - 1) // 2, f), [K.one])
+        else:
+            # trace of a from GF(2^(k*i)) down to GF(2)
+            b = t = a
+            for _ in range(i * (q.bit_length() - 1) - 1):
+                t = _pmod(K, _pmul(K, t, t), f)
+                b = _padd(K, b, t)
+        g = _pgcd(K, f, b)
+        if 1 < len(g) < len(f):
+            return _edf(K, g, i, rng) + _edf(K, _pexact_div(K, f, g), i, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +589,7 @@ class FieldCtx:
     `field` factory; contexts are interned so equality is cheap.
     """
 
-    __slots__ = ("p", "k", "modulus", "_dlog", "_powtable")
+    __slots__ = ("p", "k", "modulus", "_powtable", "_ops")
 
     def __init__(self, p: int, k: int, modulus: tuple[int, ...] | None):
         if not is_prime(p):
@@ -172,25 +602,38 @@ class FieldCtx:
         else:
             if modulus is None:
                 raise ValueError("extension fields require a modulus")
-            modulus = _ip_trim(tuple(c % p for c in modulus))
+            modulus = tuple(_trim([c % p for c in modulus]))
             if len(modulus) != k + 1 or modulus[-1] != 1:
                 raise ValueError("modulus must be monic of degree k")
-            if not _ip_is_irreducible(modulus, p):
+            if not _is_irreducible(_prime_ops(p), modulus):
                 raise ValueError("modulus must be irreducible over GF(p)")
         self.p = p
         self.k = k
         self.modulus = modulus
-        self._dlog = None
         self._powtable = None
+        self._ops = None
 
     @property
     def order(self) -> int:
         return self.p ** self.k
 
+    def ops(self) -> _Ops:
+        """The code arithmetic of this field (builds the tables of GF(p^k) on
+        first use; ValueError above oracle.MAX_DOMAIN elements)."""
+        ops = self._ops
+        if ops is None:
+            ops = self._ops = _prime_ops(self.p) if self.k == 1 else _table_ops(self)
+        return ops
+
+    def _tables(self):
+        if self._powtable is None:
+            self._powtable = _build_tables(self)
+        return self._powtable
+
     def elem(self, value) -> "FieldElement":
         """Coerce an int (constant) or coefficient sequence into this field."""
         if isinstance(value, FieldElement):
-            if value.ctx != self:
+            if value.ctx is not self and value.ctx != self:
                 raise ValueError("mismatched field contexts")
             return value
         if isinstance(value, int):
@@ -200,6 +643,12 @@ class FieldCtx:
         if len(coeffs) != self.k:
             raise ValueError(f"expected {self.k} coordinates")
         return FieldElement(self, coeffs)
+
+    def code(self, value) -> int:
+        """The code (index) of anything `elem` accepts."""
+        if isinstance(value, int):
+            return value % self.p * self.p ** (self.k - 1)
+        return self.elem(value).index
 
     def zero(self) -> "FieldElement":
         return self.elem(0)
@@ -216,38 +665,44 @@ class FieldCtx:
     def elements(self):
         """All elements in index order (lexicographic on coordinates,
         first coordinate most significant)."""
-        for coords in itertools.product(range(self.p), repeat=self.k):
-            yield FieldElement(self, coords)
+        for i, coords in enumerate(itertools.product(range(self.p), repeat=self.k)):
+            yield FieldElement(self, coords, i)
 
     def from_index(self, i: int) -> "FieldElement":
         if not 0 <= i < self.order:
             raise ValueError("index out of range")
-        coords = []
-        for j in range(self.k):
-            coords.append(i // self.p ** (self.k - 1 - j) % self.p)
-        return FieldElement(self, tuple(coords))
+        return self.from_code(i)
+
+    def from_code(self, code: int) -> "FieldElement":
+        """The element with this index; the caller guarantees the range."""
+        if self.k == 1:
+            return FieldElement(self, (code,), code)
+        p = self.p
+        coords = [0] * self.k
+        c = code
+        for j in range(self.k - 1, -1, -1):
+            c, coords[j] = divmod(c, p)
+        return FieldElement(self, tuple(coords), code)
 
     def dlog(self, x: "FieldElement") -> int:
-        """Discrete log of x base gen() (k >= 2); requires gen primitive for
-        full coverage, raises ValueError if x is not a power of gen."""
+        """Discrete log of x base gen() (k >= 2): the least j >= 0 with
+        gen()^j = x; raises ValueError if x is not a power of gen()."""
         if x.is_zero():
             raise ValueError("dlog of zero")
-        if self._dlog is None:
-            table = {}
-            g = self.gen()
-            acc = self.one()
-            for j in range(self.order - 1):
-                table.setdefault(acc.coeffs, j)
-                acc = acc * g
-            self._dlog = table
-        try:
-            return self._dlog[x.coeffs]
-        except KeyError:
-            raise ValueError("element is not a power of the generator") from None
+        w = self.gen()
+        log = self._tables()[0]
+        n = self.order - 1
+        s, t = log[w.index], log[x.index]
+        g = math.gcd(s, n)
+        if t % g:
+            raise ValueError("element is not a power of the generator")
+        r = n // g  # order of gen()
+        return t // g * pow(s // g, -1, r) % r
 
     def __eq__(self, other):
-        return (isinstance(other, FieldCtx)
-                and (self.p, self.k, self.modulus) == (other.p, other.k, other.modulus))
+        return self is other or (
+            isinstance(other, FieldCtx)
+            and (self.p, self.k, self.modulus) == (other.p, other.k, other.modulus))
 
     def __hash__(self):
         return hash((self.p, self.k, self.modulus))
@@ -268,14 +723,11 @@ def field(p: int, k: int = 1, modulus=None) -> FieldCtx:
     first, then the first irreducible of degree k in enumeration order.
     """
     if k >= 2 and modulus is None:
-        bundled = _BUNDLED_MODULI.get((p, k))
-        if bundled is not None:
-            modulus = bundled
-        else:
-            for cand in _ip_monic_of_degree(p, k):
-                if _ip_is_irreducible(cand, p):
-                    modulus = cand
-                    break
+        modulus = _BUNDLED_MODULI.get((p, k))
+        if modulus is None and is_prime(p):
+            fp = _prime_ops(p)
+            modulus = next(c + (1,) for c in itertools.product(range(p), repeat=k)
+                           if _is_irreducible(fp, c + (1,)))
     key = (p, k, tuple(c % p for c in modulus) if modulus is not None else None)
     ctx = _CTX_CACHE.get(key)
     if ctx is None:
@@ -293,17 +745,22 @@ def field_of_order(q: int, modulus=None) -> FieldCtx:
 
 
 class FieldElement:
-    """An element of GF(p^k): k residues mod p over the power basis."""
+    """An element of GF(p^k): k residues mod p over the power basis.
 
-    __slots__ = ("ctx", "coeffs")
+    Elements compare equal only to elements of the same field; an int is not
+    an element (coerce it with `ctx.elem`), so equality and hashing agree.
+    """
 
-    def __init__(self, ctx: FieldCtx, coeffs: tuple[int, ...]):
+    __slots__ = ("ctx", "coeffs", "_index")
+
+    def __init__(self, ctx: FieldCtx, coeffs: tuple[int, ...], index: int | None = None):
         self.ctx = ctx
         self.coeffs = coeffs
+        self._index = index
 
     def _coerce(self, other) -> "FieldElement":
         if isinstance(other, FieldElement):
-            if other.ctx != self.ctx:
+            if other.ctx is not self.ctx and other.ctx != self.ctx:
                 raise ValueError("mismatched field contexts")
             return other
         if isinstance(other, int):
@@ -340,9 +797,7 @@ class FieldElement:
         ctx = self.ctx
         if ctx.k == 1:
             return FieldElement(ctx, ((self.coeffs[0] * o.coeffs[0]) % ctx.p,))
-        prod = _ip_mul(_ip_trim(self.coeffs), _ip_trim(o.coeffs), ctx.p)
-        _, rem = _ip_divmod(prod, ctx.modulus, ctx.p)
-        return FieldElement(ctx, rem + (0,) * (ctx.k - len(rem)))
+        return ctx.from_code(ctx.ops().mul(self.index, o.index))
 
     __rmul__ = __mul__
 
@@ -352,11 +807,7 @@ class FieldElement:
         ctx = self.ctx
         if ctx.k == 1:
             return FieldElement(ctx, (pow(self.coeffs[0], ctx.p - 2, ctx.p),))
-        g, s, _ = _ip_xgcd(_ip_trim(self.coeffs), ctx.modulus, ctx.p)
-        if g != (1,):
-            raise ArithmeticError("modulus is not irreducible")
-        _, rem = _ip_divmod(s, ctx.modulus, ctx.p)
-        return FieldElement(ctx, rem + (0,) * (ctx.k - len(rem)))
+        return ctx.from_code(ctx.ops().inv(self.index))
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -388,15 +839,21 @@ class FieldElement:
     @property
     def index(self) -> int:
         """Lexicographic rank of the coordinate tuple (first coordinate most
-        significant); fixes the element order used by map tables."""
-        ctx = self.ctx
-        return sum(c * ctx.p ** (ctx.k - 1 - j) for j, c in enumerate(self.coeffs))
+        significant); fixes the element order used by map tables, and is the
+        element's code in the integer kernel."""
+        i = self._index
+        if i is None:
+            p = self.ctx.p
+            i = 0
+            for c in self.coeffs:
+                i = i * p + c
+            self._index = i
+        return i
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            other = self.ctx.elem(other)
         return (isinstance(other, FieldElement)
-                and self.ctx == other.ctx and self.coeffs == other.coeffs)
+                and (self.ctx is other.ctx or self.ctx == other.ctx)
+                and self.coeffs == other.coeffs)
 
     def __hash__(self):
         return hash((self.coeffs, self.ctx.p, self.ctx.k, self.ctx.modulus))
@@ -433,23 +890,31 @@ class Poly:
     """Dense polynomial over a field context, constant term first.
 
     Canonical form: no trailing zero coefficients; the zero polynomial has an
-    empty coefficient tuple and degree MINUS_INFINITY.
+    empty coefficient tuple and degree MINUS_INFINITY.  `codes` holds the
+    coefficient codes; `coeffs` the same coefficients as field elements.
     """
 
-    __slots__ = ("ctx", "coeffs")
+    __slots__ = ("ctx", "codes", "_coeffs")
 
     def __init__(self, ctx: FieldCtx, coeffs):
-        elems = []
-        for c in coeffs:
-            elems.append(ctx.elem(c))
-        while elems and elems[-1].is_zero():
-            elems.pop()
+        code = ctx.code
         self.ctx = ctx
-        self.coeffs = tuple(elems)
+        self.codes = tuple(_trim([code(c) for c in coeffs]))
+        self._coeffs = None
+
+    @classmethod
+    def from_codes(cls, ctx: FieldCtx, codes) -> "Poly":
+        """Polynomial with the given coefficient codes (trailing zeros are
+        dropped; codes must lie in range(ctx.order))."""
+        P = cls.__new__(cls)
+        P.ctx = ctx
+        P.codes = tuple(_trim(list(codes)))
+        P._coeffs = None
+        return P
 
     @classmethod
     def zero(cls, ctx: FieldCtx) -> "Poly":
-        return cls(ctx, ())
+        return cls.from_codes(ctx, ())
 
     @classmethod
     def one(cls, ctx: FieldCtx) -> "Poly":
@@ -460,14 +925,21 @@ class Poly:
         return cls(ctx, (0, 1))
 
     @property
+    def coeffs(self) -> tuple[FieldElement, ...]:
+        c = self._coeffs
+        if c is None:
+            c = self._coeffs = tuple(map(self.ctx.from_code, self.codes))
+        return c
+
+    @property
     def degree(self):
-        return len(self.coeffs) - 1 if self.coeffs else MINUS_INFINITY
+        return len(self.codes) - 1 if self.codes else MINUS_INFINITY
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.codes
 
     def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == self.ctx.one()
+        return bool(self.codes) and self.codes[-1] == self.ctx.p ** (self.ctx.k - 1)
 
     @property
     def leading(self) -> FieldElement:
@@ -476,23 +948,25 @@ class Poly:
         return self.coeffs[-1]
 
     def coeff(self, i: int) -> FieldElement:
-        return self.coeffs[i] if i < len(self.coeffs) else self.ctx.zero()
+        return self.coeffs[i] if i < len(self.codes) else self.ctx.zero()
 
     def _coerce(self, other):
         if isinstance(other, Poly):
-            if other.ctx != self.ctx:
+            if other.ctx is not self.ctx and other.ctx != self.ctx:
                 raise ValueError("mismatched coefficient contexts")
             return other
         if isinstance(other, (int, FieldElement)):
-            return Poly(self.ctx, (self.ctx.elem(other),))
+            return Poly(self.ctx, (other,))
         return NotImplemented
+
+    def _new(self, codes) -> "Poly":
+        return Poly.from_codes(self.ctx, codes)
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        n = max(len(self.coeffs), len(o.coeffs))
-        return Poly(self.ctx, tuple(self.coeff(i) + o.coeff(i) for i in range(n)))
+        return self._new(_padd(self.ctx.ops(), self.codes, o.codes))
 
     __radd__ = __add__
 
@@ -500,28 +974,20 @@ class Poly:
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        n = max(len(self.coeffs), len(o.coeffs))
-        return Poly(self.ctx, tuple(self.coeff(i) - o.coeff(i) for i in range(n)))
+        return self._new(_psub(self.ctx.ops(), self.codes, o.codes))
 
     def __rsub__(self, other):
         return self._coerce(other) - self
 
     def __neg__(self):
-        return Poly(self.ctx, tuple(-c for c in self.coeffs))
+        K = self.ctx.ops()
+        return self._new(K.scale(K.neg(K.one), self.codes))
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        if self.is_zero() or o.is_zero():
-            return Poly.zero(self.ctx)
-        out = [self.ctx.zero()] * (len(self.coeffs) + len(o.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(o.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return Poly(self.ctx, out)
+        return self._new(_pmul(self.ctx.ops(), self.codes, o.codes))
 
     __rmul__ = __mul__
 
@@ -529,23 +995,8 @@ class Poly:
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        if o.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        r = list(self.coeffs)
-        db = len(o.coeffs) - 1
-        inv_lead = o.leading.inverse()
-        q = [self.ctx.zero()] * max(0, len(r) - db)
-        while len(r) - 1 >= db:
-            while r and r[-1].is_zero():
-                r.pop()
-            if len(r) - 1 < db:
-                break
-            shift = len(r) - 1 - db
-            c = r[-1] * inv_lead
-            q[shift] = c
-            for i in range(db + 1):
-                r[shift + i] = r[shift + i] - c * o.coeffs[i]
-        return Poly(self.ctx, q), Poly(self.ctx, r)
+        q, r = _pdivmod(self.ctx.ops(), self.codes, o.codes)
+        return self._new(q), self._new(r)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -556,48 +1007,31 @@ class Poly:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative polynomial power")
-        result = Poly.one(self.ctx)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return self._new(_ppow(self.ctx.ops(), self.codes, n))
 
     def pow_mod(self, n: int, modulus: "Poly") -> "Poly":
-        result = Poly.one(self.ctx) % modulus
-        base = self % modulus
-        while n:
-            if n & 1:
-                result = (result * base) % modulus
-            base = (base * base) % modulus
-            n >>= 1
-        return result
+        return self._new(_ppowmod(self.ctx.ops(), self.codes, n, self._coerce(modulus).codes))
 
     def monic(self) -> "Poly":
         if self.is_zero():
             return self
-        inv = self.leading.inverse()
-        return Poly(self.ctx, tuple(c * inv for c in self.coeffs))
+        return self._new(_pmonic(self.ctx.ops(), self.codes))
 
     def __call__(self, x: FieldElement) -> FieldElement:
-        x = self.ctx.elem(x)
-        acc = self.ctx.zero()
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        ctx = self.ctx
+        return ctx.from_code(ctx.ops().horner(self.codes, ctx.code(x))[1])
 
     def sort_key(self):
         """Grade-lex key: degree first, then coefficient indices constant-first."""
-        return (len(self.coeffs), tuple(c.index for c in self.coeffs))
+        return (len(self.codes), self.codes)
 
     def __eq__(self, other):
         return (isinstance(other, Poly)
-                and self.ctx == other.ctx and self.coeffs == other.coeffs)
+                and (self.ctx is other.ctx or self.ctx == other.ctx)
+                and self.codes == other.codes)
 
     def __hash__(self):
-        return hash((self.ctx, self.coeffs))
+        return hash((self.ctx, self.codes))
 
     def __repr__(self):
         from .serialize import format_poly
@@ -608,9 +1042,7 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Monic greatest common divisor."""
     if a.ctx != b.ctx:
         raise ValueError("mismatched coefficient contexts")
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic()
+    return a._new(_pgcd(a.ctx.ops(), a.codes, b.codes))
 
 
 def poly_arith(a: Poly, b, op: str):
@@ -628,117 +1060,85 @@ def poly_arith(a: Poly, b, op: str):
     raise ValueError(f"unknown polynomial operation {op!r}")
 
 
-def _poly_from_ip(ctx: FieldCtx, ip) -> Poly:
-    return Poly(ctx, ip)
-
-
-def enumerate_monic(ctx: FieldCtx, degree: int):
-    """All monic polynomials of the given degree in grade-lex order."""
-    n = ctx.order
-    for idx in itertools.product(range(n), repeat=degree):
-        coeffs = [ctx.from_index(i) for i in idx]
-        coeffs.append(ctx.one())
-        yield Poly(ctx, coeffs)
-
-
-_IRR_CACHE: dict[tuple, list] = {}
+_IRR_CACHE: dict[tuple, tuple[int, list]] = {}
 
 
 def enumerate_irreducibles(ctx: FieldCtx, max_degree: int) -> list[Poly]:
     """All monic irreducible polynomials of degree <= max_degree over GF(q),
-    in grade-lex order."""
+    in grade-lex order.
+
+    A sieve: the monic polynomials of degree d that are not a product of an
+    irreducible of degree <= d/2 and a monic cofactor are the irreducibles.
+    """
     if max_degree < 1:
         raise ValueError("max_degree must be >= 1")
     key = (ctx.p, ctx.k, ctx.modulus)
     cached_deg, cached = _IRR_CACHE.get(key, (0, []))
     if cached_deg >= max_degree:
         return [q for q in cached if q.degree <= max_degree]
+    K = ctx.ops()
+    q = ctx.order
+    one = (K.one,)
     found = list(cached)
     for d in range(cached_deg + 1, max_degree + 1):
-        for cand in enumerate_monic(ctx, d):
-            ok = True
-            for q in found:
-                if 2 * q.degree > d:
-                    break
-                if (cand % q).is_zero():
-                    ok = False
-                    break
-            if ok:
-                found.append(cand)
+        reducible = bytearray(q ** d)
+        for Q in found:
+            i = len(Q.codes) - 1
+            if 2 * i > d:
+                break
+            for lower in itertools.product(range(q), repeat=d - i):
+                idx = 0
+                for c in _pmul(K, Q.codes, lower + one)[:d]:
+                    idx = idx * q + c
+                reducible[idx] = 1
+        for idx, lower in enumerate(itertools.product(range(q), repeat=d)):
+            if not reducible[idx]:
+                found.append(Poly.from_codes(ctx, lower + one))
     _IRR_CACHE[key] = (max_degree, found)
     return list(found)
 
 
 def is_irreducible(P: Poly) -> bool:
-    if P.is_zero() or P.degree < 1:
-        return False
-    d = int(P.degree)
-    if d == 1:
-        return True
-    for q in enumerate_irreducibles(P.ctx, d // 2):
-        if (P % q).is_zero():
-            return False
-    return True
+    return _is_irreducible(P.ctx.ops(), P.codes)
 
 
 def factor_monic(P: Poly) -> list[tuple[Poly, int]]:
     """Factor a monic polynomial of degree >= 1 into irreducibles.
 
-    Returns (Q, e) pairs sorted grade-lex on Q.  Trial division against the
-    irreducible enumeration; intended for desk-scale degrees.
+    Returns (Q, e) pairs sorted grade-lex on Q.  Squarefree, distinct-degree
+    and equal-degree factorisation on codes; over a field with at most deg P
+    elements the linear factors are divided out by their roots first.
     """
     if P.is_zero() or not P.is_monic() or P.degree < 1:
         raise ValueError("factor_monic expects a monic polynomial of degree >= 1")
-    ctx = P.ctx
-    if ctx.k == 1:
-        return _factor_monic_prime(P)
-    out: list[tuple[Poly, int]] = []
-    rem = P
-    while rem.degree >= 1:
-        d = int(rem.degree)
-        hit = None
-        for q in enumerate_irreducibles(ctx, d // 2):
-            if (rem % q).is_zero():
-                hit = q
-                break
-        if hit is None:
-            hit = rem  # remainder itself irreducible
-        e = 0
-        while (rem % hit).is_zero():
-            rem = rem // hit
-            e += 1
-        out.append((hit, e))
-    out.sort(key=lambda t: t[0].sort_key())
-    return out
-
-
-def _factor_monic_prime(P: Poly) -> list[tuple[Poly, int]]:
-    """Prime-field fast path on int coefficient tuples."""
-    ctx = P.ctx
-    p = ctx.p
-    poly = _ip_trim(tuple(c.coeffs[0] for c in P.coeffs))
+    K = P.ctx.ops()
+    f = list(P.codes)
     out = []
-    d = len(poly) - 1
-    irr = _ip_irreducibles(p, max(1, d // 2))
-    rem = poly
-    while len(rem) - 1 >= 1:
-        hit = None
-        for q in irr:
-            if 2 * (len(q) - 1) > len(rem) - 1:
-                break
-            if not _ip_divmod(rem, q, p)[1]:
-                hit = q
-                break
-        if hit is None:
-            hit = rem
-        e = 0
-        while True:
-            quo, r = _ip_divmod(rem, hit, p)
-            if r:
-                break
-            rem = quo
-            e += 1
-        out.append((Poly(ctx, hit), e))
+    first = 1
+    if K.q < len(f):
+        # few field elements: the linear factors come from the roots
+        first = 2
+        for a in range(K.q):
+            e = 0
+            while True:
+                quo, rem = K.horner(f, a)
+                if rem:
+                    break
+                f = quo
+                e += 1
+            if e:
+                out.append((P._new([K.neg(a), K.one]), e))
+    if first == 2 and len(f) <= 4:
+        if len(f) > 1:
+            out.append((P._new(f), 1))  # no roots and degree <= 3: irreducible
+    else:
+        rng = None  # seeded on first use
+        for g, m in _squarefree(K, f):
+            for h, i in _ddf(K, g, first):
+                if len(h) - 1 > i and rng is None:
+                    rng = random.Random(_EDF_SEED)
+                for Q in _edf(K, h, i, rng):
+                    out.append((P._new(Q), m))
     out.sort(key=lambda t: t[0].sort_key())
     return out
 
@@ -750,19 +1150,19 @@ def poly_order(Q: Poly) -> int:
     """
     if not Q.is_monic() or Q.degree < 1:
         raise ValueError("poly_order expects a monic polynomial of degree >= 1")
-    if Q.degree == 1 and Q.coeff(0).is_zero():
+    if Q.degree == 1 and not Q.codes[0]:
         raise ValueError("poly_order is undefined for Q = X")
     if not is_irreducible(Q):
         raise ValueError("poly_order expects an irreducible polynomial")
-    ctx = Q.ctx
-    n = ctx.order ** int(Q.degree) - 1
-    x = Poly.x(ctx)
-    one = Poly.one(ctx)
-    if x.pow_mod(n, Q) != one:
+    K = Q.ctx.ops()
+    n = Q.ctx.order ** int(Q.degree) - 1
+    x = [0, K.one]
+    one = [K.one]
+    if _ppowmod(K, x, n, Q.codes) != one:
         raise ArithmeticError("X is not a unit modulo Q")
     order = n
     for prime in factorize(n):
-        while order % prime == 0 and x.pow_mod(order // prime, Q) == one:
+        while order % prime == 0 and _ppowmod(K, x, order // prime, Q.codes) == one:
             order //= prime
     return order
 
@@ -773,10 +1173,12 @@ def q_adic_valuation(R: Poly, Q: Poly) -> int:
         raise ValueError("valuation of the zero polynomial is undefined")
     if Q.is_zero() or Q.degree < 1:
         raise ValueError("valuation base must have degree >= 1")
+    K = R.ctx.ops()
+    r = R.codes
     m = 0
     while True:
-        quo, rem = divmod(R, Q)
-        if not rem.is_zero():
+        quo, rem = _pdivmod(K, r, Q.codes)
+        if rem:
             return m
-        R = quo
+        r = quo
         m += 1

@@ -3,14 +3,213 @@
 Companion matrices here are the transposes of the column-convention ones:
 row i of Comp(P) is the image of the basis monomial X^i under multiplication
 by X on GF(q)[X]/(P).
+
+The algorithms run on rows of element codes (see `cosetmap.gf`) through the
+field's `ops()`; `MatrixQ`, `VectorQ` and `Poly` are built for return values.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .gf import FieldCtx, FieldElement, Poly, factor_monic
+from .gf import (FieldCtx, FieldElement, Poly, _Ops, _pexact_div, _pmul, _ppow, _trim,
+                 factor_monic)
 
+
+# ---------------------------------------------------------------------------
+# Kernels on rows of codes
+# ---------------------------------------------------------------------------
+
+def _matmul(K: _Ops, A, B, width: int) -> list[list]:
+    return [K.vecmat(row, B, width) for row in A]
+
+
+def _matpow(K: _Ops, A, e: int) -> list[list]:
+    n = len(A)
+    result = _identity(K, n)
+    while e:
+        if e & 1:
+            result = _matmul(K, result, A, n)
+        e >>= 1
+        if e:
+            A = _matmul(K, A, A, n)
+    return result
+
+
+def _identity(K: _Ops, n: int) -> list[list]:
+    return [[K.one if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def _reduce_rows(K: _Ops, work: list[list], ncols: int):
+    """Gauss-Jordan elimination in place over the first `ncols` columns,
+    pivoting on the first nonzero entry at or below the current row.
+
+    Returns the pivot columns and the determinant factor: the product of the
+    pivots, negated once per row swap.
+    """
+    mul, neg, inv, axpy, scale = K.mul, K.neg, K.inv, K.axpy, K.scale
+    nrows = len(work)
+    pivots = []
+    det = K.one
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        pivot = next((i for i in range(r, nrows) if work[i][c]), None)
+        if pivot is None:
+            continue
+        if pivot != r:
+            work[r], work[pivot] = work[pivot], work[r]
+            det = neg(det)
+        pv = work[r][c]
+        det = mul(det, pv)
+        row = work[r] = scale(inv(pv), work[r])
+        for i in range(nrows):
+            f = work[i][c]
+            if f and i != r:
+                work[i] = axpy(work[i], neg(f), row)
+        pivots.append(c)
+        r += 1
+    return pivots, det
+
+
+def _inverse(K: _Ops, A) -> list[list]:
+    n = len(A)
+    work = [list(row) + e for row, e in zip(A, _identity(K, n))]
+    if len(_reduce_rows(K, work, n)[0]) < n:
+        raise ZeroDivisionError("matrix is singular")
+    return [row[n:] for row in work]
+
+
+def _solve_columns(K: _Ops, A, b, ncols: int) -> list:
+    """x with A x^T = b^T, A given by rows of `ncols` codes."""
+    work = [list(row) + [bi] for row, bi in zip(A, b)]
+    pivots, _ = _reduce_rows(K, work, ncols)
+    if any(row[ncols] for row in work[len(pivots):]):
+        raise ValueError("inconsistent linear system")
+    x = [0] * ncols
+    for row, c in zip(work, pivots):
+        x[c] = row[ncols]
+    return x
+
+
+def _left_kernel(K: _Ops, A, ncols: int) -> list[list]:
+    """Basis of {x : x A = 0} in echelon order."""
+    n = len(A)
+    work = [list(col) for col in zip(*A)]
+    pivots, _ = _reduce_rows(K, work, n)
+    basis = []
+    for f in range(n):
+        if f in pivots:
+            continue
+        v = [0] * n
+        v[f] = K.one
+        for row, c in zip(work, pivots):
+            v[c] = K.neg(row[f])
+        basis.append(v)
+    return basis
+
+
+def _companion(K: _Ops, P) -> list[list]:
+    d = len(P) - 1
+    rows = [[K.one if j == i + 1 else 0 for j in range(d)] for i in range(d - 1)]
+    rows.append([K.neg(c) for c in P[:d]])
+    return rows
+
+
+def _poly_at(K: _Ops, P, A) -> list[list]:
+    """P(A) by Horner."""
+    n = len(A)
+    acc = [[0] * n for _ in range(n)]
+    for c in reversed(P):
+        acc = _matmul(K, acc, A, n)
+        if c:
+            for i in range(n):
+                acc[i][i] = K.add(acc[i][i], c)
+    return acc
+
+
+def _charpoly(K: _Ops, A) -> list:
+    """Characteristic polynomial via Hessenberg reduction."""
+    add, mul, neg, inv, axpy = K.add, K.mul, K.neg, K.inv, K.axpy
+    n = len(A)
+    H = [list(r) for r in A]
+    for c in range(n - 2):
+        pivot = next((i for i in range(c + 1, n) if H[i][c]), None)
+        if pivot is None:
+            continue
+        if pivot != c + 1:
+            H[c + 1], H[pivot] = H[pivot], H[c + 1]
+            for row in H:
+                row[c + 1], row[pivot] = row[pivot], row[c + 1]
+        piv_inv = inv(H[c + 1][c])
+        for i in range(c + 2, n):
+            if H[i][c]:
+                f = mul(H[i][c], piv_inv)
+                H[i] = axpy(H[i], neg(f), H[c + 1])
+                for row in H:
+                    row[c + 1] = add(row[c + 1], mul(f, row[i]))
+    # charpoly recurrence on the Hessenberg form
+    ps = [[K.one]]
+    for m in range(1, n + 1):
+        p = _pmul(K, [neg(H[m - 1][m - 1]), K.one], ps[m - 1])
+        prod = K.one
+        for i in range(m - 1, 0, -1):
+            prod = mul(prod, H[i][i - 1])
+            t = mul(H[i - 1][m - 1], prod)
+            if t:
+                lo = ps[i - 1]
+                p[:len(lo)] = axpy(p[:len(lo)], neg(t), lo)
+        ps.append(p)
+    return ps[n]
+
+
+class _Echelon:
+    """Mutable echelon basis of a row space of codes; deterministic insertion
+    order.  Stored rows are normalized at their pivot."""
+
+    __slots__ = ("ops", "rows", "pivots")
+
+    def __init__(self, ops: _Ops):
+        self.ops = ops
+        self.rows: list[list] = []
+        self.pivots: list[int] = []
+
+    @property
+    def dim(self) -> int:
+        return len(self.rows)
+
+    def copy(self) -> "_Echelon":
+        e = _Echelon(self.ops)
+        e.rows = list(self.rows)
+        e.pivots = list(self.pivots)
+        return e
+
+    def reduce(self, w) -> list:
+        axpy, neg = self.ops.axpy, self.ops.neg
+        w = list(w)
+        for row, p in zip(self.rows, self.pivots):
+            f = w[p]
+            if f:
+                w = axpy(w, neg(f), row)
+        return w
+
+    def contains(self, v) -> bool:
+        return not any(self.reduce(v))
+
+    def insert(self, v) -> bool:
+        w = self.reduce(v)
+        pivot = next((i for i, a in enumerate(w) if a), None)
+        if pivot is None:
+            return False
+        self.rows.append(self.ops.scale(self.ops.inv(w[pivot]), w))
+        self.pivots.append(pivot)
+        return True
+
+
+# ---------------------------------------------------------------------------
+# Vectors and matrices
+# ---------------------------------------------------------------------------
 
 class VectorQ:
     """Row vector over a field context."""
@@ -22,8 +221,19 @@ class VectorQ:
         self.entries = tuple(ctx.elem(e) for e in entries)
 
     @classmethod
+    def from_codes(cls, ctx: FieldCtx, codes) -> "VectorQ":
+        v = cls.__new__(cls)
+        v.ctx = ctx
+        v.entries = tuple(map(ctx.from_code, codes))
+        return v
+
+    @classmethod
     def zero(cls, ctx: FieldCtx, n: int) -> "VectorQ":
         return cls(ctx, (0,) * n)
+
+    @property
+    def codes(self) -> tuple[int, ...]:
+        return tuple(e.index for e in self.entries)
 
     def __len__(self):
         return len(self.entries)
@@ -43,22 +253,14 @@ class VectorQ:
         return VectorQ(self.ctx, tuple(-a for a in self.entries))
 
     def scale(self, c) -> "VectorQ":
-        c = self.ctx.elem(c)
-        return VectorQ(self.ctx, tuple(c * a for a in self.entries))
+        return VectorQ.from_codes(self.ctx, self.ctx.ops().scale(self.ctx.code(c), self.codes))
 
     def __mul__(self, M: "MatrixQ") -> "VectorQ":
         if not isinstance(M, MatrixQ):
             return NotImplemented
         if M.ctx != self.ctx or M.rows != len(self.entries):
             raise ValueError("dimension mismatch in vector-matrix product")
-        out = []
-        for j in range(M.cols):
-            acc = self.ctx.zero()
-            for i, a in enumerate(self.entries):
-                if not a.is_zero():
-                    acc = acc + a * M.entry(i, j)
-            out.append(acc)
-        return VectorQ(self.ctx, out)
+        return VectorQ.from_codes(self.ctx, self.ctx.ops().vecmat(self.codes, M.codes, M.cols))
 
     def is_zero(self) -> bool:
         return all(e.is_zero() for e in self.entries)
@@ -99,7 +301,7 @@ class VectorQ:
 class MatrixQ:
     """Dense exact matrix; immutable after construction."""
 
-    __slots__ = ("ctx", "rows", "cols", "_rows")
+    __slots__ = ("ctx", "rows", "cols", "_rows", "_codes")
 
     def __init__(self, ctx: FieldCtx, rows):
         table = tuple(tuple(ctx.elem(e) for e in row) for row in rows)
@@ -113,6 +315,18 @@ class MatrixQ:
         self.rows = len(table)
         self.cols = width
         self._rows = table
+        self._codes = None
+
+    @classmethod
+    def from_codes(cls, ctx: FieldCtx, rows, cols: int | None = None) -> "MatrixQ":
+        """Matrix with the given rows of element codes."""
+        M = cls.__new__(cls)
+        M.ctx = ctx
+        M._codes = tuple(tuple(r) for r in rows)
+        M._rows = tuple(tuple(map(ctx.from_code, r)) for r in M._codes)
+        M.rows = len(M._codes)
+        M.cols = len(M._codes[0]) if M._codes else (cols or 0)
+        return M
 
     @classmethod
     def identity(cls, ctx: FieldCtx, n: int) -> "MatrixQ":
@@ -141,6 +355,14 @@ class MatrixQ:
             off += b.rows
         return cls(ctx, rows)
 
+    @property
+    def codes(self) -> tuple[tuple[int, ...], ...]:
+        """Rows of element codes."""
+        c = self._codes
+        if c is None:
+            c = self._codes = tuple(tuple(e.index for e in r) for r in self._rows)
+        return c
+
     def entry(self, i: int, j: int) -> FieldElement:
         return self._rows[i][j]
 
@@ -167,26 +389,17 @@ class MatrixQ:
         return MatrixQ(self.ctx, tuple(tuple(-a for a in r) for r in self._rows))
 
     def scale(self, c) -> "MatrixQ":
-        c = self.ctx.elem(c)
-        return MatrixQ(self.ctx, tuple(tuple(c * a for a in r) for r in self._rows))
+        K = self.ctx.ops()
+        c = self.ctx.code(c)
+        return MatrixQ.from_codes(self.ctx, [K.scale(c, r) for r in self.codes], self.cols)
 
     def __mul__(self, other):
         if isinstance(other, MatrixQ):
             if other.ctx != self.ctx or self.cols != other.rows:
                 raise ValueError("dimension mismatch in matrix product")
-            zero = self.ctx.zero()
-            out = []
-            for i in range(self.rows):
-                row = []
-                for j in range(other.cols):
-                    acc = zero
-                    for t in range(self.cols):
-                        a = self._rows[i][t]
-                        if not a.is_zero():
-                            acc = acc + a * other._rows[t][j]
-                    row.append(acc)
-                out.append(tuple(row))
-            return MatrixQ(self.ctx, tuple(out))
+            return MatrixQ.from_codes(
+                self.ctx, _matmul(self.ctx.ops(), self.codes, other.codes, other.cols),
+                other.cols)
         return NotImplemented
 
     def __pow__(self, n: int) -> "MatrixQ":
@@ -194,64 +407,26 @@ class MatrixQ:
             raise ValueError("matrix power needs a square matrix")
         if n < 0:
             return self.inverse() ** (-n)
-        result = MatrixQ.identity(self.ctx, self.rows)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return MatrixQ.from_codes(self.ctx, _matpow(self.ctx.ops(), self.codes, n), self.cols)
 
     def transpose(self) -> "MatrixQ":
         return MatrixQ(self.ctx, tuple(tuple(self._rows[i][j] for i in range(self.rows))
                                        for j in range(self.cols)))
 
-    def _elimination(self):
-        """Returns (echelon rows, pivot columns, det or None) by Gaussian
-        elimination with partial (first nonzero) pivoting."""
-        work = [list(r) for r in self._rows]
-        det = self.ctx.one()
-        sign_swaps = 0
-        pivots = []
-        r = 0
-        for c in range(self.cols):
-            pivot = None
-            for i in range(r, self.rows):
-                if not work[i][c].is_zero():
-                    pivot = i
-                    break
-            if pivot is None:
-                continue
-            if pivot != r:
-                work[r], work[pivot] = work[pivot], work[r]
-                sign_swaps += 1
-            pivots.append(c)
-            pv = work[r][c]
-            det = det * pv
-            inv = pv.inverse()
-            work[r] = [inv * a for a in work[r]]
-            for i in range(self.rows):
-                if i != r and not work[i][c].is_zero():
-                    f = work[i][c]
-                    work[i] = [a - f * b for a, b in zip(work[i], work[r])]
-            r += 1
-            if r == self.rows:
-                break
-        if sign_swaps % 2:
-            det = -det
-        return work, pivots, det, r
+    def _reduced(self):
+        """(pivot columns, determinant factor) of the row reduction."""
+        return _reduce_rows(self.ctx.ops(), [list(r) for r in self.codes], self.cols)
 
     def det(self) -> FieldElement:
         if not self.is_square():
             raise ValueError("determinant needs a square matrix")
-        _, pivots, det, rank = self._elimination()
-        if rank < self.rows:
+        pivots, det = self._reduced()
+        if len(pivots) < self.rows:
             return self.ctx.zero()
-        return det
+        return self.ctx.from_code(det)
 
     def rank(self) -> int:
-        return self._elimination()[3]
+        return len(self._reduced()[0])
 
     def is_invertible(self) -> bool:
         return self.is_square() and self.rank() == self.rows
@@ -259,27 +434,7 @@ class MatrixQ:
     def inverse(self) -> "MatrixQ":
         if not self.is_square():
             raise ValueError("inverse needs a square matrix")
-        n = self.rows
-        work = [list(r) + [self.ctx.one() if i == j else self.ctx.zero() for j in range(n)]
-                for i, r in enumerate(self._rows)]
-        r = 0
-        for c in range(n):
-            pivot = None
-            for i in range(r, n):
-                if not work[i][c].is_zero():
-                    pivot = i
-                    break
-            if pivot is None:
-                raise ZeroDivisionError("matrix is singular")
-            work[r], work[pivot] = work[pivot], work[r]
-            inv = work[r][c].inverse()
-            work[r] = [inv * a for a in work[r]]
-            for i in range(n):
-                if i != r and not work[i][c].is_zero():
-                    f = work[i][c]
-                    work[i] = [a - f * b for a, b in zip(work[i], work[r])]
-            r += 1
-        return MatrixQ(self.ctx, tuple(tuple(row[n:]) for row in work))
+        return MatrixQ.from_codes(self.ctx, _inverse(self.ctx.ops(), self.codes), self.cols)
 
     def solve_left(self, b: VectorQ) -> VectorQ:
         """Solve x * self = b; raises if inconsistent or non-square."""
@@ -289,49 +444,13 @@ class MatrixQ:
     def _solve_right(self, b: VectorQ) -> VectorQ:
         if self.rows != len(b.entries):
             raise ValueError("dimension mismatch in solve")
-        work = [list(r) + [b.entries[i]] for i, r in enumerate(self._rows)]
-        n, m = self.rows, self.cols
-        pivots = []
-        r = 0
-        for c in range(m):
-            pivot = None
-            for i in range(r, n):
-                if not work[i][c].is_zero():
-                    pivot = i
-                    break
-            if pivot is None:
-                continue
-            work[r], work[pivot] = work[pivot], work[r]
-            inv = work[r][c].inverse()
-            work[r] = [inv * a for a in work[r]]
-            for i in range(n):
-                if i != r and not work[i][c].is_zero():
-                    f = work[i][c]
-                    work[i] = [a - f * bb for a, bb in zip(work[i], work[r])]
-            pivots.append(c)
-            r += 1
-        for i in range(r, n):
-            if not work[i][m].is_zero():
-                raise ValueError("inconsistent linear system")
-        x = [self.ctx.zero()] * m
-        for i, c in enumerate(pivots):
-            x[c] = work[i][m]
-        return VectorQ(self.ctx, x)
+        return VectorQ.from_codes(
+            self.ctx, _solve_columns(self.ctx.ops(), self.codes, b.codes, self.cols))
 
     def left_kernel(self) -> list[VectorQ]:
         """Basis of {x : x * self = 0}, in deterministic echelon order."""
-        At = self.transpose()
-        work, pivots, _, rank = At._elimination()
-        n = At.cols
-        free = [j for j in range(n) if j not in pivots]
-        basis = []
-        for f in free:
-            v = [self.ctx.zero()] * n
-            v[f] = self.ctx.one()
-            for i, c in enumerate(pivots):
-                v[c] = -work[i][f]
-            basis.append(VectorQ(self.ctx, v))
-        return basis
+        return [VectorQ.from_codes(self.ctx, v)
+                for v in _left_kernel(self.ctx.ops(), self.codes, self.cols)]
 
     def _check_same_shape(self, other):
         if not isinstance(other, MatrixQ) or other.ctx != self.ctx:
@@ -410,13 +529,7 @@ def companion(P: Poly) -> MatrixQ:
     negated coefficients of P."""
     if not P.is_monic() or P.degree < 1:
         raise ValueError("companion matrix needs a monic polynomial of degree >= 1")
-    d = int(P.degree)
-    ctx = P.ctx
-    rows = []
-    for i in range(d - 1):
-        rows.append(tuple(ctx.one() if j == i + 1 else ctx.zero() for j in range(d)))
-    rows.append(tuple(-P.coeff(j) for j in range(d)))
-    return MatrixQ(ctx, rows)
+    return MatrixQ.from_codes(P.ctx, _companion(P.ctx.ops(), P.codes))
 
 
 def hypercompanion(Q: Poly, e: int) -> MatrixQ:
@@ -448,115 +561,35 @@ def poly_at_matrix(P: Poly, A: MatrixQ) -> MatrixQ:
     """Evaluate a polynomial at a square matrix (Horner)."""
     if not A.is_square():
         raise ValueError("polynomial evaluation needs a square matrix")
-    n = A.rows
-    acc = MatrixQ.zeros(A.ctx, n, n)
-    for c in reversed(P.coeffs):
-        acc = acc * A + MatrixQ.identity(A.ctx, n).scale(c)
-    return acc
+    if P.ctx != A.ctx:
+        raise ValueError("mismatched contexts")
+    return MatrixQ.from_codes(A.ctx, _poly_at(A.ctx.ops(), P.codes, A.codes), A.cols)
 
 
 def charpoly(A: MatrixQ) -> Poly:
     """Characteristic polynomial via Hessenberg reduction."""
     if not A.is_square():
         raise ValueError("characteristic polynomial needs a square matrix")
-    ctx = A.ctx
-    n = A.rows
-    if n == 0:
-        return Poly.one(ctx)
-    H = [list(r) for r in A._rows]
-    for c in range(n - 2):
-        pivot = None
-        for i in range(c + 1, n):
-            if not H[i][c].is_zero():
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        if pivot != c + 1:
-            H[c + 1], H[pivot] = H[pivot], H[c + 1]
-            for i in range(n):
-                H[i][c + 1], H[i][pivot] = H[i][pivot], H[i][c + 1]
-        inv = H[c + 1][c].inverse()
-        for i in range(c + 2, n):
-            if not H[i][c].is_zero():
-                f = H[i][c] * inv
-                H[i] = [a - f * b for a, b in zip(H[i], H[c + 1])]
-                for r in range(n):
-                    H[r][c + 1] = H[r][c + 1] + f * H[r][i]
-    # charpoly recurrence on the Hessenberg form
-    x = Poly.x(ctx)
-    ps = [Poly.one(ctx)]
-    for m in range(1, n + 1):
-        p = (x - H[m - 1][m - 1]) * ps[m - 1]
-        prod = ctx.one()
-        for i in range(m - 1, 0, -1):
-            prod = prod * H[i][i - 1]
-            p = p - Poly(ctx, (H[i - 1][m - 1] * prod,)) * ps[i - 1]
-        ps.append(p)
-    return ps[n]
+    return Poly.from_codes(A.ctx, _charpoly(A.ctx.ops(), A.codes))
 
 
 def minpoly(A: MatrixQ) -> Poly:
     """Minimal polynomial via the first linear dependence among powers of A."""
     if not A.is_square():
         raise ValueError("minimal polynomial needs a square matrix")
-    ctx = A.ctx
+    K = A.ctx.ops()
     n = A.rows
-    powers = [MatrixQ.identity(ctx, n)]
-    ech = _Echelon(ctx, n * n)
+    power = _identity(K, n)
+    flats = []
+    ech = _Echelon(K)
     while True:
-        Ak = powers[-1]
-        flat = VectorQ(ctx, [Ak.entry(i, j) for i in range(n) for j in range(n)])
+        flat = [a for row in power for a in row]
         if not ech.insert(flat):
             # A^m depends on lower powers: solve sum c_i A^i = A^m
-            m = len(powers) - 1
-            rows = [[P.entry(i, j) for i in range(n) for j in range(n)]
-                    for P in powers[:m]]
-            sol = MatrixQ(ctx, rows).transpose()._solve_right(flat)
-            return Poly(ctx, [-c for c in sol.entries] + [ctx.one()])
-        powers.append(powers[-1] * A)
-
-
-class _Echelon:
-    """Mutable echelon basis of a row space; deterministic insertion order."""
-
-    __slots__ = ("ctx", "n", "rows", "pivots")
-
-    def __init__(self, ctx: FieldCtx, n: int):
-        self.ctx = ctx
-        self.n = n
-        self.rows: list[list[FieldElement]] = []
-        self.pivots: list[int] = []
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
-
-    def reduce(self, v: VectorQ) -> list[FieldElement]:
-        w = list(v.entries)
-        for row, p in zip(self.rows, self.pivots):
-            if not w[p].is_zero():
-                f = w[p]
-                w = [a - f * b for a, b in zip(w, row)]
-        return w
-
-    def contains(self, v: VectorQ) -> bool:
-        return all(a.is_zero() for a in self.reduce(v))
-
-    def insert(self, v: VectorQ) -> bool:
-        w = self.reduce(v)
-        pivot = None
-        for i, a in enumerate(w):
-            if not a.is_zero():
-                pivot = i
-                break
-        if pivot is None:
-            return False
-        inv = w[pivot].inverse()
-        w = [inv * a for a in w]
-        self.rows.append(w)
-        self.pivots.append(pivot)
-        return True
+            sol = _solve_columns(K, list(zip(*flats)), flat, len(flats))
+            return Poly.from_codes(A.ctx, [K.neg(c) for c in sol] + [K.one])
+        flats.append(flat)
+        power = _matmul(K, power, A.codes, n)
 
 
 @dataclass(frozen=True)
@@ -574,36 +607,29 @@ class Prcf:
         return [Q ** e for Q, e in self.blocks]
 
 
-def _poly_exact_div(a: Poly, b: Poly) -> Poly:
-    q, r = divmod(a, b)
-    if not r.is_zero():
-        raise ArithmeticError("inexact polynomial division in canonical form")
-    return q
-
-
-def _decompose_primary(A: MatrixQ, Q: Poly, comp_basis: list[VectorQ]):
+def _decompose_primary(K: _Ops, A, QA, Q, comp_basis):
     """Split one primary component into cyclic summands.
 
+    A and QA = Q(A) are rows of codes, Q the codes of the irreducible.
     Greedy: repeatedly take a vector of maximal height in the quotient by what
     has been collected, make it pure by subtracting the divisible part of its
     image inside the collected blocks, and append its Krylov block.  Returns
     (generator, height) pairs with non-increasing heights.
     """
-    ctx = A.ctx
-    QA = poly_at_matrix(Q, A)
-    degQ = int(Q.degree)
+    n = len(A)
+    degQ = len(Q) - 1
     target_dim = len(comp_basis)
 
-    collected = _Echelon(ctx, A.rows)
-    gens: list[tuple[VectorQ, int]] = []
-    gen_rows: list[VectorQ] = []   # Krylov rows in block order
-    gen_meta: list[tuple[int, int]] = []  # (generator index, power) per row
+    collected = _Echelon(K)
+    gens: list[tuple[list, int]] = []
+    gen_rows: list[list] = []   # Krylov rows in block order
+    gen_meta: list[int] = []    # generator index per row
 
-    def height_mod(v: VectorQ, cap: int) -> int:
+    def height_mod(v, cap: int) -> int:
         h = 0
         w = v
         while not collected.contains(w):
-            w = w * QA
+            w = K.vecmat(w, QA, n)
             h += 1
             if h > cap:
                 raise ArithmeticError("height exceeded component exponent")
@@ -611,14 +637,8 @@ def _decompose_primary(A: MatrixQ, Q: Poly, comp_basis: list[VectorQ]):
 
     cap = target_dim // degQ + 1
     while collected.dim < target_dim:
-        probe = _Echelon(ctx, A.rows)
-        for row, piv in zip(collected.rows, collected.pivots):
-            probe.rows.append(list(row))
-            probe.pivots.append(piv)
-        candidates = []
-        for v in comp_basis:
-            if probe.insert(v):
-                candidates.append(v)
+        probe = collected.copy()
+        candidates = [v for v in comp_basis if probe.insert(v)]
         heights = [height_mod(v, cap) for v in candidates]
         hmax = max(heights)
         x = candidates[heights.index(hmax)]
@@ -627,35 +647,33 @@ def _decompose_primary(A: MatrixQ, Q: Poly, comp_basis: list[VectorQ]):
         if gen_rows:
             u = x
             for _ in range(hmax):
-                u = u * QA
-            if not u.is_zero():
-                B = MatrixQ.from_rows(gen_rows)
-                coords = B.transpose()._solve_right(u)
-                for g_idx, (gen, h_g) in enumerate(gens):
-                    cs = [coords.entries[r] for r, (gi, _) in enumerate(gen_meta) if gi == g_idx]
-                    f = Poly(ctx, cs)
-                    if f.is_zero():
+                u = K.vecmat(u, QA, n)
+            if any(u):
+                coords = _solve_columns(K, list(zip(*gen_rows)), u, len(gen_rows))
+                Qh = _ppow(K, Q, hmax)
+                for g_idx, (gen, _) in enumerate(gens):
+                    f = _trim([c for c, gi in zip(coords, gen_meta) if gi == g_idx])
+                    if not f:
                         continue
-                    gpoly = _poly_exact_div(f, Q ** hmax)
                     corr = x
                     acc = gen
-                    for c in gpoly.coeffs:
-                        if not c.is_zero():
-                            corr = corr - acc.scale(c)
-                        acc = acc * A
+                    for c in _pexact_div(K, f, Qh):
+                        if c:
+                            corr = K.axpy(corr, K.neg(c), acc)
+                        acc = K.vecmat(acc, A, n)
                     x = corr
         # record the (now pure) block
         g_idx = len(gens)
         w = x
         block_rows = []
-        for j in range(degQ * hmax):
+        for _ in range(degQ * hmax):
             block_rows.append(w)
-            gen_meta.append((g_idx, j))
-            w = w * A
+            gen_meta.append(g_idx)
+            w = K.vecmat(w, A, n)
         check = x
         for _ in range(hmax):
-            check = check * QA
-        if not check.is_zero():
+            check = K.vecmat(check, QA, n)
+        if any(check):
             raise ArithmeticError("purification failed in canonical form")
         for r in block_rows:
             if not collected.insert(r):
@@ -675,29 +693,31 @@ def prcf(A: MatrixQ) -> Prcf:
     if not A.is_square():
         raise ValueError("canonical form needs a square matrix")
     ctx = A.ctx
+    K = ctx.ops()
     n = A.rows
-    cp = charpoly(A)
-    entries: list[tuple[Poly, int, VectorQ]] = []
-    for Q, mult in factor_monic(cp):
-        QA_m = poly_at_matrix(Q, A) ** mult
-        comp_basis = QA_m.left_kernel()
+    Ac = A.codes
+    entries: list[tuple[Poly, int, list]] = []
+    for Q, mult in factor_monic(charpoly(A)):
+        QA = _poly_at(K, Q.codes, Ac)
+        comp_basis = _left_kernel(K, _matpow(K, QA, mult), n)
         if len(comp_basis) != mult * int(Q.degree):
             raise ArithmeticError("primary component has unexpected dimension")
-        for gen, h in _decompose_primary(A, Q, comp_basis):
+        for gen, h in _decompose_primary(K, Ac, QA, Q.codes, comp_basis):
             entries.append((Q, h, gen))
     entries.sort(key=lambda t: (t[0].sort_key(), t[1]))
-    rows = []
+    T = []
+    D = []
     blocks = []
     for Q, e, gen in entries:
         blocks.append((Q, e))
         w = gen
         for _ in range(int(Q.degree) * e):
-            rows.append(w)
-            w = w * A
-    T = MatrixQ.from_rows(rows)
-    S = T.inverse()
-    result = Prcf(tuple(blocks), S)
-    D = result.block_diagonal()
-    if T * A != D * T:
+            T.append(w)
+            w = K.vecmat(w, Ac, n)
+        off = len(D)
+        for row in _companion(K, _ppow(K, Q.codes, e)):
+            D.append([0] * off + row + [0] * (n - off - len(row)))
+    S = _inverse(K, T)
+    if _matmul(K, T, Ac, n) != _matmul(K, D, T, n):
         raise ArithmeticError("canonical form verification failed")
-    return result
+    return Prcf(tuple(blocks), MatrixQ.from_codes(ctx, S, n))

@@ -1,0 +1,207 @@
+"""The integer-coded GF(q) kernel: code arithmetic against coordinate
+arithmetic, factoring against sympy, and the value-type contracts."""
+
+import itertools
+import random
+
+import pytest
+
+from cosetmap import (FieldElement, Poly, enumerate_irreducibles, factor_monic, field,
+                      is_irreducible)
+from cosetmap.oracle import MAX_DOMAIN
+
+EXTENSION_FIELDS = [(2, 2), (2, 3), (3, 2), (5, 2), (3, 3)]
+
+
+def _coord_mul(ctx, a, b):
+    """Product of two coordinate tuples as polynomials over GF(p), reduced by
+    the modulus with schoolbook long division."""
+    p, k, m = ctx.p, ctx.k, ctx.modulus
+    prod = [0] * (2 * k - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] = (prod[i + j] + x * y) % p
+    for top in range(2 * k - 2, k - 1, -1):
+        c = prod[top]
+        if c:
+            for j in range(k + 1):
+                prod[top - k + j] = (prod[top - k + j] - c * m[j]) % p
+    return tuple(prod[:k])
+
+
+def _coords(ctx, code):
+    return ctx.from_index(code).coeffs
+
+
+def test_factor_monic_keeps_a_linear_cofactor_over_gf4():
+    F4 = field(2, 2)
+    w = F4.gen()
+    a, b = Poly(F4, (w, 1)), Poly(F4, (1, 1))
+    # grade-lex: w has index 1 and 1 has index 2, so X + w comes first
+    assert factor_monic(a * b) == [(a, 1), (b, 1)]
+
+
+def test_field_elements_never_equal_ints():
+    F3 = field(3)
+    one = F3.elem(1)
+    assert one != 1 and one != 4
+    assert 1 not in {one}
+    assert one in {F3.elem(4)}
+    assert hash(one) == hash(F3.elem(4))
+    assert F3.elem(1) == F3.one()
+    # elements of different fields differ even with equal coordinates
+    assert field(5).elem(1) != one
+
+
+@pytest.mark.parametrize("p,k", EXTENSION_FIELDS)
+def test_code_arithmetic_matches_coordinates_exhaustively(p, k):
+    ctx = field(p, k)
+    K = ctx.ops()
+    q = ctx.order
+    assert K.one == ctx.one().index
+    for a in range(q):
+        ca = _coords(ctx, a)
+        if a:
+            assert _coord_mul(ctx, ca, _coords(ctx, K.inv(a))) == ctx.one().coeffs
+        assert _coords(ctx, K.neg(a)) == tuple(-x % p for x in ca)
+        assert _coords(ctx, K.root(a)) == _coords(ctx, (ctx.from_index(a) ** (q // p)).index)
+        for b in range(q):
+            cb = _coords(ctx, b)
+            assert _coords(ctx, K.mul(a, b)) == _coord_mul(ctx, ca, cb)
+            assert _coords(ctx, K.add(a, b)) == tuple((x + y) % p for x, y in zip(ca, cb))
+            assert _coords(ctx, K.sub(a, b)) == tuple((x - y) % p for x, y in zip(ca, cb))
+
+
+def test_code_rows_match_coordinates():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(st.sampled_from(EXTENSION_FIELDS), st.data())
+    def check(pk, data):
+        ctx = field(*pk)
+        K = ctx.ops()
+        q, p = ctx.order, ctx.p
+        n = data.draw(st.integers(0, 6))
+        codes = st.integers(0, q - 1)
+        x = data.draw(st.lists(codes, min_size=n, max_size=n))
+        y = data.draw(st.lists(codes, min_size=n, max_size=n))
+        c = data.draw(codes)
+        cc = _coords(ctx, c)
+        want = [tuple((u + v) % p for u, v in zip(_coords(ctx, a), _coord_mul(ctx, cc, _coords(ctx, b))))
+                for a, b in zip(x, y)]
+        assert [_coords(ctx, t) for t in K.axpy(x, c, y)] == want
+        assert [_coords(ctx, t) for t in K.scale(c, x)] == [_coord_mul(ctx, cc, _coords(ctx, a))
+                                                           for a in x]
+        # element arithmetic goes through the same codes
+        ea, eb = ctx.from_index(x[0] if x else 0), ctx.from_index(c)
+        assert (ea * eb).coeffs == _coord_mul(ctx, ea.coeffs, eb.coeffs)
+
+    check()
+
+
+@pytest.mark.parametrize("p,k", EXTENSION_FIELDS)
+def test_dlog_is_the_least_exponent(p, k):
+    ctx = field(p, k)
+    w = ctx.gen()
+    seen = {}
+    acc = ctx.one()
+    for j in range(ctx.order - 1):
+        seen.setdefault(acc, j)
+        acc = FieldElement(ctx, _coord_mul(ctx, acc.coeffs, w.coeffs))
+    for x in itertools.islice(ctx.elements(), 1, None):
+        if x in seen:
+            assert ctx.dlog(x) == seen[x]
+        else:
+            with pytest.raises(ValueError):
+                ctx.dlog(x)
+
+
+def test_large_extension_refuses_to_build_tables():
+    ctx = field(2, 20)
+    assert ctx.order > MAX_DOMAIN
+    w = ctx.gen()
+    assert (w + w).is_zero()  # coordinate arithmetic needs no tables
+    with pytest.raises(ValueError, match="limit"):
+        w * w
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_factoring_matches_sympy(p):
+    sympy = pytest.importorskip("sympy")
+    X = sympy.Symbol("X")
+    ctx = field(p)
+    rng = random.Random(p)
+    for trial in range(60):
+        if trial % 2:
+            d = rng.randint(1, 12)
+            P = Poly(ctx, [rng.randrange(p) for _ in range(d)] + [1])
+        else:
+            # repeated factors, with multiplicity p now and then
+            a = rng.randint(1, 3)
+            e = rng.choice([2, 3, p])
+            b = rng.randint(0, max(0, 12 - a * e))
+            A = Poly(ctx, [rng.randrange(p) for _ in range(a)] + [1])
+            B = Poly(ctx, [rng.randrange(p) for _ in range(b)] + [1])
+            if a * e > 12:
+                A, e = Poly(ctx, (rng.randrange(p), 1)), 2
+            P = A ** e * B
+        coeffs = [c.index for c in P.coeffs]
+        ref = sympy.Poly(list(reversed(coeffs)), X, modulus=p)
+        want = sorted(([c % p for c in reversed(f.all_coeffs())], e)
+                      for f, e in ref.factor_list()[1])
+        got = sorted(([c.index for c in Q.coeffs], e) for Q, e in factor_monic(P))
+        assert got == want
+        assert is_irreducible(P) == ref.is_irreducible
+
+
+def _gauss_count(q, d):
+    """Number of monic irreducibles of degree d over GF(q) (necklace formula)."""
+    def mobius(n):
+        out, f = 1, 2
+        while f * f <= n:
+            if n % f == 0:
+                n //= f
+                if n % f == 0:
+                    return 0
+                out = -out
+            f += 1
+        return -out if n > 1 else out
+    return sum(mobius(d // e) * q ** e for e in range(1, d + 1) if d % e == 0) // d
+
+
+@pytest.mark.parametrize("p,k,top", [(2, 1, 8), (3, 1, 5), (2, 2, 4), (2, 3, 3), (3, 2, 3),
+                                     (5, 2, 2), (3, 3, 2)])
+def test_irreducible_counts_match_gauss(p, k, top):
+    ctx = field(p, k)
+    irr = enumerate_irreducibles(ctx, top)
+    for d in range(1, top + 1):
+        assert sum(1 for Q in irr if Q.degree == d) == _gauss_count(ctx.order, d)
+    assert all(is_irreducible(Q) for Q in irr)
+    assert irr == sorted(irr, key=Poly.sort_key)
+
+
+@pytest.mark.parametrize("p,k", EXTENSION_FIELDS)
+def test_factor_monic_over_extensions_recovers_known_factors(p, k):
+    ctx = field(p, k)
+    q = ctx.order
+    irr = enumerate_irreducibles(ctx, 3)
+    rng = random.Random(q)
+    for _ in range(25):
+        # a product of random irreducibles with multiplicities, degree <= 8
+        want = {}
+        deg = 0
+        while True:
+            Q = rng.choice(irr)
+            e = rng.choice([1, 1, 2, p])
+            if deg + int(Q.degree) * e > 8:
+                break
+            want[Q] = want.get(Q, 0) + e
+            deg += int(Q.degree) * e
+        if not want:
+            continue
+        P = Poly.one(ctx)
+        for Q, e in want.items():
+            P = P * Q ** e
+        assert factor_monic(P) == sorted(want.items(), key=lambda t: t[0].sort_key())
+        assert is_irreducible(P) == (list(want.values()) == [1])
