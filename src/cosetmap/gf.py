@@ -113,44 +113,9 @@ def _prime_ops(p: int) -> _Ops:
     def scale(c, x):
         return [c * a % p for a in x]
 
-    # the polynomial loops on plain ints, reduced mod p once at the end
-    def pmul(a, b):
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b, i):
-                    out[j] += x * y
-        return [c % p for c in out]
-
-    def reduce(r, tail):
-        for s in range(len(r) - 1 - len(tail), -1, -1):
-            c = r.pop() % p
-            if c:
-                for j, t in enumerate(tail, s):
-                    r[j] += c * t
-        return [c % p for c in r]
-
-    def horner(f, a):
-        acc = 0
-        out = []
-        for c in reversed(f):
-            acc = (acc * a + c) % p
-            out.append(acc)
-        rem = out.pop() if out else 0
-        out.reverse()
-        return out, rem
-
-    def vecmat(v, M, width):
-        out = [0] * width
-        for a, row in zip(v, M):
-            if a:
-                for j, b in enumerate(row):
-                    out[j] += a * b
-        return [c % p for c in out]
-
-    return _Ops(p, p, 1, add=add, sub=sub, neg=neg, mul=mul, inv=inv, root=lambda a: a,
-                axpy=axpy, scale=scale, pmul=pmul, reduce=reduce, horner=horner,
-                vecmat=vecmat)
+    scalars = dict(add=add, sub=sub, neg=neg, mul=mul, inv=inv, root=lambda a: a, axpy=axpy,
+                   scale=scale)
+    return _Ops(p, p, 1, **scalars, **_row_poly_ops(**scalars))
 
 
 def _row_poly_ops(add, mul, axpy, **_) -> dict:
@@ -468,38 +433,25 @@ def _frobenius_orbit(K: _Ops, f):
         yield h
 
 
-def _has_root(K: _Ops, f) -> bool:
-    horner = K.horner
-    return any(not horner(f, a)[1] for a in range(K.q))
-
-
 def _is_irreducible(K: _Ops, f) -> bool:
     """Rabin's test: X^(q^d) = X mod f, and gcd(X^(q^(d/r)) - X, f) = 1 for
-    every prime r dividing d = deg f.  For r = d that gcd only looks for a
-    root, which is cheaper to look for directly when q <= d."""
+    every prime r dividing d = deg f.  An f divisible by X is rejected first:
+    the default-modulus search meets q^(d-1) of them before any other."""
     d = len(f) - 1
     if d < 1:
         return False
     if d == 1:
         return True
-    f = _pmonic(K, f)
     if not f[0]:
         return False
+    f = _pmonic(K, f)
     maximal = {d // r for r in factorize(d)}
-    if K.q <= d:
-        if _has_root(K, f):
-            return False
-        maximal.discard(1)
-    if d <= 3 and not maximal:
-        return True  # a reducible f of degree <= 3 has a root
     x = [0, K.one]
     orbit = _frobenius_orbit(K, f)
     for i in range(1, d + 1):
         h = next(orbit)
         if i in maximal and len(_pgcd(K, f, _psub(K, h, x))) > 1:
             return False
-        if d <= 3:
-            return True
     return h == x
 
 
@@ -530,10 +482,9 @@ def _squarefree(K: _Ops, f) -> list[tuple[list, int]]:
     return out
 
 
-def _ddf(K: _Ops, f, first: int = 1) -> list[tuple[list, int]]:
-    """Distinct-degree factorisation of a squarefree monic f with no
-    irreducible factor of degree below `first`: pairs (g, i) with g the
-    product of the irreducible factors of degree i."""
+def _ddf(K: _Ops, f) -> list[tuple[list, int]]:
+    """Distinct-degree factorisation of a squarefree monic f: pairs (g, i)
+    with g the product of the irreducible factors of degree i."""
     out = []
     rest = f
     if len(f) > 2:
@@ -543,8 +494,6 @@ def _ddf(K: _Ops, f, first: int = 1) -> list[tuple[list, int]]:
         while 2 * (i + 1) <= len(rest) - 1:
             i += 1
             h = next(orbit)
-            if i < first:
-                continue
             g = _pgcd(K, rest, _psub(K, h, x))
             if len(g) > 1:
                 out.append((g, i))
@@ -671,9 +620,9 @@ class FieldCtx:
     def from_index(self, i: int) -> "FieldElement":
         if not 0 <= i < self.order:
             raise ValueError("index out of range")
-        return self.from_code(i)
+        return self._from_code(i)
 
-    def from_code(self, code: int) -> "FieldElement":
+    def _from_code(self, code: int) -> "FieldElement":
         """The element with this index; the caller guarantees the range."""
         if self.k == 1:
             return FieldElement(self, (code,), code)
@@ -797,7 +746,7 @@ class FieldElement:
         ctx = self.ctx
         if ctx.k == 1:
             return FieldElement(ctx, ((self.coeffs[0] * o.coeffs[0]) % ctx.p,))
-        return ctx.from_code(ctx.ops().mul(self.index, o.index))
+        return ctx._from_code(ctx.ops().mul(self.index, o.index))
 
     __rmul__ = __mul__
 
@@ -807,7 +756,7 @@ class FieldElement:
         ctx = self.ctx
         if ctx.k == 1:
             return FieldElement(ctx, (pow(self.coeffs[0], ctx.p - 2, ctx.p),))
-        return ctx.from_code(ctx.ops().inv(self.index))
+        return ctx._from_code(ctx.ops().inv(self.index))
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -928,7 +877,7 @@ class Poly:
     def coeffs(self) -> tuple[FieldElement, ...]:
         c = self._coeffs
         if c is None:
-            c = self._coeffs = tuple(map(self.ctx.from_code, self.codes))
+            c = self._coeffs = tuple(map(self.ctx._from_code, self.codes))
         return c
 
     @property
@@ -1019,7 +968,7 @@ class Poly:
 
     def __call__(self, x: FieldElement) -> FieldElement:
         ctx = self.ctx
-        return ctx.from_code(ctx.ops().horner(self.codes, ctx.code(x))[1])
+        return ctx._from_code(ctx.ops().horner(self.codes, ctx.code(x))[1])
 
     def sort_key(self):
         """Grade-lex key: degree first, then coefficient indices constant-first."""
@@ -1106,39 +1055,19 @@ def factor_monic(P: Poly) -> list[tuple[Poly, int]]:
     """Factor a monic polynomial of degree >= 1 into irreducibles.
 
     Returns (Q, e) pairs sorted grade-lex on Q.  Squarefree, distinct-degree
-    and equal-degree factorisation on codes; over a field with at most deg P
-    elements the linear factors are divided out by their roots first.
+    and equal-degree factorisation on codes.
     """
     if P.is_zero() or not P.is_monic() or P.degree < 1:
         raise ValueError("factor_monic expects a monic polynomial of degree >= 1")
     K = P.ctx.ops()
-    f = list(P.codes)
     out = []
-    first = 1
-    if K.q < len(f):
-        # few field elements: the linear factors come from the roots
-        first = 2
-        for a in range(K.q):
-            e = 0
-            while True:
-                quo, rem = K.horner(f, a)
-                if rem:
-                    break
-                f = quo
-                e += 1
-            if e:
-                out.append((P._new([K.neg(a), K.one]), e))
-    if first == 2 and len(f) <= 4:
-        if len(f) > 1:
-            out.append((P._new(f), 1))  # no roots and degree <= 3: irreducible
-    else:
-        rng = None  # seeded on first use
-        for g, m in _squarefree(K, f):
-            for h, i in _ddf(K, g, first):
-                if len(h) - 1 > i and rng is None:
-                    rng = random.Random(_EDF_SEED)
-                for Q in _edf(K, h, i, rng):
-                    out.append((P._new(Q), m))
+    rng = None  # seeded on first use
+    for g, m in _squarefree(K, list(P.codes)):
+        for h, i in _ddf(K, g):
+            if len(h) - 1 > i and rng is None:
+                rng = random.Random(_EDF_SEED)
+            for Q in _edf(K, h, i, rng):
+                out.append((P._new(Q), m))
     out.sort(key=lambda t: t[0].sort_key())
     return out
 

@@ -117,6 +117,17 @@ def _companion(K: _Ops, P) -> list[list]:
     return rows
 
 
+def _primary_rows(K: _Ops, blocks, n: int) -> list[list]:
+    """Rows of codes of the n x n block diagonal of the companions of the
+    Q^e, for (Q, e) in blocks."""
+    rows = []
+    for Q, e in blocks:
+        off = len(rows)
+        for row in _companion(K, _ppow(K, Q.codes, e)):
+            rows.append([0] * off + row + [0] * (n - off - len(row)))
+    return rows
+
+
 def _poly_at(K: _Ops, P, A) -> list[list]:
     """P(A) by Horner."""
     n = len(A)
@@ -224,7 +235,7 @@ class VectorQ:
     def from_codes(cls, ctx: FieldCtx, codes) -> "VectorQ":
         v = cls.__new__(cls)
         v.ctx = ctx
-        v.entries = tuple(map(ctx.from_code, codes))
+        v.entries = tuple(map(ctx._from_code, codes))
         return v
 
     @classmethod
@@ -323,7 +334,7 @@ class MatrixQ:
         M = cls.__new__(cls)
         M.ctx = ctx
         M._codes = tuple(tuple(r) for r in rows)
-        M._rows = tuple(tuple(map(ctx.from_code, r)) for r in M._codes)
+        M._rows = tuple(tuple(map(ctx._from_code, r)) for r in M._codes)
         M.rows = len(M._codes)
         M.cols = len(M._codes[0]) if M._codes else (cols or 0)
         return M
@@ -423,7 +434,7 @@ class MatrixQ:
         pivots, det = self._reduced()
         if len(pivots) < self.rows:
             return self.ctx.zero()
-        return self.ctx.from_code(det)
+        return self.ctx._from_code(det)
 
     def rank(self) -> int:
         return len(self._reduced()[0])
@@ -601,7 +612,9 @@ class Prcf:
     basis_change: MatrixQ
 
     def block_diagonal(self) -> MatrixQ:
-        return MatrixQ.block_diag([companion(Q ** e) for Q, e in self.blocks])
+        ctx = self.basis_change.ctx
+        n = self.basis_change.rows
+        return MatrixQ.from_codes(ctx, _primary_rows(ctx.ops(), self.blocks, n), n)
 
     def block_polys(self) -> list[Poly]:
         return [Q ** e for Q, e in self.blocks]
@@ -706,7 +719,6 @@ def prcf(A: MatrixQ) -> Prcf:
             entries.append((Q, h, gen))
     entries.sort(key=lambda t: (t[0].sort_key(), t[1]))
     T = []
-    D = []
     blocks = []
     for Q, e, gen in entries:
         blocks.append((Q, e))
@@ -714,10 +726,7 @@ def prcf(A: MatrixQ) -> Prcf:
         for _ in range(int(Q.degree) * e):
             T.append(w)
             w = K.vecmat(w, Ac, n)
-        off = len(D)
-        for row in _companion(K, _ppow(K, Q.codes, e)):
-            D.append([0] * off + row + [0] * (n - off - len(row)))
     S = _inverse(K, T)
-    if _matmul(K, T, Ac, n) != _matmul(K, D, T, n):
+    if _matmul(K, T, Ac, n) != _matmul(K, _primary_rows(K, blocks, n), T, n):
         raise ArithmeticError("canonical form verification failed")
     return Prcf(tuple(blocks), MatrixQ.from_codes(ctx, S, n))
