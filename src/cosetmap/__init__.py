@@ -17,11 +17,10 @@ from .cycletype import (CycleType, blow_up, ct, ct_format, ct_mul,
                         ct_of_permutation, ct_parse, weixu, weixu_all)
 from .errors import InfeasibleError
 from .gf import (FieldCtx, FieldElement, Poly, enumerate_irreducibles,
-                 factor_monic, field, field_arith, field_of_order,
-                 is_irreducible, poly_arith, poly_gcd, poly_order,
-                 q_adic_valuation)
+                 factor_monic, field, field_of_order, is_irreducible,
+                 poly_gcd, poly_order, q_adic_valuation)
 from .linalg import (AffineMap, MatrixQ, Prcf, VectorQ, charpoly, companion,
-                     hypercompanion, mat_arith, minpoly, poly_at_matrix, prcf)
+                     hypercompanion, minpoly, poly_at_matrix, prcf)
 from .oracle import (AnalysisReport, MapTable, analyze, evaluate_poly_table,
                      field_map_table, interpolate, load_table, table_of)
 

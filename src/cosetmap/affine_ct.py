@@ -8,6 +8,7 @@ fall out by subtraction along the chain of candidates.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass
 
@@ -135,6 +136,22 @@ def _block_options(Q: Poly, e: int):
     return [(case, block_cycle_type(case)) for case in cases]
 
 
+def shift_class_types(blocks, options: dict):
+    """(cases, cycle type) for every combination of shift classes over the
+    primary blocks [(Q, e), ...], in the order of the blocks' options.
+
+    `options` caches `_block_options` per (Q, e); pass one dict per scan so
+    that each block is worked out once however many forms share it.
+    """
+    per_block = []
+    for block in blocks:
+        if block not in options:
+            options[block] = _block_options(*block)
+        per_block.append(options[block])
+    for combo in itertools.product(*per_block):
+        yield [case for case, _ in combo], weixu_all([t for _, t in combo])
+
+
 def affine_cycle_type(f: AffineMap) -> CycleType:
     """Cycle type of x -> x*A + v via the canonical form of A."""
     if not f.matrix.is_invertible():
@@ -157,15 +174,10 @@ def gamma_of_matrix(M: MatrixQ) -> frozenset[CycleType]:
     """All cycle types of x -> x*M + v as v ranges over the space."""
     if not M.is_invertible():
         raise ValueError("gamma needs an invertible matrix")
-    form = prcf(M)
-    per_block = [[t for _, t in _block_options(Q, e)] for Q, e in form.blocks]
-    out = set()
-    for combo in itertools.product(*per_block):
-        out.add(weixu_all(list(combo)))
-    degrees = {t.degree for t in out}
-    if len(degrees) != 1:
+    out = frozenset(t for _, t in shift_class_types(prcf(M).blocks, {}))
+    if len({t.degree for t in out}) != 1:
         raise ArithmeticError("inconsistent degrees in gamma set")
-    return frozenset(out)
+    return out
 
 
 def gamma_of_poly(P: Poly) -> frozenset[CycleType]:
@@ -187,37 +199,38 @@ def sorted_types(types) -> list[CycleType]:
 def block_multisets(ctx: FieldCtx, d: int, exclude=()):
     """All multisets of (Q, e) with sum e*deg Q = d, Q monic irreducible and
     Q != X, skipping polynomials in `exclude`.  One multiset per conjugacy
-    class of GL_d(q); deterministic order, exponents ascending per Q."""
-    irred = [Q for Q in enumerate_irreducibles(ctx, d)
-             if not (int(Q.degree) == 1 and Q.coeff(0).is_zero())]
-    irred = [Q for Q in irred if Q not in exclude]
+    class of GL_d(q); deterministic order, exponents ascending per Q.
 
-    def rec(remaining: int, idx: int):
+    A multiset lists its polynomials in enumeration order.  Multisets whose
+    first polynomial comes later in that order come first; each recursion
+    level picks the next polynomial actually used, so the depth is at most d.
+    """
+    irred = [Q for Q in enumerate_irreducibles(ctx, d)
+             if not (int(Q.degree) == 1 and Q.coeff(0).is_zero()) and Q not in exclude]
+    degrees = [int(Q.degree) for Q in irred]
+
+    def walk(remaining: int, start: int):
         if remaining == 0:
             yield []
             return
-        if idx == len(irred):
-            return
-        Q = irred[idx]
-        dq = int(Q.degree)
-        for exps in _exponent_multisets(remaining // dq):
-            used = sum(exps) * dq
-            if used > remaining:
-                continue
-            for rest in rec(remaining - used, idx + 1):
-                yield [(Q, e) for e in exps] + rest
+        last = bisect.bisect_right(degrees, remaining, start) - 1
+        for j in range(last, start - 1, -1):
+            Q, dq = irred[j], degrees[j]
+            for exps in _exponent_multisets(remaining // dq):
+                head = [(Q, e) for e in exps]
+                for rest in walk(remaining - sum(exps) * dq, j + 1):
+                    yield head + rest
 
-    yield from rec(d, 0)
+    yield from walk(d, 0)
 
 
-def _exponent_multisets(budget: int):
-    """All ascending exponent multisets (possibly empty) with sum <= budget."""
-    def grow(minimum, left):
-        yield []
-        for e in range(minimum, left + 1):
-            for rest in grow(e, left - e):
-                yield [e] + rest
-    yield from grow(1, budget)
+def _exponent_multisets(budget: int, minimum: int = 1):
+    """All nonempty ascending exponent multisets with parts >= minimum and
+    sum <= budget, in lexicographic order."""
+    for e in range(minimum, budget + 1):
+        yield [e]
+        for rest in _exponent_multisets(budget - e, e):
+            yield [e] + rest
 
 
 def _x_plus_1(ctx: FieldCtx) -> Poly:
@@ -225,12 +238,9 @@ def _x_plus_1(ctx: FieldCtx) -> Poly:
 
 
 def _ct_union_over_forms(ctx: FieldCtx, d: int, exclude) -> frozenset[CycleType]:
-    out = set()
-    for blocks in block_multisets(ctx, d, exclude=exclude):
-        per_block = [[t for _, t in _block_options(Q, e)] for Q, e in blocks]
-        for combo in itertools.product(*per_block):
-            out.add(weixu_all(list(combo)))
-    return frozenset(out)
+    options: dict = {}
+    return frozenset(t for blocks in block_multisets(ctx, d, exclude=exclude)
+                     for _, t in shift_class_types(blocks, options))
 
 
 _GAMMA_CACHE: dict[tuple, frozenset] = {}

@@ -7,8 +7,9 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from .affine_ct import affine_cycle_type, block_multisets, gamma_dpl
-from .cycletype import CycleType, ct_of_permutation
+from .affine_ct import (affine_cycle_type, block_multisets, ct_agl, gamma_dpl,
+                        shift_class_types)
+from .cycletype import CycleType
 from .errors import InfeasibleError
 from .gf import FieldCtx, field, field_of_order
 from .linalg import AffineMap, MatrixQ, VectorQ, companion
@@ -203,101 +204,58 @@ def two_fpf_product(M: MatrixQ, seed: int = 0) -> tuple[MatrixQ, MatrixQ]:
 # Realizing a target cycle type as an ell-factored affine map
 # ---------------------------------------------------------------------------
 
-def _canonical_candidates(ctx: FieldCtx, d: int, ell: int):
-    """Matrices to scan when realizing a type in Gamma(d, p, ell), each with
-    the per-block layout needed to choose a shift."""
-    p = ctx.p
-    if ell >= 2 and (d, p) in ((1, 2), (1, 3), (2, 2)):
-        for M in _exceptional_members(ctx, d) if (d, p) != (1, 2) else []:
-            yield M, None
-        return
-    for blocks in block_multisets(ctx, d):
-        M = MatrixQ.block_diag([companion(Q ** e) for Q, e in blocks])
-        if ell == 1 and not is_cgl(M):
-            continue
-        yield M, blocks
-
-
-def _brute_cycle_type(M: MatrixQ, w: VectorQ) -> CycleType:
-    """Direct orbit walk; used for tiny exceptional cases."""
-    ctx = M.ctx
-    d = M.rows
-    q = ctx.order
-    n = q ** d
-    def idx(v):
-        return sum(e.index * q ** (d - 1 - j) for j, e in enumerate(v.entries))
-    images = [0] * n
-    for i in range(n):
-        coords = []
-        rem = i
-        for j in range(d):
-            coords.append(ctx.from_index(rem // q ** (d - 1 - j) % q))
-        v = VectorQ(ctx, coords)
-        images[i] = idx(v * M + w)
-    return ct_of_permutation(images)
-
-
-def _shift_for_blocks(ctx: FieldCtx, blocks, choices) -> VectorQ:
+def _shift_for_blocks(ctx: FieldCtx, blocks, cases) -> VectorQ:
+    """Shift that is 1 at the start of each unit-class block and 0 elsewhere."""
     entries = []
-    for (Q, e), unit in zip(blocks, choices):
-        n = int(Q.degree) * e
-        seg = [ctx.zero()] * n
-        if unit:
+    for (Q, e), case in zip(blocks, cases):
+        seg = [ctx.zero()] * (int(Q.degree) * e)
+        if case.u_class.startswith("unit"):
             seg[0] = ctx.one()
         entries.extend(seg)
     return VectorQ(ctx, entries)
 
 
-def realize_gamma(gamma: CycleType, d: int, p: int, ell: int,
-                  seed: int = 0) -> tuple[tuple[MatrixQ, ...], VectorQ]:
-    """Find ell complete factors and a shift w with the affine map of their
-    product having the requested cycle type."""
-    from .affine_ct import _block_options
-    if gamma not in gamma_dpl(d, p, ell):
+def realize_gamma(gamma: CycleType, d: int, p: int, ell: int, seed: int = 0,
+                  require_complete: bool = True) -> tuple[tuple[MatrixQ, ...], VectorQ]:
+    """Find ell factors and a shift w with the affine map of their product
+    having the requested cycle type.
+
+    With require_complete the factors are complete matrices and the type must
+    lie in gamma_dpl(d, p, ell).  Without it the type may be any affine cycle
+    type and the factors are (M, I, ..., I) with M invertible.  Either way the
+    witness M is the first canonical form, in `block_multisets` order, that
+    reaches the type, and w the first matching choice of shift classes.
+    """
+    if require_complete and gamma not in gamma_dpl(d, p, ell):
         raise InfeasibleError(f"{gamma} is not realizable with {ell} complete factors "
                               f"in dimension {d} over GF({p})")
-    ctx = field(p)
-    for M, blocks in _canonical_candidates(ctx, d, ell):
-        if blocks is None:
-            # tiny exceptional member: scan all shifts directly
-            for widx in itertools.product(range(p), repeat=d):
-                w = VectorQ(ctx, widx)
-                if _brute_cycle_type(M, w) == gamma:
-                    factors = factor_into_cgl(M, ell, seed=seed).factors
-                    return factors, w
-            continue
-        from .cycletype import weixu_all
-        options = [_block_options(Q, e) for Q, e in blocks]
-        for combo in itertools.product(*options):
-            total = weixu_all([t for _, t in combo])
-            if total != gamma:
-                continue
-            choices = [case.u_class.startswith("unit") for case, _ in combo]
-            w = _shift_for_blocks(ctx, blocks, choices)
-            if affine_cycle_type(AffineMap(M, w)) != gamma:
-                raise ArithmeticError("realized affine map has the wrong type")
-            factors = factor_into_cgl(M, ell, seed=seed).factors
-            return factors, w
-    raise InfeasibleError("no canonical form realizes the requested type")
-
-
-def realize_linear(gamma: CycleType, d: int, p: int, ell: int) -> tuple[tuple[MatrixQ, ...], VectorQ]:
-    """Permutation-only variant: factors need only be invertible, so the type
-    may be any affine cycle type; factors are (M, I, ..., I)."""
-    from .affine_ct import ct_agl, _block_options
-    from .cycletype import weixu_all
-    if gamma not in ct_agl(d, p):
+    if not require_complete and gamma not in ct_agl(d, p):
         raise InfeasibleError(f"{gamma} is not an affine cycle type in dimension {d} over GF({p})")
     ctx = field(p)
+
+    def factors(M: MatrixQ) -> tuple[MatrixQ, ...]:
+        if require_complete:
+            return factor_into_cgl(M, ell, seed=seed).factors
+        return (M,) + (MatrixQ.identity(ctx, d),) * (ell - 1)
+
+    if require_complete and ell >= 2 and (d, p) in ((1, 3), (2, 2)):
+        # the ell-fold product set is an explicit list: scan all shifts
+        for M in _exceptional_members(ctx, d):
+            for widx in itertools.product(range(p), repeat=d):
+                w = VectorQ(ctx, widx)
+                if affine_cycle_type(AffineMap(M, w)) == gamma:
+                    return factors(M), w
+        raise InfeasibleError("no explicit member realizes the requested type")
+    options: dict = {}
     for blocks in block_multisets(ctx, d):
         M = MatrixQ.block_diag([companion(Q ** e) for Q, e in blocks])
-        options = [_block_options(Q, e) for Q, e in blocks]
-        for combo in itertools.product(*options):
-            total = weixu_all([t for _, t in combo])
+        if require_complete and ell == 1 and not is_cgl(M):
+            continue
+        for cases, total in shift_class_types(blocks, options):
             if total != gamma:
                 continue
-            choices = [case.u_class.startswith("unit") for case, _ in combo]
-            w = _shift_for_blocks(ctx, blocks, choices)
-            factors = (M,) + tuple(MatrixQ.identity(ctx, d) for _ in range(ell - 1))
-            return factors, w
+            w = _shift_for_blocks(ctx, blocks, cases)
+            if affine_cycle_type(AffineMap(M, w)) != gamma:
+                raise ArithmeticError("realized affine map has the wrong type")
+            return factors(M), w
     raise InfeasibleError("no canonical form realizes the requested type")

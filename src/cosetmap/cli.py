@@ -2,7 +2,8 @@
 output.
 
 Exit codes: 0 success, 1 infeasible request (including empty gamma sets),
-2 malformed input.
+2 malformed input (including a singular matrix where an invertible one is
+needed), 3 internal error (a failed self-check or a recursion limit hit).
 """
 
 from __future__ import annotations
@@ -260,6 +261,9 @@ def main(argv=None) -> int:
             json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (ArithmeticError, RecursionError) as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

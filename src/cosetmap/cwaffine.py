@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 
 from .affine_ct import affine_cycle_type
-from .cgl import is_cgl, realize_gamma, realize_linear
+from .cgl import is_cgl, realize_gamma
 from .cycletype import CycleType, blow_up, ct_mul
 from .errors import InfeasibleError
 from .gf import FieldCtx, Poly, factorize, field
@@ -335,10 +335,8 @@ def construct_main(p: int, d: int, t: int, g_images, gammas: dict,
             raise ValueError(f"no target type supplied for cycle {key}")
         gamma = gammas[key]
         sub_seed = rng.randrange(2 ** 32)
-        if require_complete:
-            factors, w = realize_gamma(gamma, d, p, ell, seed=sub_seed)
-        else:
-            factors, w = realize_linear(gamma, d, p, ell)
+        factors, w = realize_gamma(gamma, d, p, ell, seed=sub_seed,
+                                   require_complete=require_complete)
         expected = ct_mul(expected, blow_up(ell, gamma))
         for j, i in enumerate(cyc):
             u = index_to_tuple(i, p, t)
@@ -506,14 +504,14 @@ def coordinate_functions(ctx: FieldCtx) -> list[Poly]:
 
 def _reduce_exponents(P: Poly) -> Poly:
     """Reduce modulo Y^q - Y: fold Y^i onto Y^(i-q+1) for i >= q."""
+    K = P.ctx.ops()
     q = P.ctx.order
-    coeffs = list(P.coeffs)
-    for i in range(len(coeffs) - 1, q - 1, -1):
-        c = coeffs[i]
-        if not c.is_zero():
-            coeffs[i - (q - 1)] = coeffs[i - (q - 1)] + c
-        coeffs[i] = P.ctx.zero()
-    return Poly(P.ctx, coeffs)
+    codes = list(P.codes)
+    for i in range(len(codes) - 1, q - 1, -1):
+        c = codes.pop()
+        if c:
+            codes[i - (q - 1)] = K.add(codes[i - (q - 1)], c)
+    return Poly.from_codes(P.ctx, codes)
 
 
 def _mul_reduced(a: Poly, b: Poly) -> Poly:

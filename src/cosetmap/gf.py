@@ -813,24 +813,6 @@ class FieldElement:
         return f"{list(self.coeffs)}"
 
 
-def field_arith(a: FieldElement, b, op: str):
-    """Dispatcher over the basic field operations: add, sub, mul, div, pow.
-
-    pow takes an integer exponent.
-    """
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    if op == "pow":
-        return a ** b
-    raise ValueError(f"unknown field operation {op!r}")
-
-
 # ---------------------------------------------------------------------------
 # Polynomials over a field context
 # ---------------------------------------------------------------------------
@@ -992,21 +974,6 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     if a.ctx != b.ctx:
         raise ValueError("mismatched coefficient contexts")
     return a._new(_pgcd(a.ctx.ops(), a.codes, b.codes))
-
-
-def poly_arith(a: Poly, b, op: str):
-    """Dispatcher: add, mul, divmod, gcd, eval."""
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    if op == "divmod":
-        return divmod(a, b)
-    if op == "gcd":
-        return poly_gcd(a, b)
-    if op == "eval":
-        return a(b)
-    raise ValueError(f"unknown polynomial operation {op!r}")
 
 
 _IRR_CACHE: dict[tuple, tuple[int, list]] = {}

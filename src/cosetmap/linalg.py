@@ -485,23 +485,6 @@ class MatrixQ:
         return "[" + "; ".join(" ".join(map(repr, r)) for r in self._rows) + "]"
 
 
-def mat_arith(A: MatrixQ, B, op: str):
-    """Dispatcher: add, mul, inverse, det, rank, solve (x*A = b)."""
-    if op == "add":
-        return A + B
-    if op == "mul":
-        return A * B
-    if op == "inverse":
-        return A.inverse()
-    if op == "det":
-        return A.det()
-    if op == "rank":
-        return A.rank()
-    if op == "solve":
-        return A.solve_left(B)
-    raise ValueError(f"unknown matrix operation {op!r}")
-
-
 @dataclass(frozen=True)
 class AffineMap:
     """x -> x*matrix + shift on row vectors."""

@@ -137,26 +137,18 @@ def interpolate(ctx: FieldCtx, values) -> Poly:
     values = list(values)
     if len(values) != q:
         raise ValueError("interpolation needs all q values")
-    # Z(Y) = Y^q - Y as a coefficient list
-    z = [ctx.zero()] * (q + 1)
-    z[1] = -ctx.one()
-    z[q] = ctx.one()
-    result = [ctx.zero()] * q
-    for i in range(q):
-        y = ctx.elem(values[i])
-        if y.is_zero():
-            continue
-        a = ctx.from_index(i)
-        # synthetic division of Z by (Y - a): quotient has degree q-1
-        quot = [ctx.zero()] * q
-        carry = z[q]
-        for d in range(q - 1, -1, -1):
-            quot[d] = carry
-            carry = z[d] + a * carry
-        scale = -y
-        for d in range(q):
-            result[d] = result[d] + scale * quot[d]
-    return Poly(ctx, result)
+    K = ctx.ops()
+    # Z(Y) = Y^q - Y as a list of codes; an element's code is its index
+    z = [0] * (q + 1)
+    z[1] = K.neg(K.one)
+    z[q] = K.one
+    result = [0] * q
+    for a, value in enumerate(values):
+        y = ctx.code(value)
+        if y:
+            # the quotient of Z by (Y - a) has degree q-1
+            result = K.axpy(result, K.neg(y), K.horner(z, a)[0])
+    return Poly.from_codes(ctx, result)
 
 
 def evaluate_poly_table(P: Poly) -> MapTable:

@@ -226,3 +226,82 @@ def one_cycle_reference_tables(p: int, kmax: int) -> list[list[int]]:
             table.append(tuple_to_index((wimg,) + uimg, p))
         tables.append(table)
     return tables
+
+
+def recursive_block_multisets(ctx, d: int, exclude=()):
+    """Reference walk over conjugacy classes of GL_d(q): one generator frame
+    per irreducible polynomial, skipped or used, exponent multisets (the empty
+    one first) in lexicographic order.  Its recursion is as deep as the list of
+    irreducibles, so it is only usable for small (d, q)."""
+    from cosetmap import enumerate_irreducibles
+    irred = [Q for Q in enumerate_irreducibles(ctx, d)
+             if not (int(Q.degree) == 1 and Q.coeff(0).is_zero())]
+    irred = [Q for Q in irred if Q not in exclude]
+
+    def exponent_multisets(budget):
+        def grow(minimum, left):
+            yield []
+            for e in range(minimum, left + 1):
+                for rest in grow(e, left - e):
+                    yield [e] + rest
+        yield from grow(1, budget)
+
+    def rec(remaining: int, idx: int):
+        if remaining == 0:
+            yield []
+            return
+        if idx == len(irred):
+            return
+        Q = irred[idx]
+        dq = int(Q.degree)
+        for exps in exponent_multisets(remaining // dq):
+            used = sum(exps) * dq
+            if used > remaining:
+                continue
+            for rest in rec(remaining - used, idx + 1):
+                yield [(Q, e) for e in exps] + rest
+
+    yield from rec(d, 0)
+
+
+def gl_class_numbers(q: int, dmax: int) -> list[int]:
+    """Numbers of conjugacy classes of GL_d(q) for d = 0..dmax: the
+    coefficients of prod_{i>=1} (1 - x^i) / (1 - q x^i) (Macdonald 1981)."""
+    series = [1] + [0] * dmax
+    for i in range(1, dmax + 1):
+        # multiply by 1/(1 - q x^i), then by (1 - x^i)
+        for n in range(i, dmax + 1):
+            series[n] += q * series[n - i]
+        for n in range(dmax, i - 1, -1):
+            series[n] -= series[n - i]
+    return series
+
+
+def reachable_affine_types(ctx, d: int, exclude=()) -> set:
+    """Cycle types of x -> x*M + v over all invertible M (Q != X and Q not in
+    `exclude` for every primary block Q^e of M) and all v, by a reachability
+    DP over block items (Q, e) of weight e*deg Q instead of a walk over
+    conjugacy classes.
+
+    Each item contributes the cycle type of one of its shift classes (shift 0
+    or 1, through the library's per-block types, which the orbit-walk tests
+    check); types of the whole space are products under the product action.
+    An item may be used any number of times, so items with the same weight
+    and the same type set are interchangeable and only one of them is kept.
+    """
+    from cosetmap import (CycleType, block_cycle_type, classify_block,
+                          enumerate_irreducibles, weixu)
+    items = set()
+    for Q in enumerate_irreducibles(ctx, d):
+        if (int(Q.degree) == 1 and Q.coeff(0).is_zero()) or Q in exclude:
+            continue
+        for e in range(1, d // int(Q.degree) + 1):
+            cases = {classify_block(Q, e, U) for _, U in shift_class_representatives(Q, e)}
+            types = frozenset(block_cycle_type(case) for case in cases)
+            items.add((int(Q.degree) * e, types))
+    reach = [set() for _ in range(d + 1)]
+    reach[0].add(CycleType({1: 1}))
+    for weight, types in items:
+        for n in range(weight, d + 1):
+            reach[n] |= {weixu(a, t) for a in reach[n - weight] for t in types}
+    return reach[d]

@@ -205,3 +205,16 @@ def test_realize_gamma_all_targets(d, p, ell, ):
         for F in factors:
             prod = prod * F
         assert affine_cycle_type(AffineMap(prod, w)) == gamma
+
+
+def test_realize_gamma_without_completeness():
+    # x1 x2 comes from x -> -x, which is not complete over GF(3): only the
+    # permutation variant reaches it, with factors (M, I, ..., I)
+    F3 = field(3)
+    with pytest.raises(InfeasibleError):
+        realize_gamma(ct("x1 x2"), 1, 3, 2, seed=0)
+    factors, w = realize_gamma(ct("x1 x2"), 1, 3, 2, require_complete=False)
+    assert factors == (MatrixQ(F3, ((2,),)), MatrixQ.identity(F3, 1))
+    assert w == VectorQ(F3, (0,))
+    with pytest.raises(InfeasibleError):
+        realize_gamma(ct("x1 x2"), 1, 5, 1, require_complete=False)  # degree 3, not 5

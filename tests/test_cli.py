@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from cosetmap import cli
 from cosetmap.cli import main
 from cosetmap.serialize import (cwmap_from_json, format_poly, parse_poly,
                                 poly_from_json, poly_to_json)
@@ -49,6 +50,35 @@ def test_gamma_dpl_exit_codes(capsys):
     code, out, _ = run_cli(capsys, "gamma-dpl", "--d", "2", "--p", "2", "--l", "2")
     assert code == 0
     assert out.splitlines() == ["x1 x3", "x1^4", "x2^2"]
+    # deeper than the default recursion limit allowed before
+    code, out, _ = run_cli(capsys, "gamma-dpl", "--d", "8", "--p", "3", "--l", "1")
+    assert code == 0
+    assert len(out.splitlines()) == 458
+
+
+@pytest.mark.parametrize("exc,code,prefix", [
+    (ArithmeticError("self-check failed"), 3, "internal error: "),
+    (RecursionError("maximum recursion depth exceeded"), 3, "internal error: "),
+    (ZeroDivisionError("division by zero"), 2, "error: "),
+])
+def test_internal_errors_exit_3(monkeypatch, capsys, exc, code, prefix):
+    def fail(args):
+        raise exc
+    monkeypatch.setattr(cli, "_cmd_gamma_dpl", fail)
+    rc, out, err = run_cli(capsys, "gamma-dpl", "--d", "2", "--p", "2", "--l", "2")
+    assert rc == code
+    assert out == ""
+    assert err == f"{prefix}{exc}\n"
+
+
+def test_singular_matrix_exits_2(tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps([[1, 1], [1, 1]]))
+    code, out, err = run_cli(capsys, "cgl-factor", "--p", "2", "--l", "2",
+                             "--matrix", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
 
 
 def test_cycle_type_command(tmp_path, capsys):
