@@ -182,7 +182,11 @@ def build_parser() -> argparse.ArgumentParser:
                     "complete mappings of finite fields (exact arithmetic).",
     )
     parser.add_argument("--format", choices=("text", "json"), default="text")
-    default_seed = int(os.environ.get("COSETMAP_SEED", "0"))
+    seed_text = os.environ.get("COSETMAP_SEED", "0")
+    try:
+        default_seed = int(seed_text)
+    except ValueError:
+        raise ValueError(f"COSETMAP_SEED must be an integer, not {seed_text!r}") from None
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_field_opts(p, with_k=True, with_modulus=True):
@@ -250,9 +254,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except InfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)

@@ -2,9 +2,11 @@
 
 The space splits as V = W + U with W the first d coordinates and U the last t.
 A map stores, per coset label u in GF(p)^t, a triple (alpha_u, omega_u, nu_u)
-and sends w + u to (w*alpha_u + omega_u) + (u + nu_u).  Permutation and
-completeness tests, the wreath-product correspondence, cycle types via forward
-cycle products, and the constructors all live here.
+and sends w + u to (w*alpha_u + omega_u) + (u + nu_u).  Cosets are addressed by
+the lexicographic index of u, points of V by the index of (w, u), which is
+w*p^t + u.  Permutation and completeness tests, the wreath-product
+correspondence, cycle types via forward cycle products, value tables and the
+constructors all live here.
 """
 
 from __future__ import annotations
@@ -15,11 +17,11 @@ from dataclasses import dataclass
 
 from .affine_ct import affine_cycle_type
 from .cgl import is_cgl, realize_gamma
-from .cycletype import CycleType, blow_up, ct_mul
+from .cycletype import CycleType, blow_up, ct_mul, cycles_of
 from .errors import InfeasibleError
-from .gf import FieldCtx, Poly, factorize, field
+from .gf import FieldCtx, Poly, factorize, field, index_to_tuple, tuple_to_index
 from .linalg import AffineMap, MatrixQ, VectorQ
-from .oracle import MapTable, index_to_tuple, tuple_to_index
+from .oracle import MapTable, is_complete_mapping
 
 
 @dataclass(frozen=True)
@@ -48,18 +50,29 @@ class Splitting:
 
 
 class CosetWiseAffineMap:
-    """Per-coset affine data over a splitting; immutable."""
+    """Per-coset affine data over a splitting; immutable.
 
-    __slots__ = ("splitting", "per_coset")
+    `per_coset` holds the triples (alpha_u, omega_u, nu_u) in coset-index
+    order (the lexicographic index of the label u in GF(p)^t) and `top` the
+    index of u + nu_u for each coset index.  The constructor takes the triples
+    either in that order or as a dict keyed by label.
+    """
 
-    def __init__(self, splitting: Splitting, per_coset: dict):
-        labels = splitting.coset_labels()
-        if set(per_coset) != set(labels):
+    __slots__ = ("splitting", "per_coset", "top")
+
+    def __init__(self, splitting: Splitting, per_coset):
+        p, t = splitting.p, splitting.t
+        if isinstance(per_coset, dict):
+            labels = splitting.coset_labels()
+            if set(per_coset) != set(labels):
+                raise ValueError("per-coset data must cover every coset exactly once")
+            per_coset = [per_coset[u] for u in labels]
+        elif len(per_coset) != p ** t:
             raise ValueError("per-coset data must cover every coset exactly once")
         ctx = splitting.ctx
-        norm = {}
-        for u in labels:
-            alpha, omega, nu = per_coset[u]
+        norm = []
+        top = []
+        for i, (alpha, omega, nu) in enumerate(per_coset):
             if not isinstance(alpha, MatrixQ):
                 alpha = MatrixQ(ctx, alpha)
             if not isinstance(omega, VectorQ):
@@ -68,14 +81,20 @@ class CosetWiseAffineMap:
                 nu = VectorQ(ctx, nu)
             if alpha.rows != splitting.d or alpha.cols != splitting.d:
                 raise ValueError("alpha blocks must be d x d")
-            if len(omega.entries) != splitting.d or len(nu.entries) != splitting.t:
+            if len(omega.entries) != splitting.d or len(nu.entries) != t:
                 raise ValueError("omega is W-sized and nu is U-sized")
-            norm[u] = (alpha, omega, nu)
+            norm.append((alpha, omega, nu))
+            u = index_to_tuple(i, p, t)
+            top.append(tuple_to_index([a + b for a, b in zip(u, nu.codes)], p))
         self.splitting = splitting
-        self.per_coset = norm
+        self.per_coset = tuple(norm)
+        self.top = tuple(top)
 
     def data(self, u) -> tuple[MatrixQ, VectorQ, VectorQ]:
-        return self.per_coset[tuple(u)]
+        """(alpha_u, omega_u, nu_u) of the coset with label u."""
+        if len(u) != self.splitting.t:
+            raise KeyError(u)
+        return self.per_coset[tuple_to_index(u, self.splitting.p)]
 
     def __eq__(self, other):
         return (isinstance(other, CosetWiseAffineMap)
@@ -87,52 +106,33 @@ class CosetWiseAffineMap:
         return f"CosetWiseAffineMap(p={s.p}, d={s.d}, t={s.t})"
 
 
+def _nu(s: Splitting, i: int, j: int) -> list[int]:
+    """nu with u_i + nu = u_j for coset indices i and j, before reduction mod p."""
+    return [b - a for a, b in zip(index_to_tuple(i, s.p, s.t), index_to_tuple(j, s.p, s.t))]
+
+
 def cw_eval(f: CosetWiseAffineMap, x: VectorQ) -> VectorQ:
     s = f.splitting
     if len(x.entries) != s.n:
         raise ValueError("vector has the wrong dimension")
     w, u = x.split(s.d)
-    ulabel = tuple(e.coeffs[0] for e in u.entries)
-    alpha, omega, nu = f.per_coset[ulabel]
+    alpha, omega, nu = f.per_coset[tuple_to_index(u.codes, s.p)]
     return (w * alpha + omega).concat(u + nu)
-
-
-def _top_images(f: CosetWiseAffineMap) -> list[int]:
-    """Image table of u -> u + nu_u on lexicographic coset indices."""
-    s = f.splitting
-    out = []
-    for i in range(s.p ** s.t):
-        u = index_to_tuple(i, s.p, s.t)
-        nu = f.per_coset[u][2]
-        img = tuple((a + b.coeffs[0]) % s.p for a, b in zip(u, nu.entries))
-        out.append(tuple_to_index(img, s.p))
-    return out
 
 
 def cw_is_permutation(f: CosetWiseAffineMap) -> bool:
     """Structural test: every alpha invertible and the coset map bijective."""
-    top = _top_images(f)
-    if sorted(top) != list(range(len(top))):
+    if sorted(f.top) != list(range(len(f.top))):
         return False
-    return all(alpha.is_invertible() for alpha, _, _ in f.per_coset.values())
+    return all(alpha.is_invertible() for alpha, _, _ in f.per_coset)
 
 
 def cw_is_complete(f: CosetWiseAffineMap) -> bool:
     """Structural test: every alpha complete and the coset map a complete
     mapping of GF(p)^t."""
     s = f.splitting
-    top = _top_images(f)
-    n = len(top)
-    if sorted(top) != list(range(n)):
-        return False
-    doubled = []
-    for i in range(n):
-        u = index_to_tuple(i, s.p, s.t)
-        img = index_to_tuple(top[i], s.p, s.t)
-        doubled.append(tuple_to_index(tuple((a + b) % s.p for a, b in zip(u, img)), s.p))
-    if sorted(doubled) != list(range(n)):
-        return False
-    return all(is_cgl(alpha) for alpha, _, _ in f.per_coset.values())
+    return (is_complete_mapping(f.top, s.p, s.t)
+            and all(is_cgl(alpha) for alpha, _, _ in f.per_coset))
 
 
 # ---------------------------------------------------------------------------
@@ -161,28 +161,16 @@ class WreathElement:
 
 
 def cw_to_wreath(f: CosetWiseAffineMap) -> WreathElement:
-    s = f.splitting
     if not cw_is_permutation(f):
         raise ValueError("only permutations correspond to wreath elements")
-    top = tuple(_top_images(f))
-    bottom = []
-    for i in range(s.p ** s.t):
-        u = index_to_tuple(i, s.p, s.t)
-        alpha, omega, _ = f.per_coset[u]
-        bottom.append(AffineMap(alpha, omega))
-    return WreathElement(s, top, tuple(bottom))
+    bottom = tuple(AffineMap(alpha, omega) for alpha, omega, _ in f.per_coset)
+    return WreathElement(f.splitting, f.top, bottom)
 
 
 def wreath_to_cw(e: WreathElement) -> CosetWiseAffineMap:
     s = e.splitting
-    ctx = s.ctx
-    per = {}
-    for i in range(s.p ** s.t):
-        u = index_to_tuple(i, s.p, s.t)
-        img = index_to_tuple(e.top[i], s.p, s.t)
-        nu = VectorQ(ctx, tuple((b - a) % s.p for a, b in zip(u, img)))
-        per[u] = (e.bottom[i].matrix, e.bottom[i].shift, nu)
-    return CosetWiseAffineMap(s, per)
+    return CosetWiseAffineMap(s, [(b.matrix, b.shift, _nu(s, i, j))
+                                  for i, (b, j) in enumerate(zip(e.bottom, e.top))])
 
 
 def wreath_mul(e1: WreathElement, e2: WreathElement) -> WreathElement:
@@ -198,46 +186,22 @@ def cw_compose(f1: CosetWiseAffineMap, f2: CosetWiseAffineMap) -> CosetWiseAffin
     """Coset-wise map equal to applying f1 first, then f2."""
     if f1.splitting != f2.splitting:
         raise ValueError("mismatched splittings")
-    s = f1.splitting
-    ctx = s.ctx
-    per = {}
-    for u in s.coset_labels():
-        a1, o1, n1 = f1.per_coset[u]
-        u2 = tuple((x + y.coeffs[0]) % s.p for x, y in zip(u, n1.entries))
-        a2, o2, n2 = f2.per_coset[u2]
-        per[u] = (a1 * a2, o1 * a2 + o2, n1 + n2)
-    return CosetWiseAffineMap(s, per)
+    per = []
+    for (a1, o1, n1), j in zip(f1.per_coset, f1.top):
+        a2, o2, n2 = f2.per_coset[j]
+        per.append((a1 * a2, o1 * a2 + o2, n1 + n2))
+    return CosetWiseAffineMap(f1.splitting, per)
 
 
 # ---------------------------------------------------------------------------
 # Cycle type via forward cycle products
 # ---------------------------------------------------------------------------
 
-def _cycles_of(images: list[int]) -> list[list[int]]:
-    """Cycles sorted by least element, each starting at its least element."""
-    n = len(images)
-    seen = [False] * n
-    cycles = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        cyc = []
-        i = start
-        while not seen[i]:
-            seen[i] = True
-            cyc.append(i)
-            i = images[i]
-        cycles.append(cyc)
-    return cycles
-
-
 def _forward_product(f: CosetWiseAffineMap, cycle: list[int]) -> AffineMap:
-    s = f.splitting
-    ctx = s.ctx
-    acc = AffineMap(MatrixQ.identity(ctx, s.d), VectorQ.zero(ctx, s.d))
+    ctx = f.splitting.ctx
+    acc = AffineMap(MatrixQ.identity(ctx, f.splitting.d), VectorQ.zero(ctx, f.splitting.d))
     for i in cycle:
-        u = index_to_tuple(i, s.p, s.t)
-        alpha, omega, _ = f.per_coset[u]
+        alpha, omega, _ = f.per_coset[i]
         acc = acc.then(AffineMap(alpha, omega))
     return acc
 
@@ -248,23 +212,42 @@ def cw_cycle_type(f: CosetWiseAffineMap) -> CycleType:
     if not cw_is_permutation(f):
         raise ValueError("cycle type requires a permutation")
     total = CycleType()
-    for cycle in _cycles_of(_top_images(f)):
+    for cycle in cycles_of(f.top):
         gamma = affine_cycle_type(_forward_product(f, cycle))
         total = ct_mul(total, blow_up(len(cycle), gamma))
     return total
 
 
+# ---------------------------------------------------------------------------
+# Value tables
+# ---------------------------------------------------------------------------
+
+def _affine_table(M: MatrixQ, shift: VectorQ | None = None) -> list[int]:
+    """Index table of x -> x*M + shift on GF(p)^n, n = M.rows, from codes."""
+    ctx = M.ctx
+    K = ctx.ops()
+    p, n = ctx.p, M.rows
+    rows = M.codes
+    o = shift.codes if shift is not None else (0,) * n
+    return [tuple_to_index(K.axpy(o, 1, K.vecmat(index_to_tuple(x, p, n), rows, n)), p)
+            for x in range(p ** n)]
+
+
+def _table(f: CosetWiseAffineMap) -> list[int]:
+    """Images of f on lexicographic indices of GF(p)^(d+t): the point w + u
+    has index w*p^t + u, so each coset is one stride-p^t slice."""
+    s = f.splitting
+    nt = s.p ** s.t
+    images = [0] * (s.p ** s.n)
+    for u, ((alpha, omega, _), top) in enumerate(zip(f.per_coset, f.top)):
+        images[u::nt] = [w * nt + top for w in _affine_table(alpha, omega)]
+    return images
+
+
 def cw_to_table(f: CosetWiseAffineMap) -> MapTable:
     """Tabulate on lexicographic indices of GF(p)^(d+t)."""
-    s = f.splitting
-    ctx = s.ctx
-    n = s.p ** s.n
-    images = []
-    for i in range(n):
-        coords = index_to_tuple(i, s.p, s.n)
-        y = cw_eval(f, VectorQ(ctx, coords))
-        images.append(tuple_to_index(tuple(e.coeffs[0] for e in y.entries), s.p))
-    return MapTable(n, tuple(images))
+    images = _table(f)
+    return MapTable(len(images), tuple(images))
 
 
 def conjugated_table(f: CosetWiseAffineMap, T: MatrixQ) -> MapTable:
@@ -272,37 +255,16 @@ def conjugated_table(f: CosetWiseAffineMap, T: MatrixQ) -> MapTable:
     W*T instead of the standard W.  Completeness and cycle type are
     preserved under linear conjugation."""
     s = f.splitting
-    ctx = s.ctx
-    if T.rows != s.n or not T.is_invertible():
+    if T.ctx != s.ctx or T.rows != s.n or not T.is_invertible():
         raise ValueError("basis change must be an invertible (d+t) matrix")
-    Tinv = T.inverse()
-    n = s.p ** s.n
-    images = []
-    for i in range(n):
-        coords = index_to_tuple(i, s.p, s.n)
-        x = VectorQ(ctx, coords)
-        y = cw_eval(f, x * Tinv) * T
-        images.append(tuple_to_index(tuple(e.coeffs[0] for e in y.entries), s.p))
-    return MapTable(n, tuple(images))
+    images = _table(f)
+    into, back = _affine_table(T.inverse()), _affine_table(T)
+    return MapTable(len(images), tuple(back[images[x]] for x in into))
 
 
 # ---------------------------------------------------------------------------
 # The main constructor and its consequences
 # ---------------------------------------------------------------------------
-
-def _check_base_map(g_images: list[int], p: int, t: int, require_complete: bool):
-    n = p ** t
-    if len(g_images) != n or sorted(g_images) != list(range(n)):
-        raise ValueError("base map must be a bijection on GF(p)^t")
-    if require_complete:
-        doubled = []
-        for i in range(n):
-            u = index_to_tuple(i, p, t)
-            img = index_to_tuple(g_images[i], p, t)
-            doubled.append(tuple_to_index(tuple((a + b) % p for a, b in zip(u, img)), p))
-        if sorted(doubled) != list(range(n)):
-            raise InfeasibleError("base map is not a complete mapping of GF(p)^t")
-
 
 def construct_main(p: int, d: int, t: int, g_images, gammas: dict,
                    seed: int = 0, require_complete: bool = True) -> CosetWiseAffineMap:
@@ -316,17 +278,19 @@ def construct_main(p: int, d: int, t: int, g_images, gammas: dict,
     lie in the ell-factored set, and the result is a complete mapping.
     """
     g_images = list(g_images)
-    _check_base_map(g_images, p, t, require_complete)
+    if sorted(g_images) != list(range(p ** t)):
+        raise ValueError("base map must be a bijection on GF(p)^t")
+    if require_complete and not is_complete_mapping(g_images, p, t):
+        raise InfeasibleError("base map is not a complete mapping of GF(p)^t")
     s = Splitting(p, d, t)
-    ctx = s.ctx
+    zero_w = VectorQ.zero(s.ctx, d)
     rng = random.Random(seed)
 
-    cycles = _cycles_of(g_images)
     counters: dict[int, int] = {}
     expected = CycleType()
-    per: dict = {}
+    per = [None] * p ** t
     seen_keys = set()
-    for cyc in cycles:
+    for cyc in cycles_of(g_images):
         ell = len(cyc)
         counters[ell] = counters.get(ell, 0) + 1
         key = (ell, counters[ell])
@@ -339,11 +303,8 @@ def construct_main(p: int, d: int, t: int, g_images, gammas: dict,
                                    require_complete=require_complete)
         expected = ct_mul(expected, blow_up(ell, gamma))
         for j, i in enumerate(cyc):
-            u = index_to_tuple(i, p, t)
-            nxt = index_to_tuple(g_images[i], p, t)
-            nu = VectorQ(ctx, tuple((b - a) % p for a, b in zip(u, nxt)))
-            omega = w if j == ell - 1 else VectorQ.zero(ctx, d)
-            per[u] = (factors[j], omega, nu)
+            omega = w if j == ell - 1 else zero_w
+            per[i] = (factors[j], omega, _nu(s, i, g_images[i]))
     extra = set(gammas) - seen_keys
     if extra:
         raise ValueError(f"targets supplied for nonexistent cycles: {sorted(extra)}")
@@ -402,19 +363,18 @@ def construct_sylow_type(q: int, target: CycleType, seed: int = 0) -> CosetWiseA
         s = Splitting(p, 1, 0)
         ctx = s.ctx
         shift = 0 if a[0] == p else 1
-        per = {(): (MatrixQ.identity(ctx, 1), VectorQ(ctx, (shift,)), VectorQ(ctx, ()))}
-        return CosetWiseAffineMap(s, per)
+        return CosetWiseAffineMap(s, [(MatrixQ.identity(ctx, 1), VectorQ(ctx, (shift,)),
+                                       VectorQ(ctx, ()))])
 
     smaller = CycleType([(1, a[0] // p + a[1])] + [(p ** j, a[j + 1]) for j in range(1, k)])
     g = construct_sylow_type(p ** (k - 1), smaller, seed=seed)
     g_images = list(cw_to_table(g).images)
 
-    cycles = _cycles_of(g_images)
     counters: dict[int, int] = {}
     gammas = {}
     one_fixed = CycleType({1: p})
     long_cycle = CycleType({p: 1})
-    for cyc in cycles:
+    for cyc in cycles_of(g_images):
         ell = len(cyc)
         counters[ell] = counters.get(ell, 0) + 1
         i = counters[ell]
@@ -442,8 +402,8 @@ def _one_cycle_images(p: int, k: int) -> list[int]:
                 ell = j
                 break
         for j in range(ell - 1, k):
-            x[j] = (x[j] + 1) % p
-        out.append(tuple_to_index(tuple(x), p))
+            x[j] += 1
+        out.append(tuple_to_index(x, p))
     return out
 
 
@@ -454,20 +414,12 @@ def one_cycle_map(p: int, k: int) -> CosetWiseAffineMap:
         raise ValueError("k must be >= 1")
     s = Splitting(p, 1, k - 1)
     ctx = s.ctx
-    per = {}
-    if k == 1:
-        per[()] = (MatrixQ.identity(ctx, 1), VectorQ(ctx, (1,)), VectorQ(ctx, ()))
-        return CosetWiseAffineMap(s, per)
-    sub = _one_cycle_images(p, k - 1)
     I1 = MatrixQ.identity(ctx, 1)
     zero_w = VectorQ(ctx, (0,))
     one_w = VectorQ(ctx, (1,))
-    for i, u in enumerate(itertools.product(range(p), repeat=k - 1)):
-        img = index_to_tuple(sub[tuple_to_index(u, p)], p, k - 1)
-        nu = VectorQ(ctx, tuple((b - a) % p for a, b in zip(u, img)))
-        omega = one_w if all(c == 0 for c in u) else zero_w
-        per[u] = (I1, omega, nu)
-    return CosetWiseAffineMap(s, per)
+    # the zero coset shifts by one; the top is the one-cycle map of GF(p)^(k-1)
+    return CosetWiseAffineMap(s, [(I1, zero_w if i else one_w, _nu(s, i, j))
+                                  for i, j in enumerate(_one_cycle_images(p, k - 1))])
 
 
 # ---------------------------------------------------------------------------

@@ -80,25 +80,30 @@ class CycleType:
         return cls((int(l), int(k)) for l, k in obj.items())
 
 
-def ct_of_permutation(images) -> CycleType:
-    """Cycle type of a permutation given as an image table on 0..n-1."""
-    images = list(images)
-    n = len(images)
-    if sorted(images) != list(range(n)):
-        raise ValueError("images do not describe a bijection")
-    seen = [False] * n
-    counts: dict[int, int] = {}
-    for start in range(n):
+def cycles_of(images) -> list[list[int]]:
+    """Cycles of a permutation given as an image table on 0..n-1, sorted by
+    least element, each starting at its least element."""
+    seen = [False] * len(images)
+    cycles = []
+    for start in range(len(images)):
         if seen[start]:
             continue
-        length = 0
+        cyc = []
         i = start
         while not seen[i]:
             seen[i] = True
+            cyc.append(i)
             i = images[i]
-            length += 1
-        counts[length] = counts.get(length, 0) + 1
-    return CycleType(counts)
+        cycles.append(cyc)
+    return cycles
+
+
+def ct_of_permutation(images) -> CycleType:
+    """Cycle type of a permutation given as an image table on 0..n-1."""
+    images = list(images)
+    if sorted(images) != list(range(len(images))):
+        raise ValueError("images do not describe a bijection")
+    return CycleType((len(cyc), 1) for cyc in cycles_of(images))
 
 
 def ct_mul(a: CycleType, b: CycleType) -> CycleType:

@@ -47,6 +47,24 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def index_to_tuple(i: int, p: int, n: int) -> tuple[int, ...]:
+    """The n base-p digits of i, most significant first: the coordinates of
+    the point with lexicographic index i in GF(p)^n, or of the element with
+    code i in GF(p^n)."""
+    digits = [0] * n
+    for j in range(n - 1, -1, -1):
+        i, digits[j] = divmod(i, p)
+    return tuple(digits)
+
+
+def tuple_to_index(t, p: int) -> int:
+    """Inverse of `index_to_tuple`; each digit is taken mod p."""
+    i = 0
+    for c in t:
+        i = i * p + c % p
+    return i
+
+
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization by trial division; fine for n <= 2**31."""
     if n < 1:
@@ -173,23 +191,16 @@ def _build_tables(ctx: "FieldCtx"):
     n = q - 1
     primes = list(factorize(n))
 
-    def coords(code):
-        c = [0] * k
-        for j in range(k - 1, -1, -1):
-            code, c[j] = divmod(code, p)
-        return _trim(c)
-
     # the generator w first, then every nonzero element in index order
-    for g in itertools.chain(([0, 1],), map(coords, range(1, q))):
+    nonzero = (_trim(list(index_to_tuple(c, p, k))) for c in range(1, q))
+    for g in itertools.chain(([0, 1],), nonzero):
         if all(_ppowmod(fp, g, n // r, m) != [1] for r in primes):
             break
     log = [0] * q
     exp = [0] * (2 * n)
     acc = [1]
     for i in range(n):
-        code = 0
-        for j in range(k):
-            code = code * p + (acc[j] if j < len(acc) else 0)
+        code = tuple_to_index(acc + [0] * (k - len(acc)), p)
         exp[i] = exp[i + n] = code
         log[code] = i
         acc = _pmod(fp, _pmul(fp, acc, g), m)
@@ -626,12 +637,7 @@ class FieldCtx:
         """The element with this index; the caller guarantees the range."""
         if self.k == 1:
             return FieldElement(self, (code,), code)
-        p = self.p
-        coords = [0] * self.k
-        c = code
-        for j in range(self.k - 1, -1, -1):
-            c, coords[j] = divmod(c, p)
-        return FieldElement(self, tuple(coords), code)
+        return FieldElement(self, index_to_tuple(code, self.p, self.k), code)
 
     def dlog(self, x: "FieldElement") -> int:
         """Discrete log of x base gen() (k >= 2): the least j >= 0 with
@@ -792,11 +798,7 @@ class FieldElement:
         element's code in the integer kernel."""
         i = self._index
         if i is None:
-            p = self.ctx.p
-            i = 0
-            for c in self.coeffs:
-                i = i * p + c
-            self._index = i
+            i = self._index = tuple_to_index(self.coeffs, self.ctx.p)
         return i
 
     def __eq__(self, other):

@@ -3,6 +3,7 @@
 Elements of GF(p)^n are indexed lexicographically by coordinate tuple with the
 first coordinate most significant; field elements GF(p^k) use the same rule on
 their coordinate tuples, so field maps and vector-space maps share tables.
+The codec is `gf.index_to_tuple`/`gf.tuple_to_index`, re-exported here.
 """
 
 from __future__ import annotations
@@ -13,33 +14,30 @@ import json
 from dataclasses import dataclass
 
 from .cycletype import CycleType, ct_of_permutation
-from .gf import FieldCtx, Poly
+from .gf import FieldCtx, Poly, index_to_tuple, is_prime, tuple_to_index
 
 MAX_DOMAIN = 10 ** 6
 
 
-def index_to_tuple(i: int, p: int, n: int) -> tuple[int, ...]:
-    coords = []
-    for j in range(n):
-        coords.append(i // p ** (n - 1 - j) % p)
-    return tuple(coords)
-
-
-def tuple_to_index(t, p: int) -> int:
-    n = len(t)
-    return sum(c % p * p ** (n - 1 - j) for j, c in enumerate(t))
-
-
 def add_index(i: int, j: int, p: int, n: int) -> int:
-    a = index_to_tuple(i, p, n)
-    b = index_to_tuple(j, p, n)
-    return tuple_to_index(tuple((x + y) % p for x, y in zip(a, b)), p)
+    """Index of the sum of the points with indices i and j of GF(p)^n."""
+    return tuple_to_index([a + b for a, b in zip(index_to_tuple(i, p, n),
+                                                 index_to_tuple(j, p, n))], p)
 
 
-def sub_index(i: int, j: int, p: int, n: int) -> int:
-    a = index_to_tuple(i, p, n)
-    b = index_to_tuple(j, p, n)
-    return tuple_to_index(tuple((x - y) % p for x, y in zip(a, b)), p)
+def is_complete_mapping(images, p: int, n: int, sign: int = 1) -> bool:
+    """Whether the map g of GF(p)^n with this image table is a complete
+    mapping: a bijection with x -> g(x) + x also a bijection.  With sign=-1
+    the second map is x -> g(x) - x, so the test is for an orthomorphism."""
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    size = p ** n
+    if sorted(images) != list(range(size)):
+        return False
+    sums = {tuple_to_index([a + sign * b for a, b in zip(index_to_tuple(y, p, n),
+                                                         index_to_tuple(x, p, n))], p)
+            for x, y in enumerate(images)}
+    return len(sums) == size
 
 
 @dataclass(frozen=True)
@@ -72,7 +70,10 @@ class MapTable:
                 continue
             if len(row) != 2:
                 raise ValueError("CSV rows must be index pairs")
-            pairs[int(row[0])] = int(row[1])
+            i = int(row[0])
+            if i in pairs:
+                raise ValueError(f"CSV must cover indices 0..n-1 exactly once; {i} repeats")
+            pairs[i] = int(row[1])
         n = len(pairs)
         if sorted(pairs) != list(range(n)):
             raise ValueError("CSV must cover indices 0..n-1 exactly once")
@@ -98,17 +99,15 @@ class AnalysisReport:
 
 
 def analyze(table: MapTable, p: int, dims: int) -> AnalysisReport:
-    """Exhaustive report under the elementary-abelian law of GF(p)^dims."""
+    """Exhaustive report under the elementary-abelian law of GF(p)^dims
+    (ValueError unless p is prime and the table has p^dims points)."""
     if p ** dims != table.n:
         raise ValueError("domain size must equal p^dims")
     images = table.images
-    n = table.n
-    is_bij = sorted(images) == list(range(n))
-    fixed = tuple(i for i in range(n) if images[i] == i)
-    plus = [add_index(images[i], i, p, dims) for i in range(n)]
-    minus = [sub_index(images[i], i, p, dims) for i in range(n)]
-    is_complete = is_bij and sorted(plus) == list(range(n))
-    is_ortho = is_bij and sorted(minus) == list(range(n))
+    is_complete = is_complete_mapping(images, p, dims)
+    is_ortho = is_complete_mapping(images, p, dims, -1)
+    is_bij = sorted(images) == list(range(table.n))
+    fixed = tuple(i for i in range(table.n) if images[i] == i)
     ctype = ct_of_permutation(images) if is_bij else None
     return AnalysisReport(is_bij, is_complete, is_ortho, ctype, fixed)
 

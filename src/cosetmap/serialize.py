@@ -82,8 +82,7 @@ def poly_from_json(ctx: FieldCtx, obj) -> Poly:
 def cwmap_to_json(f: CosetWiseAffineMap) -> dict:
     s = f.splitting
     cosets = []
-    for u in s.coset_labels():
-        alpha, omega, nu = f.per_coset[u]
+    for u, (alpha, omega, nu) in zip(s.coset_labels(), f.per_coset):
         cosets.append({
             "u": list(u),
             "alpha": matrix_to_json(alpha),

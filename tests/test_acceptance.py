@@ -19,7 +19,7 @@ from cosetmap import (CycleType, InfeasibleError, Poly, analyze, blow_up,
                       gamma_of_poly, interpolate, is_cgl, one_cycle_map,
                       one_cycle_polynomial, sylow_type_targets, weixu,
                       weixu_all)
-from cosetmap.cwaffine import _cycles_of
+from cosetmap.cycletype import cycles_of
 from cosetmap.serialize import format_poly
 from helpers import (all_invertible_matrices, closed_form_counts,
                      is_complete_table, quotient_affine_cycle_counts,
@@ -148,7 +148,7 @@ def test_criterion_4_constructor_sweep():
             rng = random.Random(1000 * p + 100 * d + 10 * t + seed)
             g = random_complete_mapping(p, t, rng)
             assert g is not None
-            cycles = _cycles_of(g)
+            cycles = cycles_of(g)
             counters = {}
             gammas = {}
             expected = CycleType()
@@ -280,7 +280,7 @@ def test_criterion_9_invariant_suite():
     constructions.append((one_cycle_map(7, 1), 7, 1))
     rng = random.Random(77)
     g = random_complete_mapping(2, 2, rng)
-    cycles = _cycles_of(g)
+    cycles = cycles_of(g)
     counters = {}
     gammas = {}
     for cyc in cycles:

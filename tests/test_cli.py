@@ -71,6 +71,35 @@ def test_internal_errors_exit_3(monkeypatch, capsys, exc, code, prefix):
     assert err == f"{prefix}{exc}\n"
 
 
+def test_non_integer_seed_variable_exits_2(monkeypatch, capsys):
+    monkeypatch.setenv("COSETMAP_SEED", "abc")
+    code, out, err = run_cli(capsys, "sylow-type", "--q", "9", "--type", "x9")
+    assert code == 2
+    assert out == ""
+    assert err == "error: COSETMAP_SEED must be an integer, not 'abc'\n"
+    monkeypatch.setenv("COSETMAP_SEED", "5")
+    code, out, _ = run_cli(capsys, "sylow-type", "--q", "9", "--type", "x9")
+    assert code == 0 and "cycle type: x9" in out
+
+
+def test_verify_refuses_bad_tables_and_moduli(tmp_path, capsys):
+    path = tmp_path / "t.csv"
+    # index 0 listed twice: not a 2-point table
+    path.write_text("0,1\n0,0\n1,0\n")
+    code, out, err = run_cli(capsys, "verify", "--table", str(path), "--p", "2",
+                             "--dim", "1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: CSV must cover indices 0..n-1 exactly once")
+    # Z/4 is not GF(4): a non-prime p is refused, not answered
+    path.write_text("0,1\n1,2\n2,3\n3,0\n")
+    code, out, err = run_cli(capsys, "verify", "--table", str(path), "--p", "4",
+                             "--dim", "1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: 4 is not prime\n"
+
+
 def test_singular_matrix_exits_2(tmp_path, capsys):
     path = tmp_path / "m.json"
     path.write_text(json.dumps([[1, 1], [1, 1]]))

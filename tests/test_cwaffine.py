@@ -12,7 +12,8 @@ from cosetmap import (CosetWiseAffineMap, InfeasibleError, MatrixQ, Poly,
                       evaluate_poly_table, field, field_to_vector,
                       one_cycle_map, one_cycle_polynomial, sylow_type_targets,
                       vector_to_field, wreath_mul, wreath_to_cw)
-from cosetmap.cwaffine import _cycles_of, _forward_product
+from cosetmap.cwaffine import _forward_product
+from cosetmap.cycletype import cycles_of
 from cosetmap.oracle import index_to_tuple
 from helpers import (one_cycle_reference_tables, random_complete_mapping,
                      random_invertible)
@@ -119,7 +120,7 @@ def test_wreath_round_trip_and_composition():
         ctx = field(p)
         per = {}
         for u, v in zip(labels, perm):
-            alpha, omega, _ = f.per_coset[u]
+            alpha, omega, _ = f.data(u)
             nu = VectorQ(ctx, tuple((b - a) % p for a, b in zip(u, v)))
             per[u] = (alpha, omega, nu)
         f = CosetWiseAffineMap(f.splitting, per)
@@ -138,7 +139,7 @@ def test_wreath_round_trip_and_composition():
             ctx = field(p)
             per = {}
             for u, v in zip(labels, perm):
-                alpha, omega, _ = f.per_coset[u]
+                alpha, omega, _ = f.data(u)
                 nu = VectorQ(ctx, tuple((b - a) % p for a, b in zip(u, v)))
                 per[u] = (alpha, omega, nu)
             fs.append(CosetWiseAffineMap(Splitting(p, d, t), per))
@@ -157,7 +158,6 @@ def test_cw_cycle_type_h2_and_rotations():
     assert cw_cycle_type(h2) == ct("x9")
     # forward cycle products from any rotation of any cycle share a cycle type
     from cosetmap import affine_cycle_type
-    from cosetmap.cwaffine import _top_images
     rng = random.Random(13)
     samples = [h2]
     for _ in range(20):
@@ -165,7 +165,7 @@ def test_cw_cycle_type_h2_and_rotations():
         d, t = rng.choice([(1, 1), (1, 2), (2, 1)])
         samples.append(random_cw_permutation(p, d, t, rng))
     for f in samples:
-        for cycle in _cycles_of(_top_images(f)):
+        for cycle in cycles_of(f.top):
             types = set()
             for r in range(len(cycle)):
                 rot = cycle[r:] + cycle[:r]
@@ -221,7 +221,7 @@ def test_construct_main_seeded_instances():
     from cosetmap import gamma_dpl
     for p, d, t in [(3, 1, 1), (5, 1, 1), (3, 2, 1)]:
         g = random_complete_mapping(p, t, rng)
-        cycles = _cycles_of(g)
+        cycles = cycles_of(g)
         counters = {}
         gammas = {}
         from cosetmap.cycletype import CycleType
@@ -247,6 +247,10 @@ def test_conjugated_table_preserves_completeness_and_type():
         T = random_invertible(F3, 2, rng)
         report = analyze(conjugated_table(f, T), 3, 2)
         assert report.is_complete and report.cycle_type == ct("x9")
+    for T in [MatrixQ.zeros(F3, 2, 2), MatrixQ.identity(F3, 3),
+              MatrixQ.identity(field(3, 2), 2)]:
+        with pytest.raises(ValueError):
+            conjugated_table(f, T)
 
 
 def test_sylow_constructor():
@@ -358,7 +362,7 @@ def test_no_two_cycles_and_char2_fixed_points():
     # exactly one fixed point
     rng = random.Random(31)
     g = random_complete_mapping(2, 2, rng)
-    cycles = _cycles_of(g)
+    cycles = cycles_of(g)
     counters = {}
     gammas = {}
     from cosetmap import gamma_dpl

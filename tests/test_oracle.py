@@ -53,6 +53,15 @@ def test_orthomorphism_flag():
     assert report.is_complete and not report.is_orthomorphism
 
 
+def test_analyze_refuses_non_prime_p():
+    # Z/4 addition is not the law of any GF(4)^dims
+    for images in [(1, 2, 3, 0), (0, 0, 0, 0)]:
+        with pytest.raises(ValueError, match="not prime"):
+            analyze(MapTable(4, images), 4, 1)
+    with pytest.raises(ValueError, match="not prime"):
+        analyze(MapTable(1, (0,)), 1, 3)
+
+
 def test_domain_guard():
     with pytest.raises(ValueError):
         MapTable(10 ** 6 + 1, tuple())
@@ -86,5 +95,7 @@ def test_json_and_csv_loading():
     assert t == MapTable(3, (1, 2, 0))
     with pytest.raises(ValueError):
         load_table("0,1\n2,0\n")
+    with pytest.raises(ValueError, match="exactly once"):
+        load_table("0,1\n0,0\n1,0\n")
     report_json = analyze(t, 3, 1).to_json()
     assert report_json["cycle_type"] == {"3": 1}
