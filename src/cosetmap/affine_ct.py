@@ -233,34 +233,44 @@ def _exponent_multisets(budget: int, minimum: int = 1):
             yield [e] + rest
 
 
-def _x_plus_1(ctx: FieldCtx) -> Poly:
-    return Poly(ctx, (1, 1))
+_GAMMA_CACHE: dict[tuple, tuple[frozenset, dict]] = {}
 
 
-def _ct_union_over_forms(ctx: FieldCtx, d: int, exclude) -> frozenset[CycleType]:
-    options: dict = {}
-    return frozenset(t for blocks in block_multisets(ctx, d, exclude=exclude)
-                     for _, t in shift_class_types(blocks, options))
-
-
-_GAMMA_CACHE: dict[tuple, frozenset] = {}
+def _gamma_walk(kind: str, d: int, p: int) -> tuple[frozenset, dict]:
+    """(types, first witness) for kind "agl" (every class of GL_d(p)) or
+    "acgl" (classes without the block X+1): one walk over `block_multisets`
+    x `shift_class_types` records, per cycle type, the first (blocks, cases)
+    that reaches it."""
+    if d < 1:
+        raise ValueError("dimension must be >= 1")
+    key = (kind, d, p)
+    if key not in _GAMMA_CACHE:
+        ctx = field(p)
+        exclude = (Poly(ctx, (1, 1)),) if kind == "acgl" else ()
+        options: dict = {}
+        first: dict = {}
+        for blocks in block_multisets(ctx, d, exclude=exclude):
+            for cases, t in shift_class_types(blocks, options):
+                first.setdefault(t, (blocks, cases))
+        _GAMMA_CACHE[key] = (frozenset(first), first)
+    return _GAMMA_CACHE[key]
 
 
 def ct_agl(d: int, p: int) -> frozenset[CycleType]:
     """Cycle types of all affine permutations of GF(p)^d."""
-    key = ("agl", d, p)
-    if key not in _GAMMA_CACHE:
-        _GAMMA_CACHE[key] = _ct_union_over_forms(field(p), d, exclude=())
-    return _GAMMA_CACHE[key]
+    return _gamma_walk("agl", d, p)[0]
 
 
 def ct_acgl(d: int, p: int) -> frozenset[CycleType]:
     """Cycle types of affine maps whose linear part is a complete mapping."""
-    key = ("acgl", d, p)
-    if key not in _GAMMA_CACHE:
-        ctx = field(p)
-        _GAMMA_CACHE[key] = _ct_union_over_forms(ctx, d, exclude=(_x_plus_1(ctx),))
-    return _GAMMA_CACHE[key]
+    return _gamma_walk("acgl", d, p)[0]
+
+
+def first_witness(gamma: CycleType, d: int, p: int, complete: bool = False):
+    """(blocks, cases) of the first class and shift-class choice, in walk
+    order, that reaches gamma: among classes with no eigenvalue -1 when
+    `complete`, else among all of GL_d(p).  None if no class reaches it."""
+    return _gamma_walk("acgl" if complete else "agl", d, p)[1].get(gamma)
 
 
 def gamma_dpl(d: int, p: int, ell: int) -> frozenset[CycleType]:

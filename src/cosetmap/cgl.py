@@ -7,8 +7,7 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from .affine_ct import (affine_cycle_type, block_multisets, ct_agl, gamma_dpl,
-                        shift_class_types)
+from .affine_ct import affine_cycle_type, ct_agl, first_witness, gamma_dpl
 from .cycletype import CycleType
 from .errors import InfeasibleError
 from .gf import FieldCtx, field, field_of_order
@@ -204,17 +203,6 @@ def two_fpf_product(M: MatrixQ, seed: int = 0) -> tuple[MatrixQ, MatrixQ]:
 # Realizing a target cycle type as an ell-factored affine map
 # ---------------------------------------------------------------------------
 
-def _shift_for_blocks(ctx: FieldCtx, blocks, cases) -> VectorQ:
-    """Shift that is 1 at the start of each unit-class block and 0 elsewhere."""
-    entries = []
-    for (Q, e), case in zip(blocks, cases):
-        seg = [ctx.zero()] * (int(Q.degree) * e)
-        if case.u_class.startswith("unit"):
-            seg[0] = ctx.one()
-        entries.extend(seg)
-    return VectorQ(ctx, entries)
-
-
 def realize_gamma(gamma: CycleType, d: int, p: int, ell: int, seed: int = 0,
                   require_complete: bool = True) -> tuple[tuple[MatrixQ, ...], VectorQ]:
     """Find ell factors and a shift w with the affine map of their product
@@ -224,8 +212,11 @@ def realize_gamma(gamma: CycleType, d: int, p: int, ell: int, seed: int = 0,
     lie in gamma_dpl(d, p, ell).  Without it the type may be any affine cycle
     type and the factors are (M, I, ..., I) with M invertible.  Either way the
     witness M is the first canonical form, in `block_multisets` order, that
-    reaches the type, and w the first matching choice of shift classes.
+    reaches the type, and w the first matching choice of shift classes: the
+    walk behind the gamma sets records both (`first_witness`).
     """
+    if d < 1 or ell < 1:
+        raise ValueError("dimension and factor count must be >= 1")
     if require_complete and gamma not in gamma_dpl(d, p, ell):
         raise InfeasibleError(f"{gamma} is not realizable with {ell} complete factors "
                               f"in dimension {d} over GF({p})")
@@ -246,16 +237,12 @@ def realize_gamma(gamma: CycleType, d: int, p: int, ell: int, seed: int = 0,
                 if affine_cycle_type(AffineMap(M, w)) == gamma:
                     return factors(M), w
         raise InfeasibleError("no explicit member realizes the requested type")
-    options: dict = {}
-    for blocks in block_multisets(ctx, d):
-        M = MatrixQ.block_diag([companion(Q ** e) for Q, e in blocks])
-        if require_complete and ell == 1 and not is_cgl(M):
-            continue
-        for cases, total in shift_class_types(blocks, options):
-            if total != gamma:
-                continue
-            w = _shift_for_blocks(ctx, blocks, cases)
-            if affine_cycle_type(AffineMap(M, w)) != gamma:
-                raise ArithmeticError("realized affine map has the wrong type")
-            return factors(M), w
-    raise InfeasibleError("no canonical form realizes the requested type")
+    # one factor must be complete itself: no block X+1, i.e. no eigenvalue -1
+    blocks, cases = first_witness(gamma, d, p, complete=require_complete and ell == 1)
+    M = MatrixQ.block_diag([companion(Q ** e) for Q, e in blocks])
+    # the shift is 1 at the start of each unit-class block and 0 elsewhere
+    w = VectorQ(ctx, [int(j == 0 and case.u_class.startswith("unit"))
+                      for (Q, e), case in zip(blocks, cases) for j in range(int(Q.degree) * e)])
+    if affine_cycle_type(AffineMap(M, w)) != gamma:
+        raise ArithmeticError("realized affine map has the wrong type")
+    return factors(M), w

@@ -223,14 +223,13 @@ def cw_cycle_type(f: CosetWiseAffineMap) -> CycleType:
 # ---------------------------------------------------------------------------
 
 def _affine_table(M: MatrixQ, shift: VectorQ | None = None) -> list[int]:
-    """Index table of x -> x*M + shift on GF(p)^n, n = M.rows, from codes."""
-    ctx = M.ctx
-    K = ctx.ops()
-    p, n = ctx.p, M.rows
-    rows = M.codes
-    o = shift.codes if shift is not None else (0,) * n
-    return [tuple_to_index(K.axpy(o, 1, K.vecmat(index_to_tuple(x, p, n), rows, n)), p)
-            for x in range(p ** n)]
+    """Index table of x -> x*M + shift on GF(p)^n, n = M.rows, on codes: the
+    images of the points in index order, built one row of M at a time."""
+    K, p = M.ctx.ops(), M.ctx.p
+    vecs = [shift.codes if shift is not None else (0,) * M.rows]
+    for row in M.codes:
+        vecs = [K.axpy(v, a, row) for v in vecs for a in range(p)]
+    return [tuple_to_index(v, p) for v in vecs]
 
 
 def _table(f: CosetWiseAffineMap) -> list[int]:

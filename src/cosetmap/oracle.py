@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 from dataclasses import dataclass
 
@@ -28,16 +29,18 @@ def add_index(i: int, j: int, p: int, n: int) -> int:
 def is_complete_mapping(images, p: int, n: int, sign: int = 1) -> bool:
     """Whether the map g of GF(p)^n with this image table is a complete
     mapping: a bijection with x -> g(x) + x also a bijection.  With sign=-1
-    the second map is x -> g(x) - x, so the test is for an orthomorphism."""
+    the second map is x -> g(x) - x, so the test is for an orthomorphism.
+    The sum indices are built one digit column at a time, in index order."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     size = p ** n
     if sorted(images) != list(range(size)):
         return False
-    sums = {tuple_to_index([a + sign * b for a, b in zip(index_to_tuple(y, p, n),
-                                                         index_to_tuple(x, p, n))], p)
-            for x, y in enumerate(images)}
-    return len(sums) == size
+    points = list(itertools.product(range(p), repeat=n))
+    sums = [0] * size
+    for xs, ys in zip(zip(*points), zip(*[points[y] for y in images])):
+        sums = [s * p + (y + sign * x) % p for s, x, y in zip(sums, xs, ys)]
+    return len(set(sums)) == size
 
 
 @dataclass(frozen=True)

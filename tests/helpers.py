@@ -171,7 +171,9 @@ def all_invertible_matrices(ctx, d: int):
             yield M
 
 
-def is_complete_table(images, p: int, t: int) -> bool:
+def is_complete_table(images, p: int, t: int, sign: int = 1) -> bool:
+    """Complete-mapping test (orthomorphism test with sign=-1) that decodes
+    x and g(x) for every point."""
     n = p ** t
     if sorted(images) != list(range(n)):
         return False
@@ -179,7 +181,7 @@ def is_complete_table(images, p: int, t: int) -> bool:
     for i in range(n):
         u = index_to_tuple(i, p, t)
         v = index_to_tuple(images[i], p, t)
-        doubled.append(tuple_to_index(tuple((a + b) % p for a, b in zip(u, v)), p))
+        doubled.append(tuple_to_index(tuple((b + sign * a) % p for a, b in zip(u, v)), p))
     return sorted(doubled) == list(range(n))
 
 
@@ -305,3 +307,37 @@ def reachable_affine_types(ctx, d: int, exclude=()) -> set:
         for n in range(weight, d + 1):
             reach[n] |= {weixu(a, t) for a in reach[n - weight] for t in types}
     return reach[d]
+
+
+def scan_witness(gamma, d: int, p: int, complete: bool):
+    """(blocks, cases) of the first class and shift-class choice that reaches
+    gamma, by the scan realization used before the walk kept a witness
+    index: walk every class of GL_d(p), skip, when `complete`, those whose
+    block-diagonal companion matrix fails `is_cgl`, and take the first
+    matching shift classes.  None if nothing matches."""
+    from cosetmap import MatrixQ, companion, field, is_cgl
+    from cosetmap.affine_ct import block_multisets, shift_class_types
+    ctx = field(p)
+    options: dict = {}
+    for blocks in block_multisets(ctx, d):
+        M = MatrixQ.block_diag([companion(Q ** e) for Q, e in blocks])
+        if complete and not is_cgl(M):
+            continue
+        for cases, total in shift_class_types(blocks, options):
+            if total == gamma:
+                return blocks, cases
+    return None
+
+
+def pointwise_affine_table(M: MatrixQ, v: VectorQ) -> list[int]:
+    """Index table of x -> x*M + v over a prime field, in integer arithmetic
+    mod p, one point at a time."""
+    p, n = M.ctx.p, M.rows
+    rows = M.int_rows()
+    shift = [c.index for c in v.entries]
+    out = []
+    for x in range(p ** n):
+        coords = index_to_tuple(x, p, n)
+        out.append(tuple_to_index([(shift[j] + sum(coords[i] * rows[i][j] for i in range(n))) % p
+                                   for j in range(n)], p))
+    return out

@@ -218,3 +218,12 @@ def test_realize_gamma_without_completeness():
     assert w == VectorQ(F3, (0,))
     with pytest.raises(InfeasibleError):
         realize_gamma(ct("x1 x2"), 1, 5, 1, require_complete=False)  # degree 3, not 5
+
+
+def test_realize_gamma_refuses_dimension_and_factor_count_0():
+    # ell = 0 used to return a one-factor answer without completeness, and
+    # d = 0 to fail inside the irreducible enumeration
+    for require_complete in (True, False):
+        for gamma, d, ell in [(ct("x3"), 1, 0), (ct("x1"), 0, 1), (ct("x3"), 1, -1)]:
+            with pytest.raises(ValueError, match="dimension and factor count must be >= 1"):
+                realize_gamma(gamma, d, 3, ell, require_complete=require_complete)

@@ -12,11 +12,11 @@ from cosetmap import (CosetWiseAffineMap, InfeasibleError, MatrixQ, Poly,
                       evaluate_poly_table, field, field_to_vector,
                       one_cycle_map, one_cycle_polynomial, sylow_type_targets,
                       vector_to_field, wreath_mul, wreath_to_cw)
-from cosetmap.cwaffine import _forward_product
+from cosetmap.cwaffine import _affine_table, _forward_product
 from cosetmap.cycletype import cycles_of
 from cosetmap.oracle import index_to_tuple
-from helpers import (one_cycle_reference_tables, random_complete_mapping,
-                     random_invertible)
+from helpers import (one_cycle_reference_tables, pointwise_affine_table,
+                     random_complete_mapping, random_invertible)
 
 
 def random_cw_map(p, d, t, rng, invertible_only=False):
@@ -251,6 +251,21 @@ def test_conjugated_table_preserves_completeness_and_type():
               MatrixQ.identity(field(3, 2), 2)]:
         with pytest.raises(ValueError):
             conjugated_table(f, T)
+
+
+def test_affine_table_matches_pointwise_products():
+    """Row-at-a-time tables against x*M + v worked out point by point, for
+    singular and invertible M."""
+    rng = random.Random(11)
+    for p in (2, 3, 5):
+        ctx = field(p)
+        for n in range(1, 5):
+            for _ in range(4):
+                M = MatrixQ(ctx, tuple(tuple(rng.randrange(p) for _ in range(n))
+                                       for _ in range(n)))
+                v = VectorQ(ctx, [rng.randrange(p) for _ in range(n)])
+                assert _affine_table(M, v) == pointwise_affine_table(M, v)
+            assert _affine_table(M) == pointwise_affine_table(M, VectorQ.zero(ctx, n))
 
 
 def test_sylow_constructor():

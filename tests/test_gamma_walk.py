@@ -1,7 +1,8 @@
 """The walk over conjugacy classes of GL_d(q) behind gamma sets and
 realization: its order against the reference recursion, its size against the
-class-number series, its depth, and the gamma sets against a DP that does not
-walk classes at all."""
+class-number series, its depth, the gamma sets against a DP that does not
+walk classes at all, and its first-witness index against the scan that
+realization used before the index existed."""
 
 import sys
 import traceback
@@ -9,8 +10,10 @@ import traceback
 import pytest
 
 from cosetmap import Poly, field, gamma_dpl
-from cosetmap.affine_ct import block_multisets, ct_acgl, ct_agl
-from helpers import gl_class_numbers, reachable_affine_types, recursive_block_multisets
+from cosetmap.affine_ct import (_gamma_walk, block_multisets, ct_acgl, ct_agl, first_witness,
+                                sorted_types)
+from helpers import (gl_class_numbers, reachable_affine_types, recursive_block_multisets,
+                     scan_witness)
 
 WALK_GRID = [(p, d) for p, dmax in ((2, 8), (3, 6), (5, 4), (7, 3)) for d in range(1, dmax + 1)]
 
@@ -73,3 +76,29 @@ def test_gamma_sets_dimension_8_over_gf3():
     agl = ct_agl(8, 3)
     assert len(agl) == 1230
     assert agl == frozenset(reachable_affine_types(ctx, 8))
+
+
+@pytest.mark.parametrize("d,p", [(1, 2), (1, 3), (1, 5), (2, 2), (2, 3), (2, 5), (3, 2), (3, 3),
+                                 (4, 2), (4, 3)])
+def test_witness_index_matches_scan(d, p):
+    """The acgl walk, which leaves out the block X+1, finds the same first
+    witness as the full walk filtered by `is_cgl`; types it cannot reach have
+    no witness either way."""
+    assert frozenset(_gamma_walk("agl", d, p)[1]) == ct_agl(d, p)
+    assert frozenset(_gamma_walk("acgl", d, p)[1]) == ct_acgl(d, p)
+    for gamma in sorted_types(ct_agl(d, p)):
+        for complete in (False, True):
+            witness = first_witness(gamma, d, p, complete)
+            assert witness == scan_witness(gamma, d, p, complete)
+            assert (witness is not None) == (gamma in (ct_acgl(d, p) if complete else ct_agl(d, p)))
+
+
+def test_witness_index_dimension_8_over_gf3():
+    assert len(_gamma_walk("acgl", 8, 3)[1]) == 458
+    assert len(_gamma_walk("agl", 8, 3)[1]) == 1230
+
+
+def test_gamma_sets_refuse_dimension_0():
+    for fn in (ct_agl, ct_acgl):
+        with pytest.raises(ValueError, match="dimension must be >= 1"):
+            fn(0, 3)

@@ -2,9 +2,10 @@ import random
 
 import pytest
 
-from cosetmap import (MapTable, Poly, analyze, ct, field,
+from cosetmap import (MapTable, MatrixQ, Poly, VectorQ, analyze, ct, field,
                       interpolate, load_table, table_of)
-from cosetmap.oracle import add_index, index_to_tuple, tuple_to_index
+from cosetmap.oracle import add_index, index_to_tuple, is_complete_mapping, tuple_to_index
+from helpers import is_complete_table, pointwise_affine_table
 
 
 def test_index_round_trip():
@@ -60,6 +61,42 @@ def test_analyze_refuses_non_prime_p():
             analyze(MapTable(4, images), 4, 1)
     with pytest.raises(ValueError, match="not prime"):
         analyze(MapTable(1, (0,)), 1, 3)
+
+
+def test_is_complete_mapping_matches_pointwise_decode():
+    """The column-wise test against the per-point decode loop, on
+    permutations, affine maps (some complete), non-bijections and tables of
+    the wrong length."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(st.sampled_from([2, 3, 5, 7]), st.integers(0, 4), st.sampled_from([1, -1]),
+                      st.sampled_from(["perm", "affine", "map", "length"]), st.data())
+    def check(p, n, sign, kind, data):
+        size = p ** n
+        if kind == "perm":
+            images = data.draw(st.permutations(range(size)))
+        elif kind == "affine":
+            ctx = field(p)
+            coords = st.lists(st.integers(0, p - 1), min_size=n, max_size=n)
+            M = MatrixQ(ctx, data.draw(st.lists(coords, min_size=n, max_size=n)))
+            images = pointwise_affine_table(M, VectorQ(ctx, data.draw(coords)))
+        elif kind == "map":
+            images = data.draw(st.lists(st.integers(0, size - 1), min_size=size, max_size=size))
+        else:
+            images = list(range(size))
+            images += data.draw(st.lists(st.integers(0, size), min_size=1, max_size=2))
+            if data.draw(st.booleans()):
+                images = images[:size - 1]
+        assert is_complete_mapping(images, p, n, sign) == is_complete_table(images, p, n, sign)
+
+    check()
+    # identity maps: x + x = 2x is a bijection for odd p, x - x = 0 never is
+    for p, n in [(2, 2), (3, 3), (5, 2), (7, 1)]:
+        identity = list(range(p ** n))
+        assert is_complete_mapping(identity, p, n) == (p > 2)
+        assert not is_complete_mapping(identity, p, n, -1)
 
 
 def test_domain_guard():
