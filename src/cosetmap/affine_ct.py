@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .cycletype import CycleType, weixu_all
 from .gf import FieldCtx, Poly, enumerate_irreducibles, field, poly_order
-from .linalg import AffineMap, MatrixQ, companion, prcf
+from .linalg import AffineMap, MatrixQ, VectorQ, companion, prcf
 
 U_GENERIC = "generic"
 U_NONUNIT = "nonunit"
@@ -240,7 +240,7 @@ def _gamma_walk(kind: str, d: int, p: int) -> tuple[frozenset, dict]:
     """(types, first witness) for kind "agl" (every class of GL_d(p)) or
     "acgl" (classes without the block X+1): one walk over `block_multisets`
     x `shift_class_types` records, per cycle type, the first (blocks, cases)
-    that reaches it."""
+    that reaches it and a slot for the map `witness_map` builds from them."""
     if d < 1:
         raise ValueError("dimension must be >= 1")
     key = (kind, d, p)
@@ -251,7 +251,7 @@ def _gamma_walk(kind: str, d: int, p: int) -> tuple[frozenset, dict]:
         first: dict = {}
         for blocks in block_multisets(ctx, d, exclude=exclude):
             for cases, t in shift_class_types(blocks, options):
-                first.setdefault(t, (blocks, cases))
+                first.setdefault(t, (blocks, cases, None))
         _GAMMA_CACHE[key] = (frozenset(first), first)
     return _GAMMA_CACHE[key]
 
@@ -270,7 +270,30 @@ def first_witness(gamma: CycleType, d: int, p: int, complete: bool = False):
     """(blocks, cases) of the first class and shift-class choice, in walk
     order, that reaches gamma: among classes with no eigenvalue -1 when
     `complete`, else among all of GL_d(p).  None if no class reaches it."""
-    return _gamma_walk("acgl" if complete else "agl", d, p)[1].get(gamma)
+    entry = _gamma_walk("acgl" if complete else "agl", d, p)[1].get(gamma)
+    return None if entry is None else entry[:2]
+
+
+def witness_map(gamma: CycleType, d: int, p: int, complete: bool = False) -> AffineMap | None:
+    """x -> x*M + w of cycle type gamma from its `first_witness`: M the block
+    diagonal of the companions of the Q^e, w 1 at the start of each
+    unit-class block and 0 elsewhere.  Checked with `affine_cycle_type` when
+    first built and kept in the walk's witness entry.  None if no class
+    reaches gamma."""
+    first = _gamma_walk("acgl" if complete else "agl", d, p)[1]
+    if gamma not in first:
+        return None
+    blocks, cases, f = first[gamma]
+    if f is None:
+        M = MatrixQ.block_diag([companion(Q ** e) for Q, e in blocks])
+        w = VectorQ(M.ctx, [int(j == 0 and case.u_class.startswith("unit"))
+                            for (Q, e), case in zip(blocks, cases)
+                            for j in range(int(Q.degree) * e)])
+        f = AffineMap(M, w)
+        if affine_cycle_type(f) != gamma:
+            raise ArithmeticError("realized affine map has the wrong type")
+        first[gamma] = (blocks, cases, f)
+    return f
 
 
 def gamma_dpl(d: int, p: int, ell: int) -> frozenset[CycleType]:

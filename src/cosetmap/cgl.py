@@ -7,28 +7,22 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from .affine_ct import affine_cycle_type, ct_agl, first_witness, gamma_dpl
+from .affine_ct import affine_cycle_type, ct_agl, gamma_dpl, witness_map
 from .cycletype import CycleType
 from .errors import InfeasibleError
 from .gf import FieldCtx, field, field_of_order
-from .linalg import AffineMap, MatrixQ, VectorQ, companion
+from .linalg import AffineMap, MatrixQ, VectorQ, _inverse, _matmul, _without_eigenvalue
 
 
 def is_cgl(M: MatrixQ) -> bool:
     """True iff M is invertible and has no eigenvalue -1, i.e. M represents a
     linear complete mapping."""
-    if not M.is_square():
-        raise ValueError("is_cgl needs a square matrix")
-    I = MatrixQ.identity(M.ctx, M.rows)
-    return not M.det().is_zero() and not (M + I).det().is_zero()
+    return M.has_no_eigenvalue(-1)
 
 
 def is_fpf(M: MatrixQ) -> bool:
     """True iff M is invertible and fixes no nonzero vector (no eigenvalue 1)."""
-    if not M.is_square():
-        raise ValueError("is_fpf needs a square matrix")
-    I = MatrixQ.identity(M.ctx, M.rows)
-    return not M.det().is_zero() and not (M - I).det().is_zero()
+    return M.has_no_eigenvalue(1)
 
 
 @dataclass(frozen=True)
@@ -78,46 +72,37 @@ def cgl_power_set(d: int, q: int, ell: int):
     return "gl", None
 
 
-def _random_matrix(ctx: FieldCtx, d: int, rng: random.Random) -> MatrixQ:
+def _random_member(ctx: FieldCtx, d: int, rng: random.Random, c: int, tries: int = 512):
+    """A random invertible d x d matrix without eigenvalue c (a code), drawn
+    as code rows; None after `tries` failed samples."""
     q = ctx.order
-    return MatrixQ(ctx, tuple(tuple(ctx.from_index(rng.randrange(q)) for _ in range(d))
-                              for _ in range(d)))
-
-
-def _random_member(ctx: FieldCtx, d: int, rng: random.Random, pred, tries: int = 512):
     for _ in range(tries):
-        M = _random_matrix(ctx, d, rng)
-        if pred(M):
+        M = _without_eigenvalue(ctx, [[rng.randrange(q) for _ in range(d)] for _ in range(d)], c)
+        if M is not None:
             return M
     return None
 
 
-def _all_matrices(ctx: FieldCtx, d: int):
-    q = ctx.order
-    for idx in itertools.product(range(q), repeat=d * d):
-        rows = tuple(tuple(ctx.from_index(idx[i * d + j]) for j in range(d))
-                     for i in range(d))
-        yield MatrixQ(ctx, rows)
+def _all_members(ctx: FieldCtx, d: int, c: int):
+    """Every invertible d x d matrix without eigenvalue c, in code order."""
+    for idx in itertools.product(range(ctx.order), repeat=d * d):
+        M = _without_eigenvalue(ctx, [idx[i * d:(i + 1) * d] for i in range(d)], c)
+        if M is not None:
+            yield M
 
 
-def _search_two_factor(M: MatrixQ, pred, rng: random.Random) -> tuple[MatrixQ, MatrixQ]:
-    """Find (F, C) with F*C = M and pred holding for both, by seeded sampling
-    with exhaustive fallback on small groups."""
+def _search_two_factor(M: MatrixQ, c: int, rng: random.Random) -> tuple[MatrixQ, MatrixQ]:
+    """Find (F, C) with F*C = M and neither having eigenvalue c (a code), by
+    seeded sampling with exhaustive fallback on small groups."""
     ctx = M.ctx
+    K = ctx.ops()
     d = M.rows
-    for _ in range(2048):
-        C = _random_member(ctx, d, rng, pred, tries=64)
-        if C is None:
-            break
-        F = M * C.inverse()
-        if pred(F):
+    sampled = itertools.islice(iter(lambda: _random_member(ctx, d, rng, c, tries=64), None), 2048)
+    exhaustive = _all_members(ctx, d, c) if ctx.order ** (d * d) <= 10 ** 6 else ()
+    for C in itertools.chain(sampled, exhaustive):
+        F = _without_eigenvalue(ctx, _matmul(K, M.codes, _inverse(K, C.codes), d), c)
+        if F is not None:
             return F, C
-    if ctx.order ** (d * d) <= 10 ** 6:
-        for C in _all_matrices(ctx, d):
-            if pred(C):
-                F = M * C.inverse()
-                if pred(F):
-                    return F, C
     raise InfeasibleError("no two-factor decomposition found")
 
 
@@ -134,6 +119,7 @@ def factor_into_cgl(M: MatrixQ, ell: int, seed: int = 0) -> CglFactorization:
     ctx = M.ctx
     d = M.rows
     q = ctx.order
+    minus_one = ctx.code(-1)
     rng = random.Random(seed)
 
     if ell == 1:
@@ -144,46 +130,33 @@ def factor_into_cgl(M: MatrixQ, ell: int, seed: int = 0) -> CglFactorization:
     if (d, q) == (1, 2):
         raise InfeasibleError("GF(2)^1 admits no complete linear maps")
     if (d, q) == (1, 3):
-        if M != MatrixQ(ctx, ((1,),)):
+        if M != MatrixQ.identity(ctx, 1):
             raise InfeasibleError("only the identity factors over GF(3) in dimension 1")
-        one = MatrixQ(ctx, ((1,),))
-        return CglFactorization((one,) * ell, M)
+        return CglFactorization((M,) * ell, M)
     if (d, q) == (2, 2):
-        A = MatrixQ(ctx, ((0, 1), (1, 1)))
-        B = MatrixQ(ctx, ((1, 1), (1, 0)))  # B = A^2 = A^-1
-        members = {MatrixQ.identity(ctx, 2): 0, A: 1, B: 2}
+        members = _exceptional_members(ctx, 2)  # I, A and B = A^2 = A^-1
         if M not in members:
             raise InfeasibleError("matrix is not an ell-fold product over GF(2)^2")
+        A, B = members[1:]
         # a word with b letters B and ell-b letters A evaluates to A^(ell+b mod 3)
-        b = next(b for b in range(3) if (ell + b) % 3 == members[M])
-        factors = (A,) * (ell - b) + (B,) * b
-        return CglFactorization(factors, M)
+        b = next(b for b in range(3) if (ell + b) % 3 == members.index(M))
+        return CglFactorization((A,) * (ell - b) + (B,) * b, M)
 
     if ctx.p > 2:
         # identity is complete in odd characteristic; two-factor then pad
-        F, C = _search_two_factor(M, is_cgl, rng)
+        F, C = _search_two_factor(M, minus_one, rng)
         ordered = [F, C] + [MatrixQ.identity(ctx, d)] * (ell - 2)
         return CglFactorization(tuple(ordered), M)
 
-    # characteristic 2: pad with (C, C^-1) pairs, peel one factor off odd ell
-    target = M
-    tail: list[MatrixQ] = []
-    rest = ell
-    if rest % 2 == 1:
-        C = _random_member(ctx, d, rng, is_cgl)
-        if C is None:
-            raise InfeasibleError("could not sample a complete matrix")
-        target = target * C.inverse()
-        tail.append(C)
-        rest -= 1
-    head: list[MatrixQ] = []
-    while rest > 2:
-        C = _random_member(ctx, d, rng, is_cgl)
-        if C is None:
-            raise InfeasibleError("could not sample a complete matrix")
-        head.extend([C, C.inverse()])
-        rest -= 2
-    F, C = _search_two_factor(target, is_cgl, rng)
+    # characteristic 2: peel one sampled factor off odd ell, pad with (C, C^-1)
+    # pairs of sampled C, then two factors
+    odd = ell % 2
+    sampled = [_random_member(ctx, d, rng, minus_one) for _ in range(odd + (ell - odd - 2) // 2)]
+    if any(C is None for C in sampled):
+        raise InfeasibleError("could not sample a complete matrix")
+    tail, pairs = sampled[:odd], sampled[odd:]
+    F, C = _search_two_factor(M * tail[0].inverse() if odd else M, minus_one, rng)
+    head = [X for C in pairs for X in (C, C.inverse())]
     return CglFactorization(tuple(head + [F, C] + tail), M)
 
 
@@ -196,7 +169,7 @@ def two_fpf_product(M: MatrixQ, seed: int = 0) -> tuple[MatrixQ, MatrixQ]:
     if (d, q) in ((1, 2), (1, 3), (2, 2)):
         raise InfeasibleError(f"(d, q) = {(d, q)} admits no two-derangement factorization")
     rng = random.Random(seed)
-    return _search_two_factor(M, is_fpf, rng)
+    return _search_two_factor(M, M.ctx.code(1), rng)
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +186,7 @@ def realize_gamma(gamma: CycleType, d: int, p: int, ell: int, seed: int = 0,
     type and the factors are (M, I, ..., I) with M invertible.  Either way the
     witness M is the first canonical form, in `block_multisets` order, that
     reaches the type, and w the first matching choice of shift classes: the
-    walk behind the gamma sets records both (`first_witness`).
+    walk behind the gamma sets records both (`witness_map`).
     """
     if d < 1 or ell < 1:
         raise ValueError("dimension and factor count must be >= 1")
@@ -238,11 +211,5 @@ def realize_gamma(gamma: CycleType, d: int, p: int, ell: int, seed: int = 0,
                     return factors(M), w
         raise InfeasibleError("no explicit member realizes the requested type")
     # one factor must be complete itself: no block X+1, i.e. no eigenvalue -1
-    blocks, cases = first_witness(gamma, d, p, complete=require_complete and ell == 1)
-    M = MatrixQ.block_diag([companion(Q ** e) for Q, e in blocks])
-    # the shift is 1 at the start of each unit-class block and 0 elsewhere
-    w = VectorQ(ctx, [int(j == 0 and case.u_class.startswith("unit"))
-                      for (Q, e), case in zip(blocks, cases) for j in range(int(Q.degree) * e)])
-    if affine_cycle_type(AffineMap(M, w)) != gamma:
-        raise ArithmeticError("realized affine map has the wrong type")
-    return factors(M), w
+    f = witness_map(gamma, d, p, complete=require_complete and ell == 1)
+    return factors(f.matrix), f.shift

@@ -21,7 +21,7 @@ from .cwaffine import (construct_main, construct_sylow_type, cw_cycle_type,
 from .cycletype import ct_format, ct_parse
 from .errors import InfeasibleError
 from .gf import field
-from .oracle import analyze, evaluate_poly_table, load_table
+from .oracle import MAX_DOMAIN, analyze, evaluate_poly_table, load_table
 from .serialize import format_poly, parse_poly
 
 
@@ -96,6 +96,15 @@ def _cmd_cgl_factor(args) -> int:
     return 0
 
 
+def _check_verify_size(args, p: int, n: int) -> None:
+    """Refuse --verify before any work when its table of p^n points would
+    exceed the oracle's limit.  Every p >= 2 exceeds it by the exponent
+    MAX_DOMAIN.bit_length(), so capping n there makes a huge n cost nothing."""
+    if args.verify and p ** min(n, MAX_DOMAIN.bit_length()) > MAX_DOMAIN:
+        points = f"{p}^{n}" if n > 1 else p
+        raise ValueError(f"--verify tabulates {points} points, above the {MAX_DOMAIN} limit")
+
+
 def _emit_cwmap(args, f, verify_expected_complete=True) -> int:
     s = f.splitting
     ctype = cw_cycle_type(f)
@@ -119,6 +128,7 @@ def _emit_cwmap(args, f, verify_expected_complete=True) -> int:
 
 def _cmd_construct(args) -> int:
     job = json.loads(_read_input(args.job))
+    _check_verify_size(args, int(job["p"]), int(job["d"]) + int(job["t"]))
     gammas = {}
     for item in job["gammas"]:
         gammas[(int(item["length"]), int(item["index"]))] = ct_parse(item["type"])
@@ -131,17 +141,20 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_sylow_type(args) -> int:
+    _check_verify_size(args, args.q, 1)
     target = ct_parse(args.type)
     f = construct_sylow_type(args.q, target, seed=args.seed)
     return _emit_cwmap(args, f)
 
 
 def _cmd_one_cycle(args) -> int:
+    _check_verify_size(args, args.p, args.k)
     f = one_cycle_map(args.p, args.k)
     return _emit_cwmap(args, f, verify_expected_complete=args.p > 2)
 
 
 def _cmd_one_cycle_poly(args) -> int:
+    _check_verify_size(args, args.p, args.k)
     ctx = _field_from_args(args)
     P = one_cycle_polynomial(ctx)
     text = format_poly(P)

@@ -20,7 +20,7 @@ from .cgl import is_cgl, realize_gamma
 from .cycletype import CycleType, blow_up, ct_mul, cycles_of
 from .errors import InfeasibleError
 from .gf import FieldCtx, Poly, factorize, field, index_to_tuple, tuple_to_index
-from .linalg import AffineMap, MatrixQ, VectorQ
+from .linalg import AffineMap, MatrixQ, VectorQ, _identity, _matmul
 from .oracle import MapTable, is_complete_mapping
 
 
@@ -72,13 +72,17 @@ class CosetWiseAffineMap:
         ctx = splitting.ctx
         norm = []
         top = []
+        nus: dict[tuple, VectorQ] = {}  # one shared nu per code tuple
         for i, (alpha, omega, nu) in enumerate(per_coset):
             if not isinstance(alpha, MatrixQ):
                 alpha = MatrixQ(ctx, alpha)
             if not isinstance(omega, VectorQ):
                 omega = VectorQ(ctx, omega)
             if not isinstance(nu, VectorQ):
-                nu = VectorQ(ctx, nu)
+                codes = tuple(map(ctx.code, nu))
+                if codes not in nus:
+                    nus[codes] = VectorQ.from_codes(ctx, codes)
+                nu = nus[codes]
             if alpha.rows != splitting.d or alpha.cols != splitting.d:
                 raise ValueError("alpha blocks must be d x d")
             if len(omega.entries) != splitting.d or len(nu.entries) != t:
@@ -198,12 +202,16 @@ def cw_compose(f1: CosetWiseAffineMap, f2: CosetWiseAffineMap) -> CosetWiseAffin
 # ---------------------------------------------------------------------------
 
 def _forward_product(f: CosetWiseAffineMap, cycle: list[int]) -> AffineMap:
-    ctx = f.splitting.ctx
-    acc = AffineMap(MatrixQ.identity(ctx, f.splitting.d), VectorQ.zero(ctx, f.splitting.d))
+    """The coset maps along the cycle composed in order, folded on codes."""
+    ctx, d = f.splitting.ctx, f.splitting.d
+    K = ctx.ops()
+    A = _identity(K, d)
+    v = [0] * d
     for i in cycle:
         alpha, omega, _ = f.per_coset[i]
-        acc = acc.then(AffineMap(alpha, omega))
-    return acc
+        A = _matmul(K, A, alpha.codes, d)
+        v = K.axpy(K.vecmat(v, alpha.codes, d), K.one, omega.codes)
+    return AffineMap(MatrixQ.from_codes(ctx, A, d), VectorQ.from_codes(ctx, v))
 
 
 def cw_cycle_type(f: CosetWiseAffineMap) -> CycleType:
@@ -265,6 +273,17 @@ def conjugated_table(f: CosetWiseAffineMap, T: MatrixQ) -> MapTable:
 # The main constructor and its consequences
 # ---------------------------------------------------------------------------
 
+def _cycle_keys(cycles) -> list[tuple[int, int]]:
+    """(length, 1-based index among the cycles of that length) per cycle."""
+    counters: dict[int, int] = {}
+    keys = []
+    for cyc in cycles:
+        ell = len(cyc)
+        counters[ell] = counters.get(ell, 0) + 1
+        keys.append((ell, counters[ell]))
+    return keys
+
+
 def construct_main(p: int, d: int, t: int, g_images, gammas: dict,
                    seed: int = 0, require_complete: bool = True) -> CosetWiseAffineMap:
     """Build a coset-wise affine map whose cycle type is the product of the
@@ -282,20 +301,21 @@ def construct_main(p: int, d: int, t: int, g_images, gammas: dict,
     if require_complete and not is_complete_mapping(g_images, p, t):
         raise InfeasibleError("base map is not a complete mapping of GF(p)^t")
     s = Splitting(p, d, t)
+    cycles = cycles_of(g_images)
+    keys = _cycle_keys(cycles)
+    missing = [key for key in keys if key not in gammas]
+    if missing:
+        raise ValueError(f"no target type supplied for cycle {missing[0]}")
+    extra = set(gammas) - set(keys)
+    if extra:
+        raise ValueError(f"targets supplied for nonexistent cycles: {sorted(extra)}")
     zero_w = VectorQ.zero(s.ctx, d)
     rng = random.Random(seed)
 
-    counters: dict[int, int] = {}
     expected = CycleType()
     per = [None] * p ** t
-    seen_keys = set()
-    for cyc in cycles_of(g_images):
+    for cyc, key in zip(cycles, keys):
         ell = len(cyc)
-        counters[ell] = counters.get(ell, 0) + 1
-        key = (ell, counters[ell])
-        seen_keys.add(key)
-        if key not in gammas:
-            raise ValueError(f"no target type supplied for cycle {key}")
         gamma = gammas[key]
         sub_seed = rng.randrange(2 ** 32)
         factors, w = realize_gamma(gamma, d, p, ell, seed=sub_seed,
@@ -304,9 +324,6 @@ def construct_main(p: int, d: int, t: int, g_images, gammas: dict,
         for j, i in enumerate(cyc):
             omega = w if j == ell - 1 else zero_w
             per[i] = (factors[j], omega, _nu(s, i, g_images[i]))
-    extra = set(gammas) - seen_keys
-    if extra:
-        raise ValueError(f"targets supplied for nonexistent cycles: {sorted(extra)}")
 
     f = CosetWiseAffineMap(s, per)
     if require_complete and not cw_is_complete(f):
@@ -369,18 +386,10 @@ def construct_sylow_type(q: int, target: CycleType, seed: int = 0) -> CosetWiseA
     g = construct_sylow_type(p ** (k - 1), smaller, seed=seed)
     g_images = list(cw_to_table(g).images)
 
-    counters: dict[int, int] = {}
-    gammas = {}
     one_fixed = CycleType({1: p})
     long_cycle = CycleType({p: 1})
-    for cyc in cycles_of(g_images):
-        ell = len(cyc)
-        counters[ell] = counters.get(ell, 0) + 1
-        i = counters[ell]
-        if ell == 1 and i <= a[0] // p:
-            gammas[(ell, i)] = one_fixed
-        else:
-            gammas[(ell, i)] = long_cycle
+    gammas = {(ell, i): one_fixed if ell == 1 and i <= a[0] // p else long_cycle
+              for ell, i in _cycle_keys(cycles_of(g_images))}
     return construct_main(p, 1, k - 1, g_images, gammas, seed=seed)
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .gf import (FieldCtx, FieldElement, Poly, _Ops, _pexact_div, _pmul, _ppow, _trim,
-                 factor_monic)
+                 factor_monic, index_to_tuple)
 
 
 # ---------------------------------------------------------------------------
@@ -71,6 +71,15 @@ def _reduce_rows(K: _Ops, work: list[list], ncols: int):
         pivots.append(c)
         r += 1
     return pivots, det
+
+
+def _no_eigenvalue(K: _Ops, A, c) -> bool:
+    """Whether the square matrix with code rows A is invertible and has no
+    eigenvalue c (a code): A and A - c*I both have full rank."""
+    n = len(A)
+    shifted = [[K.sub(a, c) if i == j else a for j, a in enumerate(row)]
+               for i, row in enumerate(A)]
+    return all(len(_reduce_rows(K, [list(r) for r in B], n)[0]) == n for B in (A, shifted))
 
 
 def _inverse(K: _Ops, A) -> list[list]:
@@ -263,9 +272,6 @@ class VectorQ:
     def __neg__(self):
         return VectorQ(self.ctx, tuple(-a for a in self.entries))
 
-    def scale(self, c) -> "VectorQ":
-        return VectorQ.from_codes(self.ctx, self.ctx.ops().scale(self.ctx.code(c), self.codes))
-
     def __mul__(self, M: "MatrixQ") -> "VectorQ":
         if not isinstance(M, MatrixQ):
             return NotImplemented
@@ -310,34 +316,36 @@ class VectorQ:
 
 
 class MatrixQ:
-    """Dense exact matrix; immutable after construction."""
+    """Dense exact matrix over a field context, held as rows of element codes
+    (`codes`); immutable after construction.
 
-    __slots__ = ("ctx", "rows", "cols", "_rows", "_codes")
+    The rank and the `has_no_eigenvalue` verdicts are worked out once and
+    kept; they take no part in equality or hashing.
+    """
+
+    __slots__ = ("ctx", "rows", "cols", "codes", "_rank", "_no_eig")
 
     def __init__(self, ctx: FieldCtx, rows):
-        table = tuple(tuple(ctx.elem(e) for e in row) for row in rows)
-        if table:
-            width = len(table[0])
-            if any(len(r) != width for r in table):
-                raise ValueError("ragged matrix rows")
-        else:
-            width = 0
-        self.ctx = ctx
-        self.rows = len(table)
-        self.cols = width
-        self._rows = table
-        self._codes = None
+        """Rows of anything `ctx.code` accepts."""
+        codes = tuple(tuple(map(ctx.code, row)) for row in rows)
+        if any(len(r) != len(codes[0]) for r in codes):
+            raise ValueError("ragged matrix rows")
+        self._init(ctx, codes, 0)
 
     @classmethod
     def from_codes(cls, ctx: FieldCtx, rows, cols: int | None = None) -> "MatrixQ":
         """Matrix with the given rows of element codes."""
         M = cls.__new__(cls)
-        M.ctx = ctx
-        M._codes = tuple(tuple(r) for r in rows)
-        M._rows = tuple(tuple(map(ctx._from_code, r)) for r in M._codes)
-        M.rows = len(M._codes)
-        M.cols = len(M._codes[0]) if M._codes else (cols or 0)
+        M._init(ctx, tuple(tuple(r) for r in rows), cols or 0)
         return M
+
+    def _init(self, ctx: FieldCtx, codes, cols: int):
+        self.ctx = ctx
+        self.codes = codes
+        self.rows = len(codes)
+        self.cols = len(codes[0]) if codes else cols
+        self._rank = None
+        self._no_eig = {}
 
     @classmethod
     def identity(cls, ctx: FieldCtx, n: int) -> "MatrixQ":
@@ -348,61 +356,39 @@ class MatrixQ:
         return cls(ctx, tuple((0,) * cols for _ in range(rows)))
 
     @classmethod
-    def from_rows(cls, vectors) -> "MatrixQ":
-        vectors = list(vectors)
-        return cls(vectors[0].ctx, tuple(v.entries for v in vectors))
-
-    @classmethod
     def block_diag(cls, blocks) -> "MatrixQ":
         blocks = list(blocks)
-        ctx = blocks[0].ctx
         n = sum(b.rows for b in blocks)
-        rows = [[ctx.zero()] * n for _ in range(n)]
-        off = 0
+        rows: list[list] = []
         for b in blocks:
-            for i in range(b.rows):
-                for j in range(b.cols):
-                    rows[off + i][off + j] = b.entry(i, j)
-            off += b.rows
-        return cls(ctx, rows)
-
-    @property
-    def codes(self) -> tuple[tuple[int, ...], ...]:
-        """Rows of element codes."""
-        c = self._codes
-        if c is None:
-            c = self._codes = tuple(tuple(e.index for e in r) for r in self._rows)
-        return c
+            off = len(rows)
+            rows.extend([0] * off + list(r) + [0] * (n - off - b.cols) for r in b.codes)
+        return cls.from_codes(blocks[0].ctx, rows, n)
 
     def entry(self, i: int, j: int) -> FieldElement:
-        return self._rows[i][j]
-
-    def row(self, i: int) -> VectorQ:
-        return VectorQ(self.ctx, self._rows[i])
-
-    def row_vectors(self) -> list[VectorQ]:
-        return [VectorQ(self.ctx, r) for r in self._rows]
+        return self.ctx._from_code(self.codes[i][j])
 
     def is_square(self) -> bool:
         return self.rows == self.cols
 
     def __add__(self, other: "MatrixQ") -> "MatrixQ":
-        self._check_same_shape(other)
-        return MatrixQ(self.ctx, tuple(tuple(a + b for a, b in zip(r1, r2))
-                                       for r1, r2 in zip(self._rows, other._rows)))
+        return self._axpy(other, 1)
 
     def __sub__(self, other: "MatrixQ") -> "MatrixQ":
-        self._check_same_shape(other)
-        return MatrixQ(self.ctx, tuple(tuple(a - b for a, b in zip(r1, r2))
-                                       for r1, r2 in zip(self._rows, other._rows)))
+        return self._axpy(other, -1)
+
+    def _axpy(self, other: "MatrixQ", c: int) -> "MatrixQ":
+        """self + c*other, entrywise."""
+        if not isinstance(other, MatrixQ) or other.ctx != self.ctx:
+            raise ValueError("mismatched contexts")
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ValueError("dimension mismatch")
+        K, c = self.ctx.ops(), self.ctx.code(c)
+        return MatrixQ.from_codes(self.ctx, [K.axpy(r1, c, r2)
+                                             for r1, r2 in zip(self.codes, other.codes)], self.cols)
 
     def __neg__(self):
-        return MatrixQ(self.ctx, tuple(tuple(-a for a in r) for r in self._rows))
-
-    def scale(self, c) -> "MatrixQ":
-        K = self.ctx.ops()
-        c = self.ctx.code(c)
-        return MatrixQ.from_codes(self.ctx, [K.scale(c, r) for r in self.codes], self.cols)
+        return MatrixQ.zeros(self.ctx, self.rows, self.cols) - self
 
     def __mul__(self, other):
         if isinstance(other, MatrixQ):
@@ -421,26 +407,34 @@ class MatrixQ:
         return MatrixQ.from_codes(self.ctx, _matpow(self.ctx.ops(), self.codes, n), self.cols)
 
     def transpose(self) -> "MatrixQ":
-        return MatrixQ(self.ctx, tuple(tuple(self._rows[i][j] for i in range(self.rows))
-                                       for j in range(self.cols)))
-
-    def _reduced(self):
-        """(pivot columns, determinant factor) of the row reduction."""
-        return _reduce_rows(self.ctx.ops(), [list(r) for r in self.codes], self.cols)
+        return MatrixQ.from_codes(self.ctx, zip(*self.codes), self.rows)
 
     def det(self) -> FieldElement:
         if not self.is_square():
             raise ValueError("determinant needs a square matrix")
-        pivots, det = self._reduced()
+        pivots, det = _reduce_rows(self.ctx.ops(), [list(r) for r in self.codes], self.cols)
         if len(pivots) < self.rows:
             return self.ctx.zero()
         return self.ctx._from_code(det)
 
     def rank(self) -> int:
-        return len(self._reduced()[0])
+        if self._rank is None:
+            self._rank = len(_reduce_rows(self.ctx.ops(), [list(r) for r in self.codes],
+                                          self.cols)[0])
+        return self._rank
 
     def is_invertible(self) -> bool:
         return self.is_square() and self.rank() == self.rows
+
+    def has_no_eigenvalue(self, c) -> bool:
+        """Whether this square matrix is invertible and c (anything
+        `ctx.code` accepts) is not an eigenvalue; worked out once per c."""
+        if not self.is_square():
+            raise ValueError("eigenvalue test needs a square matrix")
+        c = self.ctx.code(c)
+        if c not in self._no_eig:
+            self._no_eig[c] = _no_eigenvalue(self.ctx.ops(), self.codes, c)
+        return self._no_eig[c]
 
     def inverse(self) -> "MatrixQ":
         if not self.is_square():
@@ -448,41 +442,46 @@ class MatrixQ:
         return MatrixQ.from_codes(self.ctx, _inverse(self.ctx.ops(), self.codes), self.cols)
 
     def solve_left(self, b: VectorQ) -> VectorQ:
-        """Solve x * self = b; raises if inconsistent or non-square."""
-        xt = self.transpose()._solve_right(b)
-        return xt
-
-    def _solve_right(self, b: VectorQ) -> VectorQ:
-        if self.rows != len(b.entries):
+        """Solve x * self = b; raises if inconsistent."""
+        if self.cols != len(b.entries):
             raise ValueError("dimension mismatch in solve")
         return VectorQ.from_codes(
-            self.ctx, _solve_columns(self.ctx.ops(), self.codes, b.codes, self.cols))
+            self.ctx, _solve_columns(self.ctx.ops(), list(zip(*self.codes)), b.codes, self.rows))
 
     def left_kernel(self) -> list[VectorQ]:
         """Basis of {x : x * self = 0}, in deterministic echelon order."""
         return [VectorQ.from_codes(self.ctx, v)
                 for v in _left_kernel(self.ctx.ops(), self.codes, self.cols)]
 
-    def _check_same_shape(self, other):
-        if not isinstance(other, MatrixQ) or other.ctx != self.ctx:
-            raise ValueError("mismatched contexts")
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("dimension mismatch")
-
     def int_rows(self):
+        """Entry coordinates as plain ints (prime field) or tuples."""
         if self.ctx.k == 1:
-            return tuple(tuple(e.coeffs[0] for e in r) for r in self._rows)
-        return tuple(tuple(e.coeffs for e in r) for r in self._rows)
+            return self.codes
+        return tuple(tuple(index_to_tuple(c, self.ctx.p, self.ctx.k) for c in r)
+                     for r in self.codes)
 
     def __eq__(self, other):
         return (isinstance(other, MatrixQ)
-                and self.ctx == other.ctx and self._rows == other._rows)
+                and self.ctx == other.ctx and self.codes == other.codes)
 
     def __hash__(self):
-        return hash((self.ctx, self._rows))
+        return hash((self.ctx, self.codes))
 
     def __repr__(self):
-        return "[" + "; ".join(" ".join(map(repr, r)) for r in self._rows) + "]"
+        entry = self.ctx._from_code
+        return "[" + "; ".join(" ".join(repr(entry(c)) for c in r) for r in self.codes) + "]"
+
+
+def _without_eigenvalue(ctx: FieldCtx, rows, c: int) -> MatrixQ | None:
+    """The matrix with these square code rows if it is invertible and the
+    code c is not an eigenvalue, with both facts kept; else None, and no
+    matrix is built."""
+    if not _no_eigenvalue(ctx.ops(), rows, c):
+        return None
+    M = MatrixQ.from_codes(ctx, rows)
+    M._rank = M.rows
+    M._no_eig[c] = True
+    return M
 
 
 @dataclass(frozen=True)
@@ -514,9 +513,6 @@ class AffineMap:
         return AffineMap(self.matrix * other.matrix,
                          self.shift * other.matrix + other.shift)
 
-    def is_permutation(self) -> bool:
-        return self.matrix.is_invertible()
-
 
 def companion(P: Poly) -> MatrixQ:
     """Row-convention companion matrix: superdiagonal ones, last row the
@@ -536,19 +532,17 @@ def hypercompanion(Q: Poly, e: int) -> MatrixQ:
         raise ValueError("exponent must be >= 1")
     if not Q.is_monic() or Q.degree < 1 or not is_irreducible(Q):
         raise ValueError("hypercompanion needs a monic irreducible polynomial")
+    K = Q.ctx.ops()
     m = int(Q.degree)
-    ctx = Q.ctx
     n = m * e
-    rows = [[ctx.zero()] * n for _ in range(n)]
-    base = companion(Q)
-    for b in range(e):
-        off = b * m
+    base = _companion(K, Q.codes)
+    rows = [[0] * n for _ in range(n)]
+    for off in range(0, n, m):
         for i in range(m):
-            for j in range(m):
-                rows[off + i][off + j] = base.entry(i, j)
-        if b < e - 1:
-            rows[off + m - 1][off + m] = ctx.one()
-    return MatrixQ(ctx, rows)
+            rows[off + i][off:off + m] = base[i]
+        if off + m < n:
+            rows[off + m - 1][off + m] = K.one
+    return MatrixQ.from_codes(Q.ctx, rows, n)
 
 
 def poly_at_matrix(P: Poly, A: MatrixQ) -> MatrixQ:
@@ -598,9 +592,6 @@ class Prcf:
         ctx = self.basis_change.ctx
         n = self.basis_change.rows
         return MatrixQ.from_codes(ctx, _primary_rows(ctx.ops(), self.blocks, n), n)
-
-    def block_polys(self) -> list[Poly]:
-        return [Q ** e for Q, e in self.blocks]
 
 
 def _decompose_primary(K: _Ops, A, QA, Q, comp_basis):

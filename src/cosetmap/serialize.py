@@ -62,10 +62,6 @@ def matrix_from_json(ctx: FieldCtx, obj) -> MatrixQ:
     return MatrixQ(ctx, [[elem_from_json(ctx, e) for e in row] for row in obj])
 
 
-def affine_to_json(f: AffineMap) -> dict:
-    return {"matrix": matrix_to_json(f.matrix), "shift": vector_to_json(f.shift)}
-
-
 def affine_from_json(ctx: FieldCtx, obj) -> AffineMap:
     return AffineMap(matrix_from_json(ctx, obj["matrix"]),
                      vector_from_json(ctx, obj["shift"]))

@@ -341,3 +341,16 @@ def pointwise_affine_table(M: MatrixQ, v: VectorQ) -> list[int]:
         out.append(tuple_to_index([(shift[j] + sum(coords[i] * rows[i][j] for i in range(n))) % p
                                    for j in range(n)], p))
     return out
+
+
+def forward_product_by_then(f, cycle):
+    """The coset maps along `cycle` composed with `AffineMap.then`, one
+    matrix and vector product per step: the reference for the code-row
+    fold in `cwaffine._forward_product`."""
+    from cosetmap import AffineMap
+    ctx, d = f.splitting.ctx, f.splitting.d
+    acc = AffineMap(MatrixQ.identity(ctx, d), VectorQ.zero(ctx, d))
+    for i in cycle:
+        alpha, omega, _ = f.per_coset[i]
+        acc = acc.then(AffineMap(alpha, omega))
+    return acc

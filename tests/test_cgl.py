@@ -17,6 +17,45 @@ def test_is_cgl_examples():
     assert is_cgl(MatrixQ(F2, ((0, 1), (1, 1))))
 
 
+def test_code_row_completeness_matches_determinants():
+    """is_cgl and is_fpf against det(M) != 0 and det(M +- I) != 0, asked twice
+    so that the second answer comes from the matrix's cached verdict."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(st.sampled_from([(2, 1), (3, 1), (5, 1), (2, 2), (3, 2)]),
+                      st.integers(1, 4), st.sampled_from(("any", "singular", "I", "-I")),
+                      st.data())
+    def check(pk, d, kind, data):
+        ctx = field(*pk)
+        I = MatrixQ.identity(ctx, d)
+        codes = st.lists(st.integers(0, ctx.order - 1), min_size=d, max_size=d)
+        rows = data.draw(st.lists(codes, min_size=d, max_size=d))
+        if kind == "singular":
+            rows[-1] = rows[0] if d > 1 else [0]
+        M = {"I": I, "-I": -I}.get(kind) or MatrixQ.from_codes(ctx, rows)
+        invertible = not M.det().is_zero()
+        for _ in range(2):
+            assert is_cgl(M) == (invertible and not (M + I).det().is_zero())
+            assert is_fpf(M) == (invertible and not (M - I).det().is_zero())
+
+    check()
+
+
+def test_cached_facts_stay_out_of_equality():
+    from cosetmap.linalg import _without_eigenvalue
+    F3 = field(3)
+    rows = ((1, 2), (0, 1))
+    cached, fresh = MatrixQ(F3, rows), MatrixQ(F3, rows)
+    assert cached.rank() == 2 and is_cgl(cached) and not is_fpf(cached)
+    sampled = _without_eigenvalue(F3, rows, F3.code(-1))
+    for M in (fresh, sampled):
+        assert M == cached and hash(M) == hash(cached)
+    assert {cached: "x"}[fresh] == "x"
+    assert _without_eigenvalue(F3, rows, F3.code(1)) is None
+
+
 def test_cgl_power_set_rows():
     tag, members = cgl_power_set(2, 2, 2)
     assert tag == "explicit"

@@ -182,6 +182,26 @@ def test_one_cycle_commands(capsys):
         "+ x^8 + w^16*x^6 + w^9*x^4 + w^16*x^2 + x + w^6")
 
 
+def test_verify_above_domain_limit_exits_2_at_once(tmp_path, capsys):
+    """--verify is refused before any construction when its table would
+    exceed oracle.MAX_DOMAIN points."""
+    import time
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps({"p": 3, "d": 2, "t": 11, "g": [], "gammas": []}))
+    runs = [("one-cycle", "--p", "3", "--k", "13", "--verify"),
+            ("one-cycle", "--p", "3", "--k", "1000000000", "--verify"),
+            ("sylow-type", "--q", str(3 ** 13), "--type", f"x{3 ** 13}", "--verify"),
+            ("construct", "--job", str(job), "--verify"),
+            ("one-cycle-poly", "--p", "3", "--k", "13", "--verify")]
+    for argv in runs:
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert err.startswith("error: --verify tabulates ")
+        assert err.endswith("points, above the 1000000 limit\n")
+
+
 def test_verify_command(tmp_path, capsys):
     table = {"n": 3, "images": [1, 2, 0]}
     path = tmp_path / "t.json"

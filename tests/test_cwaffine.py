@@ -15,8 +15,8 @@ from cosetmap import (CosetWiseAffineMap, InfeasibleError, MatrixQ, Poly,
 from cosetmap.cwaffine import _affine_table, _forward_product
 from cosetmap.cycletype import cycles_of
 from cosetmap.oracle import index_to_tuple
-from helpers import (one_cycle_reference_tables, pointwise_affine_table,
-                     random_complete_mapping, random_invertible)
+from helpers import (forward_product_by_then, one_cycle_reference_tables,
+                     pointwise_affine_table, random_complete_mapping, random_invertible)
 
 
 def random_cw_map(p, d, t, rng, invertible_only=False):
@@ -173,6 +173,19 @@ def test_cw_cycle_type_h2_and_rotations():
             assert len(types) == 1
 
 
+def test_forward_product_matches_then_fold():
+    """The code-row fold equals composing the coset maps with AffineMap.then,
+    for singular and invertible blocks and for any walk over the cosets."""
+    rng = random.Random(23)
+    for _ in range(40):
+        p = rng.choice([2, 3, 5, 7])
+        d, t = rng.choice([(1, 1), (2, 1), (3, 1), (2, 2)])
+        f = random_cw_map(p, d, t, rng)
+        walk = [rng.randrange(p ** t) for _ in range(rng.randrange(1, 8))]
+        for cycle in (walk, *cycles_of(f.top)):
+            assert _forward_product(f, cycle) == forward_product_by_then(f, cycle)
+
+
 def test_construct_main_examples():
     # p=3, d=1, t=1: base 3-cycle lifted to a 9-cycle
     f = construct_main(3, 1, 1, [1, 2, 0], {(3, 1): ct("x3")}, seed=0)
@@ -214,6 +227,28 @@ def test_construct_main_rejects_bad_gammas():
     with pytest.raises(ValueError):
         construct_main(3, 1, 1, [1, 2, 0], {(3, 1): ct("x3"), (1, 1): ct("x1^3")},
                        seed=0)
+
+
+def test_construct_main_checks_every_key_before_realizing(monkeypatch):
+    """Missing and extra targets are refused before any cycle is realized."""
+    from cosetmap import cwaffine
+    calls = []
+    realize = cwaffine.realize_gamma
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return realize(*args, **kwargs)
+
+    monkeypatch.setattr(cwaffine, "realize_gamma", counted)
+    fixed = ct("x1^3")
+    for gammas, match in [({(1, 1): fixed, (1, 2): fixed}, r"cycle \(1, 3\)"),
+                          ({(1, 1): fixed, (1, 2): fixed, (1, 3): fixed, (3, 1): ct("x3")},
+                           r"nonexistent cycles: \[\(3, 1\)\]")]:
+        with pytest.raises(ValueError, match=match):
+            construct_main(3, 1, 1, [0, 1, 2], gammas, seed=0)
+    assert calls == []
+    construct_main(3, 1, 1, [0, 1, 2], {(1, i): fixed for i in (1, 2, 3)}, seed=0)
+    assert len(calls) == 3
 
 
 def test_construct_main_seeded_instances():
