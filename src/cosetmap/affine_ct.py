@@ -92,22 +92,14 @@ def block_cycle_type(case: BlockCase, q: int | None = None) -> CycleType:
     m = int(case.Q.degree)
     c = _ceil_log(e, p)
     counts: dict[int, int] = {}
-    if case.u_class == U_GENERIC:
-        r = poly_order(case.Q)
+    if case.u_class in (U_GENERIC, U_NONUNIT):
+        # a nonunit block has Q = X-1, so r = m = 1
+        r = poly_order(case.Q) if case.u_class == U_GENERIC else 1
         counts[1] = 1
         prev = 1  # points on cycles of length dividing previous candidate
         for a in range(c + 1):
             length = r * p ** a
             pts = q ** (m * min(e, p ** a))
-            exact = pts - prev
-            if exact:
-                counts[length] = counts.get(length, 0) + exact // length
-            prev = pts
-    elif case.u_class == U_NONUNIT:
-        prev = 0
-        for a in range(c + 1):
-            length = p ** a
-            pts = q ** min(e, p ** a)
             exact = pts - prev
             if exact:
                 counts[length] = counts.get(length, 0) + exact // length
@@ -163,7 +155,7 @@ def affine_cycle_type(f: AffineMap) -> CycleType:
     off = 0
     for Q, e in form.blocks:
         n = int(Q.degree) * e
-        seg = Poly(ctx, v.entries[off:off + n])
+        seg = Poly.from_codes(ctx, v.codes[off:off + n])
         case = classify_block(Q, e, seg)
         parts.append(block_cycle_type(case))
         off += n

@@ -7,11 +7,11 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from .affine_ct import affine_cycle_type, ct_agl, gamma_dpl, witness_map
+from .affine_ct import ct_agl, gamma_dpl, witness_map
 from .cycletype import CycleType
 from .errors import InfeasibleError
-from .gf import FieldCtx, field, field_of_order
-from .linalg import AffineMap, MatrixQ, VectorQ, _inverse, _matmul, _without_eigenvalue
+from .gf import FieldCtx, field_of_order
+from .linalg import MatrixQ, VectorQ, _inverse, _matmul, _without_eigenvalue
 
 
 def is_cgl(M: MatrixQ) -> bool:
@@ -195,21 +195,11 @@ def realize_gamma(gamma: CycleType, d: int, p: int, ell: int, seed: int = 0,
                               f"in dimension {d} over GF({p})")
     if not require_complete and gamma not in ct_agl(d, p):
         raise InfeasibleError(f"{gamma} is not an affine cycle type in dimension {d} over GF({p})")
-    ctx = field(p)
-
-    def factors(M: MatrixQ) -> tuple[MatrixQ, ...]:
-        if require_complete:
-            return factor_into_cgl(M, ell, seed=seed).factors
-        return (M,) + (MatrixQ.identity(ctx, d),) * (ell - 1)
-
-    if require_complete and ell >= 2 and (d, p) in ((1, 3), (2, 2)):
-        # the ell-fold product set is an explicit list: scan all shifts
-        for M in _exceptional_members(ctx, d):
-            for widx in itertools.product(range(p), repeat=d):
-                w = VectorQ(ctx, widx)
-                if affine_cycle_type(AffineMap(M, w)) == gamma:
-                    return factors(M), w
-        raise InfeasibleError("no explicit member realizes the requested type")
-    # one factor must be complete itself: no block X+1, i.e. no eigenvalue -1
+    # one factor must be complete itself: no block X+1, i.e. no eigenvalue -1.
+    # For ell >= 2 over GF(3)^1 and GF(2)^2 the first witness of every type in
+    # gamma_dpl is a member of the explicit product set; factor_into_cgl
+    # refuses any other matrix.
     f = witness_map(gamma, d, p, complete=require_complete and ell == 1)
-    return factors(f.matrix), f.shift
+    if require_complete:
+        return factor_into_cgl(f.matrix, ell, seed=seed).factors, f.shift
+    return (f.matrix,) + (MatrixQ.identity(f.ctx, d),) * (ell - 1), f.shift

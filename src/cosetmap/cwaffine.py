@@ -19,7 +19,7 @@ from .affine_ct import affine_cycle_type
 from .cgl import is_cgl, realize_gamma
 from .cycletype import CycleType, blow_up, ct_mul, cycles_of
 from .errors import InfeasibleError
-from .gf import FieldCtx, Poly, factorize, field, index_to_tuple, tuple_to_index
+from .gf import FieldCtx, Poly, factorize, field, tuple_to_index
 from .linalg import AffineMap, MatrixQ, VectorQ, _identity, _matmul
 from .oracle import MapTable, is_complete_mapping
 
@@ -55,40 +55,37 @@ class CosetWiseAffineMap:
     `per_coset` holds the triples (alpha_u, omega_u, nu_u) in coset-index
     order (the lexicographic index of the label u in GF(p)^t) and `top` the
     index of u + nu_u for each coset index.  The constructor takes the triples
-    either in that order or as a dict keyed by label.
+    either in that order or as a dict keyed by label, and refuses data over
+    another field than the splitting's.
     """
 
     __slots__ = ("splitting", "per_coset", "top")
 
     def __init__(self, splitting: Splitting, per_coset):
-        p, t = splitting.p, splitting.t
+        labels = splitting.coset_labels()
         if isinstance(per_coset, dict):
-            labels = splitting.coset_labels()
             if set(per_coset) != set(labels):
                 raise ValueError("per-coset data must cover every coset exactly once")
             per_coset = [per_coset[u] for u in labels]
-        elif len(per_coset) != p ** t:
+        elif len(per_coset) != len(labels):
             raise ValueError("per-coset data must cover every coset exactly once")
-        ctx = splitting.ctx
+        ctx, p = splitting.ctx, splitting.p
         norm = []
         top = []
-        nus: dict[tuple, VectorQ] = {}  # one shared nu per code tuple
-        for i, (alpha, omega, nu) in enumerate(per_coset):
+        for u, (alpha, omega, nu) in zip(labels, per_coset):
             if not isinstance(alpha, MatrixQ):
                 alpha = MatrixQ(ctx, alpha)
             if not isinstance(omega, VectorQ):
                 omega = VectorQ(ctx, omega)
             if not isinstance(nu, VectorQ):
-                codes = tuple(map(ctx.code, nu))
-                if codes not in nus:
-                    nus[codes] = VectorQ.from_codes(ctx, codes)
-                nu = nus[codes]
+                nu = VectorQ(ctx, nu)
+            if alpha.ctx != ctx or omega.ctx != ctx or nu.ctx != ctx:
+                raise ValueError("mismatched contexts")
             if alpha.rows != splitting.d or alpha.cols != splitting.d:
                 raise ValueError("alpha blocks must be d x d")
-            if len(omega.entries) != splitting.d or len(nu.entries) != t:
+            if len(omega) != splitting.d or len(nu) != splitting.t:
                 raise ValueError("omega is W-sized and nu is U-sized")
             norm.append((alpha, omega, nu))
-            u = index_to_tuple(i, p, t)
             top.append(tuple_to_index([a + b for a, b in zip(u, nu.codes)], p))
         self.splitting = splitting
         self.per_coset = tuple(norm)
@@ -110,14 +107,14 @@ class CosetWiseAffineMap:
         return f"CosetWiseAffineMap(p={s.p}, d={s.d}, t={s.t})"
 
 
-def _nu(s: Splitting, i: int, j: int) -> list[int]:
-    """nu with u_i + nu = u_j for coset indices i and j, before reduction mod p."""
-    return [b - a for a, b in zip(index_to_tuple(i, s.p, s.t), index_to_tuple(j, s.p, s.t))]
+def _nu(u, v) -> list[int]:
+    """nu with u + nu = v for coset labels u and v, before reduction mod p."""
+    return [b - a for a, b in zip(u, v)]
 
 
 def cw_eval(f: CosetWiseAffineMap, x: VectorQ) -> VectorQ:
     s = f.splitting
-    if len(x.entries) != s.n:
+    if len(x) != s.n:
         raise ValueError("vector has the wrong dimension")
     w, u = x.split(s.d)
     alpha, omega, nu = f.per_coset[tuple_to_index(u.codes, s.p)]
@@ -173,8 +170,9 @@ def cw_to_wreath(f: CosetWiseAffineMap) -> WreathElement:
 
 def wreath_to_cw(e: WreathElement) -> CosetWiseAffineMap:
     s = e.splitting
-    return CosetWiseAffineMap(s, [(b.matrix, b.shift, _nu(s, i, j))
-                                  for i, (b, j) in enumerate(zip(e.bottom, e.top))])
+    labels = s.coset_labels()
+    return CosetWiseAffineMap(s, [(b.matrix, b.shift, _nu(u, labels[j]))
+                                  for u, b, j in zip(labels, e.bottom, e.top)])
 
 
 def wreath_mul(e1: WreathElement, e2: WreathElement) -> WreathElement:
@@ -309,6 +307,7 @@ def construct_main(p: int, d: int, t: int, g_images, gammas: dict,
     extra = set(gammas) - set(keys)
     if extra:
         raise ValueError(f"targets supplied for nonexistent cycles: {sorted(extra)}")
+    labels = s.coset_labels()
     zero_w = VectorQ.zero(s.ctx, d)
     rng = random.Random(seed)
 
@@ -323,7 +322,7 @@ def construct_main(p: int, d: int, t: int, g_images, gammas: dict,
         expected = ct_mul(expected, blow_up(ell, gamma))
         for j, i in enumerate(cyc):
             omega = w if j == ell - 1 else zero_w
-            per[i] = (factors[j], omega, _nu(s, i, g_images[i]))
+            per[i] = (factors[j], omega, _nu(labels[i], labels[g_images[i]]))
 
     f = CosetWiseAffineMap(s, per)
     if require_complete and not cw_is_complete(f):
@@ -397,37 +396,23 @@ def construct_sylow_type(q: int, target: CycleType, seed: int = 0) -> CosetWiseA
 # One-cycle construction
 # ---------------------------------------------------------------------------
 
-def _one_cycle_images(p: int, k: int) -> list[int]:
-    """Closed form: add 1 to coordinates ell..k where ell is the last index
-    with a nonzero coordinate (clamped to 1); single p^k-cycle."""
-    n = p ** k
-    out = []
-    for i in range(n):
-        x = list(index_to_tuple(i, p, k))
-        ell = 1
-        for j in range(k, 0, -1):
-            if x[j - 1] != 0:
-                ell = j
-                break
-        for j in range(ell - 1, k):
-            x[j] += 1
-        out.append(tuple_to_index(x, p))
-    return out
-
-
 def one_cycle_map(p: int, k: int) -> CosetWiseAffineMap:
     """The recursive single-cycle map on GF(p)^k: cycle type x_{p^k}, a
     complete mapping exactly when p > 2."""
     if k < 1:
         raise ValueError("k must be >= 1")
     s = Splitting(p, 1, k - 1)
-    ctx = s.ctx
+    ctx, t = s.ctx, s.t
     I1 = MatrixQ.identity(ctx, 1)
     zero_w = VectorQ(ctx, (0,))
     one_w = VectorQ(ctx, (1,))
-    # the zero coset shifts by one; the top is the one-cycle map of GF(p)^(k-1)
-    return CosetWiseAffineMap(s, [(I1, zero_w if i else one_w, _nu(s, i, j))
-                                  for i, j in enumerate(_one_cycle_images(p, k - 1))])
+    # the zero coset shifts by one; the top is the one-cycle map of GF(p)^t:
+    # add 1 to the coordinates from the label's last nonzero one on (all of
+    # them for the zero label)
+    nus = [VectorQ(ctx, (0,) * j + (1,) * (t - j)) for j in range(max(t, 1))]
+    return CosetWiseAffineMap(s, [(I1, zero_w if any(u) else one_w,
+                                   nus[max((j for j, c in enumerate(u) if c), default=0)])
+                                  for u in s.coset_labels()])
 
 
 # ---------------------------------------------------------------------------
@@ -503,9 +488,9 @@ def one_cycle_polynomial(ctx: FieldCtx) -> Poly:
 
 def vector_to_field(ctx: FieldCtx, v: VectorQ):
     """Bridge GF(p)^k -> GF(p^k): coordinates over the power basis."""
-    if len(v.entries) != ctx.k:
+    if len(v) != ctx.k:
         raise ValueError("vector length must equal the extension degree")
-    return ctx.elem(tuple(e.coeffs[0] for e in v.entries))
+    return ctx.elem(v.ints())
 
 
 def field_to_vector(x) -> VectorQ:

@@ -232,73 +232,77 @@ class _Echelon:
 # ---------------------------------------------------------------------------
 
 class VectorQ:
-    """Row vector over a field context."""
+    """Row vector over a field context, held as a tuple of element codes
+    (`codes`); immutable after construction."""
 
-    __slots__ = ("ctx", "entries")
+    __slots__ = ("ctx", "codes")
 
     def __init__(self, ctx: FieldCtx, entries):
+        """Entries of anything `ctx.code` accepts."""
         self.ctx = ctx
-        self.entries = tuple(ctx.elem(e) for e in entries)
+        self.codes = tuple(map(ctx.code, entries))
 
     @classmethod
     def from_codes(cls, ctx: FieldCtx, codes) -> "VectorQ":
         v = cls.__new__(cls)
         v.ctx = ctx
-        v.entries = tuple(map(ctx._from_code, codes))
+        v.codes = tuple(codes)
         return v
 
     @classmethod
     def zero(cls, ctx: FieldCtx, n: int) -> "VectorQ":
-        return cls(ctx, (0,) * n)
+        return cls.from_codes(ctx, (0,) * n)
 
     @property
-    def codes(self) -> tuple[int, ...]:
-        return tuple(e.index for e in self.entries)
+    def entries(self) -> tuple[FieldElement, ...]:
+        return tuple(map(self.ctx._from_code, self.codes))
 
     def __len__(self):
-        return len(self.entries)
+        return len(self.codes)
 
     def __getitem__(self, i):
         return self.entries[i]
 
     def __add__(self, other: "VectorQ") -> "VectorQ":
-        self._check(other)
-        return VectorQ(self.ctx, tuple(a + b for a, b in zip(self.entries, other.entries)))
+        return self._axpy(other, 1)
 
     def __sub__(self, other: "VectorQ") -> "VectorQ":
-        self._check(other)
-        return VectorQ(self.ctx, tuple(a - b for a, b in zip(self.entries, other.entries)))
+        return self._axpy(other, -1)
+
+    def _axpy(self, other: "VectorQ", c: int) -> "VectorQ":
+        """self + c*other, entrywise."""
+        self._check_ctx(other)
+        if len(other.codes) != len(self.codes):
+            raise ValueError("dimension mismatch")
+        K = self.ctx.ops()
+        return VectorQ.from_codes(self.ctx, K.axpy(self.codes, self.ctx.code(c), other.codes))
 
     def __neg__(self):
-        return VectorQ(self.ctx, tuple(-a for a in self.entries))
+        return VectorQ.from_codes(self.ctx, map(self.ctx.ops().neg, self.codes))
 
     def __mul__(self, M: "MatrixQ") -> "VectorQ":
         if not isinstance(M, MatrixQ):
             return NotImplemented
-        if M.ctx != self.ctx or M.rows != len(self.entries):
+        if M.ctx != self.ctx or M.rows != len(self.codes):
             raise ValueError("dimension mismatch in vector-matrix product")
         return VectorQ.from_codes(self.ctx, self.ctx.ops().vecmat(self.codes, M.codes, M.cols))
 
     def is_zero(self) -> bool:
-        return all(e.is_zero() for e in self.entries)
+        return not any(self.codes)
 
     def concat(self, other: "VectorQ") -> "VectorQ":
         self._check_ctx(other)
-        return VectorQ(self.ctx, self.entries + other.entries)
+        return VectorQ.from_codes(self.ctx, self.codes + other.codes)
 
     def split(self, n: int) -> tuple["VectorQ", "VectorQ"]:
-        return VectorQ(self.ctx, self.entries[:n]), VectorQ(self.ctx, self.entries[n:])
+        return (VectorQ.from_codes(self.ctx, self.codes[:n]),
+                VectorQ.from_codes(self.ctx, self.codes[n:]))
 
     def ints(self) -> tuple:
         """Entry coordinates as plain ints (prime field) or tuples."""
         if self.ctx.k == 1:
-            return tuple(e.coeffs[0] for e in self.entries)
-        return tuple(e.coeffs for e in self.entries)
-
-    def _check(self, other):
-        self._check_ctx(other)
-        if len(other.entries) != len(self.entries):
-            raise ValueError("dimension mismatch")
+            return self.codes
+        return tuple(index_to_tuple(c, self.ctx.p, self.ctx.k) for c in self.codes)
 
     def _check_ctx(self, other):
         if not isinstance(other, VectorQ) or other.ctx != self.ctx:
@@ -306,10 +310,10 @@ class VectorQ:
 
     def __eq__(self, other):
         return (isinstance(other, VectorQ)
-                and self.ctx == other.ctx and self.entries == other.entries)
+                and self.ctx == other.ctx and self.codes == other.codes)
 
     def __hash__(self):
-        return hash((self.ctx, self.entries))
+        return hash((self.ctx, self.codes))
 
     def __repr__(self):
         return f"({', '.join(map(repr, self.entries))})"
@@ -406,9 +410,6 @@ class MatrixQ:
             return self.inverse() ** (-n)
         return MatrixQ.from_codes(self.ctx, _matpow(self.ctx.ops(), self.codes, n), self.cols)
 
-    def transpose(self) -> "MatrixQ":
-        return MatrixQ.from_codes(self.ctx, zip(*self.codes), self.rows)
-
     def det(self) -> FieldElement:
         if not self.is_square():
             raise ValueError("determinant needs a square matrix")
@@ -443,7 +444,7 @@ class MatrixQ:
 
     def solve_left(self, b: VectorQ) -> VectorQ:
         """Solve x * self = b; raises if inconsistent."""
-        if self.cols != len(b.entries):
+        if self.cols != len(b):
             raise ValueError("dimension mismatch in solve")
         return VectorQ.from_codes(
             self.ctx, _solve_columns(self.ctx.ops(), list(zip(*self.codes)), b.codes, self.rows))
@@ -494,7 +495,7 @@ class AffineMap:
     def __post_init__(self):
         if self.matrix.ctx != self.shift.ctx:
             raise ValueError("mismatched contexts")
-        if not self.matrix.is_square() or self.matrix.rows != len(self.shift.entries):
+        if not self.matrix.is_square() or self.matrix.rows != len(self.shift):
             raise ValueError("affine map dimension mismatch")
 
     @property

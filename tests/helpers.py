@@ -354,3 +354,38 @@ def forward_product_by_then(f, cycle):
         alpha, omega, _ = f.per_coset[i]
         acc = acc.then(AffineMap(alpha, omega))
     return acc
+
+
+def explicit_member_realization(gamma, d: int, p: int, ell: int, seed: int):
+    """(factors, w) for a complete ell-fold target over GF(3)^1 or GF(2)^2,
+    ell >= 2, by the scan realization used before the witness index served
+    these cases: the first member of the explicit product set, then the first
+    shift in index order, whose affine map has type gamma.  None if nothing
+    matches."""
+    from cosetmap import AffineMap, affine_cycle_type, cgl_power_set, factor_into_cgl, field
+    ctx = field(p)
+    for M in cgl_power_set(d, p, ell)[1]:
+        for widx in itertools.product(range(p), repeat=d):
+            w = VectorQ(ctx, widx)
+            if affine_cycle_type(AffineMap(M, w)) == gamma:
+                return factor_into_cgl(M, ell, seed=seed).factors, w
+    return None
+
+
+def one_cycle_closed_form_images(p: int, k: int) -> list[int]:
+    """The one-cycle map of GF(p)^k on lexicographic indices by the closed
+    form the library used before it read each coset's nu from its label:
+    decode each point, add 1 to coordinates ell..k where ell is the last
+    index with a nonzero coordinate (clamped to 1), encode again."""
+    out = []
+    for i in range(p ** k):
+        x = list(index_to_tuple(i, p, k))
+        ell = 1
+        for j in range(k, 0, -1):
+            if x[j - 1] != 0:
+                ell = j
+                break
+        for j in range(ell - 1, k):
+            x[j] += 1
+        out.append(tuple_to_index(x, p))
+    return out

@@ -6,7 +6,7 @@ from cosetmap import (AffineMap, CglFactorization, InfeasibleError, MatrixQ,
                       VectorQ, affine_cycle_type, cgl_power_set, ct,
                       factor_into_cgl, field, gamma_dpl, is_cgl, is_fpf,
                       realize_gamma, two_fpf_product)
-from helpers import all_invertible_matrices, random_invertible
+from helpers import all_invertible_matrices, explicit_member_realization, random_invertible
 
 
 def test_is_cgl_examples():
@@ -244,6 +244,17 @@ def test_realize_gamma_all_targets(d, p, ell, ):
         for F in factors:
             prod = prod * F
         assert affine_cycle_type(AffineMap(prod, w)) == gamma
+
+
+@pytest.mark.parametrize("d,p", [(1, 3), (2, 2)])
+def test_realize_gamma_on_explicit_product_sets_matches_member_scan(d, p):
+    # the witness index serves these ell-fold product sets with the member
+    # and shift the scan over the explicit list finds, beyond the digest's ell
+    for ell in range(2, 7):
+        for gamma in sorted(gamma_dpl(d, p, ell), key=lambda t: t.cycles):
+            for seed in (0, 1, 9):
+                assert (realize_gamma(gamma, d, p, ell, seed=seed)
+                        == explicit_member_realization(gamma, d, p, ell, seed))
 
 
 def test_realize_gamma_without_completeness():

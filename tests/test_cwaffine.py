@@ -15,8 +15,9 @@ from cosetmap import (CosetWiseAffineMap, InfeasibleError, MatrixQ, Poly,
 from cosetmap.cwaffine import _affine_table, _forward_product
 from cosetmap.cycletype import cycles_of
 from cosetmap.oracle import index_to_tuple
-from helpers import (forward_product_by_then, one_cycle_reference_tables,
-                     pointwise_affine_table, random_complete_mapping, random_invertible)
+from helpers import (forward_product_by_then, one_cycle_closed_form_images,
+                     one_cycle_reference_tables, pointwise_affine_table,
+                     random_complete_mapping, random_invertible)
 
 
 def random_cw_map(p, d, t, rng, invertible_only=False):
@@ -95,6 +96,19 @@ def test_singular_alpha_is_not_permutation():
     assert not cw_is_permutation(f)
     with pytest.raises(ValueError):
         cw_cycle_type(f)
+
+
+def test_per_coset_data_over_another_field_is_refused():
+    # GF(5) data on a p = 3 splitting used to pass cw_is_permutation and
+    # fail only when cw_to_table wrote the coset slices
+    F3, F5 = field(3), field(5)
+    s = Splitting(3, 1, 1)
+    good = (MatrixQ.identity(F3, 1), VectorQ(F3, (0,)), VectorQ(F3, (0,)))
+    for bad in [(MatrixQ.identity(F5, 1), good[1], good[2]),
+                (good[0], VectorQ(F5, (0,)), good[2]),
+                (good[0], good[1], VectorQ(F5, (0,)))]:
+        with pytest.raises(ValueError, match="mismatched contexts"):
+            CosetWiseAffineMap(s, [bad, good, good])
 
 
 def test_wreath_identity_correspondence():
@@ -337,6 +351,12 @@ def test_one_cycle_map_matches_recursion():
             assert report.cycle_type == ct(f"x{p ** k}")
             assert report.is_complete == (p > 2)
             assert cw_is_complete(f) == (p > 2)
+
+
+def test_one_cycle_map_top_matches_closed_form():
+    for p, kmax in [(2, 8), (3, 7), (5, 4), (7, 3)]:
+        for k in range(1, kmax + 1):
+            assert one_cycle_map(p, k).top == tuple(one_cycle_closed_form_images(p, k - 1))
 
 
 def test_coordinate_functions_duality():

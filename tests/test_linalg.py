@@ -166,6 +166,43 @@ def test_invertibility_and_eigenvalue_block_characterizations():
             assert (not (A + I).det().is_zero()) == all(Q != xp1 for Q, _ in blocks)
 
 
+def test_vector_codes_match_element_arithmetic_over_extension_fields():
+    """A vector built from codes, from elements or from coordinates is the
+    same value with the same hash, and every operation on its codes matches
+    entrywise FieldElement arithmetic."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(st.sampled_from([(2, 2), (2, 3), (3, 2), (5, 2)]), st.integers(1, 4),
+                      st.data())
+    def check(pk, n, data):
+        ctx = field(*pk)
+        codes = st.lists(st.integers(0, ctx.order - 1), min_size=n, max_size=n)
+        a, b = data.draw(codes), data.draw(codes)
+        M = MatrixQ.from_codes(ctx, data.draw(st.lists(codes, min_size=n, max_size=n)))
+        x, y = [ctx.from_index(c) for c in a], [ctx.from_index(c) for c in b]
+        v, w = VectorQ.from_codes(ctx, a), VectorQ.from_codes(ctx, b)
+        coords = tuple(e.coeffs for e in x)
+        for same in (VectorQ(ctx, x), VectorQ(ctx, coords)):
+            assert same == v and hash(same) == hash(v)
+        consts = data.draw(st.lists(st.integers(-ctx.p, 2 * ctx.p), min_size=n, max_size=n))
+        assert VectorQ(ctx, consts) == VectorQ(ctx, [ctx.elem(c) for c in consts])
+        assert v.entries == tuple(x) and v.ints() == coords
+        assert v.is_zero() == all(e.is_zero() for e in x)
+        assert (v + w).entries == tuple(e + f for e, f in zip(x, y))
+        assert (v - w).entries == tuple(e - f for e, f in zip(x, y))
+        assert (-v).entries == tuple(-e for e in x)
+        assert (v * M).entries == tuple(sum((x[i] * M.entry(i, j) for i in range(n)), ctx.zero())
+                                        for j in range(n))
+        k = data.draw(st.integers(0, n))
+        head, tail = v.split(k)
+        assert head.entries == tuple(x[:k]) and tail.entries == tuple(x[k:])
+        assert head.concat(tail) == v
+
+    check()
+
+
 def test_affine_map_composition_convention():
     # lambda(A1,b1) then lambda(A2,b2) = lambda(A1 A2, b1 A2 + b2)
     F5 = field(5)
