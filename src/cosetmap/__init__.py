@@ -20,7 +20,8 @@ from .gf import (FieldCtx, FieldElement, Poly, enumerate_irreducibles,
                  factor_monic, field, field_of_order, is_irreducible,
                  poly_gcd, poly_order, q_adic_valuation)
 from .linalg import (AffineMap, MatrixQ, Prcf, VectorQ, charpoly, companion,
-                     hypercompanion, minpoly, poly_at_matrix, prcf)
+                     elementary_divisors, hypercompanion, minpoly, poly_at_matrix,
+                     prcf)
 from .oracle import (AnalysisReport, MapTable, analyze, evaluate_poly_table,
                      field_map_table, interpolate, load_table, table_of)
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .cycletype import CycleType, weixu_all
 from .gf import FieldCtx, Poly, enumerate_irreducibles, field, poly_order
-from .linalg import AffineMap, MatrixQ, VectorQ, companion, prcf
+from .linalg import AffineMap, MatrixQ, VectorQ, companion, elementary_divisors
 
 U_GENERIC = "generic"
 U_NONUNIT = "nonunit"
@@ -71,14 +71,19 @@ class BlockCase:
             raise ValueError(f"unknown shift class {self.u_class!r}")
 
 
-def classify_block(Q: Poly, e: int, U: Poly) -> BlockCase:
-    """Shift class of U + (Q^e): for Q = X-1 the unit test is U(1) != 0."""
+def _case(Q: Poly, e: int, unit: bool) -> BlockCase:
+    """The block case of Q^e; `unit` says whether the shift is a unit, which
+    matters for Q = X-1 only."""
     if not _is_x_minus_1(Q):
         return BlockCase(Q, e, U_GENERIC)
-    if U(Q.ctx.one()).is_zero():
+    if not unit:
         return BlockCase(Q, e, U_NONUNIT)
-    p = Q.ctx.p
-    return BlockCase(Q, e, U_UNIT_PPOWER if _is_ppower(e, p) else U_UNIT_NOT_PPOWER)
+    return BlockCase(Q, e, U_UNIT_PPOWER if _is_ppower(e, Q.ctx.p) else U_UNIT_NOT_PPOWER)
+
+
+def classify_block(Q: Poly, e: int, U: Poly) -> BlockCase:
+    """Shift class of U + (Q^e): for Q = X-1 the unit test is U(1) != 0."""
+    return _case(Q, e, _is_x_minus_1(Q) and not U(Q.ctx.one()).is_zero())
 
 
 def block_cycle_type(case: BlockCase, q: int | None = None) -> CycleType:
@@ -119,12 +124,8 @@ def block_cycle_type(case: BlockCase, q: int | None = None) -> CycleType:
 def _block_options(Q: Poly, e: int):
     """Possible (shift class, cycle type) pairs for one block as the shift
     ranges over the quotient algebra."""
-    if _is_x_minus_1(Q):
-        p = Q.ctx.p
-        unit = U_UNIT_PPOWER if _is_ppower(e, p) else U_UNIT_NOT_PPOWER
-        cases = [BlockCase(Q, e, U_NONUNIT), BlockCase(Q, e, unit)]
-    else:
-        cases = [BlockCase(Q, e, U_GENERIC)]
+    units = (False, True) if _is_x_minus_1(Q) else (False,)
+    cases = [_case(Q, e, unit) for unit in units]
     return [(case, block_cycle_type(case)) for case in cases]
 
 
@@ -145,28 +146,37 @@ def shift_class_types(blocks, options: dict):
 
 
 def affine_cycle_type(f: AffineMap) -> CycleType:
-    """Cycle type of x -> x*A + v via the canonical form of A."""
+    """Cycle type of f: x -> x*A + v from the elementary divisors of A and
+    of B = [[A, 0], [v, 1]], no basis change.
+
+    B maps (x, t) to (x*A + t*v, t): on the hyperplane t = 0 it is A, on each
+    of the other q - 1 a conjugate of f, so the blocks of A and B fix the type
+    of f.  B has A's blocks with one (X-1)^e grown by one, e as returned by
+    `elementary_divisors`; the map whose X-1 blocks are all nonunit but one
+    unit (X-1)^e (all nonunit when e = 0) has the same A and B, hence the
+    same type.
+    """
+    if f.dim < 1:
+        raise ValueError("dimension must be >= 1")
     if not f.matrix.is_invertible():
         raise ValueError("affine map is not a permutation (singular matrix)")
-    form = prcf(f.matrix)
-    v = f.shift * form.basis_change
-    ctx = f.ctx
+    blocks, grown = elementary_divisors(f.matrix, f.shift)
     parts = []
-    off = 0
-    for Q, e in form.blocks:
-        n = int(Q.degree) * e
-        seg = Poly.from_codes(ctx, v.codes[off:off + n])
-        case = classify_block(Q, e, seg)
-        parts.append(block_cycle_type(case))
-        off += n
+    for Q, e in blocks:
+        unit = e == grown and _is_x_minus_1(Q)
+        if unit:
+            grown = 0
+        parts.append(block_cycle_type(_case(Q, e, unit)))
     return weixu_all(parts)
 
 
 def gamma_of_matrix(M: MatrixQ) -> frozenset[CycleType]:
     """All cycle types of x -> x*M + v as v ranges over the space."""
+    if M.rows < 1:
+        raise ValueError("dimension must be >= 1")
     if not M.is_invertible():
         raise ValueError("gamma needs an invertible matrix")
-    out = frozenset(t for _, t in shift_class_types(prcf(M).blocks, {}))
+    out = frozenset(t for _, t in shift_class_types(elementary_divisors(M)[0], {}))
     if len({t.degree for t in out}) != 1:
         raise ArithmeticError("inconsistent degrees in gamma set")
     return out

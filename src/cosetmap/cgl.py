@@ -114,6 +114,8 @@ def factor_into_cgl(M: MatrixQ, ell: int, seed: int = 0) -> CglFactorization:
     """
     if ell < 1:
         raise ValueError("factor count must be >= 1")
+    if M.rows < 1:
+        raise ValueError("dimension must be >= 1")
     if not M.is_square() or not M.is_invertible():
         raise ValueError("only invertible matrices can be factored")
     ctx = M.ctx
@@ -162,6 +164,8 @@ def factor_into_cgl(M: MatrixQ, ell: int, seed: int = 0) -> CglFactorization:
 
 def two_fpf_product(M: MatrixQ, seed: int = 0) -> tuple[MatrixQ, MatrixQ]:
     """Write an invertible M as a product of two fixed-point-free matrices."""
+    if M.rows < 1:
+        raise ValueError("dimension must be >= 1")
     if not M.is_square() or not M.is_invertible():
         raise ValueError("only invertible matrices can be factored")
     d = M.rows

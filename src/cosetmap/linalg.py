@@ -199,6 +199,16 @@ class _Echelon:
     def dim(self) -> int:
         return len(self.rows)
 
+    @classmethod
+    def of_rows(cls, ops: _Ops, rows, ncols: int) -> "_Echelon":
+        """Echelon basis of the row space of `rows`, by one elimination."""
+        work = [list(r) for r in rows]
+        pivots, _ = _reduce_rows(ops, work, ncols)
+        e = cls(ops)
+        e.rows = work[:len(pivots)]
+        e.pivots = pivots
+        return e
+
     def copy(self) -> "_Echelon":
         e = _Echelon(self.ops)
         e.rows = list(self.rows)
@@ -579,6 +589,78 @@ def minpoly(A: MatrixQ) -> Poly:
             return Poly.from_codes(A.ctx, [K.neg(c) for c in sol] + [K.one])
         flats.append(flat)
         power = _matmul(K, power, A.codes, n)
+
+
+def _primary_exponents(K: _Ops, N, mult: int, deg: int, v=None) -> tuple[list[int], int]:
+    """Ascending exponents e of the blocks Q^e of one primary component, from
+    the ranks of the powers of N = Q(A), Q irreducible of degree `deg` and
+    multiplicity `mult`: (rank N^(k-1) - rank N^k) / deg blocks have
+    exponent >= k.
+
+    With a row v of codes, also the largest k >= 1 with v N^(k-1) outside the
+    row space of N^k, or 0 when v lies in the row space of N; 0 without v.
+    """
+    n = len(N)
+    floor = n - mult * deg
+    ranks = [n]
+    grown = 0
+    rows = N
+    while True:
+        ech = _Echelon.of_rows(K, rows, n)   # row space of N^k, k = len(ranks)
+        ranks.append(ech.dim)
+        if v is not None:   # v is v N^(k-1) here
+            if ech.contains(v):
+                v = None    # then v N^(j-1) lies in the row space of N^j for every j > k
+            else:
+                grown = len(ranks) - 1
+                v = K.vecmat(v, N, n)
+        if ech.dim <= floor or len(ranks) > mult:
+            break
+        rows = [K.vecmat(r, N, n) for r in ech.rows]
+    drops = [a - b for a, b in zip(ranks, ranks[1:])]
+    if ranks[-1] != floor or any(d % deg for d in drops):
+        raise ArithmeticError("primary component has unexpected dimension")
+    at_least = [d // deg for d in drops] + [0]
+    exps = [k for k in range(1, len(drops) + 1) for _ in range(at_least[k - 1] - at_least[k])]
+    if sum(exps) != mult:
+        raise ArithmeticError("primary component has unexpected dimension")
+    return exps, grown
+
+
+def elementary_divisors(A: MatrixQ, shift: VectorQ | None = None
+                        ) -> tuple[tuple[tuple[Poly, int], ...], int]:
+    """(blocks, e) for a square A: the primary blocks (Q, e) of A in `prcf`'s
+    order (grade-lex on Q, then exponents ascending), found from ranks with
+    no basis change.
+
+    A factor of multiplicity 1 in the characteristic polynomial is the block
+    (Q, 1); a repeated one takes the ranks of the powers of Q(A).  The second
+    item describes the shift v: appending the row (v, 1) to [A 0] turns one
+    block (X-1)^e into (X-1)^(e+1), or adds a block X-1 when e = 0.  It is
+    the largest k >= 1 with v N^(k-1) outside the row space of N^k, N = A - I,
+    and 0 when v lies in the row space of N or no shift is given.
+    """
+    if not A.is_square():
+        raise ValueError("elementary divisors need a square matrix")
+    K = A.ctx.ops()
+    v = None
+    if shift is not None:
+        if shift.ctx != A.ctx or len(shift) != A.rows:
+            raise ValueError("dimension mismatch in shift")
+        v = shift.codes if any(shift.codes) else None
+    x_minus_1 = (K.neg(K.one), K.one)
+    blocks = []
+    grown = 0
+    for Q, mult in factor_monic(charpoly(A)):
+        w = v if Q.codes == x_minus_1 else None
+        if mult == 1 and w is None:   # no matrix work
+            blocks.append((Q, 1))
+            continue
+        exps, e = _primary_exponents(K, _poly_at(K, Q.codes, A.codes), mult, int(Q.degree), w)
+        blocks.extend((Q, k) for k in exps)
+        if w is not None:
+            grown = e
+    return tuple(blocks), grown
 
 
 @dataclass(frozen=True)

@@ -389,3 +389,28 @@ def one_cycle_closed_form_images(p: int, k: int) -> list[int]:
             x[j] += 1
         out.append(tuple_to_index(x, p))
     return out
+
+
+def prcf_affine_cycle_type(f):
+    """Cycle type of x -> x*A + v by the canonical-form path the library used
+    before it read the type from elementary divisors: take `prcf(A)`, carry v
+    into its basis with the basis change, and classify each block by its
+    segment of the shift."""
+    from cosetmap import Poly, block_cycle_type, classify_block, prcf, weixu_all
+    form = prcf(f.matrix)
+    v = f.shift * form.basis_change
+    parts = []
+    off = 0
+    for Q, e in form.blocks:
+        n = int(Q.degree) * e
+        seg = Poly.from_codes(f.ctx, v.codes[off:off + n])
+        parts.append(block_cycle_type(classify_block(Q, e, seg)))
+        off += n
+    return weixu_all(parts)
+
+
+def prcf_gamma(M: MatrixQ) -> frozenset:
+    """Gamma set of M from the blocks of `prcf(M)`."""
+    from cosetmap import prcf
+    from cosetmap.affine_ct import shift_class_types
+    return frozenset(t for _, t in shift_class_types(prcf(M).blocks, {}))

@@ -4,7 +4,7 @@ import pytest
 
 from cosetmap import (AffineMap, CglFactorization, InfeasibleError, MatrixQ,
                       VectorQ, affine_cycle_type, cgl_power_set, ct,
-                      factor_into_cgl, field, gamma_dpl, is_cgl, is_fpf,
+                      factor_into_cgl, field, gamma_dpl, gamma_of_matrix, is_cgl, is_fpf,
                       realize_gamma, two_fpf_product)
 from helpers import all_invertible_matrices, explicit_member_realization, random_invertible
 
@@ -277,3 +277,13 @@ def test_realize_gamma_refuses_dimension_and_factor_count_0():
         for gamma, d, ell in [(ct("x3"), 1, 0), (ct("x1"), 0, 1), (ct("x3"), 1, -1)]:
             with pytest.raises(ValueError, match="dimension and factor count must be >= 1"):
                 realize_gamma(gamma, d, 3, ell, require_complete=require_complete)
+
+
+def test_zero_dimension_is_refused():
+    F3 = field(3)
+    empty = MatrixQ(F3, [])
+    for fn in (lambda: factor_into_cgl(empty, 2), lambda: two_fpf_product(empty),
+               lambda: affine_cycle_type(AffineMap(empty, VectorQ(F3, []))),
+               lambda: gamma_of_matrix(empty)):
+        with pytest.raises(ValueError, match="dimension must be >= 1"):
+            fn()

@@ -110,6 +110,20 @@ def test_singular_matrix_exits_2(tmp_path, capsys):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize("argv,payload", [
+    (("cycle-type", "--p", "3", "--map"), {"matrix": [], "shift": []}),
+    (("gamma", "--p", "3", "--matrix", "[]"), None),
+    (("cgl-factor", "--p", "3", "--l", "2", "--matrix"), []),
+])
+def test_zero_dimension_exits_2(tmp_path, capsys, argv, payload):
+    if payload is not None:
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(payload))
+        argv = argv + (str(path),)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", "error: dimension must be >= 1\n")
+
+
 def test_cycle_type_command(tmp_path, capsys):
     job = {"matrix": [[0, 1], [1, 2]], "shift": [0, 0]}
     path = tmp_path / "map.json"

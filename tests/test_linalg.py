@@ -224,3 +224,53 @@ def test_left_kernel():
     basis = M.left_kernel()
     assert len(basis) == 1
     assert (basis[0] * M).is_zero()
+
+
+def test_charpoly_det_rank_match_sympy():
+    """charpoly, det and rank over GF(p), p <= 7, n <= 8, against sympy's
+    DomainMatrix: random matrices, singular products B*C of rank < n, and
+    conjugates of triangular matrices with two diagonal values."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    def square(p, n, data):
+        return data.draw(st.lists(st.lists(st.integers(0, p - 1), min_size=n, max_size=n),
+                                  min_size=n, max_size=n))
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(st.sampled_from([2, 3, 5, 7]), st.integers(1, 8),
+                      st.sampled_from(["random", "singular", "repeated"]), st.data())
+    def check(p, n, kind, data):
+        ctx = field(p)
+        if kind == "random":
+            A = MatrixQ(ctx, square(p, n, data))
+        elif kind == "singular":
+            r = data.draw(st.integers(0, n - 1))
+            entries = st.integers(0, p - 1)
+            B = MatrixQ.from_codes(ctx, data.draw(st.lists(
+                st.lists(entries, min_size=r, max_size=r), min_size=n, max_size=n)), r)
+            C = MatrixQ.from_codes(ctx, data.draw(st.lists(
+                st.lists(entries, min_size=n, max_size=n), min_size=r, max_size=r)), n)
+            A = B * C
+        else:
+            lams = data.draw(st.lists(st.integers(0, p - 1), min_size=2, max_size=2))
+            diag = data.draw(st.lists(st.sampled_from(lams), min_size=n, max_size=n))
+            upper, mix = square(p, n, data), square(p, n, data)
+            T = MatrixQ(ctx, [[diag[i] if i == j else upper[i][j] * (j > i) for j in range(n)]
+                              for i in range(n)])
+            # S = L*U, L unit lower and U unit upper triangular, is invertible
+            L = MatrixQ(ctx, [[int(i == j) or mix[i][j] * (i > j) for j in range(n)]
+                              for i in range(n)])
+            U = MatrixQ(ctx, [[int(i == j) or mix[i][j] * (j > i) for j in range(n)]
+                              for i in range(n)])
+            S = L * U
+            A = S * T * S.inverse()
+        F = sympy.GF(p)
+        ref = DomainMatrix([[F(a) for a in row] for row in A.codes], (n, n), F)
+        assert charpoly(A).codes == tuple(int(c) % p for c in reversed(ref.charpoly()))
+        assert A.det().index == int(ref.det()) % p
+        assert A.rank() == ref.rank()
+
+    check()
