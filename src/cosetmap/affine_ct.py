@@ -12,7 +12,7 @@ import bisect
 import itertools
 from dataclasses import dataclass
 
-from .cycletype import CycleType, weixu_all
+from .cycletype import CycleType, ct, weixu_all
 from .gf import FieldCtx, Poly, enumerate_irreducibles, field, poly_order
 from .linalg import AffineMap, MatrixQ, VectorQ, companion, elementary_divisors
 
@@ -20,6 +20,10 @@ U_GENERIC = "generic"
 U_NONUNIT = "nonunit"
 U_UNIT_NOT_PPOWER = "unit_e_not_ppower"
 U_UNIT_PPOWER = "unit_e_ppower"
+
+
+def _is_x(Q: Poly) -> bool:
+    return int(Q.degree) == 1 and Q.coeff(0).is_zero()
 
 
 def _is_x_minus_1(Q: Poly) -> bool:
@@ -53,7 +57,7 @@ class BlockCase:
     def __post_init__(self):
         if self.e < 1:
             raise ValueError("block exponent must be >= 1")
-        if int(self.Q.degree) == 1 and self.Q.coeff(0).is_zero():
+        if _is_x(self.Q):
             raise ValueError("block polynomial must not be X")
         is_xm1 = _is_x_minus_1(self.Q)
         if self.u_class == U_GENERIC:
@@ -86,11 +90,9 @@ def classify_block(Q: Poly, e: int, U: Poly) -> BlockCase:
     return _case(Q, e, _is_x_minus_1(Q) and not U(Q.ctx.one()).is_zero())
 
 
-def block_cycle_type(case: BlockCase, q: int | None = None) -> CycleType:
+def block_cycle_type(case: BlockCase) -> CycleType:
     """Cycle type of R -> R*X + U on GF(q)[X]/(Q^e) by the divisor chain."""
     ctx = case.Q.ctx
-    if q is not None and q != ctx.order:
-        raise ValueError("field size does not match the block polynomial's context")
     q = ctx.order
     p = ctx.p
     e = case.e
@@ -154,13 +156,13 @@ def affine_cycle_type(f: AffineMap) -> CycleType:
     of f.  B has A's blocks with one (X-1)^e grown by one, e as returned by
     `elementary_divisors`; the map whose X-1 blocks are all nonunit but one
     unit (X-1)^e (all nonunit when e = 0) has the same A and B, hence the
-    same type.
+    same type.  A is singular exactly when its first block is X.
     """
     if f.dim < 1:
         raise ValueError("dimension must be >= 1")
-    if not f.matrix.is_invertible():
-        raise ValueError("affine map is not a permutation (singular matrix)")
     blocks, grown = elementary_divisors(f.matrix, f.shift)
+    if _is_x(blocks[0][0]):
+        raise ValueError("affine map is not a permutation (singular matrix)")
     parts = []
     for Q, e in blocks:
         unit = e == grown and _is_x_minus_1(Q)
@@ -174,9 +176,10 @@ def gamma_of_matrix(M: MatrixQ) -> frozenset[CycleType]:
     """All cycle types of x -> x*M + v as v ranges over the space."""
     if M.rows < 1:
         raise ValueError("dimension must be >= 1")
-    if not M.is_invertible():
+    blocks = elementary_divisors(M)[0] if M.is_square() else None
+    if blocks is None or _is_x(blocks[0][0]):
         raise ValueError("gamma needs an invertible matrix")
-    out = frozenset(t for _, t in shift_class_types(elementary_divisors(M)[0], {}))
+    out = frozenset(t for _, t in shift_class_types(blocks, {}))
     if len({t.degree for t in out}) != 1:
         raise ArithmeticError("inconsistent degrees in gamma set")
     return out
@@ -207,8 +210,7 @@ def block_multisets(ctx: FieldCtx, d: int, exclude=()):
     first polynomial comes later in that order come first; each recursion
     level picks the next polynomial actually used, so the depth is at most d.
     """
-    irred = [Q for Q in enumerate_irreducibles(ctx, d)
-             if not (int(Q.degree) == 1 and Q.coeff(0).is_zero()) and Q not in exclude]
+    irred = [Q for Q in enumerate_irreducibles(ctx, d) if not _is_x(Q) and Q not in exclude]
     degrees = [int(Q.degree) for Q in irred]
 
     def walk(remaining: int, start: int):
@@ -308,9 +310,7 @@ def gamma_dpl(d: int, p: int, ell: int) -> frozenset[CycleType]:
     if (d, p) == (1, 2):
         return frozenset()
     if (d, p) == (1, 3):
-        from .cycletype import ct
         return frozenset({ct("x1^3"), ct("x3")})
     if (d, p) == (2, 2):
-        from .cycletype import ct
         return frozenset({ct("x1^4"), ct("x2^2"), ct("x1 x3")})
     return ct_agl(d, p)

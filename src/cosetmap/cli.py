@@ -18,7 +18,7 @@ from .affine_ct import affine_cycle_type, gamma_dpl, gamma_of_poly, gamma_of_mat
 from .cgl import factor_into_cgl
 from .cwaffine import (construct_main, construct_sylow_type, cw_cycle_type,
                        cw_to_table, one_cycle_map, one_cycle_polynomial)
-from .cycletype import ct_format, ct_parse
+from .cycletype import CycleType, ct_format, ct_parse
 from .errors import InfeasibleError
 from .gf import field
 from .oracle import MAX_DOMAIN, analyze, evaluate_poly_table, load_table
@@ -105,6 +105,21 @@ def _check_verify_size(args, p: int, n: int) -> None:
         raise ValueError(f"--verify tabulates {points} points, above the {MAX_DOMAIN} limit")
 
 
+def _verify(table, p: int, n: int, ctype, expect_complete: bool, payload: dict, lines) -> None:
+    """Oracle check of a map table of GF(p)^n: adds the report to the payload
+    and an `oracle:` line, then fails unless the table is a bijection of
+    cycle type ctype, and complete when expect_complete."""
+    report = analyze(table, p, n)
+    payload["verified"] = report.to_json()
+    shown = ct_format(report.cycle_type) if report.cycle_type else "n/a"
+    lines.append(f"oracle: bijection={report.is_bijection} "
+                 f"complete={report.is_complete} type={shown}")
+    if report.cycle_type != ctype or not report.is_bijection:
+        raise ArithmeticError("oracle verification failed")
+    if expect_complete and not report.is_complete:
+        raise ArithmeticError("oracle verification failed: map is not complete")
+
+
 def _emit_cwmap(args, f, verify_expected_complete=True) -> int:
     s = f.splitting
     ctype = cw_cycle_type(f)
@@ -112,16 +127,7 @@ def _emit_cwmap(args, f, verify_expected_complete=True) -> int:
     payload["cycle_type"] = ctype.to_json()
     lines = [f"p={s.p} d={s.d} t={s.t}", f"cycle type: {ct_format(ctype)}"]
     if args.verify:
-        table = cw_to_table(f)
-        report = analyze(table, s.p, s.n)
-        payload["verified"] = report.to_json()
-        shown = ct_format(report.cycle_type) if report.cycle_type else "n/a"
-        lines.append(f"oracle: bijection={report.is_bijection} "
-                     f"complete={report.is_complete} type={shown}")
-        if report.cycle_type != ctype or not report.is_bijection:
-            raise ArithmeticError("oracle verification failed")
-        if verify_expected_complete and not report.is_complete:
-            raise ArithmeticError("oracle verification failed: map is not complete")
+        _verify(cw_to_table(f), s.p, s.n, ctype, verify_expected_complete, payload, lines)
     _emit(args, payload, lines)
     return 0
 
@@ -162,14 +168,8 @@ def _cmd_one_cycle_poly(args) -> int:
                "text": text}
     lines = [text]
     if args.verify:
-        report = analyze(evaluate_poly_table(P), ctx.p, ctx.k)
-        payload["verified"] = report.to_json()
-        lines.append(f"oracle: bijection={report.is_bijection} complete={report.is_complete} "
-                     f"type={ct_format(report.cycle_type)}")
-        if not report.is_bijection or report.cycle_type.cycles != ((ctx.order, 1),):
-            raise ArithmeticError("oracle verification failed")
-        if ctx.p > 2 and not report.is_complete:
-            raise ArithmeticError("oracle verification failed: map is not complete")
+        _verify(evaluate_poly_table(P), ctx.p, ctx.k, CycleType({ctx.order: 1}), ctx.p > 2,
+                payload, lines)
     _emit(args, payload, lines)
     return 0
 
@@ -202,12 +202,10 @@ def build_parser() -> argparse.ArgumentParser:
         raise ValueError(f"COSETMAP_SEED must be an integer, not {seed_text!r}") from None
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_field_opts(p, with_k=True, with_modulus=True):
+    def add_field_opts(p):
         p.add_argument("--p", type=int, required=True, help="field characteristic")
-        if with_k:
-            p.add_argument("--k", type=int, default=1, help="extension degree")
-        if with_modulus:
-            p.add_argument("--modulus", help="modulus polynomial text, e.g. 'X^3-X+1'")
+        p.add_argument("--k", type=int, default=1, help="extension degree")
+        p.add_argument("--modulus", help="modulus polynomial text, e.g. 'X^3-X+1'")
 
     p = sub.add_parser("cycle-type", help="cycle type of an affine map from JSON")
     add_field_opts(p)

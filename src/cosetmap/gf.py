@@ -750,8 +750,6 @@ class FieldElement:
         if o is NotImplemented:
             return o
         ctx = self.ctx
-        if ctx.k == 1:
-            return FieldElement(ctx, ((self.coeffs[0] * o.coeffs[0]) % ctx.p,))
         return ctx._from_code(ctx.ops().mul(self.index, o.index))
 
     __rmul__ = __mul__
@@ -760,8 +758,6 @@ class FieldElement:
         if self.is_zero():
             raise ZeroDivisionError("division by zero in field")
         ctx = self.ctx
-        if ctx.k == 1:
-            return FieldElement(ctx, (pow(self.coeffs[0], ctx.p - 2, ctx.p),))
         return ctx._from_code(ctx.ops().inv(self.index))
 
     def __truediv__(self, other):

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .gf import (FieldCtx, FieldElement, Poly, _Ops, _pexact_div, _pmul, _ppow, _trim,
-                 factor_monic, index_to_tuple)
+                 factor_monic, index_to_tuple, is_irreducible)
 
 
 # ---------------------------------------------------------------------------
@@ -123,17 +123,6 @@ def _companion(K: _Ops, P) -> list[list]:
     d = len(P) - 1
     rows = [[K.one if j == i + 1 else 0 for j in range(d)] for i in range(d - 1)]
     rows.append([K.neg(c) for c in P[:d]])
-    return rows
-
-
-def _primary_rows(K: _Ops, blocks, n: int) -> list[list]:
-    """Rows of codes of the n x n block diagonal of the companions of the
-    Q^e, for (Q, e) in blocks."""
-    rows = []
-    for Q, e in blocks:
-        off = len(rows)
-        for row in _companion(K, _ppow(K, Q.codes, e)):
-            rows.append([0] * off + row + [0] * (n - off - len(row)))
     return rows
 
 
@@ -538,7 +527,6 @@ def hypercompanion(Q: Poly, e: int) -> MatrixQ:
     the diagonal, a connecting 1 from each block's last row into the next
     block's first column.  This is multiplication by X on GF(q)[X]/(Q^e) in
     the basis (Q^i X^j)."""
-    from .gf import is_irreducible
     if e < 1:
         raise ValueError("exponent must be >= 1")
     if not Q.is_monic() or Q.degree < 1 or not is_irreducible(Q):
@@ -573,22 +561,16 @@ def charpoly(A: MatrixQ) -> Poly:
 
 
 def minpoly(A: MatrixQ) -> Poly:
-    """Minimal polynomial via the first linear dependence among powers of A."""
+    """Minimal polynomial: the product of Q^e over the largest block (Q, e)
+    of each Q among the elementary divisors; 1 for the 0 x 0 matrix."""
     if not A.is_square():
         raise ValueError("minimal polynomial needs a square matrix")
     K = A.ctx.ops()
-    n = A.rows
-    power = _identity(K, n)
-    flats = []
-    ech = _Echelon(K)
-    while True:
-        flat = [a for row in power for a in row]
-        if not ech.insert(flat):
-            # A^m depends on lower powers: solve sum c_i A^i = A^m
-            sol = _solve_columns(K, list(zip(*flats)), flat, len(flats))
-            return Poly.from_codes(A.ctx, [K.neg(c) for c in sol] + [K.one])
-        flats.append(flat)
-        power = _matmul(K, power, A.codes, n)
+    blocks = elementary_divisors(A)[0] if A.rows else ()
+    m = [K.one]
+    for Q, e in dict(blocks).items():   # exponents ascend per Q: dict keeps the largest
+        m = _pmul(K, m, _ppow(K, Q.codes, e))
+    return Poly.from_codes(A.ctx, m)
 
 
 def _primary_exponents(K: _Ops, N, mult: int, deg: int, v=None) -> tuple[list[int], int]:
@@ -672,9 +654,7 @@ class Prcf:
     basis_change: MatrixQ
 
     def block_diagonal(self) -> MatrixQ:
-        ctx = self.basis_change.ctx
-        n = self.basis_change.rows
-        return MatrixQ.from_codes(ctx, _primary_rows(ctx.ops(), self.blocks, n), n)
+        return MatrixQ.block_diag([companion(Q ** e) for Q, e in self.blocks])
 
 
 def _decompose_primary(K: _Ops, A, QA, Q, comp_basis):
@@ -783,7 +763,7 @@ def prcf(A: MatrixQ) -> Prcf:
         for _ in range(int(Q.degree) * e):
             T.append(w)
             w = K.vecmat(w, Ac, n)
-    S = _inverse(K, T)
-    if _matmul(K, T, Ac, n) != _matmul(K, _primary_rows(K, blocks, n), T, n):
+    form = Prcf(tuple(blocks), MatrixQ.from_codes(ctx, _inverse(K, T), n))
+    if _matmul(K, T, Ac, n) != _matmul(K, form.block_diagonal().codes, T, n):
         raise ArithmeticError("canonical form verification failed")
-    return Prcf(tuple(blocks), MatrixQ.from_codes(ctx, S, n))
+    return form

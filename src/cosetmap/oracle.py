@@ -20,12 +20,6 @@ from .gf import FieldCtx, Poly, index_to_tuple, is_prime, tuple_to_index
 MAX_DOMAIN = 10 ** 6
 
 
-def add_index(i: int, j: int, p: int, n: int) -> int:
-    """Index of the sum of the points with indices i and j of GF(p)^n."""
-    return tuple_to_index([a + b for a, b in zip(index_to_tuple(i, p, n),
-                                                 index_to_tuple(j, p, n))], p)
-
-
 def is_complete_mapping(images, p: int, n: int, sign: int = 1) -> bool:
     """Whether the map g of GF(p)^n with this image table is a complete
     mapping: a bijection with x -> g(x) + x also a bijection.  With sign=-1

@@ -114,7 +114,7 @@ def format_elem(x: FieldElement) -> str:
         return str(list(x.coeffs))
 
 
-def format_poly(P: Poly, var: str = "x") -> str:
+def format_poly(P: Poly) -> str:
     """Canonical text: descending powers joined with ' + ', unit coefficients
     omitted, extension coefficients as generator powers."""
     if P.is_zero():
@@ -128,7 +128,7 @@ def format_poly(P: Poly, var: str = "x") -> str:
         if d == 0:
             terms.append(format_elem(c))
         else:
-            xpart = var if d == 1 else f"{var}^{d}"
+            xpart = "x" if d == 1 else f"x^{d}"
             terms.append(xpart if c == one else f"{format_elem(c)}*{xpart}")
     return " + ".join(terms)
 
@@ -139,7 +139,7 @@ _TERM_RE = re.compile(
 )
 
 
-def parse_poly(text: str, ctx: FieldCtx, var: str = None) -> Poly:
+def parse_poly(text: str, ctx: FieldCtx) -> Poly:
     """Parse caret-power polynomial text over the given field.
 
     Accepts any single-letter variable (other than `w`, the generator),
@@ -152,7 +152,7 @@ def parse_poly(text: str, ctx: FieldCtx, var: str = None) -> Poly:
     if s.startswith("+"):
         s = s[1:]
     coeffs: dict[int, FieldElement] = {}
-    varname = var
+    varname = None
     for raw in s.split("+"):
         if not raw:
             raise ValueError(f"malformed polynomial text {text!r}")

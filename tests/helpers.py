@@ -414,3 +414,23 @@ def prcf_gamma(M: MatrixQ) -> frozenset:
     from cosetmap import prcf
     from cosetmap.affine_ct import shift_class_types
     return frozenset(t for _, t in shift_class_types(prcf(M).blocks, {}))
+
+
+def krylov_minpoly(A: MatrixQ) -> Poly:
+    """Minimal polynomial of A from the first linear dependence among the
+    flattened powers I, A, A^2, ... (the library's method before it read the
+    minimal polynomial from the elementary divisors)."""
+    from cosetmap.linalg import _Echelon, _identity, _matmul, _solve_columns
+    K = A.ctx.ops()
+    n = A.rows
+    power = _identity(K, n)
+    flats = []
+    ech = _Echelon(K)
+    while True:
+        flat = [a for row in power for a in row]
+        if not ech.insert(flat):
+            # A^m depends on lower powers: solve sum c_i A^i = A^m
+            sol = _solve_columns(K, list(zip(*flats)), flat, len(flats))
+            return Poly.from_codes(A.ctx, [K.neg(c) for c in sol] + [K.one])
+        flats.append(flat)
+        power = _matmul(K, power, A.codes, n)

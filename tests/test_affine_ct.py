@@ -18,7 +18,7 @@ def test_block_cycle_type_paper_values():
     assert block_cycle_type(BlockCase(xm1, 2, U_NONUNIT)) == ct("x1^3 x3^2")
     assert block_cycle_type(BlockCase(xm1, 3, U_UNIT_PPOWER)) == ct("x9^3")
     Q2 = Poly(F3, (2, 1, 1))
-    assert block_cycle_type(BlockCase(Q2, 1, U_GENERIC), q=3) == ct("x1 x8")
+    assert block_cycle_type(BlockCase(Q2, 1, U_GENERIC)) == ct("x1 x8")
 
 
 def test_block_case_validation():

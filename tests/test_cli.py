@@ -110,6 +110,30 @@ def test_singular_matrix_exits_2(tmp_path, capsys):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize("argv,payload,message", [
+    (("cycle-type", "--p", "2", "--map"), {"matrix": [[1, 1], [1, 1]], "shift": [0, 1]},
+     "affine map is not a permutation (singular matrix)"),
+    (("gamma", "--p", "2", "--matrix", "[[1, 1], [1, 1]]"), None,
+     "gamma needs an invertible matrix"),
+    (("gamma", "--p", "2", "--matrix", "[[1, 0]]"), None, "gamma needs an invertible matrix"),
+])
+def test_singular_or_non_square_matrix_refusals(tmp_path, capsys, argv, payload, message):
+    if payload is not None:
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(payload))
+        argv = argv + (str(path),)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_one_cycle_poly_verify_of_a_non_bijection_exits_3(monkeypatch, capsys):
+    """A polynomial whose table is no bijection fails the oracle check with
+    exit 3 and no traceback."""
+    monkeypatch.setattr(cli, "one_cycle_polynomial", lambda ctx: Poly(ctx, (1,)))
+    code, out, err = run_cli(capsys, "one-cycle-poly", "--p", "3", "--k", "2", "--verify")
+    assert (code, out, err) == (3, "", "internal error: oracle verification failed\n")
+
+
 @pytest.mark.parametrize("argv,payload", [
     (("cycle-type", "--p", "3", "--map"), {"matrix": [], "shift": []}),
     (("gamma", "--p", "3", "--matrix", "[]"), None),

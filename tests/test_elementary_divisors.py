@@ -1,16 +1,17 @@
 """Cycle types from elementary divisors against the canonical-form path and
 the orbit walk, on conjugated block diagonals with repeated X-1 blocks and
-repeated generic blocks."""
+repeated generic blocks; the minimal polynomial and the singular-matrix
+refusals that read the same blocks."""
 
 import itertools
 import random
 
 import pytest
 
-from cosetmap import (AffineMap, MatrixQ, Poly, VectorQ, affine_cycle_type,
+from cosetmap import (AffineMap, MatrixQ, Poly, VectorQ, affine_cycle_type, companion,
                       elementary_divisors, enumerate_irreducibles, field, gamma_of_matrix,
-                      hypercompanion, prcf)
-from helpers import (all_invertible_matrices, brute_affine_cycle_counts,
+                      hypercompanion, minpoly, prcf)
+from helpers import (all_invertible_matrices, brute_affine_cycle_counts, krylov_minpoly,
                      prcf_affine_cycle_type, prcf_gamma, random_invertible)
 from test_prcf_digest import corpus
 
@@ -132,3 +133,89 @@ def test_every_affine_map_of_small_groups_matches_canonical_form_path(p, d):
         for w in itertools.product(range(p), repeat=d):
             f = AffineMap(M, VectorQ(ctx, w))
             assert affine_cycle_type(f) == prcf_affine_cycle_type(f)
+
+
+def test_minpoly_matches_krylov_reference_on_the_digest_corpus():
+    for A in corpus():
+        assert minpoly(A) == krylov_minpoly(A)
+
+
+def test_minpoly_of_the_empty_matrix_is_one():
+    for ctx in (field(2), field(3, 2)):
+        assert minpoly(MatrixQ.from_codes(ctx, [], 0)) == Poly(ctx, (1,))
+
+
+def test_minpoly_matches_krylov_reference_on_generated_matrices():
+    """Random matrices, singular products B*C of rank < n, conjugated
+    triangular matrices with two diagonal values and conjugated repeated
+    companions over GF(2), GF(3), GF(5), GF(4) and GF(9), n <= 7."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    def rows(q, r, c, data):
+        return data.draw(st.lists(st.lists(st.integers(0, q - 1), min_size=c, max_size=c),
+                                  min_size=r, max_size=r))
+
+    def conjugate(ctx, M, data):
+        # S = L*U, L unit lower and U unit upper triangular, is invertible
+        n = M.rows
+        mix = rows(ctx.order, n, n, data)
+        one = ctx.code(1)
+        L = MatrixQ.from_codes(ctx, [[one if i == j else mix[i][j] * (i > j)
+                                      for j in range(n)] for i in range(n)])
+        U = MatrixQ.from_codes(ctx, [[one if i == j else mix[i][j] * (j > i)
+                                      for j in range(n)] for i in range(n)])
+        S = L * U
+        return S * M * S.inverse()
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(st.sampled_from([(2, 1), (3, 1), (5, 1), (2, 2), (3, 2)]),
+                      st.integers(1, 7),
+                      st.sampled_from(["random", "singular", "triangular", "companions"]),
+                      st.data())
+    def check(pk, n, kind, data):
+        ctx = field(*pk)
+        q = ctx.order
+        if kind == "random":
+            A = MatrixQ.from_codes(ctx, rows(q, n, n, data))
+        elif kind == "singular":
+            r = data.draw(st.integers(0, n - 1))
+            A = (MatrixQ.from_codes(ctx, rows(q, n, r, data), r)
+                 * MatrixQ.from_codes(ctx, rows(q, r, n, data), n))
+        elif kind == "triangular":
+            lams = data.draw(st.lists(st.integers(0, q - 1), min_size=2, max_size=2))
+            diag = data.draw(st.lists(st.sampled_from(lams), min_size=n, max_size=n))
+            upper = rows(q, n, n, data)
+            A = conjugate(ctx, MatrixQ.from_codes(
+                ctx, [[diag[i] if i == j else upper[i][j] * (j > i) for j in range(n)]
+                      for i in range(n)]), data)
+        else:
+            d = data.draw(st.sampled_from([m for m in (1, 2, 3) if n % m == 0]))
+            P = Poly.from_codes(ctx, data.draw(st.lists(st.integers(0, q - 1), min_size=d,
+                                                        max_size=d)) + [ctx.code(1)])
+            A = conjugate(ctx, MatrixQ.block_diag([companion(P)] * (n // d)), data)
+        assert minpoly(A) == krylov_minpoly(A)
+
+    check()
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (2, 2), (3, 2)])
+def test_rank_deficient_conjugates_are_refused_with_value_error(p, k):
+    """Conjugates of block diagonals with a nilpotent or zero block: both
+    entry points refuse them with their ValueError, never a self-check
+    failure."""
+    ctx = field(p, k)
+    rng = random.Random(f"singular:{p}:{k}")
+    x = Poly(ctx, (0, 1))
+    for _ in range(15):
+        _, A = _conjugated_block_diagonal(ctx, rng, nmax=5)
+        J = MatrixQ.block_diag([A, hypercompanion(x, rng.randint(1, 2))])
+        S = random_invertible(ctx, J.rows, rng)
+        B = S * J * S.inverse()
+        assert B.rank() < B.rows
+        with pytest.raises(ValueError, match=r"^gamma needs an invertible matrix$"):
+            gamma_of_matrix(B)
+        v = VectorQ(ctx, [rng.randrange(ctx.order) for _ in range(B.rows)])
+        with pytest.raises(ValueError,
+                           match=r"^affine map is not a permutation \(singular matrix\)$"):
+            affine_cycle_type(AffineMap(B, v))

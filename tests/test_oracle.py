@@ -4,7 +4,7 @@ import pytest
 
 from cosetmap import (MapTable, MatrixQ, Poly, VectorQ, analyze, ct, field,
                       interpolate, load_table, table_of)
-from cosetmap.oracle import add_index, index_to_tuple, is_complete_mapping, tuple_to_index
+from cosetmap.oracle import index_to_tuple, is_complete_mapping, tuple_to_index
 from helpers import is_complete_table, pointwise_affine_table
 
 
@@ -16,7 +16,6 @@ def test_index_round_trip():
     assert index_to_tuple(0, 3, 2) == (0, 0)
     assert index_to_tuple(1, 3, 2) == (0, 1)
     assert index_to_tuple(3, 3, 2) == (1, 0)
-    assert add_index(1, 3, 3, 2) == 4
 
 
 def test_analyze_shift_on_gf3():
