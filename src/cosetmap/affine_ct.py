@@ -97,25 +97,21 @@ def block_cycle_type(case: BlockCase) -> CycleType:
     p = ctx.p
     e = case.e
     m = int(case.Q.degree)
-    c = _ceil_log(e, p)
     counts: dict[int, int] = {}
     if case.u_class in (U_GENERIC, U_NONUNIT):
         # a nonunit block has Q = X-1, so r = m = 1
         r = poly_order(case.Q) if case.u_class == U_GENERIC else 1
         counts[1] = 1
         prev = 1  # points on cycles of length dividing previous candidate
-        for a in range(c + 1):
+        for a in range(_ceil_log(e, p) + 1):
             length = r * p ** a
             pts = q ** (m * min(e, p ** a))
             exact = pts - prev
             if exact:
                 counts[length] = counts.get(length, 0) + exact // length
             prev = pts
-    elif case.u_class == U_UNIT_NOT_PPOWER:
-        length = p ** c
-        counts[length] = q ** e // length
-    else:  # unit, e a power of p (including e = 1)
-        length = p * e
+    else:  # unit shift, Q = X-1: one length, p*e when e is a power of p
+        length = p ** _ceil_log(e + 1, p)
         counts[length] = q ** e // length
     total = sum(l * k for l, k in counts.items())
     if total != q ** (m * e):

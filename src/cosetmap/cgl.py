@@ -116,7 +116,7 @@ def factor_into_cgl(M: MatrixQ, ell: int, seed: int = 0) -> CglFactorization:
         raise ValueError("factor count must be >= 1")
     if M.rows < 1:
         raise ValueError("dimension must be >= 1")
-    if not M.is_square() or not M.is_invertible():
+    if not M.is_invertible():
         raise ValueError("only invertible matrices can be factored")
     ctx = M.ctx
     d = M.rows
@@ -166,7 +166,7 @@ def two_fpf_product(M: MatrixQ, seed: int = 0) -> tuple[MatrixQ, MatrixQ]:
     """Write an invertible M as a product of two fixed-point-free matrices."""
     if M.rows < 1:
         raise ValueError("dimension must be >= 1")
-    if not M.is_square() or not M.is_invertible():
+    if not M.is_invertible():
         raise ValueError("only invertible matrices can be factored")
     d = M.rows
     q = M.ctx.order

@@ -31,7 +31,7 @@ def _field_from_args(args):
         prime = field(args.p)
         mod_poly = parse_poly(args.modulus, prime)
         modulus = tuple(c.coeffs[0] for c in mod_poly.coeffs)
-    return field(args.p, getattr(args, "k", 1) or 1, modulus)
+    return field(args.p, args.k, modulus)
 
 
 def _emit(args, payload: dict, text_lines):

@@ -40,17 +40,15 @@ def _identity(K: _Ops, n: int) -> list[list]:
     return [[K.one if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def _reduce_rows(K: _Ops, work: list[list], ncols: int):
+def _reduce_rows(K: _Ops, work: list[list], ncols: int) -> list[int]:
     """Gauss-Jordan elimination in place over the first `ncols` columns,
     pivoting on the first nonzero entry at or below the current row.
 
-    Returns the pivot columns and the determinant factor: the product of the
-    pivots, negated once per row swap.
+    Returns the pivot columns.
     """
-    mul, neg, inv, axpy, scale = K.mul, K.neg, K.inv, K.axpy, K.scale
+    neg, inv, axpy, scale = K.neg, K.inv, K.axpy, K.scale
     nrows = len(work)
     pivots = []
-    det = K.one
     r = 0
     for c in range(ncols):
         if r == nrows:
@@ -60,32 +58,26 @@ def _reduce_rows(K: _Ops, work: list[list], ncols: int):
             continue
         if pivot != r:
             work[r], work[pivot] = work[pivot], work[r]
-            det = neg(det)
-        pv = work[r][c]
-        det = mul(det, pv)
-        row = work[r] = scale(inv(pv), work[r])
+        row = work[r] = scale(inv(work[r][c]), work[r])
         for i in range(nrows):
             f = work[i][c]
             if f and i != r:
                 work[i] = axpy(work[i], neg(f), row)
         pivots.append(c)
         r += 1
-    return pivots, det
+    return pivots
 
 
-def _no_eigenvalue(K: _Ops, A, c) -> bool:
-    """Whether the square matrix with code rows A is invertible and has no
-    eigenvalue c (a code): A and A - c*I both have full rank."""
-    n = len(A)
-    shifted = [[K.sub(a, c) if i == j else a for j, a in enumerate(row)]
-               for i, row in enumerate(A)]
-    return all(len(_reduce_rows(K, [list(r) for r in B], n)[0]) == n for B in (A, shifted))
+def _no_root(K: _Ops, chi, c) -> bool:
+    """Whether neither 0 nor the code c is a root of the characteristic
+    polynomial chi: its matrix is invertible and has no eigenvalue c."""
+    return bool(chi[0]) and bool(K.horner(chi, c)[1])
 
 
 def _inverse(K: _Ops, A) -> list[list]:
     n = len(A)
     work = [list(row) + e for row, e in zip(A, _identity(K, n))]
-    if len(_reduce_rows(K, work, n)[0]) < n:
+    if len(_reduce_rows(K, work, n)) < n:
         raise ZeroDivisionError("matrix is singular")
     return [row[n:] for row in work]
 
@@ -93,7 +85,7 @@ def _inverse(K: _Ops, A) -> list[list]:
 def _solve_columns(K: _Ops, A, b, ncols: int) -> list:
     """x with A x^T = b^T, A given by rows of `ncols` codes."""
     work = [list(row) + [bi] for row, bi in zip(A, b)]
-    pivots, _ = _reduce_rows(K, work, ncols)
+    pivots = _reduce_rows(K, work, ncols)
     if any(row[ncols] for row in work[len(pivots):]):
         raise ValueError("inconsistent linear system")
     x = [0] * ncols
@@ -106,7 +98,7 @@ def _left_kernel(K: _Ops, A, ncols: int) -> list[list]:
     """Basis of {x : x A = 0} in echelon order."""
     n = len(A)
     work = [list(col) for col in zip(*A)]
-    pivots, _ = _reduce_rows(K, work, n)
+    pivots = _reduce_rows(K, work, n)
     basis = []
     for f in range(n):
         if f in pivots:
@@ -192,7 +184,7 @@ class _Echelon:
     def of_rows(cls, ops: _Ops, rows, ncols: int) -> "_Echelon":
         """Echelon basis of the row space of `rows`, by one elimination."""
         work = [list(r) for r in rows]
-        pivots, _ = _reduce_rows(ops, work, ncols)
+        pivots = _reduce_rows(ops, work, ncols)
         e = cls(ops)
         e.rows = work[:len(pivots)]
         e.pivots = pivots
@@ -322,11 +314,12 @@ class MatrixQ:
     """Dense exact matrix over a field context, held as rows of element codes
     (`codes`); immutable after construction.
 
-    The rank and the `has_no_eigenvalue` verdicts are worked out once and
-    kept; they take no part in equality or hashing.
+    A square matrix keeps its characteristic polynomial once worked out; it
+    answers the determinant, invertibility and the eigenvalue tests, and takes
+    no part in equality or hashing.
     """
 
-    __slots__ = ("ctx", "rows", "cols", "codes", "_rank", "_no_eig")
+    __slots__ = ("ctx", "rows", "cols", "codes", "_chi")
 
     def __init__(self, ctx: FieldCtx, rows):
         """Rows of anything `ctx.code` accepts."""
@@ -347,8 +340,7 @@ class MatrixQ:
         self.codes = codes
         self.rows = len(codes)
         self.cols = len(codes[0]) if codes else cols
-        self._rank = None
-        self._no_eig = {}
+        self._chi = None
 
     @classmethod
     def identity(cls, ctx: FieldCtx, n: int) -> "MatrixQ":
@@ -409,32 +401,33 @@ class MatrixQ:
             return self.inverse() ** (-n)
         return MatrixQ.from_codes(self.ctx, _matpow(self.ctx.ops(), self.codes, n), self.cols)
 
+    def _chi_codes(self) -> list:
+        """Codes of the characteristic polynomial of this square matrix,
+        worked out on first use."""
+        if self._chi is None:
+            self._chi = _charpoly(self.ctx.ops(), self.codes)
+        return self._chi
+
     def det(self) -> FieldElement:
+        """(-1)^n chi(0)."""
         if not self.is_square():
             raise ValueError("determinant needs a square matrix")
-        pivots, det = _reduce_rows(self.ctx.ops(), [list(r) for r in self.codes], self.cols)
-        if len(pivots) < self.rows:
-            return self.ctx.zero()
-        return self.ctx._from_code(det)
+        c0 = self._chi_codes()[0]
+        return self.ctx._from_code(self.ctx.ops().neg(c0) if self.rows % 2 else c0)
 
     def rank(self) -> int:
-        if self._rank is None:
-            self._rank = len(_reduce_rows(self.ctx.ops(), [list(r) for r in self.codes],
-                                          self.cols)[0])
-        return self._rank
+        return len(_reduce_rows(self.ctx.ops(), [list(r) for r in self.codes], self.cols))
 
     def is_invertible(self) -> bool:
-        return self.is_square() and self.rank() == self.rows
+        return self.is_square() and self._chi_codes()[0] != 0
 
     def has_no_eigenvalue(self, c) -> bool:
         """Whether this square matrix is invertible and c (anything
-        `ctx.code` accepts) is not an eigenvalue; worked out once per c."""
+        `ctx.code` accepts) is not an eigenvalue: chi(0) and chi(c) are
+        nonzero."""
         if not self.is_square():
             raise ValueError("eigenvalue test needs a square matrix")
-        c = self.ctx.code(c)
-        if c not in self._no_eig:
-            self._no_eig[c] = _no_eigenvalue(self.ctx.ops(), self.codes, c)
-        return self._no_eig[c]
+        return _no_root(self.ctx.ops(), self._chi_codes(), self.ctx.code(c))
 
     def inverse(self) -> "MatrixQ":
         if not self.is_square():
@@ -473,14 +466,15 @@ class MatrixQ:
 
 
 def _without_eigenvalue(ctx: FieldCtx, rows, c: int) -> MatrixQ | None:
-    """The matrix with these square code rows if it is invertible and the
-    code c is not an eigenvalue, with both facts kept; else None, and no
-    matrix is built."""
-    if not _no_eigenvalue(ctx.ops(), rows, c):
+    """The matrix with these square code rows, its characteristic polynomial
+    kept, if it is invertible and the code c is not an eigenvalue; else None,
+    and no matrix is built."""
+    K = ctx.ops()
+    chi = _charpoly(K, rows)
+    if not _no_root(K, chi, c):
         return None
     M = MatrixQ.from_codes(ctx, rows)
-    M._rank = M.rows
-    M._no_eig[c] = True
+    M._chi = chi
     return M
 
 
@@ -554,10 +548,10 @@ def poly_at_matrix(P: Poly, A: MatrixQ) -> MatrixQ:
 
 
 def charpoly(A: MatrixQ) -> Poly:
-    """Characteristic polynomial via Hessenberg reduction."""
+    """Characteristic polynomial via Hessenberg reduction, once per matrix."""
     if not A.is_square():
         raise ValueError("characteristic polynomial needs a square matrix")
-    return Poly.from_codes(A.ctx, _charpoly(A.ctx.ops(), A.codes))
+    return Poly.from_codes(A.ctx, A._chi_codes())
 
 
 def minpoly(A: MatrixQ) -> Poly:

@@ -4,7 +4,9 @@ Field elements encode as a bare residue for prime fields and as the k-entry
 coordinate array (constant coordinate first) for extensions.  Polynomials
 encode as coefficient arrays, constant term first.  Polynomial text uses
 caret powers with `w` for the extension generator, e.g. `x^3 + 2*x + 1` or
-`w^16*x^18 + x + w^6`.
+`w^16*x^18 + x + w^6`; when the generator X is not primitive for the
+modulus, a coefficient outside its powers is written as its coordinate list,
+constant coordinate first, e.g. `x^2 + x + [1, 1]`.
 """
 
 from __future__ import annotations
@@ -134,7 +136,7 @@ def format_poly(P: Poly) -> str:
 
 
 _TERM_RE = re.compile(
-    r"^(?:(?P<coef>\d+|w(?:\^(?P<wexp>\d+))?)\*?)?"
+    r"^(?:(?P<coef>\d+|w(?:\^(?P<wexp>\d+))?|\[(?P<coords>\d+(?:,\d+)*)\])\*?)?"
     r"(?:(?P<var>[A-Za-z])(?:\^(?P<exp>\d+))?)?$"
 )
 
@@ -143,7 +145,7 @@ def parse_poly(text: str, ctx: FieldCtx) -> Poly:
     """Parse caret-power polynomial text over the given field.
 
     Accepts any single-letter variable (other than `w`, the generator),
-    integer or generator-power coefficients, and +/- signs.
+    integer, generator-power or coordinate-list coefficients, and +/- signs.
     """
     s = text.replace(" ", "")
     if not s:
@@ -165,6 +167,8 @@ def parse_poly(text: str, ctx: FieldCtx) -> Poly:
         coef_txt = m.group("coef")
         if coef_txt is None:
             coef = ctx.one()
+        elif m.group("coords"):
+            coef = ctx.elem(tuple(map(int, m.group("coords").split(","))))
         elif coef_txt.startswith("w"):
             if ctx.k == 1:
                 raise ValueError("generator powers need an extension field")

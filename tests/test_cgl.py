@@ -19,7 +19,8 @@ def test_is_cgl_examples():
 
 def test_code_row_completeness_matches_determinants():
     """is_cgl and is_fpf against det(M) != 0 and det(M +- I) != 0, asked twice
-    so that the second answer comes from the matrix's cached verdict."""
+    so that the second answer reads the matrix's stored characteristic
+    polynomial."""
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
 

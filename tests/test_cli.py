@@ -31,6 +31,21 @@ def test_poly_text_round_trip():
         parse_poly("", F3)
 
 
+def test_poly_text_round_trip_when_the_generator_is_not_primitive():
+    """Coefficients outside the powers of X print as coordinate lists,
+    constant coordinate first, and read back as the same polynomial."""
+    for p, modulus in ((3, (1, 0, 1)), (5, (2, 0, 1)), (7, (1, 0, 1))):
+        ctx = field(p, 2, modulus)
+        X = Poly.x(ctx)
+        for i in range(1, ctx.order):
+            c = ctx.from_index(i)
+            for P in (Poly(ctx, (c,)), X ** 3 + c * X + c, c * X ** 2 + X):
+                assert parse_poly(format_poly(P), ctx) == P
+    F9 = field(3, 2, (1, 0, 1))
+    text = "x^6 + x^4 + x^2 + x + [1, 1]"
+    assert format_poly(parse_poly(text, F9)) == text
+
+
 def test_gamma_command(capsys):
     code, out, _ = run_cli(capsys, "gamma", "--p", "3", "--poly", "X^2+X+2")
     assert code == 0
@@ -146,6 +161,15 @@ def test_zero_dimension_exits_2(tmp_path, capsys, argv, payload):
         argv = argv + (str(path),)
     code, out, err = run_cli(capsys, *argv)
     assert (code, out, err) == (2, "", "error: dimension must be >= 1\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("gamma", "--p", "3", "--k", "0", "--poly", "X+1"),
+    ("one-cycle-poly", "--p", "3", "--k", "0"),
+])
+def test_zero_extension_degree_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", "error: extension degree must be >= 1\n")
 
 
 def test_cycle_type_command(tmp_path, capsys):

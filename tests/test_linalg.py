@@ -166,6 +166,50 @@ def test_invertibility_and_eigenvalue_block_characterizations():
             assert (not (A + I).det().is_zero()) == all(Q != xp1 for Q, _ in blocks)
 
 
+def _check_chi_answers_against_rank(M):
+    """det, is_invertible and has_no_eigenvalue(c) for every c against the
+    elimination rank of M and of M - cI, each asked twice so that the second
+    answer reads the stored characteristic polynomial."""
+    ctx, n = M.ctx, M.rows
+    invertible = M.rank() == n
+    no_eig = {}
+    for c in ctx.elements():
+        cI = MatrixQ(ctx, [[c if i == j else 0 for j in range(n)] for i in range(n)])
+        no_eig[c] = invertible and (M - cI).rank() == n
+    for _ in range(2):
+        assert M.is_invertible() == invertible
+        assert M.det().is_zero() == (not invertible)
+        for c, expected in no_eig.items():
+            assert M.has_no_eigenvalue(c) == expected
+
+
+def test_characteristic_polynomial_answers_match_elimination_rank():
+    """Every 2 x 2 matrix over GF(2), GF(3) and GF(4), random matrices up to
+    5 x 5 over GF(5) and GF(9), and the 0 x 0 matrix (det 1, invertible)."""
+    for pk in ((2, 1), (3, 1), (2, 2)):
+        ctx = field(*pk)
+        for idx in itertools.product(range(ctx.order), repeat=4):
+            _check_chi_answers_against_rank(MatrixQ.from_codes(ctx, (idx[:2], idx[2:])))
+        empty = MatrixQ.from_codes(ctx, (), 0)
+        assert empty.det() == ctx.one() and empty.is_invertible()
+        _check_chi_answers_against_rank(empty)
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(st.sampled_from([(5, 1), (3, 2)]), st.integers(0, 5),
+                      st.sampled_from(("any", "singular")), st.data())
+    def check(pk, n, kind, data):
+        ctx = field(*pk)
+        codes = st.lists(st.integers(0, ctx.order - 1), min_size=n, max_size=n)
+        rows = data.draw(st.lists(codes, min_size=n, max_size=n))
+        if kind == "singular" and n:
+            rows[-1] = rows[0] if n > 1 else [0]
+        _check_chi_answers_against_rank(MatrixQ.from_codes(ctx, rows, n))
+
+    check()
+
+
 def test_vector_codes_match_element_arithmetic_over_extension_fields():
     """A vector built from codes, from elements or from coordinates is the
     same value with the same hash, and every operation on its codes matches
