@@ -11,7 +11,8 @@ residues for GF(p), and for GF(p^k) log/antilog tables of a primitive element
 plus Zech logarithms for addition in odd characteristic (O(q) memory, built on
 first use).  Irreducibility is Rabin's test and factoring is squarefree, then
 distinct-degree, then equal-degree (Cantor-Zassenhaus) factorisation; both
-work the same way over every GF(q).
+work the same way over every GF(q).  They and `poly_order` take q-th powers
+modulo a polynomial from one Frobenius matrix.
 """
 
 from __future__ import annotations
@@ -377,6 +378,10 @@ def _ppow(K: _Ops, a, n: int) -> list:
 
 
 def _ppowmod(K: _Ops, a, n: int, m) -> list:
+    if n < 0:
+        raise ValueError("negative polynomial power")
+    if not m:
+        raise ZeroDivisionError("polynomial division by zero")
     tail = _monic_tail(K, m)[1]
     base = _reduce(K, list(a), tail)
     result = None
@@ -408,15 +413,11 @@ def _pderiv(K: _Ops, a) -> list:
     return _trim([mul(j % p * one, a[j]) for j in range(1, len(a))])
 
 
-def _frobenius_orbit(K: _Ops, f):
-    """Yield X^q, X^(q^2), ... modulo f (degree >= 2).
-
-    The rows X^(q*j) mod f, j < deg f, of the matrix of the GF(q)-linear map
-    h -> h^q are built one after the other as far as they are needed: while
-    q^(i-1) < deg f the i-th power is the row q^(i-1) itself, and later
-    powers apply the matrix to the one before.  Each row is the one before
-    times X^q: a shift by q and a reduction for small q, a product otherwise.
-    """
+def _frobenius_matrix(K: _Ops, f) -> list[list]:
+    """The rows X^(q*j) mod f, j < deg f, of the matrix of the GF(q)-linear
+    map h -> h^q modulo the monic f, each of length deg f: K.vecmat(h, rows,
+    deg f) is h^q mod f.  Each row is the one before times X^q: a shift by q
+    and a reduction for small q, a product otherwise."""
     q, one = K.q, K.one
     d = len(f) - 1
     tail = _monic_tail(K, f)[1]
@@ -429,25 +430,31 @@ def _frobenius_orbit(K: _Ops, f):
         def step(row):
             return _reduce(K, _pmul(K, row, xq), tail)
     rows = [[one]]
-    e = 1
-    while e < d:
-        while len(rows) <= e:
-            rows.append(step(rows[-1]))
-        h = rows[e]
-        yield h
-        e *= q
     while len(rows) < d:
         rows.append(step(rows[-1]))
-    rows = [row + [0] * (d - len(row)) for row in rows]
+    return [row + [0] * (d - len(row)) for row in rows]
+
+
+def _frobenius_orbit(K: _Ops, rows):
+    """Yield X^q, X^(q^2), ... modulo f (degree >= 2), from the matrix
+    `_frobenius_matrix(K, f)`: while q^(i-1) < deg f the i-th power is the
+    row q^(i-1) itself, and later powers apply the matrix to the one before."""
+    q, d = K.q, len(rows)
+    e = 1
+    while e < d:
+        h = _trim(list(rows[e]))
+        yield h
+        e *= q
     while True:
         h = _trim(K.vecmat(h, rows, d))
         yield h
 
 
-def _is_irreducible(K: _Ops, f) -> bool:
+def _is_irreducible(K: _Ops, f, rows=None) -> bool:
     """Rabin's test: X^(q^d) = X mod f, and gcd(X^(q^(d/r)) - X, f) = 1 for
     every prime r dividing d = deg f.  An f divisible by X is rejected first:
-    the default-modulus search meets q^(d-1) of them before any other."""
+    the default-modulus search meets q^(d-1) of them before any other.
+    `rows` is the Frobenius matrix of the monic f when the caller has it."""
     d = len(f) - 1
     if d < 1:
         return False
@@ -458,7 +465,7 @@ def _is_irreducible(K: _Ops, f) -> bool:
     f = _pmonic(K, f)
     maximal = {d // r for r in factorize(d)}
     x = [0, K.one]
-    orbit = _frobenius_orbit(K, f)
+    orbit = _frobenius_orbit(K, rows or _frobenius_matrix(K, f))
     for i in range(1, d + 1):
         h = next(orbit)
         if i in maximal and len(_pgcd(K, f, _psub(K, h, x))) > 1:
@@ -499,7 +506,7 @@ def _ddf(K: _Ops, f) -> list[tuple[list, int]]:
     out = []
     rest = f
     if len(f) > 2:
-        orbit = _frobenius_orbit(K, f)
+        orbit = _frobenius_orbit(K, _frobenius_matrix(K, f))
         x = [0, K.one]
         i = 0
         while 2 * (i + 1) <= len(rest) - 1:
@@ -1040,24 +1047,53 @@ def factor_monic(P: Poly) -> list[tuple[Poly, int]]:
 def poly_order(Q: Poly) -> int:
     """Least n >= 1 with Q dividing X^n - 1, for monic irreducible Q != X.
 
-    Computed by factoring q^deg(Q) - 1 and descending through divisors.
+    For each prime l with l^a exactly dividing N = q^m - 1 (m = deg Q), the
+    order has the factor l^b, b the least with y^(l^b) = 1 for y =
+    X^(N / l^a).  One Frobenius matrix of Q (the q-th power map) serves
+    Rabin's test and every y: X^(c + q*e) = X^c * (X^e)^q, by Horner on the
+    base-q digits of the exponent.  The chain of the smallest l^a is raised
+    up to a times, so that reaching 1 proves X^N = 1; every other chain stops
+    after a - 1 raises.
     """
     if not Q.is_monic() or Q.degree < 1:
         raise ValueError("poly_order expects a monic polynomial of degree >= 1")
     if Q.degree == 1 and not Q.codes[0]:
         raise ValueError("poly_order is undefined for Q = X")
-    if not is_irreducible(Q):
-        raise ValueError("poly_order expects an irreducible polynomial")
     K = Q.ctx.ops()
-    n = Q.ctx.order ** int(Q.degree) - 1
-    x = [0, K.one]
+    f = Q.codes
+    m = len(f) - 1
+    q = K.q
+    rows = _frobenius_matrix(K, f)
+    if not _is_irreducible(K, f, rows):
+        raise ValueError("poly_order expects an irreducible polynomial")
+    tail = _monic_tail(K, f)[1]
     one = [K.one]
-    if _ppowmod(K, x, n, Q.codes) != one:
-        raise ArithmeticError("X is not a unit modulo Q")
-    order = n
-    for prime in factorize(n):
-        while order % prime == 0 and _ppowmod(K, x, order // prime, Q.codes) == one:
-            order //= prime
+
+    def x_power(e):
+        digits = []
+        while e:
+            e, c = divmod(e, q)
+            digits.append(c)
+        y = _reduce(K, [0] * digits.pop() + one, tail)
+        for c in reversed(digits):
+            y = _reduce(K, [0] * c + K.vecmat(y, rows, m), tail)
+        return y
+
+    n = q ** m - 1
+    order = 1
+    check = True
+    for prime, a in sorted(factorize(n).items(), key=lambda t: t[0] ** t[1]):
+        y = x_power(n // prime ** a)
+        b = 0
+        while y != one and b < a - 1:
+            y = _ppowmod(K, y, prime, f)
+            b += 1
+        if y != one:
+            b = a
+            if check and _ppowmod(K, y, prime, f) != one:
+                raise ArithmeticError("X is not a unit modulo Q")
+        check = False
+        order *= prime ** b
     return order
 
 

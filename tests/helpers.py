@@ -434,3 +434,19 @@ def krylov_minpoly(A: MatrixQ) -> Poly:
             return Poly.from_codes(A.ctx, [K.neg(c) for c in sol] + [K.one])
         flats.append(flat)
         power = _matmul(K, power, A.codes, n)
+
+
+def descent_poly_order(Q: Poly) -> int:
+    """Order of X modulo the monic irreducible Q != X by square-and-multiply
+    powers: X^(q^m - 1) = 1 first, then the exponent divided by each prime
+    factor while X to the quotient is still 1 (the library's method before it
+    powered through the Frobenius matrix)."""
+    from cosetmap.gf import factorize
+    x, one = Poly.x(Q.ctx), Poly.one(Q.ctx)
+    n = Q.ctx.order ** int(Q.degree) - 1
+    assert x.pow_mod(n, Q) == one
+    order = n
+    for prime in factorize(n):
+        while order % prime == 0 and x.pow_mod(order // prime, Q) == one:
+            order //= prime
+    return order

@@ -13,7 +13,7 @@ from cosetmap import (CosetWiseAffineMap, InfeasibleError, MatrixQ, Poly,
                       one_cycle_map, one_cycle_polynomial, sylow_type_targets,
                       vector_to_field, wreath_mul, wreath_to_cw)
 from cosetmap.cwaffine import _affine_table, _forward_product
-from cosetmap.cycletype import cycles_of
+from cosetmap.cycletype import ct_of_permutation, cycles_of
 from cosetmap.oracle import index_to_tuple
 from helpers import (forward_product_by_then, one_cycle_closed_form_images,
                      one_cycle_reference_tables, pointwise_affine_table,
@@ -83,6 +83,38 @@ def test_structural_predicates_vs_oracle():
             assert cw_cycle_type(f) == report.cycle_type
             type_checked += 1
     assert type_checked >= 250
+
+
+SPLITTINGS = [(p, d, t) for p in (2, 3, 5) for d in range(1, 5) for t in range(5 - d)]
+
+
+@pytest.mark.parametrize("p,d,t", SPLITTINGS)
+def test_cw_cycle_type_matches_table_cycles(p, d, t):
+    """The structural cycle type against the cycles of the value table, on
+    random coset-wise permutations and random maps over every splitting with
+    p in {2, 3, 5} and d + t <= 4; a map that is not a permutation is refused
+    by both."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=12, deadline=None)
+    @hypothesis.given(st.booleans(), st.integers(0, 2 ** 32))
+    def check(permutation, seed):
+        rng = random.Random(seed)
+        f = (random_cw_permutation if permutation else random_cw_map)(p, d, t, rng)
+        table = cw_to_table(f).images
+        if not cw_is_permutation(f):
+            with pytest.raises(ValueError):
+                cw_cycle_type(f)
+            with pytest.raises(ValueError):
+                ct_of_permutation(table)
+            return
+        expected = ct_of_permutation(table)
+        assert cw_cycle_type(f) == expected
+        assert sorted(len(c) for c in cycles_of(table)) == sorted(
+            length for length, k in expected.cycles for _ in range(k))
+
+    check()
 
 
 def test_singular_alpha_is_not_permutation():

@@ -6,6 +6,7 @@ from cosetmap import (Poly, enumerate_irreducibles, factor_monic, field,
                       field_of_order, is_irreducible, poly_gcd, poly_order,
                       q_adic_valuation)
 from cosetmap.gf import MINUS_INFINITY
+from helpers import descent_poly_order
 
 SMALL_FIELDS = [2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 49]
 
@@ -147,6 +148,50 @@ def test_poly_order_divides_group_order(p):
         for d in range(1, o):
             if o % d == 0:
                 assert x.pow_mod(d, Q) != one
+
+
+def test_pow_mod_refuses_negative_power_and_zero_modulus():
+    F3 = field(3)
+    x, Q = Poly.x(F3), Poly(F3, (2, 1, 1))
+    with pytest.raises(ValueError, match="negative polynomial power"):
+        x.pow_mod(-1, Q)
+    with pytest.raises(ZeroDivisionError, match="polynomial division by zero"):
+        x.pow_mod(3, Poly.zero(F3))
+    assert x.pow_mod(0, Q) == Poly.one(F3)
+
+
+# (q, largest degree) for the comparison with the descent
+POLY_ORDER_SWEEP = [(2, 8), (3, 5), (5, 3), (7, 3), (4, 3), (8, 3), (9, 2), (25, 2), (27, 2)]
+
+
+@pytest.mark.parametrize("q,max_degree", POLY_ORDER_SWEEP)
+def test_poly_order_matches_descent(q, max_degree):
+    ctx = field_of_order(q)
+    x, one = Poly.x(ctx), Poly.one(ctx)
+    for Q in enumerate_irreducibles(ctx, max_degree):
+        if Q == x:
+            continue
+        o = poly_order(Q)
+        assert o == descent_poly_order(Q), Q
+        n = q ** int(Q.degree) - 1
+        if n < 729:
+            power, least = x % Q, 1
+            while power != one:
+                power = power * x % Q
+                least += 1
+            assert o == least, Q
+
+
+def test_poly_order_refusals():
+    F2, F3 = field(2), field(3)
+    with pytest.raises(ValueError, match="irreducible"):
+        poly_order(Poly(F3, (1, 0, 1)) * Poly(F3, (2, 1, 1)))  # (X^2+1)(X^2+X+2)
+    with pytest.raises(ValueError, match="irreducible"):
+        poly_order(Poly(F2, (1, 1, 1)) ** 2)
+    with pytest.raises(ValueError, match="Q = X"):
+        poly_order(Poly.x(F3))
+    with pytest.raises(ValueError, match="monic"):
+        poly_order(Poly(F3, (1, 2)))  # 2X + 1
 
 
 def test_q_adic_valuation_examples():
