@@ -9,10 +9,11 @@ fall out by subtraction along the chain of candidates.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 from dataclasses import dataclass
 
-from .cycletype import CycleType, ct, weixu_all
+from .cycletype import CycleType, weixu_all
 from .gf import FieldCtx, Poly, enumerate_irreducibles, field, poly_order
 from .linalg import AffineMap, MatrixQ, VectorQ, companion, elementary_divisors
 
@@ -28,12 +29,6 @@ def _is_x(Q: Poly) -> bool:
 
 def _is_x_minus_1(Q: Poly) -> bool:
     return int(Q.degree) == 1 and Q.coeff(0) == -Q.ctx.one()
-
-
-def _is_ppower(e: int, p: int) -> bool:
-    while e % p == 0:
-        e //= p
-    return e == 1
 
 
 def _ceil_log(e: int, p: int) -> int:
@@ -59,30 +54,24 @@ class BlockCase:
             raise ValueError("block exponent must be >= 1")
         if _is_x(self.Q):
             raise ValueError("block polynomial must not be X")
-        is_xm1 = _is_x_minus_1(self.Q)
-        if self.u_class == U_GENERIC:
-            if is_xm1:
-                raise ValueError("X-1 blocks are never generic")
-        elif self.u_class in (U_NONUNIT, U_UNIT_NOT_PPOWER, U_UNIT_PPOWER):
-            if not is_xm1:
-                raise ValueError("unit/nonunit classes apply to X-1 blocks only")
-            p = self.Q.ctx.p
-            if self.u_class == U_UNIT_PPOWER and not _is_ppower(self.e, p):
-                raise ValueError("exponent is not a power of p")
-            if self.u_class == U_UNIT_NOT_PPOWER and (self.e == 1 or _is_ppower(self.e, p)):
-                raise ValueError("exponent is a power of p")
-        else:
-            raise ValueError(f"unknown shift class {self.u_class!r}")
+        # NONUNIT is tested as the class of a nonunit shift, every other
+        # class as that of a unit shift: GENERIC is the class of both
+        if self.u_class != _shift_class(self.Q, self.e, self.u_class != U_NONUNIT):
+            raise ValueError(f"shift class {self.u_class!r} does not fit ({self.Q})^{self.e}")
+
+
+def _shift_class(Q: Poly, e: int, unit: bool) -> str:
+    """The shift class of a block Q^e; `unit` says whether the shift is a
+    unit, which matters for Q = X-1 only."""
+    if not _is_x_minus_1(Q):
+        return U_GENERIC
+    if not unit:
+        return U_NONUNIT
+    return U_UNIT_PPOWER if Q.ctx.p ** _ceil_log(e, Q.ctx.p) == e else U_UNIT_NOT_PPOWER
 
 
 def _case(Q: Poly, e: int, unit: bool) -> BlockCase:
-    """The block case of Q^e; `unit` says whether the shift is a unit, which
-    matters for Q = X-1 only."""
-    if not _is_x_minus_1(Q):
-        return BlockCase(Q, e, U_GENERIC)
-    if not unit:
-        return BlockCase(Q, e, U_NONUNIT)
-    return BlockCase(Q, e, U_UNIT_PPOWER if _is_ppower(e, Q.ctx.p) else U_UNIT_NOT_PPOWER)
+    return BlockCase(Q, e, _shift_class(Q, e, unit))
 
 
 def classify_block(Q: Poly, e: int, U: Poly) -> BlockCase:
@@ -296,17 +285,34 @@ def witness_map(gamma: CycleType, d: int, p: int, complete: bool = False) -> Aff
     return f
 
 
+# For ell >= 2 the ell-fold products of complete matrices fill GL_d(q), except
+# for these (d, q); there they are the listed code-row matrices whatever ell.
+# Over GF(2)^2 the members are I, A and B = A^2 = A^-1.
+_EXCEPTIONAL_PRODUCTS = {
+    (1, 2): (),
+    (1, 3): (((1,),),),
+    (2, 2): (((1, 0), (0, 1)), ((0, 1), (1, 1)), ((1, 1), (1, 0))),
+}
+
+
+@functools.cache
+def _exceptional_gamma(d: int, p: int) -> frozenset[CycleType]:
+    ctx = field(p)
+    return frozenset().union(*(gamma_of_matrix(MatrixQ(ctx, rows))
+                               for rows in _EXCEPTIONAL_PRODUCTS[d, p]))
+
+
 def gamma_dpl(d: int, p: int, ell: int) -> frozenset[CycleType]:
     """Cycle types realizable by lambda(M, w) with M a product of ell
-    complete invertible matrices over GF(p)."""
+    complete invertible matrices over GF(p).
+
+    For ell >= 2 this is every affine cycle type, except over GF(2)^1,
+    GF(3)^1 and GF(2)^2, where it is the union of the gamma sets of the few
+    matrices that are such products (none over GF(2)^1)."""
     if d < 1 or ell < 1:
         raise ValueError("dimension and factor count must be >= 1")
     if ell == 1:
         return ct_acgl(d, p)
-    if (d, p) == (1, 2):
-        return frozenset()
-    if (d, p) == (1, 3):
-        return frozenset({ct("x1^3"), ct("x3")})
-    if (d, p) == (2, 2):
-        return frozenset({ct("x1^4"), ct("x2^2"), ct("x1 x3")})
+    if (d, p) in _EXCEPTIONAL_PRODUCTS:
+        return _exceptional_gamma(d, p)
     return ct_agl(d, p)

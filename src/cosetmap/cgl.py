@@ -7,7 +7,7 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from .affine_ct import ct_agl, gamma_dpl, witness_map
+from .affine_ct import _EXCEPTIONAL_PRODUCTS, ct_agl, gamma_dpl, witness_map
 from .cycletype import CycleType
 from .errors import InfeasibleError
 from .gf import FieldCtx, field_of_order
@@ -42,34 +42,23 @@ class CglFactorization:
             raise ValueError("factors do not multiply to the stated product")
 
 
-def _exceptional_members(ctx: FieldCtx, d: int) -> list[MatrixQ]:
-    if (d, ctx.order) == (1, 3):
-        return [MatrixQ(ctx, ((1,),))]
-    if (d, ctx.order) == (2, 2):
-        return [
-            MatrixQ.identity(ctx, 2),
-            MatrixQ(ctx, ((0, 1), (1, 1))),
-            MatrixQ(ctx, ((1, 1), (1, 0))),
-        ]
-    raise ValueError("no explicit member list for this case")
-
-
 def cgl_power_set(d: int, q: int, ell: int):
     """Describe the set of ell-fold products of complete invertible matrices.
 
     Returns (tag, members): tag is one of "cgl", "gl", "empty", "explicit";
     members is the explicit matrix list for the exceptional cases, else None.
+    For ell >= 2 the products fill GL_d(q) ("gl") except over GF(2)^1
+    ("empty"), GF(3)^1 (the identity) and GF(2)^2 (I, A and B = A^2 = A^-1).
     """
     if d < 1 or ell < 1:
         raise ValueError("dimension and factor count must be >= 1")
     ctx = field_of_order(q)
     if ell == 1:
         return "cgl", None
-    if (d, q) == (1, 2):
-        return "empty", []
-    if (d, q) in ((1, 3), (2, 2)):
-        return "explicit", _exceptional_members(ctx, d)
-    return "gl", None
+    if (d, q) not in _EXCEPTIONAL_PRODUCTS:
+        return "gl", None
+    members = [MatrixQ(ctx, rows) for rows in _EXCEPTIONAL_PRODUCTS[d, q]]
+    return ("explicit" if members else "empty"), members
 
 
 def _random_member(ctx: FieldCtx, d: int, rng: random.Random, c: int, tries: int = 512):
@@ -129,19 +118,16 @@ def factor_into_cgl(M: MatrixQ, ell: int, seed: int = 0) -> CglFactorization:
             raise InfeasibleError("matrix has eigenvalue -1; not a one-factor product")
         return CglFactorization((M,), M)
 
-    if (d, q) == (1, 2):
-        raise InfeasibleError("GF(2)^1 admits no complete linear maps")
-    if (d, q) == (1, 3):
-        if M != MatrixQ.identity(ctx, 1):
-            raise InfeasibleError("only the identity factors over GF(3) in dimension 1")
-        return CglFactorization((M,) * ell, M)
-    if (d, q) == (2, 2):
-        members = _exceptional_members(ctx, 2)  # I, A and B = A^2 = A^-1
+    members = cgl_power_set(d, q, ell)[1]
+    if members is not None:
         if M not in members:
-            raise InfeasibleError("matrix is not an ell-fold product over GF(2)^2")
-        A, B = members[1:]
-        # a word with b letters B and ell-b letters A evaluates to A^(ell+b mod 3)
-        b = next(b for b in range(3) if (ell + b) % 3 == members.index(M))
+            raise InfeasibleError(f"matrix is not a product of {ell} complete matrices "
+                                  f"over GF({q})^{d}")
+        # the members are the n powers of A = members[1 % n], and B = A^-1 is
+        # the last; a word of ell - b letters A and b letters B is A^(ell - 2b)
+        n = len(members)
+        A, B = members[1 % n], members[-1]
+        b = next(b for b in range(n) if (ell - 2 * b) % n == members.index(M))
         return CglFactorization((A,) * (ell - b) + (B,) * b, M)
 
     if ctx.p > 2:
@@ -168,10 +154,13 @@ def two_fpf_product(M: MatrixQ, seed: int = 0) -> tuple[MatrixQ, MatrixQ]:
         raise ValueError("dimension must be >= 1")
     if not M.is_invertible():
         raise ValueError("only invertible matrices can be factored")
-    d = M.rows
-    q = M.ctx.order
-    if (d, q) in ((1, 2), (1, 3), (2, 2)):
-        raise InfeasibleError(f"(d, q) = {(d, q)} admits no two-derangement factorization")
+    # Over GF(2)^1, GF(3)^1 and GF(2)^2 the products of two fixed-point-free
+    # matrices are those of two complete ones: the two notions agree in
+    # characteristic 2, and over GF(3)^1 [2]*[2] = I.
+    members = cgl_power_set(M.rows, M.ctx.order, 2)[1]
+    if members is not None and M not in members:
+        raise InfeasibleError("matrix is not a product of two fixed-point-free matrices "
+                              f"over GF({M.ctx.order})^{M.rows}")
     rng = random.Random(seed)
     return _search_two_factor(M, M.ctx.code(1), rng)
 
@@ -201,8 +190,8 @@ def realize_gamma(gamma: CycleType, d: int, p: int, ell: int, seed: int = 0,
         raise InfeasibleError(f"{gamma} is not an affine cycle type in dimension {d} over GF({p})")
     # one factor must be complete itself: no block X+1, i.e. no eigenvalue -1.
     # For ell >= 2 over GF(3)^1 and GF(2)^2 the first witness of every type in
-    # gamma_dpl is a member of the explicit product set; factor_into_cgl
-    # refuses any other matrix.
+    # gamma_dpl is a member of `affine_ct._EXCEPTIONAL_PRODUCTS`;
+    # factor_into_cgl refuses any other matrix.
     f = witness_map(gamma, d, p, complete=require_complete and ell == 1)
     if require_complete:
         return factor_into_cgl(f.matrix, ell, seed=seed).factors, f.shift

@@ -688,7 +688,8 @@ def field(p: int, k: int = 1, modulus=None) -> FieldCtx:
         modulus = _BUNDLED_MODULI.get((p, k))
         if modulus is None and is_prime(p):
             fp = _prime_ops(p)
-            modulus = next(c + (1,) for c in itertools.product(range(p), repeat=k)
+            # the constant term varies slowest and starts at 1: X divides the rest
+            modulus = next(c + (1,) for c in itertools.product(range(1, p), *[range(p)] * (k - 1))
                            if _is_irreducible(fp, c + (1,)))
     key = (p, k, tuple(c % p for c in modulus) if modulus is not None else None)
     ctx = _CTX_CACHE.get(key)

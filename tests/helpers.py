@@ -450,3 +450,13 @@ def descent_poly_order(Q: Poly) -> int:
         while order % prime == 0 and x.pow_mod(order // prime, Q) == one:
             order //= prime
     return order
+
+
+def scan_default_modulus(p: int, k: int) -> tuple[int, ...]:
+    """The default modulus of GF(p^k) by the search the library ran before it
+    started the constant term at 1: the first candidate c + (1,) for c in
+    `itertools.product(range(p), repeat=k)` that is irreducible."""
+    from cosetmap.gf import _is_irreducible, _prime_ops
+    fp = _prime_ops(p)
+    return next(c + (1,) for c in itertools.product(range(p), repeat=k)
+                if _is_irreducible(fp, c + (1,)))

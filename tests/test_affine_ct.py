@@ -149,15 +149,17 @@ def test_gamma_dpl_vs_exhaustive_affine_groups():
 
 
 def test_gamma_dpl_exceptional_sets_match_member_scan():
-    # the hard-coded exceptional sets equal the union of gammas over the
-    # explicit member lists
-    from cosetmap import cgl_power_set
-    for d, p in [(1, 3), (2, 2)]:
+    # for ell >= 2 the exceptional sets are the orbit-walked types of
+    # x -> x*M + w over the members M of the product set and every shift w
+    import itertools
+    from cosetmap import CycleType, cgl_power_set
+    for d, p in [(1, 2), (1, 3), (2, 2)]:
+        ctx = field(p)
         _, members = cgl_power_set(d, p, 2)
-        union = set()
-        for M in members:
-            union |= gamma_of_matrix(M)
-        assert gamma_dpl(d, p, 2) == frozenset(union)
+        walked = {CycleType(brute_affine_cycle_counts(M, VectorQ(ctx, w)))
+                  for M in members for w in itertools.product(range(p), repeat=d)}
+        for ell in (2, 3):
+            assert gamma_dpl(d, p, ell) == frozenset(walked)
 
 
 def test_block_sum_rule():

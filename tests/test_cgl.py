@@ -170,9 +170,11 @@ def test_two_fpf_product():
         two_fpf_product(MatrixQ(field(3), ((2,),)))
 
 
-@pytest.mark.parametrize("d,q", [(1, 4), (1, 5), (1, 7), (1, 8), (1, 9),
-                                 (2, 3), (3, 2)])
+@pytest.mark.parametrize("d,q", [(1, 2), (1, 3), (2, 2), (1, 4), (1, 5), (1, 7),
+                                 (1, 8), (1, 9), (2, 3), (3, 2)])
 def test_two_fpf_covers_group(d, q):
+    # over GF(2)^1, GF(3)^1 and GF(2)^2 the products are the members of the
+    # two-fold complete product set, and two_fpf_product refuses the rest
     from cosetmap import field_of_order
     ctx = field_of_order(q)
     fpf = [M for M in all_invertible_matrices(ctx, d) if is_fpf(M)]
@@ -180,7 +182,18 @@ def test_two_fpf_covers_group(d, q):
     for A in fpf:
         for B in fpf:
             products.add(A * B)
-    assert products == set(all_invertible_matrices(ctx, d))
+    members = cgl_power_set(d, q, 2)[1]
+    if members is None:
+        assert products == set(all_invertible_matrices(ctx, d))
+        return
+    assert products == set(members)
+    for M in all_invertible_matrices(ctx, d):
+        if M in products:
+            C1, C2 = two_fpf_product(M, seed=0)
+            assert is_fpf(C1) and is_fpf(C2) and C1 * C2 == M
+        else:
+            with pytest.raises(InfeasibleError):
+                two_fpf_product(M, seed=0)
 
 
 def test_two_fpf_sampled_larger_group():

@@ -35,6 +35,17 @@ def test_blow_up():
         assert blow_up(l, a).degree == l * a.degree
 
 
+def test_power_lengths_and_copy():
+    g = ct("x1^2 x3")
+    assert g ** 3 == g * g * g == ct("x1^6 x3^3")
+    assert g ** 0 == CycleType()
+    with pytest.raises(ValueError):
+        g ** -1
+    assert g.lengths() == (1, 3) and CycleType().lengths() == ()
+    copy = CycleType(g)
+    assert copy == g and hash(copy) == hash(g) and copy.cycles == ((1, 2), (3, 1))
+
+
 def test_weixu_paper_products():
     assert weixu_all([ct("x1^3 x3^2"), ct("x1^3 x3^8"), ct("x1 x8")]) == ct("x1^9 x3^78 x8^9 x24^78")
     assert weixu_all([ct("x3^3"), ct("x9^3"), ct("x1 x8")]) == ct("x9^27 x72^27")
@@ -70,12 +81,17 @@ def test_weixu_commutative_associative_identity():
         assert weixu(weixu(a, b), c) == weixu(a, weixu(b, c))
         assert weixu(a, one_point) == a
         assert weixu(a, b).degree == a.degree * b.degree
+    # the empty star product is the type of the one-point space
+    assert weixu_all([]) == one_point
 
 
 def test_format_parse_round_trip():
     assert ct_format(ct_parse("x1^3 x3^8")) == "x1^3 x3^8"
     assert ct_parse("x27") == CycleType({27: 1})
     assert ct_format(CycleType({3: 1, 1: 2})) == "x1^2 x3"
+    # "1" is the empty monomial, the unit of the disjoint-union product
+    assert ct_parse("1") == CycleType() and ct_format(CycleType()) == "1"
+    assert ct("1") * ct("x2") == ct("x2")
     with pytest.raises(ValueError):
         ct_parse("x3 x1")
     with pytest.raises(ValueError):

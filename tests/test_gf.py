@@ -6,7 +6,7 @@ from cosetmap import (Poly, enumerate_irreducibles, factor_monic, field,
                       field_of_order, is_irreducible, poly_gcd, poly_order,
                       q_adic_valuation)
 from cosetmap.gf import MINUS_INFINITY
-from helpers import descent_poly_order
+from helpers import descent_poly_order, scan_default_modulus
 
 SMALL_FIELDS = [2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 49]
 
@@ -45,8 +45,11 @@ def test_field_axioms(q):
         assert a + ctx.zero() == a
         assert a * ctx.one() == a
         assert (a + (-a)).is_zero()
+        assert 1 - a == ctx.one() - a and (1 - a) + a == ctx.one()
         if not a.is_zero():
             assert a * a.inverse() == ctx.one()
+            assert 1 / a == a.inverse() and (2 / a) * a == ctx.elem(2)
+            assert a ** -3 == a.inverse() ** 3 and a ** -3 * a * a * a == ctx.one()
     for a in elems:
         for b in elems:
             assert a + b == b + a
@@ -73,6 +76,12 @@ def test_poly_basics():
     assert Poly.zero(F3).degree == MINUS_INFINITY
     with pytest.raises(ZeroDivisionError):
         divmod(xm1, Poly.zero(F3))
+    f = Poly(F3, (1, 2, 0, 2))  # 2X^3 + 2X + 1
+    assert f.leading == F3.elem(2)
+    assert -f == Poly(F3, (2, 1, 0, 1)) and f + -f == Poly.zero(F3)
+    assert f // xm1 == divmod(f, xm1)[0] and (f // xm1) * xm1 + f % xm1 == f
+    with pytest.raises(ValueError):
+        Poly.zero(F3).leading
 
 
 def test_factor_monic_examples():
@@ -255,3 +264,14 @@ def test_default_modulus_is_first_irreducible():
         field(3, 2, (0, 0, 1))  # X^2 is reducible
     with pytest.raises(ValueError):
         field(4)  # not prime
+
+
+def test_default_modulus_matches_full_scan():
+    # the search skips the candidates divisible by X, none irreducible for k >= 2
+    for p in (2, 3, 5, 7, 11, 13):
+        for k in range(2, 17):
+            if p ** k > 10 ** 5:
+                break
+            # GF(27) keeps its bundled X^3 - X + 1
+            expected = (1, 2, 0, 1) if (p, k) == (3, 3) else scan_default_modulus(p, k)
+            assert field(p, k).modulus == expected, (p, k)

@@ -22,6 +22,16 @@ def test_mat_arith_basics():
     assert x * M == b
     with pytest.raises(ZeroDivisionError):
         MatrixQ.zeros(F5, 2, 2).inverse()
+    # powers against repeated products; negative ones go through the inverse
+    A = random_invertible(F5, 3, random.Random(2))
+    assert A ** 0 == I and A ** 1 == A
+    assert A ** 5 == A * A * A * A * A
+    assert A ** -2 == A.inverse() * A.inverse() and A ** -2 * A * A == I
+    with pytest.raises(ValueError):
+        MatrixQ(F5, ((1, 2),)) ** 2
+    F9 = field(3, 2)
+    v = VectorQ(F9, (F9.gen(), 2, 0))
+    assert (v[0], v[1], v[-1]) == (F9.gen(), F9.elem(2), F9.zero())
 
 
 def test_moore_matrix_inverse_first_row():

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -129,6 +130,9 @@ def test_json_and_csv_loading():
     assert t == MapTable(3, (1, 2, 0))
     t = load_table("0,1\n1,2\n2,0\n")
     assert t == MapTable(3, (1, 2, 0))
+    assert t.to_json() == {"n": 3, "images": [1, 2, 0]}
+    assert MapTable.from_json(t.to_json()) == t
+    assert load_table(json.dumps(t.to_json())) == t
     with pytest.raises(ValueError):
         load_table("0,1\n2,0\n")
     with pytest.raises(ValueError, match="exactly once"):
