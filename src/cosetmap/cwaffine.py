@@ -471,16 +471,10 @@ def one_cycle_polynomial(ctx: FieldCtx) -> Poly:
     p = ctx.p
     pis = coordinate_functions(ctx)
     w = ctx.gen()
-
-    def pth_minus_one_power(P: Poly) -> Poly:
-        acc = Poly.one(ctx)
-        for _ in range(p - 1):
-            acc = _mul_reduced(acc, P)
-        return acc
-
-    g = Poly.one(ctx) - pth_minus_one_power(pis[1])
+    # pi_j^(p-1) has degree q - q/p, so it needs no reduction modulo Y^q - Y
+    g = Poly.one(ctx) - pis[1] ** (p - 1)
     for j in range(2, ctx.k):
-        indicator = Poly.one(ctx) - pth_minus_one_power(pis[j])
+        indicator = Poly.one(ctx) - pis[j] ** (p - 1)
         g = _mul_reduced(indicator, Poly(ctx, (w ** (j - 1),)) + g)
     x = Poly.x(ctx)
     return _reduce_exponents(x + Poly(ctx, (w ** (ctx.k - 1),)) + g)

@@ -89,7 +89,7 @@ def factorize(n: int) -> dict[int, int]:
 class _Ops:
     """Arithmetic on the element codes of one field.
 
-    Scalars: add, sub, neg, mul, inv and root (a -> a^(1/p)).  Rows are
+    Scalars: add, neg, mul, inv and root (a -> a^(1/p)).  Rows are
     equal-length sequences of codes: axpy(x, c, y) is the list x + c*y,
     scale(c, x) the list c*x and vecmat(v, M, width) the row v times the
     matrix with rows M.  Polynomials: pmul(a, b) is the product of two nonzero
@@ -99,8 +99,8 @@ class _Ops:
     of 1, p^(k-1).
     """
 
-    __slots__ = ("p", "q", "one", "add", "sub", "neg", "mul", "inv", "root", "axpy", "scale",
-                 "pmul", "reduce", "horner", "vecmat")
+    __slots__ = ("p", "q", "one", "add", "neg", "mul", "inv", "root", "axpy", "scale", "pmul",
+                 "reduce", "horner", "vecmat")
 
     def __init__(self, p: int, q: int, one: int, **fns):
         self.p, self.q, self.one = p, q, one
@@ -111,9 +111,6 @@ class _Ops:
 def _prime_ops(p: int) -> _Ops:
     def add(a, b):
         return (a + b) % p
-
-    def sub(a, b):
-        return (a - b) % p
 
     def neg(a):
         return -a % p
@@ -132,8 +129,7 @@ def _prime_ops(p: int) -> _Ops:
     def scale(c, x):
         return [c * a % p for a in x]
 
-    scalars = dict(add=add, sub=sub, neg=neg, mul=mul, inv=inv, root=lambda a: a, axpy=axpy,
-                   scale=scale)
+    scalars = dict(add=add, neg=neg, mul=mul, inv=inv, root=lambda a: a, axpy=axpy, scale=scale)
     return _Ops(p, p, 1, **scalars, **_row_poly_ops(**scalars))
 
 
@@ -246,8 +242,8 @@ def _table_ops(ctx: "FieldCtx") -> _Ops:
             lc = log[c]
             return [a ^ exp[lc + log[b]] if b else a for a, b in zip(x, y)]
 
-        scalars = dict(add=operator.xor, sub=operator.xor, neg=lambda a: a, mul=mul, inv=inv,
-                       root=root, axpy=axpy, scale=scale)
+        scalars = dict(add=operator.xor, neg=lambda a: a, mul=mul, inv=inv, root=root, axpy=axpy,
+                       scale=scale)
         return _Ops(p, q, q // p, **scalars, **_row_poly_ops(**scalars))
 
     half = n // 2  # -1 = g^((q-1)/2)
@@ -263,9 +259,6 @@ def _table_ops(ctx: "FieldCtx") -> _Ops:
         la = log[a]
         z = zech[log[b] - la]
         return exp[la + z] if z >= 0 else 0
-
-    def sub(a, b):
-        return add(a, neg(b))
 
     def axpy(x, c, y):
         if not c:
@@ -284,8 +277,7 @@ def _table_ops(ctx: "FieldCtx") -> _Ops:
             out.append(a)
         return out
 
-    scalars = dict(add=add, sub=sub, neg=neg, mul=mul, inv=inv, root=root, axpy=axpy,
-                   scale=scale)
+    scalars = dict(add=add, neg=neg, mul=mul, inv=inv, root=root, axpy=axpy, scale=scale)
     return _Ops(p, q, q // p, **scalars, **_row_poly_ops(**scalars))
 
 
@@ -366,15 +358,21 @@ def _pexact_div(K: _Ops, a, b) -> list:
     return q
 
 
-def _ppow(K: _Ops, a, n: int) -> list:
-    result = [K.one]
+def _power(mul, a, n: int, one):
+    """a^n for n >= 0 by square-and-multiply, with `mul` the product and `one`
+    its identity; the one loop behind every power of the package."""
+    result = one
     while n:
         if n & 1:
-            result = _pmul(K, result, a)
+            result = mul(result, a)
         n >>= 1
         if n:
-            a = _pmul(K, a, a)
+            a = mul(a, a)
     return result
+
+
+def _ppow(K: _Ops, a, n: int) -> list:
+    return _power(lambda x, y: _pmul(K, x, y), a, n, [K.one])
 
 
 def _ppowmod(K: _Ops, a, n: int, m) -> list:
@@ -383,16 +381,8 @@ def _ppowmod(K: _Ops, a, n: int, m) -> list:
     if not m:
         raise ZeroDivisionError("polynomial division by zero")
     tail = _monic_tail(K, m)[1]
-    base = _reduce(K, list(a), tail)
-    result = None
-    while True:
-        if n & 1:
-            result = base if result is None else _reduce(K, _pmul(K, result, base), tail)
-        n >>= 1
-        if not n:
-            break
-        base = _reduce(K, _pmul(K, base, base), tail)
-    return _reduce(K, [K.one], tail) if result is None else result
+    return _power(lambda x, y: _reduce(K, _pmul(K, x, y), tail), _reduce(K, list(a), tail), n,
+                  _reduce(K, [K.one], tail))
 
 
 def _pmonic(K: _Ops, a) -> list:
@@ -452,8 +442,9 @@ def _frobenius_orbit(K: _Ops, rows):
 
 def _is_irreducible(K: _Ops, f, rows=None) -> bool:
     """Rabin's test: X^(q^d) = X mod f, and gcd(X^(q^(d/r)) - X, f) = 1 for
-    every prime r dividing d = deg f.  An f divisible by X is rejected first:
-    the default-modulus search meets q^(d-1) of them before any other.
+    every prime r dividing d = deg f.  A multiple of X of degree >= 2 is
+    rejected before the Frobenius matrix is built: an explicit modulus may be
+    one, and a scan over all polynomials of degree d meets q^(d-1) of them.
     `rows` is the Frobenius matrix of the monic f when the caller has it."""
     d = len(f) - 1
     if d < 1:
@@ -682,19 +673,20 @@ def field(p: int, k: int = 1, modulus=None) -> FieldCtx:
     """Interning factory for field contexts.
 
     For k >= 2 without an explicit modulus, the bundled table is consulted
-    first, then the first irreducible of degree k in enumeration order.
+    first, then the first irreducible of degree k in enumeration order; the
+    request is remembered under its own key, so the search runs once.
     """
-    if k >= 2 and modulus is None:
-        modulus = _BUNDLED_MODULI.get((p, k))
-        if modulus is None and is_prime(p):
-            fp = _prime_ops(p)
-            # the constant term varies slowest and starts at 1: X divides the rest
-            modulus = next(c + (1,) for c in itertools.product(range(1, p), *[range(p)] * (k - 1))
-                           if _is_irreducible(fp, c + (1,)))
     key = (p, k, tuple(c % p for c in modulus) if modulus is not None else None)
     ctx = _CTX_CACHE.get(key)
     if ctx is None:
-        ctx = FieldCtx(p, k, key[2])
+        if k >= 2 and modulus is None and is_prime(p):
+            fp = _prime_ops(p)
+            # the constant term varies slowest and starts at 1: X divides the rest
+            ctx = field(p, k, _BUNDLED_MODULI.get((p, k)) or next(
+                c + (1,) for c in itertools.product(range(1, p), *[range(p)] * (k - 1))
+                if _is_irreducible(fp, c + (1,))))
+        else:
+            ctx = FieldCtx(p, k, key[2])
         _CTX_CACHE[key] = ctx
     return ctx
 
@@ -780,14 +772,11 @@ class FieldElement:
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
-        result = self.ctx.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        ctx = self.ctx
+        if not n:
+            return ctx.one()  # without tables, so also above their size limit
+        K = ctx.ops()
+        return ctx._from_code(_power(K.mul, self.index, n, K.one))
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
@@ -1070,6 +1059,9 @@ def poly_order(Q: Poly) -> int:
     tail = _monic_tail(K, f)[1]
     one = [K.one]
 
+    def mulmod(u, v):
+        return _reduce(K, _pmul(K, u, v), tail)
+
     def x_power(e):
         digits = []
         while e:
@@ -1087,11 +1079,11 @@ def poly_order(Q: Poly) -> int:
         y = x_power(n // prime ** a)
         b = 0
         while y != one and b < a - 1:
-            y = _ppowmod(K, y, prime, f)
+            y = _power(mulmod, y, prime, one)
             b += 1
         if y != one:
             b = a
-            if check and _ppowmod(K, y, prime, f) != one:
+            if check and _power(mulmod, y, prime, one) != one:
                 raise ArithmeticError("X is not a unit modulo Q")
         check = False
         order *= prime ** b

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .gf import (FieldCtx, FieldElement, Poly, _Ops, _pexact_div, _pmul, _ppow, _trim,
-                 factor_monic, index_to_tuple, is_irreducible)
+from .gf import (FieldCtx, FieldElement, Poly, _Ops, _pexact_div, _pmul, _power, _ppow,
+                 _trim, factor_monic, index_to_tuple, is_irreducible)
 
 
 # ---------------------------------------------------------------------------
@@ -26,14 +26,7 @@ def _matmul(K: _Ops, A, B, width: int) -> list[list]:
 
 def _matpow(K: _Ops, A, e: int) -> list[list]:
     n = len(A)
-    result = _identity(K, n)
-    while e:
-        if e & 1:
-            result = _matmul(K, result, A, n)
-        e >>= 1
-        if e:
-            A = _matmul(K, A, A, n)
-    return result
+    return _power(lambda X, Y: _matmul(K, X, Y, n), A, e, _identity(K, n))
 
 
 def _identity(K: _Ops, n: int) -> list[list]:

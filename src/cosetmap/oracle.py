@@ -23,18 +23,25 @@ MAX_DOMAIN = 10 ** 6
 def is_complete_mapping(images, p: int, n: int, sign: int = 1) -> bool:
     """Whether the map g of GF(p)^n with this image table is a complete
     mapping: a bijection with x -> g(x) + x also a bijection.  With sign=-1
-    the second map is x -> g(x) - x, so the test is for an orthomorphism.
-    The sum indices are built one digit column at a time, in index order."""
+    the second map is x -> g(x) - x, so the test is for an orthomorphism."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
+    return sorted(images) == list(range(p ** n)) and _sums_bijective(images, p, n, (sign,))[0]
+
+
+def _sums_bijective(images, p: int, n: int, signs) -> list[bool]:
+    """For each sign s, whether x -> g(x) + s*x is a bijection, for the bijection
+    g of GF(p)^n with this image table, from one set of digit columns."""
     size = p ** n
-    if sorted(images) != list(range(size)):
-        return False
     points = list(itertools.product(range(p), repeat=n))
-    sums = [0] * size
-    for xs, ys in zip(zip(*points), zip(*[points[y] for y in images])):
-        sums = [s * p + (y + sign * x) % p for s, x, y in zip(sums, xs, ys)]
-    return len(set(sums)) == size
+    columns = list(zip(zip(*points), zip(*[points[y] for y in images])))
+    verdicts = []
+    for sign in signs:
+        sums = [0] * size
+        for xs, ys in columns:
+            sums = [s * p + (y + sign * x) % p for s, x, y in zip(sums, xs, ys)]
+        verdicts.append(len(set(sums)) == size)
+    return verdicts
 
 
 @dataclass(frozen=True)
@@ -100,13 +107,14 @@ def analyze(table: MapTable, p: int, dims: int) -> AnalysisReport:
     (ValueError unless p is prime and the table has p^dims points)."""
     if p ** dims != table.n:
         raise ValueError("domain size must equal p^dims")
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
     images = table.images
-    is_complete = is_complete_mapping(images, p, dims)
-    is_ortho = is_complete_mapping(images, p, dims, -1)
-    is_bij = sorted(images) == list(range(table.n))
     fixed = tuple(i for i in range(table.n) if images[i] == i)
-    ctype = ct_of_permutation(images) if is_bij else None
-    return AnalysisReport(is_bij, is_complete, is_ortho, ctype, fixed)
+    if sorted(images) != list(range(table.n)):
+        return AnalysisReport(False, False, False, None, fixed)
+    is_complete, is_ortho = _sums_bijective(images, p, dims, (1, -1))
+    return AnalysisReport(True, is_complete, is_ortho, ct_of_permutation(images), fixed)
 
 
 def table_of(fn, n: int) -> MapTable:

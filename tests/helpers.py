@@ -185,6 +185,25 @@ def is_complete_table(images, p: int, t: int, sign: int = 1) -> bool:
     return sorted(doubled) == list(range(n))
 
 
+def reference_analyze(table, p: int, dims: int):
+    """The report of `oracle.analyze` with each answer computed on its own:
+    the bijection test, and the complete and orthomorphism tests by the
+    pointwise `is_complete_table`, each of which repeats the bijection test."""
+    from cosetmap.cycletype import ct_of_permutation
+    from cosetmap.gf import is_prime
+    from cosetmap.oracle import AnalysisReport
+    if p ** dims != table.n:
+        raise ValueError("domain size must equal p^dims")
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    images = table.images
+    is_bij = sorted(images) == list(range(table.n))
+    fixed = tuple(i for i in range(table.n) if images[i] == i)
+    return AnalysisReport(is_bij, is_complete_table(images, p, dims),
+                          is_complete_table(images, p, dims, -1),
+                          ct_of_permutation(images) if is_bij else None, fixed)
+
+
 def random_complete_mapping(p: int, t: int, rng: random.Random, max_tries: int = 20000):
     """Seeded shuffle search for a complete mapping of GF(p)^t; falls back to
     systematic search on tiny domains, returns None if provably none exists."""

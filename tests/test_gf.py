@@ -266,6 +266,22 @@ def test_default_modulus_is_first_irreducible():
         field(4)  # not prime
 
 
+def test_field_remembers_a_request_without_modulus(monkeypatch):
+    from cosetmap import gf
+    for p, k in [(2, 2), (2, 3), (3, 2), (5, 2), (5, 4)]:
+        ctx = field(p, k)
+        calls, real = [], gf._is_irreducible
+        monkeypatch.setattr(gf, "_is_irreducible", lambda *args: calls.append(args) or real(*args))
+        assert field(p, k) is ctx is field(p, k, ctx.modulus)
+        assert calls == []
+        monkeypatch.undo()
+    # a refused request is not remembered
+    for _ in range(2):
+        with pytest.raises(ValueError, match="not prime"):
+            field(4, 2)
+    assert (4, 2, None) not in gf._CTX_CACHE
+
+
 def test_default_modulus_matches_full_scan():
     # the search skips the candidates divisible by X, none irreducible for k >= 2
     for p in (2, 3, 5, 7, 11, 13):

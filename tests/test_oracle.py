@@ -6,7 +6,7 @@ import pytest
 from cosetmap import (MapTable, MatrixQ, Poly, VectorQ, analyze, ct, field,
                       interpolate, load_table, table_of)
 from cosetmap.oracle import index_to_tuple, is_complete_mapping, tuple_to_index
-from helpers import is_complete_table, pointwise_affine_table
+from helpers import is_complete_table, pointwise_affine_table, reference_analyze
 
 
 def test_index_round_trip():
@@ -97,6 +97,34 @@ def test_is_complete_mapping_matches_pointwise_decode():
         identity = list(range(p ** n))
         assert is_complete_mapping(identity, p, n) == (p > 2)
         assert not is_complete_mapping(identity, p, n, -1)
+
+
+def test_analyze_matches_reference():
+    """One bijection test and one digit decomposition for both sums give the
+    report of each answer computed on its own, and the same refusals."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(st.sampled_from([2, 3, 5]), st.integers(0, 3), st.booleans(), st.data())
+    def check(p, dims, bijective, data):
+        size = p ** dims
+        if bijective:
+            images = data.draw(st.permutations(range(size)))
+        else:
+            images = data.draw(st.lists(st.integers(0, size - 1), min_size=size, max_size=size))
+        table = MapTable(size, tuple(images))
+        assert analyze(table, p, dims) == reference_analyze(table, p, dims)
+
+    check()
+    # the domain size is checked before the prime
+    for table, p, dims in [(MapTable(4, (1, 0, 3, 2)), 2, 1), (MapTable(3, (0, 1, 2)), 4, 1),
+                           (MapTable(4, (0, 1, 2, 3)), 4, 1)]:
+        with pytest.raises(ValueError) as want:
+            reference_analyze(table, p, dims)
+        with pytest.raises(ValueError) as got:
+            analyze(table, p, dims)
+        assert str(got.value) == str(want.value)
 
 
 def test_domain_guard():
