@@ -23,7 +23,7 @@ from .linalg import (AffineMap, MatrixQ, Prcf, VectorQ, charpoly, companion,
                      elementary_divisors, hypercompanion, minpoly, poly_at_matrix,
                      prcf)
 from .oracle import (AnalysisReport, MapTable, analyze, evaluate_poly_table,
-                     field_map_table, interpolate, load_table, table_of)
+                     interpolate, load_table, table_of)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -24,11 +24,11 @@ U_UNIT_PPOWER = "unit_e_ppower"
 
 
 def _is_x(Q: Poly) -> bool:
-    return int(Q.degree) == 1 and Q.coeff(0).is_zero()
+    return len(Q.codes) == 2 and not Q.codes[0]
 
 
 def _is_x_minus_1(Q: Poly) -> bool:
-    return int(Q.degree) == 1 and Q.coeff(0) == -Q.ctx.one()
+    return len(Q.codes) == 2 and Q.codes[0] == Q.ctx.code(-1)
 
 
 def _ceil_log(e: int, p: int) -> int:
@@ -172,7 +172,7 @@ def gamma_of_matrix(M: MatrixQ) -> frozenset[CycleType]:
 
 def gamma_of_poly(P: Poly) -> frozenset[CycleType]:
     """Gamma of the companion matrix of a monic P with P(0) != 0."""
-    if P.coeff(0).is_zero():
+    if not P.codes or not P.codes[0]:
         raise ValueError("gamma of a polynomial requires a nonzero constant term")
     return gamma_of_matrix(companion(P))
 

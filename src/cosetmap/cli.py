@@ -20,17 +20,15 @@ from .cwaffine import (construct_main, construct_sylow_type, cw_cycle_type,
                        cw_to_table, one_cycle_map, one_cycle_polynomial)
 from .cycletype import CycleType, ct_format, ct_parse
 from .errors import InfeasibleError
-from .gf import field
-from .oracle import MAX_DOMAIN, analyze, evaluate_poly_table, load_table
+from .gf import MAX_DOMAIN, field
+from .oracle import analyze, evaluate_poly_table, load_table
 from .serialize import format_poly, parse_poly
 
 
 def _field_from_args(args):
     modulus = None
     if getattr(args, "modulus", None):
-        prime = field(args.p)
-        mod_poly = parse_poly(args.modulus, prime)
-        modulus = tuple(c.coeffs[0] for c in mod_poly.coeffs)
+        modulus = parse_poly(args.modulus, field(args.p)).codes
     return field(args.p, args.k, modulus)
 
 
@@ -123,7 +121,7 @@ def _verify(table, p: int, n: int, ctype, expect_complete: bool, payload: dict, 
 def _emit_cwmap(args, f, verify_expected_complete=True) -> int:
     s = f.splitting
     ctype = cw_cycle_type(f)
-    payload = serialize.cwmap_to_json(f)
+    payload = serialize.cwmap_to_json(f) if args.format == "json" else {}
     payload["cycle_type"] = ctype.to_json()
     lines = [f"p={s.p} d={s.d} t={s.t}", f"cycle type: {ct_format(ctype)}"]
     if args.verify:

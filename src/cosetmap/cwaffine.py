@@ -19,7 +19,7 @@ from .affine_ct import affine_cycle_type
 from .cgl import is_cgl, realize_gamma
 from .cycletype import CycleType, blow_up, ct_mul, cycles_of
 from .errors import InfeasibleError
-from .gf import FieldCtx, Poly, factorize, field, tuple_to_index
+from .gf import FieldCtx, Poly, _power, factorize, field, tuple_to_index
 from .linalg import AffineMap, MatrixQ, VectorQ, _identity, _matmul
 from .oracle import MapTable, is_complete_mapping
 
@@ -423,27 +423,23 @@ def moore_matrix(ctx: FieldCtx) -> MatrixQ:
     """Rows indexed by basis power i, columns by Frobenius power j: w^(i*p^j)."""
     if ctx.k < 2:
         raise ValueError("the Moore matrix needs an extension field")
-    w = ctx.gen()
-    p = ctx.p
-    rows = []
-    for i in range(ctx.k):
-        rows.append(tuple((w ** i) ** (p ** j) for j in range(ctx.k)))
-    return MatrixQ(ctx, rows)
+    K, p, k = ctx.ops(), ctx.p, ctx.k
+    w = p ** (k - 2)  # the code of the generator X
+    return MatrixQ.from_codes(ctx, [[_power(K.mul, w, i * p ** j, K.one) for j in range(k)]
+                                    for i in range(k)])
 
 
 def coordinate_functions(ctx: FieldCtx) -> list[Poly]:
     """Linearized polynomials pi_0..pi_{k-1} giving the coordinates of x over
     the power basis: coefficient of Y^(p^j) in pi_i is column i of the inverse
     Moore matrix."""
-    M = moore_matrix(ctx)
-    Minv = M.inverse()
     p = ctx.p
     polys = []
-    for i in range(ctx.k):
-        coeffs = [ctx.zero()] * (p ** (ctx.k - 1) + 1)
-        for j in range(ctx.k):
-            coeffs[p ** j] = Minv.entry(j, i)
-        polys.append(Poly(ctx, coeffs))
+    for column in zip(*moore_matrix(ctx).inverse().codes):
+        codes = [0] * (p ** (ctx.k - 1) + 1)
+        for j, c in enumerate(column):
+            codes[p ** j] = c
+        polys.append(Poly.from_codes(ctx, codes))
     return polys
 
 
@@ -468,16 +464,15 @@ def one_cycle_polynomial(ctx: FieldCtx) -> Poly:
     GF(q); a complete mapping when q is odd."""
     if ctx.k == 1:
         return Poly(ctx, (1, 1))
-    p = ctx.p
+    p, k = ctx.p, ctx.k
     pis = coordinate_functions(ctx)
-    w = ctx.gen()
-    # pi_j^(p-1) has degree q - q/p, so it needs no reduction modulo Y^q - Y
+    # pi_j^(p-1) has degree q - q/p, so it needs no reduction modulo Y^q - Y;
+    # w^i for i < k is a basis element, of code p^(k-1-i)
     g = Poly.one(ctx) - pis[1] ** (p - 1)
-    for j in range(2, ctx.k):
+    for j in range(2, k):
         indicator = Poly.one(ctx) - pis[j] ** (p - 1)
-        g = _mul_reduced(indicator, Poly(ctx, (w ** (j - 1),)) + g)
-    x = Poly.x(ctx)
-    return _reduce_exponents(x + Poly(ctx, (w ** (ctx.k - 1),)) + g)
+        g = _mul_reduced(indicator, Poly.from_codes(ctx, (p ** (k - j),)) + g)
+    return _reduce_exponents(Poly.x(ctx) + Poly.from_codes(ctx, (1,)) + g)
 
 
 def vector_to_field(ctx: FieldCtx, v: VectorQ):

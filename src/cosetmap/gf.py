@@ -24,6 +24,10 @@ import random
 
 MINUS_INFINITY = float("-inf")  # degree of the zero polynomial
 
+# The largest field or domain that gets tables: arithmetic tables of GF(p^k)
+# here, map tables in `oracle`.
+MAX_DOMAIN = 10 ** 6
+
 # Moduli that must match a fixed external convention byte-for-byte; everything
 # else is generated on demand by first-irreducible search.
 _BUNDLED_MODULI = {
@@ -178,7 +182,6 @@ def _build_tables(ctx: "FieldCtx"):
     without reduction; zech[d] is the log of 1 + g^d (-1 where that is zero),
     also over two periods, for odd p only.
     """
-    from .oracle import MAX_DOMAIN
     p, k, q = ctx.p, ctx.k, ctx.order
     if q > MAX_DOMAIN:
         raise ValueError(f"GF({p}^{k}) has {q} elements, above the {MAX_DOMAIN} limit "
@@ -577,7 +580,7 @@ class FieldCtx:
 
     def ops(self) -> _Ops:
         """The code arithmetic of this field (builds the tables of GF(p^k) on
-        first use; ValueError above oracle.MAX_DOMAIN elements)."""
+        first use; ValueError above MAX_DOMAIN elements)."""
         ops = self._ops
         if ops is None:
             ops = self._ops = _prime_ops(self.p) if self.k == 1 else _table_ops(self)
@@ -588,25 +591,25 @@ class FieldCtx:
             self._powtable = _build_tables(self)
         return self._powtable
 
-    def elem(self, value) -> "FieldElement":
-        """Coerce an int (constant) or coefficient sequence into this field."""
+    def code(self, value) -> int:
+        """The code (index) of an int constant, an element of this field, or
+        k coordinates, each taken mod p."""
+        p = self.p
+        if isinstance(value, int):
+            return value % p * p ** (self.k - 1)
         if isinstance(value, FieldElement):
             if value.ctx is not self and value.ctx != self:
                 raise ValueError("mismatched field contexts")
-            return value
-        if isinstance(value, int):
-            coeffs = (value % self.p,) + (0,) * (self.k - 1)
-            return FieldElement(self, coeffs)
-        coeffs = tuple(int(c) % self.p for c in value)
-        if len(coeffs) != self.k:
+            return value.index
+        coords = tuple(map(int, value))
+        if len(coords) != self.k:
             raise ValueError(f"expected {self.k} coordinates")
-        return FieldElement(self, coeffs)
+        return tuple_to_index(coords, p)
 
-    def code(self, value) -> int:
-        """The code (index) of anything `elem` accepts."""
-        if isinstance(value, int):
-            return value % self.p * self.p ** (self.k - 1)
-        return self.elem(value).index
+    def elem(self, value) -> "FieldElement":
+        """The element of anything `code` accepts."""
+        code = self.code(value)
+        return value if isinstance(value, FieldElement) else self._from_code(code)
 
     def zero(self) -> "FieldElement":
         return self.elem(0)
@@ -714,11 +717,7 @@ class FieldElement:
         self._index = index
 
     def _coerce(self, other) -> "FieldElement":
-        if isinstance(other, FieldElement):
-            if other.ctx is not self.ctx and other.ctx != self.ctx:
-                raise ValueError("mismatched field contexts")
-            return other
-        if isinstance(other, int):
+        if isinstance(other, (int, FieldElement)):
             return self.ctx.elem(other)
         return NotImplemented
 

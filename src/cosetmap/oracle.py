@@ -15,9 +15,7 @@ import json
 from dataclasses import dataclass
 
 from .cycletype import CycleType, ct_of_permutation
-from .gf import FieldCtx, Poly, index_to_tuple, is_prime, tuple_to_index
-
-MAX_DOMAIN = 10 ** 6
+from .gf import MAX_DOMAIN, FieldCtx, Poly, index_to_tuple, is_prime, tuple_to_index
 
 
 def is_complete_mapping(images, p: int, n: int, sign: int = 1) -> bool:
@@ -31,17 +29,18 @@ def is_complete_mapping(images, p: int, n: int, sign: int = 1) -> bool:
 
 def _sums_bijective(images, p: int, n: int, signs) -> list[bool]:
     """For each sign s, whether x -> g(x) + s*x is a bijection, for the bijection
-    g of GF(p)^n with this image table, from one set of digit columns."""
+    g of GF(p)^n with this image table, from one set of digit columns; signs
+    equal mod p (+1 and -1 for p = 2) share one sum."""
     size = p ** n
     points = list(itertools.product(range(p), repeat=n))
     columns = list(zip(zip(*points), zip(*[points[y] for y in images])))
-    verdicts = []
-    for sign in signs:
+    verdicts = {}
+    for sign in {sign % p for sign in signs}:
         sums = [0] * size
         for xs, ys in columns:
             sums = [s * p + (y + sign * x) % p for s, x, y in zip(sums, xs, ys)]
-        verdicts.append(len(set(sums)) == size)
-    return verdicts
+        verdicts[sign] = len(set(sums)) == size
+    return [verdicts[s % p] for s in signs]
 
 
 @dataclass(frozen=True)
@@ -121,15 +120,6 @@ def table_of(fn, n: int) -> MapTable:
     return MapTable(n, tuple(fn(i) for i in range(n)))
 
 
-def field_map_table(ctx: FieldCtx, fn) -> MapTable:
-    """Tabulate an element-level function of GF(q) in index order."""
-    q = ctx.order
-    images = []
-    for i in range(q):
-        images.append(fn(ctx.from_index(i)).index)
-    return MapTable(q, tuple(images))
-
-
 def interpolate(ctx: FieldCtx, values) -> Poly:
     """The unique polynomial of degree < q through all q points of GF(q).
 
@@ -156,8 +146,11 @@ def interpolate(ctx: FieldCtx, values) -> Poly:
 
 
 def evaluate_poly_table(P: Poly) -> MapTable:
-    """Value table of a polynomial as a map of its coefficient field."""
-    return field_map_table(P.ctx, lambda x: P(x))
+    """Value table of a polynomial as a map of its coefficient field: Horner
+    on the codes, which are the points in index order."""
+    q = P.ctx.order
+    horner = P.ctx.ops().horner
+    return MapTable(q, tuple(horner(P.codes, a)[1] for a in range(q)))
 
 
 def load_table(text: str) -> MapTable:

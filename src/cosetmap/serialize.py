@@ -2,7 +2,11 @@
 
 Field elements encode as a bare residue for prime fields and as the k-entry
 coordinate array (constant coordinate first) for extensions.  Polynomials
-encode as coefficient arrays, constant term first.  Polynomial text uses
+encode as coefficient arrays, constant term first.  The JSON codecs work on
+element codes: encoders read `.codes` through `gf.index_to_tuple`, decoders
+hand the JSON values to `FieldCtx.code` (through the `VectorQ`, `MatrixQ`
+and `Poly` constructors), so vectors, matrices, polynomials and coset-wise
+maps pass through no field element.  Polynomial text uses
 caret powers with `w` for the extension generator, e.g. `x^3 + 2*x + 1` or
 `w^16*x^18 + x + w^6`; when the generator X is not primitive for the
 modulus, a coefficient outside its powers is written as its coordinate list,
@@ -14,7 +18,7 @@ from __future__ import annotations
 import re
 
 from .cwaffine import CosetWiseAffineMap, Splitting
-from .gf import FieldCtx, FieldElement, Poly, field
+from .gf import FieldCtx, FieldElement, Poly, field, index_to_tuple
 from .linalg import AffineMap, MatrixQ, VectorQ
 
 
@@ -36,32 +40,35 @@ def ctx_from_json(obj) -> FieldCtx:
     return field(p, k, tuple(modulus) if modulus is not None else None)
 
 
+def _codes_to_json(ctx: FieldCtx, codes) -> list:
+    """The JSON form of each code: the residue, or the coordinate list."""
+    if ctx.k == 1:
+        return list(codes)
+    return [list(index_to_tuple(c, ctx.p, ctx.k)) for c in codes]
+
+
 def elem_to_json(x: FieldElement):
-    if x.ctx.k == 1:
-        return x.coeffs[0]
-    return list(x.coeffs)
+    return _codes_to_json(x.ctx, (x.index,))[0]
 
 
 def elem_from_json(ctx: FieldCtx, obj) -> FieldElement:
-    if isinstance(obj, int):
-        return ctx.elem(obj)
-    return ctx.elem(tuple(obj))
+    return ctx.elem(obj)
 
 
 def vector_to_json(v: VectorQ) -> list:
-    return [elem_to_json(e) for e in v.entries]
+    return _codes_to_json(v.ctx, v.codes)
 
 
 def vector_from_json(ctx: FieldCtx, obj) -> VectorQ:
-    return VectorQ(ctx, [elem_from_json(ctx, e) for e in obj])
+    return VectorQ(ctx, obj)
 
 
 def matrix_to_json(M: MatrixQ) -> list:
-    return [[elem_to_json(M.entry(i, j)) for j in range(M.cols)] for i in range(M.rows)]
+    return [_codes_to_json(M.ctx, row) for row in M.codes]
 
 
 def matrix_from_json(ctx: FieldCtx, obj) -> MatrixQ:
-    return MatrixQ(ctx, [[elem_from_json(ctx, e) for e in row] for row in obj])
+    return MatrixQ(ctx, obj)
 
 
 def affine_from_json(ctx: FieldCtx, obj) -> AffineMap:
@@ -70,11 +77,11 @@ def affine_from_json(ctx: FieldCtx, obj) -> AffineMap:
 
 
 def poly_to_json(P: Poly) -> list:
-    return [elem_to_json(c) for c in P.coeffs]
+    return _codes_to_json(P.ctx, P.codes)
 
 
 def poly_from_json(ctx: FieldCtx, obj) -> Poly:
-    return Poly(ctx, [elem_from_json(ctx, c) for c in obj])
+    return Poly(ctx, obj)
 
 
 def cwmap_to_json(f: CosetWiseAffineMap) -> dict:

@@ -9,7 +9,7 @@ from __future__ import annotations
 import itertools
 import random
 
-from cosetmap import MatrixQ, Poly, VectorQ
+from cosetmap import FieldElement, MatrixQ, Poly, VectorQ
 from cosetmap.oracle import index_to_tuple, tuple_to_index
 
 
@@ -479,3 +479,43 @@ def scan_default_modulus(p: int, k: int) -> tuple[int, ...]:
     fp = _prime_ops(p)
     return next(c + (1,) for c in itertools.product(range(p), repeat=k)
                 if _is_irreducible(fp, c + (1,)))
+
+
+def reference_elem_to_json(x):
+    """The element encoder as it was: read the coordinates of a FieldElement."""
+    if x.ctx.k == 1:
+        return x.coeffs[0]
+    return list(x.coeffs)
+
+
+def reference_elem_from_json(ctx, obj):
+    """The element decoder as it was: a FieldElement from a residue or k
+    coordinates, each taken mod p."""
+    coords = (obj,) + (0,) * (ctx.k - 1) if isinstance(obj, int) else tuple(obj)
+    if len(coords) != ctx.k:
+        raise ValueError(f"expected {ctx.k} coordinates")
+    return FieldElement(ctx, tuple(int(c) % ctx.p for c in coords))
+
+
+def reference_to_json(value):
+    """The JSON form of a VectorQ, MatrixQ, Poly or coset-wise map, one
+    FieldElement per entry."""
+    if isinstance(value, VectorQ):
+        return [reference_elem_to_json(e) for e in value.entries]
+    if isinstance(value, MatrixQ):
+        return [[reference_elem_to_json(value.entry(i, j)) for j in range(value.cols)]
+                for i in range(value.rows)]
+    if isinstance(value, Poly):
+        return [reference_elem_to_json(c) for c in value.coeffs]
+    s = value.splitting
+    return {"p": s.p, "d": s.d, "t": s.t, "cosets": [
+        {"u": list(u), "alpha": reference_to_json(alpha), "omega": reference_to_json(omega),
+         "nu": reference_to_json(nu)}
+        for u, (alpha, omega, nu) in zip(s.coset_labels(), value.per_coset)]}
+
+
+def reference_from_json(kind, ctx, obj):
+    """Decode a VectorQ, MatrixQ or Poly (`kind`) one FieldElement per entry."""
+    if kind is MatrixQ:
+        return MatrixQ(ctx, [[reference_elem_from_json(ctx, e) for e in row] for row in obj])
+    return kind(ctx, [reference_elem_from_json(ctx, e) for e in obj])

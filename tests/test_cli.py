@@ -1,12 +1,15 @@
 import json
+import random
 
 import pytest
 
-from cosetmap import cli
+from cosetmap import cli, serialize
 from cosetmap.cli import main
 from cosetmap.serialize import (cwmap_from_json, format_poly, parse_poly,
                                 poly_from_json, poly_to_json)
-from cosetmap import Poly, field
+from cosetmap import Poly, VectorQ, field
+from helpers import (reference_elem_from_json, reference_from_json,
+                     reference_to_json)
 
 
 def run_cli(capsys, *argv):
@@ -316,3 +319,117 @@ def test_cwmap_json_cosets_sorted():
     payload = cwmap_to_json(one_cycle_map(3, 3))
     labels = [tuple(c["u"]) for c in payload["cosets"]]
     assert labels == sorted(labels)
+
+
+def test_text_mode_builds_no_json(monkeypatch, capsys):
+    """Text output of a coset-wise map never builds its JSON payload."""
+    def refuse(f):
+        raise AssertionError("text output built the JSON payload")
+
+    monkeypatch.setattr(serialize, "cwmap_to_json", refuse)
+    code, out, _ = run_cli(capsys, "one-cycle", "--p", "3", "--k", "2", "--verify")
+    assert code == 0
+    assert out.splitlines() == ["p=3 d=1 t=1", "cycle type: x9",
+                                "oracle: bijection=True complete=True type=x9"]
+
+
+def test_json_and_value_tables_build_no_field_elements(monkeypatch):
+    """The JSON encoders and decoders, the polynomial value table and the
+    coordinate functionals work on codes: no FieldElement is constructed."""
+    from cosetmap import gf
+    from cosetmap import (MatrixQ, VectorQ, coordinate_functions, evaluate_poly_table,
+                          one_cycle_map, one_cycle_polynomial)
+    rng = random.Random(14)
+    cases = []
+    for ctx, f in ((field(7), one_cycle_map(7, 1)), (field(3, 2), one_cycle_map(3, 2)),
+                   (field(3, 3), one_cycle_map(3, 3))):
+        q = ctx.order
+        codes = [rng.randrange(q) for _ in range(9)]
+        cases.append((ctx, VectorQ.from_codes(ctx, codes[:4]),
+                      MatrixQ.from_codes(ctx, [codes[:3], codes[3:6], codes[6:]]),
+                      Poly.from_codes(ctx, codes[:5] + [1]), f))
+    P25 = Poly.from_codes(field(5, 2), [rng.randrange(25) for _ in range(8)])
+    built = []
+    init = gf.FieldElement.__init__
+
+    def counting_init(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(gf.FieldElement, "__init__", counting_init)
+    for ctx, v, M, P, f in cases:
+        assert serialize.vector_from_json(ctx, serialize.vector_to_json(v)) == v
+        assert serialize.matrix_from_json(ctx, serialize.matrix_to_json(M)) == M
+        assert serialize.poly_from_json(ctx, serialize.poly_to_json(P)) == P
+        assert cwmap_from_json(json.loads(json.dumps(serialize.cwmap_to_json(f)))) == f
+    assert evaluate_poly_table(P25).n == 25
+    assert len(coordinate_functions(field(3, 3))) == 3
+    one_cycle_polynomial(field(3, 3))
+    assert not built
+
+
+def test_json_codecs_match_the_per_element_reference():
+    """Encoding reads codes through one decoder and decoding builds codes
+    directly; both give what one FieldElement per entry gave, byte for byte."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    from cosetmap import CosetWiseAffineMap, MatrixQ, Splitting, VectorQ
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(st.sampled_from([(2, 1), (5, 1), (2, 2), (3, 2), (3, 3)]), st.data())
+    def check(pk, data):
+        ctx = field(*pk)
+        q, k = ctx.order, ctx.k
+        codes = st.integers(0, q - 1)
+        n = data.draw(st.integers(1, 3))
+        values = [
+            VectorQ.from_codes(ctx, data.draw(st.lists(codes, max_size=4))),
+            MatrixQ.from_codes(ctx, data.draw(st.lists(
+                st.lists(codes, min_size=n, max_size=n), min_size=1, max_size=3))),
+            Poly.from_codes(ctx, data.draw(st.lists(codes, max_size=5))),
+        ]
+        encoders = (serialize.vector_to_json, serialize.matrix_to_json, serialize.poly_to_json)
+        for value, encode in zip(values, encoders):
+            got, want = encode(value), reference_to_json(value)
+            assert got == want and json.dumps(got) == json.dumps(want)
+        # any integer is a residue: negative and out-of-range ones too
+        entry = st.integers(-20, 20) if k == 1 else st.lists(
+            st.integers(-20, 20), min_size=k, max_size=k)
+        vec = data.draw(st.lists(entry, max_size=4))
+        rows = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=1,
+                                  max_size=3))
+        decoders = ((VectorQ, serialize.vector_from_json, vec),
+                    (MatrixQ, serialize.matrix_from_json, rows),
+                    (Poly, serialize.poly_from_json, vec))
+        for kind, decode, obj in decoders:
+            assert decode(ctx, obj) == reference_from_json(kind, ctx, obj)
+        for e in vec:
+            assert serialize.elem_from_json(ctx, e) == reference_elem_from_json(ctx, e)
+        if k == 1:
+            d, t = data.draw(st.integers(1, 2)), data.draw(st.integers(0, 2))
+            s = Splitting(ctx.p, d, t)
+            per = [(MatrixQ.from_codes(ctx, data.draw(st.lists(
+                        st.lists(codes, min_size=d, max_size=d), min_size=d, max_size=d))),
+                    VectorQ.from_codes(ctx, data.draw(st.lists(codes, min_size=d, max_size=d))),
+                    VectorQ.from_codes(ctx, data.draw(st.lists(codes, min_size=t, max_size=t))))
+                   for _ in s.coset_labels()]
+            f = CosetWiseAffineMap(s, per)
+            got, want = serialize.cwmap_to_json(f), reference_to_json(f)
+            assert got == want and json.dumps(got) == json.dumps(want)
+            assert cwmap_from_json(got) == f
+
+    check()
+
+
+def test_field_value_refusals_keep_their_messages():
+    F9, F27 = field(3, 2), field(3, 3)
+    for bad in ([1, 2, 0], [1], []):
+        for decode in (F9.code, F9.elem, lambda obj: serialize.elem_from_json(F9, obj),
+                       lambda obj: serialize.vector_from_json(F9, [obj])):
+            with pytest.raises(ValueError, match=r"^expected 2 coordinates$"):
+                decode(bad)
+    for decode in (F9.code, F9.elem, lambda x: VectorQ(F9, [x]), lambda x: Poly(F9, [x])):
+        with pytest.raises(ValueError, match=r"^mismatched field contexts$"):
+            decode(F27.gen())
+    assert serialize.elem_from_json(F9, [-1, 7]) == F9.elem((2, 1))
+    assert serialize.elem_from_json(field(5), -3) == field(5).elem(2)

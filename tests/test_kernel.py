@@ -9,6 +9,7 @@ import pytest
 from cosetmap import (FieldElement, MatrixQ, Poly, enumerate_irreducibles, factor_monic, field,
                       is_irreducible)
 from cosetmap.oracle import MAX_DOMAIN
+from cosetmap.gf import MAX_DOMAIN as GF_MAX_DOMAIN
 
 EXTENSION_FIELDS = [(2, 2), (2, 3), (3, 2), (5, 2), (3, 3)]
 
@@ -119,6 +120,7 @@ def test_dlog_is_the_least_exponent(p, k):
 def test_large_extension_refuses_to_build_tables():
     ctx = field(2, 20)
     assert ctx.order > MAX_DOMAIN
+    assert MAX_DOMAIN is GF_MAX_DOMAIN  # the table limit lives in gf; oracle re-exports it
     w = ctx.gen()
     assert (w + w).is_zero()  # coordinate arithmetic needs no tables
     assert w ** 0 == ctx.one() and ctx._powtable is None
