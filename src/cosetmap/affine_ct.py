@@ -11,8 +11,8 @@ from __future__ import annotations
 import bisect
 import functools
 import itertools
-from dataclasses import dataclass
 
+from ._record import Record, set_field
 from .cycletype import CycleType, weixu_all
 from .gf import FieldCtx, Poly, enumerate_irreducibles, field, poly_order
 from .linalg import AffineMap, MatrixQ, VectorQ, companion, elementary_divisors
@@ -41,23 +41,24 @@ def _ceil_log(e: int, p: int) -> int:
     return c
 
 
-@dataclass(frozen=True)
-class BlockCase:
+class BlockCase(Record):
     """One primary block GF(q)[X]/(Q^e) together with the shift class of U."""
 
-    Q: Poly
-    e: int
-    u_class: str
+    __slots__ = ("Q", "e", "u_class")
 
-    def __post_init__(self):
-        if self.e < 1:
+    def __init__(self, Q: Poly, e: int, u_class: str):
+        if e < 1:
             raise ValueError("block exponent must be >= 1")
-        if _is_x(self.Q):
+        if _is_x(Q):
             raise ValueError("block polynomial must not be X")
         # NONUNIT is tested as the class of a nonunit shift, every other
         # class as that of a unit shift: GENERIC is the class of both
-        if self.u_class != _shift_class(self.Q, self.e, self.u_class != U_NONUNIT):
-            raise ValueError(f"shift class {self.u_class!r} does not fit ({self.Q})^{self.e}")
+        if u_class != _shift_class(Q, e, u_class != U_NONUNIT):
+            raise ValueError(f"shift class {u_class!r} does not fit ({Q})^{e}")
+        set_field(self, "Q", Q)
+        set_field(self, "e", e)
+        set_field(self, "u_class", u_class)
+        set_field(self, "_values", (Q, e, u_class))
 
 
 def _shift_class(Q: Poly, e: int, unit: bool) -> str:

@@ -5,8 +5,8 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 
+from ._record import Record, set_field
 from .affine_ct import _EXCEPTIONAL_PRODUCTS, ct_agl, gamma_dpl, witness_map
 from .cycletype import CycleType
 from .errors import InfeasibleError
@@ -25,21 +25,22 @@ def is_fpf(M: MatrixQ) -> bool:
     return M.has_no_eigenvalue(1)
 
 
-@dataclass(frozen=True)
-class CglFactorization:
+class CglFactorization(Record):
     """An ordered factorization into complete invertible matrices."""
 
-    factors: tuple[MatrixQ, ...]
-    product: MatrixQ
+    __slots__ = ("factors", "product")
 
-    def __post_init__(self):
-        acc = MatrixQ.identity(self.product.ctx, self.product.rows)
-        for f in self.factors:
+    def __init__(self, factors: tuple[MatrixQ, ...], product: MatrixQ):
+        acc = MatrixQ.identity(product.ctx, product.rows)
+        for f in factors:
             if not is_cgl(f):
                 raise ValueError("factor is not a complete invertible matrix")
             acc = acc * f
-        if acc != self.product:
+        if acc != product:
             raise ValueError("factors do not multiply to the stated product")
+        set_field(self, "factors", factors)
+        set_field(self, "product", product)
+        set_field(self, "_values", (factors, product))
 
 
 def cgl_power_set(d: int, q: int, ell: int):

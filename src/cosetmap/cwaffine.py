@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 
+from ._record import Record, set_field
 from .affine_ct import affine_cycle_type
 from .cgl import is_cgl, realize_gamma
 from .cycletype import CycleType, blow_up, ct_mul, cycles_of
@@ -24,17 +24,18 @@ from .linalg import AffineMap, MatrixQ, VectorQ, _identity, _matmul
 from .oracle import MapTable, is_complete_mapping
 
 
-@dataclass(frozen=True)
-class Splitting:
+class Splitting(Record):
     """V = GF(p)^(d+t) split into the first d and last t coordinates."""
 
-    p: int
-    d: int
-    t: int
+    __slots__ = ("p", "d", "t")
 
-    def __post_init__(self):
-        if self.d < 1 or self.t < 0:
+    def __init__(self, p: int, d: int, t: int):
+        if d < 1 or t < 0:
             raise ValueError("need d >= 1 and t >= 0")
+        set_field(self, "p", p)
+        set_field(self, "d", d)
+        set_field(self, "t", t)
+        set_field(self, "_values", (p, d, t))
 
     @property
     def n(self) -> int:
@@ -140,8 +141,7 @@ def cw_is_complete(f: CosetWiseAffineMap) -> bool:
 # Wreath-product correspondence
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class WreathElement:
+class WreathElement(Record):
     """Top permutation of the coset labels plus one affine map per label.
 
     The action keeps the source-block convention: (w, u) maps to
@@ -149,16 +149,19 @@ class WreathElement:
     top images.
     """
 
-    splitting: Splitting
-    top: tuple[int, ...]
-    bottom: tuple[AffineMap, ...]
+    __slots__ = ("splitting", "top", "bottom")
 
-    def __post_init__(self):
-        n = self.splitting.p ** self.splitting.t
-        if sorted(self.top) != list(range(n)):
+    def __init__(self, splitting: Splitting, top: tuple[int, ...],
+                 bottom: tuple[AffineMap, ...]):
+        n = splitting.p ** splitting.t
+        if sorted(top) != list(range(n)):
             raise ValueError("top must be a bijection on the coset labels")
-        if len(self.bottom) != n:
+        if len(bottom) != n:
             raise ValueError("one bottom map per coset label required")
+        set_field(self, "splitting", splitting)
+        set_field(self, "top", top)
+        set_field(self, "bottom", bottom)
+        set_field(self, "_values", (splitting, top, bottom))
 
 
 def cw_to_wreath(f: CosetWiseAffineMap) -> WreathElement:
@@ -477,6 +480,8 @@ def one_cycle_polynomial(ctx: FieldCtx) -> Poly:
 
 def vector_to_field(ctx: FieldCtx, v: VectorQ):
     """Bridge GF(p)^k -> GF(p^k): coordinates over the power basis."""
+    if v.ctx != field(ctx.p):
+        raise ValueError(f"vector must lie over GF({ctx.p}), the prime field of GF({ctx.order})")
     if len(v) != ctx.k:
         raise ValueError("vector length must equal the extension degree")
     return ctx.elem(v.ints())

@@ -10,8 +10,7 @@ field's `ops()`; `MatrixQ`, `VectorQ` and `Poly` are built for return values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import Record, set_field
 from .gf import (FieldCtx, FieldElement, Poly, _Ops, _pexact_div, _pmul, _power, _ppow,
                  _trim, factor_monic, index_to_tuple, is_irreducible)
 
@@ -471,18 +470,19 @@ def _without_eigenvalue(ctx: FieldCtx, rows, c: int) -> MatrixQ | None:
     return M
 
 
-@dataclass(frozen=True)
-class AffineMap:
+class AffineMap(Record):
     """x -> x*matrix + shift on row vectors."""
 
-    matrix: MatrixQ
-    shift: VectorQ
+    __slots__ = ("matrix", "shift")
 
-    def __post_init__(self):
-        if self.matrix.ctx != self.shift.ctx:
+    def __init__(self, matrix: MatrixQ, shift: VectorQ):
+        if matrix.ctx != shift.ctx:
             raise ValueError("mismatched contexts")
-        if not self.matrix.is_square() or self.matrix.rows != len(self.shift):
+        if not matrix.is_square() or matrix.rows != len(shift):
             raise ValueError("affine map dimension mismatch")
+        set_field(self, "matrix", matrix)
+        set_field(self, "shift", shift)
+        set_field(self, "_values", (matrix, shift))
 
     @property
     def ctx(self):
@@ -632,13 +632,16 @@ def elementary_divisors(A: MatrixQ, shift: VectorQ | None = None
     return tuple(blocks), grown
 
 
-@dataclass(frozen=True)
-class Prcf:
+class Prcf(Record):
     """Primary rational canonical form: block list and basis change S with
     S^-1 * A * S equal to the assembled block diagonal exactly."""
 
-    blocks: tuple[tuple[Poly, int], ...]
-    basis_change: MatrixQ
+    __slots__ = ("blocks", "basis_change")
+
+    def __init__(self, blocks: tuple[tuple[Poly, int], ...], basis_change: MatrixQ):
+        set_field(self, "blocks", blocks)
+        set_field(self, "basis_change", basis_change)
+        set_field(self, "_values", (blocks, basis_change))
 
     def block_diagonal(self) -> MatrixQ:
         return MatrixQ.block_diag([companion(Q ** e) for Q, e in self.blocks])

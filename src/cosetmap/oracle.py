@@ -12,8 +12,8 @@ import csv
 import io
 import itertools
 import json
-from dataclasses import dataclass
 
+from ._record import Record, set_field
 from .cycletype import CycleType, ct_of_permutation
 from .gf import MAX_DOMAIN, FieldCtx, Poly, index_to_tuple, is_prime, tuple_to_index
 
@@ -43,20 +43,21 @@ def _sums_bijective(images, p: int, n: int, signs) -> list[bool]:
     return [verdicts[s % p] for s in signs]
 
 
-@dataclass(frozen=True)
-class MapTable:
+class MapTable(Record):
     """A map on {0..n-1} given by its image sequence."""
 
-    n: int
-    images: tuple[int, ...]
+    __slots__ = ("n", "images")
 
-    def __post_init__(self):
-        if self.n > MAX_DOMAIN:
-            raise ValueError(f"domain size {self.n} exceeds the {MAX_DOMAIN} guard")
-        if len(self.images) != self.n:
+    def __init__(self, n: int, images: tuple[int, ...]):
+        if n > MAX_DOMAIN:
+            raise ValueError(f"domain size {n} exceeds the {MAX_DOMAIN} guard")
+        if len(images) != n:
             raise ValueError("image list length does not match domain size")
-        if any(not 0 <= v < self.n for v in self.images):
+        if any(not 0 <= v < n for v in images):
             raise ValueError("image out of range")
+        set_field(self, "n", n)
+        set_field(self, "images", images)
+        set_field(self, "_values", (n, images))
 
     def to_json(self) -> dict:
         return {"n": self.n, "images": list(self.images)}
@@ -83,13 +84,18 @@ class MapTable:
         return cls(n, tuple(pairs[i] for i in range(n)))
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
-    is_bijection: bool
-    is_complete: bool
-    is_orthomorphism: bool
-    cycle_type: CycleType | None
-    fixed_points: tuple[int, ...]
+class AnalysisReport(Record):
+    __slots__ = ("is_bijection", "is_complete", "is_orthomorphism", "cycle_type", "fixed_points")
+
+    def __init__(self, is_bijection: bool, is_complete: bool, is_orthomorphism: bool,
+                 cycle_type: CycleType | None, fixed_points: tuple[int, ...]):
+        set_field(self, "is_bijection", is_bijection)
+        set_field(self, "is_complete", is_complete)
+        set_field(self, "is_orthomorphism", is_orthomorphism)
+        set_field(self, "cycle_type", cycle_type)
+        set_field(self, "fixed_points", fixed_points)
+        set_field(self, "_values",
+                  (is_bijection, is_complete, is_orthomorphism, cycle_type, fixed_points))
 
     def to_json(self) -> dict:
         return {

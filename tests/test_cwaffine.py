@@ -459,6 +459,17 @@ def test_field_vector_bridge():
         assert vector_to_field(F27, image_vec) == P(x)
 
 
+def test_vector_to_field_refuses_vectors_over_another_field():
+    F9 = field(3, 2)
+    with pytest.raises(ValueError, match="over GF\\(3\\)"):
+        vector_to_field(F9, VectorQ(field(5), (4, 3)))
+    with pytest.raises(ValueError, match="over GF\\(3\\)"):
+        vector_to_field(F9, VectorQ(F9, (1, 2)))
+    with pytest.raises(ValueError, match="extension degree"):
+        vector_to_field(F9, VectorQ(field(3), (1, 2, 0)))
+    assert vector_to_field(F9, VectorQ(field(3), (1, 2))) == F9.elem([1, 2])
+
+
 def test_no_two_cycles_and_char2_fixed_points():
     # complete mappings cannot have a 2-cycle; char-2 complete mappings have
     # exactly one fixed point

@@ -1,0 +1,276 @@
+"""The value-record contract of the eight immutable record classes.
+
+Construction by position or keyword, refused assignment and deletion,
+equality only within one class on the field tuple, hash of that tuple, the
+`Name(field=value, ...)` repr, `__match_args__`, pickling and copying, and the
+exact messages of every refusal; then a fresh-process check that importing
+the package loads no introspection module.
+"""
+
+import copy
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import cosetmap
+from cosetmap import (AffineMap, AnalysisReport, BlockCase, CglFactorization, MapTable,
+                      MatrixQ, Poly, Prcf, Splitting, VectorQ, WreathElement, analyze,
+                      classify_block, ct_of_permutation, enumerate_irreducibles,
+                      factor_into_cgl, field, prcf)
+from cosetmap.affine_ct import U_GENERIC, U_NONUNIT
+from cosetmap.gf import MAX_DOMAIN
+
+FIELDS = {
+    AffineMap: ("matrix", "shift"),
+    Prcf: ("blocks", "basis_change"),
+    BlockCase: ("Q", "e", "u_class"),
+    CglFactorization: ("factors", "product"),
+    Splitting: ("p", "d", "t"),
+    WreathElement: ("splitting", "top", "bottom"),
+    MapTable: ("n", "images"),
+    AnalysisReport: ("is_bijection", "is_complete", "is_orthomorphism", "cycle_type",
+                     "fixed_points"),
+}
+
+# the records whose fields hold no field context: a context keeps its
+# arithmetic as local functions, which pickle refuses
+PICKLED = (Splitting, MapTable, AnalysisReport)
+
+
+def check_record(cls, values):
+    """Every part of the contract that one field tuple can show."""
+    names = FIELDS[cls]
+    values = tuple(values)
+    a = cls(*values)
+    b = cls(**dict(zip(names, values)))
+    assert tuple(getattr(a, name) for name in names) == values
+    assert a == b and not a != b
+    assert hash(a) == hash(b) == hash(values)
+    assert cls.__match_args__ == names
+    # a different class with the same fields, or the bare field tuple, is not equal
+    twin = type(cls.__name__, (cls,), {})(*values)
+    assert twin.__class__ is not cls
+    assert a != twin and twin != a and not a == twin
+    assert a != values and a != None   # noqa: E711
+    for name in names + ("extra",):
+        with pytest.raises(AttributeError):
+            setattr(a, name, 0)
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+    assert tuple(getattr(a, name) for name in names) == values
+    expected = ", ".join(f"{name}={value!r}" for name, value in zip(names, values))
+    assert repr(a) == f"{cls.__name__}({expected})"
+    copies = [copy.copy(a), copy.deepcopy(a)]
+    if cls in PICKLED:
+        copies.append(pickle.loads(pickle.dumps(a)))
+    for c in copies:
+        assert c == a and hash(c) == hash(a) and c.__class__ is cls
+    match a:
+        case cls(first):
+            assert first == values[0]
+    return a
+
+
+FIELD_SHAPES = [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2)]
+
+
+def _matrix(ctx, codes, d):
+    return MatrixQ.from_codes(ctx, [codes[i * d:(i + 1) * d] for i in range(d)])
+
+
+def test_hand_written_reprs():
+    F3 = field(3)
+    M = MatrixQ(F3, [[1, 2], [0, 1]])
+    v = VectorQ(F3, (1, 0))
+    assert repr(AffineMap(M, v)) == "AffineMap(matrix=[1 2; 0 1], shift=(1, 0))"
+    assert repr(Splitting(3, 2, 1)) == "Splitting(p=3, d=2, t=1)"
+    assert repr(MapTable(3, (1, 2, 0))) == "MapTable(n=3, images=(1, 2, 0))"
+    assert repr(analyze(MapTable(3, (1, 2, 0)), 3, 1)) == (
+        "AnalysisReport(is_bijection=True, is_complete=True, is_orthomorphism=False, "
+        "cycle_type=x3, fixed_points=())")
+    xm1 = Poly(F3, (2, 1))
+    assert repr(BlockCase(xm1, 2, "unit_e_not_ppower")) == (
+        "BlockCase(Q=x + 2, e=2, u_class='unit_e_not_ppower')")
+    assert repr(prcf(M)) == "Prcf(blocks=((x + 2, 2),), basis_change=[1 0; 1 2])"
+    assert repr(factor_into_cgl(M, 2, seed=1)) == (
+        "CglFactorization(factors=([1 1; 1 0], [0 1; 1 1]), product=[1 2; 0 1])")
+    s = Splitting(2, 1, 1)
+    one = AffineMap(MatrixQ(field(2), [[1]]), VectorQ(field(2), (0,)))
+    assert repr(WreathElement(s, (1, 0), (one, one))) == (
+        "WreathElement(splitting=Splitting(p=2, d=1, t=1), top=(1, 0), "
+        "bottom=(AffineMap(matrix=[1], shift=(0)), AffineMap(matrix=[1], shift=(0))))")
+
+
+def test_records_have_no_instance_dict():
+    F2 = field(2)
+    one = AffineMap(MatrixQ(F2, [[1]]), VectorQ(F2, (0,)))
+    records = [one, Splitting(2, 1, 0), MapTable(1, (0,)),
+               analyze(MapTable(1, (0,)), 2, 0), WreathElement(Splitting(2, 1, 0), (0,), (one,)),
+               BlockCase(Poly(F2, (1, 1)), 1, U_NONUNIT), prcf(MatrixQ(F2, [[1]])),
+               CglFactorization((), MatrixQ.identity(F2, 1))]
+    assert {r.__class__ for r in records} == set(FIELDS)
+    for r in records:
+        assert not hasattr(r, "__dict__")
+
+
+def test_splitting_and_map_table_contract():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(st.sampled_from([2, 3, 5, 7]), st.integers(1, 4), st.integers(0, 3),
+                      st.integers(0, 12), st.data())
+    def run(p, d, t, n, data):
+        s = check_record(Splitting, (p, d, t))
+        assert s.n == d + t and s.ctx == field(p)
+        images = tuple(data.draw(st.lists(st.integers(0, max(n - 1, 0)), min_size=n, max_size=n)))
+        table = check_record(MapTable, (n, images))
+        other = tuple(data.draw(st.lists(st.integers(0, max(n - 1, 0)), min_size=n, max_size=n)))
+        assert (table == MapTable(n, other)) == (images == other)
+        assert (s == Splitting(p, d + 1, t)) is False
+
+    run()
+
+
+def test_analysis_report_contract():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=100, deadline=None)
+    @hypothesis.given(st.booleans(), st.booleans(), st.booleans(),
+                      st.one_of(st.none(), st.permutations(range(6)).map(ct_of_permutation)),
+                      st.lists(st.integers(0, 20), max_size=5).map(tuple))
+    def run(bij, complete, ortho, cycle_type, fixed):
+        report = check_record(AnalysisReport, (bij, complete, ortho, cycle_type, fixed))
+        assert report.to_json()["fixed_points"] == list(fixed)
+
+    run()
+
+
+def test_affine_map_and_wreath_element_contract():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=100, deadline=None)
+    @hypothesis.given(st.sampled_from(FIELD_SHAPES), st.integers(1, 3), st.data())
+    def run(shape, d, data):
+        ctx = field(*shape)
+        codes = st.integers(0, ctx.order - 1)
+        M = _matrix(ctx, data.draw(st.lists(codes, min_size=d * d, max_size=d * d)), d)
+        v = VectorQ(ctx, tuple(data.draw(st.lists(codes, min_size=d, max_size=d))))
+        f = check_record(AffineMap, (M, v))
+        assert f.then(f) == AffineMap(M * M, v * M + v)
+
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(st.sampled_from([2, 3]), st.integers(1, 2), st.integers(0, 2), st.data())
+    def run_wreath(p, d, t, data):
+        ctx = field(p)
+        s = Splitting(p, d, t)
+        size = p ** t
+        top = tuple(data.draw(st.permutations(range(size))))
+        codes = st.integers(0, p - 1)
+        bottom = tuple(
+            AffineMap(_matrix(ctx, data.draw(st.lists(codes, min_size=d * d, max_size=d * d)), d),
+                      VectorQ(ctx, tuple(data.draw(st.lists(codes, min_size=d, max_size=d)))))
+            for _ in range(size))
+        check_record(WreathElement, (s, top, bottom))
+
+    run()
+    run_wreath()
+
+
+def test_block_case_prcf_and_cgl_factorization_contract():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=100, deadline=None)
+    @hypothesis.given(st.sampled_from(FIELD_SHAPES), st.integers(0, 20), st.integers(1, 5),
+                      st.integers(0, 8))
+    def run_block(shape, which, e, c):
+        ctx = field(*shape)
+        Qs = [Q for Q in enumerate_irreducibles(ctx, 2) if Q != Poly.x(ctx)]
+        Q = Qs[which % len(Qs)]
+        case = classify_block(Q, e, Poly.from_codes(ctx, [c % ctx.order]))
+        check_record(BlockCase, (case.Q, case.e, case.u_class))
+
+    @hypothesis.settings(max_examples=40, deadline=None)
+    @hypothesis.given(st.sampled_from([(2, 1), (3, 1), (2, 2)]), st.integers(1, 3), st.data())
+    def run_prcf(shape, d, data):
+        ctx = field(*shape)
+        codes = st.integers(0, ctx.order - 1)
+        A = _matrix(ctx, data.draw(st.lists(codes, min_size=d * d, max_size=d * d)), d)
+        form = prcf(A)
+        check_record(Prcf, (form.blocks, form.basis_change))
+
+    run_block()
+    run_prcf()
+    F3 = field(3)
+    for rows in ([[1, 2], [0, 1]], [[0, 1], [1, 1]], [[2, 0], [0, 2]]):
+        fac = factor_into_cgl(MatrixQ(F3, rows), 2, seed=3)
+        check_record(CglFactorization, (fac.factors, fac.product))
+
+
+def _refused(build, message):
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == message
+
+
+def test_every_refusal_keeps_its_message():
+    F2, F3, F5 = field(2), field(3), field(5)
+    I2 = MatrixQ.identity(F3, 2)
+    _refused(lambda: AffineMap(MatrixQ(F3, [[1]]), VectorQ(F5, (1,))), "mismatched contexts")
+    _refused(lambda: AffineMap(MatrixQ(F3, [[1, 2]]), VectorQ(F3, (1,))),
+             "affine map dimension mismatch")
+    _refused(lambda: AffineMap(I2, VectorQ(F3, (1,))), "affine map dimension mismatch")
+    xm1 = Poly(F3, (2, 1))
+    _refused(lambda: BlockCase(xm1, 0, U_NONUNIT), "block exponent must be >= 1")
+    _refused(lambda: BlockCase(Poly.x(F3), 1, U_GENERIC), "block polynomial must not be X")
+    _refused(lambda: BlockCase(xm1, 1, U_GENERIC),
+             "shift class 'generic' does not fit (x + 2)^1")
+    _refused(lambda: CglFactorization((MatrixQ.identity(F2, 2),), MatrixQ.identity(F2, 2)),
+             "factor is not a complete invertible matrix")
+    A = MatrixQ(F3, [[0, 1], [1, 1]])
+    _refused(lambda: CglFactorization((A,), I2),
+             "factors do not multiply to the stated product")
+    _refused(lambda: Splitting(3, 0, 1), "need d >= 1 and t >= 0")
+    _refused(lambda: Splitting(3, 1, -1), "need d >= 1 and t >= 0")
+    one = AffineMap(MatrixQ(F2, [[1]]), VectorQ(F2, (0,)))
+    s = Splitting(2, 1, 1)
+    _refused(lambda: WreathElement(s, (0, 0), (one, one)),
+             "top must be a bijection on the coset labels")
+    _refused(lambda: WreathElement(s, (1, 0), (one,)), "one bottom map per coset label required")
+    _refused(lambda: MapTable(MAX_DOMAIN + 1, ()),
+             f"domain size {MAX_DOMAIN + 1} exceeds the {MAX_DOMAIN} guard")
+    _refused(lambda: MapTable(3, (0, 1)), "image list length does not match domain size")
+    _refused(lambda: MapTable(2, (0, 2)), "image out of range")
+    _refused(lambda: MapTable(2, (-1, 0)), "image out of range")
+    # keyword construction runs the same checks
+    _refused(lambda: Splitting(p=3, d=0, t=1), "need d >= 1 and t >= 0")
+    _refused(lambda: MapTable(images=(5,), n=1), "image out of range")
+    with pytest.raises(TypeError):
+        Splitting(3, 1)
+    with pytest.raises(TypeError):
+        Splitting(3, 1, 1, p=3)
+    with pytest.raises(TypeError):
+        MapTable(n=1, images=(0,), extra=1)
+
+
+INTROSPECTION_MODULES = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+
+
+@pytest.mark.parametrize("module", ["cosetmap.cli", "cosetmap"])
+def test_fresh_import_loads_no_introspection_module(module):
+    src = str(Path(cosetmap.__file__).resolve().parents[1])
+    code = ("import sys\n"
+            "before = set(sys.modules)\n"
+            f"import {module}\n"
+            f"print(sorted((set(sys.modules) - before) & set({INTROSPECTION_MODULES!r})))\n")
+    env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                         check=True)
+    assert out.stdout.strip() == "[]"
