@@ -13,8 +13,9 @@ import functools
 import itertools
 
 from ._record import Record, set_field
-from .cycletype import CycleType, weixu_all
-from .gf import FieldCtx, Poly, enumerate_irreducibles, field, poly_order
+from .cycletype import CycleType, weixu, weixu_all
+from .gf import (FieldCtx, Poly, _unit_group_factors, enumerate_irreducibles, factorize, field,
+                 poly_order)
 from .linalg import AffineMap, MatrixQ, VectorQ, companion, elementary_divisors
 
 U_GENERIC = "generic"
@@ -66,9 +67,12 @@ def _shift_class(Q: Poly, e: int, unit: bool) -> str:
     unit, which matters for Q = X-1 only."""
     if not _is_x_minus_1(Q):
         return U_GENERIC
-    if not unit:
-        return U_NONUNIT
-    return U_UNIT_PPOWER if Q.ctx.p ** _ceil_log(e, Q.ctx.p) == e else U_UNIT_NOT_PPOWER
+    return _unit_class(Q.ctx.p, e) if unit else U_NONUNIT
+
+
+def _unit_class(p: int, e: int) -> str:
+    """The class of a unit shift of (X-1)^e in characteristic p."""
+    return U_UNIT_PPOWER if p ** _ceil_log(e, p) == e else U_UNIT_NOT_PPOWER
 
 
 def _case(Q: Poly, e: int, unit: bool) -> BlockCase:
@@ -83,14 +87,18 @@ def classify_block(Q: Poly, e: int, U: Poly) -> BlockCase:
 def block_cycle_type(case: BlockCase) -> CycleType:
     """Cycle type of R -> R*X + U on GF(q)[X]/(Q^e) by the divisor chain."""
     ctx = case.Q.ctx
-    q = ctx.order
-    p = ctx.p
-    e = case.e
-    m = int(case.Q.degree)
+    # a nonunit or unit block has Q = X-1, so r = 1
+    r = poly_order(case.Q) if case.u_class == U_GENERIC else 1
+    return _block_type(ctx.order, ctx.p, int(case.Q.degree), r, case.e, case.u_class)
+
+
+@functools.cache
+def _block_type(q: int, p: int, m: int, r: int, e: int, u_class: str) -> CycleType:
+    """Cycle type of a block Q^e over GF(q) of characteristic p with
+    deg Q = m and ord Q = r, in shift class u_class: these are all it
+    depends on."""
     counts: dict[int, int] = {}
-    if case.u_class in (U_GENERIC, U_NONUNIT):
-        # a nonunit block has Q = X-1, so r = m = 1
-        r = poly_order(case.Q) if case.u_class == U_GENERIC else 1
+    if u_class in (U_GENERIC, U_NONUNIT):
         counts[1] = 1
         prev = 1  # points on cycles of length dividing previous candidate
         for a in range(_ceil_log(e, p) + 1):
@@ -185,6 +193,17 @@ def sorted_types(types) -> list[CycleType]:
 # ---------------------------------------------------------------------------
 # Gamma(d, p, ell): cycle types reachable with matrices that factor into ell
 # complete linear maps.
+#
+# The sets come from block signatures.  A block's cycle type depends only on
+# m = deg Q, r = ord Q, e and the shift class, and over GF(p) a monic
+# irreducible of degree m and order r exists exactly when m is the
+# multiplicative order of p mod r (Lidl-Niederreiter, Finite Fields, Thm 3.5).
+# So the divisors of p^m - 1 give every signature with no polynomial
+# enumerated, and an unbounded knapsack over (weight m*e, block types) gives
+# the set.  Realization needs a witness in a fixed order instead: the first
+# class, in `block_multisets` order, and shift-class choice that reaches the
+# type.  That walk is a generator kept per (kind, d, p), advanced only until
+# the requested type turns up.
 # ---------------------------------------------------------------------------
 
 def block_multisets(ctx: FieldCtx, d: int, exclude=()):
@@ -223,45 +242,110 @@ def _exponent_multisets(budget: int, minimum: int = 1):
             yield [e] + rest
 
 
-_GAMMA_CACHE: dict[tuple, tuple[frozenset, dict]] = {}
+def _orders_of_degree(p: int, m: int) -> list[int]:
+    """The orders of the monic irreducibles of degree m over GF(p), X left
+    out: the divisors r of p^m - 1 that divide no p^(m/l) - 1, l a prime
+    factor of m."""
+    divisors = [1]
+    for prime, a in _unit_group_factors(p, m):
+        divisors = [r * prime ** i for r in divisors for i in range(a + 1)]
+    lower = [p ** (m // l) - 1 for l in factorize(m)]
+    return sorted(r for r in divisors if all(n % r for n in lower))
 
 
-def _gamma_walk(kind: str, d: int, p: int) -> tuple[frozenset, dict]:
-    """(types, first witness) for kind "agl" (every class of GL_d(p)) or
-    "acgl" (classes without the block X+1): one walk over `block_multisets`
-    x `shift_class_types` records, per cycle type, the first (blocks, cases)
-    that reaches it and a slot for the map `witness_map` builds from them."""
+def _signature_types(kind: str, d: int, p: int) -> frozenset[CycleType]:
+    """The gamma set of `kind` from block signatures (m, r, e, shift class).
+
+    The blocks Q^e with deg Q = m give an item of weight m*e whose choices
+    are their types over every order r of degree m; only r = 1, the block
+    X-1, has two shift classes.  "acgl" drops the signature of X+1: (1, 2),
+    or (1, 1) in characteristic 2.  Any item may be used any number of times
+    (one Q may repeat an exponent), so how many polynomials share a
+    signature never matters."""
+    minus_one = 1 if p == 2 else 2
+    reach = [set() for _ in range(d + 1)]
+    reach[0].add(CycleType({1: 1}))
+    for m in range(1, d + 1):
+        orders = [r for r in _orders_of_degree(p, m)
+                  if kind == "agl" or (m, r) != (1, minus_one)]
+        for e in range(1, d // m + 1):
+            types = {_block_type(p, p, m, r, e, c) for r in orders
+                     for c in ((U_NONUNIT, _unit_class(p, e)) if r == 1 else (U_GENERIC,))}
+            for n in range(m * e, d + 1):
+                reach[n] |= {weixu(a, t) for a in reach[n - m * e] for t in types}
+    return frozenset(reach[d])
+
+
+def _class_walk(kind: str, d: int, p: int):
+    """(t, blocks, cases) for every class of `block_multisets` and every
+    choice of shift classes, in that order; "acgl" leaves out the block
+    X+1."""
+    ctx = field(p)
+    exclude = (Poly(ctx, (1, 1)),) if kind == "acgl" else ()
+    options: dict = {}
+    for blocks in block_multisets(ctx, d, exclude=exclude):
+        for cases, t in shift_class_types(blocks, options):
+            yield t, blocks, cases
+
+
+_GAMMA_CACHE: dict[tuple, tuple[frozenset, dict, object]] = {}
+
+
+def _gamma(kind: str, d: int, p: int) -> tuple[frozenset, dict, object]:
+    """(types, first, walk) for kind "agl" (every class of GL_d(p)) or "acgl"
+    (classes without the block X+1): the set from `_signature_types`; per
+    type met so far, its first (blocks, cases) and a slot for the map
+    `witness_map` builds from them; and the `_class_walk` where the search
+    for the next witness resumes."""
     if d < 1:
         raise ValueError("dimension must be >= 1")
     key = (kind, d, p)
-    if key not in _GAMMA_CACHE:
-        ctx = field(p)
-        exclude = (Poly(ctx, (1, 1)),) if kind == "acgl" else ()
-        options: dict = {}
-        first: dict = {}
-        for blocks in block_multisets(ctx, d, exclude=exclude):
-            for cases, t in shift_class_types(blocks, options):
-                first.setdefault(t, (blocks, cases, None))
-        _GAMMA_CACHE[key] = (frozenset(first), first)
-    return _GAMMA_CACHE[key]
+    entry = _GAMMA_CACHE.get(key)
+    if entry is None:
+        field(p)  # refuses a p that is not prime
+        entry = _GAMMA_CACHE[key] = (_signature_types(kind, d, p), {},
+                                     _class_walk(kind, d, p))
+    return entry
+
+
+def _first(gamma: CycleType, d: int, p: int, complete: bool) -> dict | None:
+    """The walk's witness entries, walked on only as far as the first class
+    that reaches gamma; None, with no walking, if the gamma set does not
+    hold gamma.  An error inside the walk ends the generator, so it drops
+    the whole entry and the next call walks afresh."""
+    key = ("acgl" if complete else "agl", d, p)
+    types, first, walk = _gamma(*key)
+    if gamma not in types:
+        return None
+    try:
+        while gamma not in first:
+            step = next(walk, None)
+            if step is None:
+                raise ArithmeticError("the class walk misses a type of the gamma set")
+            t, blocks, cases = step
+            first.setdefault(t, (blocks, cases, None))
+    except BaseException:
+        _GAMMA_CACHE.pop(key, None)
+        raise
+    return first
 
 
 def ct_agl(d: int, p: int) -> frozenset[CycleType]:
     """Cycle types of all affine permutations of GF(p)^d."""
-    return _gamma_walk("agl", d, p)[0]
+    return _gamma("agl", d, p)[0]
 
 
 def ct_acgl(d: int, p: int) -> frozenset[CycleType]:
     """Cycle types of affine maps whose linear part is a complete mapping."""
-    return _gamma_walk("acgl", d, p)[0]
+    return _gamma("acgl", d, p)[0]
 
 
 def first_witness(gamma: CycleType, d: int, p: int, complete: bool = False):
     """(blocks, cases) of the first class and shift-class choice, in walk
     order, that reaches gamma: among classes with no eigenvalue -1 when
     `complete`, else among all of GL_d(p).  None if no class reaches it."""
-    entry = _gamma_walk("acgl" if complete else "agl", d, p)[1].get(gamma)
-    return None if entry is None else entry[:2]
+    first = _first(gamma, d, p, complete)
+    return None if first is None else first[gamma][:2]
 
 
 def witness_map(gamma: CycleType, d: int, p: int, complete: bool = False) -> AffineMap | None:
@@ -270,8 +354,8 @@ def witness_map(gamma: CycleType, d: int, p: int, complete: bool = False) -> Aff
     unit-class block and 0 elsewhere.  Checked with `affine_cycle_type` when
     first built and kept in the walk's witness entry.  None if no class
     reaches gamma."""
-    first = _gamma_walk("acgl" if complete else "agl", d, p)[1]
-    if gamma not in first:
+    first = _first(gamma, d, p, complete)
+    if first is None:
         return None
     blocks, cases, f = first[gamma]
     if f is None:

@@ -17,6 +17,7 @@ modulo a polynomial from one Frobenius matrix.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -84,6 +85,13 @@ def factorize(n: int) -> dict[int, int]:
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out
+
+
+@functools.cache
+def _unit_group_factors(q: int, m: int) -> tuple[tuple[int, int], ...]:
+    """(prime, exponent) pairs of q^m - 1, the order of GF(q^m)^*, ascending
+    by prime: factored once per (q, m) per process."""
+    return tuple(factorize(q ** m - 1).items())
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +197,7 @@ def _build_tables(ctx: "FieldCtx"):
     fp = _prime_ops(p)
     m = ctx.modulus
     n = q - 1
-    primes = list(factorize(n))
+    primes = [l for l, _ in _unit_group_factors(p, k)]
 
     # the generator w first, then every nonzero element in index order
     nonzero = (_trim(list(index_to_tuple(c, p, k))) for c in range(1, q))
@@ -550,7 +558,7 @@ class FieldCtx:
     `field` factory; contexts are interned so equality is cheap.
     """
 
-    __slots__ = ("p", "k", "modulus", "_powtable", "_ops")
+    __slots__ = ("p", "k", "modulus", "_powtable", "_ops", "_orders")
 
     def __init__(self, p: int, k: int, modulus: tuple[int, ...] | None):
         if not is_prime(p):
@@ -573,6 +581,12 @@ class FieldCtx:
         self.modulus = modulus
         self._powtable = None
         self._ops = None
+        self._orders: dict[tuple, int] = {}  # poly_order of irreducibles, by codes
+
+    def __reduce__(self):
+        # re-interned on loading; the tables, the code arithmetic (local
+        # functions, which pickle refuses) and the order memo are rebuilt
+        return field, (self.p, self.k, self.modulus)
 
     @property
     def order(self) -> int:
@@ -1036,20 +1050,31 @@ def factor_monic(P: Poly) -> list[tuple[Poly, int]]:
 def poly_order(Q: Poly) -> int:
     """Least n >= 1 with Q dividing X^n - 1, for monic irreducible Q != X.
 
-    For each prime l with l^a exactly dividing N = q^m - 1 (m = deg Q), the
-    order has the factor l^b, b the least with y^(l^b) = 1 for y =
-    X^(N / l^a).  One Frobenius matrix of Q (the q-th power map) serves
-    Rabin's test and every y: X^(c + q*e) = X^c * (X^e)^q, by Horner on the
-    base-q digits of the exponent.  The chain of the smallest l^a is raised
-    up to a times, so that reaching 1 proves X^N = 1; every other chain stops
-    after a - 1 raises.
+    Worked out once per Q and field context (`FieldCtx._orders`); the
+    refusals of a polynomial that is not monic, is constant or is X run on
+    every call, and a reducible Q, never stored, fails Rabin's test each time.
     """
     if not Q.is_monic() or Q.degree < 1:
         raise ValueError("poly_order expects a monic polynomial of degree >= 1")
     if Q.degree == 1 and not Q.codes[0]:
         raise ValueError("poly_order is undefined for Q = X")
-    K = Q.ctx.ops()
-    f = Q.codes
+    orders = Q.ctx._orders
+    order = orders.get(Q.codes)
+    if order is None:
+        order = orders[Q.codes] = _poly_order(Q.ctx.ops(), Q.codes)
+    return order
+
+
+def _poly_order(K: _Ops, f) -> int:
+    """The order of X modulo the monic f of degree m >= 1, f(0) != 0.
+
+    For each prime l with l^a exactly dividing N = q^m - 1, the order has the
+    factor l^b, b the least with y^(l^b) = 1 for y = X^(N / l^a).  One
+    Frobenius matrix of f (the q-th power map) serves Rabin's test and every
+    y: X^(c + q*e) = X^c * (X^e)^q, by Horner on the base-q digits of the
+    exponent.  The chain of the smallest l^a is raised up to a times, so that
+    reaching 1 proves X^N = 1; every other chain stops after a - 1 raises.
+    """
     m = len(f) - 1
     q = K.q
     rows = _frobenius_matrix(K, f)
@@ -1074,7 +1099,7 @@ def poly_order(Q: Poly) -> int:
     n = q ** m - 1
     order = 1
     check = True
-    for prime, a in sorted(factorize(n).items(), key=lambda t: t[0] ** t[1]):
+    for prime, a in sorted(_unit_group_factors(q, m), key=lambda t: t[0] ** t[1]):
         y = x_power(n // prime ** a)
         b = 0
         while y != one and b < a - 1:

@@ -1,5 +1,6 @@
 import json
 import random
+import time
 
 import pytest
 
@@ -7,7 +8,7 @@ from cosetmap import cli, serialize
 from cosetmap.cli import main
 from cosetmap.serialize import (cwmap_from_json, format_poly, parse_poly,
                                 poly_from_json, poly_to_json)
-from cosetmap import Poly, VectorQ, field
+from cosetmap import Poly, VectorQ, ct_parse, field
 from helpers import (reference_elem_from_json, reference_from_json,
                      reference_to_json)
 
@@ -72,6 +73,23 @@ def test_gamma_dpl_exit_codes(capsys):
     code, out, _ = run_cli(capsys, "gamma-dpl", "--d", "8", "--p", "3", "--l", "1")
     assert code == 0
     assert len(out.splitlines()) == 458
+
+
+def test_gamma_dpl_from_block_signatures_at_scale(capsys):
+    """The sets come from the divisors of p^m - 1, not from a walk over the
+    1,000,002 classes of GL_1(1000003) or the 390,480 classes of GL_8(5)."""
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "gamma-dpl", "--d", "1", "--p", "1000003", "--l", "1")
+    assert time.perf_counter() - start < 1
+    assert code == 0
+    assert len(out.splitlines()) == 8
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "gamma-dpl", "--d", "8", "--p", "5", "--l", "1")
+    assert time.perf_counter() - start < 2
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 3853
+    assert {ct_parse(line).degree for line in lines} == {5 ** 8}
 
 
 @pytest.mark.parametrize("exc,code,prefix", [

@@ -1,17 +1,21 @@
-"""The walk over conjugacy classes of GL_d(q) behind gamma sets and
-realization: its order against the reference recursion, its size against the
-class-number series, its depth, the gamma sets against a DP that does not
-walk classes at all, and its first-witness index against the scan that
-realization used before the index existed."""
+"""Gamma sets and the walk over conjugacy classes of GL_d(q) behind
+realization: the walk's order against the reference recursion, its size
+against the class-number series and its depth; the gamma sets from block
+signatures against a DP over polynomials, against the fully walked sets and
+against the closed form in dimension 1; the lazily walked first witnesses
+against the scan that realization used before the witness index existed, and
+the refusal of a type outside the set with no walking at all."""
 
 import sys
 import traceback
 
 import pytest
 
-from cosetmap import Poly, field, gamma_dpl
-from cosetmap.affine_ct import (_gamma_walk, block_multisets, ct_acgl, ct_agl, first_witness,
-                                sorted_types)
+from cosetmap import CycleType, InfeasibleError, Poly, field, gamma_dpl, realize_gamma
+from cosetmap import affine_ct
+from cosetmap.affine_ct import (block_multisets, ct_acgl, ct_agl, first_witness,
+                                shift_class_types, sorted_types, witness_map)
+from cosetmap.gf import is_prime
 from helpers import (gl_class_numbers, reachable_affine_types, recursive_block_multisets,
                      scan_witness)
 
@@ -58,24 +62,39 @@ def test_walk_counts_and_depth(q, d, classes):
     assert sum(e * int(Q.degree) for Q, e in first) == d
 
 
-@pytest.mark.parametrize("d,p", [(1, 3), (1, 5), (2, 2), (2, 3), (3, 2), (3, 3), (4, 2),
-                                 (4, 5), (5, 3), (6, 2)])
+@pytest.mark.parametrize("d,p", [(d, p) for p, d in WALK_GRID + [(3, 7), (3, 8), (5, 6)]])
 def test_gamma_sets_match_reachability_dp(d, p):
+    """The sets from block signatures equal the DP over every irreducible
+    polynomial and the types met by walking every class, in both kinds."""
     ctx = field(p)
-    assert ct_agl(d, p) == frozenset(reachable_affine_types(ctx, d))
-    assert ct_acgl(d, p) == frozenset(reachable_affine_types(ctx, d, exclude=(Poly(ctx, (1, 1)),)))
+    for gamma_set, exclude in ((ct_agl, ()), (ct_acgl, (Poly(ctx, (1, 1)),))):
+        walked = frozenset(t for blocks in block_multisets(ctx, d, exclude=exclude)
+                           for _, t in shift_class_types(blocks, {}))
+        assert gamma_set(d, p) == frozenset(reachable_affine_types(ctx, d, exclude=exclude))
+        assert gamma_set(d, p) == walked
 
 
 def test_gamma_sets_dimension_8_over_gf3():
     """gamma_dpl(8, 3, 1) used to exceed the default recursion limit."""
-    ctx = field(3)
     acgl = gamma_dpl(8, 3, 1)
     assert len(acgl) == 458
     assert {t.degree for t in acgl} == {3 ** 8}
-    assert acgl == frozenset(reachable_affine_types(ctx, 8, exclude=(Poly(ctx, (1, 1)),)))
-    agl = ct_agl(8, 3)
-    assert len(agl) == 1230
-    assert agl == frozenset(reachable_affine_types(ctx, 8))
+    assert len(ct_agl(8, 3)) == 1230
+
+
+def test_dimension_1_closed_form():
+    """x -> a*x + b over GF(p) with a != -1: a = 1 gives the identity or one
+    p-cycle, and a of order r > 2 a fixed point and (p - 1)/r r-cycles.  In
+    characteristic 2, a = 1 = -1 leaves nothing."""
+    assert ct_acgl(1, 2) == frozenset()
+    for p in range(3, 200):
+        if not is_prime(p):
+            continue
+        orders = [r for r in range(3, p) if (p - 1) % r == 0]
+        expected = {CycleType({1: p}), CycleType({p: 1})}
+        expected |= {CycleType({1: 1, r: (p - 1) // r}) for r in orders}
+        assert ct_acgl(1, p) == frozenset(expected)
+        assert len(ct_acgl(1, p)) == 2 + len(orders)
 
 
 @pytest.mark.parametrize("d,p", [(1, 2), (1, 3), (1, 5), (2, 2), (2, 3), (2, 5), (3, 2), (3, 3),
@@ -84,8 +103,6 @@ def test_witness_index_matches_scan(d, p):
     """The acgl walk, which leaves out the block X+1, finds the same first
     witness as the full walk filtered by `is_cgl`; types it cannot reach have
     no witness either way."""
-    assert frozenset(_gamma_walk("agl", d, p)[1]) == ct_agl(d, p)
-    assert frozenset(_gamma_walk("acgl", d, p)[1]) == ct_acgl(d, p)
     for gamma in sorted_types(ct_agl(d, p)):
         for complete in (False, True):
             witness = first_witness(gamma, d, p, complete)
@@ -94,11 +111,66 @@ def test_witness_index_matches_scan(d, p):
 
 
 def test_witness_index_dimension_8_over_gf3():
-    assert len(_gamma_walk("acgl", 8, 3)[1]) == 458
-    assert len(_gamma_walk("agl", 8, 3)[1]) == 1230
+    for kind_set, complete, size in ((ct_acgl, True, 458), (ct_agl, False, 1230)):
+        types = kind_set(8, 3)
+        assert len(types) == size
+        assert all(first_witness(t, 8, 3, complete) is not None for t in types)
+
+
+def test_non_member_is_refused_without_walking(monkeypatch):
+    """A type outside the gamma set has no witness and is refused by
+    `realize_gamma` from the set alone: no class is enumerated."""
+    def no_walk(*args, **kwargs):
+        raise AssertionError("the class walk ran")
+        yield  # pragma: no cover
+
+    monkeypatch.setattr(affine_ct, "_GAMMA_CACHE", {})
+    monkeypatch.setattr(affine_ct, "block_multisets", no_walk)
+    outside_acgl = min(ct_agl(8, 3) - ct_acgl(8, 3), key=lambda t: t.cycles)
+    outside_agl = CycleType({3 ** 8: 1})
+    assert outside_agl not in ct_agl(8, 3)
+    assert first_witness(outside_acgl, 8, 3, complete=True) is None
+    assert witness_map(outside_acgl, 8, 3, complete=True) is None
+    for complete in (False, True):
+        assert first_witness(outside_agl, 8, 3, complete) is None
+    with pytest.raises(InfeasibleError):
+        realize_gamma(outside_acgl, 8, 3, 1)
+    for ell in (1, 2):
+        with pytest.raises(InfeasibleError):
+            realize_gamma(outside_agl, 8, 3, ell)
+    with pytest.raises(InfeasibleError):
+        realize_gamma(outside_agl, 8, 3, 1, require_complete=False)
+    # a member does walk
+    with pytest.raises(AssertionError, match="the class walk ran"):
+        first_witness(next(iter(ct_acgl(8, 3))), 8, 3, complete=True)
+
+
+def test_a_walk_cut_by_an_error_starts_afresh(monkeypatch):
+    """An error inside the walk ends its generator; the next request walks
+    again from the first class rather than finding the walk spent."""
+    monkeypatch.setattr(affine_ct, "_GAMMA_CACHE", {})
+    gamma = sorted_types(ct_agl(3, 3))[-1]
+    real = affine_ct.shift_class_types
+
+    def cut(*args):
+        raise RuntimeError("walk cut")
+        yield  # pragma: no cover
+
+    monkeypatch.setattr(affine_ct, "shift_class_types", cut)
+    with pytest.raises(RuntimeError, match="walk cut"):
+        first_witness(gamma, 3, 3)
+    monkeypatch.setattr(affine_ct, "shift_class_types", real)
+    for t in sorted_types(ct_agl(3, 3)):
+        assert first_witness(t, 3, 3) == scan_witness(t, 3, 3, False)
 
 
 def test_gamma_sets_refuse_dimension_0():
     for fn in (ct_agl, ct_acgl):
         with pytest.raises(ValueError, match="dimension must be >= 1"):
             fn(0, 3)
+
+
+def test_gamma_sets_refuse_a_composite_p():
+    for fn in (ct_agl, ct_acgl):
+        with pytest.raises(ValueError, match="4 is not prime"):
+            fn(2, 4)

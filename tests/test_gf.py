@@ -203,6 +203,32 @@ def test_poly_order_refusals():
         poly_order(Poly(F3, (1, 2)))  # 2X + 1
 
 
+def test_poly_order_is_worked_out_once_per_polynomial(monkeypatch):
+    """A second call reads the order kept on the field context; the refusals
+    still run on every call, and a reducible Q is refused each time, never
+    kept."""
+    from cosetmap import gf
+    F5 = field(5)
+    Q = Poly(F5, (2, 4, 0, 1))  # X^3 + 4X + 2, irreducible over GF(5)
+    order = poly_order(Q)
+    assert order == descent_poly_order(Q)
+
+    def recompute(K, f):
+        raise AssertionError("order worked out again")
+
+    monkeypatch.setattr(gf, "_poly_order", recompute)
+    assert poly_order(Poly(F5, (2, 4, 0, 1))) == order
+    with pytest.raises(ValueError, match="monic"):
+        poly_order(Poly(F5, (4, 2, 0, 2)))  # 2*Q
+    with pytest.raises(ValueError, match="Q = X"):
+        poly_order(Poly.x(F5))
+    reducible = Poly(F5, (1, 0, 1)) * Poly(F5, (2, 1))  # (X^2+1)(X+2)
+    for _ in range(2):
+        with pytest.raises(AssertionError, match="worked out again"):
+            poly_order(reducible)
+    assert reducible.codes not in F5._orders
+
+
 def test_q_adic_valuation_examples():
     F3 = field(3)
     xm1 = Poly(F3, (-1, 1))

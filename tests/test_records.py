@@ -36,10 +36,6 @@ FIELDS = {
                      "fixed_points"),
 }
 
-# the records whose fields hold no field context: a context keeps its
-# arithmetic as local functions, which pickle refuses
-PICKLED = (Splitting, MapTable, AnalysisReport)
-
 
 def check_record(cls, values):
     """Every part of the contract that one field tuple can show."""
@@ -64,9 +60,7 @@ def check_record(cls, values):
     assert tuple(getattr(a, name) for name in names) == values
     expected = ", ".join(f"{name}={value!r}" for name, value in zip(names, values))
     assert repr(a) == f"{cls.__name__}({expected})"
-    copies = [copy.copy(a), copy.deepcopy(a)]
-    if cls in PICKLED:
-        copies.append(pickle.loads(pickle.dumps(a)))
+    copies = [copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))]
     for c in copies:
         assert c == a and hash(c) == hash(a) and c.__class__ is cls
     match a:
@@ -212,6 +206,36 @@ def test_block_case_prcf_and_cgl_factorization_contract():
     for rows in ([[1, 2], [0, 1]], [[0, 1], [1, 1]], [[2, 0], [0, 2]]):
         fac = factor_into_cgl(MatrixQ(F3, rows), 2, seed=3)
         check_record(CglFactorization, (fac.factors, fac.product))
+
+
+def test_values_over_a_field_pickle_after_its_arithmetic_is_built():
+    """A field context pickles as `field(p, k, modulus)` and loads as the
+    interned context, so every record and value type that holds one pickles
+    too, also once `ops()` has built local functions and tables."""
+    for ctx in (field(3), field(2, 2), field(3, 2), field(3, 3)):
+        ctx.ops()
+        if ctx.k > 1:
+            ctx.dlog(ctx.one())
+        assert pickle.loads(pickle.dumps(ctx)) is ctx
+        assert pickle.loads(pickle.dumps(Poly.x(ctx))).ctx is ctx
+        p, d = ctx.p, 2
+        A = _matrix(ctx, [1, 1, 1, 0] if p == 2 else [2, 0, 0, 2], d)
+        v = VectorQ.from_codes(ctx, (1, 0))
+        xm1 = Poly(ctx, (-1, 1))
+        F = field(p)
+        one = AffineMap(MatrixQ.identity(F, 1), VectorQ(F, (0,)))
+        s = Splitting(p, 1, 1)
+        table = MapTable(3, (1, 2, 0))
+        values = [ctx.gen() if ctx.k > 1 else ctx.one(), xm1, A, v, AffineMap(A, v),
+                  BlockCase(xm1, 2, classify_block(xm1, 2, Poly.one(ctx)).u_class),
+                  prcf(A), factor_into_cgl(_matrix(F, [0, 1, 1, 1], 2), 2, seed=1),
+                  s, WreathElement(s, tuple(range(p))[1:] + (0,), (one,) * p), table,
+                  analyze(table, 3, 1)]
+        assert {v.__class__ for v in values} >= set(FIELDS)
+        for value in values:
+            back = pickle.loads(pickle.dumps(value))
+            assert back == value and hash(back) == hash(value)
+            assert back.__class__ is value.__class__
 
 
 def _refused(build, message):
