@@ -8,11 +8,11 @@ from .cgl import (CglFactorization, cgl_power_set, factor_into_cgl, is_cgl,
                   is_fpf, realize_gamma, two_fpf_product)
 from .cwaffine import (CosetWiseAffineMap, Splitting, WreathElement,
                        conjugated_table, construct_main, construct_sylow_type,
-                       coordinate_functions, cw_compose, cw_cycle_type,
-                       cw_eval, cw_is_complete, cw_is_permutation,
-                       cw_to_table, cw_to_wreath, field_to_vector,
-                       one_cycle_map, one_cycle_polynomial, sylow_type_targets,
-                       vector_to_field, wreath_mul, wreath_to_cw)
+                       cw_compose, cw_cycle_type, cw_eval, cw_is_complete,
+                       cw_is_permutation, cw_to_table, cw_to_wreath,
+                       field_to_vector, one_cycle_map, one_cycle_polynomial,
+                       sylow_type_targets, vector_to_field, wreath_mul,
+                       wreath_to_cw)
 from .cycletype import (CycleType, blow_up, ct, ct_format, ct_mul,
                         ct_of_permutation, ct_parse, weixu, weixu_all)
 from .errors import InfeasibleError

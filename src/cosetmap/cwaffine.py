@@ -422,60 +422,45 @@ def one_cycle_map(p: int, k: int) -> CosetWiseAffineMap:
 # Field-polynomial form of the one-cycle map
 # ---------------------------------------------------------------------------
 
-def moore_matrix(ctx: FieldCtx) -> MatrixQ:
-    """Rows indexed by basis power i, columns by Frobenius power j: w^(i*p^j)."""
-    if ctx.k < 2:
-        raise ValueError("the Moore matrix needs an extension field")
-    K, p, k = ctx.ops(), ctx.p, ctx.k
-    w = p ** (k - 2)  # the code of the generator X
-    return MatrixQ.from_codes(ctx, [[_power(K.mul, w, i * p ** j, K.one) for j in range(k)]
-                                    for i in range(k)])
-
-
-def coordinate_functions(ctx: FieldCtx) -> list[Poly]:
-    """Linearized polynomials pi_0..pi_{k-1} giving the coordinates of x over
-    the power basis: coefficient of Y^(p^j) in pi_i is column i of the inverse
-    Moore matrix."""
-    p = ctx.p
-    polys = []
-    for column in zip(*moore_matrix(ctx).inverse().codes):
-        codes = [0] * (p ** (ctx.k - 1) + 1)
-        for j, c in enumerate(column):
-            codes[p ** j] = c
-        polys.append(Poly.from_codes(ctx, codes))
-    return polys
-
-
-def _reduce_exponents(P: Poly) -> Poly:
-    """Reduce modulo Y^q - Y: fold Y^i onto Y^(i-q+1) for i >= q."""
-    K = P.ctx.ops()
-    q = P.ctx.order
-    codes = list(P.codes)
-    for i in range(len(codes) - 1, q - 1, -1):
-        c = codes.pop()
-        if c:
-            codes[i - (q - 1)] = K.add(codes[i - (q - 1)], c)
-    return Poly.from_codes(P.ctx, codes)
-
-
-def _mul_reduced(a: Poly, b: Poly) -> Poly:
-    return _reduce_exponents(a * b)
-
-
 def one_cycle_polynomial(ctx: FieldCtx) -> Poly:
     """Reduced polynomial (degree < q) representing the one-cycle map of
-    GF(q); a complete mapping when q is odd."""
+    GF(q); a complete mapping when q is odd.
+
+    It is x + w^(k-1) + sum_{j=1}^{k-1} w^(j-1) * 1_{V_j}(x), V_j the GF(p)-span
+    of w^0..w^(j-1).  With L = prod_{v in V_j}(x - v) = sum_{i<=j} a_i x^(p^i),
+    sum_v 1/(x - v) = a_0/L, so 1_{V_j} has -sum_v v^(q-1-n) = -a_0 *
+    beta_(q-p^j-n) at x^n, 0 < n < q, for beta = 1/(1 + sum_{i<j} a_i
+    z^(p^j - p^i)) (Lidl-Niederreiter, Finite Fields, 3.4).
+    """
     if ctx.k == 1:
         return Poly(ctx, (1, 1))
-    p, k = ctx.p, ctx.k
-    pis = coordinate_functions(ctx)
-    # pi_j^(p-1) has degree q - q/p, so it needs no reduction modulo Y^q - Y;
-    # w^i for i < k is a basis element, of code p^(k-1-i)
-    g = Poly.one(ctx) - pis[1] ** (p - 1)
-    for j in range(2, k):
-        indicator = Poly.one(ctx) - pis[j] ** (p - 1)
-        g = _mul_reduced(indicator, Poly.from_codes(ctx, (p ** (k - j),)) + g)
-    return _reduce_exponents(Poly.x(ctx) + Poly.from_codes(ctx, (1,)) + g)
+    K, p, k, q = ctx.ops(), ctx.p, ctx.k, ctx.order
+    codes = [0] * q
+    codes[0], codes[1] = 1, K.one  # w^(k-1) + x
+    a = [K.one]  # L of the zero space is x
+    for j in range(1, k):
+        b = p ** (k - j)  # the code of w^(j-1)
+        # L <- L^p - L(b)^(p-1) * L
+        lb = 0
+        for i, c in enumerate(a):
+            lb = K.add(lb, K.mul(c, _power(K.mul, b, p ** i, K.one)))
+        a = K.axpy([0] + [_power(K.mul, c, p, K.one) for c in a],
+                   K.neg(_power(K.mul, lb, p - 1, K.one)), a + [0])
+        # the coefficient of z^((p-1)*r) in beta sits at pad + r, zeros below;
+        # every shift is at least p^(j-1), so blocks of that width fill at once
+        terms = [(K.neg(a[i]), (p ** j - p ** i) // (p - 1)) for i in range(j)]
+        pad, end = terms[0][1], (q - 1) // (p - 1)
+        beta = [0] * pad + [K.one]
+        while len(beta) < end:
+            n = len(beta)
+            seg = [0] * min(p ** (j - 1), end - n)
+            for c, s in terms:
+                seg = K.axpy(seg, c, beta[n - s:n - s + len(seg)])
+            beta += seg
+        codes[0] = K.add(codes[0], b)
+        xs = slice(p - 1, q - p ** j + 1, p - 1)  # x^n for n = q - p^j - (p-1)*r
+        codes[xs] = K.axpy(codes[xs], K.neg(K.mul(b, a[0])), beta[pad:][::-1])
+    return Poly.from_codes(ctx, codes)
 
 
 def vector_to_field(ctx: FieldCtx, v: VectorQ):

@@ -8,8 +8,9 @@ Underneath, every heavy path runs on integer codes.  The code of an element is
 its `index`; a polynomial is a sequence of codes, constant term first, with no
 trailing zeros.  `FieldCtx.ops()` gives the code arithmetic of one field: plain
 residues for GF(p), and for GF(p^k) log/antilog tables of a primitive element
-plus Zech logarithms for addition in odd characteristic (O(q) memory, built on
-first use).  Irreducibility is Rabin's test and factoring is squarefree, then
+g plus Zech logarithms for addition in odd characteristic (O(q) memory, built
+on first use: each power of g comes from the last by one vector-matrix product
+over GF(p) with the k rows w^i * g mod the modulus).  Irreducibility is Rabin's test and factoring is squarefree, then
 distinct-degree, then equal-degree (Cantor-Zassenhaus) factorisation; both
 work the same way over every GF(q).  They and `poly_order` take q-th powers
 modulo a polynomial from one Frobenius matrix.
@@ -204,14 +205,17 @@ def _build_tables(ctx: "FieldCtx"):
     for g in itertools.chain(([0, 1],), nonzero):
         if all(_ppowmod(fp, g, n // r, m) != [1] for r in primes):
             break
+    # row i: the coordinates of w^i * g, so a step from g^i to g^(i+1) is one
+    # vector-matrix product over GF(p)
+    rows = [(_pmod(fp, [0] * i + g, m) + [0] * k)[:k] for i in range(k)]
     log = [0] * q
     exp = [0] * (2 * n)
-    acc = [1]
+    acc = [1] + [0] * (k - 1)
     for i in range(n):
-        code = tuple_to_index(acc + [0] * (k - len(acc)), p)
+        code = tuple_to_index(acc, p)
         exp[i] = exp[i + n] = code
         log[code] = i
-        acc = _pmod(fp, _pmul(fp, acc, g), m)
+        acc = fp.vecmat(acc, rows, k)
     zech = None
     if p != 2:
         top = (p - 1) * (q // p)  # codes at or above have constant coordinate p-1
@@ -657,12 +661,17 @@ class FieldCtx:
     def dlog(self, x: "FieldElement") -> int:
         """Discrete log of x base gen() (k >= 2): the least j >= 0 with
         gen()^j = x; raises ValueError if x is not a power of gen()."""
-        if x.is_zero():
+        return self._dlog(x.index)
+
+    def _dlog(self, code: int) -> int:
+        """`dlog` of the element with this code, read from the log table."""
+        if not code:
             raise ValueError("dlog of zero")
-        w = self.gen()
+        if self.k == 1:
+            raise ValueError("prime field has no distinguished generator")
         log = self._tables()[0]
         n = self.order - 1
-        s, t = log[w.index], log[x.index]
+        s, t = log[self.p ** (self.k - 2)], log[code]  # gen() has code p^(k-2)
         g = math.gcd(s, n)
         if t % g:
             raise ValueError("element is not a power of the generator")

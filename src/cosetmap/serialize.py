@@ -6,7 +6,8 @@ encode as coefficient arrays, constant term first.  The JSON codecs work on
 element codes: encoders read `.codes` through `gf.index_to_tuple`, decoders
 hand the JSON values to `FieldCtx.code` (through the `VectorQ`, `MatrixQ`
 and `Poly` constructors), so vectors, matrices, polynomials and coset-wise
-maps pass through no field element.  Polynomial text uses
+maps pass through no field element; `format_poly` reads codes too, through
+the discrete log of `FieldCtx`.  Polynomial text uses
 caret powers with `w` for the extension generator, e.g. `x^3 + 2*x + 1` or
 `w^16*x^18 + x + w^6`; when the generator X is not primitive for the
 modulus, a coefficient outside its powers is written as its coordinate list,
@@ -113,33 +114,33 @@ def cwmap_from_json(obj) -> CosetWiseAffineMap:
 # Polynomial text
 # ---------------------------------------------------------------------------
 
-def format_elem(x: FieldElement) -> str:
+def _format_code(ctx: FieldCtx, code: int) -> str:
     """Residue for prime-subfield values, else a power of the generator."""
-    if x.in_prime_subfield():
-        return str(x.coeffs[0])
+    unit = ctx.p ** (ctx.k - 1)  # the code of 1
+    if not code % unit:
+        return str(code // unit)
     try:
-        return f"w^{x.ctx.dlog(x)}"
+        return f"w^{ctx._dlog(code)}"
     except ValueError:
-        return str(list(x.coeffs))
+        return str(list(index_to_tuple(code, ctx.p, ctx.k)))
+
+
+def format_elem(x: FieldElement) -> str:
+    return _format_code(x.ctx, x.index)
 
 
 def format_poly(P: Poly) -> str:
     """Canonical text: descending powers joined with ' + ', unit coefficients
     omitted, extension coefficients as generator powers."""
-    if P.is_zero():
-        return "0"
+    ctx, one = P.ctx, P.ctx.code(1)
     terms = []
-    one = P.ctx.one()
-    for d in range(len(P.coeffs) - 1, -1, -1):
-        c = P.coeffs[d]
-        if c.is_zero():
-            continue
-        if d == 0:
-            terms.append(format_elem(c))
-        else:
+    for d in range(len(P.codes) - 1, -1, -1):
+        c = P.codes[d]
+        if c:
             xpart = "x" if d == 1 else f"x^{d}"
-            terms.append(xpart if c == one else f"{format_elem(c)}*{xpart}")
-    return " + ".join(terms)
+            terms.append(_format_code(ctx, c) if d == 0 else xpart if c == one
+                         else f"{_format_code(ctx, c)}*{xpart}")
+    return " + ".join(terms) or "0"
 
 
 _TERM_RE = re.compile(

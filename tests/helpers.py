@@ -519,3 +519,56 @@ def reference_from_json(kind, ctx, obj):
     if kind is MatrixQ:
         return MatrixQ(ctx, [[reference_elem_from_json(ctx, e) for e in row] for row in obj])
     return kind(ctx, [reference_elem_from_json(ctx, e) for e in obj])
+
+
+def moore_matrix(ctx) -> MatrixQ:
+    """Rows indexed by basis power i, columns by Frobenius power j: w^(i*p^j)."""
+    from cosetmap.gf import _power
+    if ctx.k < 2:
+        raise ValueError("the Moore matrix needs an extension field")
+    K, p, k = ctx.ops(), ctx.p, ctx.k
+    w = p ** (k - 2)  # the code of the generator X
+    return MatrixQ.from_codes(ctx, [[_power(K.mul, w, i * p ** j, K.one) for j in range(k)]
+                                    for i in range(k)])
+
+
+def coordinate_functions(ctx) -> list[Poly]:
+    """Linearized polynomials pi_0..pi_{k-1} giving the coordinates of x over
+    the power basis: coefficient of Y^(p^j) in pi_i is column i of the inverse
+    Moore matrix."""
+    p = ctx.p
+    polys = []
+    for column in zip(*moore_matrix(ctx).inverse().codes):
+        codes = [0] * (p ** (ctx.k - 1) + 1)
+        for j, c in enumerate(column):
+            codes[p ** j] = c
+        polys.append(Poly.from_codes(ctx, codes))
+    return polys
+
+
+def _reduce_exponents(P: Poly) -> Poly:
+    """Reduce modulo Y^q - Y: fold Y^i onto Y^(i-q+1) for i >= q."""
+    K = P.ctx.ops()
+    q = P.ctx.order
+    codes = list(P.codes)
+    for i in range(len(codes) - 1, q - 1, -1):
+        c = codes.pop()
+        if c:
+            codes[i - (q - 1)] = K.add(codes[i - (q - 1)], c)
+    return Poly.from_codes(P.ctx, codes)
+
+
+def reference_one_cycle_polynomial(ctx) -> Poly:
+    """The one-cycle polynomial from the coordinate functionals: products of
+    the indicators 1 - pi_j^(p-1), each reduced modulo Y^q - Y."""
+    if ctx.k == 1:
+        return Poly(ctx, (1, 1))
+    p, k = ctx.p, ctx.k
+    pis = coordinate_functions(ctx)
+    # pi_j^(p-1) has degree q - q/p, so it needs no reduction modulo Y^q - Y;
+    # w^i for i < k is a basis element, of code p^(k-1-i)
+    g = Poly.one(ctx) - pis[1] ** (p - 1)
+    for j in range(2, k):
+        indicator = Poly.one(ctx) - pis[j] ** (p - 1)
+        g = _reduce_exponents(indicator * (Poly.from_codes(ctx, (p ** (k - j),)) + g))
+    return _reduce_exponents(Poly.x(ctx) + Poly.from_codes(ctx, (1,)) + g)

@@ -352,11 +352,12 @@ def test_text_mode_builds_no_json(monkeypatch, capsys):
 
 
 def test_json_and_value_tables_build_no_field_elements(monkeypatch):
-    """The JSON encoders and decoders, the polynomial value table and the
-    coordinate functionals work on codes: no FieldElement is constructed."""
+    """The JSON encoders and decoders, the polynomial value table, the
+    one-cycle polynomial and its text work on codes: no FieldElement is
+    constructed."""
     from cosetmap import gf
-    from cosetmap import (MatrixQ, VectorQ, coordinate_functions, evaluate_poly_table,
-                          one_cycle_map, one_cycle_polynomial)
+    from cosetmap import (MatrixQ, VectorQ, evaluate_poly_table, one_cycle_map,
+                          one_cycle_polynomial)
     rng = random.Random(14)
     cases = []
     for ctx, f in ((field(7), one_cycle_map(7, 1)), (field(3, 2), one_cycle_map(3, 2)),
@@ -381,8 +382,9 @@ def test_json_and_value_tables_build_no_field_elements(monkeypatch):
         assert serialize.poly_from_json(ctx, serialize.poly_to_json(P)) == P
         assert cwmap_from_json(json.loads(json.dumps(serialize.cwmap_to_json(f)))) == f
     assert evaluate_poly_table(P25).n == 25
-    assert len(coordinate_functions(field(3, 3))) == 3
-    one_cycle_polynomial(field(3, 3))
+    for ctx in (field(3, 3), field(5, 2), field(3, 2, (1, 0, 1))):
+        assert format_poly(one_cycle_polynomial(ctx))
+    assert format_poly(P25)
     assert not built
 
 

@@ -5,8 +5,7 @@ import pytest
 
 from cosetmap import (CosetWiseAffineMap, InfeasibleError, MatrixQ, Poly,
                       Splitting, VectorQ, analyze, blow_up, conjugated_table,
-                      construct_main, construct_sylow_type,
-                      coordinate_functions, ct, ct_mul, cw_compose,
+                      construct_main, construct_sylow_type, ct, ct_mul, cw_compose,
                       cw_cycle_type, cw_eval, cw_is_complete,
                       cw_is_permutation, cw_to_table, cw_to_wreath,
                       evaluate_poly_table, field, field_to_vector,
@@ -15,9 +14,11 @@ from cosetmap import (CosetWiseAffineMap, InfeasibleError, MatrixQ, Poly,
 from cosetmap.cwaffine import _affine_table, _forward_product
 from cosetmap.cycletype import ct_of_permutation, cycles_of
 from cosetmap.oracle import index_to_tuple
-from helpers import (forward_product_by_then, one_cycle_closed_form_images,
-                     one_cycle_reference_tables, pointwise_affine_table,
-                     random_complete_mapping, random_invertible)
+from cosetmap.gf import is_prime
+from helpers import (coordinate_functions, forward_product_by_then,
+                     one_cycle_closed_form_images, one_cycle_reference_tables,
+                     pointwise_affine_table, random_complete_mapping, random_invertible,
+                     reference_one_cycle_polynomial)
 
 
 def random_cw_map(p, d, t, rng, invertible_only=False):
@@ -437,6 +438,24 @@ def test_one_cycle_polynomial():
     P = one_cycle_polynomial(F4)
     report = analyze(evaluate_poly_table(P), 2, 2)
     assert report.cycle_type == ct("x4") and not report.is_complete
+
+
+def test_one_cycle_polynomial_matches_the_coordinate_functional_reference():
+    """The power sums over nested subspaces give the polynomial that the
+    products of the indicators 1 - pi_j^(p-1) give, on every GF(p^k) with
+    q <= 3^7, and x + 1 on prime fields."""
+    fields = [(p, k) for p in range(2, 47) if is_prime(p)
+              for k in range(1, 12) if p ** k <= 3 ** 7]
+    assert len(fields) == 46 and (2, 11) in fields and (43, 2) in fields
+    for p, k in fields:
+        ctx = field(p, k)
+        assert one_cycle_polynomial(ctx) == reference_one_cycle_polynomial(ctx), (p, k)
+
+
+def test_one_cycle_polynomial_tabulates_the_one_cycle_map():
+    for p, k in [(3, 6), (5, 4), (7, 3), (2, 10)]:
+        table = evaluate_poly_table(one_cycle_polynomial(field(p, k)))
+        assert table == cw_to_table(one_cycle_map(p, k)), (p, k)
 
 
 def test_field_vector_bridge():

@@ -9,7 +9,7 @@ import pytest
 from cosetmap import (FieldElement, MatrixQ, Poly, enumerate_irreducibles, factor_monic, field,
                       is_irreducible)
 from cosetmap.oracle import MAX_DOMAIN
-from cosetmap.gf import MAX_DOMAIN as GF_MAX_DOMAIN
+from cosetmap.gf import MAX_DOMAIN as GF_MAX_DOMAIN, _ppowmod, _trim, tuple_to_index
 
 EXTENSION_FIELDS = [(2, 2), (2, 3), (3, 2), (5, 2), (3, 3)]
 
@@ -115,6 +115,30 @@ def test_dlog_is_the_least_exponent(p, k):
         else:
             with pytest.raises(ValueError):
                 ctx.dlog(x)
+
+
+@pytest.mark.parametrize("p,k,modulus", [(3, 2, (1, 0, 1)), (2, 6, None), (5, 3, None)])
+def test_tables_are_the_powers_of_a_primitive_element(p, k, modulus):
+    """exp, log and zech against g^i mod the modulus by square-and-multiply;
+    over GF(9) with modulus X^2 + 1 the class of X is not primitive, so the
+    table generator g is another element."""
+    ctx = field(p, k, modulus)
+    log, exp, zech = ctx._tables()
+    q, n, m = ctx.order, ctx.order - 1, ctx.modulus
+    fp = field(p).ops()
+    g = _trim(list(_coords(ctx, exp[1])))
+    if modulus == (1, 0, 1):
+        assert exp[1] != ctx.gen().index  # the class of X has order 4
+    for i in range(n):
+        c = _ppowmod(fp, g, i, m)
+        code = tuple_to_index(c + [0] * (k - len(c)), p)
+        assert exp[i] == exp[i + n] == code and log[code] == i
+    assert sorted(exp[:n]) == list(range(1, q))
+    if p == 2:
+        assert zech is None
+    for d in range(n if zech else 0):
+        s = (ctx.from_index(exp[d]) + ctx.one()).index
+        assert zech[d] == zech[d + n] == (log[s] if s else -1)
 
 
 def test_large_extension_refuses_to_build_tables():

@@ -5,7 +5,7 @@ import pytest
 
 from cosetmap import (AffineMap, MatrixQ, Poly, VectorQ, charpoly, companion,
                       field, hypercompanion, minpoly, poly_at_matrix, prcf)
-from helpers import all_invertible_matrices, random_invertible
+from helpers import all_invertible_matrices, moore_matrix, random_invertible
 
 
 def test_mat_arith_basics():
@@ -37,7 +37,6 @@ def test_mat_arith_basics():
 def test_moore_matrix_inverse_first_row():
     # over GF(27) with the bundled modulus, the inverse of the Moore matrix
     # has first row (w^25, w^14, -1)
-    from cosetmap.cwaffine import moore_matrix
     F27 = field(3, 3)
     w = F27.gen()
     Minv = moore_matrix(F27).inverse()
