@@ -7,13 +7,13 @@ All values are immutable and all operations are pure functions.
 Underneath, every heavy path runs on integer codes.  The code of an element is
 its `index`; a polynomial is a sequence of codes, constant term first, with no
 trailing zeros.  `FieldCtx.ops()` gives the code arithmetic of one field: plain
-residues for GF(p), and for GF(p^k) log/antilog tables of a primitive element
-g plus Zech logarithms for addition in odd characteristic (O(q) memory, built
-on first use: each power of g comes from the last by one vector-matrix product
-over GF(p) with the k rows w^i * g mod the modulus).  Irreducibility is Rabin's test and factoring is squarefree, then
-distinct-degree, then equal-degree (Cantor-Zassenhaus) factorisation; both
-work the same way over every GF(q).  They and `poly_order` take q-th powers
-modulo a polynomial from one Frobenius matrix.
+residues for GF(p), and for GF(p^k) log/antilog tables of a primitive element g
+plus Zech logarithms for addition in odd characteristic (O(q) memory, built on
+first use by one GF(p) vector-matrix product per power of g).  Irreducibility
+is Rabin's test and factoring is squarefree, then distinct-degree, then
+equal-degree (Cantor-Zassenhaus) factorisation; both work the same way over
+every GF(q).  They and `poly_order` take q-th powers modulo a polynomial from
+one Frobenius matrix.
 """
 
 from __future__ import annotations

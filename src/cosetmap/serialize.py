@@ -115,7 +115,6 @@ def cwmap_from_json(obj) -> CosetWiseAffineMap:
 # ---------------------------------------------------------------------------
 
 def _format_code(ctx: FieldCtx, code: int) -> str:
-    """Residue for prime-subfield values, else a power of the generator."""
     unit = ctx.p ** (ctx.k - 1)  # the code of 1
     if not code % unit:
         return str(code // unit)
@@ -126,6 +125,7 @@ def _format_code(ctx: FieldCtx, code: int) -> str:
 
 
 def format_elem(x: FieldElement) -> str:
+    """Residue for prime-subfield values, else a power of the generator."""
     return _format_code(x.ctx, x.index)
 
 
