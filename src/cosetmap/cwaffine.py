@@ -19,7 +19,7 @@ from .affine_ct import affine_cycle_type
 from .cgl import is_cgl, realize_gamma
 from .cycletype import CycleType, blow_up, ct_mul, cycles_of
 from .errors import InfeasibleError
-from .gf import FieldCtx, Poly, _power, factorize, field, tuple_to_index
+from .gf import FieldCtx, Poly, _power, digit_sums, factorize, field, tuple_to_index
 from .linalg import AffineMap, MatrixQ, VectorQ, _identity, _matmul
 from .oracle import MapTable, is_complete_mapping
 
@@ -57,10 +57,11 @@ class CosetWiseAffineMap:
     order (the lexicographic index of the label u in GF(p)^t) and `top` the
     index of u + nu_u for each coset index.  The constructor takes the triples
     either in that order or as a dict keyed by label, and refuses data over
-    another field than the splitting's.
+    another field than the splitting's.  `cw_cycle_type` keeps its answer in
+    `_cycle_type`, which equality ignores.
     """
 
-    __slots__ = ("splitting", "per_coset", "top")
+    __slots__ = ("splitting", "per_coset", "top", "_cycle_type")
 
     def __init__(self, splitting: Splitting, per_coset):
         labels = splitting.coset_labels()
@@ -72,8 +73,7 @@ class CosetWiseAffineMap:
             raise ValueError("per-coset data must cover every coset exactly once")
         ctx, p = splitting.ctx, splitting.p
         norm = []
-        top = []
-        for u, (alpha, omega, nu) in zip(labels, per_coset):
+        for alpha, omega, nu in per_coset:
             if not isinstance(alpha, MatrixQ):
                 alpha = MatrixQ(ctx, alpha)
             if not isinstance(omega, VectorQ):
@@ -87,10 +87,12 @@ class CosetWiseAffineMap:
             if len(omega) != splitting.d or len(nu) != splitting.t:
                 raise ValueError("omega is W-sized and nu is U-sized")
             norm.append((alpha, omega, nu))
-            top.append(tuple_to_index([a + b for a, b in zip(u, nu.codes)], p))
         self.splitting = splitting
         self.per_coset = tuple(norm)
-        self.top = tuple(top)
+        # the label with index u moves to u + nu_u
+        self.top = tuple(digit_sums(range(len(norm)), [tuple_to_index(nu.codes, p)
+                                                       for _, _, nu in norm], p, splitting.t))
+        self._cycle_type = None
 
     def data(self, u) -> tuple[MatrixQ, VectorQ, VectorQ]:
         """(alpha_u, omega_u, nu_u) of the coset with label u."""
@@ -217,45 +219,55 @@ def _forward_product(f: CosetWiseAffineMap, cycle: list[int]) -> AffineMap:
 
 def cw_cycle_type(f: CosetWiseAffineMap) -> CycleType:
     """Blow up the cycle type of each forward cycle product by its cycle
-    length and multiply."""
-    if not cw_is_permutation(f):
-        raise ValueError("cycle type requires a permutation")
-    total = CycleType()
-    for cycle in cycles_of(f.top):
-        gamma = affine_cycle_type(_forward_product(f, cycle))
-        total = ct_mul(total, blow_up(len(cycle), gamma))
-    return total
+    length and multiply; worked out once per map."""
+    if f._cycle_type is None:
+        if not cw_is_permutation(f):
+            raise ValueError("cycle type requires a permutation")
+        total = CycleType()
+        for cycle in cycles_of(f.top):
+            gamma = affine_cycle_type(_forward_product(f, cycle))
+            total = ct_mul(total, blow_up(len(cycle), gamma))
+        f._cycle_type = total
+    return f._cycle_type
 
 
 # ---------------------------------------------------------------------------
 # Value tables
 # ---------------------------------------------------------------------------
 
-def _affine_table(M: MatrixQ, shift: VectorQ | None = None) -> list[int]:
-    """Index table of x -> x*M + shift on GF(p)^n, n = M.rows, on codes: the
-    images of the points in index order, built one row of M at a time."""
-    K, p = M.ctx.ops(), M.ctx.p
-    vecs = [shift.codes if shift is not None else (0,) * M.rows]
-    for row in M.codes:
-        vecs = [K.axpy(v, a, row) for v in vecs for a in range(p)]
-    return [tuple_to_index(v, p) for v in vecs]
+def _affine_table(maps) -> list[int]:
+    """Index tables of the maps x -> x*M + shift of GF(p)^n, given as pairs
+    (M, shift) over one GF(p), interleaved: the image of the point x under
+    the u-th map sits at x*len(maps) + u.  Built one row of every M at a time,
+    on indices."""
+    M, _ = maps[0]
+    p, n, N = M.ctx.p, M.rows, len(maps)
+    table = [tuple_to_index(shift.codes, p) for _, shift in maps]
+    for rows in zip(*(M.codes for M, _ in maps)):
+        row = [tuple_to_index(r, p) for r in rows]
+        multiples = [[0] * N]  # a*row of each map, for a = 0..p-1
+        while len(multiples) < p:
+            multiples.append(digit_sums(multiples[-1], row, p, n))
+        blocks = [table[j:j + N] for j in range(0, len(table), N)]  # one per point so far
+        table = digit_sums([v for block in blocks for _ in range(p) for v in block],
+                           [m for ms in multiples for m in ms] * len(blocks), p, n)
+    return table
 
 
 def _table(f: CosetWiseAffineMap) -> list[int]:
     """Images of f on lexicographic indices of GF(p)^(d+t): the point w + u
-    has index w*p^t + u, so each coset is one stride-p^t slice."""
+    has index w*p^t + u, and so has the image of w under the u-th coset map
+    in `_affine_table`."""
     s = f.splitting
     nt = s.p ** s.t
-    images = [0] * (s.p ** s.n)
-    for u, ((alpha, omega, _), top) in enumerate(zip(f.per_coset, f.top)):
-        images[u::nt] = [w * nt + top for w in _affine_table(alpha, omega)]
-    return images
+    table = _affine_table([(alpha, omega) for alpha, omega, _ in f.per_coset])
+    return [v * nt + top for v, top in zip(table, f.top * s.p ** s.d)]
 
 
 def cw_to_table(f: CosetWiseAffineMap) -> MapTable:
     """Tabulate on lexicographic indices of GF(p)^(d+t)."""
     images = _table(f)
-    return MapTable(len(images), tuple(images))
+    return MapTable(len(images), images)
 
 
 def conjugated_table(f: CosetWiseAffineMap, T: MatrixQ) -> MapTable:
@@ -266,8 +278,9 @@ def conjugated_table(f: CosetWiseAffineMap, T: MatrixQ) -> MapTable:
     if T.ctx != s.ctx or T.rows != s.n or not T.is_invertible():
         raise ValueError("basis change must be an invertible (d+t) matrix")
     images = _table(f)
-    into, back = _affine_table(T.inverse()), _affine_table(T)
-    return MapTable(len(images), tuple(back[images[x]] for x in into))
+    zero = VectorQ.zero(s.ctx, s.n)
+    into, back = _affine_table([(T.inverse(), zero)]), _affine_table([(T, zero)])
+    return MapTable(len(images), [back[images[x]] for x in into])
 
 
 # ---------------------------------------------------------------------------

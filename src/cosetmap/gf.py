@@ -72,6 +72,58 @@ def tuple_to_index(t, p: int) -> int:
     return i
 
 
+def digit_sums(xs, ys, p: int, n: int, s: int = 1) -> list[int]:
+    """The index of x + s*y in GF(p)^n for each pair of indices x, y (below
+    p^n) drawn from xs and ys in step: XOR when p = 2, otherwise one lookup
+    per chunk of digits in `_sum_table`.  s is taken mod p."""
+    if n < 0:
+        raise ValueError(f"dimension {n} is negative")
+    s %= p
+    if p == 2:
+        return [x ^ y for x, y in zip(xs, ys)] if s else list(xs)
+    out = [0] * len(xs)
+    for place, m, table in _sum_plan(p, n, s):
+        if table is None:
+            out = [o + (x // place + s * (y // place)) % p * place
+                   for o, x, y in zip(out, xs, ys)]
+        elif place == 1:
+            out = [table[x % m * m + y % m] for x, y in zip(xs, ys)]
+        else:
+            out = [o + table[x // place % m * m + y // place % m] * place
+                   for o, x, y in zip(out, xs, ys)]
+    return out
+
+
+@functools.cache
+def _sum_plan(p: int, n: int, s: int) -> tuple[tuple[int, int, bytes | None], ...]:
+    """The chunks of `digit_sums` on GF(p)^n, p odd: (place value, p^width,
+    table) each.  A chunk has the most digits w with p^w <= 64, and the widths
+    are as even as possible; a single digit of p > 64 gets no table."""
+    w = 1
+    while p ** (w + 1) <= 64:
+        w += 1
+    chunks = -(-n // w)
+    plan, place = [], 1
+    for i in range(chunks):
+        width = n // chunks + (i < n % chunks)
+        m = p ** width
+        plan.append((place, m, _sum_table(p, width, s) if m <= 64 else None))
+        place *= m
+    return tuple(plan)
+
+
+@functools.cache
+def _sum_table(p: int, w: int, s: int) -> bytes:
+    """The index of a + s*b in GF(p)^w at a*p^w + b, for indices a, b below
+    p^w: the digit-wise sums of w - 1 digits followed by one more digit."""
+    one = [(a + s * b) % p for a in range(p) for b in range(p)]
+    if w == 1:
+        return bytes(one)
+    head, m = _sum_table(p, w - 1, s), p ** (w - 1)
+    return bytes(head[a * m + b] * p + one[c * p + d]
+                 for a in range(m) for c in range(p) for b in range(m) for d in range(p))
+
+
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization by trial division; fine for n <= 2**31."""
     if n < 1:

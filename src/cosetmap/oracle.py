@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
 import json
 
 from ._record import Record, set_field
 from .cycletype import CycleType, ct_of_permutation
-from .gf import MAX_DOMAIN, FieldCtx, Poly, index_to_tuple, is_prime, tuple_to_index
+from .gf import (MAX_DOMAIN, FieldCtx, Poly, digit_sums, index_to_tuple, is_prime,
+                 tuple_to_index)
 
 
 def is_complete_mapping(images, p: int, n: int, sign: int = 1) -> bool:
@@ -24,36 +24,33 @@ def is_complete_mapping(images, p: int, n: int, sign: int = 1) -> bool:
     the second map is x -> g(x) - x, so the test is for an orthomorphism."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
+    if n < 0:
+        raise ValueError(f"dimension {n} is negative")
     return sorted(images) == list(range(p ** n)) and _sums_bijective(images, p, n, (sign,))[0]
 
 
 def _sums_bijective(images, p: int, n: int, signs) -> list[bool]:
     """For each sign s, whether x -> g(x) + s*x is a bijection, for the bijection
-    g of GF(p)^n with this image table, from one set of digit columns; signs
-    equal mod p (+1 and -1 for p = 2) share one sum."""
+    g of GF(p)^n with this image table; signs equal mod p (+1 and -1 for
+    p = 2) share one sum."""
     size = p ** n
-    points = list(itertools.product(range(p), repeat=n))
-    columns = list(zip(zip(*points), zip(*[points[y] for y in images])))
-    verdicts = {}
-    for sign in {sign % p for sign in signs}:
-        sums = [0] * size
-        for xs, ys in columns:
-            sums = [s * p + (y + sign * x) % p for s, x, y in zip(sums, xs, ys)]
-        verdicts[sign] = len(set(sums)) == size
+    verdicts = {s: len(set(digit_sums(images, range(size), p, n, s))) == size
+                for s in {s % p for s in signs}}
     return [verdicts[s % p] for s in signs]
 
 
 class MapTable(Record):
-    """A map on {0..n-1} given by its image sequence."""
+    """A map on {0..n-1} given by its image sequence, kept as a tuple."""
 
     __slots__ = ("n", "images")
 
-    def __init__(self, n: int, images: tuple[int, ...]):
+    def __init__(self, n: int, images):
         if n > MAX_DOMAIN:
             raise ValueError(f"domain size {n} exceeds the {MAX_DOMAIN} guard")
+        images = tuple(images)
         if len(images) != n:
             raise ValueError("image list length does not match domain size")
-        if any(not 0 <= v < n for v in images):
+        if images and not (0 <= min(images) and max(images) < n):
             raise ValueError("image out of range")
         set_field(self, "n", n)
         set_field(self, "images", images)
@@ -116,14 +113,15 @@ def analyze(table: MapTable, p: int, dims: int) -> AnalysisReport:
         raise ValueError(f"{p} is not prime")
     images = table.images
     fixed = tuple(i for i in range(table.n) if images[i] == i)
-    if sorted(images) != list(range(table.n)):
+    # a MapTable's images lie in range(n), so n distinct ones are a bijection
+    if len(set(images)) != table.n:
         return AnalysisReport(False, False, False, None, fixed)
     is_complete, is_ortho = _sums_bijective(images, p, dims, (1, -1))
     return AnalysisReport(True, is_complete, is_ortho, ct_of_permutation(images), fixed)
 
 
 def table_of(fn, n: int) -> MapTable:
-    return MapTable(n, tuple(fn(i) for i in range(n)))
+    return MapTable(n, map(fn, range(n)))
 
 
 def interpolate(ctx: FieldCtx, values) -> Poly:
@@ -156,7 +154,7 @@ def evaluate_poly_table(P: Poly) -> MapTable:
     on the codes, which are the points in index order."""
     q = P.ctx.order
     horner = P.ctx.ops().horner
-    return MapTable(q, tuple(horner(P.codes, a)[1] for a in range(q)))
+    return MapTable(q, [horner(P.codes, a)[1] for a in range(q)])
 
 
 def load_table(text: str) -> MapTable:

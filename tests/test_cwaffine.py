@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import random
 
 import pytest
@@ -11,6 +13,7 @@ from cosetmap import (CosetWiseAffineMap, InfeasibleError, MatrixQ, Poly,
                       evaluate_poly_table, field, field_to_vector,
                       one_cycle_map, one_cycle_polynomial, sylow_type_targets,
                       vector_to_field, wreath_mul, wreath_to_cw)
+from cosetmap import cwaffine
 from cosetmap.cwaffine import _affine_table, _forward_product
 from cosetmap.cycletype import ct_of_permutation, cycles_of
 from cosetmap.oracle import index_to_tuple
@@ -220,6 +223,37 @@ def test_cw_cycle_type_h2_and_rotations():
             assert len(types) == 1
 
 
+def test_cw_cycle_type_is_worked_out_once_per_map(monkeypatch):
+    """The second call reads the answer kept on the map; an equal map built
+    afresh works it out again and gets the same type, and the kept answer
+    changes neither equality nor copies."""
+    calls = []
+    real = cwaffine.affine_cycle_type
+    monkeypatch.setattr(cwaffine, "affine_cycle_type", lambda g: calls.append(g) or real(g))
+    rng = random.Random(29)
+    for p, d, t in [(2, 1, 2), (3, 2, 1), (5, 1, 2), (3, 1, 3)]:
+        calls.clear()
+        f = random_cw_permutation(p, d, t, rng)
+        fresh = CosetWiseAffineMap(f.splitting, f.per_coset)
+        kept = [copy.deepcopy(f), pickle.loads(pickle.dumps(f))]
+        first = cw_cycle_type(f)
+        n = len(calls)
+        assert n == len(cycles_of(f.top))
+        assert cw_cycle_type(f) is first and len(calls) == n
+        assert f == fresh and fresh == f
+        assert cw_cycle_type(fresh) == first and len(calls) == 2 * n
+        kept += [copy.deepcopy(f), pickle.loads(pickle.dumps(f))]
+        for g in kept:
+            assert g == f and f == g
+            assert cw_cycle_type(g) == first
+        assert cw_cycle_type(f) == analyze(cw_to_table(f), p, d + t).cycle_type
+    # a map that is not a permutation is refused every time
+    f = CosetWiseAffineMap(Splitting(3, 1, 1), [([[0]], [0], [1])] * 3)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="requires a permutation"):
+            cw_cycle_type(f)
+
+
 def test_forward_product_matches_then_fold():
     """The code-row fold equals composing the coset maps with AffineMap.then,
     for singular and invertible blocks and for any walk over the cosets."""
@@ -337,17 +371,23 @@ def test_conjugated_table_preserves_completeness_and_type():
 
 def test_affine_table_matches_pointwise_products():
     """Row-at-a-time tables against x*M + v worked out point by point, for
-    singular and invertible M."""
+    singular and invertible M, up to GF(3)^7; several maps interleave."""
     rng = random.Random(11)
-    for p in (2, 3, 5):
+    sizes = [(p, n, 4) for p in (2, 3, 5) for n in range(1, 5)]
+    sizes += [(p, n, 2) for p in (2, 3) for n in range(5, 8)]
+    for p, n, count in sizes:
         ctx = field(p)
-        for n in range(1, 5):
-            for _ in range(4):
-                M = MatrixQ(ctx, tuple(tuple(rng.randrange(p) for _ in range(n))
-                                       for _ in range(n)))
-                v = VectorQ(ctx, [rng.randrange(p) for _ in range(n)])
-                assert _affine_table(M, v) == pointwise_affine_table(M, v)
-            assert _affine_table(M) == pointwise_affine_table(M, VectorQ.zero(ctx, n))
+        maps = []
+        for _ in range(count):
+            M = MatrixQ(ctx, tuple(tuple(rng.randrange(p) for _ in range(n))
+                                   for _ in range(n)))
+            v = VectorQ(ctx, [rng.randrange(p) for _ in range(n)])
+            assert _affine_table([(M, v)]) == pointwise_affine_table(M, v)
+            maps.append((M, v))
+        zero = VectorQ.zero(ctx, n)
+        assert _affine_table([(M, zero)]) == pointwise_affine_table(M, zero)
+        tables = [pointwise_affine_table(M, v) for M, v in maps]
+        assert _affine_table(maps) == [table[x] for x in range(p ** n) for table in tables]
 
 
 def test_sylow_constructor():

@@ -2,6 +2,7 @@
 arithmetic, factoring against sympy, and the value-type contracts."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -9,7 +10,8 @@ import pytest
 from cosetmap import (FieldElement, MatrixQ, Poly, enumerate_irreducibles, factor_monic, field,
                       is_irreducible)
 from cosetmap.oracle import MAX_DOMAIN
-from cosetmap.gf import MAX_DOMAIN as GF_MAX_DOMAIN, _ppowmod, _trim, tuple_to_index
+from cosetmap.gf import (MAX_DOMAIN as GF_MAX_DOMAIN, _ppowmod, _sum_plan, _trim, digit_sums,
+                         index_to_tuple, tuple_to_index)
 
 EXTENSION_FIELDS = [(2, 2), (2, 3), (3, 2), (5, 2), (3, 3)]
 
@@ -32,6 +34,58 @@ def _coord_mul(ctx, a, b):
 
 def _coords(ctx, code):
     return ctx.from_index(code).coeffs
+
+
+def _digit_sums_reference(xs, ys, p, n, s):
+    return [tuple_to_index([a + s * b for a, b in zip(index_to_tuple(x, p, n),
+                                                      index_to_tuple(y, p, n))], p)
+            for x, y in zip(xs, ys)]
+
+
+def test_digit_sums_match_the_per_digit_reference():
+    """x + s*y on indices against digit-by-digit sums: XOR for p = 2, one or
+    several table chunks for p <= 13, a table-free digit per chunk for
+    p = 67; exhaustively on small spaces, so every table entry is read."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=400, deadline=None)
+    @hypothesis.given(st.sampled_from([2, 3, 5, 7, 11, 13, 67]), st.integers(0, 9),
+                      st.sampled_from([1, -1]), st.data())
+    def check(p, n, s, data):
+        index = st.integers(0, p ** n - 1)
+        xs = data.draw(st.lists(index, max_size=12))
+        ys = data.draw(st.lists(index, min_size=len(xs), max_size=len(xs)))
+        assert digit_sums(xs, ys, p, n, s) == _digit_sums_reference(xs, ys, p, n, s)
+
+    check()
+    for p, n in [(2, 5), (3, 0), (3, 4), (5, 2), (7, 2), (11, 1), (67, 1)]:
+        pairs = list(itertools.product(range(p ** n), repeat=2))
+        xs, ys = [x for x, _ in pairs], [y for _, y in pairs]
+        for s in (-1, 0, 1, 2):
+            assert digit_sums(xs, ys, p, n, s) == _digit_sums_reference(xs, ys, p, n, s)
+    with pytest.raises(ValueError, match="dimension -1 is negative"):
+        digit_sums([0], [0], 3, -1)
+
+
+def test_digit_sum_tables_stay_small():
+    """Every chunk covers at most 64 indices, so no table has more than 64^2
+    entries; chunk widths differ by at most one, and a prime above 64 gets
+    single digits and no table."""
+    for p in [3, 5, 7, 11, 13, 31, 61, 67, 101, 1009]:
+        for n in range(13):
+            for s in range(p if p < 64 else 3):
+                plan = _sum_plan(p, n, s)
+                widths = [round(math.log(m, p)) for _, m, _ in plan]
+                assert [place for place, _, _ in plan] == [p ** sum(widths[:i])
+                                                          for i in range(len(plan))]
+                assert sum(widths) == n and max(widths, default=0) - min(widths, default=0) <= 1
+                assert len(plan) == -(-n // max([1] + [w for w in range(1, 7) if p ** w <= 64]))
+                for _, m, table in plan:
+                    if p > 64:
+                        assert m == p and table is None
+                    else:
+                        assert m <= 64 and len(table) == m * m <= 64 ** 2
 
 
 def test_factor_monic_keeps_a_linear_cofactor_over_gf4():

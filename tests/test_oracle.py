@@ -64,24 +64,32 @@ def test_analyze_refuses_non_prime_p():
 
 
 def test_is_complete_mapping_matches_pointwise_decode():
-    """The column-wise test against the per-point decode loop, on
+    """The digit-sum test against the per-point decode loop, on
     permutations, affine maps (some complete), non-bijections and tables of
-    the wrong length."""
+    the wrong length, up to GF(3)^7 and GF(2)^7."""
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
+    spaces = [(p, n) for p in (2, 3, 5, 7) for n in range(8 if p <= 3 else 5)]
 
     @hypothesis.settings(max_examples=300, deadline=None)
-    @hypothesis.given(st.sampled_from([2, 3, 5, 7]), st.integers(0, 4), st.sampled_from([1, -1]),
+    @hypothesis.given(st.sampled_from(spaces), st.sampled_from([1, -1]),
                       st.sampled_from(["perm", "affine", "map", "length"]), st.data())
-    def check(p, n, sign, kind, data):
+    def check(space, sign, kind, data):
+        p, n = space
         size = p ** n
-        if kind == "perm":
+        # large tables come from a drawn seed, small ones shrink draw by draw
+        rng = random.Random(data.draw(st.integers(0, 2 ** 32))) if size > 81 else None
+        if kind == "perm" and rng:
+            images = rng.sample(range(size), size)
+        elif kind == "perm":
             images = data.draw(st.permutations(range(size)))
         elif kind == "affine":
             ctx = field(p)
             coords = st.lists(st.integers(0, p - 1), min_size=n, max_size=n)
             M = MatrixQ(ctx, data.draw(st.lists(coords, min_size=n, max_size=n)))
             images = pointwise_affine_table(M, VectorQ(ctx, data.draw(coords)))
+        elif kind == "map" and rng:
+            images = [rng.randrange(size) for _ in range(size)]
         elif kind == "map":
             images = data.draw(st.lists(st.integers(0, size - 1), min_size=size, max_size=size))
         else:
@@ -97,6 +105,8 @@ def test_is_complete_mapping_matches_pointwise_decode():
         identity = list(range(p ** n))
         assert is_complete_mapping(identity, p, n) == (p > 2)
         assert not is_complete_mapping(identity, p, n, -1)
+    with pytest.raises(ValueError, match="dimension -1 is negative"):
+        is_complete_mapping([0], 3, -1)
 
 
 def test_analyze_matches_reference():

@@ -130,6 +130,16 @@ def test_splitting_and_map_table_contract():
     run()
 
 
+def test_map_table_keeps_its_images_as_a_tuple():
+    """A list, a range and a tuple of images give one equal, hashable record."""
+    tables = [MapTable(3, images) for images in ([0, 1, 2], range(3), (0, 1, 2))]
+    for table in tables:
+        assert type(table.images) is tuple and table.images == (0, 1, 2)
+        assert table == tables[0] and hash(table) == hash(tables[0]) == hash((3, (0, 1, 2)))
+    assert len(set(tables)) == 1
+    assert MapTable(3, [1, 2, 0]) == MapTable(3, (1, 2, 0)) != MapTable(3, range(3))
+
+
 def test_analysis_report_contract():
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
