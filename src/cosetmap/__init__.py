@@ -17,11 +17,9 @@ from .cycletype import (CycleType, blow_up, ct, ct_format, ct_mul,
                         ct_of_permutation, ct_parse, weixu, weixu_all)
 from .errors import InfeasibleError
 from .gf import (FieldCtx, FieldElement, Poly, enumerate_irreducibles,
-                 factor_monic, field, field_of_order, is_irreducible,
-                 poly_gcd, poly_order, q_adic_valuation)
+                 factor_monic, field, field_of_order, is_irreducible, poly_order)
 from .linalg import (AffineMap, MatrixQ, Prcf, VectorQ, charpoly, companion,
-                     elementary_divisors, hypercompanion, minpoly, poly_at_matrix,
-                     prcf)
+                     elementary_divisors, prcf)
 from .oracle import (AnalysisReport, MapTable, analyze, evaluate_poly_table,
                      interpolate, load_table, table_of)
 

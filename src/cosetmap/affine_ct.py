@@ -12,7 +12,7 @@ import bisect
 import functools
 import itertools
 
-from ._record import Record, set_field
+from ._record import Record
 from .cycletype import CycleType, weixu, weixu_all
 from .gf import (FieldCtx, Poly, _unit_group_factors, enumerate_irreducibles, factorize, field,
                  poly_order)
@@ -56,10 +56,7 @@ class BlockCase(Record):
         # class as that of a unit shift: GENERIC is the class of both
         if u_class != _shift_class(Q, e, u_class != U_NONUNIT):
             raise ValueError(f"shift class {u_class!r} does not fit ({Q})^{e}")
-        set_field(self, "Q", Q)
-        set_field(self, "e", e)
-        set_field(self, "u_class", u_class)
-        set_field(self, "_values", (Q, e, u_class))
+        self._store(Q, e, u_class)
 
 
 def _shift_class(Q: Poly, e: int, unit: bool) -> str:

@@ -6,7 +6,7 @@ from __future__ import annotations
 import itertools
 import random
 
-from ._record import Record, set_field
+from ._record import Record
 from .affine_ct import _EXCEPTIONAL_PRODUCTS, ct_agl, gamma_dpl, witness_map
 from .cycletype import CycleType
 from .errors import InfeasibleError
@@ -38,9 +38,7 @@ class CglFactorization(Record):
             acc = acc * f
         if acc != product:
             raise ValueError("factors do not multiply to the stated product")
-        set_field(self, "factors", factors)
-        set_field(self, "product", product)
-        set_field(self, "_values", (factors, product))
+        self._store(factors, product)
 
 
 def cgl_power_set(d: int, q: int, ell: int):

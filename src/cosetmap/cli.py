@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import serialize
@@ -193,11 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "complete mappings of finite fields (exact arithmetic).",
     )
     parser.add_argument("--format", choices=("text", "json"), default="text")
-    seed_text = os.environ.get("COSETMAP_SEED", "0")
-    try:
-        default_seed = int(seed_text)
-    except ValueError:
-        raise ValueError(f"COSETMAP_SEED must be an integer, not {seed_text!r}") from None
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_field_opts(p):
@@ -226,19 +220,19 @@ def build_parser() -> argparse.ArgumentParser:
     add_field_opts(p)
     p.add_argument("--l", type=int, required=True, help="number of factors")
     p.add_argument("--matrix", required=True, help="path or - for JSON matrix")
-    p.add_argument("--seed", type=int, default=default_seed)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=_cmd_cgl_factor)
 
     p = sub.add_parser("construct", help="run the coset-wise constructor from a job file")
     p.add_argument("--job", required=True, help="path or - for the JSON job")
-    p.add_argument("--seed", type=int, default=default_seed)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--verify", action="store_true")
     p.set_defaults(fn=_cmd_construct)
 
     p = sub.add_parser("sylow-type", help="complete mapping with a p-power cycle type")
     p.add_argument("--q", type=int, required=True, help="odd prime power")
     p.add_argument("--type", required=True, help="target cycle type, e.g. 'x1^3 x3^2'")
-    p.add_argument("--seed", type=int, default=default_seed)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--verify", action="store_true")
     p.set_defaults(fn=_cmd_sylow_type)
 

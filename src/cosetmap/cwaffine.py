@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import random
 
-from ._record import Record, set_field
+from ._record import Record
 from .affine_ct import affine_cycle_type
 from .cgl import is_cgl, realize_gamma
 from .cycletype import CycleType, blow_up, ct_mul, cycles_of
@@ -32,10 +32,8 @@ class Splitting(Record):
     def __init__(self, p: int, d: int, t: int):
         if d < 1 or t < 0:
             raise ValueError("need d >= 1 and t >= 0")
-        set_field(self, "p", p)
-        set_field(self, "d", d)
-        set_field(self, "t", t)
-        set_field(self, "_values", (p, d, t))
+        field(p)  # refuses a p that is not prime
+        self._store(p, d, t)
 
     @property
     def n(self) -> int:
@@ -96,9 +94,10 @@ class CosetWiseAffineMap:
 
     def data(self, u) -> tuple[MatrixQ, VectorQ, VectorQ]:
         """(alpha_u, omega_u, nu_u) of the coset with label u."""
-        if len(u) != self.splitting.t:
+        p = self.splitting.p
+        if len(u) != self.splitting.t or not all(0 <= c < p for c in u):
             raise KeyError(u)
-        return self.per_coset[tuple_to_index(u, self.splitting.p)]
+        return self.per_coset[tuple_to_index(u, p)]
 
     def __eq__(self, other):
         return (isinstance(other, CosetWiseAffineMap)
@@ -160,10 +159,7 @@ class WreathElement(Record):
             raise ValueError("top must be a bijection on the coset labels")
         if len(bottom) != n:
             raise ValueError("one bottom map per coset label required")
-        set_field(self, "splitting", splitting)
-        set_field(self, "top", top)
-        set_field(self, "bottom", bottom)
-        set_field(self, "_values", (splitting, top, bottom))
+        self._store(splitting, top, bottom)
 
 
 def cw_to_wreath(f: CosetWiseAffineMap) -> WreathElement:

@@ -172,10 +172,10 @@ def ct_parse(text: str) -> CycleType:
             raise ValueError(f"malformed cycle-type term {token!r}")
         length = int(m.group(1))
         count = int(m.group(2)) if m.group(2) else 1
-        if length <= last:
-            raise ValueError("cycle-type terms must have strictly increasing lengths")
         if length < 1 or count < 1:
             raise ValueError("cycle-type terms need positive length and count")
+        if length <= last:
+            raise ValueError("cycle-type terms must have strictly increasing lengths")
         last = length
         pairs.append((length, count))
     return CycleType(pairs)

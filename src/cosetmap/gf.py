@@ -1038,13 +1038,6 @@ class Poly:
         return format_poly(self)
 
 
-def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic greatest common divisor."""
-    if a.ctx != b.ctx:
-        raise ValueError("mismatched coefficient contexts")
-    return a._new(_pgcd(a.ctx.ops(), a.codes, b.codes))
-
-
 _IRR_CACHE: dict[tuple, tuple[int, list]] = {}
 
 
@@ -1173,20 +1166,3 @@ def _poly_order(K: _Ops, f) -> int:
         check = False
         order *= prime ** b
     return order
-
-
-def q_adic_valuation(R: Poly, Q: Poly) -> int:
-    """Largest m with Q^m dividing R; R must be nonzero."""
-    if R.is_zero():
-        raise ValueError("valuation of the zero polynomial is undefined")
-    if Q.is_zero() or Q.degree < 1:
-        raise ValueError("valuation base must have degree >= 1")
-    K = R.ctx.ops()
-    r = R.codes
-    m = 0
-    while True:
-        quo, rem = _pdivmod(K, r, Q.codes)
-        if rem:
-            return m
-        r = quo
-        m += 1

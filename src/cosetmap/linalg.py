@@ -10,9 +10,9 @@ field's `ops()`; `MatrixQ`, `VectorQ` and `Poly` are built for return values.
 
 from __future__ import annotations
 
-from ._record import Record, set_field
+from ._record import Record
 from .gf import (FieldCtx, FieldElement, Poly, _Ops, _pexact_div, _pmul, _power, _ppow,
-                 _trim, factor_monic, index_to_tuple, is_irreducible)
+                 _trim, factor_monic, index_to_tuple)
 
 
 # ---------------------------------------------------------------------------
@@ -426,13 +426,6 @@ class MatrixQ:
             raise ValueError("inverse needs a square matrix")
         return MatrixQ.from_codes(self.ctx, _inverse(self.ctx.ops(), self.codes), self.cols)
 
-    def solve_left(self, b: VectorQ) -> VectorQ:
-        """Solve x * self = b; raises if inconsistent."""
-        if self.cols != len(b):
-            raise ValueError("dimension mismatch in solve")
-        return VectorQ.from_codes(
-            self.ctx, _solve_columns(self.ctx.ops(), list(zip(*self.codes)), b.codes, self.rows))
-
     def left_kernel(self) -> list[VectorQ]:
         """Basis of {x : x * self = 0}, in deterministic echelon order."""
         return [VectorQ.from_codes(self.ctx, v)
@@ -480,9 +473,7 @@ class AffineMap(Record):
             raise ValueError("mismatched contexts")
         if not matrix.is_square() or matrix.rows != len(shift):
             raise ValueError("affine map dimension mismatch")
-        set_field(self, "matrix", matrix)
-        set_field(self, "shift", shift)
-        set_field(self, "_values", (matrix, shift))
+        self._store(matrix, shift)
 
     @property
     def ctx(self):
@@ -509,55 +500,11 @@ def companion(P: Poly) -> MatrixQ:
     return MatrixQ.from_codes(P.ctx, _companion(P.ctx.ops(), P.codes))
 
 
-def hypercompanion(Q: Poly, e: int) -> MatrixQ:
-    """Block upper-bidiagonal matrix similar to Comp(Q^e): Comp(Q) blocks on
-    the diagonal, a connecting 1 from each block's last row into the next
-    block's first column.  This is multiplication by X on GF(q)[X]/(Q^e) in
-    the basis (Q^i X^j)."""
-    if e < 1:
-        raise ValueError("exponent must be >= 1")
-    if not Q.is_monic() or Q.degree < 1 or not is_irreducible(Q):
-        raise ValueError("hypercompanion needs a monic irreducible polynomial")
-    K = Q.ctx.ops()
-    m = int(Q.degree)
-    n = m * e
-    base = _companion(K, Q.codes)
-    rows = [[0] * n for _ in range(n)]
-    for off in range(0, n, m):
-        for i in range(m):
-            rows[off + i][off:off + m] = base[i]
-        if off + m < n:
-            rows[off + m - 1][off + m] = K.one
-    return MatrixQ.from_codes(Q.ctx, rows, n)
-
-
-def poly_at_matrix(P: Poly, A: MatrixQ) -> MatrixQ:
-    """Evaluate a polynomial at a square matrix (Horner)."""
-    if not A.is_square():
-        raise ValueError("polynomial evaluation needs a square matrix")
-    if P.ctx != A.ctx:
-        raise ValueError("mismatched contexts")
-    return MatrixQ.from_codes(A.ctx, _poly_at(A.ctx.ops(), P.codes, A.codes), A.cols)
-
-
 def charpoly(A: MatrixQ) -> Poly:
     """Characteristic polynomial via Hessenberg reduction, once per matrix."""
     if not A.is_square():
         raise ValueError("characteristic polynomial needs a square matrix")
     return Poly.from_codes(A.ctx, A._chi_codes())
-
-
-def minpoly(A: MatrixQ) -> Poly:
-    """Minimal polynomial: the product of Q^e over the largest block (Q, e)
-    of each Q among the elementary divisors; 1 for the 0 x 0 matrix."""
-    if not A.is_square():
-        raise ValueError("minimal polynomial needs a square matrix")
-    K = A.ctx.ops()
-    blocks = elementary_divisors(A)[0] if A.rows else ()
-    m = [K.one]
-    for Q, e in dict(blocks).items():   # exponents ascend per Q: dict keeps the largest
-        m = _pmul(K, m, _ppow(K, Q.codes, e))
-    return Poly.from_codes(A.ctx, m)
 
 
 def _primary_exponents(K: _Ops, N, mult: int, deg: int, v=None) -> tuple[list[int], int]:
@@ -639,9 +586,7 @@ class Prcf(Record):
     __slots__ = ("blocks", "basis_change")
 
     def __init__(self, blocks: tuple[tuple[Poly, int], ...], basis_change: MatrixQ):
-        set_field(self, "blocks", blocks)
-        set_field(self, "basis_change", basis_change)
-        set_field(self, "_values", (blocks, basis_change))
+        self._store(blocks, basis_change)
 
     def block_diagonal(self) -> MatrixQ:
         return MatrixQ.block_diag([companion(Q ** e) for Q, e in self.blocks])

@@ -12,7 +12,7 @@ import csv
 import io
 import json
 
-from ._record import Record, set_field
+from ._record import Record
 from .cycletype import CycleType, ct_of_permutation
 from .gf import (MAX_DOMAIN, FieldCtx, Poly, digit_sums, index_to_tuple, is_prime,
                  tuple_to_index)
@@ -52,9 +52,7 @@ class MapTable(Record):
             raise ValueError("image list length does not match domain size")
         if images and not (0 <= min(images) and max(images) < n):
             raise ValueError("image out of range")
-        set_field(self, "n", n)
-        set_field(self, "images", images)
-        set_field(self, "_values", (n, images))
+        self._store(n, images)
 
     def to_json(self) -> dict:
         return {"n": self.n, "images": list(self.images)}
@@ -86,13 +84,7 @@ class AnalysisReport(Record):
 
     def __init__(self, is_bijection: bool, is_complete: bool, is_orthomorphism: bool,
                  cycle_type: CycleType | None, fixed_points: tuple[int, ...]):
-        set_field(self, "is_bijection", is_bijection)
-        set_field(self, "is_complete", is_complete)
-        set_field(self, "is_orthomorphism", is_orthomorphism)
-        set_field(self, "cycle_type", cycle_type)
-        set_field(self, "fixed_points", fixed_points)
-        set_field(self, "_values",
-                  (is_bijection, is_complete, is_orthomorphism, cycle_type, fixed_points))
+        self._store(is_bijection, is_complete, is_orthomorphism, cycle_type, fixed_points)
 
     def to_json(self) -> dict:
         return {

@@ -124,11 +124,6 @@ def _format_code(ctx: FieldCtx, code: int) -> str:
         return str(list(index_to_tuple(code, ctx.p, ctx.k)))
 
 
-def format_elem(x: FieldElement) -> str:
-    """Residue for prime-subfield values, else a power of the generator."""
-    return _format_code(x.ctx, x.index)
-
-
 def format_poly(P: Poly) -> str:
     """Canonical text: descending powers joined with ' + ', unit coefficients
     omitted, extension coefficients as generator powers."""

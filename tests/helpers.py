@@ -437,8 +437,9 @@ def prcf_gamma(M: MatrixQ) -> frozenset:
 
 def krylov_minpoly(A: MatrixQ) -> Poly:
     """Minimal polynomial of A from the first linear dependence among the
-    flattened powers I, A, A^2, ... (the library's method before it read the
-    minimal polynomial from the elementary divisors)."""
+    flattened powers I, A, A^2, ... (the method of the library's former
+    `minpoly`, before it read the minimal polynomial from the elementary
+    divisors)."""
     from cosetmap.linalg import _Echelon, _identity, _matmul, _solve_columns
     K = A.ctx.ops()
     n = A.rows

@@ -107,15 +107,13 @@ def test_internal_errors_exit_3(monkeypatch, capsys, exc, code, prefix):
     assert err == f"{prefix}{exc}\n"
 
 
-def test_non_integer_seed_variable_exits_2(monkeypatch, capsys):
+def test_seed_defaults_to_0_whatever_the_environment(monkeypatch, capsys):
+    monkeypatch.delenv("COSETMAP_SEED", raising=False)
+    code, seed0, _ = run_cli(capsys, "sylow-type", "--q", "9", "--type", "x9", "--seed", "0")
+    assert code == 0 and "cycle type: x9" in seed0
     monkeypatch.setenv("COSETMAP_SEED", "abc")
     code, out, err = run_cli(capsys, "sylow-type", "--q", "9", "--type", "x9")
-    assert code == 2
-    assert out == ""
-    assert err == "error: COSETMAP_SEED must be an integer, not 'abc'\n"
-    monkeypatch.setenv("COSETMAP_SEED", "5")
-    code, out, _ = run_cli(capsys, "sylow-type", "--q", "9", "--type", "x9")
-    assert code == 0 and "cycle type: x9" in out
+    assert (code, out, err) == (0, seed0, "")
 
 
 def test_verify_refuses_bad_tables_and_moduli(tmp_path, capsys):

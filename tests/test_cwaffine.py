@@ -147,6 +147,15 @@ def test_per_coset_data_over_another_field_is_refused():
             CosetWiseAffineMap(s, [bad, good, good])
 
 
+def test_data_refuses_a_label_outside_gf_p():
+    # over GF(3) the labels (3,) and (-1,) used to read cosets (0,) and (2,)
+    f = one_cycle_map(3, 2)
+    assert f.data((2,)) == f.per_coset[2]
+    for u in [(3,), (-1,), (0, 0), ()]:
+        with pytest.raises(KeyError):
+            f.data(u)
+
+
 def test_wreath_identity_correspondence():
     F3 = field(3)
     s = Splitting(3, 1, 1)

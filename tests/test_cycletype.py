@@ -98,6 +98,9 @@ def test_format_parse_round_trip():
         ct_parse("x3 x3")
     with pytest.raises(ValueError):
         ct_parse("y3")
+    for text in ("x0", "x1^0", "x2 x0"):
+        with pytest.raises(ValueError, match="^cycle-type terms need positive length and count$"):
+            ct_parse(text)
     rt = ct_parse(ct_format(CycleType({1: 9, 3: 78, 8: 9, 24: 78})))
     assert rt == CycleType({1: 9, 3: 78, 8: 9, 24: 78})
 

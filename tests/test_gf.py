@@ -3,8 +3,7 @@ import random
 import pytest
 
 from cosetmap import (Poly, enumerate_irreducibles, factor_monic, field,
-                      field_of_order, is_irreducible, poly_gcd, poly_order,
-                      q_adic_valuation)
+                      field_of_order, is_irreducible, poly_order)
 from cosetmap.gf import MINUS_INFINITY
 from helpers import descent_poly_order, scan_default_modulus
 
@@ -68,8 +67,6 @@ def test_poly_basics():
     xm1 = Poly(F3, (-1, 1))
     sq = xm1 * xm1
     assert sq == Poly(F3, (1, 1, 1))  # X^2 - 2X + 1 = X^2 + X + 1 mod 3
-    g = poly_gcd(Poly(F3, (-1, 0, 1)), xm1)
-    assert g == xm1.monic()
     assert Poly(F3, (2, 1, 1))(F3.one()) == F3.elem(1)
     q, r = divmod(sq, xm1)
     assert q * xm1 + r == sq
@@ -227,42 +224,6 @@ def test_poly_order_is_worked_out_once_per_polynomial(monkeypatch):
         with pytest.raises(AssertionError, match="worked out again"):
             poly_order(reducible)
     assert reducible.codes not in F5._orders
-
-
-def test_q_adic_valuation_examples():
-    F3 = field(3)
-    xm1 = Poly(F3, (-1, 1))
-    x3m1 = Poly.x(F3) ** 3 - Poly.one(F3)
-    assert q_adic_valuation(x3m1, xm1) == 3
-    Q = Poly(F3, (2, 1, 1))
-    # derived: trial division
-    assert q_adic_valuation(Q, xm1) == 0
-    assert q_adic_valuation(Q ** 2 * Poly(F3, (1, 1)), Q) == 2
-    with pytest.raises(ValueError):
-        q_adic_valuation(Poly.zero(F3), xm1)
-
-
-@pytest.mark.parametrize("p", [2, 3])
-def test_valuation_of_cyclotomic_powers(p):
-    # v_Q(X^l - 1) = 0 unless ord(Q) | l, in which case p^(v_p(l / ord))
-    ctx = field(p)
-    x = Poly.x(ctx)
-    one = Poly.one(ctx)
-    for Q in enumerate_irreducibles(ctx, 3):
-        if Q.coeff(0).is_zero():
-            continue
-        o = poly_order(Q)
-        for l in range(1, 101):
-            P = x ** l - one
-            expected = 0
-            if l % o == 0:
-                m = l // o
-                v = 0
-                while m % p == 0:
-                    m //= p
-                    v += 1
-                expected = p ** v
-            assert q_adic_valuation(P, Q) == expected
 
 
 def test_enumerate_irreducibles():

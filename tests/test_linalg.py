@@ -4,7 +4,8 @@ import random
 import pytest
 
 from cosetmap import (AffineMap, MatrixQ, Poly, VectorQ, charpoly, companion,
-                      field, hypercompanion, minpoly, poly_at_matrix, prcf)
+                      field, prcf)
+from cosetmap.linalg import _poly_at
 from helpers import all_invertible_matrices, moore_matrix, random_invertible
 
 
@@ -17,9 +18,6 @@ def test_mat_arith_basics():
     assert M.det() == F2.one()
     assert M * M.inverse() == MatrixQ.identity(F2, 2)
     assert M.rank() == 2
-    b = VectorQ(F2, (1, 0))
-    x = M.solve_left(b)
-    assert x * M == b
     with pytest.raises(ZeroDivisionError):
         MatrixQ.zeros(F5, 2, 2).inverse()
     # powers against repeated products; negative ones go through the inverse
@@ -57,30 +55,13 @@ def test_companion():
         companion(Poly(F3, (1, 2)))
 
 
-def test_hypercompanion():
-    F2 = field(2)
-    H = hypercompanion(Poly(F2, (1, 1)), 3)
-    assert H.int_rows() == ((1, 1, 0), (0, 1, 1), (0, 0, 1))
-    F3 = field(3)
-    xm1 = Poly(F3, (-1, 1))
-    assert hypercompanion(xm1, 1) == companion(xm1)
-    # similarity with the companion of the power: same canonical blocks
-    H2 = hypercompanion(xm1, 2)
-    assert prcf(H2).blocks == prcf(companion(xm1 ** 2)).blocks
-    Q = Poly(F2, (1, 1, 1))
-    H3 = hypercompanion(Q, 3)
-    assert prcf(H3).blocks == ((Q, 3),)
-
-
 @pytest.mark.parametrize("p,deg", [(2, 6), (3, 4)])
 def test_charpoly_minpoly_of_companion(p, deg):
     ctx = field(p)
     for d in range(1, deg + 1):
         for lower in itertools.product(range(p), repeat=d):
             P = Poly(ctx, lower + (1,))
-            C = companion(P)
-            assert charpoly(C) == P
-            assert minpoly(C) == P
+            assert charpoly(companion(P)) == P
 
 
 def test_poly_at_matrix_annihilates():
@@ -88,11 +69,8 @@ def test_poly_at_matrix_annihilates():
     rng = random.Random(5)
     for _ in range(20):
         M = random_invertible(F3, 3, rng)
-        cp = charpoly(M)
-        assert poly_at_matrix(cp, M) == MatrixQ.zeros(F3, 3, 3)
-        mp = minpoly(M)
-        assert poly_at_matrix(mp, M) == MatrixQ.zeros(F3, 3, 3)
-        assert (cp % mp).is_zero()
+        # Cayley-Hamilton: chi(M) = 0
+        assert _poly_at(F3.ops(), charpoly(M).codes, M.codes) == [[0] * 3] * 3
 
 
 def test_prcf_block_diag_example():

@@ -21,6 +21,7 @@ from cosetmap import (AffineMap, AnalysisReport, BlockCase, CglFactorization, Ma
                       MatrixQ, Poly, Prcf, Splitting, VectorQ, WreathElement, analyze,
                       classify_block, ct_of_permutation, enumerate_irreducibles,
                       factor_into_cgl, field, prcf)
+from cosetmap._record import Record
 from cosetmap.affine_ct import U_GENERIC, U_NONUNIT
 from cosetmap.gf import MAX_DOMAIN
 
@@ -273,6 +274,7 @@ def test_every_refusal_keeps_its_message():
              "factors do not multiply to the stated product")
     _refused(lambda: Splitting(3, 0, 1), "need d >= 1 and t >= 0")
     _refused(lambda: Splitting(3, 1, -1), "need d >= 1 and t >= 0")
+    _refused(lambda: Splitting(4, 1, 1), "4 is not prime")
     one = AffineMap(MatrixQ(F2, [[1]]), VectorQ(F2, (0,)))
     s = Splitting(2, 1, 1)
     _refused(lambda: WreathElement(s, (0, 0), (one, one)),
@@ -292,6 +294,20 @@ def test_every_refusal_keeps_its_message():
         Splitting(3, 1, 1, p=3)
     with pytest.raises(TypeError):
         MapTable(n=1, images=(0,), extra=1)
+
+
+def test_store_refuses_a_value_count_that_does_not_match_the_fields():
+    class Pair(Record):
+        __slots__ = ("a", "b")
+
+        def __init__(self, *values):
+            self._store(*values)
+
+    pair = Pair(1, 2)
+    assert (pair.a, pair.b, pair._values) == (1, 2, (1, 2))
+    for values in [(1,), (1, 2, 3)]:
+        with pytest.raises(ValueError):
+            Pair(*values)
 
 
 INTROSPECTION_MODULES = ("dataclasses", "inspect", "ast", "dis", "tokenize")
