@@ -162,7 +162,7 @@ def _cmd_one_cycle_poly(args) -> int:
     P = one_cycle_polynomial(ctx)
     text = format_poly(P)
     payload = {"field": serialize.ctx_to_json(ctx), "polynomial": serialize.poly_to_json(P),
-               "text": text}
+               "text": text} if args.format == "json" else {}
     lines = [text]
     if args.verify:
         _verify(evaluate_poly_table(P), ctx.p, ctx.k, CycleType({ctx.order: 1}), ctx.p > 2,

@@ -15,7 +15,7 @@ import itertools
 import random
 
 from ._record import Record
-from .affine_ct import affine_cycle_type
+from .affine_ct import _EXCEPTIONAL_PRODUCTS, affine_cycle_type
 from .cgl import is_cgl, realize_gamma
 from .cycletype import CycleType, blow_up, ct_mul, cycles_of
 from .errors import InfeasibleError
@@ -215,14 +215,18 @@ def _forward_product(f: CosetWiseAffineMap, cycle: list[int]) -> AffineMap:
 
 def cw_cycle_type(f: CosetWiseAffineMap) -> CycleType:
     """Blow up the cycle type of each forward cycle product by its cycle
-    length and multiply; worked out once per map."""
+    length and multiply; worked out once per map, and once per distinct
+    forward product (by matrix and shift codes) within that."""
     if f._cycle_type is None:
         if not cw_is_permutation(f):
             raise ValueError("cycle type requires a permutation")
-        total = CycleType()
+        total, types = CycleType(), {}
         for cycle in cycles_of(f.top):
-            gamma = affine_cycle_type(_forward_product(f, cycle))
-            total = ct_mul(total, blow_up(len(cycle), gamma))
+            g = _forward_product(f, cycle)
+            key = (g.matrix.codes, g.shift.codes)
+            if key not in types:
+                types[key] = affine_cycle_type(g)
+            total = ct_mul(total, blow_up(len(cycle), types[key]))
         f._cycle_type = total
     return f._cycle_type
 
@@ -325,12 +329,17 @@ def construct_main(p: int, d: int, t: int, g_images, gammas: dict,
 
     expected = CycleType()
     per = [None] * p ** t
+    # results no seed reaches (ell = 1, or exceptional (d, p)) are reused; all seeds are drawn
+    realized = {}
     for cyc, key in zip(cycles, keys):
         ell = len(cyc)
         gamma = gammas[key]
         sub_seed = rng.randrange(2 ** 32)
-        factors, w = realize_gamma(gamma, d, p, ell, seed=sub_seed,
-                                   require_complete=require_complete)
+        memo = realized if ell == 1 or (d, p) in _EXCEPTIONAL_PRODUCTS else {}
+        if (gamma, ell) not in memo:
+            memo[gamma, ell] = realize_gamma(gamma, d, p, ell, seed=sub_seed,
+                                             require_complete=require_complete)
+        factors, w = memo[gamma, ell]
         expected = ct_mul(expected, blow_up(ell, gamma))
         for j, i in enumerate(cyc):
             omega = w if j == ell - 1 else zero_w

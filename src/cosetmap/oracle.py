@@ -14,7 +14,7 @@ import json
 
 from ._record import Record
 from .cycletype import CycleType, ct_of_permutation
-from .gf import (MAX_DOMAIN, FieldCtx, Poly, digit_sums, index_to_tuple, is_prime,
+from .gf import (MAX_DOMAIN, FieldCtx, Poly, _chirp_dft, digit_sums, index_to_tuple, is_prime,
                  tuple_to_index)
 
 
@@ -119,34 +119,33 @@ def table_of(fn, n: int) -> MapTable:
 def interpolate(ctx: FieldCtx, values) -> Poly:
     """The unique polynomial of degree < q through all q points of GF(q).
 
-    `values` maps index order to field elements (sequence of length q).
-    Uses that the vanishing polynomial of GF(q) is Y^q - Y with derivative -1:
-    the Lagrange basis at a is -(Y^q - Y)/(Y - a).
+    `values` maps index order to field elements (sequence of length q).  The
+    coefficients are c_0 = f(0), c_j = -sum_{x != 0} f(x) x^(-j) for 0 < j < q-1
+    and c_(q-1) = -sum_x f(x): one transform of the values at the powers of g.
     """
     q = ctx.order
     values = list(values)
     if len(values) != q:
         raise ValueError("interpolation needs all q values")
     K = ctx.ops()
-    # Z(Y) = Y^q - Y as a list of codes; an element's code is its index
-    z = [0] * (q + 1)
-    z[1] = K.neg(K.one)
-    z[q] = K.one
-    result = [0] * q
-    for a, value in enumerate(values):
-        y = ctx.code(value)
-        if y:
-            # the quotient of Z by (Y - a) has degree q-1
-            result = K.axpy(result, K.neg(y), K.horner(z, a)[0])
-    return Poly.from_codes(ctx, result)
+    codes = [ctx.code(v) for v in values]
+    sums = _chirp_dft(ctx, [codes[x] for x in ctx._tables()[1][:q - 1]], -1)
+    minus = K.neg(K.one)
+    return Poly.from_codes(ctx, [codes[0]] + K.scale(minus, sums[1:] + [K.add(codes[0], sums[0])]))
 
 
 def evaluate_poly_table(P: Poly) -> MapTable:
-    """Value table of a polynomial as a map of its coefficient field: Horner
-    on the codes, which are the points in index order."""
-    q = P.ctx.order
-    horner = P.ctx.ops().horner
-    return MapTable(q, [horner(P.codes, a)[1] for a in range(q)])
+    """Value table of a polynomial (of any degree) as a map of its coefficient
+    field: f(0) is the constant term, and f(g^i) one transform of the
+    coefficients folded by exponent mod q-1, read back in index order."""
+    ctx, codes, n = P.ctx, P.codes, P.ctx.order - 1
+    folded = list(codes[:n]) + [0] * (n - len(codes))
+    for j in range(n, len(codes)):
+        folded[j % n] = ctx.ops().add(folded[j % n], codes[j])
+    values = _chirp_dft(ctx, folded, 1)
+    images = [values[i] for i in ctx._tables()[0]]
+    images[0] = codes[0] if codes else 0
+    return MapTable(n + 1, images)
 
 
 def load_table(text: str) -> MapTable:

@@ -573,3 +573,31 @@ def reference_one_cycle_polynomial(ctx) -> Poly:
         indicator = Poly.one(ctx) - pis[j] ** (p - 1)
         g = _reduce_exponents(indicator * (Poly.from_codes(ctx, (p ** (k - j),)) + g))
     return _reduce_exponents(Poly.x(ctx) + Poly.from_codes(ctx, (1,)) + g)
+
+
+def horner_poly_table(P: Poly) -> list[int]:
+    """Image codes of P at every code of its field, by one Horner pass per
+    point: the O(q^2) evaluation that `oracle.evaluate_poly_table` replaced
+    with one transform."""
+    horner = P.ctx.ops().horner
+    return [horner(P.codes, a)[1] for a in range(P.ctx.order)]
+
+
+def lagrange_interpolate(ctx, values) -> Poly:
+    """The polynomial of degree < q through all q points of GF(q), from the
+    Lagrange basis -(Y^q - Y)/(Y - a) at each point a: the O(q^2)
+    interpolation that `oracle.interpolate` replaced with one transform."""
+    q = ctx.order
+    values = list(values)
+    if len(values) != q:
+        raise ValueError("interpolation needs all q values")
+    K = ctx.ops()
+    z = [0] * (q + 1)  # Y^q - Y
+    z[1] = K.neg(K.one)
+    z[q] = K.one
+    result = [0] * q
+    for a, value in enumerate(values):
+        y = ctx.code(value)
+        if y:
+            result = K.axpy(result, K.neg(y), K.horner(z, a)[0])
+    return Poly.from_codes(ctx, result)

@@ -10,8 +10,9 @@ import pytest
 from cosetmap import (FieldElement, MatrixQ, Poly, enumerate_irreducibles, factor_monic, field,
                       is_irreducible)
 from cosetmap.oracle import MAX_DOMAIN
-from cosetmap.gf import (MAX_DOMAIN as GF_MAX_DOMAIN, _ppowmod, _sum_plan, _trim, digit_sums,
-                         index_to_tuple, tuple_to_index)
+from cosetmap import gf
+from cosetmap.gf import (MAX_DOMAIN as GF_MAX_DOMAIN, _convolve, _ppowmod, _sum_plan, _trim,
+                         digit_sums, factorize, index_to_tuple, tuple_to_index)
 
 EXTENSION_FIELDS = [(2, 2), (2, 3), (3, 2), (5, 2), (3, 3)]
 
@@ -193,6 +194,44 @@ def test_tables_are_the_powers_of_a_primitive_element(p, k, modulus):
     for d in range(n if zech else 0):
         s = (ctx.from_index(exp[d]) + ctx.one()).index
         assert zech[d] == zech[d + n] == (log[s] if s else -1)
+
+
+@pytest.mark.parametrize("p", [2, 3, 13, 257, 65537])
+def test_prime_field_tables_are_the_powers_of_a_primitive_root(p):
+    """GF(p) gets log and exp tables of its least primitive root, and no Zech
+    table (its code arithmetic is on residues)."""
+    log, exp, zech = field(p)._tables()
+    n = p - 1
+    g = exp[1]
+
+    def primitive(c):
+        return all(pow(c, n // r, p) != 1 for r in factorize(n))
+
+    assert primitive(g) and not any(primitive(c) for c in range(1, g))
+    assert exp[:n] == [pow(g, i, p) for i in range(n)] and exp[n:] == exp[:n]
+    assert all(log[exp[i]] == i for i in range(n)) and zech is None
+
+
+def test_packed_products_match_schoolbook(monkeypatch):
+    """`gf._convolve` (one packed int product, or one per block when the lanes
+    exceed `_PACK_LANES`) equals the schoolbook product on codes, including
+    digits of several bytes (GF(257), GF(65537)) and lanes of fewer bytes than
+    the machine integers they are read through."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    fields = [(2, 1), (3, 1), (2, 2), (3, 2), (5, 2), (2, 5), (3, 4), (257, 1), (65537, 1)]
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(st.sampled_from(fields), st.sampled_from([1, 3, 16, 1 << 20]), st.data())
+    def check(pk, lanes, data):
+        ctx = field(*pk)
+        q = ctx.order
+        codes = st.lists(st.integers(0, q - 1), min_size=1, max_size=24)
+        x, y = data.draw(codes), data.draw(codes)
+        monkeypatch.setattr(gf, "_PACK_LANES", lanes)
+        assert _convolve(ctx, x, y) == ctx.ops().pmul(x, y)
+
+    check()
 
 
 def test_large_extension_refuses_to_build_tables():

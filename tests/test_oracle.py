@@ -1,12 +1,14 @@
+import itertools
 import json
 import random
 
 import pytest
 
-from cosetmap import (MapTable, MatrixQ, Poly, VectorQ, analyze, ct, field,
+from cosetmap import (MapTable, MatrixQ, Poly, VectorQ, analyze, ct, evaluate_poly_table, field,
                       interpolate, load_table, table_of)
 from cosetmap.oracle import index_to_tuple, is_complete_mapping, tuple_to_index
-from helpers import is_complete_table, pointwise_affine_table, reference_analyze
+from helpers import (horner_poly_table, is_complete_table, lagrange_interpolate,
+                     pointwise_affine_table, reference_analyze)
 
 
 def test_index_round_trip():
@@ -161,6 +163,59 @@ def test_interpolate_round_trip_random(q, k):
         P = Poly(ctx, [ctx.from_index(rng.randrange(q)) for _ in range(q)])
         vals = [P(ctx.from_index(i)) for i in range(q)]
         assert interpolate(ctx, vals) == P
+
+
+# GF(2), GF(3), GF(4), GF(8), GF(9), GF(25), GF(27), GF(49), GF(13), GF(343)
+TRANSFORM_FIELDS = [(2, 1), (3, 1), (2, 2), (2, 3), (3, 2), (5, 2), (3, 3), (7, 2), (13, 1),
+                    (7, 3)]
+
+
+def test_transforms_match_horner_and_lagrange():
+    """`evaluate_poly_table` and `interpolate`, one chirp-z transform each,
+    give the Horner table at every point and the Lagrange polynomial: for any
+    degree (q and beyond too), the zero polynomial and q = 2."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(st.sampled_from(TRANSFORM_FIELDS), st.integers(-1, 3), st.data())
+    def check(pk, blocks, data):
+        ctx = field(*pk)
+        q = ctx.order
+        # up to `blocks` times q coefficients; large fields from a drawn seed,
+        # small ones draw by draw so that they shrink
+        length = data.draw(st.integers(0, max(0, blocks * q + 1)))
+        if q > 27:
+            rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+            codes = [rng.randrange(q) for _ in range(length)]
+            values = [rng.randrange(q) for _ in range(q)]
+        else:
+            codes = data.draw(st.lists(st.integers(0, q - 1), min_size=length, max_size=length))
+            values = data.draw(st.lists(st.integers(0, q - 1), min_size=q, max_size=q))
+        P = Poly.from_codes(ctx, codes)
+        table = evaluate_poly_table(P)
+        assert list(table.images) == horner_poly_table(P)
+        points = [ctx.from_index(v) for v in values]
+        assert interpolate(ctx, points) == lagrange_interpolate(ctx, points)
+        back = interpolate(ctx, [ctx.from_index(v) for v in table.images])
+        assert back.degree < q and evaluate_poly_table(back) == table
+
+    check()
+    for p, k in TRANSFORM_FIELDS:
+        ctx = field(p, k)
+        q = ctx.order
+        zero = Poly.zero(ctx)
+        assert evaluate_poly_table(zero) == MapTable(q, (0,) * q)
+        assert interpolate(ctx, [ctx.zero()] * q) == zero
+        for values in ([ctx.zero()] * (q - 1), [ctx.zero()] * (q + 1)):
+            for fn in (interpolate, lagrange_interpolate):
+                with pytest.raises(ValueError, match="needs all q values"):
+                    fn(ctx, values)
+    F2 = field(2)
+    for images in itertools.product(range(2), repeat=2):
+        P = interpolate(F2, [F2.elem(v) for v in images])
+        assert evaluate_poly_table(P).images == images
+        assert P == lagrange_interpolate(F2, [F2.elem(v) for v in images])
 
 
 def test_json_and_csv_loading():
