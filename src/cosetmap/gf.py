@@ -356,28 +356,14 @@ def _table_ops(ctx: "FieldCtx") -> _Ops:
 # The discrete Fourier transform on the powers of g
 # ---------------------------------------------------------------------------
 
-# Lanes of one packed operand above which `_convolve` works on blocks, whose
-# memory it bounds: GF(3^9), 334,594 lanes per operand, peaked 18 MB above its
-# start.  Blocks cost time, as CPython multiplies by Karatsuba only (2x2 blocks
-# of an 8M-bit product took 6.8 s against 4.7 s whole).
-_PACK_LANES = 1 << 20
-
-
 def _convolve(ctx: "FieldCtx", x, y) -> list:
     """The product of two nonempty code sequences as polynomials over GF(q) by
-    one int product (or one per block): element s fills 2k-1 lanes from
+    one int product: element s fills 2k-1 lanes from
     s*(2k-1), its base-p digits the first k, each lane wide enough for its
     largest sum.  Lane j of a product element sums the terms at w^(2k-2-j);
     mod p, lanes k-1.. read as a code, lanes ..k-2 as w^(1-k) times one."""
     p, k = ctx.p, ctx.k
     width = 2 * k - 1
-    m = max(1, _PACK_LANES // width)
-    if len(x) > m or len(y) > m:
-        out = [0] * (len(x) + len(y) - 1)
-        for i, j in itertools.product(range(0, len(x), m), range(0, len(y), m)):
-            part = _convolve(ctx, x[i:i + m], y[j:j + m])
-            out[i + j:i + j + len(part)] = digit_sums(out[i + j:i + j + len(part)], part, p, k)
-        return out
     size = (min(len(x), len(y)) * k * (p - 1) ** 2).bit_length() // 8 + 1
     item, typecode = next((struct.calcsize(t), t) for t in "BHILQ" if struct.calcsize(t) >= size)
 
