@@ -76,11 +76,6 @@ def _case(Q: Poly, e: int, unit: bool) -> BlockCase:
     return BlockCase(Q, e, _shift_class(Q, e, unit))
 
 
-def classify_block(Q: Poly, e: int, U: Poly) -> BlockCase:
-    """Shift class of U + (Q^e): for Q = X-1 the unit test is U(1) != 0."""
-    return _case(Q, e, _is_x_minus_1(Q) and not U(Q.ctx.one()).is_zero())
-
-
 def block_cycle_type(case: BlockCase) -> CycleType:
     """Cycle type of R -> R*X + U on GF(q)[X]/(Q^e) by the divisor chain."""
     ctx = case.Q.ctx

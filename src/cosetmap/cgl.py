@@ -20,11 +20,6 @@ def is_cgl(M: MatrixQ) -> bool:
     return M.has_no_eigenvalue(-1)
 
 
-def is_fpf(M: MatrixQ) -> bool:
-    """True iff M is invertible and fixes no nonzero vector (no eigenvalue 1)."""
-    return M.has_no_eigenvalue(1)
-
-
 class CglFactorization(Record):
     """An ordered factorization into complete invertible matrices."""
 

@@ -19,7 +19,8 @@ from .cwaffine import (construct_main, construct_sylow_type, cw_cycle_type,
                        cw_to_table, one_cycle_map, one_cycle_polynomial)
 from .cycletype import CycleType, ct_format, ct_parse
 from .errors import InfeasibleError
-from .gf import MAX_DOMAIN, field
+from .gf import MAX_DOMAIN, exact_int, field
+from .linalg import MatrixQ
 from .oracle import analyze, evaluate_poly_table, load_table
 from .serialize import format_poly, parse_poly
 
@@ -61,7 +62,7 @@ def _cmd_gamma(args) -> int:
         P = parse_poly(args.poly, ctx)
         gs = gamma_of_poly(P)
     elif args.matrix:
-        M = serialize.matrix_from_json(ctx, json.loads(args.matrix))
+        M = MatrixQ(ctx, json.loads(args.matrix))
         gs = gamma_of_matrix(M)
     else:
         raise ValueError("gamma needs --poly or --matrix")
@@ -82,7 +83,7 @@ def _cmd_gamma_dpl(args) -> int:
 
 def _cmd_cgl_factor(args) -> int:
     ctx = _field_from_args(args)
-    M = serialize.matrix_from_json(ctx, json.loads(_read_input(args.matrix)))
+    M = MatrixQ(ctx, json.loads(_read_input(args.matrix)))
     fac = factor_into_cgl(M, args.l, seed=args.seed)
     payload = {
         "factors": [serialize.matrix_to_json(F) for F in fac.factors],
@@ -131,13 +132,15 @@ def _emit_cwmap(args, f, verify_expected_complete=True) -> int:
 
 def _cmd_construct(args) -> int:
     job = json.loads(_read_input(args.job))
-    _check_verify_size(args, int(job["p"]), int(job["d"]) + int(job["t"]))
+    p, d, t = (exact_int(job[key], key) for key in ("p", "d", "t"))
+    _check_verify_size(args, p, d + t)
     gammas = {}
     for item in job["gammas"]:
-        gammas[(int(item["length"]), int(item["index"]))] = ct_parse(item["type"])
+        key = exact_int(item["length"], "length"), exact_int(item["index"], "index")
+        gammas[key] = ct_parse(item["type"])
     f = construct_main(
-        int(job["p"]), int(job["d"]), int(job["t"]), [int(v) for v in job["g"]],
-        gammas, seed=int(job.get("seed", args.seed)),
+        p, d, t, [exact_int(v, "an entry of g") for v in job["g"]],
+        gammas, seed=exact_int(job.get("seed", args.seed), "seed"),
         require_complete=bool(job.get("require_complete", True)),
     )
     return _emit_cwmap(args, f, verify_expected_complete=bool(job.get("require_complete", True)))

@@ -114,15 +114,6 @@ def _nu(u, v) -> list[int]:
     return [b - a for a, b in zip(u, v)]
 
 
-def cw_eval(f: CosetWiseAffineMap, x: VectorQ) -> VectorQ:
-    s = f.splitting
-    if len(x) != s.n:
-        raise ValueError("vector has the wrong dimension")
-    w, u = x.split(s.d)
-    alpha, omega, nu = f.per_coset[tuple_to_index(u.codes, s.p)]
-    return (w * alpha + omega).concat(u + nu)
-
-
 def cw_is_permutation(f: CosetWiseAffineMap) -> bool:
     """Structural test: every alpha invertible and the coset map bijective."""
     if sorted(f.top) != list(range(len(f.top))):
@@ -310,7 +301,8 @@ def construct_main(p: int, d: int, t: int, g_images, gammas: dict,
     lie in the ell-factored set, and the result is a complete mapping.
     """
     g_images = list(g_images)
-    if sorted(g_images) != list(range(p ** t)):
+    # p^t > len(g_images) once t passes its bit length, so that test comes first
+    if t > len(g_images).bit_length() or sorted(g_images) != list(range(p ** t)):
         raise ValueError("base map must be a bijection on GF(p)^t")
     if require_complete and not is_complete_mapping(g_images, p, t):
         raise InfeasibleError("base map is not a complete mapping of GF(p)^t")
@@ -353,23 +345,6 @@ def construct_main(p: int, d: int, t: int, g_images, gammas: dict,
     if cw_cycle_type(f) != expected:
         raise ArithmeticError("constructed map has the wrong cycle type")
     return f
-
-
-def sylow_type_targets(p: int, k: int) -> list[CycleType]:
-    """All p-power cycle types of degree p^k (every part a power of p);
-    exactly the types the recursive constructor can realize."""
-    out = []
-    def rec(remaining: int, max_pow: int, acc):
-        if remaining == 0:
-            out.append(CycleType([(p ** j, c) for j, c in acc if c]))
-            return
-        if max_pow < 0:
-            return
-        step = p ** max_pow
-        for count in range(remaining // step, -1, -1):
-            rec(remaining - count * step, max_pow - 1, acc + [(max_pow, count)])
-    rec(p ** k, k, [])
-    return out
 
 
 def construct_sylow_type(q: int, target: CycleType, seed: int = 0) -> CosetWiseAffineMap:
@@ -479,18 +454,3 @@ def one_cycle_polynomial(ctx: FieldCtx) -> Poly:
         xs = slice(p - 1, q - p ** j + 1, p - 1)  # x^n for n = q - p^j - (p-1)*r
         codes[xs] = K.axpy(codes[xs], K.neg(K.mul(b, a[0])), beta[pad:][::-1])
     return Poly.from_codes(ctx, codes)
-
-
-def vector_to_field(ctx: FieldCtx, v: VectorQ):
-    """Bridge GF(p)^k -> GF(p^k): coordinates over the power basis."""
-    if v.ctx != field(ctx.p):
-        raise ValueError(f"vector must lie over GF({ctx.p}), the prime field of GF({ctx.order})")
-    if len(v) != ctx.k:
-        raise ValueError("vector length must equal the extension degree")
-    return ctx.elem(v.ints())
-
-
-def field_to_vector(x) -> VectorQ:
-    """Bridge GF(p^k) -> GF(p)^k."""
-    prime = field(x.ctx.p)
-    return VectorQ(prime, x.coeffs)

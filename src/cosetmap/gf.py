@@ -1,20 +1,22 @@
 """Exact arithmetic in GF(p), extension fields GF(p^k), and polynomial rings over them.
 
-Elements of GF(p^k) are coordinate tuples over the power basis (1, w, ..., w^(k-1))
-where w is the class of X modulo the field's irreducible modulus, least degree first.
-All values are immutable and all operations are pure functions.
+An element of GF(p^k) has coordinates over the power basis (1, w, ..., w^(k-1)),
+w the class of X modulo the field's irreducible modulus, least degree first, and
+is held as its code (`index`): the base-p number of those coordinates, the first
+one most significant.  All values are immutable and all operations are pure
+functions.
 
-Underneath, every heavy path runs on integer codes.  The code of an element is
-its `index`; a polynomial is a sequence of codes, constant term first, with no
-trailing zeros.  `FieldCtx.ops()` gives the code arithmetic of one field: plain
-residues for GF(p), and for GF(p^k) log/antilog tables of a primitive element g
-plus Zech logarithms for addition in odd characteristic (O(q) memory, built on
-first use by one GF(p) vector-matrix product per power of g).  Irreducibility
-is Rabin's test and factoring is squarefree, then distinct-degree, then
-equal-degree (Cantor-Zassenhaus) factorisation; both work the same way over
-every GF(q).  They and `poly_order` take q-th powers modulo a polynomial from
-one Frobenius matrix.  A value table or interpolation over all of GF(q) is one
-chirp-z transform on the powers of g (`_chirp_dft`): one packed int product.
+Every path runs on integer codes; a polynomial is a sequence of codes, constant
+term first, with no trailing zeros.  `FieldCtx.ops()` gives the code arithmetic
+of one field: plain residues for GF(p), and for GF(p^k) log/antilog tables of a
+primitive element g plus Zech logarithms for addition in odd characteristic
+(O(q) memory, built on first use by one GF(p) vector-matrix product per power
+of g).  Irreducibility is Rabin's test and factoring is squarefree, then
+distinct-degree, then equal-degree (Cantor-Zassenhaus) factorisation; both
+work the same way over every GF(q).  They and `poly_order` take q-th powers
+modulo a polynomial from one Frobenius matrix.  A value table or interpolation
+over all of GF(q) is one chirp-z transform on the powers of g (`_chirp_dft`):
+one packed int product.
 """
 
 from __future__ import annotations
@@ -55,6 +57,14 @@ def is_prime(n: int) -> bool:
             return False
         f += 2
     return True
+
+
+def exact_int(value, name: str) -> int:
+    """value if it is an int, as a JSON integer reads; ValueError naming it
+    otherwise (a float, a bool or a string is not truncated or parsed)."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+    return value
 
 
 def index_to_tuple(i: int, p: int, n: int) -> tuple[int, ...]:
@@ -721,18 +731,20 @@ class FieldCtx:
 
     def code(self, value) -> int:
         """The code (index) of an int constant, an element of this field, or
-        k coordinates, each taken mod p."""
+        a tuple or list of k integer coordinates, each taken mod p."""
         p = self.p
-        if isinstance(value, int):
+        if type(value) is int:  # a bool is refused below, as JSON true is no integer
             return value % p * p ** (self.k - 1)
         if isinstance(value, FieldElement):
             if value.ctx is not self and value.ctx != self:
                 raise ValueError("mismatched field contexts")
             return value.index
-        coords = tuple(map(int, value))
+        if not isinstance(value, (tuple, list)):
+            raise ValueError(f"{value!r} is not an integer, an element or a coordinate list")
+        coords = tuple(value)
         if len(coords) != self.k:
             raise ValueError(f"expected {self.k} coordinates")
-        return tuple_to_index(coords, p)
+        return tuple_to_index([exact_int(c, "a coordinate") for c in coords], p)
 
     def elem(self, value) -> "FieldElement":
         """The element of anything `code` accepts."""
@@ -749,13 +761,13 @@ class FieldCtx:
         """The class of X modulo the modulus (requires k >= 2)."""
         if self.k == 1:
             raise ValueError("prime field has no distinguished generator")
-        return FieldElement(self, (0, 1) + (0,) * (self.k - 2))
+        return FieldElement(self, self.p ** (self.k - 2))
 
     def elements(self):
         """All elements in index order (lexicographic on coordinates,
         first coordinate most significant)."""
-        for i, coords in enumerate(itertools.product(range(self.p), repeat=self.k)):
-            yield FieldElement(self, coords, i)
+        for i in range(self.order):
+            yield FieldElement(self, i)
 
     def from_index(self, i: int) -> "FieldElement":
         if not 0 <= i < self.order:
@@ -764,9 +776,7 @@ class FieldCtx:
 
     def _from_code(self, code: int) -> "FieldElement":
         """The element with this index; the caller guarantees the range."""
-        if self.k == 1:
-            return FieldElement(self, (code,), code)
-        return FieldElement(self, index_to_tuple(code, self.p, self.k), code)
+        return FieldElement(self, code)
 
     def dlog(self, x: "FieldElement") -> int:
         """Discrete log of x base gen() (k >= 2): the least j >= 0 with
@@ -836,46 +846,52 @@ def field_of_order(q: int, modulus=None) -> FieldCtx:
 
 
 class FieldElement:
-    """An element of GF(p^k): k residues mod p over the power basis.
+    """An element of GF(p^k), held as its code: the lexicographic index of its
+    k residues mod p over the power basis (first coordinate most significant),
+    which fixes the element order used by map tables.
 
     Elements compare equal only to elements of the same field; an int is not
     an element (coerce it with `ctx.elem`), so equality and hashing agree.
     """
 
-    __slots__ = ("ctx", "coeffs", "_index")
+    __slots__ = ("ctx", "index")
 
-    def __init__(self, ctx: FieldCtx, coeffs: tuple[int, ...], index: int | None = None):
+    def __init__(self, ctx: FieldCtx, index: int):
         self.ctx = ctx
-        self.coeffs = coeffs
-        self._index = index
+        self.index = index
+
+    @property
+    def coeffs(self) -> tuple[int, ...]:
+        """The k coordinates over the power basis, constant coordinate first."""
+        return index_to_tuple(self.index, self.ctx.p, self.ctx.k)
 
     def _coerce(self, other) -> "FieldElement":
         if isinstance(other, (int, FieldElement)):
             return self.ctx.elem(other)
         return NotImplemented
 
-    def __add__(self, other):
+    def _axpy(self, other, s: int) -> "FieldElement":
+        """self + s*other, digit by digit: no field tables, so also above
+        their size limit."""
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        p = self.ctx.p
-        return FieldElement(self.ctx, tuple((a + b) % p for a, b in zip(self.coeffs, o.coeffs)))
+        ctx = self.ctx
+        return FieldElement(ctx, digit_sums((self.index,), (o.index,), ctx.p, ctx.k, s)[0])
+
+    def __add__(self, other):
+        return self._axpy(other, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        p = self.ctx.p
-        return FieldElement(self.ctx, tuple((a - b) % p for a, b in zip(self.coeffs, o.coeffs)))
+        return self._axpy(other, -1)
 
     def __rsub__(self, other):
         return self.ctx.elem(other) - self
 
     def __neg__(self):
-        p = self.ctx.p
-        return FieldElement(self.ctx, tuple((-a) % p for a in self.coeffs))
+        return self.ctx.zero() - self
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -911,32 +927,19 @@ class FieldElement:
         return ctx._from_code(_power(K.mul, self.index, n, K.one))
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    def in_prime_subfield(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
-
-    @property
-    def index(self) -> int:
-        """Lexicographic rank of the coordinate tuple (first coordinate most
-        significant); fixes the element order used by map tables, and is the
-        element's code in the integer kernel."""
-        i = self._index
-        if i is None:
-            i = self._index = tuple_to_index(self.coeffs, self.ctx.p)
-        return i
+        return not self.index
 
     def __eq__(self, other):
         return (isinstance(other, FieldElement)
                 and (self.ctx is other.ctx or self.ctx == other.ctx)
-                and self.coeffs == other.coeffs)
+                and self.index == other.index)
 
     def __hash__(self):
-        return hash((self.coeffs, self.ctx.p, self.ctx.k, self.ctx.modulus))
+        return hash((self.ctx, self.index))
 
     def __repr__(self):
         if self.ctx.k == 1:
-            return str(self.coeffs[0])
+            return str(self.index)
         return f"{list(self.coeffs)}"
 
 
@@ -952,13 +955,12 @@ class Poly:
     coefficient codes; `coeffs` the same coefficients as field elements.
     """
 
-    __slots__ = ("ctx", "codes", "_coeffs")
+    __slots__ = ("ctx", "codes")
 
     def __init__(self, ctx: FieldCtx, coeffs):
         code = ctx.code
         self.ctx = ctx
         self.codes = tuple(_trim([code(c) for c in coeffs]))
-        self._coeffs = None
 
     @classmethod
     def from_codes(cls, ctx: FieldCtx, codes) -> "Poly":
@@ -967,7 +969,6 @@ class Poly:
         P = cls.__new__(cls)
         P.ctx = ctx
         P.codes = tuple(_trim(list(codes)))
-        P._coeffs = None
         return P
 
     @classmethod
@@ -984,10 +985,7 @@ class Poly:
 
     @property
     def coeffs(self) -> tuple[FieldElement, ...]:
-        c = self._coeffs
-        if c is None:
-            c = self._coeffs = tuple(map(self.ctx._from_code, self.codes))
-        return c
+        return tuple(map(self.ctx._from_code, self.codes))
 
     @property
     def degree(self):
@@ -1003,10 +1001,10 @@ class Poly:
     def leading(self) -> FieldElement:
         if self.is_zero():
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return self.ctx._from_code(self.codes[-1])
 
     def coeff(self, i: int) -> FieldElement:
-        return self.coeffs[i] if i < len(self.codes) else self.ctx.zero()
+        return self.ctx._from_code(self.codes[i] if i < len(self.codes) else 0)
 
     def _coerce(self, other):
         if isinstance(other, Poly):

@@ -273,20 +273,6 @@ class VectorQ:
     def is_zero(self) -> bool:
         return not any(self.codes)
 
-    def concat(self, other: "VectorQ") -> "VectorQ":
-        self._check_ctx(other)
-        return VectorQ.from_codes(self.ctx, self.codes + other.codes)
-
-    def split(self, n: int) -> tuple["VectorQ", "VectorQ"]:
-        return (VectorQ.from_codes(self.ctx, self.codes[:n]),
-                VectorQ.from_codes(self.ctx, self.codes[n:]))
-
-    def ints(self) -> tuple:
-        """Entry coordinates as plain ints (prime field) or tuples."""
-        if self.ctx.k == 1:
-            return self.codes
-        return tuple(index_to_tuple(c, self.ctx.p, self.ctx.k) for c in self.codes)
-
     def _check_ctx(self, other):
         if not isinstance(other, VectorQ) or other.ctx != self.ctx:
             raise ValueError("mismatched contexts")

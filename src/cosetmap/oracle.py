@@ -14,8 +14,8 @@ import json
 
 from ._record import Record
 from .cycletype import CycleType, ct_of_permutation
-from .gf import (MAX_DOMAIN, FieldCtx, Poly, _chirp_dft, digit_sums, index_to_tuple, is_prime,
-                 tuple_to_index)
+from .gf import (MAX_DOMAIN, FieldCtx, Poly, _chirp_dft, digit_sums, exact_int, index_to_tuple,
+                 is_prime, tuple_to_index)
 
 
 def is_complete_mapping(images, p: int, n: int, sign: int = 1) -> bool:
@@ -26,7 +26,9 @@ def is_complete_mapping(images, p: int, n: int, sign: int = 1) -> bool:
         raise ValueError(f"{p} is not prime")
     if n < 0:
         raise ValueError(f"dimension {n} is negative")
-    return sorted(images) == list(range(p ** n)) and _sums_bijective(images, p, n, (sign,))[0]
+    # p^n > len(images) once n passes its bit length, so that test comes first
+    return (n <= len(images).bit_length() and sorted(images) == list(range(p ** n))
+            and _sums_bijective(images, p, n, (sign,))[0])
 
 
 def _sums_bijective(images, p: int, n: int, signs) -> list[bool]:
@@ -59,7 +61,8 @@ class MapTable(Record):
 
     @classmethod
     def from_json(cls, obj) -> "MapTable":
-        return cls(int(obj["n"]), tuple(int(v) for v in obj["images"]))
+        return cls(exact_int(obj["n"], "n"),
+                   tuple(exact_int(v, "an entry of images") for v in obj["images"]))
 
     @classmethod
     def from_csv(cls, text: str) -> "MapTable":
@@ -99,7 +102,8 @@ class AnalysisReport(Record):
 def analyze(table: MapTable, p: int, dims: int) -> AnalysisReport:
     """Exhaustive report under the elementary-abelian law of GF(p)^dims
     (ValueError unless p is prime and the table has p^dims points)."""
-    if p ** dims != table.n:
+    # p^dims > n once dims passes the bit length of n, so that test comes first
+    if p > 1 and (dims > table.n.bit_length() or p ** dims != table.n):
         raise ValueError("domain size must equal p^dims")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
@@ -110,10 +114,6 @@ def analyze(table: MapTable, p: int, dims: int) -> AnalysisReport:
         return AnalysisReport(False, False, False, None, fixed)
     is_complete, is_ortho = _sums_bijective(images, p, dims, (1, -1))
     return AnalysisReport(True, is_complete, is_ortho, ct_of_permutation(images), fixed)
-
-
-def table_of(fn, n: int) -> MapTable:
-    return MapTable(n, map(fn, range(n)))
 
 
 def interpolate(ctx: FieldCtx, values) -> Poly:

@@ -3,15 +3,17 @@
 Field elements encode as a bare residue for prime fields and as the k-entry
 coordinate array (constant coordinate first) for extensions.  Polynomials
 encode as coefficient arrays, constant term first.  The JSON codecs work on
-element codes: encoders read `.codes` through `gf.index_to_tuple`, decoders
-hand the JSON values to `FieldCtx.code` (through the `VectorQ`, `MatrixQ`
-and `Poly` constructors), so vectors, matrices, polynomials and coset-wise
-maps pass through no field element; `format_poly` reads codes too, through
-the discrete log of `FieldCtx`.  Polynomial text uses
-caret powers with `w` for the extension generator, e.g. `x^3 + 2*x + 1` or
-`w^16*x^18 + x + w^6`; when the generator X is not primitive for the
-modulus, a coefficient outside its powers is written as its coordinate list,
-constant coordinate first, e.g. `x^2 + x + [1, 1]`.
+element codes: encoders read `.codes` through `gf.index_to_tuple`; a vector,
+matrix, polynomial or element is read back by its constructor (`VectorQ`,
+`MatrixQ`, `Poly`, `FieldCtx.elem`), which hands each JSON value to
+`FieldCtx.code`, so coset-wise maps pass through no field element.  Integer
+fields (p, k, d, t, modulus and label digits, coordinates) must be JSON
+integers.  `format_poly` reads codes too, through the discrete log of
+`FieldCtx`.  Polynomial text uses caret powers with `w` for the extension
+generator, e.g. `x^3 + 2*x + 1` or `w^16*x^18 + x + w^6`; when the generator
+X is not primitive for the modulus, a coefficient outside its powers is
+written as its coordinate list, constant coordinate first, e.g.
+`x^2 + x + [1, 1]`.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 import re
 
 from .cwaffine import CosetWiseAffineMap, Splitting
-from .gf import FieldCtx, FieldElement, Poly, field, index_to_tuple
+from .gf import FieldCtx, FieldElement, Poly, exact_int, field, index_to_tuple
 from .linalg import AffineMap, MatrixQ, VectorQ
 
 
@@ -35,10 +37,10 @@ def ctx_to_json(ctx: FieldCtx) -> dict:
 
 
 def ctx_from_json(obj) -> FieldCtx:
-    p = int(obj["p"])
-    k = int(obj.get("k", 1))
     modulus = obj.get("modulus")
-    return field(p, k, tuple(modulus) if modulus is not None else None)
+    if modulus is not None:
+        modulus = tuple(exact_int(c, "a modulus coefficient") for c in modulus)
+    return field(exact_int(obj["p"], "p"), exact_int(obj.get("k", 1), "k"), modulus)
 
 
 def _codes_to_json(ctx: FieldCtx, codes) -> list:
@@ -52,37 +54,20 @@ def elem_to_json(x: FieldElement):
     return _codes_to_json(x.ctx, (x.index,))[0]
 
 
-def elem_from_json(ctx: FieldCtx, obj) -> FieldElement:
-    return ctx.elem(obj)
-
-
 def vector_to_json(v: VectorQ) -> list:
     return _codes_to_json(v.ctx, v.codes)
-
-
-def vector_from_json(ctx: FieldCtx, obj) -> VectorQ:
-    return VectorQ(ctx, obj)
 
 
 def matrix_to_json(M: MatrixQ) -> list:
     return [_codes_to_json(M.ctx, row) for row in M.codes]
 
 
-def matrix_from_json(ctx: FieldCtx, obj) -> MatrixQ:
-    return MatrixQ(ctx, obj)
-
-
 def affine_from_json(ctx: FieldCtx, obj) -> AffineMap:
-    return AffineMap(matrix_from_json(ctx, obj["matrix"]),
-                     vector_from_json(ctx, obj["shift"]))
+    return AffineMap(MatrixQ(ctx, obj["matrix"]), VectorQ(ctx, obj["shift"]))
 
 
 def poly_to_json(P: Poly) -> list:
     return _codes_to_json(P.ctx, P.codes)
-
-
-def poly_from_json(ctx: FieldCtx, obj) -> Poly:
-    return Poly(ctx, obj)
 
 
 def cwmap_to_json(f: CosetWiseAffineMap) -> dict:
@@ -99,14 +84,13 @@ def cwmap_to_json(f: CosetWiseAffineMap) -> dict:
 
 
 def cwmap_from_json(obj) -> CosetWiseAffineMap:
-    s = Splitting(int(obj["p"]), int(obj["d"]), int(obj["t"]))
+    s = Splitting(*(exact_int(obj[key], key) for key in ("p", "d", "t")))
     ctx = s.ctx
     per = {}
     for item in obj["cosets"]:
-        u = tuple(int(c) for c in item["u"])
-        per[u] = (matrix_from_json(ctx, item["alpha"]),
-                  vector_from_json(ctx, item["omega"]),
-                  vector_from_json(ctx, item["nu"]))
+        u = tuple(exact_int(c, "a coset label digit") for c in item["u"])
+        per[u] = (MatrixQ(ctx, item["alpha"]), VectorQ(ctx, item["omega"]),
+                  VectorQ(ctx, item["nu"]))
     return CosetWiseAffineMap(s, per)
 
 

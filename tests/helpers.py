@@ -9,7 +9,7 @@ from __future__ import annotations
 import itertools
 import random
 
-from cosetmap import FieldElement, MatrixQ, Poly, VectorQ
+from cosetmap import BlockCase, CycleType, MatrixQ, Poly, VectorQ
 from cosetmap.oracle import index_to_tuple, tuple_to_index
 
 
@@ -81,6 +81,19 @@ def shift_class_representatives(Q: Poly, e: int) -> list[tuple[str, Poly]]:
     if int(Q.degree) == 1 and Q.coeff(0) == -one:
         return [("nonunit", Poly.zero(ctx)), ("unit", Poly(ctx, (1,)))]
     return [("generic", Poly.zero(ctx)), ("generic", Poly(ctx, (1,)))]
+
+
+def block_case(Q: Poly, e: int, U: Poly) -> BlockCase:
+    """The block Q^e with the shift class of U, worked out from the class
+    definitions: generic unless Q = X - 1; then nonunit when U(1) = 0, else a
+    unit whose class says whether e is a power of p."""
+    ctx = Q.ctx
+    if Q != Poly(ctx, (-1, 1)):
+        return BlockCase(Q, e, "generic")
+    if U(ctx.one()).is_zero():
+        return BlockCase(Q, e, "nonunit")
+    ppower = ctx.p ** ceil_log(e, ctx.p) == e
+    return BlockCase(Q, e, "unit_e_ppower" if ppower else "unit_e_not_ppower")
 
 
 def ceil_log(e: int, p: int) -> int:
@@ -310,14 +323,13 @@ def reachable_affine_types(ctx, d: int, exclude=()) -> set:
     An item may be used any number of times, so items with the same weight
     and the same type set are interchangeable and only one of them is kept.
     """
-    from cosetmap import (CycleType, block_cycle_type, classify_block,
-                          enumerate_irreducibles, weixu)
+    from cosetmap import block_cycle_type, enumerate_irreducibles, weixu
     items = set()
     for Q in enumerate_irreducibles(ctx, d):
         if (int(Q.degree) == 1 and Q.coeff(0).is_zero()) or Q in exclude:
             continue
         for e in range(1, d // int(Q.degree) + 1):
-            cases = {classify_block(Q, e, U) for _, U in shift_class_representatives(Q, e)}
+            cases = {block_case(Q, e, U) for _, U in shift_class_representatives(Q, e)}
             types = frozenset(block_cycle_type(case) for case in cases)
             items.add((int(Q.degree) * e, types))
     reach = [set() for _ in range(d + 1)]
@@ -375,6 +387,35 @@ def forward_product_by_then(f, cycle):
     return acc
 
 
+def cw_eval(f, x: VectorQ) -> VectorQ:
+    """The coset-wise map f at the point x = (w, u) of GF(p)^(d+t), from the
+    data of the coset of u: the pointwise reference for its value tables."""
+    s = f.splitting
+    if len(x) != s.n:
+        raise ValueError("vector has the wrong dimension")
+    w, u = (VectorQ.from_codes(s.ctx, c) for c in (x.codes[:s.d], x.codes[s.d:]))
+    alpha, omega, nu = f.data(u.codes)
+    return VectorQ.from_codes(s.ctx, (w * alpha + omega).codes + (u + nu).codes)
+
+
+def sylow_type_targets(p: int, k: int) -> list[CycleType]:
+    """All p-power cycle types of degree p^k (every part a power of p):
+    exactly the types the recursive Sylow-type constructor can realize."""
+    out = []
+
+    def rec(remaining: int, max_pow: int, acc):
+        if remaining == 0:
+            out.append(CycleType([(p ** j, c) for j, c in acc if c]))
+            return
+        if max_pow < 0:
+            return
+        step = p ** max_pow
+        for count in range(remaining // step, -1, -1):
+            rec(remaining - count * step, max_pow - 1, acc + [(max_pow, count)])
+    rec(p ** k, k, [])
+    return out
+
+
 def explicit_member_realization(gamma, d: int, p: int, ell: int, seed: int):
     """(factors, w) for a complete ell-fold target over GF(3)^1 or GF(2)^2,
     ell >= 2, by the scan realization used before the witness index served
@@ -415,7 +456,7 @@ def prcf_affine_cycle_type(f):
     before it read the type from elementary divisors: take `prcf(A)`, carry v
     into its basis with the basis change, and classify each block by its
     segment of the shift."""
-    from cosetmap import Poly, block_cycle_type, classify_block, prcf, weixu_all
+    from cosetmap import block_cycle_type, prcf, weixu_all
     form = prcf(f.matrix)
     v = f.shift * form.basis_change
     parts = []
@@ -423,7 +464,7 @@ def prcf_affine_cycle_type(f):
     for Q, e in form.blocks:
         n = int(Q.degree) * e
         seg = Poly.from_codes(f.ctx, v.codes[off:off + n])
-        parts.append(block_cycle_type(classify_block(Q, e, seg)))
+        parts.append(block_cycle_type(block_case(Q, e, seg)))
         off += n
     return weixu_all(parts)
 
@@ -495,7 +536,7 @@ def reference_elem_from_json(ctx, obj):
     coords = (obj,) + (0,) * (ctx.k - 1) if isinstance(obj, int) else tuple(obj)
     if len(coords) != ctx.k:
         raise ValueError(f"expected {ctx.k} coordinates")
-    return FieldElement(ctx, tuple(int(c) % ctx.p for c in coords))
+    return ctx.from_index(tuple_to_index([int(c) % ctx.p for c in coords], ctx.p))
 
 
 def reference_to_json(value):

@@ -11,19 +11,20 @@ import time
 import pytest
 
 from cosetmap import (CycleType, InfeasibleError, Poly, analyze, blow_up,
-                      block_cycle_type, cgl_power_set, classify_block,
+                      block_cycle_type, cgl_power_set,
                       construct_main, construct_sylow_type, ct, ct_mul,
                       ct_of_permutation, cw_cycle_type, cw_is_complete,
                       cw_is_permutation, cw_to_table, enumerate_irreducibles,
                       evaluate_poly_table, field, field_of_order, gamma_dpl,
                       gamma_of_poly, interpolate, is_cgl, one_cycle_map,
-                      one_cycle_polynomial, sylow_type_targets, weixu,
+                      one_cycle_polynomial, weixu,
                       weixu_all)
 from cosetmap.cycletype import cycles_of
 from cosetmap.serialize import format_poly
-from helpers import (all_invertible_matrices, closed_form_counts,
+from helpers import (all_invertible_matrices, block_case, closed_form_counts,
                      is_complete_table, quotient_affine_cycle_counts,
-                     random_complete_mapping, shift_class_representatives)
+                     random_complete_mapping, shift_class_representatives,
+                     sylow_type_targets)
 from test_cwaffine import random_cw_map, random_cw_permutation
 
 
@@ -53,7 +54,7 @@ def _fripertinger_sweep():
             while q ** (e * degq) <= 10 ** 5:
                 for label, U in shift_class_representatives(Q, e):
                     oracle = quotient_affine_cycle_counts(Q, e, U)
-                    case = classify_block(Q, e, U)
+                    case = block_case(Q, e, U)
                     got = dict(block_cycle_type(case).cycles)
                     records.append({
                         "q": q, "Q": Q, "e": e, "label": label, "case": case,

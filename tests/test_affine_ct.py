@@ -3,12 +3,12 @@ import random
 import pytest
 
 from cosetmap import (AffineMap, BlockCase, MatrixQ, Poly, VectorQ,
-                      affine_cycle_type, block_cycle_type, classify_block,
+                      affine_cycle_type, block_cycle_type,
                       companion, ct, enumerate_irreducibles, field,
                       field_of_order, gamma_dpl, gamma_of_matrix,
                       gamma_of_poly)
 from cosetmap.affine_ct import U_GENERIC, U_NONUNIT, U_UNIT_NOT_PPOWER, U_UNIT_PPOWER
-from helpers import (brute_affine_cycle_counts, quotient_affine_cycle_counts,
+from helpers import (block_case, brute_affine_cycle_counts, quotient_affine_cycle_counts,
                      random_invertible, shift_class_representatives)
 
 
@@ -33,10 +33,10 @@ def test_block_case_validation():
         BlockCase(xm1, 2, U_UNIT_PPOWER)  # 2 is not a power of 3
     with pytest.raises(ValueError):
         BlockCase(Poly.x(F3), 1, U_GENERIC)
-    # unit detection: unit iff U(1) != 0
-    assert classify_block(xm1, 2, Poly(F3, (1, 2))).u_class == U_NONUNIT
-    assert classify_block(xm1, 2, Poly(F3, (1,))).u_class == U_UNIT_NOT_PPOWER
-    assert classify_block(xm1, 3, Poly(F3, (1,))).u_class == U_UNIT_PPOWER
+    # the classes BlockCase accepts for X-1
+    assert BlockCase(xm1, 2, U_NONUNIT).u_class == U_NONUNIT
+    assert BlockCase(xm1, 2, U_UNIT_NOT_PPOWER).u_class == U_UNIT_NOT_PPOWER
+    assert BlockCase(xm1, 3, U_UNIT_PPOWER).u_class == U_UNIT_PPOWER
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
@@ -51,7 +51,7 @@ def test_block_cycle_type_against_orbit_walk(q):
         while q ** (e * int(Q.degree)) <= bound:
             for label, U in shift_class_representatives(Q, e):
                 counts = quotient_affine_cycle_counts(Q, e, U)
-                got = block_cycle_type(classify_block(Q, e, U))
+                got = block_cycle_type(block_case(Q, e, U))
                 assert dict(got.cycles) == counts, (Q, e, label)
                 assert got.degree == q ** (e * int(Q.degree))
             e += 1
@@ -170,7 +170,7 @@ def test_block_sum_rule():
                 continue
             for e in (1, 2, 3):
                 for _, U in shift_class_representatives(Q, e):
-                    t = block_cycle_type(classify_block(Q, e, U))
+                    t = block_cycle_type(block_case(Q, e, U))
                     assert t.degree == q ** (e * int(Q.degree))
 
 

@@ -4,7 +4,7 @@ import pytest
 
 from cosetmap import (AffineMap, CglFactorization, InfeasibleError, MatrixQ,
                       VectorQ, affine_cycle_type, cgl_power_set, ct,
-                      factor_into_cgl, field, gamma_dpl, gamma_of_matrix, is_cgl, is_fpf,
+                      factor_into_cgl, field, gamma_dpl, gamma_of_matrix, is_cgl,
                       realize_gamma, two_fpf_product)
 from helpers import all_invertible_matrices, explicit_member_realization, random_invertible
 
@@ -18,7 +18,7 @@ def test_is_cgl_examples():
 
 
 def test_code_row_completeness_matches_determinants():
-    """is_cgl and is_fpf against det(M) != 0 and det(M +- I) != 0, asked twice
+    """is_cgl and has_no_eigenvalue(1) against det(M) != 0 and det(M +- I) != 0, asked twice
     so that the second answer reads the matrix's stored characteristic
     polynomial."""
     hypothesis = pytest.importorskip("hypothesis")
@@ -39,7 +39,7 @@ def test_code_row_completeness_matches_determinants():
         invertible = not M.det().is_zero()
         for _ in range(2):
             assert is_cgl(M) == (invertible and not (M + I).det().is_zero())
-            assert is_fpf(M) == (invertible and not (M - I).det().is_zero())
+            assert M.has_no_eigenvalue(1) == (invertible and not (M - I).det().is_zero())
 
     check()
 
@@ -49,7 +49,7 @@ def test_cached_facts_stay_out_of_equality():
     F3 = field(3)
     rows = ((1, 2), (0, 1))
     cached, fresh = MatrixQ(F3, rows), MatrixQ(F3, rows)
-    assert cached.rank() == 2 and is_cgl(cached) and not is_fpf(cached)
+    assert cached.rank() == 2 and is_cgl(cached) and not cached.has_no_eigenvalue(1)
     sampled = _without_eigenvalue(F3, rows, F3.code(-1))
     for M in (fresh, sampled):
         assert M == cached and hash(M) == hash(cached)
@@ -155,17 +155,17 @@ def test_factor_determinism():
 def test_two_fpf_product():
     F5 = field(5)
     C1, C2 = two_fpf_product(MatrixQ(F5, ((2,),)), seed=0)
-    assert is_fpf(C1) and is_fpf(C2)
+    assert C1.has_no_eigenvalue(1) and C2.has_no_eigenvalue(1)
     assert C1 * C2 == MatrixQ(F5, ((2,),))
     F2 = field(2)
     I3 = MatrixQ.identity(F2, 3)
     C1, C2 = two_fpf_product(I3, seed=0)
-    assert is_fpf(C1) and is_fpf(C2) and C1 * C2 == I3
+    assert C1.has_no_eigenvalue(1) and C2.has_no_eigenvalue(1) and C1 * C2 == I3
     rng = random.Random(8)
     for _ in range(10):
         M = random_invertible(F2, 3, rng)
         C1, C2 = two_fpf_product(M, seed=1)
-        assert is_fpf(C1) and is_fpf(C2) and C1 * C2 == M
+        assert C1.has_no_eigenvalue(1) and C2.has_no_eigenvalue(1) and C1 * C2 == M
     with pytest.raises(InfeasibleError):
         two_fpf_product(MatrixQ(field(3), ((2,),)))
 
@@ -177,7 +177,7 @@ def test_two_fpf_covers_group(d, q):
     # two-fold complete product set, and two_fpf_product refuses the rest
     from cosetmap import field_of_order
     ctx = field_of_order(q)
-    fpf = [M for M in all_invertible_matrices(ctx, d) if is_fpf(M)]
+    fpf = [M for M in all_invertible_matrices(ctx, d) if M.has_no_eigenvalue(1)]
     products = set()
     for A in fpf:
         for B in fpf:
@@ -190,7 +190,7 @@ def test_two_fpf_covers_group(d, q):
     for M in all_invertible_matrices(ctx, d):
         if M in products:
             C1, C2 = two_fpf_product(M, seed=0)
-            assert is_fpf(C1) and is_fpf(C2) and C1 * C2 == M
+            assert C1.has_no_eigenvalue(1) and C2.has_no_eigenvalue(1) and C1 * C2 == M
         else:
             with pytest.raises(InfeasibleError):
                 two_fpf_product(M, seed=0)
@@ -203,7 +203,7 @@ def test_two_fpf_sampled_larger_group():
     for seed in range(20):
         M = random_invertible(ctx, 2, rng)
         C1, C2 = two_fpf_product(M, seed=seed)
-        assert is_fpf(C1) and is_fpf(C2) and C1 * C2 == M
+        assert C1.has_no_eigenvalue(1) and C2.has_no_eigenvalue(1) and C1 * C2 == M
 
 
 @pytest.mark.parametrize("d,p,ell", [(1, 5, 4), (2, 2, 6), (1, 3, 7)])

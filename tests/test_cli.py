@@ -6,8 +6,7 @@ import pytest
 
 from cosetmap import cli, serialize
 from cosetmap.cli import main
-from cosetmap.serialize import (cwmap_from_json, format_poly, parse_poly,
-                                poly_from_json, poly_to_json)
+from cosetmap.serialize import cwmap_from_json, format_poly, parse_poly, poly_to_json
 from cosetmap import Poly, VectorQ, ct_parse, field
 from helpers import (reference_elem_from_json, reference_from_json,
                      reference_to_json)
@@ -283,6 +282,98 @@ def test_verify_above_domain_limit_exits_2_at_once(tmp_path, capsys):
         assert err.endswith("points, above the 1000000 limit\n")
 
 
+@pytest.mark.parametrize("argv,payload,message", [
+    (("verify", "--p", "3", "--dim", "300000000", "--table"), {"n": 3, "images": [1, 2, 0]},
+     "domain size must equal p^dims"),
+    (("construct", "--job"), {"p": 3, "d": 1, "t": 300000000, "g": [1, 2, 0],
+                              "gammas": [{"length": 3, "index": 1, "type": "x3"}]},
+     "base map must be a bijection on GF(p)^t"),
+])
+def test_huge_dimension_of_a_small_table_exits_2_at_once(tmp_path, capsys, argv, payload,
+                                                         message):
+    """A dimension whose p^n cannot equal the table's length is refused
+    before p^n is worked out."""
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(payload))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv, str(path))
+    assert time.perf_counter() - start < 1.0
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_huge_dimension_is_refused_before_the_power():
+    from cosetmap import MapTable, analyze, construct_main
+    from cosetmap.oracle import is_complete_mapping
+    start = time.perf_counter()
+    assert not is_complete_mapping([1, 2, 0], 3, 300000000)
+    with pytest.raises(ValueError, match="domain size"):
+        analyze(MapTable(3, (1, 2, 0)), 3, 300000000)
+    with pytest.raises(ValueError, match="bijection"):
+        construct_main(3, 1, 300000000, [1, 2, 0], {})
+    assert time.perf_counter() - start < 1.0
+    # the guard passes every true dimension, down to one point
+    assert is_complete_mapping([0], 3, 0) and not is_complete_mapping([0], 3, 1)
+    assert analyze(MapTable(1, (0,)), 5, 0).is_complete
+
+
+_JOB = {"p": 3, "d": 1, "t": 1, "g": [1, 2, 0],
+        "gammas": [{"length": 3, "index": 1, "type": "x3"}], "seed": 0}
+
+
+@pytest.mark.parametrize("argv,payload,message", [
+    (("verify", "--p", "3", "--dim", "1", "--table"), {"n": 3.9, "images": [1.9, 2.2, 0.5]},
+     "n must be an integer, not 3.9"),
+    (("verify", "--p", "3", "--dim", "1", "--table"), {"n": 3, "images": [1, 2.0, 0]},
+     "an entry of images must be an integer, not 2.0"),
+    (("verify", "--p", "3", "--dim", "1", "--table"), {"n": 3, "images": [1, True, 0]},
+     "an entry of images must be an integer, not True"),
+    (("construct", "--job"), {**_JOB, "p": 3.7, "t": 1.2}, "p must be an integer, not 3.7"),
+    (("construct", "--job"), {**_JOB, "t": 1.2}, "t must be an integer, not 1.2"),
+    (("construct", "--job"), {**_JOB, "d": "1"}, "d must be an integer, not '1'"),
+    (("construct", "--job"), {**_JOB, "g": [1, 2, 0.0]},
+     "an entry of g must be an integer, not 0.0"),
+    (("construct", "--job"), {**_JOB, "seed": 0.5}, "seed must be an integer, not 0.5"),
+    (("construct", "--job"), {**_JOB, "gammas": [{"length": 3.0, "index": 1, "type": "x3"}]},
+     "length must be an integer, not 3.0"),
+    (("cycle-type", "--p", "3", "--map"), {"matrix": [[0, 1], [1, 2]], "shift": [0, 1.5]},
+     "1.5 is not an integer, an element or a coordinate list"),
+    (("cycle-type", "--p", "3", "--map"), {"matrix": [[0, 1], [1, 2]], "shift": [True, 0]},
+     "True is not an integer, an element or a coordinate list"),
+    (("cycle-type", "--p", "3", "--k", "2", "--map"),
+     {"matrix": [[[0, 1]]], "shift": [[0.5, 1]]}, "a coordinate must be an integer, not 0.5"),
+    (("cycle-type", "--p", "3", "--k", "2", "--map"),
+     {"matrix": [["01"]], "shift": [[0, 1]]},
+     "'01' is not an integer, an element or a coordinate list"),
+    (("cycle-type", "--p", "3", "--k", "2", "--map"),
+     {"matrix": [[["0", 1]]], "shift": [[0, 1]]}, "a coordinate must be an integer, not '0'"),
+])
+def test_json_non_integers_exit_2(tmp_path, capsys, argv, payload, message):
+    """A float, bool or string where the input wants an integer is refused,
+    never truncated or parsed."""
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run_cli(capsys, *argv, str(path))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_json_readers_take_only_integers():
+    from cosetmap import one_cycle_map
+    from cosetmap.serialize import ctx_from_json, cwmap_to_json
+    assert ctx_from_json({"p": 3, "k": 2, "modulus": [2, 2, 1]}) == field(3, 2, (2, 2, 1))
+    for obj, message in [({"p": 3.0}, "p must be"), ({"p": 3, "k": 2.0}, "k must be"),
+                         ({"p": 3, "k": 2, "modulus": [2, 2, 1.0]}, "a modulus coefficient")]:
+        with pytest.raises(ValueError, match=message):
+            ctx_from_json(obj)
+    good = cwmap_to_json(one_cycle_map(3, 2))
+    assert cwmap_from_json(good) == one_cycle_map(3, 2)
+    for key in ("p", "d", "t"):
+        with pytest.raises(ValueError, match=f"^{key} must be an integer, not 1.0$"):
+            cwmap_from_json({**good, key: 1.0})
+    label = {**good["cosets"][0], "u": [0.0]}
+    with pytest.raises(ValueError, match="a coset label digit must be an integer"):
+        cwmap_from_json({**good, "cosets": [label] + good["cosets"][1:]})
+
+
 def test_verify_command(tmp_path, capsys):
     table = {"n": 3, "images": [1, 2, 0]}
     path = tmp_path / "t.json"
@@ -313,7 +404,7 @@ def test_json_poly_round_trip():
     F27 = field(3, 3)
     from cosetmap import one_cycle_polynomial
     P = one_cycle_polynomial(F27)
-    assert poly_from_json(F27, poly_to_json(P)) == P
+    assert Poly(F27, poly_to_json(P)) == P
 
 
 def test_json_field_encodings():
@@ -375,9 +466,9 @@ def test_json_and_value_tables_build_no_field_elements(monkeypatch):
 
     monkeypatch.setattr(gf.FieldElement, "__init__", counting_init)
     for ctx, v, M, P, f in cases:
-        assert serialize.vector_from_json(ctx, serialize.vector_to_json(v)) == v
-        assert serialize.matrix_from_json(ctx, serialize.matrix_to_json(M)) == M
-        assert serialize.poly_from_json(ctx, serialize.poly_to_json(P)) == P
+        assert VectorQ(ctx, serialize.vector_to_json(v)) == v
+        assert MatrixQ(ctx, serialize.matrix_to_json(M)) == M
+        assert Poly(ctx, serialize.poly_to_json(P)) == P
         assert cwmap_from_json(json.loads(json.dumps(serialize.cwmap_to_json(f)))) == f
     assert evaluate_poly_table(P25).n == 25
     for ctx in (field(3, 3), field(5, 2), field(3, 2, (1, 0, 1))):
@@ -416,13 +507,10 @@ def test_json_codecs_match_the_per_element_reference():
         vec = data.draw(st.lists(entry, max_size=4))
         rows = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=1,
                                   max_size=3))
-        decoders = ((VectorQ, serialize.vector_from_json, vec),
-                    (MatrixQ, serialize.matrix_from_json, rows),
-                    (Poly, serialize.poly_from_json, vec))
-        for kind, decode, obj in decoders:
-            assert decode(ctx, obj) == reference_from_json(kind, ctx, obj)
+        for kind, obj in ((VectorQ, vec), (MatrixQ, rows), (Poly, vec)):
+            assert kind(ctx, obj) == reference_from_json(kind, ctx, obj)
         for e in vec:
-            assert serialize.elem_from_json(ctx, e) == reference_elem_from_json(ctx, e)
+            assert ctx.elem(e) == reference_elem_from_json(ctx, e)
         if k == 1:
             d, t = data.draw(st.integers(1, 2)), data.draw(st.integers(0, 2))
             s = Splitting(ctx.p, d, t)
@@ -442,12 +530,11 @@ def test_json_codecs_match_the_per_element_reference():
 def test_field_value_refusals_keep_their_messages():
     F9, F27 = field(3, 2), field(3, 3)
     for bad in ([1, 2, 0], [1], []):
-        for decode in (F9.code, F9.elem, lambda obj: serialize.elem_from_json(F9, obj),
-                       lambda obj: serialize.vector_from_json(F9, [obj])):
+        for decode in (F9.code, F9.elem, lambda obj: VectorQ(F9, [obj])):
             with pytest.raises(ValueError, match=r"^expected 2 coordinates$"):
                 decode(bad)
     for decode in (F9.code, F9.elem, lambda x: VectorQ(F9, [x]), lambda x: Poly(F9, [x])):
         with pytest.raises(ValueError, match=r"^mismatched field contexts$"):
             decode(F27.gen())
-    assert serialize.elem_from_json(F9, [-1, 7]) == F9.elem((2, 1))
-    assert serialize.elem_from_json(field(5), -3) == field(5).elem(2)
+    assert F9.elem([-1, 7]) == F9.elem((2, 1))
+    assert field(5).elem(-3) == field(5).elem(2)

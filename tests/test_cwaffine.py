@@ -8,20 +8,19 @@ import pytest
 from cosetmap import (CosetWiseAffineMap, InfeasibleError, MatrixQ, Poly,
                       Splitting, VectorQ, analyze, blow_up, conjugated_table,
                       construct_main, construct_sylow_type, ct, ct_mul, cw_compose,
-                      cw_cycle_type, cw_eval, cw_is_complete,
+                      cw_cycle_type, cw_is_complete,
                       cw_is_permutation, cw_to_table, cw_to_wreath,
-                      evaluate_poly_table, field, field_to_vector,
-                      one_cycle_map, one_cycle_polynomial, sylow_type_targets,
-                      vector_to_field, wreath_mul, wreath_to_cw)
+                      evaluate_poly_table, field,
+                      one_cycle_map, one_cycle_polynomial, wreath_mul, wreath_to_cw)
 from cosetmap import cwaffine
 from cosetmap.cwaffine import _affine_table, _forward_product
 from cosetmap.cycletype import ct_of_permutation, cycles_of
 from cosetmap.oracle import index_to_tuple
 from cosetmap.gf import is_prime
-from helpers import (coordinate_functions, forward_product_by_then,
+from helpers import (coordinate_functions, cw_eval, forward_product_by_then,
                      one_cycle_closed_form_images, one_cycle_reference_tables,
                      pointwise_affine_table, random_complete_mapping, random_invertible,
-                     reference_one_cycle_polynomial)
+                     reference_one_cycle_polynomial, sylow_type_targets)
 
 
 def random_cw_map(p, d, t, rng, invertible_only=False):
@@ -64,8 +63,8 @@ def test_cw_eval_identity_and_h2():
         v = VectorQ(F3, index_to_tuple(i, 3, 2))
         assert cw_eval(ident, v) == v
     h2 = one_cycle_map(3, 2)
-    assert cw_eval(h2, VectorQ(F3, (1, 0))).ints() == (2, 1)
-    assert cw_eval(h2, VectorQ(F3, (1, 1))).ints() == (1, 2)
+    assert cw_eval(h2, VectorQ(F3, (1, 0))).codes == (2, 1)
+    assert cw_eval(h2, VectorQ(F3, (1, 1))).codes == (1, 2)
 
 
 def test_structural_predicates_vs_oracle():
@@ -460,7 +459,7 @@ def test_coordinate_functions_duality():
             y = ctx.from_index(rng.randrange(ctx.order))
             for i in range(k):
                 assert pis[i](x + y) == pis[i](x) + pis[i](y)
-                assert pis[i](x).in_prime_subfield()
+                assert pis[i](x).coeffs[1:] == (0,) * (k - 1)
 
 
 def test_coordinate_functions_golden_gf27():
@@ -511,34 +510,17 @@ def test_one_cycle_polynomial_tabulates_the_one_cycle_map():
 
 
 def test_field_vector_bridge():
-    F27 = field(3, 3)
-    w = F27.gen()
-    assert field_to_vector(w).ints() == (0, 1, 0)
-    F3 = field(3)
-    assert vector_to_field(F27, VectorQ(F3, (0, 1, 0))) == w
-    # round trip over all elements
-    for i in range(27):
-        x = F27.from_index(i)
-        assert vector_to_field(F27, field_to_vector(x)) == x
-    # the vector-space one-cycle map transported to GF(27) agrees pointwise
-    # with the polynomial form
+    """GF(27) and GF(3)^3 share coordinates over the power basis: the
+    vector-space one-cycle map, read through them, agrees pointwise with the
+    polynomial form."""
+    F27, F3 = field(3, 3), field(3)
+    assert F27.gen().coeffs == (0, 1, 0)
+    assert F27.elem(VectorQ(F3, (0, 1, 0)).codes) == F27.gen()
     f = one_cycle_map(3, 3)
     P = one_cycle_polynomial(F27)
-    for i in range(27):
-        x = F27.from_index(i)
-        image_vec = cw_eval(f, field_to_vector(x))
-        assert vector_to_field(F27, image_vec) == P(x)
-
-
-def test_vector_to_field_refuses_vectors_over_another_field():
-    F9 = field(3, 2)
-    with pytest.raises(ValueError, match="over GF\\(3\\)"):
-        vector_to_field(F9, VectorQ(field(5), (4, 3)))
-    with pytest.raises(ValueError, match="over GF\\(3\\)"):
-        vector_to_field(F9, VectorQ(F9, (1, 2)))
-    with pytest.raises(ValueError, match="extension degree"):
-        vector_to_field(F9, VectorQ(field(3), (1, 2, 0)))
-    assert vector_to_field(F9, VectorQ(field(3), (1, 2))) == F9.elem([1, 2])
+    for x in F27.elements():
+        assert F27.elem(VectorQ(F3, x.coeffs).codes) == x
+        assert F27.elem(cw_eval(f, VectorQ(F3, x.coeffs)).codes) == P(x)
 
 
 def test_no_two_cycles_and_char2_fixed_points():

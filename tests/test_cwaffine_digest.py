@@ -18,10 +18,10 @@ import random
 from cosetmap import (conjugated_table, construct_main, construct_sylow_type,
                       ct_of_permutation, cw_cycle_type, cw_is_complete,
                       cw_is_permutation, cw_to_table, field, one_cycle_map,
-                      sorted_types, sylow_type_targets)
+                      sorted_types)
 from cosetmap.affine_ct import ct_agl, gamma_dpl
 from cosetmap.serialize import cwmap_to_json
-from helpers import random_complete_mapping, random_invertible
+from helpers import random_complete_mapping, random_invertible, sylow_type_targets
 from test_cwaffine import random_cw_map, random_cw_permutation
 
 SPLITS = [(p, d, t) for p in (2, 3, 5) for d in range(1, 5) for t in range(5 - d)]

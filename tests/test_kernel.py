@@ -7,8 +7,7 @@ import random
 
 import pytest
 
-from cosetmap import (FieldElement, MatrixQ, Poly, enumerate_irreducibles, factor_monic, field,
-                      is_irreducible)
+from cosetmap import MatrixQ, Poly, enumerate_irreducibles, factor_monic, field, is_irreducible
 from cosetmap.oracle import MAX_DOMAIN
 from cosetmap.gf import (MAX_DOMAIN as GF_MAX_DOMAIN, _convolve, _ppowmod, _sum_plan, _trim,
                          digit_sums, factorize, index_to_tuple, tuple_to_index)
@@ -108,6 +107,46 @@ def test_field_elements_never_equal_ints():
     assert field(5).elem(1) != one
 
 
+def test_field_elements_from_every_route_are_one_value():
+    """An element built from an int, from coordinates, from its index or by
+    arithmetic is the same value: equal, with equal hashes and coordinates."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(st.sampled_from([(2, 1), (7, 1), (2, 3), (3, 2), (5, 2), (3, 3)]),
+                      st.data())
+    def check(pk, data):
+        ctx = field(*pk)
+        p, k = pk
+        code = data.draw(st.integers(0, ctx.order - 1))
+        other = ctx.from_index(data.draw(st.integers(0, ctx.order - 1)))
+        x = ctx.from_index(code)
+        coords = index_to_tuple(code, p, k)
+        routes = [ctx.elem(coords), ctx.elem(list(coords)), ctx.elem(x), x + other - other,
+                  -(-x), (x * other) / other if not other.is_zero() else x,
+                  ctx.elem(tuple(c + p * data.draw(st.integers(-2, 2)) for c in coords))]
+        if code % p ** (k - 1) == 0:  # in the prime subfield: an int constant
+            routes.append(ctx.elem(code // p ** (k - 1) + p * data.draw(st.integers(-3, 3))))
+        for y in routes:
+            assert y == x and hash(y) == hash(x)
+            assert y.index == code and y.coeffs == coords
+        assert len({x, *routes}) == 1
+
+    check()
+
+
+def test_addition_above_the_table_limit_builds_no_tables():
+    ctx = field(3, 13)
+    assert ctx.order > MAX_DOMAIN
+    x, y = ctx.elem((1, 2) * 6 + (0,)), ctx.gen()
+    assert (x + y).coeffs == (1, 0) + (1, 2) * 5 + (0,)
+    assert (x - y).coeffs == (1, 1) + (1, 2) * 5 + (0,)
+    assert (-x).coeffs == (2, 1) * 6 + (0,)
+    assert x + y - y == x and x + (-x) == ctx.zero() and 2 - x == ctx.elem(2) + -x
+    assert ctx._powtable is None and ctx._ops is None
+
+
 @pytest.mark.parametrize("p,k", EXTENSION_FIELDS)
 def test_code_arithmetic_matches_coordinates_exhaustively(p, k):
     ctx = field(p, k)
@@ -162,7 +201,7 @@ def test_dlog_is_the_least_exponent(p, k):
     acc = ctx.one()
     for j in range(ctx.order - 1):
         seen.setdefault(acc, j)
-        acc = FieldElement(ctx, _coord_mul(ctx, acc.coeffs, w.coeffs))
+        acc = ctx.elem(_coord_mul(ctx, acc.coeffs, w.coeffs))
     for x in itertools.islice(ctx.elements(), 1, None):
         if x in seen:
             assert ctx.dlog(x) == seen[x]

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from cosetmap import (MapTable, MatrixQ, Poly, VectorQ, analyze, ct, evaluate_poly_table, field,
-                      interpolate, load_table, table_of)
+                      interpolate, load_table)
 from cosetmap.oracle import index_to_tuple, is_complete_mapping, tuple_to_index
 from helpers import (horner_poly_table, is_complete_table, lagrange_interpolate,
                      pointwise_affine_table, reference_analyze)
@@ -22,7 +22,7 @@ def test_index_round_trip():
 
 
 def test_analyze_shift_on_gf3():
-    table = table_of(lambda i: (i + 1) % 3, 3)
+    table = MapTable(3, (1, 2, 0))
     report = analyze(table, 3, 1)
     assert report.is_bijection and report.is_complete
     assert report.cycle_type == ct("x3")
@@ -30,11 +30,11 @@ def test_analyze_shift_on_gf3():
 
 
 def test_analyze_identity_on_gf2():
-    report = analyze(table_of(lambda i: i, 2), 2, 1)
+    report = analyze(MapTable(2, (0, 1)), 2, 1)
     assert report.is_bijection and not report.is_complete
     assert report.cycle_type == ct("x1^2")
     # the swap is not complete either: GF(2) has no complete mappings
-    report = analyze(table_of(lambda i: 1 - i, 2), 2, 1)
+    report = analyze(MapTable(2, (1, 0)), 2, 1)
     assert not report.is_complete
 
 
@@ -47,12 +47,12 @@ def test_analyze_non_bijection():
 
 def test_orthomorphism_flag():
     # x -> 2x on GF(3): f - id = x is a bijection, f + id = 3x = 0 is not
-    report = analyze(table_of(lambda i: (2 * i) % 3, 3), 3, 1)
+    report = analyze(MapTable(3, (0, 2, 1)), 3, 1)
     assert report.is_orthomorphism
     assert report.is_bijection
     assert not report.is_complete
     # x -> x + 1 is complete but f - id is the constant 1
-    report = analyze(table_of(lambda i: (i + 1) % 3, 3), 3, 1)
+    report = analyze(MapTable(3, (1, 2, 0)), 3, 1)
     assert report.is_complete and not report.is_orthomorphism
 
 

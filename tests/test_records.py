@@ -19,11 +19,12 @@ import pytest
 import cosetmap
 from cosetmap import (AffineMap, AnalysisReport, BlockCase, CglFactorization, MapTable,
                       MatrixQ, Poly, Prcf, Splitting, VectorQ, WreathElement, analyze,
-                      classify_block, ct_of_permutation, enumerate_irreducibles,
+                      ct_of_permutation, enumerate_irreducibles,
                       factor_into_cgl, field, prcf)
 from cosetmap._record import Record
 from cosetmap.affine_ct import U_GENERIC, U_NONUNIT
 from cosetmap.gf import MAX_DOMAIN
+from helpers import block_case
 
 FIELDS = {
     AffineMap: ("matrix", "shift"),
@@ -110,6 +111,24 @@ def test_records_have_no_instance_dict():
     assert {r.__class__ for r in records} == set(FIELDS)
     for r in records:
         assert not hasattr(r, "__dict__")
+
+
+def test_names_only_the_tests_called_are_gone():
+    """Public names that no path of the package, no CLI subcommand and no
+    benchmark workload called are not in the package; `cw_eval` and
+    `sylow_type_targets` live on as test references in tests/helpers.py."""
+    import importlib
+    gone = {"affine_ct": ("classify_block",), "oracle": ("table_of",), "cgl": ("is_fpf",),
+            "cwaffine": ("cw_eval", "field_to_vector", "vector_to_field", "sylow_type_targets"),
+            "serialize": ("elem_from_json", "vector_from_json", "matrix_from_json",
+                          "poly_from_json")}
+    for module, names in gone.items():
+        home = importlib.import_module(f"cosetmap.{module}")
+        for name in names:
+            assert not hasattr(home, name) and not hasattr(cosetmap, name), name
+    assert not any(hasattr(VectorQ, name) for name in ("split", "concat", "ints"))
+    assert not hasattr(cosetmap.FieldElement, "in_prime_subfield")
+    assert cosetmap.FieldElement.__slots__ == ("ctx", "index")
 
 
 def test_splitting_and_map_table_contract():
@@ -199,7 +218,7 @@ def test_block_case_prcf_and_cgl_factorization_contract():
         ctx = field(*shape)
         Qs = [Q for Q in enumerate_irreducibles(ctx, 2) if Q != Poly.x(ctx)]
         Q = Qs[which % len(Qs)]
-        case = classify_block(Q, e, Poly.from_codes(ctx, [c % ctx.order]))
+        case = block_case(Q, e, Poly.from_codes(ctx, [c % ctx.order]))
         check_record(BlockCase, (case.Q, case.e, case.u_class))
 
     @hypothesis.settings(max_examples=40, deadline=None)
@@ -238,7 +257,7 @@ def test_values_over_a_field_pickle_after_its_arithmetic_is_built():
         s = Splitting(p, 1, 1)
         table = MapTable(3, (1, 2, 0))
         values = [ctx.gen() if ctx.k > 1 else ctx.one(), xm1, A, v, AffineMap(A, v),
-                  BlockCase(xm1, 2, classify_block(xm1, 2, Poly.one(ctx)).u_class),
+                  block_case(xm1, 2, Poly.one(ctx)),
                   prcf(A), factor_into_cgl(_matrix(F, [0, 1, 1, 1], 2), 2, seed=1),
                   s, WreathElement(s, tuple(range(p))[1:] + (0,), (one,) * p), table,
                   analyze(table, 3, 1)]

@@ -30,7 +30,7 @@ def block_triangular_pair(p: int, d: int, t: int, rng: random.Random):
     v1 = VectorQ(ctx, [rng.randrange(p) for _ in range(d)])
     v2 = VectorQ(ctx, [rng.randrange(p) for _ in range(t)])
     rows = [a + (0,) * t for a in A.codes] + [c + b for c, b in zip(C.codes, B.codes)]
-    whole = AffineMap(MatrixQ.from_codes(ctx, rows), v1.concat(v2))
+    whole = AffineMap(MatrixQ.from_codes(ctx, rows), VectorQ.from_codes(ctx, v1.codes + v2.codes))
     per = []
     for u in itertools.product(range(p), repeat=t):
         u = VectorQ(ctx, u)
