@@ -1,8 +1,8 @@
 """Exact toolkit for cycle types of affine permutations of finite vector
 spaces and for coset-wise affine complete mappings of finite fields."""
 
-from .affine_ct import (BlockCase, affine_cycle_type, block_cycle_type, gamma_dpl,
-                        gamma_of_matrix, gamma_of_poly, sorted_types)
+from .affine_ct import (affine_cycle_type, block_cycle_type, gamma_dpl, gamma_of_matrix,
+                        gamma_of_poly, sorted_types)
 from .cgl import (CglFactorization, cgl_power_set, factor_into_cgl, is_cgl, realize_gamma,
                   two_fpf_product)
 from .cwaffine import (CosetWiseAffineMap, Splitting, WreathElement, conjugated_table,

@@ -12,16 +12,10 @@ import bisect
 import functools
 import itertools
 
-from ._record import Record
 from .cycletype import CycleType, weixu, weixu_all
 from .gf import (FieldCtx, Poly, _unit_group_factors, enumerate_irreducibles, factorize, field,
                  poly_order)
 from .linalg import AffineMap, MatrixQ, VectorQ, companion, elementary_divisors
-
-U_GENERIC = "generic"
-U_NONUNIT = "nonunit"
-U_UNIT_NOT_PPOWER = "unit_e_not_ppower"
-U_UNIT_PPOWER = "unit_e_ppower"
 
 
 def _is_x(Q: Poly) -> bool:
@@ -42,55 +36,28 @@ def _ceil_log(e: int, p: int) -> int:
     return c
 
 
-class BlockCase(Record):
-    """One primary block GF(q)[X]/(Q^e) together with the shift class of U."""
+def block_cycle_type(Q: Poly, e: int, unit: bool = False) -> CycleType:
+    """Cycle type of R -> R*X + U on GF(q)[X]/(Q^e) by the divisor chain.
 
-    __slots__ = ("Q", "e", "u_class")
-
-    def __init__(self, Q: Poly, e: int, u_class: str):
-        if e < 1:
-            raise ValueError("block exponent must be >= 1")
-        if _is_x(Q):
-            raise ValueError("block polynomial must not be X")
-        # NONUNIT is tested as the class of a nonunit shift, every other
-        # class as that of a unit shift: GENERIC is the class of both
-        if u_class != _shift_class(Q, e, u_class != U_NONUNIT):
-            raise ValueError(f"shift class {u_class!r} does not fit ({Q})^{e}")
-        self._store(Q, e, u_class)
-
-
-def _shift_class(Q: Poly, e: int, unit: bool) -> str:
-    """The shift class of a block Q^e; `unit` says whether the shift is a
-    unit, which matters for Q = X-1 only."""
-    if not _is_x_minus_1(Q):
-        return U_GENERIC
-    return _unit_class(Q.ctx.p, e) if unit else U_NONUNIT
-
-
-def _unit_class(p: int, e: int) -> str:
-    """The class of a unit shift of (X-1)^e in characteristic p."""
-    return U_UNIT_PPOWER if p ** _ceil_log(e, p) == e else U_UNIT_NOT_PPOWER
-
-
-def _case(Q: Poly, e: int, unit: bool) -> BlockCase:
-    return BlockCase(Q, e, _shift_class(Q, e, unit))
-
-
-def block_cycle_type(case: BlockCase) -> CycleType:
-    """Cycle type of R -> R*X + U on GF(q)[X]/(Q^e) by the divisor chain."""
-    ctx = case.Q.ctx
-    # a nonunit or unit block has Q = X-1, so r = 1
-    r = poly_order(case.Q) if case.u_class == U_GENERIC else 1
-    return _block_type(ctx.order, ctx.p, int(case.Q.degree), r, case.e, case.u_class)
+    `unit` says whether the shift U is a unit, which only Q = X-1 allows:
+    for any other Q every shift gives the type of a nonunit one."""
+    if e < 1:
+        raise ValueError("block exponent must be >= 1")
+    if _is_x(Q):
+        raise ValueError("block polynomial must not be X")
+    if unit and not _is_x_minus_1(Q):
+        raise ValueError(f"a unit shift does not fit ({Q})^{e}")
+    ctx = Q.ctx
+    return _block_type(ctx.order, ctx.p, int(Q.degree), poly_order(Q), e, unit)
 
 
 @functools.cache
-def _block_type(q: int, p: int, m: int, r: int, e: int, u_class: str) -> CycleType:
+def _block_type(q: int, p: int, m: int, r: int, e: int, unit: bool) -> CycleType:
     """Cycle type of a block Q^e over GF(q) of characteristic p with
-    deg Q = m and ord Q = r, in shift class u_class: these are all it
+    deg Q = m and ord Q = r, its shift a unit or not: these are all it
     depends on."""
     counts: dict[int, int] = {}
-    if u_class in (U_GENERIC, U_NONUNIT):
+    if not unit:
         counts[1] = 1
         prev = 1  # points on cycles of length dividing previous candidate
         for a in range(_ceil_log(e, p) + 1):
@@ -109,28 +76,15 @@ def _block_type(q: int, p: int, m: int, r: int, e: int, u_class: str) -> CycleTy
     return CycleType(counts)
 
 
-def _block_options(Q: Poly, e: int):
-    """Possible (shift class, cycle type) pairs for one block as the shift
-    ranges over the quotient algebra."""
-    units = (False, True) if _is_x_minus_1(Q) else (False,)
-    cases = [_case(Q, e, unit) for unit in units]
-    return [(case, block_cycle_type(case)) for case in cases]
-
-
-def shift_class_types(blocks, options: dict):
-    """(cases, cycle type) for every combination of shift classes over the
-    primary blocks [(Q, e), ...], in the order of the blocks' options.
-
-    `options` caches `_block_options` per (Q, e); pass one dict per scan so
-    that each block is worked out once however many forms share it.
-    """
-    per_block = []
-    for block in blocks:
-        if block not in options:
-            options[block] = _block_options(*block)
-        per_block.append(options[block])
+def shift_class_types(blocks):
+    """(units, cycle type) for every choice of a unit or nonunit shift per
+    primary block [(Q, e), ...], nonunit first; units[i] says whether block
+    i has a unit shift, which only a block X-1 can have."""
+    per_block = [[(unit, block_cycle_type(Q, e, unit))
+                  for unit in ((False, True) if _is_x_minus_1(Q) else (False,))]
+                 for Q, e in blocks]
     for combo in itertools.product(*per_block):
-        yield [case for case, _ in combo], weixu_all([t for _, t in combo])
+        yield tuple(unit for unit, _ in combo), weixu_all([t for _, t in combo])
 
 
 def affine_cycle_type(f: AffineMap) -> CycleType:
@@ -154,7 +108,7 @@ def affine_cycle_type(f: AffineMap) -> CycleType:
         unit = e == grown and _is_x_minus_1(Q)
         if unit:
             grown = 0
-        parts.append(block_cycle_type(_case(Q, e, unit)))
+        parts.append(block_cycle_type(Q, e, unit))
     return weixu_all(parts)
 
 
@@ -165,7 +119,7 @@ def gamma_of_matrix(M: MatrixQ) -> frozenset[CycleType]:
     blocks = elementary_divisors(M)[0] if M.is_square() else None
     if blocks is None or _is_x(blocks[0][0]):
         raise ValueError("gamma needs an invertible matrix")
-    out = frozenset(t for _, t in shift_class_types(blocks, {}))
+    out = frozenset(t for _, t in shift_class_types(blocks))
     if len({t.degree for t in out}) != 1:
         raise ArithmeticError("inconsistent degrees in gamma set")
     return out
@@ -187,15 +141,15 @@ def sorted_types(types) -> list[CycleType]:
 # complete linear maps.
 #
 # The sets come from block signatures.  A block's cycle type depends only on
-# m = deg Q, r = ord Q, e and the shift class, and over GF(p) a monic
-# irreducible of degree m and order r exists exactly when m is the
+# m = deg Q, r = ord Q, e and whether the shift is a unit, and over GF(p) a
+# monic irreducible of degree m and order r exists exactly when m is the
 # multiplicative order of p mod r (Lidl-Niederreiter, Finite Fields, Thm 3.5).
 # So the divisors of p^m - 1 give every signature with no polynomial
 # enumerated, and an unbounded knapsack over (weight m*e, block types) gives
 # the set.  Realization needs a witness in a fixed order instead: the first
-# class, in `block_multisets` order, and shift-class choice that reaches the
-# type.  That walk is a generator kept per (kind, d, p), advanced only until
-# the requested type turns up.
+# class, in `block_multisets` order, and choice of unit shifts that reaches
+# the type.  That walk is a generator kept per (kind, d, p), advanced only
+# until the requested type turns up.
 # ---------------------------------------------------------------------------
 
 def block_multisets(ctx: FieldCtx, d: int, exclude=()):
@@ -246,14 +200,14 @@ def _orders_of_degree(p: int, m: int) -> list[int]:
 
 
 def _signature_types(kind: str, d: int, p: int) -> frozenset[CycleType]:
-    """The gamma set of `kind` from block signatures (m, r, e, shift class).
+    """The gamma set of `kind` from block signatures (m, r, e, unit).
 
     The blocks Q^e with deg Q = m give an item of weight m*e whose choices
     are their types over every order r of degree m; only r = 1, the block
-    X-1, has two shift classes.  "acgl" drops the signature of X+1: (1, 2),
-    or (1, 1) in characteristic 2.  Any item may be used any number of times
-    (one Q may repeat an exponent), so how many polynomials share a
-    signature never matters."""
+    X-1, takes a unit shift as well as a nonunit one.  "acgl" drops the
+    signature of X+1: (1, 2), or (1, 1) in characteristic 2.  Any item may
+    be used any number of times (one Q may repeat an exponent), so how many
+    polynomials share a signature never matters."""
     minus_one = 1 if p == 2 else 2
     reach = [set() for _ in range(d + 1)]
     reach[0].add(CycleType({1: 1}))
@@ -261,23 +215,21 @@ def _signature_types(kind: str, d: int, p: int) -> frozenset[CycleType]:
         orders = [r for r in _orders_of_degree(p, m)
                   if kind == "agl" or (m, r) != (1, minus_one)]
         for e in range(1, d // m + 1):
-            types = {_block_type(p, p, m, r, e, c) for r in orders
-                     for c in ((U_NONUNIT, _unit_class(p, e)) if r == 1 else (U_GENERIC,))}
+            types = {_block_type(p, p, m, r, e, unit) for r in orders
+                     for unit in ((False, True) if r == 1 else (False,))}
             for n in range(m * e, d + 1):
                 reach[n] |= {weixu(a, t) for a in reach[n - m * e] for t in types}
     return frozenset(reach[d])
 
 
 def _class_walk(kind: str, d: int, p: int):
-    """(t, blocks, cases) for every class of `block_multisets` and every
-    choice of shift classes, in that order; "acgl" leaves out the block
-    X+1."""
+    """(t, blocks, units) for every class of `block_multisets` and every
+    choice of unit shifts, in that order; "acgl" leaves out the block X+1."""
     ctx = field(p)
     exclude = (Poly(ctx, (1, 1)),) if kind == "acgl" else ()
-    options: dict = {}
     for blocks in block_multisets(ctx, d, exclude=exclude):
-        for cases, t in shift_class_types(blocks, options):
-            yield t, blocks, cases
+        for units, t in shift_class_types(blocks):
+            yield t, blocks, units
 
 
 _GAMMA_CACHE: dict[tuple, tuple[frozenset, dict, object]] = {}
@@ -286,7 +238,7 @@ _GAMMA_CACHE: dict[tuple, tuple[frozenset, dict, object]] = {}
 def _gamma(kind: str, d: int, p: int) -> tuple[frozenset, dict, object]:
     """(types, first, walk) for kind "agl" (every class of GL_d(p)) or "acgl"
     (classes without the block X+1): the set from `_signature_types`; per
-    type met so far, its first (blocks, cases) and a slot for the map
+    type met so far, its first (blocks, units) and a slot for the map
     `witness_map` builds from them; and the `_class_walk` where the search
     for the next witness resumes."""
     if d < 1:
@@ -314,8 +266,8 @@ def _first(gamma: CycleType, d: int, p: int, complete: bool) -> dict | None:
             step = next(walk, None)
             if step is None:
                 raise ArithmeticError("the class walk misses a type of the gamma set")
-            t, blocks, cases = step
-            first.setdefault(t, (blocks, cases, None))
+            t, blocks, units = step
+            first.setdefault(t, (blocks, units, None))
     except BaseException:
         _GAMMA_CACHE.pop(key, None)
         raise
@@ -333,8 +285,8 @@ def ct_acgl(d: int, p: int) -> frozenset[CycleType]:
 
 
 def first_witness(gamma: CycleType, d: int, p: int, complete: bool = False):
-    """(blocks, cases) of the first class and shift-class choice, in walk
-    order, that reaches gamma: among classes with no eigenvalue -1 when
+    """(blocks, units) of the first class and choice of unit shifts, in
+    walk order, that reaches gamma: among classes with no eigenvalue -1 when
     `complete`, else among all of GL_d(p).  None if no class reaches it."""
     first = _first(gamma, d, p, complete)
     return None if first is None else first[gamma][:2]
@@ -342,23 +294,22 @@ def first_witness(gamma: CycleType, d: int, p: int, complete: bool = False):
 
 def witness_map(gamma: CycleType, d: int, p: int, complete: bool = False) -> AffineMap | None:
     """x -> x*M + w of cycle type gamma from its `first_witness`: M the block
-    diagonal of the companions of the Q^e, w 1 at the start of each
-    unit-class block and 0 elsewhere.  Checked with `affine_cycle_type` when
+    diagonal of the companions of the Q^e, w 1 at the start of each block
+    with a unit shift and 0 elsewhere.  Checked with `affine_cycle_type` when
     first built and kept in the walk's witness entry.  None if no class
     reaches gamma."""
     first = _first(gamma, d, p, complete)
     if first is None:
         return None
-    blocks, cases, f = first[gamma]
+    blocks, units, f = first[gamma]
     if f is None:
         M = MatrixQ.block_diag([companion(Q ** e) for Q, e in blocks])
-        w = VectorQ(M.ctx, [int(j == 0 and case.u_class.startswith("unit"))
-                            for (Q, e), case in zip(blocks, cases)
+        w = VectorQ(M.ctx, [int(j == 0 and unit) for (Q, e), unit in zip(blocks, units)
                             for j in range(int(Q.degree) * e)])
         f = AffineMap(M, w)
         if affine_cycle_type(f) != gamma:
             raise ArithmeticError("realized affine map has the wrong type")
-        first[gamma] = (blocks, cases, f)
+        first[gamma] = (blocks, units, f)
     return f
 
 

@@ -172,15 +172,18 @@ def realize_gamma(gamma: CycleType, d: int, p: int, ell: int, seed: int = 0,
     lie in gamma_dpl(d, p, ell).  Without it the type may be any affine cycle
     type and the factors are (M, I, ..., I) with M invertible.  Either way the
     witness M is the first canonical form, in `block_multisets` order, that
-    reaches the type, and w the first matching choice of shift classes: the
+    reaches the type, and w the first matching choice of unit shifts: the
     walk behind the gamma sets records both (`witness_map`).
     """
     if d < 1 or ell < 1:
         raise ValueError("dimension and factor count must be >= 1")
-    if require_complete and gamma not in gamma_dpl(d, p, ell):
+    # p^d > gamma.degree once d passes its bit length, so that test comes
+    # first; a type of another degree is refused before any gamma set is built
+    fits = d <= gamma.degree.bit_length() and p ** d == gamma.degree
+    if require_complete and not (fits and gamma in gamma_dpl(d, p, ell)):
         raise InfeasibleError(f"{gamma} is not realizable with {ell} complete factors "
                               f"in dimension {d} over GF({p})")
-    if not require_complete and gamma not in ct_agl(d, p):
+    if not require_complete and not (fits and gamma in ct_agl(d, p)):
         raise InfeasibleError(f"{gamma} is not an affine cycle type in dimension {d} over GF({p})")
     # one factor must be complete itself: no block X+1, i.e. no eigenvalue -1.
     # For ell >= 2 over GF(3)^1 and GF(2)^2 the first witness of every type in

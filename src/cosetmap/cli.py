@@ -138,12 +138,15 @@ def _cmd_construct(args) -> int:
     for item in job["gammas"]:
         key = exact_int(item["length"], "length"), exact_int(item["index"], "index")
         gammas[key] = ct_parse(item["type"])
+    complete = job.get("require_complete", True)
+    if type(complete) is not bool:
+        raise ValueError(f"require_complete must be true or false, not {complete!r}")
     f = construct_main(
         p, d, t, [exact_int(v, "an entry of g") for v in job["g"]],
         gammas, seed=exact_int(job.get("seed", args.seed), "seed"),
-        require_complete=bool(job.get("require_complete", True)),
+        require_complete=complete,
     )
-    return _emit_cwmap(args, f, verify_expected_complete=bool(job.get("require_complete", True)))
+    return _emit_cwmap(args, f, verify_expected_complete=complete)
 
 
 def _cmd_sylow_type(args) -> int:

@@ -161,6 +161,8 @@ def ct_format(ct: CycleType) -> str:
 
 def ct_parse(text: str) -> CycleType:
     """Parse the `x<l>[^<k>]` grammar; lengths must strictly increase."""
+    if not isinstance(text, str):
+        raise ValueError(f"a cycle type must be a string, not {text!r}")
     text = text.strip()
     if text == "1" or text == "":
         return CycleType()

@@ -9,7 +9,7 @@ from __future__ import annotations
 import itertools
 import random
 
-from cosetmap import BlockCase, CycleType, MatrixQ, Poly, VectorQ
+from cosetmap import CycleType, MatrixQ, Poly, VectorQ
 from cosetmap.oracle import index_to_tuple, tuple_to_index
 
 
@@ -83,17 +83,16 @@ def shift_class_representatives(Q: Poly, e: int) -> list[tuple[str, Poly]]:
     return [("generic", Poly.zero(ctx)), ("generic", Poly(ctx, (1,)))]
 
 
-def block_case(Q: Poly, e: int, U: Poly) -> BlockCase:
-    """The block Q^e with the shift class of U, worked out from the class
-    definitions: generic unless Q = X - 1; then nonunit when U(1) = 0, else a
-    unit whose class says whether e is a power of p."""
+def block_case(Q: Poly, e: int, U: Poly) -> tuple[Poly, int, bool]:
+    """(Q, e, unit), the arguments of `block_cycle_type` for the block Q^e
+    with shift U, worked out from the statement's classes: generic unless
+    Q = X - 1; then nonunit when U(1) = 0, else unit, the one class with a
+    unit shift (whether e is a power of p, which splits it in the statement,
+    is left to the counts)."""
     ctx = Q.ctx
     if Q != Poly(ctx, (-1, 1)):
-        return BlockCase(Q, e, "generic")
-    if U(ctx.one()).is_zero():
-        return BlockCase(Q, e, "nonunit")
-    ppower = ctx.p ** ceil_log(e, ctx.p) == e
-    return BlockCase(Q, e, "unit_e_ppower" if ppower else "unit_e_not_ppower")
+        return Q, e, False  # generic
+    return Q, e, not U(ctx.one()).is_zero()  # nonunit or unit
 
 
 def ceil_log(e: int, p: int) -> int:
@@ -330,7 +329,7 @@ def reachable_affine_types(ctx, d: int, exclude=()) -> set:
             continue
         for e in range(1, d // int(Q.degree) + 1):
             cases = {block_case(Q, e, U) for _, U in shift_class_representatives(Q, e)}
-            types = frozenset(block_cycle_type(case) for case in cases)
+            types = frozenset(block_cycle_type(*case) for case in cases)
             items.add((int(Q.degree) * e, types))
     reach = [set() for _ in range(d + 1)]
     reach[0].add(CycleType({1: 1}))
@@ -341,22 +340,21 @@ def reachable_affine_types(ctx, d: int, exclude=()) -> set:
 
 
 def scan_witness(gamma, d: int, p: int, complete: bool):
-    """(blocks, cases) of the first class and shift-class choice that reaches
-    gamma, by the scan realization used before the walk kept a witness
-    index: walk every class of GL_d(p), skip, when `complete`, those whose
-    block-diagonal companion matrix fails `is_cgl`, and take the first
-    matching shift classes.  None if nothing matches."""
+    """(blocks, units) of the first class and choice of unit shifts that
+    reaches gamma, by the scan realization used before the walk kept a
+    witness index: walk every class of GL_d(p), skip, when `complete`, those
+    whose block-diagonal companion matrix fails `is_cgl`, and take the first
+    matching choice of shifts.  None if nothing matches."""
     from cosetmap import MatrixQ, companion, field, is_cgl
     from cosetmap.affine_ct import block_multisets, shift_class_types
     ctx = field(p)
-    options: dict = {}
     for blocks in block_multisets(ctx, d):
         M = MatrixQ.block_diag([companion(Q ** e) for Q, e in blocks])
         if complete and not is_cgl(M):
             continue
-        for cases, total in shift_class_types(blocks, options):
+        for units, total in shift_class_types(blocks):
             if total == gamma:
-                return blocks, cases
+                return blocks, units
     return None
 
 
@@ -464,7 +462,7 @@ def prcf_affine_cycle_type(f):
     for Q, e in form.blocks:
         n = int(Q.degree) * e
         seg = Poly.from_codes(f.ctx, v.codes[off:off + n])
-        parts.append(block_cycle_type(block_case(Q, e, seg)))
+        parts.append(block_cycle_type(*block_case(Q, e, seg)))
         off += n
     return weixu_all(parts)
 
@@ -473,7 +471,7 @@ def prcf_gamma(M: MatrixQ) -> frozenset:
     """Gamma set of M from the blocks of `prcf(M)`."""
     from cosetmap import prcf
     from cosetmap.affine_ct import shift_class_types
-    return frozenset(t for _, t in shift_class_types(prcf(M).blocks, {}))
+    return frozenset(t for _, t in shift_class_types(prcf(M).blocks))
 
 
 def krylov_minpoly(A: MatrixQ) -> Poly:

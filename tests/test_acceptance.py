@@ -54,10 +54,9 @@ def _fripertinger_sweep():
             while q ** (e * degq) <= 10 ** 5:
                 for label, U in shift_class_representatives(Q, e):
                     oracle = quotient_affine_cycle_counts(Q, e, U)
-                    case = block_case(Q, e, U)
-                    got = dict(block_cycle_type(case).cycles)
+                    got = dict(block_cycle_type(*block_case(Q, e, U)).cycles)
                     records.append({
-                        "q": q, "Q": Q, "e": e, "label": label, "case": case,
+                        "q": q, "Q": Q, "e": e, "label": label,
                         "oracle": oracle, "divisor_chain": got,
                     })
                 e += 1
@@ -328,7 +327,7 @@ def test_criterion_10_closed_form_resolution():
     for r in records:
         # divisor chain must match the oracle everywhere (re-asserted here)
         ok &= r["divisor_chain"] == r["oracle"]
-        if r["case"].u_class != "generic" or r["e"] < 2:
+        if r["label"] != "generic" or r["e"] < 2:
             continue
         eligible += 1
         disp = closed_form_counts(r["Q"], r["e"], "generic", corrected_final=False)

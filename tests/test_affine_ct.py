@@ -2,12 +2,11 @@ import random
 
 import pytest
 
-from cosetmap import (AffineMap, BlockCase, MatrixQ, Poly, VectorQ,
+from cosetmap import (AffineMap, MatrixQ, Poly, VectorQ,
                       affine_cycle_type, block_cycle_type,
                       companion, ct, enumerate_irreducibles, field,
                       field_of_order, gamma_dpl, gamma_of_matrix,
                       gamma_of_poly)
-from cosetmap.affine_ct import U_GENERIC, U_NONUNIT, U_UNIT_NOT_PPOWER, U_UNIT_PPOWER
 from helpers import (block_case, brute_affine_cycle_counts, quotient_affine_cycle_counts,
                      random_invertible, shift_class_representatives)
 
@@ -15,28 +14,28 @@ from helpers import (block_case, brute_affine_cycle_counts, quotient_affine_cycl
 def test_block_cycle_type_paper_values():
     F3 = field(3)
     xm1 = Poly(F3, (-1, 1)).monic()
-    assert block_cycle_type(BlockCase(xm1, 2, U_NONUNIT)) == ct("x1^3 x3^2")
-    assert block_cycle_type(BlockCase(xm1, 3, U_UNIT_PPOWER)) == ct("x9^3")
+    assert block_cycle_type(xm1, 2, unit=False) == ct("x1^3 x3^2")
+    assert block_cycle_type(xm1, 3, unit=True) == ct("x9^3")
     Q2 = Poly(F3, (2, 1, 1))
-    assert block_cycle_type(BlockCase(Q2, 1, U_GENERIC)) == ct("x1 x8")
+    assert block_cycle_type(Q2, 1) == ct("x1 x8")
 
 
 def test_block_case_validation():
+    """`block_cycle_type` refuses e = 0, Q = X and a unit shift on any block
+    but X-1, which takes either kind of shift for every e."""
     F3 = field(3)
     xm1 = Poly(F3, (-1, 1)).monic()
     Q2 = Poly(F3, (2, 1, 1))
-    with pytest.raises(ValueError):
-        BlockCase(Q2, 1, U_NONUNIT)  # unit classes only for X-1
-    with pytest.raises(ValueError):
-        BlockCase(xm1, 1, U_GENERIC)  # X-1 is never generic
-    with pytest.raises(ValueError):
-        BlockCase(xm1, 2, U_UNIT_PPOWER)  # 2 is not a power of 3
-    with pytest.raises(ValueError):
-        BlockCase(Poly.x(F3), 1, U_GENERIC)
-    # the classes BlockCase accepts for X-1
-    assert BlockCase(xm1, 2, U_NONUNIT).u_class == U_NONUNIT
-    assert BlockCase(xm1, 2, U_UNIT_NOT_PPOWER).u_class == U_UNIT_NOT_PPOWER
-    assert BlockCase(xm1, 3, U_UNIT_PPOWER).u_class == U_UNIT_PPOWER
+    with pytest.raises(ValueError, match="block exponent must be >= 1"):
+        block_cycle_type(xm1, 0)
+    with pytest.raises(ValueError, match="block polynomial must not be X"):
+        block_cycle_type(Poly.x(F3), 1)
+    for Q in (Q2, Poly(F3, (1, 1))):  # X+1 is not X-1 over GF(3)
+        with pytest.raises(ValueError, match="a unit shift does not fit"):
+            block_cycle_type(Q, 1, unit=True)
+    for e in (1, 2, 3):
+        for unit in (False, True):
+            assert block_cycle_type(xm1, e, unit).degree == 3 ** e
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
@@ -51,7 +50,7 @@ def test_block_cycle_type_against_orbit_walk(q):
         while q ** (e * int(Q.degree)) <= bound:
             for label, U in shift_class_representatives(Q, e):
                 counts = quotient_affine_cycle_counts(Q, e, U)
-                got = block_cycle_type(block_case(Q, e, U))
+                got = block_cycle_type(*block_case(Q, e, U))
                 assert dict(got.cycles) == counts, (Q, e, label)
                 assert got.degree == q ** (e * int(Q.degree))
             e += 1
@@ -170,7 +169,7 @@ def test_block_sum_rule():
                 continue
             for e in (1, 2, 3):
                 for _, U in shift_class_representatives(Q, e):
-                    t = block_cycle_type(block_case(Q, e, U))
+                    t = block_cycle_type(*block_case(Q, e, U))
                     assert t.degree == q ** (e * int(Q.degree))
 
 

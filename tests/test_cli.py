@@ -356,6 +356,35 @@ def test_json_non_integers_exit_2(tmp_path, capsys, argv, payload, message):
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("payload,message", [
+    ({**_JOB, "gammas": [{"length": 3, "index": 1, "type": 3}]},
+     "a cycle type must be a string, not 3"),
+    ({**_JOB, "require_complete": "no"}, "require_complete must be true or false, not 'no'"),
+])
+def test_construct_job_fields_of_another_json_type_exit_2(tmp_path, capsys, payload, message):
+    """A target type that is not a JSON string, and a require_complete that
+    is not JSON true or false, are refused, never coerced."""
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run_cli(capsys, "construct", "--job", str(path))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("d", [2, 40])
+def test_target_of_another_degree_exits_1_at_once(tmp_path, capsys, d):
+    """A target whose degree is not p^d is infeasible, and is refused before
+    any gamma set of dimension d is built."""
+    path = tmp_path / "job.json"
+    gammas = [{"length": 1, "index": i, "type": "x3"} for i in (1, 2, 3)]
+    path.write_text(json.dumps({"p": 3, "d": d, "t": 1, "g": [0, 1, 2], "gammas": gammas}))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "construct", "--job", str(path))
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (1, "")
+    assert err == (f"infeasible: x3 is not realizable with 1 complete factors "
+                   f"in dimension {d} over GF(3)\n")
+
+
 def test_json_readers_take_only_integers():
     from cosetmap import one_cycle_map
     from cosetmap.serialize import ctx_from_json, cwmap_to_json

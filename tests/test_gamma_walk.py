@@ -69,7 +69,7 @@ def test_gamma_sets_match_reachability_dp(d, p):
     ctx = field(p)
     for gamma_set, exclude in ((ct_agl, ()), (ct_acgl, (Poly(ctx, (1, 1)),))):
         walked = frozenset(t for blocks in block_multisets(ctx, d, exclude=exclude)
-                           for _, t in shift_class_types(blocks, {}))
+                           for _, t in shift_class_types(blocks))
         assert gamma_set(d, p) == frozenset(reachable_affine_types(ctx, d, exclude=exclude))
         assert gamma_set(d, p) == walked
 

@@ -1,4 +1,4 @@
-"""The value-record contract of the eight immutable record classes.
+"""The value-record contract of the seven immutable record classes.
 
 Construction by position or keyword, refused assignment and deletion,
 equality only within one class on the field tuple, hash of that tuple, the
@@ -17,19 +17,15 @@ from pathlib import Path
 import pytest
 
 import cosetmap
-from cosetmap import (AffineMap, AnalysisReport, BlockCase, CglFactorization, MapTable,
+from cosetmap import (AffineMap, AnalysisReport, CglFactorization, MapTable,
                       MatrixQ, Poly, Prcf, Splitting, VectorQ, WreathElement, analyze,
-                      ct_of_permutation, enumerate_irreducibles,
-                      factor_into_cgl, field, prcf)
+                      ct_of_permutation, factor_into_cgl, field, prcf)
 from cosetmap._record import Record
-from cosetmap.affine_ct import U_GENERIC, U_NONUNIT
 from cosetmap.gf import MAX_DOMAIN
-from helpers import block_case
 
 FIELDS = {
     AffineMap: ("matrix", "shift"),
     Prcf: ("blocks", "basis_change"),
-    BlockCase: ("Q", "e", "u_class"),
     CglFactorization: ("factors", "product"),
     Splitting: ("p", "d", "t"),
     WreathElement: ("splitting", "top", "bottom"),
@@ -88,9 +84,6 @@ def test_hand_written_reprs():
     assert repr(analyze(MapTable(3, (1, 2, 0)), 3, 1)) == (
         "AnalysisReport(is_bijection=True, is_complete=True, is_orthomorphism=False, "
         "cycle_type=x3, fixed_points=())")
-    xm1 = Poly(F3, (2, 1))
-    assert repr(BlockCase(xm1, 2, "unit_e_not_ppower")) == (
-        "BlockCase(Q=x + 2, e=2, u_class='unit_e_not_ppower')")
     assert repr(prcf(M)) == "Prcf(blocks=((x + 2, 2),), basis_change=[1 0; 1 2])"
     assert repr(factor_into_cgl(M, 2, seed=1)) == (
         "CglFactorization(factors=([1 1; 1 0], [0 1; 1 1]), product=[1 2; 0 1])")
@@ -106,7 +99,7 @@ def test_records_have_no_instance_dict():
     one = AffineMap(MatrixQ(F2, [[1]]), VectorQ(F2, (0,)))
     records = [one, Splitting(2, 1, 0), MapTable(1, (0,)),
                analyze(MapTable(1, (0,)), 2, 0), WreathElement(Splitting(2, 1, 0), (0,), (one,)),
-               BlockCase(Poly(F2, (1, 1)), 1, U_NONUNIT), prcf(MatrixQ(F2, [[1]])),
+               prcf(MatrixQ(F2, [[1]])),
                CglFactorization((), MatrixQ.identity(F2, 1))]
     assert {r.__class__ for r in records} == set(FIELDS)
     for r in records:
@@ -116,9 +109,13 @@ def test_records_have_no_instance_dict():
 def test_names_only_the_tests_called_are_gone():
     """Public names that no path of the package, no CLI subcommand and no
     benchmark workload called are not in the package; `cw_eval` and
-    `sylow_type_targets` live on as test references in tests/helpers.py."""
+    `sylow_type_targets` live on as test references in tests/helpers.py.
+    Nor are the shift-class record and constants that a block's (Q, e, unit)
+    replaced."""
     import importlib
-    gone = {"affine_ct": ("classify_block",), "oracle": ("table_of",), "cgl": ("is_fpf",),
+    gone = {"affine_ct": ("classify_block", "BlockCase", "U_GENERIC", "U_NONUNIT",
+                          "U_UNIT_NOT_PPOWER", "U_UNIT_PPOWER"),
+            "oracle": ("table_of",), "cgl": ("is_fpf",),
             "cwaffine": ("cw_eval", "field_to_vector", "vector_to_field", "sylow_type_targets"),
             "serialize": ("elem_from_json", "vector_from_json", "matrix_from_json",
                           "poly_from_json")}
@@ -207,19 +204,9 @@ def test_affine_map_and_wreath_element_contract():
     run_wreath()
 
 
-def test_block_case_prcf_and_cgl_factorization_contract():
+def test_prcf_and_cgl_factorization_contract():
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
-
-    @hypothesis.settings(max_examples=100, deadline=None)
-    @hypothesis.given(st.sampled_from(FIELD_SHAPES), st.integers(0, 20), st.integers(1, 5),
-                      st.integers(0, 8))
-    def run_block(shape, which, e, c):
-        ctx = field(*shape)
-        Qs = [Q for Q in enumerate_irreducibles(ctx, 2) if Q != Poly.x(ctx)]
-        Q = Qs[which % len(Qs)]
-        case = block_case(Q, e, Poly.from_codes(ctx, [c % ctx.order]))
-        check_record(BlockCase, (case.Q, case.e, case.u_class))
 
     @hypothesis.settings(max_examples=40, deadline=None)
     @hypothesis.given(st.sampled_from([(2, 1), (3, 1), (2, 2)]), st.integers(1, 3), st.data())
@@ -230,7 +217,6 @@ def test_block_case_prcf_and_cgl_factorization_contract():
         form = prcf(A)
         check_record(Prcf, (form.blocks, form.basis_change))
 
-    run_block()
     run_prcf()
     F3 = field(3)
     for rows in ([[1, 2], [0, 1]], [[0, 1], [1, 1]], [[2, 0], [0, 2]]):
@@ -257,7 +243,6 @@ def test_values_over_a_field_pickle_after_its_arithmetic_is_built():
         s = Splitting(p, 1, 1)
         table = MapTable(3, (1, 2, 0))
         values = [ctx.gen() if ctx.k > 1 else ctx.one(), xm1, A, v, AffineMap(A, v),
-                  block_case(xm1, 2, Poly.one(ctx)),
                   prcf(A), factor_into_cgl(_matrix(F, [0, 1, 1, 1], 2), 2, seed=1),
                   s, WreathElement(s, tuple(range(p))[1:] + (0,), (one,) * p), table,
                   analyze(table, 3, 1)]
@@ -281,11 +266,6 @@ def test_every_refusal_keeps_its_message():
     _refused(lambda: AffineMap(MatrixQ(F3, [[1, 2]]), VectorQ(F3, (1,))),
              "affine map dimension mismatch")
     _refused(lambda: AffineMap(I2, VectorQ(F3, (1,))), "affine map dimension mismatch")
-    xm1 = Poly(F3, (2, 1))
-    _refused(lambda: BlockCase(xm1, 0, U_NONUNIT), "block exponent must be >= 1")
-    _refused(lambda: BlockCase(Poly.x(F3), 1, U_GENERIC), "block polynomial must not be X")
-    _refused(lambda: BlockCase(xm1, 1, U_GENERIC),
-             "shift class 'generic' does not fit (x + 2)^1")
     _refused(lambda: CglFactorization((MatrixQ.identity(F2, 2),), MatrixQ.identity(F2, 2)),
              "factor is not a complete invertible matrix")
     A = MatrixQ(F3, [[0, 1], [1, 1]])
