@@ -10,7 +10,7 @@ from ._record import Record
 from .affine_ct import _EXCEPTIONAL_PRODUCTS, ct_agl, gamma_dpl, witness_map
 from .cycletype import CycleType
 from .errors import InfeasibleError
-from .gf import FieldCtx, field_of_order
+from .gf import FieldCtx, field_of_order, is_power
 from .linalg import MatrixQ, VectorQ, _inverse, _matmul, _without_eigenvalue
 
 
@@ -177,9 +177,8 @@ def realize_gamma(gamma: CycleType, d: int, p: int, ell: int, seed: int = 0,
     """
     if d < 1 or ell < 1:
         raise ValueError("dimension and factor count must be >= 1")
-    # p^d > gamma.degree once d passes its bit length, so that test comes
-    # first; a type of another degree is refused before any gamma set is built
-    fits = d <= gamma.degree.bit_length() and p ** d == gamma.degree
+    # a type of another degree than p^d is refused before any gamma set is built
+    fits = is_power(gamma.degree, p, d)
     if require_complete and not (fits and gamma in gamma_dpl(d, p, ell)):
         raise InfeasibleError(f"{gamma} is not realizable with {ell} complete factors "
                               f"in dimension {d} over GF({p})")

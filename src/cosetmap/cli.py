@@ -137,6 +137,8 @@ def _cmd_construct(args) -> int:
     gammas = {}
     for item in job["gammas"]:
         key = exact_int(item["length"], "length"), exact_int(item["index"], "index")
+        if key in gammas:
+            raise ValueError(f"gammas names the cycle of length {key[0]} and index {key[1]} twice")
         gammas[key] = ct_parse(item["type"])
     complete = job.get("require_complete", True)
     if type(complete) is not bool:

@@ -19,7 +19,8 @@ from .affine_ct import _EXCEPTIONAL_PRODUCTS, affine_cycle_type
 from .cgl import is_cgl, realize_gamma
 from .cycletype import CycleType, blow_up, ct_mul, cycles_of
 from .errors import InfeasibleError
-from .gf import FieldCtx, Poly, _power, digit_sums, factorize, field, tuple_to_index
+from .gf import (FieldCtx, Poly, _power, _vecmat, digit_sums, factorize, field, is_power,
+                 tuple_to_index)
 from .linalg import AffineMap, MatrixQ, VectorQ, _identity, _matmul
 from .oracle import MapTable, is_complete_mapping
 
@@ -200,7 +201,7 @@ def _forward_product(f: CosetWiseAffineMap, cycle: list[int]) -> AffineMap:
     for i in cycle:
         alpha, omega, _ = f.per_coset[i]
         A = _matmul(K, A, alpha.codes, d)
-        v = K.axpy(K.vecmat(v, alpha.codes, d), K.one, omega.codes)
+        v = K.axpy(_vecmat(K, v, alpha.codes, d), K.one, omega.codes)
     return AffineMap(MatrixQ.from_codes(ctx, A, d), VectorQ.from_codes(ctx, v))
 
 
@@ -301,8 +302,7 @@ def construct_main(p: int, d: int, t: int, g_images, gammas: dict,
     lie in the ell-factored set, and the result is a complete mapping.
     """
     g_images = list(g_images)
-    # p^t > len(g_images) once t passes its bit length, so that test comes first
-    if t > len(g_images).bit_length() or sorted(g_images) != list(range(p ** t)):
+    if not is_power(len(g_images), p, t) or sorted(g_images) != list(range(len(g_images))):
         raise ValueError("base map must be a bijection on GF(p)^t")
     if require_complete and not is_complete_mapping(g_images, p, t):
         raise InfeasibleError("base map is not a complete mapping of GF(p)^t")

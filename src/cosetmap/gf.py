@@ -7,11 +7,14 @@ one most significant.  All values are immutable and all operations are pure
 functions.
 
 Every path runs on integer codes; a polynomial is a sequence of codes, constant
-term first, with no trailing zeros.  `FieldCtx.ops()` gives the code arithmetic
-of one field: plain residues for GF(p), and for GF(p^k) log/antilog tables of a
-primitive element g plus Zech logarithms for addition in odd characteristic
-(O(q) memory, built on first use by one GF(p) vector-matrix product per power
-of g).  Irreducibility is Rabin's test and factoring is squarefree, then
+term first, with no trailing zeros.  `FieldCtx.ops()` gives the element
+arithmetic of one field (`_Ops`): plain residues for GF(p), and for GF(p^k)
+log/antilog tables of a primitive element g plus Zech logarithms for addition
+in odd characteristic (O(q) memory, built on first use by one GF(p)
+vector-matrix product per power of g).  Module functions build the rest on it
+for every field: `_vecmat`, `_pcomb` (a + c*b), `_pmul`, `_horner` and one
+long-division loop (`_divide`) behind every quotient, remainder and gcd.
+Irreducibility is Rabin's test and factoring is squarefree, then
 distinct-degree, then equal-degree (Cantor-Zassenhaus) factorisation; both
 work the same way over every GF(q).  They and `poly_order` take q-th powers
 modulo a polynomial from one Frobenius matrix.  A value table or interpolation
@@ -46,17 +49,21 @@ _BUNDLED_MODULI = {
 _EDF_SEED = 0
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
+def _trial_factors(n: int):
+    """The prime factors of n >= 1 by trial division, ascending, each as often
+    as it divides n and yielded once found (fine for n <= 2**31)."""
+    f = 2
     while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+        while n % f == 0:
+            yield f
+            n //= f
+        f += 1 if f == 2 else 2
+    if n > 1:
+        yield n
+
+
+def is_prime(n: int) -> bool:
+    return n >= 2 and next(_trial_factors(n)) == n
 
 
 def exact_int(value, name: str) -> int:
@@ -65,6 +72,12 @@ def exact_int(value, name: str) -> int:
     if type(value) is not int:
         raise ValueError(f"{name} must be an integer, not {value!r}")
     return value
+
+
+def is_power(size: int, p: int, n: int) -> bool:
+    """Whether size = p^n, for p >= 2: p^n > size once n passes the bit
+    length of size, so that is tested before p^n is worked out."""
+    return n <= size.bit_length() and p ** n == size
 
 
 def index_to_tuple(i: int, p: int, n: int) -> tuple[int, ...]:
@@ -138,19 +151,10 @@ def _sum_table(p: int, w: int, s: int) -> bytes:
 
 
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization by trial division; fine for n <= 2**31."""
+    """{prime: exponent} of n >= 1, ascending by prime (`_trial_factors`)."""
     if n < 1:
         raise ValueError("factorize expects a positive integer")
-    out: dict[int, int] = {}
-    f = 2
-    while f * f <= n:
-        while n % f == 0:
-            out[f] = out.get(f, 0) + 1
-            n //= f
-        f += 1 if f == 2 else 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
+    return {f: len(list(run)) for f, run in itertools.groupby(_trial_factors(n))}
 
 
 @functools.cache
@@ -165,20 +169,16 @@ def _unit_group_factors(q: int, m: int) -> tuple[tuple[int, int], ...]:
 # ---------------------------------------------------------------------------
 
 class _Ops:
-    """Arithmetic on the element codes of one field.
+    """The element arithmetic on the codes of one field: what fields differ in.
 
     Scalars: add, neg, mul, inv and root (a -> a^(1/p)).  Rows are
-    equal-length sequences of codes: axpy(x, c, y) is the list x + c*y,
-    scale(c, x) the list c*x and vecmat(v, M, width) the row v times the
-    matrix with rows M.  Polynomials: pmul(a, b) is the product of two nonzero
-    ones, reduce(r, tail) the remainder, untrimmed, of the list r (consumed)
-    modulo the monic polynomial with lower coefficients -tail, and
-    horner(f, a) the quotient and remainder of f by X - a.  `one` is the code
-    of 1, p^(k-1).
+    equal-length sequences of codes: axpy(x, c, y) is the list x + c*y and
+    scale(c, x) the list c*x.  `one` is the code of 1, p^(k-1).  Rows and
+    polynomials are combined from these by the module functions `_vecmat`,
+    `_pcomb`, `_pmul`, `_horner` and `_divide`, the same for every field.
     """
 
-    __slots__ = ("p", "q", "one", "add", "neg", "mul", "inv", "root", "axpy", "scale", "pmul",
-                 "reduce", "horner", "vecmat")
+    __slots__ = ("p", "q", "one", "add", "neg", "mul", "inv", "root", "axpy", "scale")
 
     def __init__(self, p: int, q: int, one: int, **fns):
         self.p, self.q, self.one = p, q, one
@@ -207,46 +207,8 @@ def _prime_ops(p: int) -> _Ops:
     def scale(c, x):
         return [c * a % p for a in x]
 
-    scalars = dict(add=add, neg=neg, mul=mul, inv=inv, root=lambda a: a, axpy=axpy, scale=scale)
-    return _Ops(p, p, 1, **scalars, **_row_poly_ops(**scalars))
-
-
-def _row_poly_ops(add, mul, axpy, **_) -> dict:
-    """pmul, reduce, horner and vecmat from the scalar and row ops."""
-
-    def pmul(a, b):
-        lb = len(b)
-        out = [0] * (len(a) + lb - 1)
-        for i, c in enumerate(a):
-            if c:
-                out[i:i + lb] = axpy(out[i:i + lb], c, b)
-        return out
-
-    def reduce(r, tail):
-        for s in range(len(r) - 1 - len(tail), -1, -1):
-            c = r.pop()
-            if c:
-                r[s:] = axpy(r[s:], c, tail)
-        return r
-
-    def horner(f, a):
-        acc = 0
-        out = []
-        for c in reversed(f):
-            acc = add(mul(acc, a), c)
-            out.append(acc)
-        rem = out.pop() if out else 0
-        out.reverse()
-        return out, rem
-
-    def vecmat(v, M, width):
-        out = [0] * width
-        for a, row in zip(v, M):
-            if a:
-                out = axpy(out, a, row)
-        return out
-
-    return dict(pmul=pmul, reduce=reduce, horner=horner, vecmat=vecmat)
+    return _Ops(p, p, 1, add=add, neg=neg, mul=mul, inv=inv, root=lambda a: a, axpy=axpy,
+                scale=scale)
 
 
 def _build_tables(ctx: "FieldCtx"):
@@ -281,7 +243,7 @@ def _build_tables(ctx: "FieldCtx"):
         code = tuple_to_index(acc, p)
         exp[i] = exp[i + n] = code
         log[code] = i
-        acc = fp.vecmat(acc, rows, k)
+        acc = _vecmat(fp, acc, rows, k)
     zech = None
     if p != 2 and k > 1:
         top = (p - 1) * (q // p)  # codes at or above have constant coordinate p-1
@@ -323,9 +285,8 @@ def _table_ops(ctx: "FieldCtx") -> _Ops:
             lc = log[c]
             return [a ^ exp[lc + log[b]] if b else a for a, b in zip(x, y)]
 
-        scalars = dict(add=operator.xor, neg=lambda a: a, mul=mul, inv=inv, root=root, axpy=axpy,
-                       scale=scale)
-        return _Ops(p, q, q // p, **scalars, **_row_poly_ops(**scalars))
+        return _Ops(p, q, q // p, add=operator.xor, neg=lambda a: a, mul=mul, inv=inv, root=root,
+                    axpy=axpy, scale=scale)
 
     half = n // 2  # -1 = g^((q-1)/2)
 
@@ -358,8 +319,8 @@ def _table_ops(ctx: "FieldCtx") -> _Ops:
             out.append(a)
         return out
 
-    scalars = dict(add=add, neg=neg, mul=mul, inv=inv, root=root, axpy=axpy, scale=scale)
-    return _Ops(p, q, q // p, **scalars, **_row_poly_ops(**scalars))
+    return _Ops(p, q, q // p, add=add, neg=neg, mul=mul, inv=inv, root=root, axpy=axpy,
+                scale=scale)
 
 
 # ---------------------------------------------------------------------------
@@ -427,22 +388,45 @@ def _trim(c: list) -> list:
     return c
 
 
-def _padd(K: _Ops, a, b) -> list:
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    out[:len(b)] = K.axpy(out[:len(b)], K.one, b)
-    return _trim(out)
+def _vecmat(K: _Ops, v, M, width: int) -> list:
+    """The row v times the matrix with rows M, each of this width."""
+    axpy = K.axpy
+    out = [0] * width
+    for a, row in zip(v, M):
+        if a:
+            out = axpy(out, a, row)
+    return out
 
 
-def _psub(K: _Ops, a, b) -> list:
+def _pcomb(K: _Ops, a, c, b) -> list:
+    """a + c*b for polynomials a, b and a code c."""
     out = list(a) + [0] * (len(b) - len(a))
-    out[:len(b)] = K.axpy(out[:len(b)], K.neg(K.one), b)
+    out[:len(b)] = K.axpy(out[:len(b)], c, b)
     return _trim(out)
 
 
 def _pmul(K: _Ops, a, b) -> list:
-    return K.pmul(a, b) if a and b else []
+    if not a or not b:
+        return []
+    axpy, lb = K.axpy, len(b)
+    out = [0] * (len(a) + lb - 1)
+    for i, c in enumerate(a):
+        if c:
+            out[i:i + lb] = axpy(out[i:i + lb], c, b)
+    return out
+
+
+def _horner(K: _Ops, f, a) -> tuple[list, int]:
+    """The quotient and remainder of f by X - a."""
+    add, mul = K.add, K.mul
+    acc = 0
+    out = []
+    for c in reversed(f):
+        acc = add(mul(acc, a), c)
+        out.append(acc)
+    rem = out.pop() if out else 0
+    out.reverse()
+    return out, rem
 
 
 def _monic_tail(K: _Ops, b) -> tuple:
@@ -451,24 +435,26 @@ def _monic_tail(K: _Ops, b) -> tuple:
     return lead_inv, K.scale(K.neg(lead_inv), b[:-1])
 
 
-def _pdivmod(K: _Ops, a, b) -> tuple[list, list]:
-    db = len(b) - 1
-    if db < 0:
-        raise ZeroDivisionError("polynomial division by zero")
-    r = list(a)
-    if len(r) <= db:
-        return [], r
-    # divide by the monic b / lead: each step pops the top coefficient c of r
-    # and adds c * (-b / lead) below it
-    lead_inv, tail = _monic_tail(K, b)
-    axpy = K.axpy
-    q = []
-    for s in range(len(r) - 1 - db, -1, -1):
-        c = r.pop()
-        q.append(c)
+def _divide(K: _Ops, r: list, tail) -> list:
+    """Divide r in place by the monic polynomial of degree d = len(tail) with
+    lower coefficients -tail (`_monic_tail`): each step pops the top
+    coefficient c of r, at degree s + d, records it as the quotient's at degree
+    s and adds c*tail below it.  Returns the quotient; r keeps the remainder."""
+    axpy, d = K.axpy, len(tail)
+    quot = [0] * (len(r) - d)
+    for s in range(len(r) - 1 - d, -1, -1):
+        c = quot[s] = r.pop()
         if c:
             r[s:] = axpy(r[s:], c, tail)
-    q.reverse()
+    return quot
+
+
+def _pdivmod(K: _Ops, a, b) -> tuple[list, list]:
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    r = list(a)
+    lead_inv, tail = _monic_tail(K, b)
+    q = _divide(K, r, tail)
     if lead_inv != K.one:
         q = K.scale(lead_inv, q)
     return q, _trim(r)
@@ -476,8 +462,9 @@ def _pdivmod(K: _Ops, a, b) -> tuple[list, list]:
 
 def _reduce(K: _Ops, r: list, tail) -> list:
     """r (consumed) modulo the monic polynomial whose lower coefficients are
-    the negated `tail`, as `_monic_tail` gives them."""
-    return _trim(K.reduce(r, tail))
+    the negated `tail`."""
+    _divide(K, r, tail)
+    return _trim(r)
 
 
 def _pmod(K: _Ops, a, b) -> list:
@@ -540,7 +527,7 @@ def _pderiv(K: _Ops, a) -> list:
 
 def _frobenius_matrix(K: _Ops, f) -> list[list]:
     """The rows X^(q*j) mod f, j < deg f, of the matrix of the GF(q)-linear
-    map h -> h^q modulo the monic f, each of length deg f: K.vecmat(h, rows,
+    map h -> h^q modulo the monic f, each of length deg f: _vecmat(K, h, rows,
     deg f) is h^q mod f.  Each row is the one before times X^q: a shift by q
     and a reduction for small q, a product otherwise."""
     q, one = K.q, K.one
@@ -571,7 +558,7 @@ def _frobenius_orbit(K: _Ops, rows):
         yield h
         e *= q
     while True:
-        h = _trim(K.vecmat(h, rows, d))
+        h = _trim(_vecmat(K, h, rows, d))
         yield h
 
 
@@ -590,11 +577,11 @@ def _is_irreducible(K: _Ops, f, rows=None) -> bool:
         return False
     f = _pmonic(K, f)
     maximal = {d // r for r in factorize(d)}
-    x = [0, K.one]
+    x, minus = [0, K.one], K.neg(K.one)
     orbit = _frobenius_orbit(K, rows or _frobenius_matrix(K, f))
     for i in range(1, d + 1):
         h = next(orbit)
-        if i in maximal and len(_pgcd(K, f, _psub(K, h, x))) > 1:
+        if i in maximal and len(_pgcd(K, f, _pcomb(K, h, minus, x))) > 1:
             return False
     return h == x
 
@@ -633,12 +620,12 @@ def _ddf(K: _Ops, f) -> list[tuple[list, int]]:
     rest = f
     if len(f) > 2:
         orbit = _frobenius_orbit(K, _frobenius_matrix(K, f))
-        x = [0, K.one]
+        x, minus = [0, K.one], K.neg(K.one)
         i = 0
         while 2 * (i + 1) <= len(rest) - 1:
             i += 1
             h = next(orbit)
-            g = _pgcd(K, rest, _psub(K, h, x))
+            g = _pgcd(K, rest, _pcomb(K, h, minus, x))
             if len(g) > 1:
                 out.append((g, i))
                 rest = _pexact_div(K, rest, g)
@@ -659,13 +646,13 @@ def _edf(K: _Ops, f, i: int, rng: random.Random) -> list[list]:
         if len(a) < 2:
             continue
         if q % 2:
-            b = _psub(K, _ppowmod(K, a, (q ** i - 1) // 2, f), [K.one])
+            b = _pcomb(K, _ppowmod(K, a, (q ** i - 1) // 2, f), K.neg(K.one), [K.one])
         else:
             # trace of a from GF(2^(k*i)) down to GF(2)
             b = t = a
             for _ in range(i * (q.bit_length() - 1) - 1):
                 t = _pmod(K, _pmul(K, t, t), f)
-                b = _padd(K, b, t)
+                b = _pcomb(K, b, K.one, t)
         g = _pgcd(K, f, b)
         if 1 < len(g) < len(f):
             return _edf(K, g, i, rng) + _edf(K, _pexact_div(K, f, g), i, rng)
@@ -822,7 +809,7 @@ def field(p: int, k: int = 1, modulus=None) -> FieldCtx:
     first, then the first irreducible of degree k in enumeration order; the
     request is remembered under its own key, so the search runs once.
     """
-    key = (p, k, tuple(c % p for c in modulus) if modulus is not None else None)
+    key = (p, k, tuple(_trim([c % p for c in modulus])) if modulus is not None else None)
     ctx = _CTX_CACHE.get(key)
     if ctx is None:
         if k >= 2 and modulus is None and is_prime(p):
@@ -1022,7 +1009,8 @@ class Poly:
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        return self._new(_padd(self.ctx.ops(), self.codes, o.codes))
+        K = self.ctx.ops()
+        return self._new(_pcomb(K, self.codes, K.one, o.codes))
 
     __radd__ = __add__
 
@@ -1030,7 +1018,8 @@ class Poly:
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        return self._new(_psub(self.ctx.ops(), self.codes, o.codes))
+        K = self.ctx.ops()
+        return self._new(_pcomb(K, self.codes, K.neg(K.one), o.codes))
 
     def __rsub__(self, other):
         return self._coerce(other) - self
@@ -1075,7 +1064,7 @@ class Poly:
 
     def __call__(self, x: FieldElement) -> FieldElement:
         ctx = self.ctx
-        return ctx._from_code(ctx.ops().horner(self.codes, ctx.code(x))[1])
+        return ctx._from_code(_horner(ctx.ops(), self.codes, ctx.code(x))[1])
 
     def sort_key(self):
         """Grade-lex key: degree first, then coefficient indices constant-first."""
@@ -1203,7 +1192,7 @@ def _poly_order(K: _Ops, f) -> int:
             digits.append(c)
         y = _reduce(K, [0] * digits.pop() + one, tail)
         for c in reversed(digits):
-            y = _reduce(K, [0] * c + K.vecmat(y, rows, m), tail)
+            y = _reduce(K, [0] * c + _vecmat(K, y, rows, m), tail)
         return y
 
     n = q ** m - 1

@@ -11,8 +11,8 @@ field's `ops()`; `MatrixQ`, `VectorQ` and `Poly` are built for return values.
 from __future__ import annotations
 
 from ._record import Record
-from .gf import (FieldCtx, FieldElement, Poly, _Ops, _pexact_div, _pmul, _power, _ppow,
-                 _trim, factor_monic, index_to_tuple)
+from .gf import (FieldCtx, FieldElement, Poly, _Ops, _horner, _pexact_div, _pmul, _power,
+                 _ppow, _trim, _vecmat, factor_monic, index_to_tuple)
 
 
 # ---------------------------------------------------------------------------
@@ -20,7 +20,7 @@ from .gf import (FieldCtx, FieldElement, Poly, _Ops, _pexact_div, _pmul, _power,
 # ---------------------------------------------------------------------------
 
 def _matmul(K: _Ops, A, B, width: int) -> list[list]:
-    return [K.vecmat(row, B, width) for row in A]
+    return [_vecmat(K, row, B, width) for row in A]
 
 
 def _matpow(K: _Ops, A, e: int) -> list[list]:
@@ -63,7 +63,7 @@ def _reduce_rows(K: _Ops, work: list[list], ncols: int) -> list[int]:
 def _no_root(K: _Ops, chi, c) -> bool:
     """Whether neither 0 nor the code c is a root of the characteristic
     polynomial chi: its matrix is invertible and has no eigenvalue c."""
-    return bool(chi[0]) and bool(K.horner(chi, c)[1])
+    return bool(chi[0]) and bool(_horner(K, chi, c)[1])
 
 
 def _inverse(K: _Ops, A) -> list[list]:
@@ -268,7 +268,7 @@ class VectorQ:
             return NotImplemented
         if M.ctx != self.ctx or M.rows != len(self.codes):
             raise ValueError("dimension mismatch in vector-matrix product")
-        return VectorQ.from_codes(self.ctx, self.ctx.ops().vecmat(self.codes, M.codes, M.cols))
+        return VectorQ.from_codes(self.ctx, _vecmat(self.ctx.ops(), self.codes, M.codes, M.cols))
 
     def is_zero(self) -> bool:
         return not any(self.codes)
@@ -515,10 +515,10 @@ def _primary_exponents(K: _Ops, N, mult: int, deg: int, v=None) -> tuple[list[in
                 v = None    # then v N^(j-1) lies in the row space of N^j for every j > k
             else:
                 grown = len(ranks) - 1
-                v = K.vecmat(v, N, n)
+                v = _vecmat(K, v, N, n)
         if ech.dim <= floor or len(ranks) > mult:
             break
-        rows = [K.vecmat(r, N, n) for r in ech.rows]
+        rows = [_vecmat(K, r, N, n) for r in ech.rows]
     drops = [a - b for a, b in zip(ranks, ranks[1:])]
     if ranks[-1] != floor or any(d % deg for d in drops):
         raise ArithmeticError("primary component has unexpected dimension")
@@ -600,7 +600,7 @@ def _decompose_primary(K: _Ops, A, QA, Q, comp_basis):
         h = 0
         w = v
         while not collected.contains(w):
-            w = K.vecmat(w, QA, n)
+            w = _vecmat(K, w, QA, n)
             h += 1
             if h > cap:
                 raise ArithmeticError("height exceeded component exponent")
@@ -618,7 +618,7 @@ def _decompose_primary(K: _Ops, A, QA, Q, comp_basis):
         if gen_rows:
             u = x
             for _ in range(hmax):
-                u = K.vecmat(u, QA, n)
+                u = _vecmat(K, u, QA, n)
             if any(u):
                 coords = _solve_columns(K, list(zip(*gen_rows)), u, len(gen_rows))
                 Qh = _ppow(K, Q, hmax)
@@ -631,7 +631,7 @@ def _decompose_primary(K: _Ops, A, QA, Q, comp_basis):
                     for c in _pexact_div(K, f, Qh):
                         if c:
                             corr = K.axpy(corr, K.neg(c), acc)
-                        acc = K.vecmat(acc, A, n)
+                        acc = _vecmat(K, acc, A, n)
                     x = corr
         # record the (now pure) block
         g_idx = len(gens)
@@ -640,10 +640,10 @@ def _decompose_primary(K: _Ops, A, QA, Q, comp_basis):
         for _ in range(degQ * hmax):
             block_rows.append(w)
             gen_meta.append(g_idx)
-            w = K.vecmat(w, A, n)
+            w = _vecmat(K, w, A, n)
         check = x
         for _ in range(hmax):
-            check = K.vecmat(check, QA, n)
+            check = _vecmat(K, check, QA, n)
         if any(check):
             raise ArithmeticError("purification failed in canonical form")
         for r in block_rows:
@@ -683,7 +683,7 @@ def prcf(A: MatrixQ) -> Prcf:
         w = gen
         for _ in range(int(Q.degree) * e):
             T.append(w)
-            w = K.vecmat(w, Ac, n)
+            w = _vecmat(K, w, Ac, n)
     form = Prcf(tuple(blocks), MatrixQ.from_codes(ctx, _inverse(K, T), n))
     if _matmul(K, T, Ac, n) != _matmul(K, form.block_diagonal().codes, T, n):
         raise ArithmeticError("canonical form verification failed")

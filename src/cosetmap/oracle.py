@@ -3,7 +3,7 @@
 Elements of GF(p)^n are indexed lexicographically by coordinate tuple with the
 first coordinate most significant; field elements GF(p^k) use the same rule on
 their coordinate tuples, so field maps and vector-space maps share tables.
-The codec is `gf.index_to_tuple`/`gf.tuple_to_index`, re-exported here.
+The codec is `gf.index_to_tuple`/`gf.tuple_to_index`.
 """
 
 from __future__ import annotations
@@ -14,8 +14,7 @@ import json
 
 from ._record import Record
 from .cycletype import CycleType, ct_of_permutation
-from .gf import (MAX_DOMAIN, FieldCtx, Poly, _chirp_dft, digit_sums, exact_int, index_to_tuple,
-                 is_prime, tuple_to_index)
+from .gf import MAX_DOMAIN, FieldCtx, Poly, _chirp_dft, digit_sums, exact_int, is_power, is_prime
 
 
 def is_complete_mapping(images, p: int, n: int, sign: int = 1) -> bool:
@@ -26,8 +25,7 @@ def is_complete_mapping(images, p: int, n: int, sign: int = 1) -> bool:
         raise ValueError(f"{p} is not prime")
     if n < 0:
         raise ValueError(f"dimension {n} is negative")
-    # p^n > len(images) once n passes its bit length, so that test comes first
-    return (n <= len(images).bit_length() and sorted(images) == list(range(p ** n))
+    return (is_power(len(images), p, n) and sorted(images) == list(range(len(images)))
             and _sums_bijective(images, p, n, (sign,))[0])
 
 
@@ -102,8 +100,7 @@ class AnalysisReport(Record):
 def analyze(table: MapTable, p: int, dims: int) -> AnalysisReport:
     """Exhaustive report under the elementary-abelian law of GF(p)^dims
     (ValueError unless p is prime and the table has p^dims points)."""
-    # p^dims > n once dims passes the bit length of n, so that test comes first
-    if p > 1 and (dims > table.n.bit_length() or p ** dims != table.n):
+    if p > 1 and not is_power(table.n, p, dims):
         raise ValueError("domain size must equal p^dims")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")

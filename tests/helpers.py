@@ -10,7 +10,7 @@ import itertools
 import random
 
 from cosetmap import CycleType, MatrixQ, Poly, VectorQ
-from cosetmap.oracle import index_to_tuple, tuple_to_index
+from cosetmap.gf import _horner, index_to_tuple, tuple_to_index
 
 
 def quotient_affine_cycle_counts(Q: Poly, e: int, U: Poly) -> dict[int, int]:
@@ -618,8 +618,8 @@ def horner_poly_table(P: Poly) -> list[int]:
     """Image codes of P at every code of its field, by one Horner pass per
     point: the O(q^2) evaluation that `oracle.evaluate_poly_table` replaced
     with one transform."""
-    horner = P.ctx.ops().horner
-    return [horner(P.codes, a)[1] for a in range(P.ctx.order)]
+    K = P.ctx.ops()
+    return [_horner(K, P.codes, a)[1] for a in range(P.ctx.order)]
 
 
 def lagrange_interpolate(ctx, values) -> Poly:
@@ -638,5 +638,5 @@ def lagrange_interpolate(ctx, values) -> Poly:
     for a, value in enumerate(values):
         y = ctx.code(value)
         if y:
-            result = K.axpy(result, K.neg(y), K.horner(z, a)[0])
+            result = K.axpy(result, K.neg(y), _horner(K, z, a)[0])
     return Poly.from_codes(ctx, result)

@@ -370,6 +370,19 @@ def test_construct_job_fields_of_another_json_type_exit_2(tmp_path, capsys, payl
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("types", [("x1 x2", "x3"), ("x3", "x1 x2")])
+def test_construct_job_naming_a_cycle_twice_exits_2(tmp_path, capsys, monkeypatch, types):
+    """A job with two targets for one (length, index) is refused before any
+    construction, whichever target comes first; neither entry is dropped."""
+    path = tmp_path / "job.json"
+    gammas = [{"length": 3, "index": 1, "type": t} for t in types]
+    path.write_text(json.dumps({"p": 3, "d": 1, "t": 1, "g": [1, 2, 0], "gammas": gammas}))
+    monkeypatch.setattr(cli, "construct_main", lambda *a, **k: pytest.fail("construct ran"))
+    code, out, err = run_cli(capsys, "construct", "--job", str(path))
+    assert (code, out, err) == (
+        2, "", "error: gammas names the cycle of length 3 and index 1 twice\n")
+
+
 @pytest.mark.parametrize("d", [2, 40])
 def test_target_of_another_degree_exits_1_at_once(tmp_path, capsys, d):
     """A target whose degree is not p^d is infeasible, and is refused before

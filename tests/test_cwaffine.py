@@ -15,8 +15,7 @@ from cosetmap import (CosetWiseAffineMap, InfeasibleError, MatrixQ, Poly,
 from cosetmap import cwaffine
 from cosetmap.cwaffine import _affine_table, _forward_product
 from cosetmap.cycletype import ct_of_permutation, cycles_of
-from cosetmap.oracle import index_to_tuple
-from cosetmap.gf import is_prime
+from cosetmap.gf import index_to_tuple, is_prime
 from helpers import (coordinate_functions, cw_eval, forward_product_by_then,
                      one_cycle_closed_form_images, one_cycle_reference_tables,
                      pointwise_affine_table, random_complete_mapping, random_invertible,

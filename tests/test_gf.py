@@ -269,6 +269,15 @@ def test_field_remembers_a_request_without_modulus(monkeypatch):
     assert (4, 2, None) not in gf._CTX_CACHE
 
 
+def test_field_interns_a_modulus_however_it_is_written():
+    """A modulus with coefficients outside 0..p-1 or with trailing zeros
+    names the one context of its normalized form, with one set of tables."""
+    ctx = field(3, 2, (2, 2, 1))
+    assert field(3, 2, (2, 2, 1, 0)) is ctx
+    assert field(3, 2, (5, -1, 4, 3)) is ctx
+    assert field(3, 2, [2, 2, 1, 0, 0]) is ctx
+
+
 def test_default_modulus_matches_full_scan():
     # the search skips the candidates divisible by X, none irreducible for k >= 2
     for p in (2, 3, 5, 7, 11, 13):

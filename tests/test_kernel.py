@@ -4,13 +4,15 @@ arithmetic, factoring against sympy, and the value-type contracts."""
 import itertools
 import math
 import random
+import time
 
 import pytest
 
 from cosetmap import MatrixQ, Poly, enumerate_irreducibles, factor_monic, field, is_irreducible
 from cosetmap.oracle import MAX_DOMAIN
-from cosetmap.gf import (MAX_DOMAIN as GF_MAX_DOMAIN, _convolve, _ppowmod, _sum_plan, _trim,
-                         digit_sums, factorize, index_to_tuple, tuple_to_index)
+from cosetmap.gf import (MAX_DOMAIN as GF_MAX_DOMAIN, _Ops, _convolve, _horner, _pcomb,
+                         _pdivmod, _pmul, _ppowmod, _sum_plan, _trim, _vecmat, digit_sums,
+                         factorize, index_to_tuple, is_prime, tuple_to_index)
 
 EXTENSION_FIELDS = [(2, 2), (2, 3), (3, 2), (5, 2), (3, 3)]
 
@@ -165,12 +167,45 @@ def test_code_arithmetic_matches_coordinates_exhaustively(p, k):
             assert _coords(ctx, K.add(a, b)) == tuple((x + y) % p for x, y in zip(ca, cb))
 
 
+def _coord_sum(p, *terms):
+    return tuple(sum(t) % p for t in zip(*terms))
+
+
+def _coord_poly(ctx, codes):
+    """A polynomial or row of codes as coordinate tuples, trailing zeros dropped."""
+    out = [_coords(ctx, c) for c in codes]
+    while out and not any(out[-1]):
+        out.pop()
+    return out
+
+
+def _coord_poly_mul(ctx, a, b):
+    """The product of two polynomials of coordinate tuples, term by term."""
+    out = [(0,) * ctx.k] * (len(a) + len(b) - 1 if a and b else 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = _coord_sum(ctx.p, out[i + j], _coord_mul(ctx, x, y))
+    return out
+
+
+def _coord_poly_add(ctx, a, b):
+    zero = (0,) * ctx.k
+    n = max(len(a), len(b))
+    out = [_coord_sum(ctx.p, x, y) for x, y in zip(a + [zero] * (n - len(a)),
+                                                   b + [zero] * (n - len(b)))]
+    while out and not any(out[-1]):
+        out.pop()
+    return out
+
+
 def test_code_rows_match_coordinates():
+    """Row and polynomial routines of the kernel against coordinate
+    arithmetic, over the table fields and the residue fields GF(5), GF(7)."""
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
 
     @hypothesis.settings(max_examples=200, deadline=None)
-    @hypothesis.given(st.sampled_from(EXTENSION_FIELDS), st.data())
+    @hypothesis.given(st.sampled_from(EXTENSION_FIELDS + [(5, 1), (7, 1)]), st.data())
     def check(pk, data):
         ctx = field(*pk)
         K = ctx.ops()
@@ -190,7 +225,70 @@ def test_code_rows_match_coordinates():
         ea, eb = ctx.from_index(x[0] if x else 0), ctx.from_index(c)
         assert (ea * eb).coeffs == _coord_mul(ctx, ea.coeffs, eb.coeffs)
 
+        # v * M for n rows of width w
+        w = data.draw(st.integers(0, 4))
+        M = data.draw(st.lists(st.lists(codes, min_size=w, max_size=w), min_size=n, max_size=n))
+        want = [(0,) * ctx.k] * w
+        for a, row in zip(x, M):
+            want = [_coord_sum(p, s, _coord_mul(ctx, _coords(ctx, a), _coords(ctx, r)))
+                    for s, r in zip(want, row)]
+        assert [_coords(ctx, t) for t in _vecmat(K, x, M, w)] == want
+
+        # polynomials: a + c*b, a*b and the division by X - c
+        a = _trim(data.draw(st.lists(codes, max_size=6)))
+        b = _trim(data.draw(st.lists(codes, max_size=6)))
+        ca, cb = _coord_poly(ctx, a), _coord_poly(ctx, b)
+        assert _coord_poly(ctx, _pcomb(K, a, c, b)) == _coord_poly_add(
+            ctx, ca, _coord_poly_mul(ctx, [cc], cb))
+        assert _pcomb(K, a, c, b) == _trim(list(_pcomb(K, a, c, b)))
+        assert [_coords(ctx, t) for t in _pmul(K, a, b)] == _coord_poly_mul(ctx, ca, cb)
+        quot, rem = _horner(K, a, c)
+        value = (0,) * ctx.k
+        for t in reversed(ca):
+            value = _coord_sum(p, _coord_mul(ctx, value, cc), t)
+        assert _coords(ctx, rem) == value
+        minus_c = _coords(ctx, K.neg(c))
+        assert len(quot) == max(len(a) - 1, 0) and _coord_poly_add(
+            ctx, _coord_poly_mul(ctx, _coord_poly(ctx, quot), [minus_c, _coords(ctx, K.one)]),
+            _coord_poly(ctx, [rem])) == ca
+
+        # a = quot*b + rem with deg rem < deg b, b not monic where the field allows
+        b = b or [K.one]
+        if q > 2 and b[-1] == K.one:
+            b = b[:-1] + [data.draw(st.integers(1, q - 1).filter(lambda u: u != K.one))]
+        quot, rem = _pdivmod(K, a, b)
+        assert len(rem) < len(b) and rem == _trim(list(rem))
+        assert _coord_poly_add(ctx, _coord_poly_mul(ctx, _coord_poly(ctx, quot),
+                                                    _coord_poly(ctx, b)),
+                               _coord_poly(ctx, rem)) == ca
+
     check()
+
+
+def test_ops_hold_only_the_element_arithmetic():
+    """Rows and polynomials are combined by module functions shared by every
+    field; `_Ops` keeps what differs between fields."""
+    from cosetmap import gf
+    assert _Ops.__slots__ == ("p", "q", "one", "add", "neg", "mul", "inv", "root", "axpy",
+                              "scale")
+    assert not any(hasattr(gf, name) for name in ("_row_poly_ops", "_padd", "_psub"))
+
+
+def test_trial_division_matches_sympy():
+    """`is_prime` and `factorize` against sympy, and `is_prime` stops at the
+    first factor: a small prime times a prime near 10^14 or 10^16 answers at
+    once, where trial division up to the square root takes seconds."""
+    sympy = pytest.importorskip("sympy")
+    for n in range(-3, 3000):
+        assert is_prime(n) == sympy.isprime(n), n
+        if n >= 1:
+            assert factorize(n) == sympy.factorint(n), n
+    for n in [2 ** 31 - 1, 2 ** 31 + 11, (2 ** 16 + 1) ** 2, 2 * 3 * 5 * 7 * 11 * 13 * 17 * 19]:
+        assert is_prime(n) == sympy.isprime(n) and factorize(n) == sympy.factorint(n), n
+    start = time.perf_counter()
+    assert not is_prime(3 * (10 ** 16 + 61)) and not is_prime(2 * (10 ** 14 + 31))
+    assert time.perf_counter() - start < 1.0
+    assert list(factorize(2 ** 10 * 3 ** 4 * 101)) == [2, 3, 101]
 
 
 @pytest.mark.parametrize("p,k", EXTENSION_FIELDS)
@@ -265,7 +363,7 @@ def test_packed_products_match_schoolbook():
         q = ctx.order
         codes = st.lists(st.integers(0, q - 1), min_size=1, max_size=24)
         x, y = data.draw(codes), data.draw(codes)
-        assert _convolve(ctx, x, y) == ctx.ops().pmul(x, y)
+        assert _convolve(ctx, x, y) == _pmul(ctx.ops(), x, y)
 
     check()
 

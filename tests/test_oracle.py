@@ -6,7 +6,8 @@ import pytest
 
 from cosetmap import (MapTable, MatrixQ, Poly, VectorQ, analyze, ct, evaluate_poly_table, field,
                       interpolate, load_table)
-from cosetmap.oracle import index_to_tuple, is_complete_mapping, tuple_to_index
+from cosetmap.gf import index_to_tuple, tuple_to_index
+from cosetmap.oracle import is_complete_mapping
 from helpers import (horner_poly_table, is_complete_table, lagrange_interpolate,
                      pointwise_affine_table, reference_analyze)
 
