@@ -19,8 +19,8 @@ from .affine_ct import _EXCEPTIONAL_PRODUCTS, affine_cycle_type
 from .cgl import is_cgl, realize_gamma
 from .cycletype import CycleType, blow_up, ct_mul, cycles_of
 from .errors import InfeasibleError
-from .gf import (FieldCtx, Poly, _power, _vecmat, digit_sums, factorize, field, is_power,
-                 tuple_to_index)
+from .gf import (FieldCtx, Poly, _power, _vecmat, digit_sums, factorize, field,
+                 index_to_tuple, is_power, tuple_to_index)
 from .linalg import AffineMap, MatrixQ, VectorQ, _identity, _matmul
 from .oracle import MapTable, is_complete_mapping
 
@@ -63,12 +63,12 @@ class CosetWiseAffineMap:
     __slots__ = ("splitting", "per_coset", "top", "_cycle_type")
 
     def __init__(self, splitting: Splitting, per_coset):
-        labels = splitting.coset_labels()
         if isinstance(per_coset, dict):
+            labels = splitting.coset_labels()
             if set(per_coset) != set(labels):
                 raise ValueError("per-coset data must cover every coset exactly once")
             per_coset = [per_coset[u] for u in labels]
-        elif len(per_coset) != len(labels):
+        elif len(per_coset) != splitting.p ** splitting.t:
             raise ValueError("per-coset data must cover every coset exactly once")
         ctx, p = splitting.ctx, splitting.p
         norm = []
@@ -79,7 +79,7 @@ class CosetWiseAffineMap:
                 omega = VectorQ(ctx, omega)
             if not isinstance(nu, VectorQ):
                 nu = VectorQ(ctx, nu)
-            if alpha.ctx != ctx or omega.ctx != ctx or nu.ctx != ctx:
+            if alpha.ctx is not ctx or omega.ctx is not ctx or nu.ctx is not ctx:
                 raise ValueError("mismatched contexts")
             if alpha.rows != splitting.d or alpha.cols != splitting.d:
                 raise ValueError("alpha blocks must be d x d")
@@ -108,11 +108,6 @@ class CosetWiseAffineMap:
     def __repr__(self):
         s = self.splitting
         return f"CosetWiseAffineMap(p={s.p}, d={s.d}, t={s.t})"
-
-
-def _nu(u, v) -> list[int]:
-    """nu with u + nu = v for coset labels u and v, before reduction mod p."""
-    return [b - a for a, b in zip(u, v)]
 
 
 def cw_is_permutation(f: CosetWiseAffineMap) -> bool:
@@ -163,9 +158,9 @@ def cw_to_wreath(f: CosetWiseAffineMap) -> WreathElement:
 
 def wreath_to_cw(e: WreathElement) -> CosetWiseAffineMap:
     s = e.splitting
-    labels = s.coset_labels()
-    return CosetWiseAffineMap(s, [(b.matrix, b.shift, _nu(u, labels[j]))
-                                  for u, b, j in zip(labels, e.bottom, e.top)])
+    nus = digit_sums(e.top, range(len(e.top)), s.p, s.t, -1)  # the index of top(u) - u
+    return CosetWiseAffineMap(s, [(b.matrix, b.shift, index_to_tuple(nu, s.p, s.t))
+                                  for b, nu in zip(e.bottom, nus)])
 
 
 def wreath_mul(e1: WreathElement, e2: WreathElement) -> WreathElement:
@@ -267,7 +262,7 @@ def conjugated_table(f: CosetWiseAffineMap, T: MatrixQ) -> MapTable:
     W*T instead of the standard W.  Completeness and cycle type are
     preserved under linear conjugation."""
     s = f.splitting
-    if T.ctx != s.ctx or T.rows != s.n or not T.is_invertible():
+    if T.ctx is not s.ctx or T.rows != s.n or not T.is_invertible():
         raise ValueError("basis change must be an invertible (d+t) matrix")
     images = _table(f)
     zero = VectorQ.zero(s.ctx, s.n)
@@ -315,7 +310,7 @@ def construct_main(p: int, d: int, t: int, g_images, gammas: dict,
     extra = set(gammas) - set(keys)
     if extra:
         raise ValueError(f"targets supplied for nonexistent cycles: {sorted(extra)}")
-    labels = s.coset_labels()
+    nus = digit_sums(g_images, range(len(g_images)), p, t, -1)  # the index of g(u) - u
     zero_w = VectorQ.zero(s.ctx, d)
     rng = random.Random(seed)
 
@@ -335,7 +330,7 @@ def construct_main(p: int, d: int, t: int, g_images, gammas: dict,
         expected = ct_mul(expected, blow_up(ell, gamma))
         for j, i in enumerate(cyc):
             omega = w if j == ell - 1 else zero_w
-            per[i] = (factors[j], omega, _nu(labels[i], labels[g_images[i]]))
+            per[i] = (factors[j], omega, index_to_tuple(nus[i], p, t))
 
     f = CosetWiseAffineMap(s, per)
     if require_complete and not cw_is_complete(f):
@@ -352,8 +347,9 @@ def construct_sylow_type(q: int, target: CycleType, seed: int = 0) -> CosetWiseA
     all of whose parts are powers of p.
 
     Recursive descent: reduce the type to a smaller one on GF(p)^(k-1), build
-    that complete mapping, then lift with d = 1 using targets x1^p on the
-    first a0/p fixed points and x_p everywhere else.
+    that complete mapping (the one map of GF(p)^0 for k = 1), then lift with
+    d = 1 using targets x1^p on the first a0/p fixed points and x_p
+    everywhere else.
     """
     fac = factorize(q)
     if len(fac) != 1:
@@ -370,16 +366,10 @@ def construct_sylow_type(q: int, target: CycleType, seed: int = 0) -> CosetWiseA
     if a[0] % p != 0:
         raise ValueError("fixed-point count must be divisible by p")
 
-    if k == 1:
-        s = Splitting(p, 1, 0)
-        ctx = s.ctx
-        shift = 0 if a[0] == p else 1
-        return CosetWiseAffineMap(s, [(MatrixQ.identity(ctx, 1), VectorQ(ctx, (shift,)),
-                                       VectorQ(ctx, ()))])
-
-    smaller = CycleType([(1, a[0] // p + a[1])] + [(p ** j, a[j + 1]) for j in range(1, k)])
-    g = construct_sylow_type(p ** (k - 1), smaller, seed=seed)
-    g_images = list(cw_to_table(g).images)
+    g_images = [0]
+    if k > 1:
+        smaller = CycleType([(1, a[0] // p + a[1])] + [(p ** j, a[j + 1]) for j in range(1, k)])
+        g_images = list(cw_to_table(construct_sylow_type(p ** (k - 1), smaller, seed=seed)).images)
 
     one_fixed = CycleType({1: p})
     long_cycle = CycleType({p: 1})
@@ -425,11 +415,8 @@ def one_cycle_polynomial(ctx: FieldCtx) -> Poly:
     beta_(q-p^j-n) at x^n, 0 < n < q, for beta = 1/(1 + sum_{i<j} a_i
     z^(p^j - p^i)) (Lidl-Niederreiter, Finite Fields, 3.4).
     """
-    if ctx.k == 1:
-        return Poly(ctx, (1, 1))
     K, p, k, q = ctx.ops(), ctx.p, ctx.k, ctx.order
-    codes = [0] * q
-    codes[0], codes[1] = 1, K.one  # w^(k-1) + x
+    codes = [1, K.one] + [0] * (q - p)  # w^(k-1) + x; no term lies above x^(q-p)
     a = [K.one]  # L of the zero space is x
     for j in range(1, k):
         b = p ** (k - j)  # the code of w^(j-1)

@@ -235,7 +235,7 @@ def _build_tables(ctx: "FieldCtx"):
             break
     # row i: the coordinates of w^i * g, so a step from g^i to g^(i+1) is one
     # vector-matrix product over GF(p)
-    rows = [(_pmod(fp, [0] * i + g, m) + [0] * k)[:k] for i in range(k)]
+    rows = [(_pdivmod(fp, [0] * i + g, m)[1] + [0] * k)[:k] for i in range(k)]
     log = [0] * q
     exp = [0] * (2 * n)
     acc = [1] + [0] * (k - 1)
@@ -467,12 +467,6 @@ def _reduce(K: _Ops, r: list, tail) -> list:
     return _trim(r)
 
 
-def _pmod(K: _Ops, a, b) -> list:
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    return _reduce(K, list(a), _monic_tail(K, b)[1])
-
-
 def _pexact_div(K: _Ops, a, b) -> list:
     q, r = _pdivmod(K, a, b)
     if r:
@@ -651,7 +645,7 @@ def _edf(K: _Ops, f, i: int, rng: random.Random) -> list[list]:
             # trace of a from GF(2^(k*i)) down to GF(2)
             b = t = a
             for _ in range(i * (q.bit_length() - 1) - 1):
-                t = _pmod(K, _pmul(K, t, t), f)
+                t = _pdivmod(K, _pmul(K, t, t), f)[1]
                 b = _pcomb(K, b, K.one, t)
         g = _pgcd(K, f, b)
         if 1 < len(g) < len(f):
@@ -665,8 +659,9 @@ def _edf(K: _Ops, f, i: int, rng: random.Random) -> list[list]:
 class FieldCtx:
     """A finite field GF(p^k): characteristic, extension degree, and modulus.
 
-    Two contexts interoperate only if (p, k, modulus) agree exactly.  Use the
-    `field` factory; contexts are interned so equality is cheap.
+    Build one with `field`, which interns it (so do pickle and copy): one
+    (p, k, modulus) has one context, so identity is equality, and two
+    contexts interoperate only if they are the same object.
     """
 
     __slots__ = ("p", "k", "modulus", "_powtable", "_ops", "_orders")
@@ -723,7 +718,7 @@ class FieldCtx:
         if type(value) is int:  # a bool is refused below, as JSON true is no integer
             return value % p * p ** (self.k - 1)
         if isinstance(value, FieldElement):
-            if value.ctx is not self and value.ctx != self:
+            if value.ctx is not self:
                 raise ValueError("mismatched field contexts")
             return value.index
         if not isinstance(value, (tuple, list)):
@@ -736,7 +731,7 @@ class FieldCtx:
     def elem(self, value) -> "FieldElement":
         """The element of anything `code` accepts."""
         code = self.code(value)
-        return value if isinstance(value, FieldElement) else self._from_code(code)
+        return value if isinstance(value, FieldElement) else FieldElement(self, code)
 
     def zero(self) -> "FieldElement":
         return self.elem(0)
@@ -759,11 +754,7 @@ class FieldCtx:
     def from_index(self, i: int) -> "FieldElement":
         if not 0 <= i < self.order:
             raise ValueError("index out of range")
-        return self._from_code(i)
-
-    def _from_code(self, code: int) -> "FieldElement":
-        """The element with this index; the caller guarantees the range."""
-        return FieldElement(self, code)
+        return FieldElement(self, i)
 
     def dlog(self, x: "FieldElement") -> int:
         """Discrete log of x base gen() (k >= 2): the least j >= 0 with
@@ -785,14 +776,6 @@ class FieldCtx:
         r = n // g  # order of gen()
         return t // g * pow(s // g, -1, r) % r
 
-    def __eq__(self, other):
-        return self is other or (
-            isinstance(other, FieldCtx)
-            and (self.p, self.k, self.modulus) == (other.p, other.k, other.modulus))
-
-    def __hash__(self):
-        return hash((self.p, self.k, self.modulus))
-
     def __repr__(self):
         if self.k == 1:
             return f"GF({self.p})"
@@ -809,6 +792,8 @@ def field(p: int, k: int = 1, modulus=None) -> FieldCtx:
     first, then the first irreducible of degree k in enumeration order; the
     request is remembered under its own key, so the search runs once.
     """
+    if not p:  # the modulus key below is reduced mod p
+        raise ValueError("0 is not prime")
     key = (p, k, tuple(_trim([c % p for c in modulus])) if modulus is not None else None)
     ctx = _CTX_CACHE.get(key)
     if ctx is None:
@@ -824,12 +809,12 @@ def field(p: int, k: int = 1, modulus=None) -> FieldCtx:
     return ctx
 
 
-def field_of_order(q: int, modulus=None) -> FieldCtx:
+def field_of_order(q: int) -> FieldCtx:
     fac = factorize(q)
     if len(fac) != 1:
         raise ValueError(f"{q} is not a prime power")
     (p, k), = fac.items()
-    return field(p, k, modulus)
+    return field(p, k)
 
 
 class FieldElement:
@@ -885,7 +870,7 @@ class FieldElement:
         if o is NotImplemented:
             return o
         ctx = self.ctx
-        return ctx._from_code(ctx.ops().mul(self.index, o.index))
+        return FieldElement(ctx, ctx.ops().mul(self.index, o.index))
 
     __rmul__ = __mul__
 
@@ -893,7 +878,7 @@ class FieldElement:
         if self.is_zero():
             raise ZeroDivisionError("division by zero in field")
         ctx = self.ctx
-        return ctx._from_code(ctx.ops().inv(self.index))
+        return FieldElement(ctx, ctx.ops().inv(self.index))
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -911,15 +896,14 @@ class FieldElement:
         if not n:
             return ctx.one()  # without tables, so also above their size limit
         K = ctx.ops()
-        return ctx._from_code(_power(K.mul, self.index, n, K.one))
+        return FieldElement(ctx, _power(K.mul, self.index, n, K.one))
 
     def is_zero(self) -> bool:
         return not self.index
 
     def __eq__(self, other):
         return (isinstance(other, FieldElement)
-                and (self.ctx is other.ctx or self.ctx == other.ctx)
-                and self.index == other.index)
+                and self.ctx is other.ctx and self.index == other.index)
 
     def __hash__(self):
         return hash((self.ctx, self.index))
@@ -972,7 +956,7 @@ class Poly:
 
     @property
     def coeffs(self) -> tuple[FieldElement, ...]:
-        return tuple(map(self.ctx._from_code, self.codes))
+        return tuple(FieldElement(self.ctx, c) for c in self.codes)
 
     @property
     def degree(self):
@@ -988,14 +972,14 @@ class Poly:
     def leading(self) -> FieldElement:
         if self.is_zero():
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.ctx._from_code(self.codes[-1])
+        return FieldElement(self.ctx, self.codes[-1])
 
     def coeff(self, i: int) -> FieldElement:
-        return self.ctx._from_code(self.codes[i] if i < len(self.codes) else 0)
+        return FieldElement(self.ctx, self.codes[i] if i < len(self.codes) else 0)
 
     def _coerce(self, other):
         if isinstance(other, Poly):
-            if other.ctx is not self.ctx and other.ctx != self.ctx:
+            if other.ctx is not self.ctx:
                 raise ValueError("mismatched coefficient contexts")
             return other
         if isinstance(other, (int, FieldElement)):
@@ -1064,7 +1048,7 @@ class Poly:
 
     def __call__(self, x: FieldElement) -> FieldElement:
         ctx = self.ctx
-        return ctx._from_code(_horner(ctx.ops(), self.codes, ctx.code(x))[1])
+        return FieldElement(ctx, _horner(ctx.ops(), self.codes, ctx.code(x))[1])
 
     def sort_key(self):
         """Grade-lex key: degree first, then coefficient indices constant-first."""
@@ -1072,8 +1056,7 @@ class Poly:
 
     def __eq__(self, other):
         return (isinstance(other, Poly)
-                and (self.ctx is other.ctx or self.ctx == other.ctx)
-                and self.codes == other.codes)
+                and self.ctx is other.ctx and self.codes == other.codes)
 
     def __hash__(self):
         return hash((self.ctx, self.codes))

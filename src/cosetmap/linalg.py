@@ -238,7 +238,7 @@ class VectorQ:
 
     @property
     def entries(self) -> tuple[FieldElement, ...]:
-        return tuple(map(self.ctx._from_code, self.codes))
+        return tuple(FieldElement(self.ctx, c) for c in self.codes)
 
     def __len__(self):
         return len(self.codes)
@@ -266,7 +266,7 @@ class VectorQ:
     def __mul__(self, M: "MatrixQ") -> "VectorQ":
         if not isinstance(M, MatrixQ):
             return NotImplemented
-        if M.ctx != self.ctx or M.rows != len(self.codes):
+        if M.ctx is not self.ctx or M.rows != len(self.codes):
             raise ValueError("dimension mismatch in vector-matrix product")
         return VectorQ.from_codes(self.ctx, _vecmat(self.ctx.ops(), self.codes, M.codes, M.cols))
 
@@ -274,12 +274,12 @@ class VectorQ:
         return not any(self.codes)
 
     def _check_ctx(self, other):
-        if not isinstance(other, VectorQ) or other.ctx != self.ctx:
+        if not isinstance(other, VectorQ) or other.ctx is not self.ctx:
             raise ValueError("mismatched contexts")
 
     def __eq__(self, other):
         return (isinstance(other, VectorQ)
-                and self.ctx == other.ctx and self.codes == other.codes)
+                and self.ctx is other.ctx and self.codes == other.codes)
 
     def __hash__(self):
         return hash((self.ctx, self.codes))
@@ -339,7 +339,7 @@ class MatrixQ:
         return cls.from_codes(blocks[0].ctx, rows, n)
 
     def entry(self, i: int, j: int) -> FieldElement:
-        return self.ctx._from_code(self.codes[i][j])
+        return FieldElement(self.ctx, self.codes[i][j])
 
     def is_square(self) -> bool:
         return self.rows == self.cols
@@ -352,7 +352,7 @@ class MatrixQ:
 
     def _axpy(self, other: "MatrixQ", c: int) -> "MatrixQ":
         """self + c*other, entrywise."""
-        if not isinstance(other, MatrixQ) or other.ctx != self.ctx:
+        if not isinstance(other, MatrixQ) or other.ctx is not self.ctx:
             raise ValueError("mismatched contexts")
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("dimension mismatch")
@@ -365,7 +365,7 @@ class MatrixQ:
 
     def __mul__(self, other):
         if isinstance(other, MatrixQ):
-            if other.ctx != self.ctx or self.cols != other.rows:
+            if other.ctx is not self.ctx or self.cols != other.rows:
                 raise ValueError("dimension mismatch in matrix product")
             return MatrixQ.from_codes(
                 self.ctx, _matmul(self.ctx.ops(), self.codes, other.codes, other.cols),
@@ -391,7 +391,7 @@ class MatrixQ:
         if not self.is_square():
             raise ValueError("determinant needs a square matrix")
         c0 = self._chi_codes()[0]
-        return self.ctx._from_code(self.ctx.ops().neg(c0) if self.rows % 2 else c0)
+        return FieldElement(self.ctx, self.ctx.ops().neg(c0) if self.rows % 2 else c0)
 
     def rank(self) -> int:
         return len(_reduce_rows(self.ctx.ops(), [list(r) for r in self.codes], self.cols))
@@ -426,13 +426,13 @@ class MatrixQ:
 
     def __eq__(self, other):
         return (isinstance(other, MatrixQ)
-                and self.ctx == other.ctx and self.codes == other.codes)
+                and self.ctx is other.ctx and self.codes == other.codes)
 
     def __hash__(self):
         return hash((self.ctx, self.codes))
 
     def __repr__(self):
-        entry = self.ctx._from_code
+        entry = self.ctx.from_index
         return "[" + "; ".join(" ".join(repr(entry(c)) for c in r) for r in self.codes) + "]"
 
 
@@ -455,7 +455,7 @@ class AffineMap(Record):
     __slots__ = ("matrix", "shift")
 
     def __init__(self, matrix: MatrixQ, shift: VectorQ):
-        if matrix.ctx != shift.ctx:
+        if matrix.ctx is not shift.ctx:
             raise ValueError("mismatched contexts")
         if not matrix.is_square() or matrix.rows != len(shift):
             raise ValueError("affine map dimension mismatch")
@@ -547,7 +547,7 @@ def elementary_divisors(A: MatrixQ, shift: VectorQ | None = None
     K = A.ctx.ops()
     v = None
     if shift is not None:
-        if shift.ctx != A.ctx or len(shift) != A.rows:
+        if shift.ctx is not A.ctx or len(shift) != A.rows:
             raise ValueError("dimension mismatch in shift")
         v = shift.codes if any(shift.codes) else None
     x_minus_1 = (K.neg(K.one), K.one)

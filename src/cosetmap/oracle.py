@@ -17,16 +17,16 @@ from .cycletype import CycleType, ct_of_permutation
 from .gf import MAX_DOMAIN, FieldCtx, Poly, _chirp_dft, digit_sums, exact_int, is_power, is_prime
 
 
-def is_complete_mapping(images, p: int, n: int, sign: int = 1) -> bool:
+def is_complete_mapping(images, p: int, n: int) -> bool:
     """Whether the map g of GF(p)^n with this image table is a complete
-    mapping: a bijection with x -> g(x) + x also a bijection.  With sign=-1
-    the second map is x -> g(x) - x, so the test is for an orthomorphism."""
+    mapping: a bijection with x -> g(x) + x also a bijection.  `analyze`
+    also reports the orthomorphism test, on x -> g(x) - x."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if n < 0:
         raise ValueError(f"dimension {n} is negative")
     return (is_power(len(images), p, n) and sorted(images) == list(range(len(images)))
-            and _sums_bijective(images, p, n, (sign,))[0])
+            and _sums_bijective(images, p, n, (1,))[0])
 
 
 def _sums_bijective(images, p: int, n: int, signs) -> list[bool]:
@@ -65,11 +65,14 @@ class MapTable(Record):
     @classmethod
     def from_csv(cls, text: str) -> "MapTable":
         pairs = {}
-        for row in csv.reader(io.StringIO(text)):
+        for r, row in enumerate(csv.reader(io.StringIO(text)), 1):
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
             if len(row) != 2:
                 raise ValueError("CSV rows must be index pairs")
+            for cell in row:
+                if not (cell.strip().isascii() and cell.strip().isdigit()):
+                    raise ValueError(f"CSV row {r}: {cell!r} is not a nonnegative integer")
             i = int(row[0])
             if i in pairs:
                 raise ValueError(f"CSV must cover indices 0..n-1 exactly once; {i} repeats")

@@ -133,6 +133,26 @@ def test_verify_refuses_bad_tables_and_moduli(tmp_path, capsys):
     assert err == "error: 4 is not prime\n"
 
 
+def test_verify_refuses_csv_cells_that_are_not_ascii_digits(tmp_path, capsys):
+    """int() would read 0_0 as 0, an Arabic-Indic two as 2 and +1 as 1;
+    each such table exits 2 naming the row, as a JSON "0" does."""
+    path = tmp_path / "t.csv"
+    for text, row, cell in [("0,1\n1,2\n2,0_0\n", 3, "'0_0'"),
+                            ("0,1\n1,\u0662\n2,0\n", 2, "'\u0662'"),
+                            ("0,1\n+1,2\n2,0\n", 2, "'+1'")]:
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run_cli(capsys, "verify", "--table", str(path), "--p", "3",
+                                 "--dim", "1")
+        assert (code, out) == (2, "")
+        assert err == f"error: CSV row {row}: {cell} is not a nonnegative integer\n"
+    path.write_text('{"n": 3, "images": [1, "0", 2]}')
+    code, out, _ = run_cli(capsys, "verify", "--table", str(path), "--p", "3", "--dim", "1")
+    assert (code, out) == (2, "")
+    path.write_text(" 0 , 1\n1,2\n2,0\n")
+    code, out, _ = run_cli(capsys, "verify", "--table", str(path), "--p", "3", "--dim", "1")
+    assert code == 0 and "cycle type: x3" in out
+
+
 def test_singular_matrix_exits_2(tmp_path, capsys):
     path = tmp_path / "m.json"
     path.write_text(json.dumps([[1, 1], [1, 1]]))

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from cosetmap import (CosetWiseAffineMap, InfeasibleError, MatrixQ, Poly,
+from cosetmap import (CosetWiseAffineMap, CycleType, InfeasibleError, MatrixQ, Poly,
                       Splitting, VectorQ, analyze, blow_up, conjugated_table,
                       construct_main, construct_sylow_type, ct, ct_mul, cw_compose,
                       cw_cycle_type, cw_is_complete,
@@ -421,6 +421,18 @@ def test_sylow_constructor():
         construct_sylow_type(9, ct("x1^2 x3 x9"))  # degree 14, not 9
     with pytest.raises(ValueError):
         construct_sylow_type(9, ct("x1 x2^4"))  # parts not powers of p
+
+
+def test_sylow_type_over_gf_p_is_the_shifted_identity():
+    """For k = 1 the general step over GF(p)^0 gives the map x -> x + s of
+    GF(p), s = 0 for x1^p and s = 1 for x_p, whatever the seed."""
+    for p in (3, 5, 7, 11):
+        ctx = field(p)
+        I1 = MatrixQ.identity(ctx, 1)
+        for target, s in ((CycleType({1: p}), 0), (CycleType({p: 1}), 1)):
+            expected = CosetWiseAffineMap(Splitting(p, 1, 0), [(I1, (s,), ())])
+            for seed in (0, 1, 7):
+                assert construct_sylow_type(p, target, seed=seed) == expected
 
 
 def test_one_cycle_map_matches_recursion():

@@ -1,9 +1,11 @@
+import copy
+import pickle
 import random
 
 import pytest
 
-from cosetmap import (Poly, enumerate_irreducibles, factor_monic, field,
-                      field_of_order, is_irreducible, poly_order)
+from cosetmap import (MatrixQ, Poly, enumerate_irreducibles, factor_monic, field,
+                      field_of_order, is_irreducible, poly_order, serialize)
 from cosetmap.gf import MINUS_INFINITY
 from helpers import descent_poly_order, scan_default_modulus
 
@@ -276,6 +278,32 @@ def test_field_interns_a_modulus_however_it_is_written():
     assert field(3, 2, (2, 2, 1, 0)) is ctx
     assert field(3, 2, (5, -1, 4, 3)) is ctx
     assert field(3, 2, [2, 2, 1, 0, 0]) is ctx
+
+
+def test_field_is_one_object_however_it_is_reached():
+    """Contexts compare by identity, so every spelling of one field, and the
+    pickle and copies of a context or of a value over it, give back the one
+    interned object."""
+    ctx = field(3, 2, (2, 2, 1))
+    assert field(3, 2, (2, 2, 1, 0)) is ctx
+    assert field(3, 2, (-1, 5, 4)) is ctx
+    assert field(3, 3) is field(3, 3, (1, 2, 0, 1)) is field(3, 3, [4, -1, 3, 1, 0])
+    assert field(3, 3, (1, 2, 0, 1)) is not ctx
+    M = MatrixQ(ctx, [[1, 2], [0, 1]])
+    P = Poly(ctx, (1, ctx.gen(), 2))
+    for copied in (lambda x: pickle.loads(pickle.dumps(x)), copy.copy, copy.deepcopy):
+        assert copied(ctx) is ctx
+        assert copied(M).ctx is ctx and copied(M) == M
+        assert copied(P).ctx is ctx and copied(P) == P
+
+
+def test_field_refuses_p_zero_as_not_prime():
+    """p = 0 is refused before the modulus is reduced mod p, from the
+    factory and from the JSON reader alike."""
+    with pytest.raises(ValueError, match="^0 is not prime$"):
+        field(0, 2, (1, 0, 1))
+    with pytest.raises(ValueError, match="^0 is not prime$"):
+        serialize.ctx_from_json({"p": 0, "k": 2, "modulus": [1, 0, 1]})
 
 
 def test_default_modulus_matches_full_scan():
