@@ -3,8 +3,7 @@ spaces and for coset-wise affine complete mappings of finite fields."""
 
 from .affine_ct import (affine_cycle_type, block_cycle_type, gamma_dpl, gamma_of_matrix,
                         gamma_of_poly, sorted_types)
-from .cgl import (CglFactorization, cgl_power_set, factor_into_cgl, is_cgl, realize_gamma,
-                  two_fpf_product)
+from .cgl import CglFactorization, factor_into_cgl, is_cgl, realize_gamma, two_fpf_product
 from .cwaffine import (CosetWiseAffineMap, Splitting, WreathElement, conjugated_table,
                        construct_main, construct_sylow_type, cw_compose, cw_cycle_type,
                        cw_is_complete, cw_is_permutation, cw_to_table, cw_to_wreath,

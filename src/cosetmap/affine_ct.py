@@ -148,20 +148,22 @@ def sorted_types(types) -> list[CycleType]:
 # enumerated, and an unbounded knapsack over (weight m*e, block types) gives
 # the set.  Realization needs a witness in a fixed order instead: the first
 # class, in `block_multisets` order, and choice of unit shifts that reaches
-# the type.  That walk is a generator kept per (kind, d, p), advanced only
+# the type.  That walk is a generator kept per (complete, d, p), advanced only
 # until the requested type turns up.
 # ---------------------------------------------------------------------------
 
-def block_multisets(ctx: FieldCtx, d: int, exclude=()):
+def block_multisets(ctx: FieldCtx, d: int, complete: bool = False):
     """All multisets of (Q, e) with sum e*deg Q = d, Q monic irreducible and
-    Q != X, skipping polynomials in `exclude`.  One multiset per conjugacy
-    class of GL_d(q); deterministic order, exponents ascending per Q.
+    Q != X, and Q != X+1 (no eigenvalue -1) when `complete`.  One multiset per
+    conjugacy class of GL_d(q), or of its complete matrices; deterministic
+    order, exponents ascending per Q.
 
     A multiset lists its polynomials in enumeration order.  Multisets whose
     first polynomial comes later in that order come first; each recursion
     level picks the next polynomial actually used, so the depth is at most d.
     """
-    irred = [Q for Q in enumerate_irreducibles(ctx, d) if not _is_x(Q) and Q not in exclude]
+    skip = Poly(ctx, (1, 1)) if complete else None
+    irred = [Q for Q in enumerate_irreducibles(ctx, d) if not _is_x(Q) and Q != skip]
     degrees = [int(Q.degree) for Q in irred]
 
     def walk(remaining: int, start: int):
@@ -199,12 +201,12 @@ def _orders_of_degree(p: int, m: int) -> list[int]:
     return sorted(r for r in divisors if all(n % r for n in lower))
 
 
-def _signature_types(kind: str, d: int, p: int) -> frozenset[CycleType]:
-    """The gamma set of `kind` from block signatures (m, r, e, unit).
+def _signature_types(complete: bool, d: int, p: int) -> frozenset[CycleType]:
+    """The gamma set from block signatures (m, r, e, unit).
 
     The blocks Q^e with deg Q = m give an item of weight m*e whose choices
     are their types over every order r of degree m; only r = 1, the block
-    X-1, takes a unit shift as well as a nonunit one.  "acgl" drops the
+    X-1, takes a unit shift as well as a nonunit one.  `complete` drops the
     signature of X+1: (1, 2), or (1, 1) in characteristic 2.  Any item may
     be used any number of times (one Q may repeat an exponent), so how many
     polynomials share a signature never matters."""
@@ -213,7 +215,7 @@ def _signature_types(kind: str, d: int, p: int) -> frozenset[CycleType]:
     reach[0].add(CycleType({1: 1}))
     for m in range(1, d + 1):
         orders = [r for r in _orders_of_degree(p, m)
-                  if kind == "agl" or (m, r) != (1, minus_one)]
+                  if not complete or (m, r) != (1, minus_one)]
         for e in range(1, d // m + 1):
             types = {_block_type(p, p, m, r, e, unit) for r in orders
                      for unit in ((False, True) if r == 1 else (False,))}
@@ -222,12 +224,10 @@ def _signature_types(kind: str, d: int, p: int) -> frozenset[CycleType]:
     return frozenset(reach[d])
 
 
-def _class_walk(kind: str, d: int, p: int):
+def _class_walk(complete: bool, d: int, p: int):
     """(t, blocks, units) for every class of `block_multisets` and every
-    choice of unit shifts, in that order; "acgl" leaves out the block X+1."""
-    ctx = field(p)
-    exclude = (Poly(ctx, (1, 1)),) if kind == "acgl" else ()
-    for blocks in block_multisets(ctx, d, exclude=exclude):
+    choice of unit shifts, in that order."""
+    for blocks in block_multisets(field(p), d, complete):
         for units, t in shift_class_types(blocks):
             yield t, blocks, units
 
@@ -235,20 +235,19 @@ def _class_walk(kind: str, d: int, p: int):
 _GAMMA_CACHE: dict[tuple, tuple[frozenset, dict, object]] = {}
 
 
-def _gamma(kind: str, d: int, p: int) -> tuple[frozenset, dict, object]:
-    """(types, first, walk) for kind "agl" (every class of GL_d(p)) or "acgl"
-    (classes without the block X+1): the set from `_signature_types`; per
+def _gamma(complete: bool, d: int, p: int) -> tuple[frozenset, dict, object]:
+    """(types, first, walk) over every class of GL_d(p), or the classes
+    without the block X+1 when `complete`: the set from `_signature_types`; per
     type met so far, its first (blocks, units) and a slot for the map
     `witness_map` builds from them; and the `_class_walk` where the search
     for the next witness resumes."""
     if d < 1:
         raise ValueError("dimension must be >= 1")
-    key = (kind, d, p)
+    key = (complete, d, p)
     entry = _GAMMA_CACHE.get(key)
     if entry is None:
         field(p)  # refuses a p that is not prime
-        entry = _GAMMA_CACHE[key] = (_signature_types(kind, d, p), {},
-                                     _class_walk(kind, d, p))
+        entry = _GAMMA_CACHE[key] = (_signature_types(*key), {}, _class_walk(*key))
     return entry
 
 
@@ -257,7 +256,7 @@ def _first(gamma: CycleType, d: int, p: int, complete: bool) -> dict | None:
     that reaches gamma; None, with no walking, if the gamma set does not
     hold gamma.  An error inside the walk ends the generator, so it drops
     the whole entry and the next call walks afresh."""
-    key = ("acgl" if complete else "agl", d, p)
+    key = (complete, d, p)
     types, first, walk = _gamma(*key)
     if gamma not in types:
         return None
@@ -276,12 +275,12 @@ def _first(gamma: CycleType, d: int, p: int, complete: bool) -> dict | None:
 
 def ct_agl(d: int, p: int) -> frozenset[CycleType]:
     """Cycle types of all affine permutations of GF(p)^d."""
-    return _gamma("agl", d, p)[0]
+    return _gamma(False, d, p)[0]
 
 
 def ct_acgl(d: int, p: int) -> frozenset[CycleType]:
     """Cycle types of affine maps whose linear part is a complete mapping."""
-    return _gamma("acgl", d, p)[0]
+    return _gamma(True, d, p)[0]
 
 
 def first_witness(gamma: CycleType, d: int, p: int, complete: bool = False):
@@ -315,7 +314,6 @@ def witness_map(gamma: CycleType, d: int, p: int, complete: bool = False) -> Aff
 
 # For ell >= 2 the ell-fold products of complete matrices fill GL_d(q), except
 # for these (d, q); there they are the listed code-row matrices whatever ell.
-# Over GF(2)^2 the members are I, A and B = A^2 = A^-1.
 _EXCEPTIONAL_PRODUCTS = {
     (1, 2): (),
     (1, 3): (((1,),),),
@@ -324,10 +322,17 @@ _EXCEPTIONAL_PRODUCTS = {
 
 
 @functools.cache
-def _exceptional_gamma(d: int, p: int) -> frozenset[CycleType]:
-    ctx = field(p)
-    return frozenset().union(*(gamma_of_matrix(MatrixQ(ctx, rows))
-                               for rows in _EXCEPTIONAL_PRODUCTS[d, p]))
+def product_members(d: int, q: int) -> tuple[MatrixQ, ...] | None:
+    """The ell-fold products of complete invertible d x d matrices over GF(q),
+    the same for every ell >= 2: none over GF(2)^1, the identity over GF(3)^1,
+    and I, A and B = A^2 = A^-1 over GF(2)^2.  None where they fill GL_d(q)."""
+    rows = _EXCEPTIONAL_PRODUCTS.get((d, q))
+    return None if rows is None else tuple(MatrixQ(field(q), r) for r in rows)
+
+
+@functools.cache
+def _members_gamma(d: int, p: int) -> frozenset[CycleType]:
+    return frozenset().union(*map(gamma_of_matrix, product_members(d, p)))
 
 
 def gamma_dpl(d: int, p: int, ell: int) -> frozenset[CycleType]:
@@ -341,6 +346,4 @@ def gamma_dpl(d: int, p: int, ell: int) -> frozenset[CycleType]:
         raise ValueError("dimension and factor count must be >= 1")
     if ell == 1:
         return ct_acgl(d, p)
-    if (d, p) in _EXCEPTIONAL_PRODUCTS:
-        return _exceptional_gamma(d, p)
-    return ct_agl(d, p)
+    return ct_agl(d, p) if product_members(d, p) is None else _members_gamma(d, p)

@@ -1,5 +1,5 @@
-"""Complete linear maps: membership, product sets, and constructive
-factorization of an invertible matrix into factors with no eigenvalue -1."""
+"""Complete linear maps: membership, and constructive factorization of an
+invertible matrix into factors with no eigenvalue -1."""
 
 from __future__ import annotations
 
@@ -7,10 +7,10 @@ import itertools
 import random
 
 from ._record import Record
-from .affine_ct import _EXCEPTIONAL_PRODUCTS, ct_agl, gamma_dpl, witness_map
+from .affine_ct import ct_agl, gamma_dpl, product_members, witness_map
 from .cycletype import CycleType
 from .errors import InfeasibleError
-from .gf import FieldCtx, field_of_order, is_power
+from .gf import FieldCtx, is_power
 from .linalg import MatrixQ, VectorQ, _inverse, _matmul, _without_eigenvalue
 
 
@@ -34,25 +34,6 @@ class CglFactorization(Record):
         if acc != product:
             raise ValueError("factors do not multiply to the stated product")
         self._store(factors, product)
-
-
-def cgl_power_set(d: int, q: int, ell: int):
-    """Describe the set of ell-fold products of complete invertible matrices.
-
-    Returns (tag, members): tag is one of "cgl", "gl", "empty", "explicit";
-    members is the explicit matrix list for the exceptional cases, else None.
-    For ell >= 2 the products fill GL_d(q) ("gl") except over GF(2)^1
-    ("empty"), GF(3)^1 (the identity) and GF(2)^2 (I, A and B = A^2 = A^-1).
-    """
-    if d < 1 or ell < 1:
-        raise ValueError("dimension and factor count must be >= 1")
-    ctx = field_of_order(q)
-    if ell == 1:
-        return "cgl", None
-    if (d, q) not in _EXCEPTIONAL_PRODUCTS:
-        return "gl", None
-    members = [MatrixQ(ctx, rows) for rows in _EXCEPTIONAL_PRODUCTS[d, q]]
-    return ("explicit" if members else "empty"), members
 
 
 def _random_member(ctx: FieldCtx, d: int, rng: random.Random, c: int, tries: int = 512):
@@ -112,7 +93,7 @@ def factor_into_cgl(M: MatrixQ, ell: int, seed: int = 0) -> CglFactorization:
             raise InfeasibleError("matrix has eigenvalue -1; not a one-factor product")
         return CglFactorization((M,), M)
 
-    members = cgl_power_set(d, q, ell)[1]
+    members = product_members(d, q)
     if members is not None:
         if M not in members:
             raise InfeasibleError(f"matrix is not a product of {ell} complete matrices "
@@ -151,7 +132,7 @@ def two_fpf_product(M: MatrixQ, seed: int = 0) -> tuple[MatrixQ, MatrixQ]:
     # Over GF(2)^1, GF(3)^1 and GF(2)^2 the products of two fixed-point-free
     # matrices are those of two complete ones: the two notions agree in
     # characteristic 2, and over GF(3)^1 [2]*[2] = I.
-    members = cgl_power_set(M.rows, M.ctx.order, 2)[1]
+    members = product_members(M.rows, M.ctx.order)
     if members is not None and M not in members:
         raise InfeasibleError("matrix is not a product of two fixed-point-free matrices "
                               f"over GF({M.ctx.order})^{M.rows}")
@@ -186,8 +167,8 @@ def realize_gamma(gamma: CycleType, d: int, p: int, ell: int, seed: int = 0,
         raise InfeasibleError(f"{gamma} is not an affine cycle type in dimension {d} over GF({p})")
     # one factor must be complete itself: no block X+1, i.e. no eigenvalue -1.
     # For ell >= 2 over GF(3)^1 and GF(2)^2 the first witness of every type in
-    # gamma_dpl is a member of `affine_ct._EXCEPTIONAL_PRODUCTS`;
-    # factor_into_cgl refuses any other matrix.
+    # gamma_dpl is one of the `product_members`; factor_into_cgl refuses any
+    # other matrix.
     f = witness_map(gamma, d, p, complete=require_complete and ell == 1)
     if require_complete:
         return factor_into_cgl(f.matrix, ell, seed=seed).factors, f.shift

@@ -15,7 +15,7 @@ import itertools
 import random
 
 from ._record import Record
-from .affine_ct import _EXCEPTIONAL_PRODUCTS, affine_cycle_type
+from .affine_ct import affine_cycle_type, product_members
 from .cgl import is_cgl, realize_gamma
 from .cycletype import CycleType, blow_up, ct_mul, cycles_of
 from .errors import InfeasibleError
@@ -322,7 +322,7 @@ def construct_main(p: int, d: int, t: int, g_images, gammas: dict,
         ell = len(cyc)
         gamma = gammas[key]
         sub_seed = rng.randrange(2 ** 32)
-        memo = realized if ell == 1 or (d, p) in _EXCEPTIONAL_PRODUCTS else {}
+        memo = realized if ell == 1 or product_members(d, p) is not None else {}
         if (gamma, ell) not in memo:
             memo[gamma, ell] = realize_gamma(gamma, d, p, ell, seed=sub_seed,
                                              require_complete=require_complete)

@@ -62,8 +62,36 @@ def _trial_factors(n: int):
         yield n
 
 
+# The primes up to 41 as Miller-Rabin bases decide primality of every n below
+# psi_13 (Sorenson and Webster, Math. Comp. 86 (2017) 985-1003).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
-    return n >= 2 and next(_trial_factors(n)) == n
+    """Whether n is prime, by trial division by `_MR_BASES`, then
+    deterministic Miller-Rabin to those bases; ValueError for n >= psi_13,
+    where the bases no longer decide."""
+    if n >= _MR_LIMIT:
+        raise ValueError(f"{n} is too large: primality is decided only below {_MR_LIMIT}")
+    if n < 2:
+        return False
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s, d odd
+    d = (n - 1) >> s
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def exact_int(value, name: str) -> int:

@@ -182,12 +182,6 @@ class _Echelon:
         e.pivots = pivots
         return e
 
-    def copy(self) -> "_Echelon":
-        e = _Echelon(self.ops)
-        e.rows = list(self.rows)
-        e.pivots = list(self.pivots)
-        return e
-
     def reduce(self, w) -> list:
         axpy, neg = self.ops.axpy, self.ops.neg
         w = list(w)
@@ -608,11 +602,11 @@ def _decompose_primary(K: _Ops, A, QA, Q, comp_basis):
 
     cap = target_dim // degQ + 1
     while collected.dim < target_dim:
-        probe = collected.copy()
-        candidates = [v for v in comp_basis if probe.insert(v)]
-        heights = [height_mod(v, cap) for v in candidates]
+        # the first vector of maximal height is independent of the earlier
+        # ones modulo collected: any combination of them is lower
+        heights = [height_mod(v, cap) for v in comp_basis]
         hmax = max(heights)
-        x = candidates[heights.index(hmax)]
+        x = comp_basis[heights.index(hmax)]
         # purify: x*QA^hmax lies in the collected blocks; every block
         # coordinate polynomial is divisible by Q^hmax, subtract the quotient
         if gen_rows:

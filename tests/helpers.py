@@ -420,9 +420,10 @@ def explicit_member_realization(gamma, d: int, p: int, ell: int, seed: int):
     these cases: the first member of the explicit product set, then the first
     shift in index order, whose affine map has type gamma.  None if nothing
     matches."""
-    from cosetmap import AffineMap, affine_cycle_type, cgl_power_set, factor_into_cgl, field
+    from cosetmap import AffineMap, affine_cycle_type, factor_into_cgl, field
+    from cosetmap.affine_ct import product_members
     ctx = field(p)
-    for M in cgl_power_set(d, p, ell)[1]:
+    for M in product_members(d, p):
         for widx in itertools.product(range(p), repeat=d):
             w = VectorQ(ctx, widx)
             if affine_cycle_type(AffineMap(M, w)) == gamma:

@@ -11,7 +11,7 @@ import time
 import pytest
 
 from cosetmap import (CycleType, InfeasibleError, Poly, analyze, blow_up,
-                      block_cycle_type, cgl_power_set,
+                      block_cycle_type,
                       construct_main, construct_sylow_type, ct, ct_mul,
                       ct_of_permutation, cw_cycle_type, cw_is_complete,
                       cw_is_permutation, cw_to_table, enumerate_irreducibles,
@@ -19,6 +19,7 @@ from cosetmap import (CycleType, InfeasibleError, Poly, analyze, blow_up,
                       gamma_of_poly, interpolate, is_cgl, one_cycle_map,
                       one_cycle_polynomial, weixu,
                       weixu_all)
+from cosetmap.affine_ct import product_members
 from cosetmap.cycletype import cycles_of
 from cosetmap.serialize import format_poly
 from helpers import (all_invertible_matrices, block_case, closed_form_counts,
@@ -106,13 +107,8 @@ def test_criterion_3_product_sets_exhaustive():
         for A in cgl:
             for B in cgl:
                 products.add(A * B)
-        tag, members = cgl_power_set(d, q, 2)
-        if tag == "empty":
-            expected = set()
-        elif tag == "explicit":
-            expected = set(members)
-        else:
-            expected = set(gl)
+        members = product_members(d, q)
+        expected = set(gl) if members is None else set(members)
         good = products == expected
         ok &= good
         details.append(f"({d},{q}):{'ok' if good else 'MISMATCH'}|GL|={len(gl)}")

@@ -151,10 +151,11 @@ def test_gamma_dpl_exceptional_sets_match_member_scan():
     # for ell >= 2 the exceptional sets are the orbit-walked types of
     # x -> x*M + w over the members M of the product set and every shift w
     import itertools
-    from cosetmap import CycleType, cgl_power_set
+    from cosetmap import CycleType
+    from cosetmap.affine_ct import product_members
     for d, p in [(1, 2), (1, 3), (2, 2)]:
         ctx = field(p)
-        _, members = cgl_power_set(d, p, 2)
+        members = product_members(d, p)
         walked = {CycleType(brute_affine_cycle_counts(M, VectorQ(ctx, w)))
                   for M in members for w in itertools.product(range(p), repeat=d)}
         for ell in (2, 3):

@@ -3,9 +3,10 @@ import random
 import pytest
 
 from cosetmap import (AffineMap, CglFactorization, InfeasibleError, MatrixQ,
-                      VectorQ, affine_cycle_type, cgl_power_set, ct,
+                      VectorQ, affine_cycle_type, ct,
                       factor_into_cgl, field, gamma_dpl, gamma_of_matrix, is_cgl,
                       realize_gamma, two_fpf_product)
+from cosetmap.affine_ct import product_members
 from helpers import all_invertible_matrices, explicit_member_realization, random_invertible
 
 
@@ -57,19 +58,14 @@ def test_cached_facts_stay_out_of_equality():
     assert _without_eigenvalue(F3, rows, F3.code(1)) is None
 
 
-def test_cgl_power_set_rows():
-    tag, members = cgl_power_set(2, 2, 2)
-    assert tag == "explicit"
-    assert {M.int_rows() for M in members} == {
-        ((1, 0), (0, 1)), ((0, 1), (1, 1)), ((1, 1), (1, 0))}
-    tag, members = cgl_power_set(1, 2, 5)
-    assert tag == "empty" and members == []
-    tag, members = cgl_power_set(3, 2, 2)
-    assert tag == "gl" and members is None
-    tag, members = cgl_power_set(1, 3, 4)
-    assert tag == "explicit" and [M.int_rows() for M in members] == [((1,),)]
-    tag, _ = cgl_power_set(2, 2, 1)
-    assert tag == "cgl"
+def test_product_members_rows():
+    members = product_members(2, 2)
+    assert [M.int_rows() for M in members] == [
+        ((1, 0), (0, 1)), ((0, 1), (1, 1)), ((1, 1), (1, 0))]
+    assert product_members(1, 2) == ()
+    assert product_members(3, 2) is None and product_members(2, 3) is None
+    assert [M.int_rows() for M in product_members(1, 3)] == [((1,),)]
+    assert product_members(2, 2) is members  # built once
 
 
 def _exhaustive_product_set(ctx, d):
@@ -86,13 +82,11 @@ def test_product_set_small(d, q):
     from cosetmap import field_of_order
     ctx = field_of_order(q)
     got, _ = _exhaustive_product_set(ctx, d)
-    tag, members = cgl_power_set(d, q, 2)
-    if tag == "empty":
-        assert got == set()
-    elif tag == "explicit":
-        assert got == set(members)
-    else:
+    members = product_members(d, q)
+    if members is None:
         assert got == set(all_invertible_matrices(ctx, d))
+    else:
+        assert got == set(members)
 
 
 def test_factor_into_cgl_examples():
@@ -130,7 +124,7 @@ def test_factor_into_cgl_random(d, p, ell):
     rng = random.Random(d * 100 + p * 10 + ell)
     for trial in range(10):
         if (d, p) == (2, 2):
-            members = cgl_power_set(2, 2, 2)[1]
+            members = product_members(2, 2)
             M = members[rng.randrange(3)]
         else:
             M = random_invertible(ctx, d, rng)
@@ -182,7 +176,7 @@ def test_two_fpf_covers_group(d, q):
     for A in fpf:
         for B in fpf:
             products.add(A * B)
-    members = cgl_power_set(d, q, 2)[1]
+    members = product_members(d, q)
     if members is None:
         assert products == set(all_invertible_matrices(ctx, d))
         return
@@ -211,7 +205,7 @@ def test_padding_strategies_500_seeds(d, p, ell):
     # the ell >= 3 padding always terminates with valid complete factors
     ctx = field(p)
     rng = random.Random(d + p + ell)
-    members = cgl_power_set(d, p, 2)[1] if (d, p) in ((1, 3), (2, 2)) else None
+    members = product_members(d, p)
     for seed in range(500):
         if members is not None:
             M = members[rng.randrange(len(members))]

@@ -91,6 +91,25 @@ def test_gamma_dpl_from_block_signatures_at_scale(capsys):
     assert {ct_parse(line).degree for line in lines} == {5 ** 8}
 
 
+def test_field_of_a_prime_near_2_61_answers_at_once(capsys):
+    """The Mersenne prime 2^61 - 1 is checked by Miller-Rabin, not by trial
+    division up to its square root."""
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "one-cycle-poly", "--p", "2305843009213693951", "--k", "1")
+    assert time.perf_counter() - start < 2
+    assert (code, out) == (0, "x + 1\n")
+
+
+def test_field_of_order_psi_13_exits_2(capsys):
+    """From psi_13 on the Miller-Rabin bases do not decide primality, so the
+    request is refused, naming the limit."""
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "one-cycle-poly", "--p", "3317044064679887385961981",
+                             "--k", "1")
+    assert time.perf_counter() - start < 2
+    assert code == 2 and out == "" and "3317044064679887385961981" in err
+
+
 @pytest.mark.parametrize("exc,code,prefix", [
     (ArithmeticError("self-check failed"), 3, "internal error: "),
     (RecursionError("maximum recursion depth exceeded"), 3, "internal error: "),

@@ -1,3 +1,4 @@
+import collections
 import copy
 import itertools
 import pickle
@@ -14,7 +15,7 @@ from cosetmap import (CosetWiseAffineMap, CycleType, InfeasibleError, MatrixQ, P
                       one_cycle_map, one_cycle_polynomial, wreath_mul, wreath_to_cw)
 from cosetmap import cwaffine
 from cosetmap.cwaffine import _affine_table, _forward_product
-from cosetmap.cycletype import ct_of_permutation, cycles_of
+from cosetmap.cycletype import ct_format, ct_of_permutation, cycles_of
 from cosetmap.gf import index_to_tuple, is_prime
 from helpers import (coordinate_functions, cw_eval, forward_product_by_then,
                      one_cycle_closed_form_images, one_cycle_reference_tables,
@@ -85,6 +86,74 @@ def test_structural_predicates_vs_oracle():
             assert cw_cycle_type(f) == report.cycle_type
             type_checked += 1
     assert type_checked >= 250
+
+
+def all_cw_maps(p, d, t, invertible_only):
+    """Every coset-wise affine map of GF(p)^(d+t) over the standard
+    splitting: per coset any alpha (or any invertible one), omega and nu."""
+    ctx = field(p)
+    alphas = [MatrixQ(ctx, (rows[i * d:(i + 1) * d] for i in range(d)))
+              for rows in itertools.product(range(p), repeat=d * d)]
+    if invertible_only:
+        alphas = [M for M in alphas if M.is_invertible()]
+    triples = list(itertools.product(
+        alphas, [VectorQ(ctx, w) for w in itertools.product(range(p), repeat=d)],
+        [VectorQ(ctx, u) for u in itertools.product(range(p), repeat=t)]))
+    s = Splitting(p, d, t)
+    for per in itertools.product(triples, repeat=p ** t):
+        yield CosetWiseAffineMap(s, per)
+
+
+@pytest.mark.parametrize("p,d,t,invertible_only,counts", [
+    (2, 1, 1, False, (64, 8, 0)),
+    (2, 2, 0, False, (64, 24, 8)),
+    (3, 1, 1, True, (5832, 1296, 81)),
+    (2, 1, 2, True, (4096, 384, 0)),
+    (2, 2, 1, True, (2304, 1152, 0)),
+])
+def test_completeness_criterion_on_every_map(p, d, t, invertible_only, counts):
+    """The structural permutation and completeness tests (the paper's
+    criterion: a coset-wise affine map is complete iff every alpha_u + I is
+    invertible and the induced map of the cosets is complete) against the
+    oracle on every map of a small space: (maps, bijections, complete) are
+    pinned, and the cycle types of the 81 complete maps of GF(3)^2 too."""
+    maps = bijections = complete = 0
+    complete_types = collections.Counter()
+    for f in all_cw_maps(p, d, t, invertible_only):
+        report = analyze(cw_to_table(f), p, d + t)
+        assert cw_is_permutation(f) == report.is_bijection
+        assert cw_is_complete(f) == report.is_complete
+        maps += 1
+        bijections += report.is_bijection
+        if report.is_complete:
+            complete += 1
+            complete_types[ct_format(cw_cycle_type(f))] += 1
+            assert cw_cycle_type(f) == report.cycle_type
+    assert (maps, bijections, complete) == counts
+    if p == 3:
+        assert complete_types == {"x9": 36, "x3^3": 26, "x1^3 x3^2": 12, "x1^6 x3": 6,
+                                  "x1^9": 1}
+
+
+@pytest.mark.parametrize("p,d,t", [(5, 1, 1), (3, 1, 2), (3, 2, 1)])
+def test_completeness_criterion_on_sampled_maps(p, d, t):
+    """The same comparison on random maps of GF(5)^2 and GF(3)^3, too many to
+    walk: half with invertible alphas, so permutations and complete maps turn
+    up, half with any alphas."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(st.booleans(), st.integers(0, 2 ** 32))
+    def check(invertible_only, seed):
+        f = random_cw_map(p, d, t, random.Random(seed), invertible_only=invertible_only)
+        report = analyze(cw_to_table(f), p, d + t)
+        assert cw_is_permutation(f) == report.is_bijection
+        assert cw_is_complete(f) == report.is_complete
+        if report.is_bijection:
+            assert cw_cycle_type(f) == report.cycle_type
+
+    check()
 
 
 SPLITTINGS = [(p, d, t) for p in (2, 3, 5) for d in range(1, 5) for t in range(5 - d)]

@@ -25,8 +25,8 @@ WALK_GRID = [(p, d) for p, dmax in ((2, 8), (3, 6), (5, 4), (7, 3)) for d in ran
 @pytest.mark.parametrize("p,d", WALK_GRID)
 def test_walk_order_matches_reference_recursion(p, d):
     ctx = field(p)
-    for exclude in ((), (Poly(ctx, (1, 1)),)):
-        assert (list(block_multisets(ctx, d, exclude=exclude))
+    for complete, exclude in ((False, ()), (True, (Poly(ctx, (1, 1)),))):
+        assert (list(block_multisets(ctx, d, complete))
                 == list(recursive_block_multisets(ctx, d, exclude=exclude)))
 
 
@@ -67,8 +67,9 @@ def test_gamma_sets_match_reachability_dp(d, p):
     """The sets from block signatures equal the DP over every irreducible
     polynomial and the types met by walking every class, in both kinds."""
     ctx = field(p)
-    for gamma_set, exclude in ((ct_agl, ()), (ct_acgl, (Poly(ctx, (1, 1)),))):
-        walked = frozenset(t for blocks in block_multisets(ctx, d, exclude=exclude)
+    for gamma_set, complete, exclude in ((ct_agl, False, ()),
+                                         (ct_acgl, True, (Poly(ctx, (1, 1)),))):
+        walked = frozenset(t for blocks in block_multisets(ctx, d, complete)
                            for _, t in shift_class_types(blocks))
         assert gamma_set(d, p) == frozenset(reachable_affine_types(ctx, d, exclude=exclude))
         assert gamma_set(d, p) == walked

@@ -291,6 +291,38 @@ def test_trial_division_matches_sympy():
     assert list(factorize(2 ** 10 * 3 ** 4 * 101)) == [2, 3, 101]
 
 
+PSI_13 = 3317044064679887385961981
+
+
+def test_miller_rabin_matches_sympy_below_psi_13():
+    """`is_prime` is deterministic Miller-Rabin to the 13 prime bases up to
+    41: exact below psi_13 on Carmichael numbers, strong pseudoprimes to the
+    first bases, products of two 40-bit primes and the last prime below
+    psi_13, and refused from psi_13 on rather than guessed."""
+    sympy = pytest.importorskip("sympy")
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    last = sympy.prevprime(PSI_13)
+    for n in (561, 41041, 825265, 3215031751, 3825123056546413051, last, 2 ** 61 - 1):
+        assert is_prime(n) == sympy.isprime(n), n
+    assert is_prime(last) and is_prime(2 ** 61 - 1)
+    for n in (PSI_13, PSI_13 + 2, 2 ** 89 - 1):
+        with pytest.raises(ValueError, match=str(PSI_13)):
+            is_prime(n)
+    forty_bit = st.integers(2 ** 39, 2 ** 40).map(sympy.prevprime)
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(st.one_of(st.integers(-10, PSI_13 - 1), st.integers(-10, 10 ** 6),
+                                st.tuples(forty_bit, forty_bit).map(lambda ab: ab[0] * ab[1])))
+    def agrees(n):
+        assert is_prime(n) == sympy.isprime(n)
+
+    agrees()
+    start = time.perf_counter()
+    assert is_prime(10 ** 14 + 31) and not is_prime((10 ** 14 + 31) * (10 ** 6 + 3))
+    assert time.perf_counter() - start < 0.1
+
+
 @pytest.mark.parametrize("p,k", EXTENSION_FIELDS)
 def test_dlog_is_the_least_exponent(p, k):
     ctx = field(p, k)

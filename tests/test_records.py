@@ -111,11 +111,14 @@ def test_names_only_the_tests_called_are_gone():
     benchmark workload called are not in the package; `cw_eval` and
     `sylow_type_targets` live on as test references in tests/helpers.py.
     Nor are the shift-class record and constants that a block's (Q, e, unit)
-    replaced, nor the codec that `oracle` only re-exported from `gf`."""
+    replaced, nor the codec that `oracle` only re-exported from `gf`, nor
+    the tagged product-set descriptor that `affine_ct.product_members`
+    replaced."""
     import importlib
     gone = {"affine_ct": ("classify_block", "BlockCase", "U_GENERIC", "U_NONUNIT",
                           "U_UNIT_NOT_PPOWER", "U_UNIT_PPOWER"),
-            "oracle": ("table_of", "index_to_tuple", "tuple_to_index"), "cgl": ("is_fpf",),
+            "oracle": ("table_of", "index_to_tuple", "tuple_to_index"),
+            "cgl": ("is_fpf", "cgl_power_set"),
             "cwaffine": ("cw_eval", "field_to_vector", "vector_to_field", "sylow_type_targets"),
             "serialize": ("elem_from_json", "vector_from_json", "matrix_from_json",
                           "poly_from_json")}
