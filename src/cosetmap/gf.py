@@ -51,13 +51,16 @@ _EDF_SEED = 0
 
 def _trial_factors(n: int):
     """The prime factors of n >= 1 by trial division, ascending, each as often
-    as it divides n and yielded once found (fine for n <= 2**31)."""
+    as it divides n and yielded once found.  n, and each cofactor left after
+    a division, ends the search if it is a prime below `_MR_LIMIT`."""
     f = 2
-    while f * f <= n:
-        while n % f == 0:
-            yield f
-            n //= f
-        f += 1 if f == 2 else 2
+    while n > 1 and not (n < _MR_LIMIT and is_prime(n)):
+        while f * f <= n and n % f:
+            f += 1 if f == 2 else 2
+        if f * f > n:
+            break
+        yield f
+        n //= f
     if n > 1:
         yield n
 
@@ -1095,14 +1098,27 @@ class Poly:
 
 
 _IRR_CACHE: dict[tuple, tuple[int, list]] = {}
+_SPAN_BLOCK = 1 << 10  # the most indices in one block of the sieve's spans, or p
+
+
+def _span(p: int, n: int, start: int, gens) -> list[int]:
+    """start plus every GF(p)-combination of gens, on indices of GF(p)^n."""
+    out = [start]
+    for g in gens:
+        col = [g] * len(out)
+        out += [v for s in range(1, p) for v in digit_sums(out, col, p, n, s)]
+    return out
 
 
 def enumerate_irreducibles(ctx: FieldCtx, max_degree: int) -> list[Poly]:
     """All monic irreducible polynomials of degree <= max_degree over GF(q),
     in grade-lex order.
 
-    A sieve: the monic polynomials of degree d that are not a product of an
-    irreducible of degree <= d/2 and a monic cofactor are the irreducibles.
+    A sieve on indices: a monic polynomial of degree d without its leading 1
+    is a base-p number of d*k digits, and adding polynomials adds digits mod
+    p.  So the multiples Q*(L + X^(d-i)) of an irreducible Q of degree i <= d/2
+    are the index of X^(d-i)*Q plus the GF(p)-span of those of w^b*X^j*Q
+    (j < d-i, b < k), marked by `_span` in blocks of at most `_SPAN_BLOCK`.
     """
     if max_degree < 1:
         raise ValueError("max_degree must be >= 1")
@@ -1111,23 +1127,25 @@ def enumerate_irreducibles(ctx: FieldCtx, max_degree: int) -> list[Poly]:
     if cached_deg >= max_degree:
         return [q for q in cached if q.degree <= max_degree]
     K = ctx.ops()
-    q = ctx.order
-    one = (K.one,)
+    p, q = ctx.p, ctx.order
+    basis = [q // p ** (b + 1) for b in range(ctx.k)]  # the codes of w^b
+    low = max(1, int(math.log(_SPAN_BLOCK, p)))  # span rows in one block
     found = list(cached)
     for d in range(cached_deg + 1, max_degree + 1):
-        reducible = bytearray(q ** d)
+        n = d * ctx.k
+        irreducible = bytearray(b"\1") * q ** d
         for Q in found:
             i = len(Q.codes) - 1
             if 2 * i > d:
                 break
-            for lower in itertools.product(range(q), repeat=d - i):
-                idx = 0
-                for c in _pmul(K, Q.codes, lower + one)[:d]:
-                    idx = idx * q + c
-                reducible[idx] = 1
-        for idx, lower in enumerate(itertools.product(range(q), repeat=d)):
-            if not reducible[idx]:
-                found.append(Poly.from_codes(ctx, lower + one))
+            gens = [tuple_to_index(K.scale(c, Q.codes), q) * q ** (d - 1 - i - j)
+                    for j in range(d - i) for c in basis]
+            block = _span(p, n, tuple_to_index(Q.codes[:-1], q), gens[:low])
+            for shift in _span(p, n, 0, gens[low:]):
+                for v in digit_sums(block, [shift] * len(block), p, n) if shift else block:
+                    irreducible[v] = 0
+        found += [Poly.from_codes(ctx, lower + (K.one,)) for lower in
+                  itertools.compress(itertools.product(range(q), repeat=d), irreducible)]
     _IRR_CACHE[key] = (max_degree, found)
     return list(found)
 

@@ -59,8 +59,16 @@ class MapTable(Record):
 
     @classmethod
     def from_json(cls, obj) -> "MapTable":
+        """The table {"n": n, "images": [...]}; ValueError naming the key
+        that is missing or of the wrong JSON type."""
+        for key in ("n", "images"):
+            if key not in obj:
+                raise ValueError(f"a map table needs the key {key!r}")
+        images = obj["images"]
+        if not isinstance(images, list):
+            raise ValueError(f"images must be a list of integers, not {type(images).__name__}")
         return cls(exact_int(obj["n"], "n"),
-                   tuple(exact_int(v, "an entry of images") for v in obj["images"]))
+                   tuple(exact_int(v, "an entry of images") for v in images))
 
     @classmethod
     def from_csv(cls, text: str) -> "MapTable":

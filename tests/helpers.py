@@ -496,6 +496,30 @@ def krylov_minpoly(A: MatrixQ) -> Poly:
         power = _matmul(K, power, A.codes, n)
 
 
+def cofactor_sieve_irreducibles(ctx, max_degree: int) -> list[Poly]:
+    """All monic irreducibles of degree <= max_degree over GF(q) in grade-lex
+    order, by marking every product Q*(L + X^(d-i)) one schoolbook product at
+    a time (the library's sieve before it built each Q's multiples as one
+    GF(p)-span of indices); no cache."""
+    from cosetmap.gf import _pmul
+    K = ctx.ops()
+    q = ctx.order
+    one = (K.one,)
+    found = []
+    for d in range(1, max_degree + 1):
+        reducible = bytearray(q ** d)
+        for Q in found:
+            i = len(Q.codes) - 1
+            if 2 * i > d:
+                break
+            for lower in itertools.product(range(q), repeat=d - i):
+                reducible[tuple_to_index(_pmul(K, Q.codes, lower + one)[:d], q)] = 1
+        found += [Poly.from_codes(ctx, lower + one)
+                  for idx, lower in enumerate(itertools.product(range(q), repeat=d))
+                  if not reducible[idx]]
+    return found
+
+
 def descent_poly_order(Q: Poly) -> int:
     """Order of X modulo the monic irreducible Q != X by square-and-multiply
     powers: X^(q^m - 1) = 1 first, then the exponent divided by each prime

@@ -110,6 +110,21 @@ def test_field_of_order_psi_13_exits_2(capsys):
     assert code == 2 and out == "" and "3317044064679887385961981" in err
 
 
+@pytest.mark.parametrize("argv,want", [
+    (("gamma-dpl", "--d", "1", "--p", "2305843009213691579", "--l", "1"),
+     "x1 x1152921504606845789^2\nx1 x2305843009213691578\n"
+     "x1^2305843009213691579\nx2305843009213691579\n"),
+    (("gamma", "--p", "2", "--poly", "X^61+X^5+X^2+X+1"), "x1 x2305843009213693951\n"),
+])
+def test_a_prime_cofactor_of_the_group_order_answers_at_once(capsys, argv, want):
+    """p - 1 = 2 * a prime near 2^60, and 2^61 - 1 itself: trial division
+    stops at the prime cofactor instead of running to its square root."""
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 2
+    assert (code, out) == (0, want)
+
+
 @pytest.mark.parametrize("exc,code,prefix", [
     (ArithmeticError("self-check failed"), 3, "internal error: "),
     (RecursionError("maximum recursion depth exceeded"), 3, "internal error: "),
@@ -392,6 +407,23 @@ def test_json_non_integers_exit_2(tmp_path, capsys, argv, payload, message):
     path = tmp_path / "in.json"
     path.write_text(json.dumps(payload))
     code, out, err = run_cli(capsys, *argv, str(path))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("payload,message", [
+    ({"n": 3}, "a map table needs the key 'images'"),
+    ({"images": [1, 2, 0]}, "a map table needs the key 'n'"),
+    ({"n": 3, "images": 5}, "images must be a list of integers, not int"),
+    ({"n": 3, "images": "120"}, "images must be a list of integers, not str"),
+    ({"n": 3, "images": {"0": 1}}, "images must be a list of integers, not dict"),
+    ({"n": "3", "images": [1, 2, 0]}, "n must be an integer, not '3'"),
+])
+def test_verify_table_json_names_its_bad_key(tmp_path, capsys, payload, message):
+    """A map table with a key missing or of another JSON type is refused with
+    exit 2 and a message that names the key."""
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run_cli(capsys, "verify", "--table", str(path), "--p", "3", "--dim", "1")
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 

@@ -275,20 +275,35 @@ def test_ops_hold_only_the_element_arithmetic():
 
 
 def test_trial_division_matches_sympy():
-    """`is_prime` and `factorize` against sympy, and `is_prime` stops at the
-    first factor: a small prime times a prime near 10^14 or 10^16 answers at
-    once, where trial division up to the square root takes seconds."""
+    """`is_prime` and `factorize` against sympy.  `is_prime` stops at the
+    first factor, and `factorize` at a prime cofactor: a small prime times a
+    prime near 10^14, 10^16 or 2^60, 2^61 - 1 and 229^11 - 1 (one prime
+    factor near 4*10^23) answer at once, where trial division up to the
+    square root takes seconds or more."""
     sympy = pytest.importorskip("sympy")
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
     for n in range(-3, 3000):
         assert is_prime(n) == sympy.isprime(n), n
         if n >= 1:
             assert factorize(n) == sympy.factorint(n), n
-    for n in [2 ** 31 - 1, 2 ** 31 + 11, (2 ** 16 + 1) ** 2, 2 * 3 * 5 * 7 * 11 * 13 * 17 * 19]:
-        assert is_prime(n) == sympy.isprime(n) and factorize(n) == sympy.factorint(n), n
     start = time.perf_counter()
+    for n in [2 ** 31 - 1, 2 ** 31 + 11, (2 ** 16 + 1) ** 2, 2 * 3 * 5 * 7 * 11 * 13 * 17 * 19,
+              2 ** 61 - 1, 2305843009213691579 - 1]:
+        assert is_prime(n) == sympy.isprime(n) and factorize(n) == sympy.factorint(n), n
+    assert factorize(229 ** 11 - 1) == sympy.factorint(229 ** 11 - 1)
     assert not is_prime(3 * (10 ** 16 + 61)) and not is_prime(2 * (10 ** 14 + 31))
     assert time.perf_counter() - start < 1.0
     assert list(factorize(2 ** 10 * 3 ** 4 * 101)) == [2, 3, 101]
+    near_2_60 = st.integers(2 ** 60 - 2 ** 20, 2 ** 60 + 2 ** 20).map(sympy.nextprime)
+
+    @hypothesis.settings(max_examples=100, deadline=None)
+    @hypothesis.given(st.integers(1, 200).map(sympy.prime), near_2_60, st.integers(1, 3))
+    def agrees(small, large, e):
+        n = small ** e * large
+        assert factorize(n) == sympy.factorint(n)
+
+    agrees()
 
 
 PSI_13 = 3317044064679887385961981
@@ -494,14 +509,53 @@ def _gauss_count(q, d):
 
 
 @pytest.mark.parametrize("p,k,top", [(2, 1, 8), (3, 1, 5), (2, 2, 4), (2, 3, 3), (3, 2, 3),
-                                     (5, 2, 2), (3, 3, 2)])
-def test_irreducible_counts_match_gauss(p, k, top):
+                                     (5, 2, 2), (3, 3, 2), (2, 1, 16), (3, 1, 9)])
+def test_irreducible_counts_match_gauss(monkeypatch, p, k, top):
+    """From an empty cache, in under two seconds (the per-cofactor sieve took
+    3.3 s for GF(2) to degree 16): every degree's count is Gauss's
+    (1/d) sum_{e|d} mu(e) q^(d/e), the list is grade-lex, and every
+    polynomial passes Rabin's test and, over GF(p) up to degree 9, sympy's."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.galoistools import gf_irreducible_p
+    from cosetmap import gf
+    monkeypatch.setattr(gf, "_IRR_CACHE", {})
     ctx = field(p, k)
+    start = time.perf_counter()
     irr = enumerate_irreducibles(ctx, top)
+    assert time.perf_counter() - start < 2.0
     for d in range(1, top + 1):
         assert sum(1 for Q in irr if Q.degree == d) == _gauss_count(ctx.order, d)
     assert all(is_irreducible(Q) for Q in irr)
     assert irr == sorted(irr, key=Poly.sort_key)
+    if k == 1:
+        assert all(gf_irreducible_p(list(reversed(Q.codes)), p, sympy.ZZ)
+                   for Q in irr if Q.degree <= 9)
+
+
+# (p, k, degree): the largest degree the benchmark's cycletype warm-up sieves
+# over each of its fields; the construct workload's GF(3), GF(5) and GF(7)
+# block multisets go to degrees 4, 3 and 3, inside these.
+_WORKLOAD_SIEVES = [(2, 1, 6), (3, 1, 6), (5, 1, 5), (7, 1, 4), (2, 2, 3), (2, 3, 3),
+                    (3, 2, 3), (5, 2, 2), (3, 3, 2)]
+
+
+@pytest.mark.parametrize("p,k,top", _WORKLOAD_SIEVES + [(11, 1, 3), (2, 4, 3), (7, 2, 2)])
+def test_irreducibles_match_the_cofactor_sieve(monkeypatch, p, k, top):
+    """The span sieve gives the per-cofactor sieve's list, codes and order,
+    from an empty cache, when extending a cached lower degree, and with
+    blocks of a few indices, so that every Q's span is shifted many times."""
+    from cosetmap import gf
+    from helpers import cofactor_sieve_irreducibles
+    ctx = field(p, k)
+    want = [Q.codes for Q in cofactor_sieve_irreducibles(ctx, top)]
+    for block in (gf._SPAN_BLOCK, 4, 1):
+        monkeypatch.setattr(gf, "_SPAN_BLOCK", block)
+        monkeypatch.setattr(gf, "_IRR_CACHE", {})
+        assert [Q.codes for Q in enumerate_irreducibles(ctx, top)] == want
+        monkeypatch.setattr(gf, "_IRR_CACHE", {})
+        enumerate_irreducibles(ctx, max(1, top // 2))
+        assert [Q.codes for Q in enumerate_irreducibles(ctx, top)] == want
+        assert gf._IRR_CACHE[(p, k, ctx.modulus)][0] == top
 
 
 @pytest.mark.parametrize("p,k", EXTENSION_FIELDS)
