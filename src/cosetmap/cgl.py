@@ -26,11 +26,14 @@ class CglFactorization(Record):
     __slots__ = ("factors", "product")
 
     def __init__(self, factors: tuple[MatrixQ, ...], product: MatrixQ):
-        acc = MatrixQ.identity(product.ctx, product.rows)
+        """Each distinct factor is tested once, and factors equal to the
+        identity take no part in the product."""
+        if not all(map(is_cgl, set(factors))):
+            raise ValueError("factor is not a complete invertible matrix")
+        identity = acc = MatrixQ.identity(product.ctx, product.rows)
         for f in factors:
-            if not is_cgl(f):
-                raise ValueError("factor is not a complete invertible matrix")
-            acc = acc * f
+            if f != identity:
+                acc = f if acc is identity else acc * f
         if acc != product:
             raise ValueError("factors do not multiply to the stated product")
         self._store(factors, product)

@@ -132,19 +132,23 @@ def _emit_cwmap(args, f, verify_expected_complete=True) -> int:
 
 def _cmd_construct(args) -> int:
     job = json.loads(_read_input(args.job))
-    p, d, t = (exact_int(job[key], key) for key in ("p", "d", "t"))
+    p, d, t, items, g = serialize.json_fields(job, "a construct job",
+                                              ("p", "d", "t", "gammas", "g"))
+    p, d, t = exact_int(p, "p"), exact_int(d, "d"), exact_int(t, "t")
     _check_verify_size(args, p, d + t)
     gammas = {}
-    for item in job["gammas"]:
-        key = exact_int(item["length"], "length"), exact_int(item["index"], "index")
+    for item in serialize.json_list(items, "gammas"):
+        length, index, text = serialize.json_fields(item, "an entry of gammas",
+                                                    ("length", "index", "type"))
+        key = exact_int(length, "length"), exact_int(index, "index")
         if key in gammas:
             raise ValueError(f"gammas names the cycle of length {key[0]} and index {key[1]} twice")
-        gammas[key] = ct_parse(item["type"])
+        gammas[key] = ct_parse(text)
     complete = job.get("require_complete", True)
     if type(complete) is not bool:
         raise ValueError(f"require_complete must be true or false, not {complete!r}")
     f = construct_main(
-        p, d, t, [exact_int(v, "an entry of g") for v in job["g"]],
+        p, d, t, [exact_int(v, "an entry of g") for v in serialize.json_list(g, "g")],
         gammas, seed=exact_int(job.get("seed", args.seed), "seed"),
         require_complete=complete,
     )

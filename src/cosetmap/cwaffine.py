@@ -17,7 +17,7 @@ import random
 from ._record import Record
 from .affine_ct import affine_cycle_type, product_members
 from .cgl import is_cgl, realize_gamma
-from .cycletype import CycleType, blow_up, ct_mul, cycles_of
+from .cycletype import CycleType, cycles_of
 from .errors import InfeasibleError
 from .gf import (FieldCtx, Poly, _power, _vecmat, digit_sums, factorize, field,
                  index_to_tuple, is_power, tuple_to_index)
@@ -83,7 +83,7 @@ class CosetWiseAffineMap:
                 raise ValueError("mismatched contexts")
             if alpha.rows != splitting.d or alpha.cols != splitting.d:
                 raise ValueError("alpha blocks must be d x d")
-            if len(omega) != splitting.d or len(nu) != splitting.t:
+            if len(omega.codes) != splitting.d or len(nu.codes) != splitting.t:
                 raise ValueError("omega is W-sized and nu is U-sized")
             norm.append((alpha, omega, nu))
         self.splitting = splitting
@@ -110,11 +110,16 @@ class CosetWiseAffineMap:
         return f"CosetWiseAffineMap(p={s.p}, d={s.d}, t={s.t})"
 
 
+def _alphas(f: CosetWiseAffineMap):
+    """The alpha blocks of f, each distinct object once."""
+    return {id(alpha): alpha for alpha, _, _ in f.per_coset}.values()
+
+
 def cw_is_permutation(f: CosetWiseAffineMap) -> bool:
     """Structural test: every alpha invertible and the coset map bijective."""
     if sorted(f.top) != list(range(len(f.top))):
         return False
-    return all(alpha.is_invertible() for alpha, _, _ in f.per_coset)
+    return all(alpha.is_invertible() for alpha in _alphas(f))
 
 
 def cw_is_complete(f: CosetWiseAffineMap) -> bool:
@@ -122,7 +127,7 @@ def cw_is_complete(f: CosetWiseAffineMap) -> bool:
     mapping of GF(p)^t."""
     s = f.splitting
     return (is_complete_mapping(f.top, s.p, s.t)
-            and all(is_cgl(alpha) for alpha, _, _ in f.per_coset))
+            and all(is_cgl(alpha) for alpha in _alphas(f)))
 
 
 # ---------------------------------------------------------------------------
@@ -187,34 +192,59 @@ def cw_compose(f1: CosetWiseAffineMap, f2: CosetWiseAffineMap) -> CosetWiseAffin
 # Cycle type via forward cycle products
 # ---------------------------------------------------------------------------
 
-def _forward_product(f: CosetWiseAffineMap, cycle: list[int]) -> AffineMap:
-    """The coset maps along the cycle composed in order, folded on codes."""
-    ctx, d = f.splitting.ctx, f.splitting.d
-    K = ctx.ops()
-    A = _identity(K, d)
-    v = [0] * d
-    for i in cycle:
-        alpha, omega, _ = f.per_coset[i]
-        A = _matmul(K, A, alpha.codes, d)
-        v = K.axpy(_vecmat(K, v, alpha.codes, d), K.one, omega.codes)
-    return AffineMap(MatrixQ.from_codes(ctx, A, d), VectorQ.from_codes(ctx, v))
+def _forward_codes(f: CosetWiseAffineMap, cycles):
+    """(matrix codes, shift codes) of each cycle's forward product: the coset
+    maps along the cycle composed in order, folded on codes.  An alpha equal
+    to the identity only adds its omega."""
+    d = f.splitting.d
+    K = f.splitting.ctx.ops()
+    identity = tuple(map(tuple, _identity(K, d)))
+    for cycle in cycles:
+        A, v = identity, [0] * d
+        for i in cycle:
+            alpha, omega, _ = f.per_coset[i]
+            if alpha.codes != identity:
+                A = alpha.codes if A is identity else _matmul(K, A, alpha.codes, d)
+                v = _vecmat(K, v, alpha.codes, d)
+            v = K.axpy(v, K.one, omega.codes)
+        yield tuple(map(tuple, A)), tuple(v)
+
+
+# affine_cycle_type of forward products by (ctx, matrix codes, shift codes),
+# for the process: every cycle `construct_main` fills has its witness as
+# forward product
+_FORWARD_TYPES: dict[tuple, CycleType] = {}
+
+
+def _forward_type(ctx: FieldCtx, A, v) -> CycleType:
+    key = ctx, A, v
+    if key not in _FORWARD_TYPES:
+        _FORWARD_TYPES[key] = affine_cycle_type(
+            AffineMap(MatrixQ.from_codes(ctx, A), VectorQ.from_codes(ctx, v)))
+    return _FORWARD_TYPES[key]
+
+
+def _blown_up(counts) -> CycleType:
+    """The product of blow_up(ell, gamma)^k over the pairs ((ell, gamma), k)."""
+    return CycleType((ell * l, k * c) for (ell, gamma), k in counts for l, c in gamma.cycles)
 
 
 def cw_cycle_type(f: CosetWiseAffineMap) -> CycleType:
     """Blow up the cycle type of each forward cycle product by its cycle
-    length and multiply; worked out once per map, and once per distinct
-    forward product (by matrix and shift codes) within that."""
+    length and multiply.  Worked out once per map, from the cycles tallied by
+    (length, forward product), with each forward product's type kept per
+    field (`_FORWARD_TYPES`)."""
     if f._cycle_type is None:
         if not cw_is_permutation(f):
             raise ValueError("cycle type requires a permutation")
-        total, types = CycleType(), {}
-        for cycle in cycles_of(f.top):
-            g = _forward_product(f, cycle)
-            key = (g.matrix.codes, g.shift.codes)
-            if key not in types:
-                types[key] = affine_cycle_type(g)
-            total = ct_mul(total, blow_up(len(cycle), types[key]))
-        f._cycle_type = total
+        cycles = cycles_of(f.top)
+        counts = {}
+        for cycle, fwd in zip(cycles, _forward_codes(f, cycles)):
+            key = len(cycle), fwd
+            counts[key] = counts.get(key, 0) + 1
+        ctx = f.splitting.ctx
+        f._cycle_type = _blown_up(((ell, _forward_type(ctx, *fwd)), k)
+                                  for (ell, fwd), k in counts.items())
     return f._cycle_type
 
 
@@ -311,33 +341,34 @@ def construct_main(p: int, d: int, t: int, g_images, gammas: dict,
     if extra:
         raise ValueError(f"targets supplied for nonexistent cycles: {sorted(extra)}")
     nus = digit_sums(g_images, range(len(g_images)), p, t, -1)  # the index of g(u) - u
-    zero_w = VectorQ.zero(s.ctx, d)
+    labels = s.coset_labels()  # the digits of each index
+    ctx = s.ctx
+    zero_w = VectorQ.zero(ctx, d)
     rng = random.Random(seed)
 
-    expected = CycleType()
+    counts = {}  # cycles per (ell, gamma)
     per = [None] * p ** t
     # results no seed reaches (ell = 1, or exceptional (d, p)) are reused; all seeds are drawn
-    realized = {}
+    realized, exceptional = {}, product_members(d, p) is not None
     for cyc, key in zip(cycles, keys):
         ell = len(cyc)
         gamma = gammas[key]
         sub_seed = rng.randrange(2 ** 32)
-        memo = realized if ell == 1 or product_members(d, p) is not None else {}
+        memo = realized if ell == 1 or exceptional else {}
         if (gamma, ell) not in memo:
             memo[gamma, ell] = realize_gamma(gamma, d, p, ell, seed=sub_seed,
                                              require_complete=require_complete)
         factors, w = memo[gamma, ell]
-        expected = ct_mul(expected, blow_up(ell, gamma))
-        for j, i in enumerate(cyc):
-            omega = w if j == ell - 1 else zero_w
-            per[i] = (factors[j], omega, index_to_tuple(nus[i], p, t))
+        counts[ell, gamma] = counts.get((ell, gamma), 0) + 1
+        for i, alpha, omega in zip(cyc, factors, (zero_w,) * (ell - 1) + (w,)):
+            per[i] = (alpha, omega, VectorQ.from_codes(ctx, labels[nus[i]]))
 
     f = CosetWiseAffineMap(s, per)
     if require_complete and not cw_is_complete(f):
         raise ArithmeticError("constructed map failed the completeness check")
     if not cw_is_permutation(f):
         raise ArithmeticError("constructed map is not a permutation")
-    if cw_cycle_type(f) != expected:
+    if cw_cycle_type(f) != _blown_up(counts.items()):
         raise ArithmeticError("constructed map has the wrong cycle type")
     return f
 

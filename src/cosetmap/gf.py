@@ -50,19 +50,67 @@ _EDF_SEED = 0
 
 
 def _trial_factors(n: int):
-    """The prime factors of n >= 1 by trial division, ascending, each as often
-    as it divides n and yielded once found.  n, and each cofactor left after
-    a division, ends the search if it is a prime below `_MR_LIMIT`."""
+    """The prime factors of n >= 1, ascending, each as often as it divides n
+    and yielded once found.  Trial division finds them, and n, and each
+    cofactor left after a division, ends the search if it is a prime below
+    `_MR_LIMIT`.  A composite cofactor below `_MR_LIMIT` with no prime factor
+    up to `_TRIAL_BOUND` is split by rho (`_rho_factors`); at or above
+    `_MR_LIMIT` trial division goes on."""
     f = 2
     while n > 1 and not (n < _MR_LIMIT and is_prime(n)):
-        while f * f <= n and n % f:
+        bound = _TRIAL_BOUND if n < _MR_LIMIT else n
+        while f * f <= n and n % f and f <= bound:
             f += 1 if f == 2 else 2
         if f * f > n:
             break
+        if n % f:  # every prime factor of n lies above the bound
+            yield from sorted(_rho_factors(n))
+            return
         yield f
         n //= f
     if n > 1:
         yield n
+
+
+_TRIAL_BOUND = 1000
+
+
+def _rho_factors(n: int) -> list[int]:
+    """The prime factors of 1 < n < `_MR_LIMIT`, with multiplicity, in no
+    order: a composite n is split by `_rho_divisor` and both parts in turn."""
+    if is_prime(n):
+        return [n]
+    g = _rho_divisor(n)
+    return _rho_factors(g) + _rho_factors(n // g)
+
+
+def _rho_divisor(n: int) -> int:
+    """A proper divisor of the odd composite n, by Brent's variant of
+    Pollard's rho (R. P. Brent, BIT 20 (1980) 176-184): the walk
+    y -> y^2 + c mod n for c = 1, 2, ... in turn until one splits n, its
+    differences multiplied together 128 at a time before each gcd."""
+    for c in itertools.count(1):
+        y, r, prod, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    prod = prod * (x - y) % n
+                g = math.gcd(prod, n)
+                k += 128
+            r *= 2
+        if g == n:  # the batch went past the split: retrace it step by step
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(x - ys, n)
+        if g != n:
+            return g
 
 
 # The primes up to 41 as Miller-Rabin bases decide primality of every n below

@@ -62,8 +62,30 @@ def matrix_to_json(M: MatrixQ) -> list:
     return [_codes_to_json(M.ctx, row) for row in M.codes]
 
 
+def json_fields(obj, what: str, keys) -> list:
+    """obj[key] for each key, in order; ValueError naming `what` when obj is
+    not a JSON object, or naming the first key it lacks."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be a JSON object, not {type(obj).__name__}")
+    for key in keys:
+        if key not in obj:
+            raise ValueError(f"{what} needs the key {key!r}")
+    return [obj[key] for key in keys]
+
+
+def json_list(value, name: str) -> list:
+    """value if it is a JSON array; ValueError naming it otherwise."""
+    if not isinstance(value, list):
+        raise ValueError(f"{name} must be a list, not {type(value).__name__}")
+    return value
+
+
 def affine_from_json(ctx: FieldCtx, obj) -> AffineMap:
-    return AffineMap(MatrixQ(ctx, obj["matrix"]), VectorQ(ctx, obj["shift"]))
+    """The map {"matrix": rows, "shift": entries}; ValueError naming the key
+    that is missing or not a list."""
+    matrix, shift = json_fields(obj, "an affine map", ("matrix", "shift"))
+    rows = [json_list(row, "a row of matrix") for row in json_list(matrix, "matrix")]
+    return AffineMap(MatrixQ(ctx, rows), VectorQ(ctx, json_list(shift, "shift")))
 
 
 def poly_to_json(P: Poly) -> list:

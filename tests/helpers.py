@@ -375,7 +375,7 @@ def pointwise_affine_table(M: MatrixQ, v: VectorQ) -> list[int]:
 def forward_product_by_then(f, cycle):
     """The coset maps along `cycle` composed with `AffineMap.then`, one
     matrix and vector product per step: the reference for the code-row
-    fold in `cwaffine._forward_product`."""
+    fold in `cwaffine._forward_codes`."""
     from cosetmap import AffineMap
     ctx, d = f.splitting.ctx, f.splitting.d
     acc = AffineMap(MatrixQ.identity(ctx, d), VectorQ.zero(ctx, d))

@@ -117,6 +117,28 @@ def test_factorization_validates():
         CglFactorization((MatrixQ.identity(F2, 2),), MatrixQ.identity(F2, 2))
 
 
+def test_factorization_checks_a_lone_factor_among_identities():
+    """Each distinct factor is tested once and identities are left out of the
+    product, so the one bad factor among repeated identities, and a product
+    that differs from the factors' only in its one non-identity factor, are
+    both still refused, in any position."""
+    F3 = field(3)
+    I = MatrixQ.identity(F3, 2)
+    F = MatrixQ(F3, ((0, 1), (1, 1)))  # chi = X^2 - X - 1 has no root -1
+    minus = MatrixQ(F3, ((2, 0), (0, 1)))  # eigenvalue -1
+    assert is_cgl(I) and is_cgl(F) and not is_cgl(minus)
+    for j in range(6):
+        ids = [I] * 5
+        assert CglFactorization(tuple(ids[:j] + [F] + ids[j:]), F).product == F
+        with pytest.raises(ValueError, match="not a complete"):
+            CglFactorization(tuple(ids[:j] + [minus] + ids[j:]), minus)
+        with pytest.raises(ValueError, match="do not multiply"):
+            CglFactorization(tuple(ids[:j] + [F] + ids[j:]), F * F)
+    with pytest.raises(ValueError, match="do not multiply"):
+        CglFactorization((I,) * 4, F)
+    assert CglFactorization((F, I, F, I, F), F ** 3).factors == (F, I, F, I, F)
+
+
 @pytest.mark.parametrize("d,p,ell", [(2, 3, 2), (2, 3, 3), (3, 2, 2), (3, 2, 4),
                                      (3, 2, 5), (1, 5, 7), (2, 5, 3), (2, 2, 6)])
 def test_factor_into_cgl_random(d, p, ell):

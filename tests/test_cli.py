@@ -125,6 +125,21 @@ def test_a_prime_cofactor_of_the_group_order_answers_at_once(capsys, argv, want)
     assert (code, out) == (0, want)
 
 
+def test_a_cofactor_of_two_large_primes_is_split_by_rho(capsys):
+    """p - 1 = 2 * 268435399 * 269484707: Brent's rho splits the cofactor
+    left after trial division, which trial division alone took about 17 s
+    over."""
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "gamma-dpl", "--d", "1", "--p", "144678469695886187",
+                           "--l", "1")
+    assert time.perf_counter() - start < 2
+    assert code == 0
+    assert out.splitlines() == [
+        "x1 x268435399^538969414", "x1 x269484707^536870798", "x1 x536870798^269484707",
+        "x1 x538969414^268435399", "x1 x72339234847943093^2", "x1 x144678469695886186",
+        "x1^144678469695886187", "x144678469695886187"]
+
+
 @pytest.mark.parametrize("exc,code,prefix", [
     (ArithmeticError("self-check failed"), 3, "internal error: "),
     (RecursionError("maximum recursion depth exceeded"), 3, "internal error: "),
@@ -424,6 +439,40 @@ def test_verify_table_json_names_its_bad_key(tmp_path, capsys, payload, message)
     path = tmp_path / "table.json"
     path.write_text(json.dumps(payload))
     code, out, err = run_cli(capsys, "verify", "--table", str(path), "--p", "3", "--dim", "1")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv,payload,message", [
+    (("cycle-type", "--p", "3", "--map"), None,
+     "an affine map must be a JSON object, not NoneType"),
+    (("cycle-type", "--p", "3", "--map"), [[1, 0], [0, 1]],
+     "an affine map must be a JSON object, not list"),
+    (("cycle-type", "--p", "3", "--map"), {"matrix": [[1, 0], [0, 1]]},
+     "an affine map needs the key 'shift'"),
+    (("cycle-type", "--p", "3", "--map"), {"shift": [0]}, "an affine map needs the key 'matrix'"),
+    (("cycle-type", "--p", "3", "--map"), {"matrix": 5, "shift": [0]},
+     "matrix must be a list, not int"),
+    (("cycle-type", "--p", "3", "--map"), {"matrix": [5], "shift": [0]},
+     "a row of matrix must be a list, not int"),
+    (("cycle-type", "--p", "3", "--map"), {"matrix": [[1]], "shift": 0},
+     "shift must be a list, not int"),
+    (("construct", "--job"), [1, 2], "a construct job must be a JSON object, not list"),
+    (("construct", "--job"), {k: v for k, v in _JOB.items() if k != "g"},
+     "a construct job needs the key 'g'"),
+    (("construct", "--job"), {**_JOB, "gammas": [5]},
+     "an entry of gammas must be a JSON object, not int"),
+    (("construct", "--job"), {**_JOB, "gammas": [{"length": 3, "index": 1}]},
+     "an entry of gammas needs the key 'type'"),
+    (("construct", "--job"), {**_JOB, "gammas": {}}, "gammas must be a list, not dict"),
+    (("construct", "--job"), {**_JOB, "g": 5}, "g must be a list, not int"),
+])
+def test_affine_map_and_job_json_name_their_bad_key(tmp_path, capsys, argv, payload, message):
+    """An affine map or construct job that is not a JSON object, lacks a key,
+    or has a list where it wants one of another JSON type, is refused with
+    exit 2 and a message that names the key."""
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run_cli(capsys, *argv, str(path))
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 

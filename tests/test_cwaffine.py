@@ -6,17 +6,18 @@ import random
 
 import pytest
 
-from cosetmap import (CosetWiseAffineMap, CycleType, InfeasibleError, MatrixQ, Poly,
+from cosetmap import (AffineMap, CosetWiseAffineMap, CycleType, InfeasibleError, MatrixQ, Poly,
                       Splitting, VectorQ, analyze, blow_up, conjugated_table,
                       construct_main, construct_sylow_type, ct, ct_mul, cw_compose,
                       cw_cycle_type, cw_is_complete,
                       cw_is_permutation, cw_to_table, cw_to_wreath,
-                      evaluate_poly_table, field,
+                      evaluate_poly_table, field, is_cgl,
                       one_cycle_map, one_cycle_polynomial, wreath_mul, wreath_to_cw)
 from cosetmap import cwaffine
-from cosetmap.cwaffine import _affine_table, _forward_product
+from cosetmap.cwaffine import _affine_table, _forward_codes
 from cosetmap.cycletype import ct_format, ct_of_permutation, cycles_of
 from cosetmap.gf import index_to_tuple, is_prime
+from cosetmap.oracle import is_complete_mapping
 from helpers import (coordinate_functions, cw_eval, forward_product_by_then,
                      one_cycle_closed_form_images, one_cycle_reference_tables,
                      pointwise_affine_table, random_complete_mapping, random_invertible,
@@ -295,18 +296,20 @@ def test_cw_cycle_type_h2_and_rotations():
             types = set()
             for r in range(len(cycle)):
                 rot = cycle[r:] + cycle[:r]
-                types.add(affine_cycle_type(_forward_product(f, rot)))
+                types.add(affine_cycle_type(forward_product(f, rot)))
             assert len(types) == 1
 
 
 def test_cw_cycle_type_is_worked_out_once_per_map(monkeypatch):
     """The second call reads the answer kept on the map; an equal map built
-    afresh works it out again and gets the same type, and the kept answer
-    changes neither equality nor copies.  Within one call each distinct
-    forward cycle product gets one `affine_cycle_type`."""
+    afresh gets the same type from the kept forward-product types, with no
+    new `affine_cycle_type`, and the kept answer changes neither equality nor
+    copies.  Starting from an empty memo, each distinct forward cycle product
+    gets one `affine_cycle_type`."""
     calls = []
     real = cwaffine.affine_cycle_type
     monkeypatch.setattr(cwaffine, "affine_cycle_type", lambda g: calls.append(g) or real(g))
+    monkeypatch.setattr(cwaffine, "_FORWARD_TYPES", {})
     rng = random.Random(29)
     for p, d, t in [(2, 1, 2), (3, 2, 1), (5, 1, 2), (3, 1, 3)]:
         calls.clear()
@@ -319,7 +322,7 @@ def test_cw_cycle_type_is_worked_out_once_per_map(monkeypatch):
         assert len(set(calls)) == n
         assert cw_cycle_type(f) is first and len(calls) == n
         assert f == fresh and fresh == f
-        assert cw_cycle_type(fresh) == first and len(calls) == 2 * n
+        assert cw_cycle_type(fresh) == first and len(calls) == n
         kept += [copy.deepcopy(f), pickle.loads(pickle.dumps(f))]
         for g in kept:
             assert g == f and f == g
@@ -332,17 +335,109 @@ def test_cw_cycle_type_is_worked_out_once_per_map(monkeypatch):
             cw_cycle_type(f)
 
 
+@pytest.mark.parametrize("p,d,t", [(2, 2, 2), (3, 1, 2), (3, 2, 1), (5, 1, 1), (5, 2, 1)])
+def test_shared_and_equal_alphas_match_the_oracle(p, d, t):
+    """The structural tests see each distinct alpha object once, and the
+    forward products skip identity alphas: on maps whose alphas are one
+    shared object, distinct objects with equal codes, or identities mixed
+    with random blocks, the cycle type, bijectivity and completeness agree
+    with the value table."""
+    rng = random.Random(p * 100 + d * 10 + t)
+    ctx = field(p)
+    labels = list(itertools.product(range(p), repeat=t))
+    I = MatrixQ.identity(ctx, d)
+    for trial in range(12):
+        perm = labels[:]
+        rng.shuffle(perm)
+        nus = [tuple((b - a) % p for a, b in zip(u, v)) for u, v in zip(labels, perm)]
+        omegas = [VectorQ(ctx, [rng.randrange(p) for _ in range(d)]) for _ in labels]
+        A = random_invertible(ctx, d, rng) if trial % 3 else MatrixQ.zeros(ctx, d, d)
+        blocks = {
+            "shared": [A] * len(labels),
+            "equal codes": [MatrixQ.from_codes(ctx, A.codes) for _ in labels],
+            "identities": [I if rng.random() < 0.7 else random_invertible(ctx, d, rng)
+                           for _ in labels],
+        }
+        for kind, alphas in blocks.items():
+            f = CosetWiseAffineMap(Splitting(p, d, t), list(zip(alphas, omegas, nus)))
+            report = analyze(cw_to_table(f), p, d + t)
+            assert cw_is_permutation(f) == report.is_bijection, kind
+            assert cw_is_complete(f) == report.is_complete, kind
+            if report.is_bijection:
+                assert cw_cycle_type(f) == report.cycle_type, kind
+
+
+def test_forward_types_are_kept_per_field(monkeypatch):
+    """The memo of forward-product types is keyed by field as well as codes:
+    x -> x + 1 has the codes ([[1]], [1]) over GF(3) and GF(5), and gets x3
+    and x5, each worked out once and read back for an equal map."""
+    calls = []
+    real = cwaffine.affine_cycle_type
+    monkeypatch.setattr(cwaffine, "affine_cycle_type", lambda g: calls.append(g) or real(g))
+    monkeypatch.setattr(cwaffine, "_FORWARD_TYPES", {})
+
+    def shift_by_one(p):
+        return CosetWiseAffineMap(Splitting(p, 1, 0), [([[1]], [1], [])])
+
+    for _ in range(2):
+        assert cw_cycle_type(shift_by_one(3)) == ct("x3")
+        assert cw_cycle_type(shift_by_one(5)) == ct("x5")
+    assert len(calls) == 2
+    assert {key[0].p: value for key, value in cwaffine._FORWARD_TYPES.items()} == {
+        3: ct("x3"), 5: ct("x5")}
+    assert len({key[1:] for key in cwaffine._FORWARD_TYPES}) == 1
+
+
+def test_construct_main_completeness_check_fires_on_one_bad_factor(monkeypatch):
+    """With each distinct alpha tested once, one factor with eigenvalue -1
+    among 24 good ones still fails the self-check, and as an internal error
+    rather than an infeasible request."""
+    ctx = field(5)
+    realize = cwaffine.realize_gamma
+    results = []
+
+    def one_bad(*args, **kwargs):
+        factors, w = realize(*args, **kwargs)
+        if not results:
+            factors = (MatrixQ(ctx, [[4]]),) + factors[1:]
+        results.append(factors)
+        return factors, w
+
+    monkeypatch.setattr(cwaffine, "realize_gamma", one_bad)
+    g = [u - u % 5 + (u + 1) % 5 for u in range(25)]  # u -> u + (0, 1): five 5-cycles
+    assert is_complete_mapping(g, 5, 2)
+    gammas = {(5, i): ct("x1^5") for i in range(1, 6)}
+    with pytest.raises(ArithmeticError, match="completeness check"):
+        construct_main(5, 1, 2, g, gammas, seed=0)
+    assert len(results) == 5
+    assert [is_cgl(F) for factors in results for F in factors].count(False) == 1
+    monkeypatch.setattr(cwaffine, "realize_gamma", realize)
+    assert cw_is_complete(construct_main(5, 1, 2, g, gammas, seed=0))
+
+
+def forward_product(f, cycle):
+    """The code-row fold of `_forward_codes` along one cycle, as an affine map."""
+    ((A, v),) = _forward_codes(f, [cycle])
+    ctx = f.splitting.ctx
+    return AffineMap(MatrixQ.from_codes(ctx, A), VectorQ.from_codes(ctx, v))
+
+
 def test_forward_product_matches_then_fold():
     """The code-row fold equals composing the coset maps with AffineMap.then,
-    for singular and invertible blocks and for any walk over the cosets."""
+    for singular, invertible and identity blocks (which the fold skips) and
+    for any walk over the cosets."""
     rng = random.Random(23)
-    for _ in range(40):
+    for trial in range(60):
         p = rng.choice([2, 3, 5, 7])
         d, t = rng.choice([(1, 1), (2, 1), (3, 1), (2, 2)])
         f = random_cw_map(p, d, t, rng)
+        if trial % 3 == 0:
+            I = MatrixQ.identity(f.splitting.ctx, d)
+            f = CosetWiseAffineMap(f.splitting, [(I if rng.random() < 0.6 else alpha, omega, nu)
+                                                 for alpha, omega, nu in f.per_coset])
         walk = [rng.randrange(p ** t) for _ in range(rng.randrange(1, 8))]
         for cycle in (walk, *cycles_of(f.top)):
-            assert _forward_product(f, cycle) == forward_product_by_then(f, cycle)
+            assert forward_product(f, cycle) == forward_product_by_then(f, cycle)
 
 
 def test_construct_main_examples():

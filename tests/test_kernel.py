@@ -306,6 +306,35 @@ def test_trial_division_matches_sympy():
     agrees()
 
 
+def test_rho_splits_cofactors_below_psi_13():
+    """A composite cofactor below psi_13 with no prime factor up to the trial
+    bound is split by Brent's rho, and the primes still come in ascending
+    order: products of two 30-40-bit primes (with small primes beside them),
+    Carmichael numbers, 3215031751, 25^17 - 1 and 229^11 - 1 against sympy.
+    25^17 - 1 leaves the product of 41540861 and 466344409 after its small
+    factors, which trial division took seconds over."""
+    sympy = pytest.importorskip("sympy")
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    for n in (561, 41041, 825265, 3215031751, 1009 ** 2, 1009 ** 3 * 1013, 25 ** 17 - 1,
+              229 ** 11 - 1):
+        assert factorize(n) == sympy.factorint(n), n
+        assert list(factorize(n)) == sorted(factorize(n)), n
+    start = time.perf_counter()
+    assert factorize(25 ** 17 - 1) == sympy.factorint(25 ** 17 - 1)
+    assert time.perf_counter() - start < 0.1
+    prime = st.integers(2 ** 29, 2 ** 40).map(sympy.prevprime)
+
+    @hypothesis.settings(max_examples=12, deadline=None)
+    @hypothesis.given(prime, prime, st.integers(1, 2000))
+    def agrees(a, b, small):
+        n = small * a * b
+        assert factorize(n) == sympy.factorint(n)
+        assert list(factorize(n)) == sorted(factorize(n))
+
+    agrees()
+
+
 PSI_13 = 3317044064679887385961981
 
 
