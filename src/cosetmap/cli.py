@@ -2,8 +2,10 @@
 output.
 
 Exit codes: 0 success, 1 infeasible request (including empty gamma sets),
-2 malformed input (including a singular matrix where an invertible one is
-needed), 3 internal error (a failed self-check or a recursion limit hit).
+2 malformed input: a ValueError or OSError raised while reading or answering
+the request (including a singular matrix where an invertible one is needed),
+3 internal error: any other exception (a failed self-check, a recursion limit
+hit), a bug in cosetmap rather than a statement about the request.
 """
 
 from __future__ import annotations
@@ -19,8 +21,7 @@ from .cwaffine import (construct_main, construct_sylow_type, cw_cycle_type,
                        cw_to_table, one_cycle_map, one_cycle_polynomial)
 from .cycletype import CycleType, ct_format, ct_parse
 from .errors import InfeasibleError
-from .gf import MAX_DOMAIN, exact_int, field
-from .linalg import MatrixQ
+from .gf import MAX_DOMAIN, exact_int, field, json_fields, json_list
 from .oracle import analyze, evaluate_poly_table, load_table
 from .serialize import format_poly, parse_poly
 
@@ -62,8 +63,7 @@ def _cmd_gamma(args) -> int:
         P = parse_poly(args.poly, ctx)
         gs = gamma_of_poly(P)
     elif args.matrix:
-        M = MatrixQ(ctx, json.loads(args.matrix))
-        gs = gamma_of_matrix(M)
+        gs = gamma_of_matrix(serialize.json_matrix(ctx, json.loads(args.matrix)))
     else:
         raise ValueError("gamma needs --poly or --matrix")
     types = sorted_types(gs)
@@ -83,7 +83,7 @@ def _cmd_gamma_dpl(args) -> int:
 
 def _cmd_cgl_factor(args) -> int:
     ctx = _field_from_args(args)
-    M = MatrixQ(ctx, json.loads(_read_input(args.matrix)))
+    M = serialize.json_matrix(ctx, json.loads(_read_input(args.matrix)))
     fac = factor_into_cgl(M, args.l, seed=args.seed)
     payload = {
         "factors": [serialize.matrix_to_json(F) for F in fac.factors],
@@ -132,14 +132,12 @@ def _emit_cwmap(args, f, verify_expected_complete=True) -> int:
 
 def _cmd_construct(args) -> int:
     job = json.loads(_read_input(args.job))
-    p, d, t, items, g = serialize.json_fields(job, "a construct job",
-                                              ("p", "d", "t", "gammas", "g"))
+    p, d, t, items, g = json_fields(job, "a construct job", ("p", "d", "t", "gammas", "g"))
     p, d, t = exact_int(p, "p"), exact_int(d, "d"), exact_int(t, "t")
     _check_verify_size(args, p, d + t)
     gammas = {}
-    for item in serialize.json_list(items, "gammas"):
-        length, index, text = serialize.json_fields(item, "an entry of gammas",
-                                                    ("length", "index", "type"))
+    for item in json_list(items, "gammas"):
+        length, index, text = json_fields(item, "an entry of gammas", ("length", "index", "type"))
         key = exact_int(length, "length"), exact_int(index, "index")
         if key in gammas:
             raise ValueError(f"gammas names the cycle of length {key[0]} and index {key[1]} twice")
@@ -148,7 +146,7 @@ def _cmd_construct(args) -> int:
     if type(complete) is not bool:
         raise ValueError(f"require_complete must be true or false, not {complete!r}")
     f = construct_main(
-        p, d, t, [exact_int(v, "an entry of g") for v in serialize.json_list(g, "g")],
+        p, d, t, [exact_int(v, "an entry of g") for v in json_list(g, "g")],
         gammas, seed=exact_int(job.get("seed", args.seed), "seed"),
         require_complete=complete,
     )
@@ -275,11 +273,10 @@ def main(argv=None) -> int:
     except InfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, KeyError, TypeError, OSError, ZeroDivisionError,
-            json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ArithmeticError, RecursionError) as exc:
+    except Exception as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
 

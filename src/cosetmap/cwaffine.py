@@ -343,7 +343,7 @@ def construct_main(p: int, d: int, t: int, g_images, gammas: dict,
     nus = digit_sums(g_images, range(len(g_images)), p, t, -1)  # the index of g(u) - u
     labels = s.coset_labels()  # the digits of each index
     ctx = s.ctx
-    zero_w = VectorQ.zero(ctx, d)
+    zero_w = None  # built once a target is accepted: a d no target fits may be huge
     rng = random.Random(seed)
 
     counts = {}  # cycles per (ell, gamma)
@@ -359,6 +359,8 @@ def construct_main(p: int, d: int, t: int, g_images, gammas: dict,
             memo[gamma, ell] = realize_gamma(gamma, d, p, ell, seed=sub_seed,
                                              require_complete=require_complete)
         factors, w = memo[gamma, ell]
+        if zero_w is None:
+            zero_w = VectorQ.zero(ctx, d)
         counts[ell, gamma] = counts.get((ell, gamma), 0) + 1
         for i, alpha, omega in zip(cyc, factors, (zero_w,) * (ell - 1) + (w,)):
             per[i] = (alpha, omega, VectorQ.from_codes(ctx, labels[nus[i]]))

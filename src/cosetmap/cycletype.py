@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 import re
 
+from .gf import exact_int, json_fields
+
 
 class CycleType:
     """Finite multiset {length -> count}, counts >= 1, arbitrary precision."""
@@ -77,7 +79,14 @@ class CycleType:
 
     @classmethod
     def from_json(cls, obj) -> "CycleType":
-        return cls((int(l), int(k)) for l, k in obj.items())
+        """The type {"length": count, ...} as `to_json` writes it; ValueError
+        unless each length is a string of ASCII digits and each count a JSON
+        integer."""
+        json_fields(obj, "a cycle type", ())  # ValueError unless a JSON object
+        for l in obj:
+            if not (isinstance(l, str) and l.isascii() and l.isdigit()):
+                raise ValueError(f"a cycle length must be a string of digits, not {l!r}")
+        return cls((int(l), exact_int(k, f"the count of x{l}")) for l, k in obj.items())
 
 
 def cycles_of(images) -> list[list[int]]:

@@ -19,7 +19,8 @@ distinct-degree, then equal-degree (Cantor-Zassenhaus) factorisation; both
 work the same way over every GF(q).  They and `poly_order` take q-th powers
 modulo a polynomial from one Frobenius matrix.  A value table or interpolation
 over all of GF(q) is one chirp-z transform on the powers of g (`_chirp_dft`):
-one packed int product.
+one packed int product.  `exact_int`, `json_fields` and `json_list` are the
+JSON value checks every input reader shares (gf imports no other module).
 """
 
 from __future__ import annotations
@@ -150,6 +151,24 @@ def exact_int(value, name: str) -> int:
     otherwise (a float, a bool or a string is not truncated or parsed)."""
     if type(value) is not int:
         raise ValueError(f"{name} must be an integer, not {value!r}")
+    return value
+
+
+def json_fields(obj, what: str, keys) -> list:
+    """obj[key] for each key, in order; ValueError naming `what` when obj is
+    not a JSON object, or naming the first key it lacks."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be a JSON object, not {type(obj).__name__}")
+    for key in keys:
+        if key not in obj:
+            raise ValueError(f"{what} needs the key {key!r}")
+    return [obj[key] for key in keys]
+
+
+def json_list(value, name: str) -> list:
+    """value if it is a JSON array; ValueError naming it otherwise."""
+    if not isinstance(value, list):
+        raise ValueError(f"{name} must be a list, not {type(value).__name__}")
     return value
 
 

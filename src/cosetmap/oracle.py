@@ -14,7 +14,8 @@ import json
 
 from ._record import Record
 from .cycletype import CycleType, ct_of_permutation
-from .gf import MAX_DOMAIN, FieldCtx, Poly, _chirp_dft, digit_sums, exact_int, is_power, is_prime
+from .gf import (MAX_DOMAIN, FieldCtx, Poly, _chirp_dft, digit_sums, exact_int, is_power,
+                 is_prime, json_fields)
 
 
 def is_complete_mapping(images, p: int, n: int) -> bool:
@@ -61,14 +62,10 @@ class MapTable(Record):
     def from_json(cls, obj) -> "MapTable":
         """The table {"n": n, "images": [...]}; ValueError naming the key
         that is missing or of the wrong JSON type."""
-        for key in ("n", "images"):
-            if key not in obj:
-                raise ValueError(f"a map table needs the key {key!r}")
-        images = obj["images"]
+        n, images = json_fields(obj, "a map table", ("n", "images"))
         if not isinstance(images, list):
             raise ValueError(f"images must be a list of integers, not {type(images).__name__}")
-        return cls(exact_int(obj["n"], "n"),
-                   tuple(exact_int(v, "an entry of images") for v in images))
+        return cls(exact_int(n, "n"), tuple(exact_int(v, "an entry of images") for v in images))
 
     @classmethod
     def from_csv(cls, text: str) -> "MapTable":
@@ -157,8 +154,9 @@ def evaluate_poly_table(P: Poly) -> MapTable:
 
 
 def load_table(text: str) -> MapTable:
-    """Parse a MapTable from JSON or index-pair CSV."""
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        return MapTable.from_json(json.loads(text))
-    return MapTable.from_csv(text)
+    """Parse a MapTable from index-pair CSV when the text is blank or starts
+    with an ASCII digit, spaces aside, and from JSON otherwise."""
+    head = text.lstrip()[:1]
+    if not head or head in "0123456789":
+        return MapTable.from_csv(text)
+    return MapTable.from_json(json.loads(text))

@@ -6,7 +6,8 @@ encode as coefficient arrays, constant term first.  The JSON codecs work on
 element codes: encoders read `.codes` through `gf.index_to_tuple`; a vector,
 matrix, polynomial or element is read back by its constructor (`VectorQ`,
 `MatrixQ`, `Poly`, `FieldCtx.elem`), which hands each JSON value to
-`FieldCtx.code`, so coset-wise maps pass through no field element.  Integer
+`FieldCtx.code`, so coset-wise maps pass through no field element; a matrix
+reaches `MatrixQ` through `json_matrix`, the one reader of row lists.  Integer
 fields (p, k, d, t, modulus and label digits, coordinates) must be JSON
 integers.  `format_poly` reads codes too, through the discrete log of
 `FieldCtx`.  Polynomial text uses caret powers with `w` for the extension
@@ -21,7 +22,8 @@ from __future__ import annotations
 import re
 
 from .cwaffine import CosetWiseAffineMap, Splitting
-from .gf import FieldCtx, FieldElement, Poly, exact_int, field, index_to_tuple
+from .gf import (FieldCtx, FieldElement, Poly, exact_int, field, index_to_tuple, json_fields,
+                 json_list)
 from .linalg import AffineMap, MatrixQ, VectorQ
 
 
@@ -37,10 +39,12 @@ def ctx_to_json(ctx: FieldCtx) -> dict:
 
 
 def ctx_from_json(obj) -> FieldCtx:
+    p, = json_fields(obj, "a field context", ("p",))
     modulus = obj.get("modulus")
     if modulus is not None:
-        modulus = tuple(exact_int(c, "a modulus coefficient") for c in modulus)
-    return field(exact_int(obj["p"], "p"), exact_int(obj.get("k", 1), "k"), modulus)
+        modulus = tuple(exact_int(c, "a modulus coefficient")
+                        for c in json_list(modulus, "modulus"))
+    return field(exact_int(p, "p"), exact_int(obj.get("k", 1), "k"), modulus)
 
 
 def _codes_to_json(ctx: FieldCtx, codes) -> list:
@@ -62,30 +66,17 @@ def matrix_to_json(M: MatrixQ) -> list:
     return [_codes_to_json(M.ctx, row) for row in M.codes]
 
 
-def json_fields(obj, what: str, keys) -> list:
-    """obj[key] for each key, in order; ValueError naming `what` when obj is
-    not a JSON object, or naming the first key it lacks."""
-    if not isinstance(obj, dict):
-        raise ValueError(f"{what} must be a JSON object, not {type(obj).__name__}")
-    for key in keys:
-        if key not in obj:
-            raise ValueError(f"{what} needs the key {key!r}")
-    return [obj[key] for key in keys]
-
-
-def json_list(value, name: str) -> list:
-    """value if it is a JSON array; ValueError naming it otherwise."""
-    if not isinstance(value, list):
-        raise ValueError(f"{name} must be a list, not {type(value).__name__}")
-    return value
+def json_matrix(ctx: FieldCtx, value, name: str = "matrix") -> MatrixQ:
+    """The matrix of a JSON array of row arrays; ValueError naming it when it,
+    or one of its rows, is not a list."""
+    return MatrixQ(ctx, [json_list(row, f"a row of {name}") for row in json_list(value, name)])
 
 
 def affine_from_json(ctx: FieldCtx, obj) -> AffineMap:
     """The map {"matrix": rows, "shift": entries}; ValueError naming the key
     that is missing or not a list."""
     matrix, shift = json_fields(obj, "an affine map", ("matrix", "shift"))
-    rows = [json_list(row, "a row of matrix") for row in json_list(matrix, "matrix")]
-    return AffineMap(MatrixQ(ctx, rows), VectorQ(ctx, json_list(shift, "shift")))
+    return AffineMap(json_matrix(ctx, matrix), VectorQ(ctx, json_list(shift, "shift")))
 
 
 def poly_to_json(P: Poly) -> list:
@@ -106,13 +97,18 @@ def cwmap_to_json(f: CosetWiseAffineMap) -> dict:
 
 
 def cwmap_from_json(obj) -> CosetWiseAffineMap:
-    s = Splitting(*(exact_int(obj[key], key) for key in ("p", "d", "t")))
+    """The map {"p", "d", "t", "cosets": [{"u", "alpha", "omega", "nu"}, ...]};
+    ValueError naming the key that is missing or of the wrong JSON type."""
+    p, d, t, cosets = json_fields(obj, "a coset-wise map", ("p", "d", "t", "cosets"))
+    s = Splitting(exact_int(p, "p"), exact_int(d, "d"), exact_int(t, "t"))
     ctx = s.ctx
     per = {}
-    for item in obj["cosets"]:
-        u = tuple(exact_int(c, "a coset label digit") for c in item["u"])
-        per[u] = (MatrixQ(ctx, item["alpha"]), VectorQ(ctx, item["omega"]),
-                  VectorQ(ctx, item["nu"]))
+    for item in json_list(cosets, "cosets"):
+        u, alpha, omega, nu = json_fields(item, "an entry of cosets",
+                                          ("u", "alpha", "omega", "nu"))
+        u = tuple(exact_int(c, "a coset label digit") for c in json_list(u, "u"))
+        per[u] = (json_matrix(ctx, alpha, "alpha"), VectorQ(ctx, json_list(omega, "omega")),
+                  VectorQ(ctx, json_list(nu, "nu")))
     return CosetWiseAffineMap(s, per)
 
 

@@ -1,5 +1,7 @@
+import io
 import json
 import random
+import re
 import time
 
 import pytest
@@ -143,7 +145,10 @@ def test_a_cofactor_of_two_large_primes_is_split_by_rho(capsys):
 @pytest.mark.parametrize("exc,code,prefix", [
     (ArithmeticError("self-check failed"), 3, "internal error: "),
     (RecursionError("maximum recursion depth exceeded"), 3, "internal error: "),
-    (ZeroDivisionError("division by zero"), 2, "error: "),
+    (ZeroDivisionError("division by zero"), 3, "internal error: "),
+    (TypeError("unsupported operand type(s)"), 3, "internal error: "),
+    (KeyError("images"), 3, "internal error: "),
+    (AttributeError("'list' object has no attribute 'items'"), 3, "internal error: "),
 ])
 def test_internal_errors_exit_3(monkeypatch, capsys, exc, code, prefix):
     def fail(args):
@@ -516,6 +521,72 @@ def test_target_of_another_degree_exits_1_at_once(tmp_path, capsys, d):
     assert (code, out) == (1, "")
     assert err == (f"infeasible: x3 is not realizable with 1 complete factors "
                    f"in dimension {d} over GF(3)\n")
+
+
+def test_target_for_a_huge_d_exits_1_at_once(tmp_path, capsys):
+    """A d far beyond any table is refused by the first target's degree
+    check, before a zero shift of length d is built."""
+    path = tmp_path / "job.json"
+    job = {"p": 3, "d": 10 ** 30, "t": 1, "g": [1, 2, 0],
+           "gammas": [{"length": 3, "index": 1, "type": "x3"}]}
+    for complete, why in ((True, "realizable with 3 complete factors"),
+                          (False, "an affine cycle type")):
+        path.write_text(json.dumps({**job, "require_complete": complete}))
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "construct", "--job", str(path))
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (1, "")
+        assert err == f"infeasible: x3 is not {why} in dimension {10 ** 30} over GF(3)\n"
+
+
+@pytest.mark.parametrize("argv,stdin,message", [
+    (("verify", "--p", "3", "--dim", "1", "--table", "-"), "null",
+     "a map table must be a JSON object, not NoneType"),
+    (("verify", "--p", "3", "--dim", "1", "--table", "-"), "[1, 2]",
+     "a map table must be a JSON object, not list"),
+    (("verify", "--p", "3", "--dim", "1", "--table", "-"), ' "0,1"',
+     "a map table must be a JSON object, not str"),
+    (("gamma", "--p", "3", "--matrix", "5"), "", "matrix must be a list, not int"),
+    (("gamma", "--p", "3", "--matrix", "[5]"), "", "a row of matrix must be a list, not int"),
+    (("gamma", "--p", "3", "--matrix", '{"a": 1}'), "", "matrix must be a list, not dict"),
+    (("cgl-factor", "--p", "3", "--l", "1", "--matrix", "-"), "[5]",
+     "a row of matrix must be a list, not int"),
+    (("cgl-factor", "--p", "3", "--l", "1", "--matrix", "-"), "null",
+     "matrix must be a list, not NoneType"),
+])
+def test_tables_and_matrices_of_another_json_shape_exit_2(monkeypatch, capsys, argv, stdin,
+                                                          message):
+    """A table whose text does not start with a digit is read as JSON, and a
+    matrix is read by one reader, so each wrong shape is named."""
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("reader,obj,message", [
+    ("ctx", [1], "a field context must be a JSON object, not list"),
+    ("ctx", {"k": 2}, "a field context needs the key 'p'"),
+    ("ctx", {"p": 3, "k": 2, "modulus": 5}, "modulus must be a list, not int"),
+    ("cwmap", {"p": 3, "d": 1, "t": 1}, "a coset-wise map needs the key 'cosets'"),
+    ("cwmap", {"p": 3, "d": 1, "t": 1, "cosets": 5}, "cosets must be a list, not int"),
+    ("cwmap", {"p": 3, "d": 1, "t": 1, "cosets": [[0]]},
+     "an entry of cosets must be a JSON object, not list"),
+    ("cwmap", {"p": 3, "d": 1, "t": 1, "cosets": [{"u": [0], "alpha": [[1]], "omega": [0]}]},
+     "an entry of cosets needs the key 'nu'"),
+    ("cwmap", {"p": 3, "d": 1, "t": 1, "cosets": [{"u": 0, "alpha": [[1]], "omega": [0],
+                                                   "nu": [0]}]}, "u must be a list, not int"),
+    ("cwmap", {"p": 3, "d": 1, "t": 1, "cosets": [{"u": [0], "alpha": [1], "omega": [0],
+                                                   "nu": [0]}]},
+     "a row of alpha must be a list, not int"),
+    ("cwmap", {"p": 3, "d": 1, "t": 1, "cosets": [{"u": [0], "alpha": [[1]], "omega": 0,
+                                                   "nu": [0]}]}, "omega must be a list, not int"),
+])
+def test_library_json_readers_name_the_bad_key(reader, obj, message):
+    """ctx_from_json and cwmap_from_json read through the same checks as the
+    CLI readers: a ValueError in their wording, never a KeyError, TypeError
+    or AttributeError."""
+    read = {"ctx": serialize.ctx_from_json, "cwmap": cwmap_from_json}[reader]
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        read(obj)
 
 
 def test_json_readers_take_only_integers():

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -109,3 +110,21 @@ def test_json_round_trip():
     g = ct("x1^9 x3^78 x8^9 x24^78")
     assert CycleType.from_json(g.to_json()) == g
     assert g.to_json() == {"1": 9, "3": 78, "8": 9, "24": 78}
+
+
+@pytest.mark.parametrize("obj,message", [
+    ({"3": 1.9}, "the count of x3 must be an integer, not 1.9"),
+    ({"3": "2"}, "the count of x3 must be an integer, not '2'"),
+    ({"3": True}, "the count of x3 must be an integer, not True"),
+    ([1], "a cycle type must be a JSON object, not list"),
+    (None, "a cycle type must be a JSON object, not NoneType"),
+    ({"x3": 1}, "a cycle length must be a string of digits, not 'x3'"),
+    ({" 3": 1}, "a cycle length must be a string of digits, not ' 3'"),
+    ({"\u0663": 1}, "a cycle length must be a string of digits, not '\u0663'"),
+    ({3: 1}, "a cycle length must be a string of digits, not 3"),
+])
+def test_from_json_takes_only_json_integers(obj, message):
+    """Lengths are digit strings as `to_json` writes them and counts are JSON
+    integers; nothing is truncated or parsed."""
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        CycleType.from_json(obj)
