@@ -13,8 +13,8 @@ import functools
 import itertools
 
 from .cycletype import CycleType, weixu, weixu_all
-from .gf import (FieldCtx, Poly, _unit_group_factors, enumerate_irreducibles, factorize, field,
-                 poly_order)
+from .gf import (MAX_DOMAIN, FieldCtx, Poly, _unit_group_factors, degree_orders,
+                 enumerate_irreducibles, factorize, field, poly_order)
 from .linalg import AffineMap, MatrixQ, VectorQ, companion, elementary_divisors
 
 
@@ -161,10 +161,21 @@ def block_multisets(ctx: FieldCtx, d: int, complete: bool = False):
     A multiset lists its polynomials in enumeration order.  Multisets whose
     first polynomial comes later in that order come first; each recursion
     level picks the next polynomial actually used, so the depth is at most d.
+    Over a prime field the orders of all irreducibles of each degree
+    2 <= m <= d with p^m <= MAX_DOMAIN are worked out first, one
+    `degree_orders` pass per degree, for `poly_order` to read.
     """
     skip = Poly(ctx, (1, 1)) if complete else None
     irred = [Q for Q in enumerate_irreducibles(ctx, d) if not _is_x(Q) and Q != skip]
     degrees = [int(Q.degree) for Q in irred]
+    orders = ctx._orders
+    for m in range(2, d + 1):
+        if ctx.k > 1 or ctx.p ** m > MAX_DOMAIN:
+            break
+        polys = [Q.codes for Q in irred[bisect.bisect_left(degrees, m):
+                                        bisect.bisect_right(degrees, m)]]
+        if any(codes not in orders for codes in polys):
+            orders.update(degree_orders(ctx.p, m, polys))
 
     def walk(remaining: int, start: int):
         if remaining == 0:
@@ -226,9 +237,17 @@ def _signature_types(complete: bool, d: int, p: int) -> frozenset[CycleType]:
 
 def _class_walk(complete: bool, d: int, p: int):
     """(t, blocks, units) for every class of `block_multisets` and every
-    choice of unit shifts, in that order."""
+    choice of unit shifts, in that order.  The types of a class depend only
+    on its blocks' signatures (deg Q, ord Q, e), ord Q = 1 only for the block
+    X-1 that takes a unit shift, so they are worked out once per signature
+    tuple."""
+    by_signature = {}
     for blocks in block_multisets(field(p), d, complete):
-        for units, t in shift_class_types(blocks):
+        key = tuple((len(Q.codes), poly_order(Q), e) for Q, e in blocks)
+        types = by_signature.get(key)
+        if types is None:
+            types = by_signature[key] = list(shift_class_types(blocks))
+        for units, t in types:
             yield t, blocks, units
 
 

@@ -2,8 +2,9 @@
 output.
 
 Exit codes: 0 success, 1 infeasible request (including empty gamma sets),
-2 malformed input: a ValueError or OSError raised while reading or answering
-the request (including a singular matrix where an invertible one is needed),
+2 malformed input: an argument the parser refuses, or a ValueError or OSError
+raised while reading or answering the request (including a singular matrix
+where an invertible one is needed),
 3 internal error: any other exception (a failed self-check, a recursion limit
 hit), a bug in cosetmap rather than a statement about the request.
 """
@@ -195,8 +196,16 @@ def _cmd_verify(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors, its subcommands' too, are ValueErrors:
+    one `error:` line and exit 2, as for every other malformed request."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cosetmap",
         description="Cycle types of affine permutations and coset-wise affine "
                     "complete mappings of finite fields (exact arithmetic).",

@@ -17,7 +17,11 @@ long-division loop (`_divide`) behind every quotient, remainder and gcd.
 Irreducibility is Rabin's test and factoring is squarefree, then
 distinct-degree, then equal-degree (Cantor-Zassenhaus) factorisation; both
 work the same way over every GF(q).  They and `poly_order` take q-th powers
-modulo a polynomial from one Frobenius matrix.  A value table or interpolation
+modulo a polynomial from one Frobenius matrix; `degree_orders` gives the
+orders of all irreducibles of one degree over GF(p) from one pass over the
+Frobenius orbits of GF(p^m).  On indices of GF(p)^n, `digit_sums` adds
+x + s*y with one table lookup per chunk of digits, and `digit_sum_pairs`
+both x + y and x - y in the same pass.  A value table or interpolation
 over all of GF(q) is one chirp-z transform on the powers of g (`_chirp_dft`):
 one packed int product.  `exact_int`, `json_fields` and `json_list` are the
 JSON value checks every input reader shares (gf imports no other module).
@@ -216,6 +220,35 @@ def digit_sums(xs, ys, p: int, n: int, s: int = 1) -> list[int]:
             out = [o + table[x // place % m * m + y // place % m] * place
                    for o, x, y in zip(out, xs, ys)]
     return out
+
+
+def digit_sum_pairs(xs, ys, p: int, n: int) -> tuple[int, list[int]]:
+    """(b, [(x + y) << b | (x - y)]) with b = (p^n).bit_length(), for each pair
+    of indices x, y drawn from xs and ys in step, p odd: both sums of
+    `digit_sums` in one pass, one lookup per chunk of digits in `_pair_plan`.
+    Each sum is below p^n <= 2^b, so the two never overlap."""
+    bits, plan = _pair_plan(p, n)
+    out = [0] * len(xs)
+    for place, m, table in plan:
+        if table is None:
+            out = [o + ((a + b) % p << bits | (a - b) % p) * place
+                   for o, a, b in zip(out, (x // place for x in xs), (y // place for y in ys))]
+        elif place == 1:
+            out = [table[x % m * m + y % m] for x, y in zip(xs, ys)]
+        else:
+            out = [o + table[x // place % m * m + y // place % m] for o, x, y in zip(out, xs, ys)]
+    return bits, out
+
+
+@functools.cache
+def _pair_plan(p: int, n: int) -> tuple[int, tuple[tuple[int, int, list[int] | None], ...]]:
+    """(b, chunks) for `digit_sum_pairs`: the chunks of `_sum_plan`, each
+    table entry the pair a, a' of its s = 1 and s = -1 tables packed as
+    (a << b | a') * place, so that a chunk's lookup is added as it is."""
+    bits = (p ** n).bit_length()
+    return bits, tuple((place, m, None if t is None else
+                        [(a << bits | b) * place for a, b in zip(t, u)])
+                       for (place, m, t), (_, _, u) in zip(_sum_plan(p, n, 1), _sum_plan(p, n, -1)))
 
 
 @functools.cache
@@ -1245,19 +1278,90 @@ def factor_monic(P: Poly) -> list[tuple[Poly, int]]:
 def poly_order(Q: Poly) -> int:
     """Least n >= 1 with Q dividing X^n - 1, for monic irreducible Q != X.
 
-    Worked out once per Q and field context (`FieldCtx._orders`); the
-    refusals of a polynomial that is not monic, is constant or is X run on
-    every call, and a reducible Q, never stored, fails Rabin's test each time.
+    Worked out once per Q and field context (`FieldCtx._orders`, which holds
+    only monic irreducibles other than X, so it is read first); the refusals
+    of a polynomial that is not monic, is constant or is X run on every call,
+    and a reducible Q, never stored, fails Rabin's test each time.
     """
-    if not Q.is_monic() or Q.degree < 1:
-        raise ValueError("poly_order expects a monic polynomial of degree >= 1")
-    if Q.degree == 1 and not Q.codes[0]:
-        raise ValueError("poly_order is undefined for Q = X")
     orders = Q.ctx._orders
     order = orders.get(Q.codes)
     if order is None:
+        if not Q.is_monic() or Q.degree < 1:
+            raise ValueError("poly_order expects a monic polynomial of degree >= 1")
+        if Q.degree == 1 and not Q.codes[0]:
+            raise ValueError("poly_order is undefined for Q = X")
         order = orders[Q.codes] = _poly_order(Q.ctx.ops(), Q.codes)
     return order
+
+
+def degree_orders(p: int, m: int, polys) -> dict[tuple, int]:
+    """{codes: ord Q} for the monic irreducibles Q of degree m >= 2 over GF(p),
+    `polys` their codes, from one pass over the Frobenius orbits of GF(p^m);
+    ArithmeticError unless `polys` lists each of them once and nothing else.
+
+    With a a root of the first primitive f in `polys`, the orbit
+    {i*p^j mod p^m - 1} of size m has the minimal polynomial of a^i, of order
+    (p^m - 1) / gcd(i, p^m - 1) (Lidl-Niederreiter, Finite Fields, Thm 2.14
+    and Thm 3.3), and the power sums of its roots are T_it, t = 1..2m, with
+    T_j = Tr(a^j) read off f's shift register.  So the orbit's polynomial is
+    the one of `polys` with those 2m power sums: two power-sum sequences of
+    polynomials of degree m that agree on 2m terms in a row agree on all."""
+    n = p ** m - 1
+    K = field(p).ops()
+    primes = [l for l, _ in _unit_group_factors(p, 1)]
+    f = next((f for f in polys if all(pow((-1) ** m * f[0], (p - 1) // l, p) != 1 for l in primes)
+              and _poly_order(K, f) == n), None)  # a primitive f has a primitive norm
+    if f is None:
+        raise ArithmeticError(f"the degree-{m} list over GF({p}) holds no primitive polynomial")
+    # T_j, T_(j+1), ..., T_(j+m-1) as the base-p digits of the register's
+    # state, T_j least significant; feed[state] is the next sum T_(j+m)
+    feed = [0]
+    for k in range(m - 1, -1, -1):
+        feed = [(v - f[k] * c) % p for v in feed for c in range(p)]
+    state = sum(t * p ** k for k, t in enumerate((m % p,) + _power_sums([f], m - 1, p)[0]))
+    top = p ** (m - 1)
+    trace = []
+    for _ in range(n):
+        trace.append(state % p)
+        state = state // p + feed[state] * top
+    prints = dict(zip(_power_sums(polys, 2 * m, p), polys))
+    seen = bytearray(n)
+    out = {}
+    for i in range(1, n):
+        if seen[i]:
+            continue
+        orbit = [i]
+        j = i * p % n
+        while j != i:
+            orbit.append(j)
+            j = j * p % n
+        for j in orbit:
+            seen[j] = 1
+        if len(orbit) == m:  # smaller orbits lie in proper subfields
+            Q = prints.get(tuple(trace[i * t % n] for t in range(1, 2 * m + 1)))
+            if Q is None or Q in out:
+                raise ArithmeticError(f"the degree-{m} list over GF({p}) misses an irreducible")
+            out[Q] = n // math.gcd(i, n)
+    if len(out) != len(polys):
+        raise ArithmeticError(f"the degree-{m} list over GF({p}) holds more than the irreducibles")
+    return out
+
+
+def _power_sums(polys, count: int, p: int) -> list[tuple[int, ...]]:
+    """(P_1, ..., P_count) mod p for each monic f of degree m in `polys`, all
+    of one degree, P_t the sum of the t-th powers of the roots of f, by
+    Newton's identities for all of them at once: with f = sum f_i X^i,
+    P_k = -(sum_{0 < i < k, i <= m} f_(m-i) P_(k-i) + k f_(m-k)), the last
+    term only for k <= m."""
+    m = len(polys[0]) - 1
+    cols = list(zip(*polys))
+    sums = [None]  # P_0 is never read: i < k
+    for k in range(1, count + 1):
+        acc = [k * a for a in cols[m - k]] if k <= m else [0] * len(polys)
+        for i in range(1, min(k - 1, m) + 1):
+            acc = [a + b * c for a, b, c in zip(acc, cols[m - i], sums[k - i])]
+        sums.append([-a % p for a in acc])
+    return list(zip(*sums[1:]))
 
 
 def _poly_order(K: _Ops, f) -> int:

@@ -13,9 +13,9 @@ import io
 import json
 
 from ._record import Record
-from .cycletype import CycleType, ct_of_permutation
-from .gf import (MAX_DOMAIN, FieldCtx, Poly, _chirp_dft, digit_sums, exact_int, is_power,
-                 is_prime, json_fields)
+from .cycletype import CycleType, cycles_of
+from .gf import (MAX_DOMAIN, FieldCtx, Poly, _chirp_dft, digit_sum_pairs, digit_sums, exact_int,
+                 is_power, is_prime, json_fields)
 
 
 def is_complete_mapping(images, p: int, n: int) -> bool:
@@ -31,13 +31,17 @@ def is_complete_mapping(images, p: int, n: int) -> bool:
 
 
 def _sums_bijective(images, p: int, n: int, signs) -> list[bool]:
-    """For each sign s, whether x -> g(x) + s*x is a bijection, for the bijection
-    g of GF(p)^n with this image table; signs equal mod p (+1 and -1 for
-    p = 2) share one sum."""
+    """For each sign s, +1 or -1, whether x -> g(x) + s*x is a bijection, for
+    the bijection g of GF(p)^n with this image table.  Both sums come from
+    one pass (`digit_sum_pairs`); signs equal mod p (one sign, or p = 2)
+    share one `digit_sums` pass."""
     size = p ** n
-    verdicts = {s: len(set(digit_sums(images, range(size), p, n, s))) == size
-                for s in {s % p for s in signs}}
-    return [verdicts[s % p] for s in signs]
+    if len({s % p for s in signs}) == 1:
+        return [len(set(digit_sums(images, range(size), p, n, signs[0]))) == size] * len(signs)
+    bits, packed = digit_sum_pairs(images, range(size), p, n)
+    mask = (1 << bits) - 1
+    return [len({v >> bits for v in packed} if s == 1 else {v & mask for v in packed}) == size
+            for s in signs]
 
 
 class MapTable(Record):
@@ -107,18 +111,23 @@ class AnalysisReport(Record):
 
 def analyze(table: MapTable, p: int, dims: int) -> AnalysisReport:
     """Exhaustive report under the elementary-abelian law of GF(p)^dims
-    (ValueError unless p is prime and the table has p^dims points)."""
+    (ValueError unless p is prime and the table has p^dims points): one set
+    of the images tests the bijection, one pass of digit sums both the
+    complete and the orthomorphism property, and one walk of the cycles
+    (`cycles_of`) gives the cycle type."""
     if p > 1 and not is_power(table.n, p, dims):
         raise ValueError("domain size must equal p^dims")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     images = table.images
     fixed = tuple(i for i in range(table.n) if images[i] == i)
-    # a MapTable's images lie in range(n), so n distinct ones are a bijection
+    # a MapTable's images lie in range(n), so n distinct ones are a bijection,
+    # and its cycles need no second check
     if len(set(images)) != table.n:
         return AnalysisReport(False, False, False, None, fixed)
     is_complete, is_ortho = _sums_bijective(images, p, dims, (1, -1))
-    return AnalysisReport(True, is_complete, is_ortho, ct_of_permutation(images), fixed)
+    ctype = CycleType((len(cyc), 1) for cyc in cycles_of(images))
+    return AnalysisReport(True, is_complete, is_ortho, ctype, fixed)
 
 
 def interpolate(ctx: FieldCtx, values) -> Poly:

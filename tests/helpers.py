@@ -339,6 +339,17 @@ def reachable_affine_types(ctx, d: int, exclude=()) -> set:
     return reach[d]
 
 
+def per_class_walk(complete: bool, d: int, p: int):
+    """(t, blocks, units) for every class of `block_multisets` and every
+    choice of unit shifts, in that order, with `shift_class_types` run on
+    every class: the class walk before types were kept per block signature."""
+    from cosetmap import field
+    from cosetmap.affine_ct import block_multisets, shift_class_types
+    for blocks in block_multisets(field(p), d, complete):
+        for units, t in shift_class_types(blocks):
+            yield t, blocks, units
+
+
 def scan_witness(gamma, d: int, p: int, complete: bool):
     """(blocks, units) of the first class and choice of unit shifts that
     reaches gamma, by the scan realization used before the walk kept a

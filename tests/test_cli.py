@@ -160,6 +160,22 @@ def test_internal_errors_exit_3(monkeypatch, capsys, exc, code, prefix):
     assert err == f"{prefix}{exc}\n"
 
 
+@pytest.mark.parametrize("argv,message", [
+    (("gamma", "--p", "3", "--poly", "-x+1"), "error: argument --poly: expected one argument\n"),
+    (("gamma", "--p", "abc"), "error: argument --p: invalid int value: 'abc'\n"),
+    (("gamma-dpl", "--d", "2", "--p", "3"), "error: the following arguments are required: --l\n"),
+    (("--format", "xml", "gamma", "--p", "3"), None),
+    (("bogus",), None),
+])
+def test_argument_errors_exit_2_with_one_line(capsys, argv, message):
+    """What argparse refuses follows the contract of every other malformed
+    request: exit 2, no stdout and one `error:` line, with no usage block."""
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+    assert message is None or err == message
+
+
 def test_seed_defaults_to_0_whatever_the_environment(monkeypatch, capsys):
     monkeypatch.delenv("COSETMAP_SEED", raising=False)
     code, seed0, _ = run_cli(capsys, "sylow-type", "--q", "9", "--type", "x9", "--seed", "0")

@@ -6,9 +6,9 @@ value replaced by a JSON value of any type, the text cut short) and checks
 the contract: exit 0, 1 or 2; stdout empty unless the exit is 0; stderr
 empty on success, else one line starting `infeasible:` (exit 1) or `error:`
 (exit 2).  An exit 3 or an escaping exception is a bug in cosetmap.  Inline
-texts are passed as `--option=text`, so that argparse does not read a text
-starting with `-` as an option.  The examples are derandomized, so a run is
-reproducible.
+texts are passed as `--option=text` or as a separate argument, which argparse
+refuses as a missing value when it starts with `-`; integer options may be
+negative.  The examples are derandomized, so a run is reproducible.
 """
 
 import contextlib
@@ -96,7 +96,12 @@ def text_of(draw, value):
 def field_argv(draw):
     p = draw(PRIMES)
     k = draw(st.sampled_from([1, 1, 2]))
-    return p, k, ["--p", p, "--k", k]
+    return p, k, ["--p", p, "--k", draw(st.sampled_from([k, k, k, -k, "-x"]))]
+
+
+def inline(draw, option, text):
+    """--option=text, or --option and text as two arguments."""
+    return [f"{option}={text}"] if draw(st.booleans()) else [option, text]
 
 
 def element(draw, p, k):
@@ -126,14 +131,14 @@ def test_gamma(data):
     p, k, field = field_argv(draw)
     if draw(st.booleans()):
         M = draw(mutated(matrix(draw, p, k, draw(st.integers(1, 3)))))
-        check(["gamma", *field, "--matrix=" + text_of(draw, M)])
+        check(["gamma", *field, *inline(draw, "--matrix", text_of(draw, M))])
     else:
         terms = draw(st.lists(st.tuples(st.integers(0, p), st.integers(0, 4)), max_size=4))
-        poly = " + ".join(f"{c}*x^{e}" for c, e in terms)
+        poly = draw(st.sampled_from(["", "", "-"])) + " + ".join(f"{c}*x^{e}" for c, e in terms)
         if draw(st.booleans()):
             i = draw(st.integers(0, len(poly)))
             poly = poly[:i] + draw(st.text("x^+-*w[], y", max_size=2)) + poly[i:]
-        check(["gamma", *field, "--poly=" + poly])
+        check(["gamma", *field, *inline(draw, "--poly", poly)])
 
 
 @SETTINGS
@@ -167,7 +172,7 @@ def test_construct(data):
     job = {"p": p, "d": d, "t": t, "g": list(g), "gammas": gammas}
     if draw(st.booleans()):
         job["require_complete"] = draw(st.booleans())
-    argv = ["construct", "--job", "-", "--seed", draw(st.integers(0, 3))]
+    argv = ["construct", "--job", "-", "--seed", draw(st.integers(-3, 3))]
     if draw(st.booleans()):
         argv.append("--verify")
     check(argv, text_of(draw, draw(mutated(job))))

@@ -16,8 +16,8 @@ from cosetmap import affine_ct
 from cosetmap.affine_ct import (block_multisets, ct_acgl, ct_agl, first_witness,
                                 shift_class_types, sorted_types, witness_map)
 from cosetmap.gf import is_prime
-from helpers import (gl_class_numbers, reachable_affine_types, recursive_block_multisets,
-                     scan_witness)
+from helpers import (gl_class_numbers, per_class_walk, reachable_affine_types,
+                     recursive_block_multisets, scan_witness)
 
 WALK_GRID = [(p, d) for p, dmax in ((2, 8), (3, 6), (5, 4), (7, 3)) for d in range(1, dmax + 1)]
 
@@ -28,6 +28,15 @@ def test_walk_order_matches_reference_recursion(p, d):
     for complete, exclude in ((False, ()), (True, (Poly(ctx, (1, 1)),))):
         assert (list(block_multisets(ctx, d, complete))
                 == list(recursive_block_multisets(ctx, d, exclude=exclude)))
+
+
+@pytest.mark.parametrize("p,d", [(p, d) for p, dmax in ((2, 6), (3, 5), (5, 3), (7, 3))
+                                 for d in range(1, dmax + 1)])
+def test_class_walk_keeps_the_per_class_sequence(p, d):
+    """Types kept per block signature give the same (type, blocks, units)
+    sequence as working them out on every class, complete or not."""
+    for complete in (False, True):
+        assert list(affine_ct._class_walk(complete, d, p)) == list(per_class_walk(complete, d, p))
 
 
 def test_class_number_series():

@@ -228,6 +228,33 @@ def test_poly_order_is_worked_out_once_per_polynomial(monkeypatch):
     assert reducible.codes not in F5._orders
 
 
+ORBIT_FIELDS = {2: 2 ** 10, 3: 3 ** 6, 5: 5 ** 4, 7: 7 ** 3, 11: 11 ** 2, 13: 13 ** 2}
+
+
+@pytest.mark.parametrize("p,m", [(p, m) for p, top in ORBIT_FIELDS.items()
+                                 for m in range(2, top.bit_length()) if p ** m <= top])
+def test_orbit_orders_match_poly_order(p, m):
+    """One pass over the Frobenius orbits of GF(p^m) finds every irreducible
+    of degree m in the sieve's list, each with the order `_poly_order` works
+    out for it alone."""
+    from cosetmap.gf import _poly_order, degree_orders
+    K = field(p).ops()
+    polys = [Q.codes for Q in enumerate_irreducibles(field(p), m) if Q.degree == m]
+    orders = degree_orders(p, m, polys)
+    assert sorted(orders) == sorted(polys)
+    assert all(orders[f] == _poly_order(K, f) for f in polys)
+
+
+def test_orbit_orders_refuse_a_list_that_is_not_every_irreducible():
+    from cosetmap.gf import degree_orders
+    polys = [Q.codes for Q in enumerate_irreducibles(field(3), 3) if Q.degree == 3]
+    reducible = (Poly(field(3), (1, 0, 1)) * Poly(field(3), (2, 1))).codes
+    for wrong in (polys[:-1], polys + [reducible], polys + polys[-1:], polys[:-1] + [reducible],
+                  [f for f in polys if poly_order(Poly(field(3), f)) != 26]):
+        with pytest.raises(ArithmeticError, match="degree-3 list over GF"):
+            degree_orders(3, 3, wrong)
+
+
 def test_enumerate_irreducibles():
     F2 = field(2)
     got = enumerate_irreducibles(F2, 2)
