@@ -15,22 +15,17 @@ import argparse
 import json
 import sys
 
-from . import serialize
-from .affine_ct import affine_cycle_type, gamma_dpl, gamma_of_poly, gamma_of_matrix, sorted_types
-from .cgl import factor_into_cgl
-from .cwaffine import (construct_main, construct_sylow_type, cw_cycle_type,
-                       cw_to_table, one_cycle_map, one_cycle_polynomial)
+# every subcommand uses these; each handler imports the other modules it calls
 from .cycletype import CycleType, ct_format, ct_parse
 from .errors import InfeasibleError
 from .gf import MAX_DOMAIN, exact_int, field, json_fields, json_list
-from .oracle import analyze, evaluate_poly_table, load_table
-from .serialize import format_poly, parse_poly
 
 
 def _field_from_args(args):
     modulus = None
     if getattr(args, "modulus", None):
-        modulus = parse_poly(args.modulus, field(args.p)).codes
+        from . import serialize
+        modulus = serialize.parse_poly(args.modulus, field(args.p)).codes
     return field(args.p, args.k, modulus)
 
 
@@ -50,31 +45,34 @@ def _read_input(path: str) -> str:
 
 
 def _cmd_cycle_type(args) -> int:
+    from . import affine_ct, serialize
     ctx = _field_from_args(args)
     obj = json.loads(_read_input(args.map))
     f = serialize.affine_from_json(ctx, obj)
-    ctype = affine_cycle_type(f)
+    ctype = affine_ct.affine_cycle_type(f)
     _emit(args, {"cycle_type": ctype.to_json(), "text": ct_format(ctype)}, [ct_format(ctype)])
     return 0
 
 
 def _cmd_gamma(args) -> int:
+    from . import affine_ct, serialize
     ctx = _field_from_args(args)
     if args.poly:
-        P = parse_poly(args.poly, ctx)
-        gs = gamma_of_poly(P)
+        P = serialize.parse_poly(args.poly, ctx)
+        gs = affine_ct.gamma_of_poly(P)
     elif args.matrix:
-        gs = gamma_of_matrix(serialize.json_matrix(ctx, json.loads(args.matrix)))
+        gs = affine_ct.gamma_of_matrix(serialize.json_matrix(ctx, json.loads(args.matrix)))
     else:
         raise ValueError("gamma needs --poly or --matrix")
-    types = sorted_types(gs)
+    types = affine_ct.sorted_types(gs)
     _emit(args, {"gamma": [t.to_json() for t in types]}, [ct_format(t) for t in types])
     return 0
 
 
 def _cmd_gamma_dpl(args) -> int:
-    gs = gamma_dpl(args.d, args.p, args.l)
-    types = sorted_types(gs)
+    from . import affine_ct
+    gs = affine_ct.gamma_dpl(args.d, args.p, args.l)
+    types = affine_ct.sorted_types(gs)
     _emit(args, {"gamma": [t.to_json() for t in types]}, [ct_format(t) for t in types])
     if not types:
         print("gamma set is empty", file=sys.stderr)
@@ -83,9 +81,10 @@ def _cmd_gamma_dpl(args) -> int:
 
 
 def _cmd_cgl_factor(args) -> int:
+    from . import cgl, serialize
     ctx = _field_from_args(args)
     M = serialize.json_matrix(ctx, json.loads(_read_input(args.matrix)))
-    fac = factor_into_cgl(M, args.l, seed=args.seed)
+    fac = cgl.factor_into_cgl(M, args.l, seed=args.seed)
     payload = {
         "factors": [serialize.matrix_to_json(F) for F in fac.factors],
         "product": serialize.matrix_to_json(fac.product),
@@ -108,7 +107,8 @@ def _verify(table, p: int, n: int, ctype, expect_complete: bool, payload: dict, 
     """Oracle check of a map table of GF(p)^n: adds the report to the payload
     and an `oracle:` line, then fails unless the table is a bijection of
     cycle type ctype, and complete when expect_complete."""
-    report = analyze(table, p, n)
+    from . import oracle
+    report = oracle.analyze(table, p, n)
     payload["verified"] = report.to_json()
     shown = ct_format(report.cycle_type) if report.cycle_type else "n/a"
     lines.append(f"oracle: bijection={report.is_bijection} "
@@ -120,18 +120,20 @@ def _verify(table, p: int, n: int, ctype, expect_complete: bool, payload: dict, 
 
 
 def _emit_cwmap(args, f, verify_expected_complete=True) -> int:
+    from . import cwaffine, serialize
     s = f.splitting
-    ctype = cw_cycle_type(f)
+    ctype = cwaffine.cw_cycle_type(f)
     payload = serialize.cwmap_to_json(f) if args.format == "json" else {}
     payload["cycle_type"] = ctype.to_json()
     lines = [f"p={s.p} d={s.d} t={s.t}", f"cycle type: {ct_format(ctype)}"]
     if args.verify:
-        _verify(cw_to_table(f), s.p, s.n, ctype, verify_expected_complete, payload, lines)
+        _verify(cwaffine.cw_to_table(f), s.p, s.n, ctype, verify_expected_complete, payload, lines)
     _emit(args, payload, lines)
     return 0
 
 
 def _cmd_construct(args) -> int:
+    from . import cwaffine
     job = json.loads(_read_input(args.job))
     p, d, t, items, g = json_fields(job, "a construct job", ("p", "d", "t", "gammas", "g"))
     p, d, t = exact_int(p, "p"), exact_int(d, "d"), exact_int(t, "t")
@@ -146,7 +148,7 @@ def _cmd_construct(args) -> int:
     complete = job.get("require_complete", True)
     if type(complete) is not bool:
         raise ValueError(f"require_complete must be true or false, not {complete!r}")
-    f = construct_main(
+    f = cwaffine.construct_main(
         p, d, t, [exact_int(v, "an entry of g") for v in json_list(g, "g")],
         gammas, seed=exact_int(job.get("seed", args.seed), "seed"),
         require_complete=complete,
@@ -155,36 +157,40 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_sylow_type(args) -> int:
+    from . import cwaffine
     _check_verify_size(args, args.q, 1)
     target = ct_parse(args.type)
-    f = construct_sylow_type(args.q, target, seed=args.seed)
+    f = cwaffine.construct_sylow_type(args.q, target, seed=args.seed)
     return _emit_cwmap(args, f)
 
 
 def _cmd_one_cycle(args) -> int:
+    from . import cwaffine
     _check_verify_size(args, args.p, args.k)
-    f = one_cycle_map(args.p, args.k)
+    f = cwaffine.one_cycle_map(args.p, args.k)
     return _emit_cwmap(args, f, verify_expected_complete=args.p > 2)
 
 
 def _cmd_one_cycle_poly(args) -> int:
+    from . import cwaffine, oracle, serialize
     _check_verify_size(args, args.p, args.k)
     ctx = _field_from_args(args)
-    P = one_cycle_polynomial(ctx)
-    text = format_poly(P)
+    P = cwaffine.one_cycle_polynomial(ctx)
+    text = serialize.format_poly(P)
     payload = {"field": serialize.ctx_to_json(ctx), "polynomial": serialize.poly_to_json(P),
                "text": text} if args.format == "json" else {}
     lines = [text]
     if args.verify:
-        _verify(evaluate_poly_table(P), ctx.p, ctx.k, CycleType({ctx.order: 1}), ctx.p > 2,
+        _verify(oracle.evaluate_poly_table(P), ctx.p, ctx.k, CycleType({ctx.order: 1}), ctx.p > 2,
                 payload, lines)
     _emit(args, payload, lines)
     return 0
 
 
 def _cmd_verify(args) -> int:
-    table = load_table(_read_input(args.table))
-    report = analyze(table, args.p, args.dim)
+    from . import oracle
+    table = oracle.load_table(_read_input(args.table))
+    report = oracle.analyze(table, args.p, args.dim)
     lines = [
         f"bijection: {report.is_bijection}",
         f"complete: {report.is_complete}",

@@ -1324,6 +1324,7 @@ def degree_orders(p: int, m: int, polys) -> dict[tuple, int]:
     for _ in range(n):
         trace.append(state % p)
         state = state // p + feed[state] * top
+    del feed  # p^m entries, freed before the power-sum prints are built
     prints = dict(zip(_power_sums(polys, 2 * m, p), polys))
     seen = bytearray(n)
     out = {}

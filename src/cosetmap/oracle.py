@@ -8,9 +8,9 @@ The codec is `gf.index_to_tuple`/`gf.tuple_to_index`.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
+import operator
+from itertools import repeat
 
 from ._record import Record
 from .cycletype import CycleType, cycles_of
@@ -37,11 +37,18 @@ def _sums_bijective(images, p: int, n: int, signs) -> list[bool]:
     share one `digit_sums` pass."""
     size = p ** n
     if len({s % p for s in signs}) == 1:
-        return [len(set(digit_sums(images, range(size), p, n, signs[0]))) == size] * len(signs)
+        return [_covers(digit_sums(images, range(size), p, n, signs[0]), size)] * len(signs)
     bits, packed = digit_sum_pairs(images, range(size), p, n)
-    mask = (1 << bits) - 1
-    return [len({v >> bits for v in packed} if s == 1 else {v & mask for v in packed}) == size
-            for s in signs]
+    return [_covers(map(operator.rshift, packed, repeat(bits)) if s == 1 else
+                    map(operator.and_, packed, repeat((1 << bits) - 1)), size) for s in signs]
+
+
+def _covers(values, size: int) -> bool:
+    """Whether `size` values below size are all distinct, by one byte each."""
+    seen = bytearray(size)
+    for v in values:
+        seen[v] = 1
+    return 0 not in seen
 
 
 class MapTable(Record):
@@ -73,6 +80,8 @@ class MapTable(Record):
 
     @classmethod
     def from_csv(cls, text: str) -> "MapTable":
+        import csv
+        import io
         pairs = {}
         for r, row in enumerate(csv.reader(io.StringIO(text)), 1):
             if not row or (len(row) == 1 and not row[0].strip()):

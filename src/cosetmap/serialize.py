@@ -21,10 +21,13 @@ from __future__ import annotations
 
 import re
 
-from .cwaffine import CosetWiseAffineMap, Splitting
 from .gf import (FieldCtx, FieldElement, Poly, exact_int, field, index_to_tuple, json_fields,
                  json_list)
 from .linalg import AffineMap, MatrixQ, VectorQ
+
+TYPE_CHECKING = False  # typing.TYPE_CHECKING without importing typing
+if TYPE_CHECKING:
+    from .cwaffine import CosetWiseAffineMap
 
 
 # ---------------------------------------------------------------------------
@@ -99,6 +102,7 @@ def cwmap_to_json(f: CosetWiseAffineMap) -> dict:
 def cwmap_from_json(obj) -> CosetWiseAffineMap:
     """The map {"p", "d", "t", "cosets": [{"u", "alpha", "omega", "nu"}, ...]};
     ValueError naming the key that is missing or of the wrong JSON type."""
+    from .cwaffine import CosetWiseAffineMap, Splitting
     p, d, t, cosets = json_fields(obj, "a coset-wise map", ("p", "d", "t", "cosets"))
     s = Splitting(exact_int(p, "p"), exact_int(d, "d"), exact_int(t, "t"))
     ctx = s.ctx

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from cosetmap import cli, serialize
+from cosetmap import cli, cwaffine, serialize
 from cosetmap.cli import main
 from cosetmap.serialize import cwmap_from_json, format_poly, parse_poly, poly_to_json
 from cosetmap import Poly, VectorQ, ct_parse, field
@@ -252,7 +252,7 @@ def test_singular_or_non_square_matrix_refusals(tmp_path, capsys, argv, payload,
 def test_one_cycle_poly_verify_of_a_non_bijection_exits_3(monkeypatch, capsys):
     """A polynomial whose table is no bijection fails the oracle check with
     exit 3 and no traceback."""
-    monkeypatch.setattr(cli, "one_cycle_polynomial", lambda ctx: Poly(ctx, (1,)))
+    monkeypatch.setattr(cwaffine, "one_cycle_polynomial", lambda ctx: Poly(ctx, (1,)))
     code, out, err = run_cli(capsys, "one-cycle-poly", "--p", "3", "--k", "2", "--verify")
     assert (code, out, err) == (3, "", "internal error: oracle verification failed\n")
 
@@ -518,7 +518,7 @@ def test_construct_job_naming_a_cycle_twice_exits_2(tmp_path, capsys, monkeypatc
     path = tmp_path / "job.json"
     gammas = [{"length": 3, "index": 1, "type": t} for t in types]
     path.write_text(json.dumps({"p": 3, "d": 1, "t": 1, "g": [1, 2, 0], "gammas": gammas}))
-    monkeypatch.setattr(cli, "construct_main", lambda *a, **k: pytest.fail("construct ran"))
+    monkeypatch.setattr(cwaffine, "construct_main", lambda *a, **k: pytest.fail("construct ran"))
     code, out, err = run_cli(capsys, "construct", "--job", str(path))
     assert (code, out, err) == (
         2, "", "error: gammas names the cycle of length 3 and index 1 twice\n")
