@@ -21,11 +21,24 @@ from .errors import InfeasibleError
 from .gf import MAX_DOMAIN, exact_int, field, json_fields, json_list
 
 
+def _above_limit(p: int, n: int) -> bool:
+    """Whether p^n exceeds MAX_DOMAIN.  Every p >= 2 exceeds it by the exponent
+    MAX_DOMAIN.bit_length(), so capping n there makes a huge n cost nothing."""
+    return p ** min(n, MAX_DOMAIN.bit_length()) > MAX_DOMAIN
+
+
 def _field_from_args(args):
+    """GF(p^k) of --p, --k and --modulus.  For k >= 2 every command needs its
+    tables, so a field above MAX_DOMAIN elements is refused once p is known to
+    be prime, before any work."""
+    base = field(args.p)
+    if args.k >= 2 and _above_limit(args.p, args.k):
+        raise ValueError(f"GF({args.p}^{args.k}) has more elements than the {MAX_DOMAIN} limit "
+                         "for its arithmetic tables")
     modulus = None
     if getattr(args, "modulus", None):
         from . import serialize
-        modulus = serialize.parse_poly(args.modulus, field(args.p)).codes
+        modulus = serialize.parse_poly(args.modulus, base).codes
     return field(args.p, args.k, modulus)
 
 
@@ -82,6 +95,8 @@ def _cmd_gamma_dpl(args) -> int:
 
 def _cmd_cgl_factor(args) -> int:
     from . import cgl, serialize
+    if args.l > MAX_DOMAIN:
+        raise ValueError(f"--l {args.l} is above the {MAX_DOMAIN} limit")
     ctx = _field_from_args(args)
     M = serialize.json_matrix(ctx, json.loads(_read_input(args.matrix)))
     fac = cgl.factor_into_cgl(M, args.l, seed=args.seed)
@@ -96,9 +111,8 @@ def _cmd_cgl_factor(args) -> int:
 
 def _check_verify_size(args, p: int, n: int) -> None:
     """Refuse --verify before any work when its table of p^n points would
-    exceed the oracle's limit.  Every p >= 2 exceeds it by the exponent
-    MAX_DOMAIN.bit_length(), so capping n there makes a huge n cost nothing."""
-    if args.verify and p ** min(n, MAX_DOMAIN.bit_length()) > MAX_DOMAIN:
+    exceed the oracle's limit."""
+    if args.verify and _above_limit(p, n):
         points = f"{p}^{n}" if n > 1 else p
         raise ValueError(f"--verify tabulates {points} points, above the {MAX_DOMAIN} limit")
 

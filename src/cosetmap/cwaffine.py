@@ -19,8 +19,8 @@ from .affine_ct import affine_cycle_type, product_members
 from .cgl import is_cgl, realize_gamma
 from .cycletype import CycleType, cycles_of
 from .errors import InfeasibleError
-from .gf import (FieldCtx, Poly, _power, _vecmat, digit_sums, factorize, field,
-                 index_to_tuple, is_power, tuple_to_index)
+from .gf import (FieldCtx, Poly, _power, _vecmat, digit_sums, field, index_to_tuple, is_power,
+                 prime_power, tuple_to_index)
 from .linalg import AffineMap, MatrixQ, VectorQ, _identity, _matmul
 from .oracle import MapTable, is_complete_mapping
 
@@ -384,10 +384,7 @@ def construct_sylow_type(q: int, target: CycleType, seed: int = 0) -> CosetWiseA
     d = 1 using targets x1^p on the first a0/p fixed points and x_p
     everywhere else.
     """
-    fac = factorize(q)
-    if len(fac) != 1:
-        raise ValueError(f"{q} is not a prime power")
-    (p, k), = fac.items()
+    p, k = prime_power(q)
     if p == 2:
         raise InfeasibleError("even characteristic admits no such complete mappings")
     counts = dict(target.cycles)

@@ -23,8 +23,12 @@ Frobenius orbits of GF(p^m).  On indices of GF(p)^n, `digit_sums` adds
 x + s*y with one table lookup per chunk of digits, and `digit_sum_pairs`
 both x + y and x - y in the same pass.  A value table or interpolation
 over all of GF(q) is one chirp-z transform on the powers of g (`_chirp_dft`):
-one packed int product.  `exact_int`, `json_fields` and `json_list` are the
-JSON value checks every input reader shares (gf imports no other module).
+one packed int product.  `is_prime` and `factorize` share one Miller-Rabin
+core (`_composite`), exact below psi_13: factoring trial-divides to 1000 and
+splits every part the core proves composite by Brent's rho, and refuses a
+part it does not prove composite from psi_13 on.  `exact_int`, `json_fields`
+and `json_list` are the JSON value checks every input reader shares (gf
+imports no other module).
 """
 
 from __future__ import annotations
@@ -55,35 +59,31 @@ _EDF_SEED = 0
 
 
 def _trial_factors(n: int):
-    """The prime factors of n >= 1, ascending, each as often as it divides n
-    and yielded once found.  Trial division finds them, and n, and each
-    cofactor left after a division, ends the search if it is a prime below
-    `_MR_LIMIT`.  A composite cofactor below `_MR_LIMIT` with no prime factor
-    up to `_TRIAL_BOUND` is split by rho (`_rho_factors`); at or above
-    `_MR_LIMIT` trial division goes on."""
+    """The prime factors of n >= 1, ascending, each as often as it divides n.
+    Trial division by 2 and the odd f <= `_TRIAL_BOUND` with f^2 <= n finds
+    the small ones; a cofactor > 1 left after it goes to `_rho_factors`."""
     f = 2
-    while n > 1 and not (n < _MR_LIMIT and is_prime(n)):
-        bound = _TRIAL_BOUND if n < _MR_LIMIT else n
-        while f * f <= n and n % f and f <= bound:
+    while f <= _TRIAL_BOUND and f * f <= n:
+        if n % f:
             f += 1 if f == 2 else 2
-        if f * f > n:
-            break
-        if n % f:  # every prime factor of n lies above the bound
-            yield from sorted(_rho_factors(n))
-            return
-        yield f
-        n //= f
+        else:
+            yield f
+            n //= f
     if n > 1:
-        yield n
+        yield from sorted(_rho_factors(n))
 
 
 _TRIAL_BOUND = 1000
 
 
 def _rho_factors(n: int) -> list[int]:
-    """The prime factors of 1 < n < `_MR_LIMIT`, with multiplicity, in no
-    order: a composite n is split by `_rho_divisor` and both parts in turn."""
-    if is_prime(n):
+    """The prime factors of a cofactor n > 1 left by `_trial_factors`, in no
+    order: a part `_composite` proves composite is split by `_rho_divisor`;
+    any other is prime below psi_13 and refused from psi_13 on."""
+    if not _composite(n):
+        if n >= _MR_LIMIT:
+            raise ValueError(f"cannot factor {n}: no Miller-Rabin base proves it composite, "
+                             f"and primality is decided only below psi_13 = {_MR_LIMIT}")
         return [n]
     g = _rho_divisor(n)
     return _rho_factors(g) + _rho_factors(n // g)
@@ -125,16 +125,19 @@ _MR_LIMIT = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
-    """Whether n is prime, by trial division by `_MR_BASES`, then
-    deterministic Miller-Rabin to those bases; ValueError for n >= psi_13,
+    """Whether n is prime, by `_composite`; ValueError for n >= psi_13,
     where the bases no longer decide."""
     if n >= _MR_LIMIT:
         raise ValueError(f"{n} is too large: primality is decided only below {_MR_LIMIT}")
-    if n < 2:
-        return False
+    return n > 1 and not _composite(n)
+
+
+def _composite(n: int) -> bool:
+    """Whether a base in `_MR_BASES` divides n > 1 and is not n, or is a
+    strong Miller-Rabin witness for n: exactly when n is composite, below psi_13."""
     for a in _MR_BASES:
         if n % a == 0:
-            return n == a
+            return n != a
     s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s, d odd
     d = (n - 1) >> s
     for a in _MR_BASES:
@@ -146,8 +149,8 @@ def is_prime(n: int) -> bool:
             if x == n - 1:
                 break
         else:
-            return False
-    return True
+            return True
+    return False
 
 
 def exact_int(value, name: str) -> int:
@@ -286,6 +289,15 @@ def factorize(n: int) -> dict[int, int]:
     if n < 1:
         raise ValueError("factorize expects a positive integer")
     return {f: len(list(run)) for f, run in itertools.groupby(_trial_factors(n))}
+
+
+def prime_power(q: int) -> tuple[int, int]:
+    """(p, k) with q = p^k for a prime p and k >= 1; ValueError otherwise."""
+    fac = factorize(q)
+    if len(fac) != 1:
+        raise ValueError(f"{q} is not a prime power")
+    (p, k), = fac.items()
+    return p, k
 
 
 @functools.cache
@@ -941,11 +953,7 @@ def field(p: int, k: int = 1, modulus=None) -> FieldCtx:
 
 
 def field_of_order(q: int) -> FieldCtx:
-    fac = factorize(q)
-    if len(fac) != 1:
-        raise ValueError(f"{q} is not a prime power")
-    (p, k), = fac.items()
-    return field(p, k)
+    return field(*prime_power(q))
 
 
 class FieldElement:

@@ -112,6 +112,40 @@ def test_field_of_order_psi_13_exits_2(capsys):
     assert code == 2 and out == "" and "3317044064679887385961981" in err
 
 
+def test_gamma_over_a_unit_group_of_prime_order_above_psi_13_exits_2(capsys):
+    """GF(2^89)^* and GF(2^127)^* have prime orders above psi_13, which no
+    Miller-Rabin base decides: each gamma request is refused at once with one
+    `error:` line naming psi_13, where trial division ran without bound."""
+    for poly in ("X^89+X^38+1", "X^127+X+1"):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "gamma", "--p", "2", "--poly", poly)
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.endswith("psi_13 = 3317044064679887385961981\n")
+
+
+def test_field_and_factor_count_above_the_limit_exit_2_at_once(capsys):
+    """GF(p^k) with k >= 2 is refused before it is built when it has more than
+    MAX_DOMAIN elements, and cgl-factor's --l above MAX_DOMAIN likewise: a
+    huge --k or --l no longer overflows an index (exit 3)."""
+    huge = str(10 ** 30)
+    limit = "has more elements than the 1000000 limit for its arithmetic tables\n"
+    field_message = f"error: GF(2^{huge}) {limit}"
+    runs = [(("cycle-type", "--p", "2", "--k", huge, "--map", "-"), field_message),
+            (("gamma", "--p", "2", "--k", huge, "--poly", "X+1"), field_message),
+            (("cgl-factor", "--p", "2", "--k", huge, "--l", "1", "--matrix", "-"), field_message),
+            (("one-cycle-poly", "--p", "2", "--k", huge), field_message),
+            (("gamma", "--p", "2", "--k", "20", "--poly", "X+1"), f"error: GF(2^20) {limit}"),
+            (("cgl-factor", "--p", "3", "--l", huge, "--matrix", "-"),
+             f"error: --l {huge} is above the 1000000 limit\n")]
+    for argv, message in runs:
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 1
+        assert (code, out, err) == (2, "", message), argv
+
+
 @pytest.mark.parametrize("argv,want", [
     (("gamma-dpl", "--d", "1", "--p", "2305843009213691579", "--l", "1"),
      "x1 x1152921504606845789^2\nx1 x2305843009213691578\n"

@@ -79,6 +79,7 @@ def test_poly_basics():
     assert f.leading == F3.elem(2)
     assert -f == Poly(F3, (2, 1, 0, 1)) and f + -f == Poly.zero(F3)
     assert f // xm1 == divmod(f, xm1)[0] and (f // xm1) * xm1 + f % xm1 == f
+    assert 1 - xm1 == Poly(F3, (2, 2)) and F3.one() - f == Poly(F3, (0, 1, 0, 1))
     with pytest.raises(ValueError):
         Poly.zero(F3).leading
 

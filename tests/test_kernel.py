@@ -367,6 +367,28 @@ def test_miller_rabin_matches_sympy_below_psi_13():
     assert time.perf_counter() - start < 0.1
 
 
+def test_factoring_above_psi_13_splits_by_rho_or_refuses_at_once():
+    """Rho splits a composite part whatever its size: 7 * nextprime(10^8) *
+    nextprime(10^19) and nextprime(10^9) * nextprime(10^17), both above
+    psi_13, match sympy with primes ascending (trial division without bound
+    took 7.5 s over the first and gave no answer in 20 s on the second).  A
+    part no Miller-Rabin base proves composite from psi_13 on is refused at
+    once, naming psi_13: 2^89 - 1, 2^127 - 1 and 3 * (2^89 - 1)."""
+    sympy = pytest.importorskip("sympy")
+    for n in (7 * sympy.nextprime(10 ** 8) * sympy.nextprime(10 ** 19),
+              sympy.nextprime(10 ** 9) * sympy.nextprime(10 ** 17)):
+        assert n > PSI_13
+        start = time.perf_counter()
+        got = factorize(n)
+        assert time.perf_counter() - start < 1.0
+        assert got == sympy.factorint(n) and list(got) == sorted(got), n
+    for n in (2 ** 89 - 1, 2 ** 127 - 1, 3 * (2 ** 89 - 1)):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=str(PSI_13)):
+            factorize(n)
+        assert time.perf_counter() - start < 0.1
+
+
 @pytest.mark.parametrize("p,k", EXTENSION_FIELDS)
 def test_dlog_is_the_least_exponent(p, k):
     ctx = field(p, k)

@@ -19,7 +19,7 @@ import pytest
 import cosetmap
 from cosetmap import (AffineMap, AnalysisReport, CglFactorization, MapTable,
                       MatrixQ, Poly, Prcf, Splitting, VectorQ, WreathElement, analyze,
-                      ct_of_permutation, factor_into_cgl, field, prcf)
+                      ct_of_permutation, factor_into_cgl, field, one_cycle_map, prcf)
 from cosetmap._record import Record
 from cosetmap.gf import MAX_DOMAIN
 
@@ -92,6 +92,8 @@ def test_hand_written_reprs():
     assert repr(WreathElement(s, (1, 0), (one, one))) == (
         "WreathElement(splitting=Splitting(p=2, d=1, t=1), top=(1, 0), "
         "bottom=(AffineMap(matrix=[1], shift=(0)), AffineMap(matrix=[1], shift=(0))))")
+    assert (repr(field(3)), repr(field(3, 2))) == ("GF(3)", "GF(3^2)")
+    assert repr(one_cycle_map(3, 2)) == "CosetWiseAffineMap(p=3, d=1, t=1)"
 
 
 def test_records_have_no_instance_dict():
