@@ -8,12 +8,13 @@ fall out by subtraction along the chain of candidates.
 
 from __future__ import annotations
 
+import _thread
 import bisect
 import functools
 import itertools
 
 from .cycletype import CycleType, weixu, weixu_all
-from .gf import (MAX_DOMAIN, FieldCtx, Poly, _unit_group_factors, degree_orders,
+from .gf import (MAX_DOMAIN, FieldCtx, Poly, _unit_group_factors, check_size, degree_orders,
                  enumerate_irreducibles, factorize, field, poly_order)
 from .linalg import AffineMap, MatrixQ, VectorQ, companion, elementary_divisors
 
@@ -252,6 +253,7 @@ def _class_walk(complete: bool, d: int, p: int):
 
 
 _GAMMA_CACHE: dict[tuple, tuple[frozenset, dict, object]] = {}
+_WALK_LOCK = _thread.allocate_lock()  # one thread at a time advances any walk
 
 
 def _gamma(complete: bool, d: int, p: int) -> tuple[frozenset, dict, object]:
@@ -259,36 +261,40 @@ def _gamma(complete: bool, d: int, p: int) -> tuple[frozenset, dict, object]:
     without the block X+1 when `complete`: the set from `_signature_types`; per
     type met so far, its first (blocks, units) and a slot for the map
     `witness_map` builds from them; and the `_class_walk` where the search
-    for the next witness resumes."""
+    for the next witness resumes.  Of two threads that build one entry, the
+    first to store it wins."""
     if d < 1:
         raise ValueError("dimension must be >= 1")
     key = (complete, d, p)
     entry = _GAMMA_CACHE.get(key)
     if entry is None:
         field(p)  # refuses a p that is not prime
-        entry = _GAMMA_CACHE[key] = (_signature_types(*key), {}, _class_walk(*key))
+        check_size(f"a gamma set in dimension {d}", d)
+        entry = _GAMMA_CACHE.setdefault(key, (_signature_types(*key), {}, _class_walk(*key)))
     return entry
 
 
 def _first(gamma: CycleType, d: int, p: int, complete: bool) -> dict | None:
     """The walk's witness entries, walked on only as far as the first class
     that reaches gamma; None, with no walking, if the gamma set does not
-    hold gamma.  An error inside the walk ends the generator, so it drops
-    the whole entry and the next call walks afresh."""
+    hold gamma.  The walk advances under `_WALK_LOCK`.  An error inside the
+    walk ends the generator, so it drops the whole entry and the next call
+    walks afresh."""
     key = (complete, d, p)
     types, first, walk = _gamma(*key)
     if gamma not in types:
         return None
-    try:
-        while gamma not in first:
-            step = next(walk, None)
-            if step is None:
-                raise ArithmeticError("the class walk misses a type of the gamma set")
-            t, blocks, units = step
-            first.setdefault(t, (blocks, units, None))
-    except BaseException:
-        _GAMMA_CACHE.pop(key, None)
-        raise
+    with _WALK_LOCK:
+        try:
+            while gamma not in first:
+                step = next(walk, None)
+                if step is None:
+                    raise ArithmeticError("the class walk misses a type of the gamma set")
+                t, blocks, units = step
+                first.setdefault(t, (blocks, units, None))
+        except BaseException:
+            _GAMMA_CACHE.pop(key, None)
+            raise
     return first
 
 

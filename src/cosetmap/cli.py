@@ -18,23 +18,16 @@ import sys
 # every subcommand uses these; each handler imports the other modules it calls
 from .cycletype import CycleType, ct_format, ct_parse
 from .errors import InfeasibleError
-from .gf import MAX_DOMAIN, exact_int, field, json_fields, json_list
-
-
-def _above_limit(p: int, n: int) -> bool:
-    """Whether p^n exceeds MAX_DOMAIN.  Every p >= 2 exceeds it by the exponent
-    MAX_DOMAIN.bit_length(), so capping n there makes a huge n cost nothing."""
-    return p ** min(n, MAX_DOMAIN.bit_length()) > MAX_DOMAIN
+from .gf import check_size, exact_int, field, json_fields, json_list
 
 
 def _field_from_args(args):
     """GF(p^k) of --p, --k and --modulus.  For k >= 2 every command needs its
     tables, so a field above MAX_DOMAIN elements is refused once p is known to
-    be prime, before any work."""
+    be prime, before the default-modulus search or any other work."""
     base = field(args.p)
-    if args.k >= 2 and _above_limit(args.p, args.k):
-        raise ValueError(f"GF({args.p}^{args.k}) has more elements than the {MAX_DOMAIN} limit "
-                         "for its arithmetic tables")
+    if args.k >= 2:
+        check_size(f"GF({args.p}^{args.k}) has {args.p}^{args.k} elements", args.p, args.k)
     modulus = None
     if getattr(args, "modulus", None):
         from . import serialize
@@ -95,8 +88,7 @@ def _cmd_gamma_dpl(args) -> int:
 
 def _cmd_cgl_factor(args) -> int:
     from . import cgl, serialize
-    if args.l > MAX_DOMAIN:
-        raise ValueError(f"--l {args.l} is above the {MAX_DOMAIN} limit")
+    check_size(f"--l asks for {args.l} factors", args.l)
     ctx = _field_from_args(args)
     M = serialize.json_matrix(ctx, json.loads(_read_input(args.matrix)))
     fac = cgl.factor_into_cgl(M, args.l, seed=args.seed)
@@ -110,11 +102,9 @@ def _cmd_cgl_factor(args) -> int:
 
 
 def _check_verify_size(args, p: int, n: int) -> None:
-    """Refuse --verify before any work when its table of p^n points would
-    exceed the oracle's limit."""
-    if args.verify and _above_limit(p, n):
-        points = f"{p}^{n}" if n > 1 else p
-        raise ValueError(f"--verify tabulates {points} points, above the {MAX_DOMAIN} limit")
+    """Refuse --verify before any work when its table of p^n points is too large."""
+    if args.verify:
+        check_size(f"--verify tabulates {f'{p}^{n}' if n > 1 else p} points", p, n)
 
 
 def _verify(table, p: int, n: int, ctype, expect_complete: bool, payload: dict, lines) -> None:

@@ -19,14 +19,15 @@ from .affine_ct import affine_cycle_type, product_members
 from .cgl import is_cgl, realize_gamma
 from .cycletype import CycleType, cycles_of
 from .errors import InfeasibleError
-from .gf import (FieldCtx, Poly, _power, _vecmat, digit_sums, field, index_to_tuple, is_power,
-                 prime_power, tuple_to_index)
+from .gf import (FieldCtx, Poly, _power, _vecmat, check_size, digit_sums, field, index_to_tuple,
+                 is_power, prime_power, tuple_to_index)
 from .linalg import AffineMap, MatrixQ, VectorQ, _identity, _matmul
 from .oracle import MapTable, is_complete_mapping
 
 
 class Splitting(Record):
-    """V = GF(p)^(d+t) split into the first d and last t coordinates."""
+    """V = GF(p)^(d+t) split into the first d and last t coordinates; at most
+    MAX_DOMAIN cosets (p^t), since a map holds data for each of them."""
 
     __slots__ = ("p", "d", "t")
 
@@ -34,6 +35,7 @@ class Splitting(Record):
         if d < 1 or t < 0:
             raise ValueError("need d >= 1 and t >= 0")
         field(p)  # refuses a p that is not prime
+        check_size(f"a splitting of GF({p})^{d + t} has {p}^{t} cosets", p, t)
         self._store(p, d, t)
 
     @property
@@ -276,6 +278,7 @@ def _table(f: CosetWiseAffineMap) -> list[int]:
     has index w*p^t + u, and so has the image of w under the u-th coset map
     in `_affine_table`."""
     s = f.splitting
+    check_size(f"a value table of GF({s.p})^{s.n} has {s.p}^{s.n} points", s.p, s.n)
     nt = s.p ** s.t
     table = _affine_table([(alpha, omega) for alpha, omega, _ in f.per_coset])
     return [v * nt + top for v, top in zip(table, f.top * s.p ** s.d)]
@@ -395,6 +398,7 @@ def construct_sylow_type(q: int, target: CycleType, seed: int = 0) -> CosetWiseA
         raise ValueError("cycle type does not have degree p^k")
     if a[0] % p != 0:
         raise ValueError("fixed-point count must be divisible by p")
+    Splitting(p, 1, k - 1)  # refuses too many cosets before the recursion
 
     g_images = [0]
     if k > 1:

@@ -25,10 +25,11 @@ both x + y and x - y in the same pass.  A value table or interpolation
 over all of GF(q) is one chirp-z transform on the powers of g (`_chirp_dft`):
 one packed int product.  `is_prime` and `factorize` share one Miller-Rabin
 core (`_composite`), exact below psi_13: factoring trial-divides to 1000 and
-splits every part the core proves composite by Brent's rho, and refuses a
-part it does not prove composite from psi_13 on.  `exact_int`, `json_fields`
-and `json_list` are the JSON value checks every input reader shares (gf
-imports no other module).
+splits every part the core proves composite by Brent's rho within a step
+bound, and refuses a part it does not prove composite from psi_13 on.
+`check_size` is the one size rule: every refusal above `MAX_DOMAIN` goes
+through it.  `exact_int`, `json_fields` and `json_list` are the JSON value
+checks every input reader shares (gf imports no other module).
 """
 
 from __future__ import annotations
@@ -44,8 +45,17 @@ import sys
 MINUS_INFINITY = float("-inf")  # degree of the zero polynomial
 
 # The largest field or domain that gets tables: arithmetic tables of GF(p^k)
-# here, map tables in `oracle`.
+# here, map tables in `oracle`, and the cosets of a coset-wise map.
 MAX_DOMAIN = 10 ** 6
+
+
+def check_size(what: str, base: int, exp: int = 1) -> None:
+    """ValueError "<what>, above the MAX_DOMAIN limit" when base^exp exceeds
+    MAX_DOMAIN, the one size rule.  Every base >= 2 exceeds it by the exponent
+    MAX_DOMAIN.bit_length(), so capping exp there makes a huge exp cost nothing."""
+    if base ** min(exp, MAX_DOMAIN.bit_length()) > MAX_DOMAIN:
+        raise ValueError(f"{what}, above the {MAX_DOMAIN} limit")
+
 
 # Moduli that must match a fixed external convention byte-for-byte; everything
 # else is generated on demand by first-irreducible search.
@@ -93,10 +103,17 @@ def _rho_divisor(n: int) -> int:
     """A proper divisor of the odd composite n, by Brent's variant of
     Pollard's rho (R. P. Brent, BIT 20 (1980) 176-184): the walk
     y -> y^2 + c mod n for c = 1, 2, ... in turn until one splits n, its
-    differences multiplied together 128 at a time before each gcd."""
+    differences multiplied together 128 at a time before each gcd.
+    ValueError rather than a round that would take the walk, over every c,
+    past `_RHO_STEPS` steps."""
+    steps = 0
     for c in itertools.count(1):
         y, r, prod, g = 2, 1, 1, 1
         while g == 1:
+            steps += 2 * r  # at most: r steps to move x on, r more in batches
+            if steps > _RHO_STEPS:
+                raise ValueError(f"cannot factor {n}: Brent's rho found no divisor "
+                                 f"within its bound of {_RHO_STEPS} steps")
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -116,6 +133,12 @@ def _rho_divisor(n: int) -> int:
                 g = math.gcd(x - ys, n)
         if g != n:
             return g
+
+
+# A bound on rho's walk per part: 2^101 - 1 splits after about 6.8 million
+# steps, and the bound is spent in about 8 s at 0.45 us a step (2-vCPU VM,
+# Python 3.11).
+_RHO_STEPS = 1 << 24
 
 
 # The primes up to 41 as Miller-Rabin bases decide primality of every n below
@@ -362,10 +385,8 @@ def _build_tables(ctx: "FieldCtx"):
     without reduction; zech[d] is the log of 1 + g^d (-1 where that is zero),
     also over two periods, for odd p and k >= 2 only.
     """
+    check_size(f"GF({ctx.p}^{ctx.k}) has {ctx.p}^{ctx.k} elements", ctx.p, ctx.k)
     p, k, q = ctx.p, ctx.k, ctx.order
-    if q > MAX_DOMAIN:
-        raise ValueError(f"GF({p}^{k}) has {q} elements, above the {MAX_DOMAIN} limit "
-                         "for its arithmetic tables")
     fp = _prime_ops(p)
     m = ctx.modulus or (0, 1)  # GF(p) is GF(p)[X]/(X)
     n = q - 1
@@ -933,7 +954,8 @@ def field(p: int, k: int = 1, modulus=None) -> FieldCtx:
 
     For k >= 2 without an explicit modulus, the bundled table is consulted
     first, then the first irreducible of degree k in enumeration order; the
-    request is remembered under its own key, so the search runs once.
+    request is remembered under its own key, so the search runs once.  Of
+    two threads that build one context, the first to store it wins.
     """
     if not p:  # the modulus key below is reduced mod p
         raise ValueError("0 is not prime")
@@ -948,7 +970,7 @@ def field(p: int, k: int = 1, modulus=None) -> FieldCtx:
                 if _is_irreducible(fp, c + (1,))))
         else:
             ctx = FieldCtx(p, k, key[2])
-        _CTX_CACHE[key] = ctx
+        ctx = _CTX_CACHE.setdefault(key, ctx)
     return ctx
 
 

@@ -14,8 +14,9 @@ from itertools import repeat
 
 from ._record import Record
 from .cycletype import CycleType, cycles_of
-from .gf import (MAX_DOMAIN, FieldCtx, Poly, _chirp_dft, digit_sum_pairs, digit_sums, exact_int,
-                 is_power, is_prime, json_fields)
+# MAX_DOMAIN is re-exported: the limit on map tables lives in gf
+from .gf import (MAX_DOMAIN, FieldCtx, Poly, _chirp_dft, check_size, digit_sum_pairs, digit_sums,
+                 exact_int, is_power, is_prime, json_fields)
 
 
 def is_complete_mapping(images, p: int, n: int) -> bool:
@@ -57,8 +58,7 @@ class MapTable(Record):
     __slots__ = ("n", "images")
 
     def __init__(self, n: int, images):
-        if n > MAX_DOMAIN:
-            raise ValueError(f"domain size {n} exceeds the {MAX_DOMAIN} guard")
+        check_size(f"a map table of {n} points", n)
         images = tuple(images)
         if len(images) != n:
             raise ValueError("image list length does not match domain size")

@@ -130,20 +130,42 @@ def test_field_and_factor_count_above_the_limit_exit_2_at_once(capsys):
     MAX_DOMAIN elements, and cgl-factor's --l above MAX_DOMAIN likewise: a
     huge --k or --l no longer overflows an index (exit 3)."""
     huge = str(10 ** 30)
-    limit = "has more elements than the 1000000 limit for its arithmetic tables\n"
-    field_message = f"error: GF(2^{huge}) {limit}"
+    limit = "elements, above the 1000000 limit\n"
+    field_message = f"error: GF(2^{huge}) has 2^{huge} {limit}"
     runs = [(("cycle-type", "--p", "2", "--k", huge, "--map", "-"), field_message),
             (("gamma", "--p", "2", "--k", huge, "--poly", "X+1"), field_message),
             (("cgl-factor", "--p", "2", "--k", huge, "--l", "1", "--matrix", "-"), field_message),
             (("one-cycle-poly", "--p", "2", "--k", huge), field_message),
-            (("gamma", "--p", "2", "--k", "20", "--poly", "X+1"), f"error: GF(2^20) {limit}"),
+            (("gamma", "--p", "2", "--k", "20", "--poly", "X+1"),
+             f"error: GF(2^20) has 2^20 {limit}"),
             (("cgl-factor", "--p", "3", "--l", huge, "--matrix", "-"),
-             f"error: --l {huge} is above the 1000000 limit\n")]
+             f"error: --l asks for {huge} factors, above the 1000000 limit\n")]
     for argv, message in runs:
         start = time.perf_counter()
         code, out, err = run_cli(capsys, *argv)
         assert time.perf_counter() - start < 1
         assert (code, out, err) == (2, "", message), argv
+
+
+@pytest.mark.parametrize("argv", [
+    ("one-cycle", "--p", "3", "--k", "14"),
+    ("one-cycle", "--p", "3", "--k", "40"),
+    ("one-cycle", "--p", "3", "--k", str(10 ** 30)),
+    ("one-cycle", "--p", "2", "--k", "21"),
+    ("sylow-type", "--q", "4782969", "--type", "x4782969"),
+    ("gamma-dpl", "--d", str(10 ** 30), "--p", "3", "--l", "1"),
+])
+def test_coset_counts_and_dimensions_above_the_limit_exit_2_at_once(capsys, argv):
+    """More than MAX_DOMAIN cosets (3^13 for one-cycle --k 14 and for
+    sylow-type over GF(3^14), 2^20 for one-cycle --p 2 --k 21), or a gamma
+    set in a dimension above it, is refused before any coset or type is
+    listed: these took seconds, gave no answer, or overflowed an index."""
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.endswith(", above the 1000000 limit\n")
 
 
 @pytest.mark.parametrize("argv,want", [
@@ -154,7 +176,8 @@ def test_field_and_factor_count_above_the_limit_exit_2_at_once(capsys):
 ])
 def test_a_prime_cofactor_of_the_group_order_answers_at_once(capsys, argv, want):
     """p - 1 = 2 * a prime near 2^60, and 2^61 - 1 itself: trial division
-    stops at the prime cofactor instead of running to its square root."""
+    runs to 1000 only, and Miller-Rabin (`_composite`) finds the cofactor
+    prime, so neither rho nor a search to its square root runs."""
     start = time.perf_counter()
     code, out, _ = run_cli(capsys, *argv)
     assert time.perf_counter() - start < 2

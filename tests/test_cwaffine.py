@@ -3,6 +3,7 @@ import copy
 import itertools
 import pickle
 import random
+import re
 
 import pytest
 
@@ -562,6 +563,22 @@ def test_affine_table_matches_pointwise_products():
         assert _affine_table([(M, zero)]) == pointwise_affine_table(M, zero)
         tables = [pointwise_affine_table(M, v) for M, v in maps]
         assert _affine_table(maps) == [table[x] for x in range(p ** n) for table in tables]
+
+
+def test_a_value_table_above_the_limit_is_refused_before_it_is_built():
+    """cw_to_table and conjugated_table check the p^(d+t) points first: two
+    cosets of GF(2)^21 with identity blocks are refused at once."""
+    import time
+    F2 = field(2)
+    f = CosetWiseAffineMap(Splitting(2, 20, 1), [(MatrixQ.identity(F2, 20), VectorQ.zero(F2, 20),
+                                                   VectorQ(F2, (1,)))] * 2)
+    start = time.perf_counter()
+    message = "a value table of GF(2)^21 has 2^21 points, above the 1000000 limit"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        cw_to_table(f)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        conjugated_table(f, MatrixQ.identity(F2, 21))
+    assert time.perf_counter() - start < 1.0
 
 
 def test_sylow_constructor():

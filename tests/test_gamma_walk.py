@@ -4,7 +4,8 @@ against the class-number series and its depth; the gamma sets from block
 signatures against a DP over polynomials, against the fully walked sets and
 against the closed form in dimension 1; the lazily walked first witnesses
 against the scan that realization used before the witness index existed, and
-the refusal of a type outside the set with no walking at all."""
+the refusal of a type outside the set with no walking at all; the walk and
+the field contexts shared across threads."""
 
 import sys
 import traceback
@@ -184,3 +185,45 @@ def test_gamma_sets_refuse_a_composite_p():
     for fn in (ct_agl, ct_acgl):
         with pytest.raises(ValueError, match="4 is not prime"):
             fn(2, 4)
+
+
+def _in_threads(fn, n=4):
+    """fn() in n threads at once: (their results, the exceptions raised)."""
+    import threading
+    results, errors = [None] * n, []
+
+    def work(i):
+        try:
+            results[i] = fn()
+        except Exception as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(n)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(30)
+        assert not thread.is_alive()
+    return results, errors
+
+
+def test_shared_caches_are_safe_across_threads(monkeypatch):
+    """With a thread switch forced every microsecond: four threads asking a
+    fresh walk for every type of ct_agl(6, 3) get the same witnesses and never
+    a "generator already executing" error, and four threads interning GF(7^5)
+    in an empty context cache get one context."""
+    from cosetmap import gf
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            monkeypatch.setattr(affine_ct, "_GAMMA_CACHE", {})
+            types = sorted_types(ct_agl(6, 3))
+            results, errors = _in_threads(lambda: [first_witness(t, 6, 3) for t in types])
+            assert errors == [] and all(r == results[0] for r in results)
+        for _ in range(20):
+            monkeypatch.setattr(gf, "_CTX_CACHE", {})
+            results, errors = _in_threads(lambda: field(7, 5))
+            assert errors == [] and len({id(ctx) for ctx in results}) == 1
+    finally:
+        sys.setswitchinterval(interval)

@@ -276,10 +276,11 @@ def test_ops_hold_only_the_element_arithmetic():
 
 def test_trial_division_matches_sympy():
     """`is_prime` and `factorize` against sympy.  `is_prime` stops at the
-    first factor, and `factorize` at a prime cofactor: a small prime times a
-    prime near 10^14, 10^16 or 2^60, 2^61 - 1 and 229^11 - 1 (one prime
-    factor near 4*10^23) answer at once, where trial division up to the
-    square root takes seconds or more."""
+    first factor, and `factorize` trial-divides to 1000 only, then asks
+    `_composite` about the cofactor and splits it by rho when composite: a
+    small prime times a prime near 10^14, 10^16 or 2^60, 2^61 - 1 and
+    229^11 - 1 (one prime factor near 4*10^23) answer at once, where trial
+    division up to the square root takes seconds or more."""
     sympy = pytest.importorskip("sympy")
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
@@ -387,6 +388,23 @@ def test_factoring_above_psi_13_splits_by_rho_or_refuses_at_once():
         with pytest.raises(ValueError, match=str(PSI_13)):
             factorize(n)
         assert time.perf_counter() - start < 0.1
+
+
+def test_rho_refuses_a_part_its_step_bound_cannot_split(monkeypatch):
+    """With the bound cut to 1000 steps, nextprime(10^9) * nextprime(10^17),
+    which rho splits in about 60 thousand, is refused at once with a
+    ValueError naming the number and the bound; with the real bound,
+    2^101 - 1 (about 6.8 million steps) still splits."""
+    sympy = pytest.importorskip("sympy")
+    from cosetmap import gf
+    n = sympy.nextprime(10 ** 9) * sympy.nextprime(10 ** 17)
+    monkeypatch.setattr(gf, "_RHO_STEPS", 1000)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=f"^cannot factor {n}: .* 1000 steps$"):
+        factorize(n)
+    assert time.perf_counter() - start < 1.0
+    monkeypatch.undo()
+    assert factorize(2 ** 101 - 1) == sympy.factorint(2 ** 101 - 1)
 
 
 @pytest.mark.parametrize("p,k", EXTENSION_FIELDS)

@@ -279,13 +279,18 @@ def test_every_refusal_keeps_its_message():
     _refused(lambda: Splitting(3, 0, 1), "need d >= 1 and t >= 0")
     _refused(lambda: Splitting(3, 1, -1), "need d >= 1 and t >= 0")
     _refused(lambda: Splitting(4, 1, 1), "4 is not prime")
+    assert Splitting(999983, 1, 1).t == 1  # the largest prime below the limit
+    _refused(lambda: Splitting(1000003, 1, 1),
+             f"a splitting of GF(1000003)^2 has 1000003^1 cosets, above the {MAX_DOMAIN} limit")
+    _refused(lambda: Splitting(2, 1, 20),
+             f"a splitting of GF(2)^21 has 2^20 cosets, above the {MAX_DOMAIN} limit")
     one = AffineMap(MatrixQ(F2, [[1]]), VectorQ(F2, (0,)))
     s = Splitting(2, 1, 1)
     _refused(lambda: WreathElement(s, (0, 0), (one, one)),
              "top must be a bijection on the coset labels")
     _refused(lambda: WreathElement(s, (1, 0), (one,)), "one bottom map per coset label required")
     _refused(lambda: MapTable(MAX_DOMAIN + 1, ()),
-             f"domain size {MAX_DOMAIN + 1} exceeds the {MAX_DOMAIN} guard")
+             f"a map table of {MAX_DOMAIN + 1} points, above the {MAX_DOMAIN} limit")
     _refused(lambda: MapTable(3, (0, 1)), "image list length does not match domain size")
     _refused(lambda: MapTable(2, (0, 2)), "image out of range")
     _refused(lambda: MapTable(2, (-1, 0)), "image out of range")
