@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import _thread
 import bisect
-import functools
 import itertools
 
 from .cycletype import CycleType, weixu, weixu_all
-from .gf import (MAX_DOMAIN, FieldCtx, Poly, _unit_group_factors, check_size, degree_orders,
-                 enumerate_irreducibles, factorize, field, poly_order)
+from .gf import (_ORDERS, MAX_DOMAIN, FieldCtx, Poly, _unit_group_factors, check_size,
+                 degree_orders, enumerate_irreducibles, factorize, field, memo, poly_order)
 from .linalg import AffineMap, MatrixQ, VectorQ, companion, elementary_divisors
 
 
@@ -52,7 +51,7 @@ def block_cycle_type(Q: Poly, e: int, unit: bool = False) -> CycleType:
     return _block_type(ctx.order, ctx.p, int(Q.degree), poly_order(Q), e, unit)
 
 
-@functools.cache
+@memo
 def _block_type(q: int, p: int, m: int, r: int, e: int, unit: bool) -> CycleType:
     """Cycle type of a block Q^e over GF(q) of characteristic p with
     deg Q = m and ord Q = r, its shift a unit or not: these are all it
@@ -169,14 +168,13 @@ def block_multisets(ctx: FieldCtx, d: int, complete: bool = False):
     skip = Poly(ctx, (1, 1)) if complete else None
     irred = [Q for Q in enumerate_irreducibles(ctx, d) if not _is_x(Q) and Q != skip]
     degrees = [int(Q.degree) for Q in irred]
-    orders = ctx._orders
     for m in range(2, d + 1):
         if ctx.k > 1 or ctx.p ** m > MAX_DOMAIN:
             break
         polys = [Q.codes for Q in irred[bisect.bisect_left(degrees, m):
                                         bisect.bisect_right(degrees, m)]]
-        if any(codes not in orders for codes in polys):
-            orders.update(degree_orders(ctx.p, m, polys))
+        if any((ctx, codes) not in _ORDERS for codes in polys):
+            _ORDERS.update(((ctx, c), r) for c, r in degree_orders(ctx.p, m, polys).items())
 
     def walk(remaining: int, start: int):
         if remaining == 0:
@@ -252,7 +250,7 @@ def _class_walk(complete: bool, d: int, p: int):
             yield t, blocks, units
 
 
-_GAMMA_CACHE: dict[tuple, tuple[frozenset, dict, object]] = {}
+_GAMMA_CACHE: dict[tuple, tuple[frozenset, dict, object]] = memo({}, f"{__name__}._GAMMA_CACHE")
 _WALK_LOCK = _thread.allocate_lock()  # one thread at a time advances any walk
 
 
@@ -346,7 +344,7 @@ _EXCEPTIONAL_PRODUCTS = {
 }
 
 
-@functools.cache
+@memo
 def product_members(d: int, q: int) -> tuple[MatrixQ, ...] | None:
     """The ell-fold products of complete invertible d x d matrices over GF(q),
     the same for every ell >= 2: none over GF(2)^1, the identity over GF(3)^1,
@@ -355,7 +353,7 @@ def product_members(d: int, q: int) -> tuple[MatrixQ, ...] | None:
     return None if rows is None else tuple(MatrixQ(field(q), r) for r in rows)
 
 
-@functools.cache
+@memo
 def _members_gamma(d: int, p: int) -> frozenset[CycleType]:
     return frozenset().union(*map(gamma_of_matrix, product_members(d, p)))
 

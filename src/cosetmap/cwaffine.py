@@ -20,7 +20,7 @@ from .cgl import is_cgl, realize_gamma
 from .cycletype import CycleType, cycles_of
 from .errors import InfeasibleError
 from .gf import (FieldCtx, Poly, _power, _vecmat, check_size, digit_sums, field, index_to_tuple,
-                 is_power, prime_power, tuple_to_index)
+                 is_power, memo, prime_power, tuple_to_index)
 from .linalg import AffineMap, MatrixQ, VectorQ, _identity, _matmul
 from .oracle import MapTable, is_complete_mapping
 
@@ -212,18 +212,12 @@ def _forward_codes(f: CosetWiseAffineMap, cycles):
         yield tuple(map(tuple, A)), tuple(v)
 
 
-# affine_cycle_type of forward products by (ctx, matrix codes, shift codes),
-# for the process: every cycle `construct_main` fills has its witness as
-# forward product
-_FORWARD_TYPES: dict[tuple, CycleType] = {}
-
-
+@memo
 def _forward_type(ctx: FieldCtx, A, v) -> CycleType:
-    key = ctx, A, v
-    if key not in _FORWARD_TYPES:
-        _FORWARD_TYPES[key] = affine_cycle_type(
-            AffineMap(MatrixQ.from_codes(ctx, A), VectorQ.from_codes(ctx, v)))
-    return _FORWARD_TYPES[key]
+    """affine_cycle_type of the forward product x -> x*A + v, by (ctx, matrix
+    codes, shift codes), for the process: every cycle `construct_main` fills
+    has its witness as forward product."""
+    return affine_cycle_type(AffineMap(MatrixQ.from_codes(ctx, A), VectorQ.from_codes(ctx, v)))
 
 
 def _blown_up(counts) -> CycleType:
@@ -235,7 +229,7 @@ def cw_cycle_type(f: CosetWiseAffineMap) -> CycleType:
     """Blow up the cycle type of each forward cycle product by its cycle
     length and multiply.  Worked out once per map, from the cycles tallied by
     (length, forward product), with each forward product's type kept per
-    field (`_FORWARD_TYPES`)."""
+    field (`_forward_type`)."""
     if f._cycle_type is None:
         if not cw_is_permutation(f):
             raise ValueError("cycle type requires a permutation")

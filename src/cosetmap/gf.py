@@ -28,8 +28,10 @@ core (`_composite`), exact below psi_13: factoring trial-divides to 1000 and
 splits every part the core proves composite by Brent's rho within a step
 bound, and refuses a part it does not prove composite from psi_13 on.
 `check_size` is the one size rule: every refusal above `MAX_DOMAIN` goes
-through it.  `exact_int`, `json_fields` and `json_list` are the JSON value
-checks every input reader shares (gf imports no other module).
+through it.  `memo` is the one memo rule: every process-wide memo of the
+package is registered by it, and `clear_memos` empties them all.
+`exact_int`, `json_fields` and `json_list` are the JSON value checks every
+input reader shares (gf imports no other module).
 """
 
 from __future__ import annotations
@@ -55,6 +57,29 @@ def check_size(what: str, base: int, exp: int = 1) -> None:
     MAX_DOMAIN.bit_length(), so capping exp there makes a huge exp cost nothing."""
     if base ** min(exp, MAX_DOMAIN.bit_length()) > MAX_DOMAIN:
         raise ValueError(f"{what}, above the {MAX_DOMAIN} limit")
+
+
+_MEMOS: dict[str, object] = {}  # every process-wide memo, by name
+
+
+def memo(obj, name=None):
+    """Register a process-wide memo and return it: `functools.cache(obj)` for
+    a function (its lookups stay in C), the dict itself for a dict.  It is
+    registered under `name`, by default the function's qualified name, and
+    `clear_memos` empties it."""
+    if not isinstance(obj, dict):
+        obj = functools.cache(obj)
+    _MEMOS[name or f"{obj.__module__}.{obj.__qualname__}"] = obj
+    return obj
+
+
+def clear_memos() -> None:
+    """Empty every registered memo, releasing what the process has kept;
+    answers do not change, as each memo refills on demand.  The interned field
+    contexts (`_CTX_CACHE`) are no memo and survive, so elements built before
+    the call still mix with those built after."""
+    for kept in _MEMOS.values():
+        (kept.clear if isinstance(kept, dict) else kept.cache_clear)()
 
 
 # Moduli that must match a fixed external convention byte-for-byte; everything
@@ -266,7 +291,7 @@ def digit_sum_pairs(xs, ys, p: int, n: int) -> tuple[int, list[int]]:
     return bits, out
 
 
-@functools.cache
+@memo
 def _pair_plan(p: int, n: int) -> tuple[int, tuple[tuple[int, int, list[int] | None], ...]]:
     """(b, chunks) for `digit_sum_pairs`: the chunks of `_sum_plan`, each
     table entry the pair a, a' of its s = 1 and s = -1 tables packed as
@@ -277,7 +302,7 @@ def _pair_plan(p: int, n: int) -> tuple[int, tuple[tuple[int, int, list[int] | N
                        for (place, m, t), (_, _, u) in zip(_sum_plan(p, n, 1), _sum_plan(p, n, -1)))
 
 
-@functools.cache
+@memo
 def _sum_plan(p: int, n: int, s: int) -> tuple[tuple[int, int, bytes | None], ...]:
     """The chunks of `digit_sums` on GF(p)^n, p odd: (place value, p^width,
     table) each.  A chunk has the most digits w with p^w <= 64, and the widths
@@ -295,7 +320,7 @@ def _sum_plan(p: int, n: int, s: int) -> tuple[tuple[int, int, bytes | None], ..
     return tuple(plan)
 
 
-@functools.cache
+@memo
 def _sum_table(p: int, w: int, s: int) -> bytes:
     """The index of a + s*b in GF(p)^w at a*p^w + b, for indices a, b below
     p^w: the digit-wise sums of w - 1 digits followed by one more digit."""
@@ -323,7 +348,7 @@ def prime_power(q: int) -> tuple[int, int]:
     return p, k
 
 
-@functools.cache
+@memo
 def _unit_group_factors(q: int, m: int) -> tuple[tuple[int, int], ...]:
     """(prime, exponent) pairs of q^m - 1, the order of GF(q^m)^*, ascending
     by prime: factored once per (q, m) per process."""
@@ -377,6 +402,7 @@ def _prime_ops(p: int) -> _Ops:
                 scale=scale)
 
 
+@memo
 def _build_tables(ctx: "FieldCtx"):
     """(log, exp, zech) for a primitive element of GF(p^k), a primitive root
     when k = 1.
@@ -420,7 +446,7 @@ def _build_tables(ctx: "FieldCtx"):
 
 
 def _table_ops(ctx: "FieldCtx") -> _Ops:
-    log, exp, zech = ctx._tables()
+    log, exp, zech = _build_tables(ctx)
     p, q = ctx.p, ctx.order
     n = q - 1
     frob_inv = q // p  # a^(1/p) = a^(p^(k-1))
@@ -487,6 +513,13 @@ def _table_ops(ctx: "FieldCtx") -> _Ops:
                 scale=scale)
 
 
+@memo
+def _field_ops(ctx: "FieldCtx") -> _Ops:
+    """The code arithmetic of this field, `FieldCtx.ops` (builds the tables of
+    GF(p^k) on first use; ValueError above MAX_DOMAIN elements)."""
+    return _prime_ops(ctx.p) if ctx.k == 1 else _table_ops(ctx)
+
+
 # ---------------------------------------------------------------------------
 # The discrete Fourier transform on the powers of g
 # ---------------------------------------------------------------------------
@@ -532,7 +565,7 @@ def _chirp_dft(ctx: "FieldCtx", seq, sign: int) -> list:
     turns it into the correlation of seq[r]*g^(-sign*C(r,2)) with the chirp
     b_j = g^(sign*C(j,2)), and b_(j+q-1) = e*b_j with e = g^C(q-1,2), -1 for
     odd q: one product of two length-(q-1) sequences, folded once."""
-    log, exp = ctx._tables()[:2]
+    log, exp = _build_tables(ctx)[:2]
     n = len(seq)
     chirp = [sign * (j * (j - 1) // 2) % n for j in range(n)]
     a = [exp[log[c] + n - e] if c else 0 for c, e in zip(seq, chirp)]
@@ -828,7 +861,7 @@ class FieldCtx:
     contexts interoperate only if they are the same object.
     """
 
-    __slots__ = ("p", "k", "modulus", "_powtable", "_ops", "_orders")
+    __slots__ = ("p", "k", "modulus")
 
     def __init__(self, p: int, k: int, modulus: tuple[int, ...] | None):
         if not is_prime(p):
@@ -849,31 +882,15 @@ class FieldCtx:
         self.p = p
         self.k = k
         self.modulus = modulus
-        self._powtable = None
-        self._ops = None
-        self._orders: dict[tuple, int] = {}  # poly_order of irreducibles, by codes
 
     def __reduce__(self):
-        # re-interned on loading; the tables, the code arithmetic (local
-        # functions, which pickle refuses) and the order memo are rebuilt
         return field, (self.p, self.k, self.modulus)
 
     @property
     def order(self) -> int:
         return self.p ** self.k
 
-    def ops(self) -> _Ops:
-        """The code arithmetic of this field (builds the tables of GF(p^k) on
-        first use; ValueError above MAX_DOMAIN elements)."""
-        ops = self._ops
-        if ops is None:
-            ops = self._ops = _prime_ops(self.p) if self.k == 1 else _table_ops(self)
-        return ops
-
-    def _tables(self):
-        if self._powtable is None:
-            self._powtable = _build_tables(self)
-        return self._powtable
+    ops = _field_ops  # a method whose lookup stays in C
 
     def code(self, value) -> int:
         """The code (index) of an int constant, an element of this field, or
@@ -931,7 +948,7 @@ class FieldCtx:
             raise ValueError("dlog of zero")
         if self.k == 1:
             raise ValueError("prime field has no distinguished generator")
-        log = self._tables()[0]
+        log = _build_tables(self)[0]
         n = self.order - 1
         s, t = log[self.p ** (self.k - 2)], log[code]  # gen() has code p^(k-2)
         g = math.gcd(s, n)
@@ -946,13 +963,14 @@ class FieldCtx:
         return f"GF({self.p}^{self.k})"
 
 
-_CTX_CACHE: dict[tuple, FieldCtx] = {}
+_CTX_CACHE: dict[tuple, FieldCtx] = {}  # interning, not a memo: `clear_memos` keeps it
 
 
 def field(p: int, k: int = 1, modulus=None) -> FieldCtx:
     """Interning factory for field contexts.
 
-    For k >= 2 without an explicit modulus, the bundled table is consulted
+    For k >= 2 without an explicit modulus, a field above MAX_DOMAIN elements
+    is refused (`check_size`); otherwise the bundled table is consulted
     first, then the first irreducible of degree k in enumeration order; the
     request is remembered under its own key, so the search runs once.  Of
     two threads that build one context, the first to store it wins.
@@ -963,6 +981,7 @@ def field(p: int, k: int = 1, modulus=None) -> FieldCtx:
     ctx = _CTX_CACHE.get(key)
     if ctx is None:
         if k >= 2 and modulus is None and is_prime(p):
+            check_size(f"GF({p}^{k}) has {p}^{k} elements", p, k)
             fp = _prime_ops(p)
             # the constant term varies slowest and starts at 1: X divides the rest
             ctx = field(p, k, _BUNDLED_MODULI.get((p, k)) or next(
@@ -1227,7 +1246,7 @@ class Poly:
         return format_poly(self)
 
 
-_IRR_CACHE: dict[tuple, tuple[int, list]] = {}
+_IRR_CACHE: dict[tuple, tuple[int, list]] = memo({}, f"{__name__}._IRR_CACHE")
 _SPAN_BLOCK = 1 << 10  # the most indices in one block of the sieve's spans, or p
 
 
@@ -1305,22 +1324,25 @@ def factor_monic(P: Poly) -> list[tuple[Poly, int]]:
     return out
 
 
+_ORDERS: dict[tuple, int] = memo({}, f"{__name__}._ORDERS")  # by (ctx, codes)
+
+
 def poly_order(Q: Poly) -> int:
     """Least n >= 1 with Q dividing X^n - 1, for monic irreducible Q != X.
 
-    Worked out once per Q and field context (`FieldCtx._orders`, which holds
-    only monic irreducibles other than X, so it is read first); the refusals
-    of a polynomial that is not monic, is constant or is X run on every call,
-    and a reducible Q, never stored, fails Rabin's test each time.
+    Worked out once per Q and field context (`_ORDERS`, which holds only
+    monic irreducibles other than X, so it is read first); the refusals of a
+    polynomial that is not monic, is constant or is X run on every call, and
+    a reducible Q, never stored, fails Rabin's test each time.
     """
-    orders = Q.ctx._orders
-    order = orders.get(Q.codes)
+    key = Q.ctx, Q.codes
+    order = _ORDERS.get(key)
     if order is None:
         if not Q.is_monic() or Q.degree < 1:
             raise ValueError("poly_order expects a monic polynomial of degree >= 1")
         if Q.degree == 1 and not Q.codes[0]:
             raise ValueError("poly_order is undefined for Q = X")
-        order = orders[Q.codes] = _poly_order(Q.ctx.ops(), Q.codes)
+        order = _ORDERS[key] = _poly_order(Q.ctx.ops(), Q.codes)
     return order
 
 

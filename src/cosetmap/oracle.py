@@ -15,8 +15,8 @@ from itertools import repeat
 from ._record import Record
 from .cycletype import CycleType, cycles_of
 # MAX_DOMAIN is re-exported: the limit on map tables lives in gf
-from .gf import (MAX_DOMAIN, FieldCtx, Poly, _chirp_dft, check_size, digit_sum_pairs, digit_sums,
-                 exact_int, is_power, is_prime, json_fields)
+from .gf import (MAX_DOMAIN, FieldCtx, Poly, _build_tables, _chirp_dft, check_size,
+                 digit_sum_pairs, digit_sums, exact_int, is_power, is_prime, json_fields)
 
 
 def is_complete_mapping(images, p: int, n: int) -> bool:
@@ -152,7 +152,7 @@ def interpolate(ctx: FieldCtx, values) -> Poly:
         raise ValueError("interpolation needs all q values")
     K = ctx.ops()
     codes = [ctx.code(v) for v in values]
-    sums = _chirp_dft(ctx, [codes[x] for x in ctx._tables()[1][:q - 1]], -1)
+    sums = _chirp_dft(ctx, [codes[x] for x in _build_tables(ctx)[1][:q - 1]], -1)
     minus = K.neg(K.one)
     return Poly.from_codes(ctx, [codes[0]] + K.scale(minus, sums[1:] + [K.add(codes[0], sums[0])]))
 
@@ -166,7 +166,7 @@ def evaluate_poly_table(P: Poly) -> MapTable:
     for j in range(n, len(codes)):
         folded[j % n] = ctx.ops().add(folded[j % n], codes[j])
     values = _chirp_dft(ctx, folded, 1)
-    images = [values[i] for i in ctx._tables()[0]]
+    images = [values[i] for i in _build_tables(ctx)[0]]
     images[0] = codes[0] if codes else 0
     return MapTable(n + 1, images)
 

@@ -14,7 +14,7 @@ from cosetmap import (AffineMap, CosetWiseAffineMap, CycleType, InfeasibleError,
                       cw_is_permutation, cw_to_table, cw_to_wreath,
                       evaluate_poly_table, field, is_cgl,
                       one_cycle_map, one_cycle_polynomial, wreath_mul, wreath_to_cw)
-from cosetmap import cwaffine
+from cosetmap import cwaffine, gf
 from cosetmap.cwaffine import _affine_table, _forward_codes
 from cosetmap.cycletype import ct_format, ct_of_permutation, cycles_of
 from cosetmap.gf import index_to_tuple, is_prime
@@ -310,7 +310,7 @@ def test_cw_cycle_type_is_worked_out_once_per_map(monkeypatch):
     calls = []
     real = cwaffine.affine_cycle_type
     monkeypatch.setattr(cwaffine, "affine_cycle_type", lambda g: calls.append(g) or real(g))
-    monkeypatch.setattr(cwaffine, "_FORWARD_TYPES", {})
+    gf.clear_memos()
     rng = random.Random(29)
     for p, d, t in [(2, 1, 2), (3, 2, 1), (5, 1, 2), (3, 1, 3)]:
         calls.clear()
@@ -375,7 +375,7 @@ def test_forward_types_are_kept_per_field(monkeypatch):
     calls = []
     real = cwaffine.affine_cycle_type
     monkeypatch.setattr(cwaffine, "affine_cycle_type", lambda g: calls.append(g) or real(g))
-    monkeypatch.setattr(cwaffine, "_FORWARD_TYPES", {})
+    gf.clear_memos()
 
     def shift_by_one(p):
         return CosetWiseAffineMap(Splitting(p, 1, 0), [([[1]], [1], [])])
@@ -384,9 +384,7 @@ def test_forward_types_are_kept_per_field(monkeypatch):
         assert cw_cycle_type(shift_by_one(3)) == ct("x3")
         assert cw_cycle_type(shift_by_one(5)) == ct("x5")
     assert len(calls) == 2
-    assert {key[0].p: value for key, value in cwaffine._FORWARD_TYPES.items()} == {
-        3: ct("x3"), 5: ct("x5")}
-    assert len({key[1:] for key in cwaffine._FORWARD_TYPES}) == 1
+    assert cwaffine._forward_type.cache_info().currsize == 2
 
 
 def test_construct_main_completeness_check_fires_on_one_bad_factor(monkeypatch):

@@ -13,7 +13,7 @@ import traceback
 import pytest
 
 from cosetmap import CycleType, InfeasibleError, Poly, field, gamma_dpl, realize_gamma
-from cosetmap import affine_ct
+from cosetmap import affine_ct, gf
 from cosetmap.affine_ct import (block_multisets, ct_acgl, ct_agl, first_witness,
                                 shift_class_types, sorted_types, witness_map)
 from cosetmap.gf import is_prime
@@ -135,7 +135,7 @@ def test_non_member_is_refused_without_walking(monkeypatch):
         raise AssertionError("the class walk ran")
         yield  # pragma: no cover
 
-    monkeypatch.setattr(affine_ct, "_GAMMA_CACHE", {})
+    gf.clear_memos()
     monkeypatch.setattr(affine_ct, "block_multisets", no_walk)
     outside_acgl = min(ct_agl(8, 3) - ct_acgl(8, 3), key=lambda t: t.cycles)
     outside_agl = CycleType({3 ** 8: 1})
@@ -159,7 +159,7 @@ def test_non_member_is_refused_without_walking(monkeypatch):
 def test_a_walk_cut_by_an_error_starts_afresh(monkeypatch):
     """An error inside the walk ends its generator; the next request walks
     again from the first class rather than finding the walk spent."""
-    monkeypatch.setattr(affine_ct, "_GAMMA_CACHE", {})
+    gf.clear_memos()
     gamma = sorted_types(ct_agl(3, 3))[-1]
     real = affine_ct.shift_class_types
 

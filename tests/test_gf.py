@@ -204,7 +204,7 @@ def test_poly_order_refusals():
 
 
 def test_poly_order_is_worked_out_once_per_polynomial(monkeypatch):
-    """A second call reads the order kept on the field context; the refusals
+    """A second call reads the order kept in the order memo; the refusals
     still run on every call, and a reducible Q is refused each time, never
     kept."""
     from cosetmap import gf
@@ -226,7 +226,7 @@ def test_poly_order_is_worked_out_once_per_polynomial(monkeypatch):
     for _ in range(2):
         with pytest.raises(AssertionError, match="worked out again"):
             poly_order(reducible)
-    assert reducible.codes not in F5._orders
+    assert (F5, reducible.codes) not in gf._ORDERS
 
 
 ORBIT_FIELDS = {2: 2 ** 10, 3: 3 ** 6, 5: 5 ** 4, 7: 7 ** 3, 11: 11 ** 2, 13: 13 ** 2}

@@ -9,6 +9,7 @@ import time
 import pytest
 
 from cosetmap import MatrixQ, Poly, enumerate_irreducibles, factor_monic, field, is_irreducible
+from cosetmap import gf
 from cosetmap.oracle import MAX_DOMAIN
 from cosetmap.gf import (MAX_DOMAIN as GF_MAX_DOMAIN, _Ops, _convolve, _horner, _pcomb,
                          _pdivmod, _pmul, _ppowmod, _sum_plan, _trim, _vecmat, digit_sums,
@@ -138,15 +139,20 @@ def test_field_elements_from_every_route_are_one_value():
     check()
 
 
+def _table_builds():
+    return gf._build_tables.cache_info().currsize, gf._field_ops.cache_info().currsize
+
+
 def test_addition_above_the_table_limit_builds_no_tables():
-    ctx = field(3, 13)
+    built = _table_builds()
+    ctx = field(3, 13, (1,) + (0,) * 11 + (2, 1))  # X^13 + 2X^12 + 1
     assert ctx.order > MAX_DOMAIN
     x, y = ctx.elem((1, 2) * 6 + (0,)), ctx.gen()
     assert (x + y).coeffs == (1, 0) + (1, 2) * 5 + (0,)
     assert (x - y).coeffs == (1, 1) + (1, 2) * 5 + (0,)
     assert (-x).coeffs == (2, 1) * 6 + (0,)
     assert x + y - y == x and x + (-x) == ctx.zero() and 2 - x == ctx.elem(2) + -x
-    assert ctx._powtable is None and ctx._ops is None
+    assert _table_builds() == built
 
 
 @pytest.mark.parametrize("p,k", EXTENSION_FIELDS)
@@ -430,7 +436,7 @@ def test_tables_are_the_powers_of_a_primitive_element(p, k, modulus):
     over GF(9) with modulus X^2 + 1 the class of X is not primitive, so the
     table generator g is another element."""
     ctx = field(p, k, modulus)
-    log, exp, zech = ctx._tables()
+    log, exp, zech = gf._build_tables(ctx)
     q, n, m = ctx.order, ctx.order - 1, ctx.modulus
     fp = field(p).ops()
     g = _trim(list(_coords(ctx, exp[1])))
@@ -452,7 +458,7 @@ def test_tables_are_the_powers_of_a_primitive_element(p, k, modulus):
 def test_prime_field_tables_are_the_powers_of_a_primitive_root(p):
     """GF(p) gets log and exp tables of its least primitive root, and no Zech
     table (its code arithmetic is on residues)."""
-    log, exp, zech = field(p)._tables()
+    log, exp, zech = gf._build_tables(field(p))
     n = p - 1
     g = exp[1]
 
@@ -485,12 +491,13 @@ def test_packed_products_match_schoolbook():
 
 
 def test_large_extension_refuses_to_build_tables():
-    ctx = field(2, 20)
+    built = _table_builds()
+    ctx = field(2, 20, (1,) + (0,) * 16 + (1, 0, 0, 1))  # X^20 + X^17 + 1
     assert ctx.order > MAX_DOMAIN
     assert MAX_DOMAIN is GF_MAX_DOMAIN  # the table limit lives in gf; oracle re-exports it
     w = ctx.gen()
     assert (w + w).is_zero()  # coordinate arithmetic needs no tables
-    assert w ** 0 == ctx.one() and ctx._powtable is None
+    assert w ** 0 == ctx.one() and _table_builds() == built
     with pytest.raises(ValueError, match="limit"):
         w * w
 
@@ -579,15 +586,14 @@ def _gauss_count(q, d):
 
 @pytest.mark.parametrize("p,k,top", [(2, 1, 8), (3, 1, 5), (2, 2, 4), (2, 3, 3), (3, 2, 3),
                                      (5, 2, 2), (3, 3, 2), (2, 1, 16), (3, 1, 9)])
-def test_irreducible_counts_match_gauss(monkeypatch, p, k, top):
+def test_irreducible_counts_match_gauss(p, k, top):
     """From an empty cache, in under two seconds (the per-cofactor sieve took
     3.3 s for GF(2) to degree 16): every degree's count is Gauss's
     (1/d) sum_{e|d} mu(e) q^(d/e), the list is grade-lex, and every
     polynomial passes Rabin's test and, over GF(p) up to degree 9, sympy's."""
     sympy = pytest.importorskip("sympy")
     from sympy.polys.galoistools import gf_irreducible_p
-    from cosetmap import gf
-    monkeypatch.setattr(gf, "_IRR_CACHE", {})
+    gf.clear_memos()
     ctx = field(p, k)
     start = time.perf_counter()
     irr = enumerate_irreducibles(ctx, top)
@@ -613,15 +619,14 @@ def test_irreducibles_match_the_cofactor_sieve(monkeypatch, p, k, top):
     """The span sieve gives the per-cofactor sieve's list, codes and order,
     from an empty cache, when extending a cached lower degree, and with
     blocks of a few indices, so that every Q's span is shifted many times."""
-    from cosetmap import gf
     from helpers import cofactor_sieve_irreducibles
     ctx = field(p, k)
     want = [Q.codes for Q in cofactor_sieve_irreducibles(ctx, top)]
     for block in (gf._SPAN_BLOCK, 4, 1):
         monkeypatch.setattr(gf, "_SPAN_BLOCK", block)
-        monkeypatch.setattr(gf, "_IRR_CACHE", {})
+        gf.clear_memos()
         assert [Q.codes for Q in enumerate_irreducibles(ctx, top)] == want
-        monkeypatch.setattr(gf, "_IRR_CACHE", {})
+        gf.clear_memos()
         enumerate_irreducibles(ctx, max(1, top // 2))
         assert [Q.codes for Q in enumerate_irreducibles(ctx, top)] == want
         assert gf._IRR_CACHE[(p, k, ctx.modulus)][0] == top

@@ -12,6 +12,7 @@ import os
 import pickle
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -294,6 +295,11 @@ def test_every_refusal_keeps_its_message():
     _refused(lambda: MapTable(3, (0, 1)), "image list length does not match domain size")
     _refused(lambda: MapTable(2, (0, 2)), "image out of range")
     _refused(lambda: MapTable(2, (-1, 0)), "image out of range")
+    for k in (10 ** 30, 3000):  # refused before the default-modulus search
+        start = time.perf_counter()
+        _refused(lambda: field(2, k),
+                 f"GF(2^{k}) has 2^{k} elements, above the {MAX_DOMAIN} limit")
+        assert time.perf_counter() - start < 1.0
     # keyword construction runs the same checks
     _refused(lambda: Splitting(p=3, d=0, t=1), "need d >= 1 and t >= 0")
     _refused(lambda: MapTable(images=(5,), n=1), "image out of range")
