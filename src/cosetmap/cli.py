@@ -63,13 +63,10 @@ def _cmd_cycle_type(args) -> int:
 def _cmd_gamma(args) -> int:
     from . import affine_ct, serialize
     ctx = _field_from_args(args)
-    if args.poly:
-        P = serialize.parse_poly(args.poly, ctx)
-        gs = affine_ct.gamma_of_poly(P)
-    elif args.matrix:
-        gs = affine_ct.gamma_of_matrix(serialize.json_matrix(ctx, json.loads(args.matrix)))
+    if args.poly is not None:
+        gs = affine_ct.gamma_of_poly(serialize.parse_poly(args.poly, ctx))
     else:
-        raise ValueError("gamma needs --poly or --matrix")
+        gs = affine_ct.gamma_of_matrix(serialize.json_matrix(ctx, json.loads(args.matrix)))
     types = affine_ct.sorted_types(gs)
     _emit(args, {"gamma": [t.to_json() for t in types]}, [ct_format(t) for t in types])
     return 0
@@ -235,8 +232,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gamma", help="all cycle types over shifts of a fixed matrix")
     add_field_opts(p)
-    p.add_argument("--poly", help="use the companion matrix of this polynomial")
-    p.add_argument("--matrix", help="inline JSON matrix")
+    which = p.add_mutually_exclusive_group(required=True)
+    which.add_argument("--poly", help="use the companion matrix of this polynomial")
+    which.add_argument("--matrix", help="inline JSON matrix")
     p.set_defaults(fn=_cmd_gamma)
 
     p = sub.add_parser("gamma-dpl", help="types realizable with l complete factors")

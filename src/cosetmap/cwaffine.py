@@ -17,7 +17,7 @@ import random
 from ._record import Record
 from .affine_ct import affine_cycle_type, product_members
 from .cgl import is_cgl, realize_gamma
-from .cycletype import CycleType, cycles_of
+from .cycletype import CycleType, cycles_of, is_permutation
 from .errors import InfeasibleError
 from .gf import (FieldCtx, Poly, _power, _vecmat, check_size, digit_sums, field, index_to_tuple,
                  is_power, memo, prime_power, tuple_to_index)
@@ -119,7 +119,7 @@ def _alphas(f: CosetWiseAffineMap):
 
 def cw_is_permutation(f: CosetWiseAffineMap) -> bool:
     """Structural test: every alpha invertible and the coset map bijective."""
-    if sorted(f.top) != list(range(len(f.top))):
+    if not is_permutation(f.top, len(f.top)):
         return False
     return all(alpha.is_invertible() for alpha in _alphas(f))
 
@@ -149,7 +149,7 @@ class WreathElement(Record):
     def __init__(self, splitting: Splitting, top: tuple[int, ...],
                  bottom: tuple[AffineMap, ...]):
         n = splitting.p ** splitting.t
-        if sorted(top) != list(range(n)):
+        if len(top) != n or not is_permutation(top, n):
             raise ValueError("top must be a bijection on the coset labels")
         if len(bottom) != n:
             raise ValueError("one bottom map per coset label required")
@@ -324,7 +324,7 @@ def construct_main(p: int, d: int, t: int, g_images, gammas: dict,
     lie in the ell-factored set, and the result is a complete mapping.
     """
     g_images = list(g_images)
-    if not is_power(len(g_images), p, t) or sorted(g_images) != list(range(len(g_images))):
+    if not is_power(len(g_images), p, t) or not is_permutation(g_images, len(g_images)):
         raise ValueError("base map must be a bijection on GF(p)^t")
     if require_complete and not is_complete_mapping(g_images, p, t):
         raise InfeasibleError("base map is not a complete mapping of GF(p)^t")

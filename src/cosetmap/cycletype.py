@@ -89,6 +89,21 @@ class CycleType:
         return cls((int(l), exact_int(k, f"the count of x{l}")) for l, k in obj.items())
 
 
+def is_permutation(values, n: int) -> bool:
+    """Whether the n ints `values` (any iterable) are 0..n-1 in some order, by
+    one byte per point: a value out of range answers False, and a repeat
+    leaves a point unseen.  The caller vouches for the count n."""
+    seen = bytearray(n)
+    try:
+        for v in values:
+            if v < 0:
+                return False
+            seen[v] = 1
+    except IndexError:
+        return False
+    return 0 not in seen
+
+
 def cycles_of(images) -> list[list[int]]:
     """Cycles of a permutation given as an image table on 0..n-1, sorted by
     least element, each starting at its least element."""
@@ -110,7 +125,7 @@ def cycles_of(images) -> list[list[int]]:
 def ct_of_permutation(images) -> CycleType:
     """Cycle type of a permutation given as an image table on 0..n-1."""
     images = list(images)
-    if sorted(images) != list(range(len(images))):
+    if not is_permutation(images, len(images)):
         raise ValueError("images do not describe a bijection")
     return CycleType((len(cyc), 1) for cyc in cycles_of(images))
 

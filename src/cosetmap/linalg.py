@@ -157,51 +157,16 @@ def _charpoly(K: _Ops, A) -> list:
     return ps[n]
 
 
-class _Echelon:
-    """Mutable echelon basis of a row space of codes; deterministic insertion
-    order.  Stored rows are normalized at their pivot."""
-
-    __slots__ = ("ops", "rows", "pivots")
-
-    def __init__(self, ops: _Ops):
-        self.ops = ops
-        self.rows: list[list] = []
-        self.pivots: list[int] = []
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
-
-    @classmethod
-    def of_rows(cls, ops: _Ops, rows, ncols: int) -> "_Echelon":
-        """Echelon basis of the row space of `rows`, by one elimination."""
-        work = [list(r) for r in rows]
-        pivots = _reduce_rows(ops, work, ncols)
-        e = cls(ops)
-        e.rows = work[:len(pivots)]
-        e.pivots = pivots
-        return e
-
-    def reduce(self, w) -> list:
-        axpy, neg = self.ops.axpy, self.ops.neg
-        w = list(w)
-        for row, p in zip(self.rows, self.pivots):
-            f = w[p]
-            if f:
-                w = axpy(w, neg(f), row)
-        return w
-
-    def contains(self, v) -> bool:
-        return not any(self.reduce(v))
-
-    def insert(self, v) -> bool:
-        w = self.reduce(v)
-        pivot = next((i for i, a in enumerate(w) if a), None)
-        if pivot is None:
-            return False
-        self.rows.append(self.ops.scale(self.ops.inv(w[pivot]), w))
-        self.pivots.append(pivot)
-        return True
+def _reduce_by(K: _Ops, w, rows, pivots) -> list:
+    """w reduced against an echelon basis, `rows` normalized at their `pivots`
+    in insertion order: zero exactly when w lies in their span."""
+    axpy, neg = K.axpy, K.neg
+    w = list(w)
+    for row, p in zip(rows, pivots):
+        f = w[p]
+        if f:
+            w = axpy(w, neg(f), row)
+    return w
 
 
 # ---------------------------------------------------------------------------
@@ -500,19 +465,20 @@ def _primary_exponents(K: _Ops, N, mult: int, deg: int, v=None) -> tuple[list[in
     floor = n - mult * deg
     ranks = [n]
     grown = 0
-    rows = N
+    rows = list(N)   # spans the row space of N^k, k = len(ranks); reduced to a basis below
     while True:
-        ech = _Echelon.of_rows(K, rows, n)   # row space of N^k, k = len(ranks)
-        ranks.append(ech.dim)
+        pivots = _reduce_rows(K, rows, n)
+        del rows[len(pivots):]
+        ranks.append(len(pivots))
         if v is not None:   # v is v N^(k-1) here
-            if ech.contains(v):
+            if not any(_reduce_by(K, v, rows, pivots)):
                 v = None    # then v N^(j-1) lies in the row space of N^j for every j > k
             else:
                 grown = len(ranks) - 1
                 v = _vecmat(K, v, N, n)
-        if ech.dim <= floor or len(ranks) > mult:
+        if len(pivots) <= floor or len(ranks) > mult:
             break
-        rows = [_vecmat(K, r, N, n) for r in ech.rows]
+        rows = [_vecmat(K, r, N, n) for r in rows]
     drops = [a - b for a, b in zip(ranks, ranks[1:])]
     if ranks[-1] != floor or any(d % deg for d in drops):
         raise ArithmeticError("primary component has unexpected dimension")
@@ -585,7 +551,8 @@ def _decompose_primary(K: _Ops, A, QA, Q, comp_basis):
     degQ = len(Q) - 1
     target_dim = len(comp_basis)
 
-    collected = _Echelon(K)
+    rows: list[list] = []       # echelon basis of the collected blocks
+    pivots: list[int] = []
     gens: list[tuple[list, int]] = []
     gen_rows: list[list] = []   # Krylov rows in block order
     gen_meta: list[int] = []    # generator index per row
@@ -593,7 +560,7 @@ def _decompose_primary(K: _Ops, A, QA, Q, comp_basis):
     def height_mod(v, cap: int) -> int:
         h = 0
         w = v
-        while not collected.contains(w):
+        while any(_reduce_by(K, w, rows, pivots)):
             w = _vecmat(K, w, QA, n)
             h += 1
             if h > cap:
@@ -601,7 +568,7 @@ def _decompose_primary(K: _Ops, A, QA, Q, comp_basis):
         return h
 
     cap = target_dim // degQ + 1
-    while collected.dim < target_dim:
+    while len(rows) < target_dim:
         # the first vector of maximal height is independent of the earlier
         # ones modulo collected: any combination of them is lower
         heights = [height_mod(v, cap) for v in comp_basis]
@@ -641,8 +608,12 @@ def _decompose_primary(K: _Ops, A, QA, Q, comp_basis):
         if any(check):
             raise ArithmeticError("purification failed in canonical form")
         for r in block_rows:
-            if not collected.insert(r):
+            r = _reduce_by(K, r, rows, pivots)
+            pivot = next((i for i, a in enumerate(r) if a), None)
+            if pivot is None:
                 raise ArithmeticError("dependent Krylov row in canonical form")
+            rows.append(K.scale(K.inv(r[pivot]), r))
+            pivots.append(pivot)
         gen_rows.extend(block_rows)
         gens.append((x, hmax))
     return gens

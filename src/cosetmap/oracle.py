@@ -13,7 +13,7 @@ import operator
 from itertools import repeat
 
 from ._record import Record
-from .cycletype import CycleType, cycles_of
+from .cycletype import CycleType, cycles_of, is_permutation
 # MAX_DOMAIN is re-exported: the limit on map tables lives in gf
 from .gf import (MAX_DOMAIN, FieldCtx, Poly, _build_tables, _chirp_dft, check_size,
                  digit_sum_pairs, digit_sums, exact_int, is_power, is_prime, json_fields)
@@ -27,7 +27,7 @@ def is_complete_mapping(images, p: int, n: int) -> bool:
         raise ValueError(f"{p} is not prime")
     if n < 0:
         raise ValueError(f"dimension {n} is negative")
-    return (is_power(len(images), p, n) and sorted(images) == list(range(len(images)))
+    return (is_power(len(images), p, n) and is_permutation(images, len(images))
             and _sums_bijective(images, p, n, (1,))[0])
 
 
@@ -38,18 +38,11 @@ def _sums_bijective(images, p: int, n: int, signs) -> list[bool]:
     share one `digit_sums` pass."""
     size = p ** n
     if len({s % p for s in signs}) == 1:
-        return [_covers(digit_sums(images, range(size), p, n, signs[0]), size)] * len(signs)
+        return [is_permutation(digit_sums(images, range(size), p, n, signs[0]), size)] * len(signs)
     bits, packed = digit_sum_pairs(images, range(size), p, n)
-    return [_covers(map(operator.rshift, packed, repeat(bits)) if s == 1 else
-                    map(operator.and_, packed, repeat((1 << bits) - 1)), size) for s in signs]
-
-
-def _covers(values, size: int) -> bool:
-    """Whether `size` values below size are all distinct, by one byte each."""
-    seen = bytearray(size)
-    for v in values:
-        seen[v] = 1
-    return 0 not in seen
+    return [is_permutation(map(operator.rshift, packed, repeat(bits)) if s == 1 else
+                           map(operator.and_, packed, repeat((1 << bits) - 1)), size)
+            for s in signs]
 
 
 class MapTable(Record):
@@ -96,7 +89,7 @@ class MapTable(Record):
                 raise ValueError(f"CSV must cover indices 0..n-1 exactly once; {i} repeats")
             pairs[i] = int(row[1])
         n = len(pairs)
-        if sorted(pairs) != list(range(n)):
+        if not is_permutation(pairs, n):
             raise ValueError("CSV must cover indices 0..n-1 exactly once")
         return cls(n, tuple(pairs[i] for i in range(n)))
 
@@ -120,8 +113,8 @@ class AnalysisReport(Record):
 
 def analyze(table: MapTable, p: int, dims: int) -> AnalysisReport:
     """Exhaustive report under the elementary-abelian law of GF(p)^dims
-    (ValueError unless p is prime and the table has p^dims points): one set
-    of the images tests the bijection, one pass of digit sums both the
+    (ValueError unless p is prime and the table has p^dims points): one
+    `is_permutation` pass tests the bijection, one pass of digit sums both the
     complete and the orthomorphism property, and one walk of the cycles
     (`cycles_of`) gives the cycle type."""
     if p > 1 and not is_power(table.n, p, dims):
@@ -130,9 +123,7 @@ def analyze(table: MapTable, p: int, dims: int) -> AnalysisReport:
         raise ValueError(f"{p} is not prime")
     images = table.images
     fixed = tuple(i for i in range(table.n) if images[i] == i)
-    # a MapTable's images lie in range(n), so n distinct ones are a bijection,
-    # and its cycles need no second check
-    if len(set(images)) != table.n:
+    if not is_permutation(images, table.n):
         return AnalysisReport(False, False, False, None, fixed)
     is_complete, is_ortho = _sums_bijective(images, p, dims, (1, -1))
     ctype = CycleType((len(cyc), 1) for cyc in cycles_of(images))

@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import re
 
-from .gf import (FieldCtx, FieldElement, Poly, exact_int, field, index_to_tuple, json_fields,
-                 json_list)
+from .gf import (FieldCtx, FieldElement, Poly, check_size, exact_int, field, index_to_tuple,
+                 json_fields, json_list)
 from .linalg import AffineMap, MatrixQ, VectorQ
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING without importing typing
@@ -111,6 +111,8 @@ def cwmap_from_json(obj) -> CosetWiseAffineMap:
         u, alpha, omega, nu = json_fields(item, "an entry of cosets",
                                           ("u", "alpha", "omega", "nu"))
         u = tuple(exact_int(c, "a coset label digit") for c in json_list(u, "u"))
+        if u in per:
+            raise ValueError(f"cosets names the coset label {list(u)} twice")
         per[u] = (json_matrix(ctx, alpha, "alpha"), VectorQ(ctx, json_list(omega, "omega")),
                   VectorQ(ctx, json_list(nu, "nu")))
     return CosetWiseAffineMap(s, per)
@@ -155,6 +157,7 @@ def parse_poly(text: str, ctx: FieldCtx) -> Poly:
 
     Accepts any single-letter variable (other than `w`, the generator),
     integer, generator-power or coordinate-list coefficients, and +/- signs.
+    A degree above MAX_DOMAIN is refused before any coefficient list is built.
     """
     s = text.replace(" ", "")
     if not s:
@@ -200,4 +203,5 @@ def parse_poly(text: str, ctx: FieldCtx) -> Poly:
             coef = -coef
         coeffs[deg] = coeffs.get(deg, ctx.zero()) + coef
     top = max(coeffs) if coeffs else 0
+    check_size(f"a polynomial of degree {top}", top)
     return Poly(ctx, [coeffs.get(i, ctx.zero()) for i in range(top + 1)])

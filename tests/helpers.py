@@ -491,20 +491,21 @@ def krylov_minpoly(A: MatrixQ) -> Poly:
     flattened powers I, A, A^2, ... (the method of the library's former
     `minpoly`, before it read the minimal polynomial from the elementary
     divisors)."""
-    from cosetmap.linalg import _Echelon, _identity, _matmul, _solve_columns
+    from cosetmap.linalg import _identity, _matmul, _solve_columns
     K = A.ctx.ops()
     n = A.rows
     power = _identity(K, n)
     flats = []
-    ech = _Echelon(K)
     while True:
         flat = [a for row in power for a in row]
-        if not ech.insert(flat):
-            # A^m depends on lower powers: solve sum c_i A^i = A^m
-            sol = _solve_columns(K, list(zip(*flats)), flat, len(flats))
-            return Poly.from_codes(A.ctx, [K.neg(c) for c in sol] + [K.one])
-        flats.append(flat)
-        power = _matmul(K, power, A.codes, n)
+        try:   # sum c_i A^i = A^m over i < m, consistent once A^m depends on them
+            sol = _solve_columns(K, [[f[j] for f in flats] for j in range(len(flat))], flat,
+                                 len(flats))
+        except ValueError:
+            flats.append(flat)
+            power = _matmul(K, power, A.codes, n)
+            continue
+        return Poly.from_codes(A.ctx, [K.neg(c) for c in sol] + [K.one])
 
 
 def cofactor_sieve_irreducibles(ctx, max_degree: int) -> list[Poly]:

@@ -154,12 +154,16 @@ def test_field_and_factor_count_above_the_limit_exit_2_at_once(capsys):
     ("one-cycle", "--p", "2", "--k", "21"),
     ("sylow-type", "--q", "4782969", "--type", "x4782969"),
     ("gamma-dpl", "--d", str(10 ** 30), "--p", "3", "--l", "1"),
+    ("gamma", "--p", "2", "--poly", "x^100000000+1"),
+    ("gamma", "--p", "2", "--k", "2", "--modulus", "x^100000000+1", "--poly", "x"),
 ])
 def test_coset_counts_and_dimensions_above_the_limit_exit_2_at_once(capsys, argv):
     """More than MAX_DOMAIN cosets (3^13 for one-cycle --k 14 and for
-    sylow-type over GF(3^14), 2^20 for one-cycle --p 2 --k 21), or a gamma
-    set in a dimension above it, is refused before any coset or type is
-    listed: these took seconds, gave no answer, or overflowed an index."""
+    sylow-type over GF(3^14), 2^20 for one-cycle --p 2 --k 21), a gamma set
+    in a dimension above it, or polynomial text of a higher degree, is
+    refused before any coset, type or coefficient is listed: these took
+    seconds, gave no answer, overflowed an index, or (x^100000000 + 1) asked
+    for several GB."""
     start = time.perf_counter()
     code, out, err = run_cli(capsys, *argv)
     assert time.perf_counter() - start < 1
@@ -221,6 +225,9 @@ def test_internal_errors_exit_3(monkeypatch, capsys, exc, code, prefix):
     (("gamma", "--p", "3", "--poly", "-x+1"), "error: argument --poly: expected one argument\n"),
     (("gamma", "--p", "abc"), "error: argument --p: invalid int value: 'abc'\n"),
     (("gamma-dpl", "--d", "2", "--p", "3"), "error: the following arguments are required: --l\n"),
+    (("gamma", "--p", "3", "--poly", "X^2+X+2", "--matrix", "[[1]]"),  # was --poly's answer
+     "error: argument --matrix: not allowed with argument --poly\n"),
+    (("gamma", "--p", "3"), "error: one of the arguments --poly --matrix is required\n"),
     (("--format", "xml", "gamma", "--p", "3"), None),
     (("bogus",), None),
 ])

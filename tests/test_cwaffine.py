@@ -225,6 +225,15 @@ def test_data_refuses_a_label_outside_gf_p():
             f.data(u)
 
 
+def test_a_coset_label_listed_twice_is_refused():
+    # the last entry used to win, loading another map without an error
+    from cosetmap.serialize import cwmap_from_json, cwmap_to_json
+    good = cwmap_to_json(one_cycle_map(3, 2))
+    again = {**good["cosets"][0], "omega": [2]}
+    with pytest.raises(ValueError, match=re.escape("cosets names the coset label [0] twice")):
+        cwmap_from_json({**good, "cosets": good["cosets"] + [again]})
+
+
 def test_wreath_identity_correspondence():
     F3 = field(3)
     s = Splitting(3, 1, 1)

@@ -5,6 +5,7 @@ import pytest
 
 from cosetmap import (CycleType, blow_up, ct, ct_format, ct_mul,
                       ct_of_permutation, ct_parse, weixu, weixu_all)
+from cosetmap.cycletype import is_permutation
 
 
 def test_ct_of_permutation():
@@ -13,6 +14,26 @@ def test_ct_of_permutation():
     assert ct_of_permutation([1, 0, 3, 4, 2]) == ct("x2 x3")
     with pytest.raises(ValueError):
         ct_of_permutation([0, 0, 1])
+
+
+def test_is_permutation_matches_its_definition():
+    """The one bijection test of an image table answers as sorting does, on
+    lists and one-pass iterators, the empty table, negative values, values
+    of n or more, and repeats."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(st.one_of(st.permutations(range(6)),
+                                st.lists(st.integers(-3, 8), max_size=8)), st.booleans())
+    def check(values, one_pass):
+        n = len(values)
+        want = sorted(values) == list(range(n))
+        assert is_permutation(iter(values) if one_pass else values, n) == want
+
+    check()
+    assert is_permutation([], 0) and is_permutation(iter(()), 0)
+    assert not is_permutation([-1, 0], 2) and not is_permutation([0, 10 ** 30], 2)
 
 
 def test_ct_mul():

@@ -23,6 +23,7 @@ from cosetmap import (AffineMap, AnalysisReport, CglFactorization, MapTable,
                       ct_of_permutation, factor_into_cgl, field, one_cycle_map, prcf)
 from cosetmap._record import Record
 from cosetmap.gf import MAX_DOMAIN
+from cosetmap.serialize import parse_poly
 
 FIELDS = {
     AffineMap: ("matrix", "shift"),
@@ -300,6 +301,10 @@ def test_every_refusal_keeps_its_message():
         _refused(lambda: field(2, k),
                  f"GF(2^{k}) has 2^{k} elements, above the {MAX_DOMAIN} limit")
         assert time.perf_counter() - start < 1.0
+    start = time.perf_counter()  # refused before a coefficient list is built
+    _refused(lambda: parse_poly("x^100000000+1", F2),
+             f"a polynomial of degree 100000000, above the {MAX_DOMAIN} limit")
+    assert time.perf_counter() - start < 1.0
     # keyword construction runs the same checks
     _refused(lambda: Splitting(p=3, d=0, t=1), "need d >= 1 and t >= 0")
     _refused(lambda: MapTable(images=(5,), n=1), "image out of range")
