@@ -225,11 +225,11 @@ def test_internal_errors_exit_3(monkeypatch, capsys, exc, code, prefix):
     (("gamma", "--p", "3", "--poly", "-x+1"), "error: argument --poly: expected one argument\n"),
     (("gamma", "--p", "abc"), "error: argument --p: invalid int value: 'abc'\n"),
     (("gamma-dpl", "--d", "2", "--p", "3"), "error: the following arguments are required: --l\n"),
+    (("--format", "xml", "gamma", "--p", "3"), None),
+    (("bogus",), None),
     (("gamma", "--p", "3", "--poly", "X^2+X+2", "--matrix", "[[1]]"),  # was --poly's answer
      "error: argument --matrix: not allowed with argument --poly\n"),
     (("gamma", "--p", "3"), "error: one of the arguments --poly --matrix is required\n"),
-    (("--format", "xml", "gamma", "--p", "3"), None),
-    (("bogus",), None),
 ])
 def test_argument_errors_exit_2_with_one_line(capsys, argv, message):
     """What argparse refuses follows the contract of every other malformed
