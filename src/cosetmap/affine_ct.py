@@ -257,10 +257,9 @@ _WALK_LOCK = _thread.allocate_lock()  # one thread at a time advances any walk
 def _gamma(complete: bool, d: int, p: int) -> tuple[frozenset, dict, object]:
     """(types, first, walk) over every class of GL_d(p), or the classes
     without the block X+1 when `complete`: the set from `_signature_types`; per
-    type met so far, its first (blocks, units) and a slot for the map
-    `witness_map` builds from them; and the `_class_walk` where the search
-    for the next witness resumes.  Of two threads that build one entry, the
-    first to store it wins."""
+    type met so far, its first (blocks, units); and the `_class_walk` where
+    the search for the next witness resumes.  Of two threads that build one
+    entry, the first to store it wins."""
     if d < 1:
         raise ValueError("dimension must be >= 1")
     key = (complete, d, p)
@@ -272,12 +271,13 @@ def _gamma(complete: bool, d: int, p: int) -> tuple[frozenset, dict, object]:
     return entry
 
 
-def _first(gamma: CycleType, d: int, p: int, complete: bool) -> dict | None:
-    """The walk's witness entries, walked on only as far as the first class
-    that reaches gamma; None, with no walking, if the gamma set does not
-    hold gamma.  The walk advances under `_WALK_LOCK`.  An error inside the
-    walk ends the generator, so it drops the whole entry and the next call
-    walks afresh."""
+def first_witness(gamma: CycleType, d: int, p: int, complete: bool = False):
+    """(blocks, units) of the first class and choice of unit shifts, in
+    walk order, that reaches gamma: among classes with no eigenvalue -1 when
+    `complete`, else among all of GL_d(p).  None, with no walking, if the
+    gamma set does not hold gamma.  The walk advances under `_WALK_LOCK`.  An
+    error inside the walk ends the generator, so it drops the whole entry and
+    the next call walks afresh."""
     key = (complete, d, p)
     types, first, walk = _gamma(*key)
     if gamma not in types:
@@ -289,11 +289,11 @@ def _first(gamma: CycleType, d: int, p: int, complete: bool) -> dict | None:
                 if step is None:
                     raise ArithmeticError("the class walk misses a type of the gamma set")
                 t, blocks, units = step
-                first.setdefault(t, (blocks, units, None))
+                first.setdefault(t, (blocks, units))
         except BaseException:
             _GAMMA_CACHE.pop(key, None)
             raise
-    return first
+    return first[gamma]
 
 
 def ct_agl(d: int, p: int) -> frozenset[CycleType]:
@@ -306,32 +306,38 @@ def ct_acgl(d: int, p: int) -> frozenset[CycleType]:
     return _gamma(True, d, p)[0]
 
 
-def first_witness(gamma: CycleType, d: int, p: int, complete: bool = False):
-    """(blocks, units) of the first class and choice of unit shifts, in
-    walk order, that reaches gamma: among classes with no eigenvalue -1 when
-    `complete`, else among all of GL_d(p).  None if no class reaches it."""
-    first = _first(gamma, d, p, complete)
-    return None if first is None else first[gamma][:2]
+_AFFINE_TYPES: dict[tuple, CycleType] = memo({}, f"{__name__}._AFFINE_TYPES")
 
 
+def _affine_type(ctx: FieldCtx, A, v) -> CycleType:
+    """affine_cycle_type of x -> x*A + v over ctx, given as matrix code rows
+    and shift codes, kept for the process by (ctx, A, v).  `witness_map`
+    stores the type of every witness it checks here."""
+    t = _AFFINE_TYPES.get((ctx, A, v))
+    if t is None:
+        f = AffineMap(MatrixQ.from_codes(ctx, A), VectorQ.from_codes(ctx, v))
+        t = _AFFINE_TYPES.setdefault((ctx, A, v), affine_cycle_type(f))
+    return t
+
+
+@memo
 def witness_map(gamma: CycleType, d: int, p: int, complete: bool = False) -> AffineMap | None:
     """x -> x*M + w of cycle type gamma from its `first_witness`: M the block
     diagonal of the companions of the Q^e, w 1 at the start of each block
-    with a unit shift and 0 elsewhere.  Checked with `affine_cycle_type` when
-    first built and kept in the walk's witness entry.  None if no class
-    reaches gamma."""
-    first = _first(gamma, d, p, complete)
-    if first is None:
+    with a unit shift and 0 elsewhere.  Checked with `affine_cycle_type`,
+    which leaves M its characteristic polynomial, and the type stored for
+    `_affine_type`.  None if no class reaches gamma."""
+    witness = first_witness(gamma, d, p, complete)
+    if witness is None:
         return None
-    blocks, units, f = first[gamma]
-    if f is None:
-        M = MatrixQ.block_diag([companion(Q ** e) for Q, e in blocks])
-        w = VectorQ(M.ctx, [int(j == 0 and unit) for (Q, e), unit in zip(blocks, units)
-                            for j in range(int(Q.degree) * e)])
-        f = AffineMap(M, w)
-        if affine_cycle_type(f) != gamma:
-            raise ArithmeticError("realized affine map has the wrong type")
-        first[gamma] = (blocks, units, f)
+    blocks, units = witness
+    M = MatrixQ.block_diag([companion(Q ** e) for Q, e in blocks])
+    w = VectorQ(M.ctx, [int(j == 0 and unit) for (Q, e), unit in zip(blocks, units)
+                        for j in range(int(Q.degree) * e)])
+    f = AffineMap(M, w)
+    if affine_cycle_type(f) != gamma:
+        raise ArithmeticError("realized affine map has the wrong type")
+    _AFFINE_TYPES[M.ctx, M.codes, w.codes] = gamma
     return f
 
 

@@ -18,7 +18,7 @@ import sys
 # every subcommand uses these; each handler imports the other modules it calls
 from .cycletype import CycleType, ct_format, ct_parse
 from .errors import InfeasibleError
-from .gf import check_size, exact_int, field, json_fields, json_list
+from .gf import check_size, exact_int, field, json_fields, json_list, read_json
 
 
 def _field_from_args(args):
@@ -53,8 +53,7 @@ def _read_input(path: str) -> str:
 def _cmd_cycle_type(args) -> int:
     from . import affine_ct, serialize
     ctx = _field_from_args(args)
-    obj = json.loads(_read_input(args.map))
-    f = serialize.affine_from_json(ctx, obj)
+    f = serialize.affine_from_json(ctx, read_json(_read_input(args.map), "--map"))
     ctype = affine_ct.affine_cycle_type(f)
     _emit(args, {"cycle_type": ctype.to_json(), "text": ct_format(ctype)}, [ct_format(ctype)])
     return 0
@@ -66,7 +65,8 @@ def _cmd_gamma(args) -> int:
     if args.poly is not None:
         gs = affine_ct.gamma_of_poly(serialize.parse_poly(args.poly, ctx))
     else:
-        gs = affine_ct.gamma_of_matrix(serialize.json_matrix(ctx, json.loads(args.matrix)))
+        M = serialize.json_matrix(ctx, read_json(args.matrix, "--matrix"))
+        gs = affine_ct.gamma_of_matrix(M)
     types = affine_ct.sorted_types(gs)
     _emit(args, {"gamma": [t.to_json() for t in types]}, [ct_format(t) for t in types])
     return 0
@@ -87,7 +87,7 @@ def _cmd_cgl_factor(args) -> int:
     from . import cgl, serialize
     check_size(f"--l asks for {args.l} factors", args.l)
     ctx = _field_from_args(args)
-    M = serialize.json_matrix(ctx, json.loads(_read_input(args.matrix)))
+    M = serialize.json_matrix(ctx, read_json(_read_input(args.matrix), "--matrix"))
     fac = cgl.factor_into_cgl(M, args.l, seed=args.seed)
     payload = {
         "factors": [serialize.matrix_to_json(F) for F in fac.factors],
@@ -135,7 +135,7 @@ def _emit_cwmap(args, f, verify_expected_complete=True) -> int:
 
 def _cmd_construct(args) -> int:
     from . import cwaffine
-    job = json.loads(_read_input(args.job))
+    job = read_json(_read_input(args.job), "--job")
     p, d, t, items, g = json_fields(job, "a construct job", ("p", "d", "t", "gammas", "g"))
     p, d, t = exact_int(p, "p"), exact_int(d, "d"), exact_int(t, "t")
     _check_verify_size(args, p, d + t)

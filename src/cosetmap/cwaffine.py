@@ -15,12 +15,12 @@ import itertools
 import random
 
 from ._record import Record
-from .affine_ct import affine_cycle_type, product_members
+from .affine_ct import _affine_type, product_members
 from .cgl import is_cgl, realize_gamma
 from .cycletype import CycleType, cycles_of, is_permutation
 from .errors import InfeasibleError
 from .gf import (FieldCtx, Poly, _power, _vecmat, check_size, digit_sums, field, index_to_tuple,
-                 is_power, memo, prime_power, tuple_to_index)
+                 is_power, prime_power, tuple_to_index)
 from .linalg import AffineMap, MatrixQ, VectorQ, _identity, _matmul
 from .oracle import MapTable, is_complete_mapping
 
@@ -212,14 +212,6 @@ def _forward_codes(f: CosetWiseAffineMap, cycles):
         yield tuple(map(tuple, A)), tuple(v)
 
 
-@memo
-def _forward_type(ctx: FieldCtx, A, v) -> CycleType:
-    """affine_cycle_type of the forward product x -> x*A + v, by (ctx, matrix
-    codes, shift codes), for the process: every cycle `construct_main` fills
-    has its witness as forward product."""
-    return affine_cycle_type(AffineMap(MatrixQ.from_codes(ctx, A), VectorQ.from_codes(ctx, v)))
-
-
 def _blown_up(counts) -> CycleType:
     """The product of blow_up(ell, gamma)^k over the pairs ((ell, gamma), k)."""
     return CycleType((ell * l, k * c) for (ell, gamma), k in counts for l, c in gamma.cycles)
@@ -228,8 +220,8 @@ def _blown_up(counts) -> CycleType:
 def cw_cycle_type(f: CosetWiseAffineMap) -> CycleType:
     """Blow up the cycle type of each forward cycle product by its cycle
     length and multiply.  Worked out once per map, from the cycles tallied by
-    (length, forward product), with each forward product's type kept per
-    field (`_forward_type`)."""
+    (length, forward product), each forward product's type read from the
+    process-wide `affine_ct._affine_type`."""
     if f._cycle_type is None:
         if not cw_is_permutation(f):
             raise ValueError("cycle type requires a permutation")
@@ -238,8 +230,7 @@ def cw_cycle_type(f: CosetWiseAffineMap) -> CycleType:
         for cycle, fwd in zip(cycles, _forward_codes(f, cycles)):
             key = len(cycle), fwd
             counts[key] = counts.get(key, 0) + 1
-        ctx = f.splitting.ctx
-        f._cycle_type = _blown_up(((ell, _forward_type(ctx, *fwd)), k)
+        f._cycle_type = _blown_up(((ell, _affine_type(f.splitting.ctx, *fwd)), k)
                                   for (ell, fwd), k in counts.items())
     return f._cycle_type
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import re
 
-from .gf import exact_int, json_fields
+from .gf import exact_int, json_fields, read_int
 
 
 class CycleType:
@@ -86,7 +86,8 @@ class CycleType:
         for l in obj:
             if not (isinstance(l, str) and l.isascii() and l.isdigit()):
                 raise ValueError(f"a cycle length must be a string of digits, not {l!r}")
-        return cls((int(l), exact_int(k, f"the count of x{l}")) for l, k in obj.items())
+        return cls((read_int(l, "a cycle length"), exact_int(k, f"the count of x{l}"))
+                   for l, k in obj.items())
 
 
 def is_permutation(values, n: int) -> bool:
@@ -196,8 +197,8 @@ def ct_parse(text: str) -> CycleType:
         m = _TERM_RE.match(token)
         if not m:
             raise ValueError(f"malformed cycle-type term {token!r}")
-        length = int(m.group(1))
-        count = int(m.group(2)) if m.group(2) else 1
+        length = read_int(m.group(1), "a cycle length")
+        count = read_int(m.group(2), "a cycle count") if m.group(2) else 1
         if length < 1 or count < 1:
             raise ValueError("cycle-type terms need positive length and count")
         if length <= last:

@@ -30,6 +30,7 @@ bound, and refuses a part it does not prove composite from psi_13 on.
 `check_size` is the one size rule: every refusal above `MAX_DOMAIN` goes
 through it.  `memo` is the one memo rule: every process-wide memo of the
 package is registered by it, and `clear_memos` empties them all.
+`read_int` and `read_json` turn input text into numbers and JSON values, and
 `exact_int`, `json_fields` and `json_list` are the JSON value checks every
 input reader shares (gf imports no other module).
 """
@@ -199,6 +200,29 @@ def _composite(n: int) -> bool:
         else:
             return True
     return False
+
+
+def read_int(digits: str, what: str) -> int:
+    """int(digits) for text of decimal digits; ValueError naming `what` when
+    it has more digits than the interpreter converts."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ValueError(f"{what} has more than {sys.get_int_max_str_digits()} digits") from None
+
+
+def read_json(text: str, what: str):
+    """json.loads(text); ValueError naming `what` for an integer with more
+    digits than the interpreter converts, the one error json raises that is
+    not a JSONDecodeError."""
+    import json
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        raise
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise ValueError(f"an integer in {what} has more than {limit} digits") from None
 
 
 def exact_int(value, name: str) -> int:

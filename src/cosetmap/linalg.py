@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from ._record import Record
 from .gf import (FieldCtx, FieldElement, Poly, _Ops, _horner, _pexact_div, _pmul, _power,
-                 _ppow, _trim, _vecmat, factor_monic, index_to_tuple)
+                 _ppow, _trim, _vecmat, check_size, factor_monic, index_to_tuple)
 
 
 # ---------------------------------------------------------------------------
@@ -439,9 +439,11 @@ class AffineMap(Record):
 
 def companion(P: Poly) -> MatrixQ:
     """Row-convention companion matrix: superdiagonal ones, last row the
-    negated coefficients of P."""
+    negated coefficients of P; refused above MAX_DOMAIN entries."""
     if not P.is_monic() or P.degree < 1:
         raise ValueError("companion matrix needs a monic polynomial of degree >= 1")
+    n = int(P.degree)
+    check_size(f"the companion matrix of degree {n} has {n}^2 entries", n, 2)
     return MatrixQ.from_codes(P.ctx, _companion(P.ctx.ops(), P.codes))
 
 

@@ -8,7 +8,6 @@ The codec is `gf.index_to_tuple`/`gf.tuple_to_index`.
 
 from __future__ import annotations
 
-import json
 import operator
 from itertools import repeat
 
@@ -16,7 +15,8 @@ from ._record import Record
 from .cycletype import CycleType, cycles_of, is_permutation
 # MAX_DOMAIN is re-exported: the limit on map tables lives in gf
 from .gf import (MAX_DOMAIN, FieldCtx, Poly, _build_tables, _chirp_dft, check_size,
-                 digit_sum_pairs, digit_sums, exact_int, is_power, is_prime, json_fields)
+                 digit_sum_pairs, digit_sums, exact_int, is_power, is_prime, json_fields,
+                 read_int, read_json)
 
 
 def is_complete_mapping(images, p: int, n: int) -> bool:
@@ -84,10 +84,10 @@ class MapTable(Record):
             for cell in row:
                 if not (cell.strip().isascii() and cell.strip().isdigit()):
                     raise ValueError(f"CSV row {r}: {cell!r} is not a nonnegative integer")
-            i = int(row[0])
+            i = read_int(row[0], f"a cell of CSV row {r}")
             if i in pairs:
                 raise ValueError(f"CSV must cover indices 0..n-1 exactly once; {i} repeats")
-            pairs[i] = int(row[1])
+            pairs[i] = read_int(row[1], f"a cell of CSV row {r}")
         n = len(pairs)
         if not is_permutation(pairs, n):
             raise ValueError("CSV must cover indices 0..n-1 exactly once")
@@ -168,4 +168,4 @@ def load_table(text: str) -> MapTable:
     head = text.lstrip()[:1]
     if not head or head in "0123456789":
         return MapTable.from_csv(text)
-    return MapTable.from_json(json.loads(text))
+    return MapTable.from_json(read_json(text, "a map table"))

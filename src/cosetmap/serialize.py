@@ -22,7 +22,7 @@ from __future__ import annotations
 import re
 
 from .gf import (FieldCtx, FieldElement, Poly, check_size, exact_int, field, index_to_tuple,
-                 json_fields, json_list)
+                 json_fields, json_list, read_int)
 from .linalg import AffineMap, MatrixQ, VectorQ
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING without importing typing
@@ -71,8 +71,12 @@ def matrix_to_json(M: MatrixQ) -> list:
 
 def json_matrix(ctx: FieldCtx, value, name: str = "matrix") -> MatrixQ:
     """The matrix of a JSON array of row arrays; ValueError naming it when it,
-    or one of its rows, is not a list."""
-    return MatrixQ(ctx, [json_list(row, f"a row of {name}") for row in json_list(value, name)])
+    or one of its rows, is not a list, or when it has more than MAX_DOMAIN
+    entries, before any entry is read."""
+    rows = [json_list(row, f"a row of {name}") for row in json_list(value, name)]
+    entries = sum(map(len, rows))
+    check_size(f"{name} has {entries} entries", entries)
+    return MatrixQ(ctx, rows)
 
 
 def affine_from_json(ctx: FieldCtx, obj) -> AffineMap:
@@ -157,7 +161,9 @@ def parse_poly(text: str, ctx: FieldCtx) -> Poly:
 
     Accepts any single-letter variable (other than `w`, the generator),
     integer, generator-power or coordinate-list coefficients, and +/- signs.
-    A degree above MAX_DOMAIN is refused before any coefficient list is built.
+    A degree above MAX_DOMAIN is refused before any coefficient list is
+    built, one of more than 20 digits by its digit count before it is read,
+    and a number with more digits than the interpreter converts is refused.
     """
     s = text.replace(" ", "")
     if not s:
@@ -180,14 +186,15 @@ def parse_poly(text: str, ctx: FieldCtx) -> Poly:
         if coef_txt is None:
             coef = ctx.one()
         elif m.group("coords"):
-            coef = ctx.elem(tuple(map(int, m.group("coords").split(","))))
+            coef = ctx.elem(tuple(read_int(c, "a coordinate in polynomial text")
+                                  for c in m.group("coords").split(",")))
         elif coef_txt.startswith("w"):
             if ctx.k == 1:
                 raise ValueError("generator powers need an extension field")
-            exp = int(m.group("wexp")) if m.group("wexp") else 1
+            exp = read_int(m.group("wexp") or "1", "an exponent of w in polynomial text")
             coef = ctx.gen() ** exp
         else:
-            coef = ctx.elem(int(coef_txt))
+            coef = ctx.elem(read_int(coef_txt, "a coefficient in polynomial text"))
         v = m.group("var")
         if v is not None:
             if v == "w":
@@ -196,7 +203,10 @@ def parse_poly(text: str, ctx: FieldCtx) -> Poly:
                 varname = v
             elif v != varname:
                 raise ValueError(f"mixed variables {varname!r} and {v!r}")
-            deg = int(m.group("exp")) if m.group("exp") else 1
+            digits = len((m.group("exp") or "1").lstrip("0"))
+            if digits > 20:  # named by its length, as it is at least 10^20
+                check_size(f"a polynomial whose degree has {digits} digits", 10, digits - 1)
+            deg = int(m.group("exp") or "1")
         else:
             deg = 0
         if negate:

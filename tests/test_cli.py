@@ -2,6 +2,7 @@ import io
 import json
 import random
 import re
+import sys
 import time
 
 import pytest
@@ -156,20 +157,25 @@ def test_field_and_factor_count_above_the_limit_exit_2_at_once(capsys):
     ("gamma-dpl", "--d", str(10 ** 30), "--p", "3", "--l", "1"),
     ("gamma", "--p", "2", "--poly", "x^100000000+1"),
     ("gamma", "--p", "2", "--k", "2", "--modulus", "x^100000000+1", "--poly", "x"),
+    ("gamma", "--p", "2", "--poly", "x^3000+x+1"),
+    ("gamma", "--p", "2", "--poly", "x^" + "9" * 5000 + "+1"),
 ])
 def test_coset_counts_and_dimensions_above_the_limit_exit_2_at_once(capsys, argv):
     """More than MAX_DOMAIN cosets (3^13 for one-cycle --k 14 and for
     sylow-type over GF(3^14), 2^20 for one-cycle --p 2 --k 21), a gamma set
-    in a dimension above it, or polynomial text of a higher degree, is
-    refused before any coset, type or coefficient is listed: these took
-    seconds, gave no answer, overflowed an index, or (x^100000000 + 1) asked
-    for several GB."""
+    in a dimension above it, polynomial text of a higher degree, or a
+    companion matrix of more entries, is refused before any coset, type,
+    coefficient or row is listed: these took seconds, gave no answer,
+    overflowed an index, or (x^100000000 + 1) asked for several GB.  An
+    exponent of 5000 digits is refused by its digit count, before the
+    interpreter's limit on converting it could name itself."""
     start = time.perf_counter()
     code, out, err = run_cli(capsys, *argv)
     assert time.perf_counter() - start < 1
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
     assert err.endswith(", above the 1000000 limit\n")
+    assert "set_int_max_str_digits" not in err
 
 
 @pytest.mark.parametrize("argv,want", [
@@ -311,6 +317,35 @@ def test_singular_or_non_square_matrix_refusals(tmp_path, capsys, argv, payload,
         argv = argv + (str(path),)
     code, out, err = run_cli(capsys, *argv)
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+HUGE = "9" * 5000
+
+
+@pytest.mark.parametrize("argv,text,what", [
+    (("cycle-type", "--p", "3", "--map"), f'{{"matrix": [[{HUGE}]], "shift": [0]}}',
+     "an integer in --map"),
+    (("gamma", "--p", "3", "--matrix", f"[[{HUGE}]]"), None, "an integer in --matrix"),
+    (("cgl-factor", "--p", "3", "--l", "1", "--matrix"), f"[[{HUGE}]]",
+     "an integer in --matrix"),
+    (("construct", "--job"), f'{{"p": {HUGE}}}', "an integer in --job"),
+    (("verify", "--p", "3", "--dim", "1", "--table"), f'{{"n": 1, "images": [{HUGE}]}}',
+     "an integer in a map table"),
+])
+def test_json_integers_past_the_interpreter_digit_limit_exit_2_naming_the_input(
+        tmp_path, capsys, argv, text, what):
+    """A JSON integer of 5000 digits in any of the five JSON inputs is refused
+    by their one reader in one error line that names the input, not with the
+    interpreter's advice on raising its limit."""
+    if text is not None:
+        path = tmp_path / "in.txt"
+        path.write_text(text)
+        argv = argv + (str(path),)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    digits = sys.get_int_max_str_digits()
+    assert (code, out, err) == (2, "", f"error: {what} has more than {digits} digits\n")
 
 
 def test_one_cycle_poly_verify_of_a_non_bijection_exits_3(monkeypatch, capsys):

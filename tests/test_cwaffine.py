@@ -14,7 +14,7 @@ from cosetmap import (AffineMap, CosetWiseAffineMap, CycleType, InfeasibleError,
                       cw_is_permutation, cw_to_table, cw_to_wreath,
                       evaluate_poly_table, field, is_cgl,
                       one_cycle_map, one_cycle_polynomial, wreath_mul, wreath_to_cw)
-from cosetmap import cwaffine, gf
+from cosetmap import affine_ct, cwaffine, gf
 from cosetmap.cwaffine import _affine_table, _forward_codes
 from cosetmap.cycletype import ct_format, ct_of_permutation, cycles_of
 from cosetmap.gf import index_to_tuple, is_prime
@@ -317,8 +317,8 @@ def test_cw_cycle_type_is_worked_out_once_per_map(monkeypatch):
     copies.  Starting from an empty memo, each distinct forward cycle product
     gets one `affine_cycle_type`."""
     calls = []
-    real = cwaffine.affine_cycle_type
-    monkeypatch.setattr(cwaffine, "affine_cycle_type", lambda g: calls.append(g) or real(g))
+    real = affine_ct.affine_cycle_type
+    monkeypatch.setattr(affine_ct, "affine_cycle_type", lambda g: calls.append(g) or real(g))
     gf.clear_memos()
     rng = random.Random(29)
     for p, d, t in [(2, 1, 2), (3, 2, 1), (5, 1, 2), (3, 1, 3)]:
@@ -378,12 +378,13 @@ def test_shared_and_equal_alphas_match_the_oracle(p, d, t):
 
 
 def test_forward_types_are_kept_per_field(monkeypatch):
-    """The memo of forward-product types is keyed by field as well as codes:
-    x -> x + 1 has the codes ([[1]], [1]) over GF(3) and GF(5), and gets x3
-    and x5, each worked out once and read back for an equal map."""
+    """The memo of forward-product types, `affine_ct._AFFINE_TYPES`, is keyed
+    by field as well as codes: x -> x + 1 has the codes ([[1]], [1]) over
+    GF(3) and GF(5), and gets x3 and x5, each worked out once and read back
+    for an equal map."""
     calls = []
-    real = cwaffine.affine_cycle_type
-    monkeypatch.setattr(cwaffine, "affine_cycle_type", lambda g: calls.append(g) or real(g))
+    real = affine_ct.affine_cycle_type
+    monkeypatch.setattr(affine_ct, "affine_cycle_type", lambda g: calls.append(g) or real(g))
     gf.clear_memos()
 
     def shift_by_one(p):
@@ -393,7 +394,34 @@ def test_forward_types_are_kept_per_field(monkeypatch):
         assert cw_cycle_type(shift_by_one(3)) == ct("x3")
         assert cw_cycle_type(shift_by_one(5)) == ct("x5")
     assert len(calls) == 2
-    assert cwaffine._forward_type.cache_info().currsize == 2
+    assert affine_ct._AFFINE_TYPES == {(field(3), ((1,),), (1,)): ct("x3"),
+                                       (field(5), ((1,),), (1,)): ct("x5")}
+
+
+def test_construct_main_works_out_each_witness_type_once(monkeypatch):
+    """From empty memos, each distinct witness gets one `affine_cycle_type`:
+    the check in `witness_map`, which stores the type where `cw_cycle_type`
+    reads it for every cycle whose forward product is that witness.  The base
+    map x -> x*[[1, 1], [0, 1]] of GF(3)^2 has three fixed points and two
+    3-cycles; two fixed points share a target and so do the 3-cycles, so
+    five cycles need three witnesses.  The walk's entries hold plain (blocks,
+    units), and no memo of `cwaffine` is registered."""
+    calls = []
+    real = affine_ct.affine_cycle_type
+    monkeypatch.setattr(affine_ct, "affine_cycle_type", lambda g: calls.append(g) or real(g))
+    gf.clear_memos()
+    g = [x0 * 3 + (x0 + x1) % 3 for x0 in range(3) for x1 in range(3)]
+    acgl = sorted(affine_ct.ct_acgl(2, 3), key=lambda t: t.cycles)
+    long = max(affine_ct.ct_agl(2, 3) - set(acgl), key=lambda t: t.cycles)
+    gammas = {(1, 1): acgl[0], (1, 2): acgl[0], (1, 3): acgl[1], (3, 1): long, (3, 2): long}
+    f = construct_main(3, 2, 2, g, gammas, seed=0)
+    assert cw_cycle_type(f) == analyze(cw_to_table(f), 3, 4).cycle_type
+    assert len(calls) == 3
+    assert sorted(affine_ct._AFFINE_TYPES.values(), key=lambda t: t.cycles) == sorted(
+        {acgl[0], acgl[1], long}, key=lambda t: t.cycles)
+    entries = [w for _, first, _ in affine_ct._GAMMA_CACHE.values() for w in first.values()]
+    assert entries and all(len(w) == 2 for w in entries)
+    assert not [name for name in gf._MEMOS if name.startswith("cosetmap.cwaffine")]
 
 
 def test_construct_main_completeness_check_fires_on_one_bad_factor(monkeypatch):

@@ -22,8 +22,11 @@ from cosetmap import (AffineMap, AnalysisReport, CglFactorization, MapTable,
                       MatrixQ, Poly, Prcf, Splitting, VectorQ, WreathElement, analyze,
                       ct_of_permutation, factor_into_cgl, field, one_cycle_map, prcf)
 from cosetmap._record import Record
-from cosetmap.gf import MAX_DOMAIN
-from cosetmap.serialize import parse_poly
+from cosetmap.cycletype import CycleType, ct_parse
+from cosetmap.gf import MAX_DOMAIN, read_json
+from cosetmap.linalg import companion
+from cosetmap.oracle import load_table
+from cosetmap.serialize import json_matrix, parse_poly
 
 FIELDS = {
     AffineMap: ("matrix", "shift"),
@@ -305,6 +308,34 @@ def test_every_refusal_keeps_its_message():
     _refused(lambda: parse_poly("x^100000000+1", F2),
              f"a polynomial of degree 100000000, above the {MAX_DOMAIN} limit")
     assert time.perf_counter() - start < 1.0
+    # matrix entries go through the size rule, and a number with more digits
+    # than the interpreter converts is refused naming the input
+    huge, digits, F4 = "9" * 5000, sys.get_int_max_str_digits(), field(2, 2)
+    for build, message in [
+        (lambda: companion(Poly(F2, (1,) * 3001)),
+         f"the companion matrix of degree 3000 has 3000^2 entries, above the {MAX_DOMAIN} limit"),
+        (lambda: json_matrix(F3, [[1] * 1001] * 1001),
+         f"matrix has 1002001 entries, above the {MAX_DOMAIN} limit"),
+        (lambda: parse_poly(f"x^{huge}+1", F2),
+         f"a polynomial whose degree has 5000 digits, above the {MAX_DOMAIN} limit"),
+        (lambda: parse_poly(f"{huge}*x+1", F2),
+         f"a coefficient in polynomial text has more than {digits} digits"),
+        (lambda: parse_poly(f"w^{huge}*x+1", F4),
+         f"an exponent of w in polynomial text has more than {digits} digits"),
+        (lambda: parse_poly(f"[1,{huge}]*x+1", F4),
+         f"a coordinate in polynomial text has more than {digits} digits"),
+        (lambda: ct_parse(f"x{huge}"), f"a cycle length has more than {digits} digits"),
+        (lambda: ct_parse(f"x3^{huge}"), f"a cycle count has more than {digits} digits"),
+        (lambda: CycleType.from_json({huge: 1}), f"a cycle length has more than {digits} digits"),
+        (lambda: load_table(f"0,{huge}\n"), f"a cell of CSV row 1 has more than {digits} digits"),
+        (lambda: load_table(f'{{"n": 1, "images": [{huge}]}}'),
+         f"an integer in a map table has more than {digits} digits"),
+        (lambda: read_json(f"[[{huge}]]", "--matrix"),
+         f"an integer in --matrix has more than {digits} digits"),
+    ]:
+        start = time.perf_counter()
+        _refused(build, message)
+        assert time.perf_counter() - start < 1.0
     # keyword construction runs the same checks
     _refused(lambda: Splitting(p=3, d=0, t=1), "need d >= 1 and t >= 0")
     _refused(lambda: MapTable(images=(5,), n=1), "image out of range")
