@@ -10,10 +10,9 @@ _EXPORTS = {
     "affine_ct": "affine_cycle_type block_cycle_type gamma_dpl gamma_of_matrix gamma_of_poly "
                  "sorted_types",
     "cgl": "CglFactorization factor_into_cgl is_cgl realize_gamma two_fpf_product",
-    "cwaffine": "CosetWiseAffineMap Splitting WreathElement conjugated_table construct_main "
+    "cwaffine": "CosetWiseAffineMap Splitting conjugated_table construct_main "
                 "construct_sylow_type cw_compose cw_cycle_type cw_is_complete cw_is_permutation "
-                "cw_to_table cw_to_wreath one_cycle_map one_cycle_polynomial wreath_mul "
-                "wreath_to_cw",
+                "cw_to_table one_cycle_map one_cycle_polynomial",
     "cycletype": "CycleType blow_up ct ct_format ct_mul ct_of_permutation ct_parse weixu weixu_all",
     "errors": "InfeasibleError",
     "gf": "FieldCtx FieldElement Poly enumerate_irreducibles factor_monic field field_of_order "

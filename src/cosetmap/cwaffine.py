@@ -1,12 +1,14 @@
 """Coset-wise affine maps of GF(p)^(d+t) over the standard splitting.
 
 The space splits as V = W + U with W the first d coordinates and U the last t.
-A map stores, per coset label u in GF(p)^t, a triple (alpha_u, omega_u, nu_u)
-and sends w + u to (w*alpha_u + omega_u) + (u + nu_u).  Cosets are addressed by
-the lexicographic index of u, points of V by the index of (w, u), which is
-w*p^t + u.  Permutation and completeness tests, the wreath-product
-correspondence, cycle types via forward cycle products, value tables and the
-constructors all live here.
+A map holds its coset map u -> top(u) and, per coset label u in GF(p)^t, an
+affine map (alpha_u, omega_u) of W, and sends w + u to
+(w*alpha_u + omega_u) + top(u); the paper's shift nu_u is top(u) - u.  Cosets
+are addressed by the lexicographic index of u, points of V by the index of
+(w, u), which is w*p^t + u.  A map that is a permutation is an element of the
+wreath product of AGL(W) by the permutations of the cosets, and `cw_compose`
+is its multiplication.  Permutation and completeness tests, cycle types via
+forward cycle products, value tables and the constructors all live here.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from .cycletype import CycleType, cycles_of, is_permutation
 from .errors import InfeasibleError
 from .gf import (FieldCtx, Poly, _power, _vecmat, check_size, digit_sums, field, index_to_tuple,
                  is_power, prime_power, tuple_to_index)
-from .linalg import AffineMap, MatrixQ, VectorQ, _identity, _matmul
+from .linalg import MatrixQ, VectorQ, _identity, _matmul
 from .oracle import MapTable, is_complete_mapping
 
 
@@ -52,59 +54,61 @@ class Splitting(Record):
 
 
 class CosetWiseAffineMap:
-    """Per-coset affine data over a splitting; immutable.
+    """A coset-wise affine map over a splitting; immutable.
 
-    `per_coset` holds the triples (alpha_u, omega_u, nu_u) in coset-index
-    order (the lexicographic index of the label u in GF(p)^t) and `top` the
-    index of u + nu_u for each coset index.  The constructor takes the triples
-    either in that order or as a dict keyed by label, and refuses data over
-    another field than the splitting's.  `cw_cycle_type` keeps its answer in
+    `top` is the coset map, an image table of coset indices (the
+    lexicographic index of the label u in GF(p)^t), and `per_coset` holds one
+    pair (alpha_u, omega_u) per coset in that order.  A map that is a
+    permutation is the wreath element itself: `top` its top permutation and
+    the pairs its bottom maps.  The constructor refuses data over another
+    field than the splitting's.  `cw_cycle_type` keeps its answer in
     `_cycle_type`, which equality ignores.
     """
 
-    __slots__ = ("splitting", "per_coset", "top", "_cycle_type")
+    __slots__ = ("splitting", "top", "per_coset", "_cycle_type")
 
-    def __init__(self, splitting: Splitting, per_coset):
-        if isinstance(per_coset, dict):
-            labels = splitting.coset_labels()
-            if set(per_coset) != set(labels):
-                raise ValueError("per-coset data must cover every coset exactly once")
-            per_coset = [per_coset[u] for u in labels]
-        elif len(per_coset) != splitting.p ** splitting.t:
+    def __init__(self, splitting: Splitting, top, per_coset):
+        n = splitting.p ** splitting.t
+        top = tuple(top)
+        if len(top) != n:
+            raise ValueError("top must have one entry per coset")
+        if not all(type(j) is int and 0 <= j < n for j in top):
+            raise ValueError("top entry out of range")
+        if len(per_coset) != n:
             raise ValueError("per-coset data must cover every coset exactly once")
-        ctx, p = splitting.ctx, splitting.p
+        ctx, d = splitting.ctx, splitting.d
         norm = []
-        for alpha, omega, nu in per_coset:
+        for alpha, omega in per_coset:
             if not isinstance(alpha, MatrixQ):
                 alpha = MatrixQ(ctx, alpha)
             if not isinstance(omega, VectorQ):
                 omega = VectorQ(ctx, omega)
-            if not isinstance(nu, VectorQ):
-                nu = VectorQ(ctx, nu)
-            if alpha.ctx is not ctx or omega.ctx is not ctx or nu.ctx is not ctx:
+            if alpha.ctx is not ctx or omega.ctx is not ctx:
                 raise ValueError("mismatched contexts")
-            if alpha.rows != splitting.d or alpha.cols != splitting.d:
+            if alpha.rows != d or alpha.cols != d:
                 raise ValueError("alpha blocks must be d x d")
-            if len(omega.codes) != splitting.d or len(nu.codes) != splitting.t:
+            if len(omega.codes) != d:
                 raise ValueError("omega is W-sized and nu is U-sized")
-            norm.append((alpha, omega, nu))
+            norm.append((alpha, omega))
         self.splitting = splitting
+        self.top = top
         self.per_coset = tuple(norm)
-        # the label with index u moves to u + nu_u
-        self.top = tuple(digit_sums(range(len(norm)), [tuple_to_index(nu.codes, p)
-                                                       for _, _, nu in norm], p, splitting.t))
         self._cycle_type = None
 
     def data(self, u) -> tuple[MatrixQ, VectorQ, VectorQ]:
-        """(alpha_u, omega_u, nu_u) of the coset with label u."""
-        p = self.splitting.p
-        if len(u) != self.splitting.t or not all(0 <= c < p for c in u):
+        """(alpha_u, omega_u, nu_u) of the coset with label u, a tuple of ints
+        in range(p); nu_u = top(u) - u, digit by digit."""
+        s = self.splitting
+        if len(u) != s.t or not all(type(c) is int and 0 <= c < s.p for c in u):
             raise KeyError(u)
-        return self.per_coset[tuple_to_index(u, p)]
+        i = tuple_to_index(u, s.p)
+        nu = [(b - a) % s.p for a, b in zip(u, index_to_tuple(self.top[i], s.p, s.t))]
+        return (*self.per_coset[i], VectorQ.from_codes(s.ctx, nu))
 
     def __eq__(self, other):
         return (isinstance(other, CosetWiseAffineMap)
                 and self.splitting == other.splitting
+                and self.top == other.top
                 and self.per_coset == other.per_coset)
 
     def __repr__(self):
@@ -114,7 +118,7 @@ class CosetWiseAffineMap:
 
 def _alphas(f: CosetWiseAffineMap):
     """The alpha blocks of f, each distinct object once."""
-    return {id(alpha): alpha for alpha, _, _ in f.per_coset}.values()
+    return {id(alpha): alpha for alpha, _ in f.per_coset}.values()
 
 
 def cw_is_permutation(f: CosetWiseAffineMap) -> bool:
@@ -132,62 +136,16 @@ def cw_is_complete(f: CosetWiseAffineMap) -> bool:
             and all(is_cgl(alpha) for alpha in _alphas(f)))
 
 
-# ---------------------------------------------------------------------------
-# Wreath-product correspondence
-# ---------------------------------------------------------------------------
-
-class WreathElement(Record):
-    """Top permutation of the coset labels plus one affine map per label.
-
-    The action keeps the source-block convention: (w, u) maps to
-    (bottom[u](w), top(u)); composing e1 then e2 composes bottoms along e1's
-    top images.
-    """
-
-    __slots__ = ("splitting", "top", "bottom")
-
-    def __init__(self, splitting: Splitting, top: tuple[int, ...],
-                 bottom: tuple[AffineMap, ...]):
-        n = splitting.p ** splitting.t
-        if len(top) != n or not is_permutation(top, n):
-            raise ValueError("top must be a bijection on the coset labels")
-        if len(bottom) != n:
-            raise ValueError("one bottom map per coset label required")
-        self._store(splitting, top, bottom)
-
-
-def cw_to_wreath(f: CosetWiseAffineMap) -> WreathElement:
-    if not cw_is_permutation(f):
-        raise ValueError("only permutations correspond to wreath elements")
-    bottom = tuple(AffineMap(alpha, omega) for alpha, omega, _ in f.per_coset)
-    return WreathElement(f.splitting, f.top, bottom)
-
-
-def wreath_to_cw(e: WreathElement) -> CosetWiseAffineMap:
-    s = e.splitting
-    nus = digit_sums(e.top, range(len(e.top)), s.p, s.t, -1)  # the index of top(u) - u
-    return CosetWiseAffineMap(s, [(b.matrix, b.shift, index_to_tuple(nu, s.p, s.t))
-                                  for b, nu in zip(e.bottom, nus)])
-
-
-def wreath_mul(e1: WreathElement, e2: WreathElement) -> WreathElement:
-    """Product corresponding to applying e1 first, then e2."""
-    if e1.splitting != e2.splitting:
-        raise ValueError("mismatched splittings")
-    top = tuple(e2.top[e1.top[i]] for i in range(len(e1.top)))
-    bottom = tuple(e1.bottom[i].then(e2.bottom[e1.top[i]]) for i in range(len(e1.top)))
-    return WreathElement(e1.splitting, top, bottom)
-
-
 def cw_compose(f1: CosetWiseAffineMap, f2: CosetWiseAffineMap) -> CosetWiseAffineMap:
-    """Coset-wise map equal to applying f1 first, then f2."""
+    """Coset-wise map equal to applying f1 first, then f2: on permutations,
+    the product in the wreath product."""
     if f1.splitting != f2.splitting:
         raise ValueError("mismatched splittings")
     per = []
-    for (a1, o1, n1), j in zip(f1.per_coset, f1.top):
-        a2, o2, n2 = f2.per_coset[j]
-        per.append((a1 * a2, o1 * a2 + o2, n1 + n2))
-    return CosetWiseAffineMap(f1.splitting, per)
+    for (a1, o1), j in zip(f1.per_coset, f1.top):
+        a2, o2 = f2.per_coset[j]
+        per.append((a1 * a2, o1 * a2 + o2))
+    return CosetWiseAffineMap(f1.splitting, [f2.top[j] for j in f1.top], per)
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +162,7 @@ def _forward_codes(f: CosetWiseAffineMap, cycles):
     for cycle in cycles:
         A, v = identity, [0] * d
         for i in cycle:
-            alpha, omega, _ = f.per_coset[i]
+            alpha, omega = f.per_coset[i]
             if alpha.codes != identity:
                 A = alpha.codes if A is identity else _matmul(K, A, alpha.codes, d)
                 v = _vecmat(K, v, alpha.codes, d)
@@ -265,7 +223,7 @@ def _table(f: CosetWiseAffineMap) -> list[int]:
     s = f.splitting
     check_size(f"a value table of GF({s.p})^{s.n} has {s.p}^{s.n} points", s.p, s.n)
     nt = s.p ** s.t
-    table = _affine_table([(alpha, omega) for alpha, omega, _ in f.per_coset])
+    table = _affine_table(f.per_coset)
     return [v * nt + top for v, top in zip(table, f.top * s.p ** s.d)]
 
 
@@ -328,8 +286,6 @@ def construct_main(p: int, d: int, t: int, g_images, gammas: dict,
     extra = set(gammas) - set(keys)
     if extra:
         raise ValueError(f"targets supplied for nonexistent cycles: {sorted(extra)}")
-    nus = digit_sums(g_images, range(len(g_images)), p, t, -1)  # the index of g(u) - u
-    labels = s.coset_labels()  # the digits of each index
     ctx = s.ctx
     zero_w = None  # built once a target is accepted: a d no target fits may be huge
     rng = random.Random(seed)
@@ -351,9 +307,9 @@ def construct_main(p: int, d: int, t: int, g_images, gammas: dict,
             zero_w = VectorQ.zero(ctx, d)
         counts[ell, gamma] = counts.get((ell, gamma), 0) + 1
         for i, alpha, omega in zip(cyc, factors, (zero_w,) * (ell - 1) + (w,)):
-            per[i] = (alpha, omega, VectorQ.from_codes(ctx, labels[nus[i]]))
+            per[i] = (alpha, omega)
 
-    f = CosetWiseAffineMap(s, per)
+    f = CosetWiseAffineMap(s, g_images, per)
     if require_complete and not cw_is_complete(f):
         raise ArithmeticError("constructed map failed the completeness check")
     if not cw_is_permutation(f):
@@ -407,17 +363,20 @@ def one_cycle_map(p: int, k: int) -> CosetWiseAffineMap:
     if k < 1:
         raise ValueError("k must be >= 1")
     s = Splitting(p, 1, k - 1)
-    ctx, t = s.ctx, s.t
-    I1 = MatrixQ.identity(ctx, 1)
-    zero_w = VectorQ(ctx, (0,))
-    one_w = VectorQ(ctx, (1,))
-    # the zero coset shifts by one; the top is the one-cycle map of GF(p)^t:
-    # add 1 to the coordinates from the label's last nonzero one on (all of
-    # them for the zero label)
-    nus = [VectorQ(ctx, (0,) * j + (1,) * (t - j)) for j in range(max(t, 1))]
-    return CosetWiseAffineMap(s, [(I1, zero_w if any(u) else one_w,
-                                   nus[max((j for j, c in enumerate(u) if c), default=0)])
-                                  for u in s.coset_labels()])
+    n, I1 = p ** s.t, MatrixQ.identity(s.ctx, 1)
+    # the top is the one-cycle map of GF(p)^t: add 1 to the digits from the
+    # label's last nonzero one on (all of them for the zero label): on an
+    # index with e trailing zero digits, step digit e and set the e below to 1
+    top = [(n - 1) // (p - 1)] * n
+    for e in range(s.t):
+        step = p ** e
+        for i in range(step, n, step):
+            c = i // step % p
+            if c:
+                top[i] = i + ((c + 1) % p - c) * step + (step - 1) // (p - 1)
+    # the zero coset shifts by one
+    zero_w, one_w = VectorQ(s.ctx, (0,)), VectorQ(s.ctx, (1,))
+    return CosetWiseAffineMap(s, top, [(I1, one_w)] + [(I1, zero_w)] * (n - 1))
 
 
 # ---------------------------------------------------------------------------

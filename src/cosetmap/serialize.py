@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import re
 
-from .gf import (FieldCtx, FieldElement, Poly, check_size, exact_int, field, index_to_tuple,
-                 json_fields, json_list, read_int)
+from .gf import (FieldCtx, FieldElement, Poly, check_size, digit_sums, exact_int, field,
+                 index_to_tuple, json_fields, json_list, read_int, tuple_to_index)
 from .linalg import AffineMap, MatrixQ, VectorQ
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING without importing typing
@@ -91,35 +91,47 @@ def poly_to_json(P: Poly) -> list:
 
 
 def cwmap_to_json(f: CosetWiseAffineMap) -> dict:
+    """The cosets in label order, each with its shift nu = top(u) - u."""
     s = f.splitting
+    labels = s.coset_labels()
+    nus = digit_sums(f.top, range(len(f.top)), s.p, s.t, -1)  # the index of top(u) - u
     cosets = []
-    for u, (alpha, omega, nu) in zip(s.coset_labels(), f.per_coset):
+    for u, (alpha, omega), nu in zip(labels, f.per_coset, nus):
         cosets.append({
             "u": list(u),
             "alpha": matrix_to_json(alpha),
             "omega": vector_to_json(omega),
-            "nu": vector_to_json(nu),
+            "nu": list(labels[nu]),
         })
     return {"p": s.p, "d": s.d, "t": s.t, "cosets": cosets}
 
 
 def cwmap_from_json(obj) -> CosetWiseAffineMap:
-    """The map {"p", "d", "t", "cosets": [{"u", "alpha", "omega", "nu"}, ...]};
+    """The map {"p", "d", "t", "cosets": [{"u", "alpha", "omega", "nu"}, ...]},
+    the entries in any order, each coset's u + nu read into its coset map;
     ValueError naming the key that is missing or of the wrong JSON type."""
     from .cwaffine import CosetWiseAffineMap, Splitting
     p, d, t, cosets = json_fields(obj, "a coset-wise map", ("p", "d", "t", "cosets"))
     s = Splitting(exact_int(p, "p"), exact_int(d, "d"), exact_int(t, "t"))
-    ctx = s.ctx
-    per = {}
+    ctx, p, t = s.ctx, s.p, s.t
+    top, per = [None] * p ** t, [None] * p ** t
     for item in json_list(cosets, "cosets"):
         u, alpha, omega, nu = json_fields(item, "an entry of cosets",
                                           ("u", "alpha", "omega", "nu"))
         u = tuple(exact_int(c, "a coset label digit") for c in json_list(u, "u"))
-        if u in per:
+        pair = (json_matrix(ctx, alpha, "alpha"), VectorQ(ctx, json_list(omega, "omega")))
+        nu = VectorQ(ctx, json_list(nu, "nu")).codes
+        if len(u) != t or not all(0 <= c < p for c in u):
+            raise ValueError("per-coset data must cover every coset exactly once")
+        if len(nu) != t:
+            raise ValueError("omega is W-sized and nu is U-sized")
+        i = tuple_to_index(u, p)
+        if per[i] is not None:
             raise ValueError(f"cosets names the coset label {list(u)} twice")
-        per[u] = (json_matrix(ctx, alpha, "alpha"), VectorQ(ctx, json_list(omega, "omega")),
-                  VectorQ(ctx, json_list(nu, "nu")))
-    return CosetWiseAffineMap(s, per)
+        top[i], per[i] = tuple_to_index([a + b for a, b in zip(u, nu)], p), pair
+    if None in per:
+        raise ValueError("per-coset data must cover every coset exactly once")
+    return CosetWiseAffineMap(s, top, per)
 
 
 # ---------------------------------------------------------------------------

@@ -391,9 +391,38 @@ def forward_product_by_then(f, cycle):
     ctx, d = f.splitting.ctx, f.splitting.d
     acc = AffineMap(MatrixQ.identity(ctx, d), VectorQ.zero(ctx, d))
     for i in cycle:
-        alpha, omega, _ = f.per_coset[i]
-        acc = acc.then(AffineMap(alpha, omega))
+        acc = acc.then(AffineMap(*f.per_coset[i]))
     return acc
+
+
+def cw_map(s, triples):
+    """The coset-wise map over the splitting s from the paper's data: one
+    triple (alpha_u, omega_u, nu_u) per coset label u, in label order, sending
+    w + u to (w*alpha_u + omega_u) + (u + nu_u).  The coset map u -> u + nu_u
+    is worked out digit by digit mod p."""
+    from cosetmap import CosetWiseAffineMap
+    triples = list(triples)
+    top = []
+    for u, (_, _, nu) in zip(s.coset_labels(), triples):
+        nu = nu.codes if isinstance(nu, VectorQ) else tuple(nu)
+        if len(nu) != s.t:
+            raise ValueError("nu must have t coordinates")
+        top.append(tuple_to_index([(a + b) % s.p for a, b in zip(u, nu)], s.p))
+    return CosetWiseAffineMap(s, top, [(alpha, omega) for alpha, omega, _ in triples])
+
+
+def wreath_mul(f1, f2):
+    """The product of two coset-wise maps, f1 first, by the wreath
+    multiplication rule: the tops composed, and on each coset u the bottom
+    map of u followed (`AffineMap.then`) by that of f1's top(u).  The
+    reference for `cw_compose`."""
+    from cosetmap import AffineMap, CosetWiseAffineMap
+    if f1.splitting != f2.splitting:
+        raise ValueError("mismatched splittings")
+    bottoms = [AffineMap(*f1.per_coset[i]).then(AffineMap(*f2.per_coset[j]))
+               for i, j in enumerate(f1.top)]
+    return CosetWiseAffineMap(f1.splitting, [f2.top[j] for j in f1.top],
+                              [(b.matrix, b.shift) for b in bottoms])
 
 
 def cw_eval(f, x: VectorQ) -> VectorQ:
@@ -576,7 +605,8 @@ def reference_elem_from_json(ctx, obj):
 
 def reference_to_json(value):
     """The JSON form of a VectorQ, MatrixQ, Poly or coset-wise map, one
-    FieldElement per entry."""
+    FieldElement per entry; a coset's nu is its image label minus its label,
+    digit by digit mod p."""
     if isinstance(value, VectorQ):
         return [reference_elem_to_json(e) for e in value.entries]
     if isinstance(value, MatrixQ):
@@ -587,8 +617,8 @@ def reference_to_json(value):
     s = value.splitting
     return {"p": s.p, "d": s.d, "t": s.t, "cosets": [
         {"u": list(u), "alpha": reference_to_json(alpha), "omega": reference_to_json(omega),
-         "nu": reference_to_json(nu)}
-        for u, (alpha, omega, nu) in zip(s.coset_labels(), value.per_coset)]}
+         "nu": [(b - a) % s.p for a, b in zip(u, index_to_tuple(image, s.p, s.t))]}
+        for u, (alpha, omega), image in zip(s.coset_labels(), value.per_coset, value.top)]}
 
 
 def reference_from_json(kind, ctx, obj):

@@ -11,8 +11,7 @@ from cosetmap import cli, cwaffine, serialize
 from cosetmap.cli import main
 from cosetmap.serialize import cwmap_from_json, format_poly, parse_poly, poly_to_json
 from cosetmap import Poly, VectorQ, ct_parse, field
-from helpers import (reference_elem_from_json, reference_from_json,
-                     reference_to_json)
+from helpers import cw_map, reference_elem_from_json, reference_from_json, reference_to_json
 
 
 def run_cli(capsys, *argv):
@@ -830,7 +829,7 @@ def test_json_codecs_match_the_per_element_reference():
     directly; both give what one FieldElement per entry gave, byte for byte."""
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
-    from cosetmap import CosetWiseAffineMap, MatrixQ, Splitting, VectorQ
+    from cosetmap import MatrixQ, Splitting, VectorQ
 
     @hypothesis.settings(max_examples=200, deadline=None)
     @hypothesis.given(st.sampled_from([(2, 1), (5, 1), (2, 2), (3, 2), (3, 3)]), st.data())
@@ -867,7 +866,7 @@ def test_json_codecs_match_the_per_element_reference():
                     VectorQ.from_codes(ctx, data.draw(st.lists(codes, min_size=d, max_size=d))),
                     VectorQ.from_codes(ctx, data.draw(st.lists(codes, min_size=t, max_size=t))))
                    for _ in s.coset_labels()]
-            f = CosetWiseAffineMap(s, per)
+            f = cw_map(s, per)
             got, want = serialize.cwmap_to_json(f), reference_to_json(f)
             assert got == want and json.dumps(got) == json.dumps(want)
             assert cwmap_from_json(got) == f

@@ -11,24 +11,24 @@ from cosetmap import (AffineMap, CosetWiseAffineMap, CycleType, InfeasibleError,
                       Splitting, VectorQ, analyze, blow_up, conjugated_table,
                       construct_main, construct_sylow_type, ct, ct_mul, cw_compose,
                       cw_cycle_type, cw_is_complete,
-                      cw_is_permutation, cw_to_table, cw_to_wreath,
+                      cw_is_permutation, cw_to_table,
                       evaluate_poly_table, field, is_cgl,
-                      one_cycle_map, one_cycle_polynomial, wreath_mul, wreath_to_cw)
+                      one_cycle_map, one_cycle_polynomial)
 from cosetmap import affine_ct, cwaffine, gf
 from cosetmap.cwaffine import _affine_table, _forward_codes
 from cosetmap.cycletype import ct_format, ct_of_permutation, cycles_of
 from cosetmap.gf import index_to_tuple, is_prime
 from cosetmap.oracle import is_complete_mapping
-from helpers import (coordinate_functions, cw_eval, forward_product_by_then,
+from helpers import (coordinate_functions, cw_eval, cw_map, forward_product_by_then,
                      one_cycle_closed_form_images, one_cycle_reference_tables,
                      pointwise_affine_table, random_complete_mapping, random_invertible,
-                     reference_one_cycle_polynomial, sylow_type_targets)
+                     reference_one_cycle_polynomial, sylow_type_targets, wreath_mul)
 
 
 def random_cw_map(p, d, t, rng, invertible_only=False):
     ctx = field(p)
-    per = {}
-    for u in itertools.product(range(p), repeat=t):
+    per = []
+    for _ in itertools.product(range(p), repeat=t):
         if invertible_only:
             alpha = random_invertible(ctx, d, rng)
         else:
@@ -36,8 +36,8 @@ def random_cw_map(p, d, t, rng, invertible_only=False):
                                        for _ in range(d)))
         omega = VectorQ(ctx, [rng.randrange(p) for _ in range(d)])
         nu = VectorQ(ctx, [rng.randrange(p) for _ in range(t)])
-        per[u] = (alpha, omega, nu)
-    return CosetWiseAffineMap(Splitting(p, d, t), per)
+        per.append((alpha, omega, nu))
+    return cw_map(Splitting(p, d, t), per)
 
 
 def random_cw_permutation(p, d, t, rng):
@@ -46,21 +46,20 @@ def random_cw_permutation(p, d, t, rng):
     labels = list(itertools.product(range(p), repeat=t))
     perm = labels[:]
     rng.shuffle(perm)
-    per = {}
+    per = []
     for u, v in zip(labels, perm):
         alpha = random_invertible(ctx, d, rng)
         omega = VectorQ(ctx, [rng.randrange(p) for _ in range(d)])
         nu = VectorQ(ctx, tuple((b - a) % p for a, b in zip(u, v)))
-        per[u] = (alpha, omega, nu)
-    return CosetWiseAffineMap(Splitting(p, d, t), per)
+        per.append((alpha, omega, nu))
+    return cw_map(Splitting(p, d, t), per)
 
 
 def test_cw_eval_identity_and_h2():
     F3 = field(3)
     s = Splitting(3, 1, 1)
     I1 = MatrixQ.identity(F3, 1)
-    per = {(u,): (I1, VectorQ(F3, (0,)), VectorQ(F3, (0,))) for u in range(3)}
-    ident = CosetWiseAffineMap(s, per)
+    ident = cw_map(s, [(I1, VectorQ(F3, (0,)), VectorQ(F3, (0,)))] * 3)
     for i in range(9):
         v = VectorQ(F3, index_to_tuple(i, 3, 2))
         assert cw_eval(ident, v) == v
@@ -103,7 +102,7 @@ def all_cw_maps(p, d, t, invertible_only):
         [VectorQ(ctx, u) for u in itertools.product(range(p), repeat=t)]))
     s = Splitting(p, d, t)
     for per in itertools.product(triples, repeat=p ** t):
-        yield CosetWiseAffineMap(s, per)
+        yield cw_map(s, per)
 
 
 @pytest.mark.parametrize("p,d,t,invertible_only,counts", [
@@ -193,11 +192,8 @@ def test_cw_cycle_type_matches_table_cycles(p, d, t):
 def test_singular_alpha_is_not_permutation():
     F2 = field(2)
     s = Splitting(2, 1, 1)
-    per = {
-        (0,): (MatrixQ.zeros(F2, 1, 1), VectorQ(F2, (0,)), VectorQ(F2, (0,))),
-        (1,): (MatrixQ.identity(F2, 1), VectorQ(F2, (0,)), VectorQ(F2, (0,))),
-    }
-    f = CosetWiseAffineMap(s, per)
+    f = cw_map(s, [(MatrixQ.zeros(F2, 1, 1), VectorQ(F2, (0,)), VectorQ(F2, (0,))),
+                   (MatrixQ.identity(F2, 1), VectorQ(F2, (0,)), VectorQ(F2, (0,)))])
     assert not cw_is_permutation(f)
     with pytest.raises(ValueError):
         cw_cycle_type(f)
@@ -208,19 +204,25 @@ def test_per_coset_data_over_another_field_is_refused():
     # fail only when cw_to_table wrote the coset slices
     F3, F5 = field(3), field(5)
     s = Splitting(3, 1, 1)
-    good = (MatrixQ.identity(F3, 1), VectorQ(F3, (0,)), VectorQ(F3, (0,)))
-    for bad in [(MatrixQ.identity(F5, 1), good[1], good[2]),
-                (good[0], VectorQ(F5, (0,)), good[2]),
-                (good[0], good[1], VectorQ(F5, (0,)))]:
+    good = (MatrixQ.identity(F3, 1), VectorQ(F3, (0,)))
+    for bad in [(MatrixQ.identity(F5, 1), good[1]), (good[0], VectorQ(F5, (0,)))]:
         with pytest.raises(ValueError, match="mismatched contexts"):
-            CosetWiseAffineMap(s, [bad, good, good])
+            CosetWiseAffineMap(s, (0, 1, 2), [bad, good, good])
 
 
 def test_data_refuses_a_label_outside_gf_p():
-    # over GF(3) the labels (3,) and (-1,) used to read cosets (0,) and (2,)
+    # over GF(3) the labels (3,) and (-1,) used to read cosets (0,) and (2,),
+    # (True,) coset (1,), and (1.0,) raised TypeError
+    for f in [one_cycle_map(3, 2), one_cycle_map(5, 4), one_cycle_map(2, 3),
+              random_cw_map(3, 2, 2, random.Random(4))]:
+        s = f.splitting
+        for i, u in enumerate(s.coset_labels()):
+            alpha, omega, nu = f.data(u)
+            assert (alpha, omega) == f.per_coset[i]
+            image = index_to_tuple(f.top[i], s.p, s.t)
+            assert nu.codes == tuple((b - a) % s.p for a, b in zip(u, image))
     f = one_cycle_map(3, 2)
-    assert f.data((2,)) == f.per_coset[2]
-    for u in [(3,), (-1,), (0, 0), ()]:
+    for u in [(3,), (-1,), (0, 0), (), (1.0,), (True,)]:
         with pytest.raises(KeyError):
             f.data(u)
 
@@ -234,56 +236,54 @@ def test_a_coset_label_listed_twice_is_refused():
         cwmap_from_json({**good, "cosets": good["cosets"] + [again]})
 
 
+def test_the_json_reader_orders_the_cosets_and_reads_nu_into_the_top():
+    """Entries in any order give the same map; a missing coset, a label
+    outside GF(p)^t and a nu of the wrong length are refused."""
+    from cosetmap.serialize import cwmap_from_json, cwmap_to_json
+    f = random_cw_permutation(3, 1, 2, random.Random(8))
+    good = cwmap_to_json(f)
+    assert cwmap_from_json({**good, "cosets": good["cosets"][::-1]}) == f
+    cover = "per-coset data must cover every coset exactly once"
+    for cosets, message in [
+            (good["cosets"][1:], cover),
+            ([{**good["cosets"][0], "u": [0, 3]}] + good["cosets"][1:], cover),
+            ([{**good["cosets"][0], "u": [0]}] + good["cosets"][1:], cover),
+            ([{**good["cosets"][0], "nu": [0]}] + good["cosets"][1:],
+             "omega is W-sized and nu is U-sized")]:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            cwmap_from_json({**good, "cosets": cosets})
+
+
 def test_wreath_identity_correspondence():
+    """The identity of GF(3)^2 built from zero shifts is the identity wreath
+    element: the identity top and identity bottom maps."""
     F3 = field(3)
     s = Splitting(3, 1, 1)
     I1 = MatrixQ.identity(F3, 1)
-    per = {(u,): (I1, VectorQ(F3, (0,)), VectorQ(F3, (0,))) for u in range(3)}
-    e = cw_to_wreath(CosetWiseAffineMap(s, per))
-    assert e.top == (0, 1, 2)
-    assert all(b.matrix == I1 and b.shift.is_zero() for b in e.bottom)
+    ident = cw_map(s, [(I1, VectorQ(F3, (0,)), VectorQ(F3, (0,)))] * 3)
+    assert ident.top == (0, 1, 2)
+    assert all(alpha == I1 and omega.is_zero() for alpha, omega in ident.per_coset)
+    assert ident == CosetWiseAffineMap(s, range(3), [(I1, VectorQ(F3, (0,)))] * 3)
 
 
 def test_wreath_round_trip_and_composition():
+    """A map built from a top and bottom maps holds them unchanged, and
+    `cw_compose` is the wreath multiplication rule and pointwise composition,
+    on permutations and on any maps."""
     rng = random.Random(5)
     for _ in range(100):
         p = rng.choice([2, 3])
         d, t = rng.choice([(1, 1), (1, 2), (2, 1)])
-        f = random_cw_map(p, d, t, rng, invertible_only=True)
-        # make the top a permutation by construction: random shuffle of labels
-        labels = list(itertools.product(range(p), repeat=t))
-        perm = labels[:]
-        rng.shuffle(perm)
-        ctx = field(p)
-        per = {}
-        for u, v in zip(labels, perm):
-            alpha, omega, _ = f.data(u)
-            nu = VectorQ(ctx, tuple((b - a) % p for a, b in zip(u, v)))
-            per[u] = (alpha, omega, nu)
-        f = CosetWiseAffineMap(f.splitting, per)
-        e = cw_to_wreath(f)
-        assert wreath_to_cw(e) == f
-    # composition law matches pointwise composition
-    for _ in range(100):
+        f = random_cw_permutation(p, d, t, rng)
+        again = CosetWiseAffineMap(f.splitting, list(f.top), list(f.per_coset))
+        assert again == f and again.top == f.top and again.per_coset == f.per_coset
+    for trial in range(100):
         p = rng.choice([2, 3])
-        d, t = (1, 1)
-        fs = []
-        for _ in range(2):
-            f = random_cw_map(p, d, t, rng, invertible_only=True)
-            labels = list(itertools.product(range(p), repeat=t))
-            perm = labels[:]
-            rng.shuffle(perm)
-            ctx = field(p)
-            per = {}
-            for u, v in zip(labels, perm):
-                alpha, omega, _ = f.data(u)
-                nu = VectorQ(ctx, tuple((b - a) % p for a, b in zip(u, v)))
-                per[u] = (alpha, omega, nu)
-            fs.append(CosetWiseAffineMap(Splitting(p, d, t), per))
-        f1, f2 = fs
+        d, t = rng.choice([(1, 1), (1, 2), (2, 1)])
+        make = random_cw_permutation if trial % 2 else random_cw_map
+        f1, f2 = make(p, d, t, rng), make(p, d, t, rng)
         composed = cw_compose(f1, f2)
-        e = wreath_mul(cw_to_wreath(f1), cw_to_wreath(f2))
-        assert wreath_to_cw(e) == composed
+        assert composed == wreath_mul(f1, f2)
         ctx = field(p)
         for i in range(p ** (d + t)):
             v = VectorQ(ctx, index_to_tuple(i, p, d + t))
@@ -324,7 +324,7 @@ def test_cw_cycle_type_is_worked_out_once_per_map(monkeypatch):
     for p, d, t in [(2, 1, 2), (3, 2, 1), (5, 1, 2), (3, 1, 3)]:
         calls.clear()
         f = random_cw_permutation(p, d, t, rng)
-        fresh = CosetWiseAffineMap(f.splitting, f.per_coset)
+        fresh = CosetWiseAffineMap(f.splitting, f.top, f.per_coset)
         kept = [copy.deepcopy(f), pickle.loads(pickle.dumps(f))]
         first = cw_cycle_type(f)
         n = len(calls)
@@ -339,7 +339,7 @@ def test_cw_cycle_type_is_worked_out_once_per_map(monkeypatch):
             assert cw_cycle_type(g) == first
         assert cw_cycle_type(f) == analyze(cw_to_table(f), p, d + t).cycle_type
     # a map that is not a permutation is refused every time
-    f = CosetWiseAffineMap(Splitting(3, 1, 1), [([[0]], [0], [1])] * 3)
+    f = cw_map(Splitting(3, 1, 1), [([[0]], [0], [1])] * 3)
     for _ in range(2):
         with pytest.raises(ValueError, match="requires a permutation"):
             cw_cycle_type(f)
@@ -369,7 +369,7 @@ def test_shared_and_equal_alphas_match_the_oracle(p, d, t):
                            for _ in labels],
         }
         for kind, alphas in blocks.items():
-            f = CosetWiseAffineMap(Splitting(p, d, t), list(zip(alphas, omegas, nus)))
+            f = cw_map(Splitting(p, d, t), zip(alphas, omegas, nus))
             report = analyze(cw_to_table(f), p, d + t)
             assert cw_is_permutation(f) == report.is_bijection, kind
             assert cw_is_complete(f) == report.is_complete, kind
@@ -388,7 +388,7 @@ def test_forward_types_are_kept_per_field(monkeypatch):
     gf.clear_memos()
 
     def shift_by_one(p):
-        return CosetWiseAffineMap(Splitting(p, 1, 0), [([[1]], [1], [])])
+        return cw_map(Splitting(p, 1, 0), [([[1]], [1], [])])
 
     for _ in range(2):
         assert cw_cycle_type(shift_by_one(3)) == ct("x3")
@@ -469,11 +469,38 @@ def test_forward_product_matches_then_fold():
         f = random_cw_map(p, d, t, rng)
         if trial % 3 == 0:
             I = MatrixQ.identity(f.splitting.ctx, d)
-            f = CosetWiseAffineMap(f.splitting, [(I if rng.random() < 0.6 else alpha, omega, nu)
-                                                 for alpha, omega, nu in f.per_coset])
+            f = CosetWiseAffineMap(f.splitting, f.top, [(I if rng.random() < 0.6 else alpha, omega)
+                                                        for alpha, omega in f.per_coset])
         walk = [rng.randrange(p ** t) for _ in range(rng.randrange(1, 8))]
         for cycle in (walk, *cycles_of(f.top)):
             assert forward_product(f, cycle) == forward_product_by_then(f, cycle)
+
+
+def test_constructors_build_no_vector_per_coset(monkeypatch):
+    """`construct_main` keeps its base map as the top, and the constructors
+    build a few `VectorQ` per level of the Sylow-type recursion, not one or
+    more per coset: from empty memos, 9 for GF(3^6) with 243 cosets and 9 for
+    GF(3^7) with 729, where working out each coset's nu built 373 and 1102."""
+    built = []
+    init, from_codes = VectorQ.__init__, VectorQ.__dict__["from_codes"].__func__
+
+    def counting_init(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(VectorQ, "__init__", counting_init)
+    monkeypatch.setattr(VectorQ, "from_codes", classmethod(
+        lambda cls, ctx, codes: built.append(codes) or from_codes(cls, ctx, codes)))
+    for k, target in [(6, ct("x3^3 x9^80")), (7, ct("x2187"))]:
+        gf.clear_memos()
+        built.clear()
+        f = construct_sylow_type(3 ** k, target)
+        assert len(f.top) == 3 ** (k - 1) and len(built) <= 2 * k, (k, len(built))
+        assert cw_cycle_type(f) == target
+    g = [x0 * 3 + (x0 + x1) % 3 for x0 in range(3) for x1 in range(3)]
+    f = construct_main(3, 1, 2, g, {key: ct("x1^3") if key[0] == 1 else ct("x3")
+                                    for key in [(1, 1), (1, 2), (1, 3), (3, 1), (3, 2)]})
+    assert f.top == tuple(g)
 
 
 def test_construct_main_examples():
@@ -605,8 +632,8 @@ def test_a_value_table_above_the_limit_is_refused_before_it_is_built():
     cosets of GF(2)^21 with identity blocks are refused at once."""
     import time
     F2 = field(2)
-    f = CosetWiseAffineMap(Splitting(2, 20, 1), [(MatrixQ.identity(F2, 20), VectorQ.zero(F2, 20),
-                                                   VectorQ(F2, (1,)))] * 2)
+    f = cw_map(Splitting(2, 20, 1), [(MatrixQ.identity(F2, 20), VectorQ.zero(F2, 20),
+                                      VectorQ(F2, (1,)))] * 2)
     start = time.perf_counter()
     message = "a value table of GF(2)^21 has 2^21 points, above the 1000000 limit"
     with pytest.raises(ValueError, match=re.escape(message)):
@@ -646,7 +673,7 @@ def test_sylow_type_over_gf_p_is_the_shifted_identity():
         ctx = field(p)
         I1 = MatrixQ.identity(ctx, 1)
         for target, s in ((CycleType({1: p}), 0), (CycleType({p: 1}), 1)):
-            expected = CosetWiseAffineMap(Splitting(p, 1, 0), [(I1, (s,), ())])
+            expected = CosetWiseAffineMap(Splitting(p, 1, 0), (0,), [(I1, (s,))])
             for seed in (0, 1, 7):
                 assert construct_sylow_type(p, target, seed=seed) == expected
 

@@ -32,7 +32,7 @@ def _warm():
             poly_order(Q)
     block_cycle_type(Poly(field(3), (1, 1)), 2)
     gf.digit_sum_pairs([1, 2], [2, 2], 3, 2)
-    cw_cycle_type(CosetWiseAffineMap(Splitting(3, 1, 0), [([[1]], [1], [])]))
+    cw_cycle_type(CosetWiseAffineMap(Splitting(3, 1, 0), (0,), [([[1]], [1])]))
 
 
 def test_clear_memos_empties_every_registered_memo():

@@ -1,4 +1,4 @@
-"""The value-record contract of the seven immutable record classes.
+"""The value-record contract of the six immutable record classes.
 
 Construction by position or keyword, refused assignment and deletion,
 equality only within one class on the field tuple, hash of that tuple, the
@@ -18,9 +18,9 @@ from pathlib import Path
 import pytest
 
 import cosetmap
-from cosetmap import (AffineMap, AnalysisReport, CglFactorization, MapTable,
-                      MatrixQ, Poly, Prcf, Splitting, VectorQ, WreathElement, analyze,
-                      ct_of_permutation, factor_into_cgl, field, one_cycle_map, prcf)
+from cosetmap import (AffineMap, AnalysisReport, CglFactorization, CosetWiseAffineMap, MapTable,
+                      MatrixQ, Poly, Prcf, Splitting, VectorQ, analyze, ct_of_permutation,
+                      factor_into_cgl, field, one_cycle_map, prcf)
 from cosetmap._record import Record
 from cosetmap.cycletype import CycleType, ct_parse
 from cosetmap.gf import MAX_DOMAIN, read_json
@@ -33,7 +33,6 @@ FIELDS = {
     Prcf: ("blocks", "basis_change"),
     CglFactorization: ("factors", "product"),
     Splitting: ("p", "d", "t"),
-    WreathElement: ("splitting", "top", "bottom"),
     MapTable: ("n", "images"),
     AnalysisReport: ("is_bijection", "is_complete", "is_orthomorphism", "cycle_type",
                      "fixed_points"),
@@ -92,11 +91,6 @@ def test_hand_written_reprs():
     assert repr(prcf(M)) == "Prcf(blocks=((x + 2, 2),), basis_change=[1 0; 1 2])"
     assert repr(factor_into_cgl(M, 2, seed=1)) == (
         "CglFactorization(factors=([1 1; 1 0], [0 1; 1 1]), product=[1 2; 0 1])")
-    s = Splitting(2, 1, 1)
-    one = AffineMap(MatrixQ(field(2), [[1]]), VectorQ(field(2), (0,)))
-    assert repr(WreathElement(s, (1, 0), (one, one))) == (
-        "WreathElement(splitting=Splitting(p=2, d=1, t=1), top=(1, 0), "
-        "bottom=(AffineMap(matrix=[1], shift=(0)), AffineMap(matrix=[1], shift=(0))))")
     assert (repr(field(3)), repr(field(3, 2))) == ("GF(3)", "GF(3^2)")
     assert repr(one_cycle_map(3, 2)) == "CosetWiseAffineMap(p=3, d=1, t=1)"
 
@@ -105,8 +99,7 @@ def test_records_have_no_instance_dict():
     F2 = field(2)
     one = AffineMap(MatrixQ(F2, [[1]]), VectorQ(F2, (0,)))
     records = [one, Splitting(2, 1, 0), MapTable(1, (0,)),
-               analyze(MapTable(1, (0,)), 2, 0), WreathElement(Splitting(2, 1, 0), (0,), (one,)),
-               prcf(MatrixQ(F2, [[1]])),
+               analyze(MapTable(1, (0,)), 2, 0), prcf(MatrixQ(F2, [[1]])),
                CglFactorization((), MatrixQ.identity(F2, 1))]
     assert {r.__class__ for r in records} == set(FIELDS)
     for r in records:
@@ -120,13 +113,15 @@ def test_names_only_the_tests_called_are_gone():
     Nor are the shift-class record and constants that a block's (Q, e, unit)
     replaced, nor the codec that `oracle` only re-exported from `gf`, nor
     the tagged product-set descriptor that `affine_ct.product_members`
-    replaced."""
+    replaced, nor the wreath element and its conversions, which a
+    `CosetWiseAffineMap` that is a permutation already is."""
     import importlib
     gone = {"affine_ct": ("classify_block", "BlockCase", "U_GENERIC", "U_NONUNIT",
                           "U_UNIT_NOT_PPOWER", "U_UNIT_PPOWER"),
             "oracle": ("table_of", "index_to_tuple", "tuple_to_index"),
             "cgl": ("is_fpf", "cgl_power_set"),
-            "cwaffine": ("cw_eval", "field_to_vector", "vector_to_field", "sylow_type_targets"),
+            "cwaffine": ("cw_eval", "field_to_vector", "vector_to_field", "sylow_type_targets",
+                         "WreathElement", "cw_to_wreath", "wreath_to_cw", "wreath_mul"),
             "serialize": ("elem_from_json", "vector_from_json", "matrix_from_json",
                           "poly_from_json")}
     for module, names in gone.items():
@@ -182,7 +177,7 @@ def test_analysis_report_contract():
     run()
 
 
-def test_affine_map_and_wreath_element_contract():
+def test_affine_map_contract():
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
 
@@ -196,22 +191,7 @@ def test_affine_map_and_wreath_element_contract():
         f = check_record(AffineMap, (M, v))
         assert f.then(f) == AffineMap(M * M, v * M + v)
 
-    @hypothesis.settings(max_examples=60, deadline=None)
-    @hypothesis.given(st.sampled_from([2, 3]), st.integers(1, 2), st.integers(0, 2), st.data())
-    def run_wreath(p, d, t, data):
-        ctx = field(p)
-        s = Splitting(p, d, t)
-        size = p ** t
-        top = tuple(data.draw(st.permutations(range(size))))
-        codes = st.integers(0, p - 1)
-        bottom = tuple(
-            AffineMap(_matrix(ctx, data.draw(st.lists(codes, min_size=d * d, max_size=d * d)), d),
-                      VectorQ(ctx, tuple(data.draw(st.lists(codes, min_size=d, max_size=d)))))
-            for _ in range(size))
-        check_record(WreathElement, (s, top, bottom))
-
     run()
-    run_wreath()
 
 
 def test_prcf_and_cgl_factorization_contract():
@@ -249,13 +229,10 @@ def test_values_over_a_field_pickle_after_its_arithmetic_is_built():
         v = VectorQ.from_codes(ctx, (1, 0))
         xm1 = Poly(ctx, (-1, 1))
         F = field(p)
-        one = AffineMap(MatrixQ.identity(F, 1), VectorQ(F, (0,)))
-        s = Splitting(p, 1, 1)
         table = MapTable(3, (1, 2, 0))
         values = [ctx.gen() if ctx.k > 1 else ctx.one(), xm1, A, v, AffineMap(A, v),
                   prcf(A), factor_into_cgl(_matrix(F, [0, 1, 1, 1], 2), 2, seed=1),
-                  s, WreathElement(s, tuple(range(p))[1:] + (0,), (one,) * p), table,
-                  analyze(table, 3, 1)]
+                  Splitting(p, 1, 1), table, analyze(table, 3, 1)]
         assert {v.__class__ for v in values} >= set(FIELDS)
         for value in values:
             back = pickle.loads(pickle.dumps(value))
@@ -289,11 +266,21 @@ def test_every_refusal_keeps_its_message():
              f"a splitting of GF(1000003)^2 has 1000003^1 cosets, above the {MAX_DOMAIN} limit")
     _refused(lambda: Splitting(2, 1, 20),
              f"a splitting of GF(2)^21 has 2^20 cosets, above the {MAX_DOMAIN} limit")
-    one = AffineMap(MatrixQ(F2, [[1]]), VectorQ(F2, (0,)))
-    s = Splitting(2, 1, 1)
-    _refused(lambda: WreathElement(s, (0, 0), (one, one)),
-             "top must be a bijection on the coset labels")
-    _refused(lambda: WreathElement(s, (1, 0), (one,)), "one bottom map per coset label required")
+    s, I1, zero = Splitting(3, 1, 1), MatrixQ.identity(F3, 1), VectorQ(F3, (0,))
+    pair = (I1, zero)
+    for top, per, message in [
+            ((0, 1), [pair] * 3, "top must have one entry per coset"),
+            ((0, 1, 2, 0), [pair] * 3, "top must have one entry per coset"),
+            ((0, 1, 3), [pair] * 3, "top entry out of range"),
+            ((0, -1, 2), [pair] * 3, "top entry out of range"),
+            ((0, 1.0, 2), [pair] * 3, "top entry out of range"),
+            ((0, 1, 2), [pair] * 2, "per-coset data must cover every coset exactly once"),
+            ((0, 1, 2), [(MatrixQ.identity(F5, 1), zero)] + [pair] * 2, "mismatched contexts"),
+            ((0, 1, 2), [(I1, VectorQ(F5, (0,)))] + [pair] * 2, "mismatched contexts"),
+            ((0, 1, 2), [(I2, zero)] + [pair] * 2, "alpha blocks must be d x d"),
+            ((0, 1, 2), [(I1, VectorQ(F3, (0, 0)))] + [pair] * 2,
+             "omega is W-sized and nu is U-sized")]:
+        _refused(lambda: CosetWiseAffineMap(s, top, per), message)
     _refused(lambda: MapTable(MAX_DOMAIN + 1, ()),
              f"a map table of {MAX_DOMAIN + 1} points, above the {MAX_DOMAIN} limit")
     _refused(lambda: MapTable(3, (0, 1)), "image list length does not match domain size")

@@ -16,9 +16,9 @@ import random
 
 import pytest
 
-from cosetmap import (AffineMap, CosetWiseAffineMap, MatrixQ, Splitting, VectorQ,
-                      affine_cycle_type, cw_cycle_type, field)
-from helpers import random_invertible
+from cosetmap import (AffineMap, MatrixQ, Splitting, VectorQ, affine_cycle_type, cw_cycle_type,
+                      field)
+from helpers import cw_map, random_invertible
 
 
 def block_triangular_pair(p: int, d: int, t: int, rng: random.Random):
@@ -35,7 +35,7 @@ def block_triangular_pair(p: int, d: int, t: int, rng: random.Random):
     for u in itertools.product(range(p), repeat=t):
         u = VectorQ(ctx, u)
         per.append((A, u * C + v1, u * B + v2 - u))
-    return whole, CosetWiseAffineMap(Splitting(p, d, t), per)
+    return whole, cw_map(Splitting(p, d, t), per)
 
 
 def test_coset_wise_cycle_type_equals_the_whole_maps():
