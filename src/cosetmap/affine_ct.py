@@ -163,8 +163,12 @@ def block_multisets(ctx: FieldCtx, d: int, complete: bool = False):
     level picks the next polynomial actually used, so the depth is at most d.
     Over a prime field the orders of all irreducibles of each degree
     2 <= m <= d with p^m <= MAX_DOMAIN are worked out first, one
-    `degree_orders` pass per degree, for `poly_order` to read.
+    `degree_orders` pass per degree, for `poly_order` to read.  The sieve
+    behind the irreducibles has q^d candidates, and more than MAX_DOMAIN of
+    them are refused before it starts.
     """
+    check_size(f"the class walk over GF({ctx.order})^{d} sieves {ctx.order}^{d} polynomials",
+               ctx.order, d)
     skip = Poly(ctx, (1, 1)) if complete else None
     irred = [Q for Q in enumerate_irreducibles(ctx, d) if not _is_x(Q) and Q != skip]
     degrees = [int(Q.degree) for Q in irred]

@@ -310,7 +310,8 @@ def construct_main(p: int, d: int, t: int, g_images, gammas: dict,
             per[i] = (alpha, omega)
 
     f = CosetWiseAffineMap(s, g_images, per)
-    if require_complete and not cw_is_complete(f):
+    # the coset map is g, found complete above: only the alphas are left to check
+    if require_complete and not all(is_cgl(alpha) for alpha in _alphas(f)):
         raise ArithmeticError("constructed map failed the completeness check")
     if not cw_is_permutation(f):
         raise ArithmeticError("constructed map is not a permutation")

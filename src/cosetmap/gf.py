@@ -19,7 +19,9 @@ distinct-degree, then equal-degree (Cantor-Zassenhaus) factorisation; both
 work the same way over every GF(q).  They and `poly_order` take q-th powers
 modulo a polynomial from one Frobenius matrix; `degree_orders` gives the
 orders of all irreducibles of one degree over GF(p) from one pass over the
-Frobenius orbits of GF(p^m).  On indices of GF(p)^n, `digit_sums` adds
+Frobenius orbits of GF(p^m).  `enumerate_irreducibles` sieves indices of
+monic polynomials, reading each small factor's multiples from residue tables
+built by `bytes.translate`.  On indices of GF(p)^n, `digit_sums` adds
 x + s*y with one table lookup per chunk of digits, and `digit_sum_pairs`
 both x + y and x - y in the same pass.  A value table or interpolation
 over all of GF(q) is one chirp-z transform on the powers of g (`_chirp_dft`):
@@ -1271,16 +1273,117 @@ class Poly:
 
 
 _IRR_CACHE: dict[tuple, tuple[int, list]] = memo({}, f"{__name__}._IRR_CACHE")
-_SPAN_BLOCK = 1 << 10  # the most indices in one block of the sieve's spans, or p
+# `_clear_multiples` masks column by column for at most this many residues
+# q^i, each column holding at least 64 entries per residue; with more
+# residues or shorter columns, clearing index by index was faster
+# (2-vCPU VM, Python 3.11).
+_MASK_COLUMNS = 12
 
 
-def _span(p: int, n: int, start: int, gens) -> list[int]:
-    """start plus every GF(p)-combination of gens, on indices of GF(p)^n."""
-    out = [start]
-    for g in gens:
-        col = [g] * len(out)
-        out += [v for s in range(1, p) for v in digit_sums(out, col, p, n, s)]
-    return out
+def _residue_digits(p: int) -> int:
+    """The most base-p digits of a residue one table entry holds: p^w <= 256,
+    so that an entry is a byte; 1 when p > 256 (a list entry)."""
+    w = 1
+    while p ** (w + 1) <= 256:
+        w += 1
+    return w
+
+
+@memo
+def _digit_step(p: int, place: int) -> bytes:
+    """The translate row adding 1 at the base-p digit worth `place` to a byte
+    below p^w, w = `_residue_digits(p)`, and fixing the bytes from p^w up."""
+    m = p ** _residue_digits(p)
+    return (bytes(a - (p - 1) * place if a // place % p == p - 1 else a + place for a in range(m))
+            + bytes(range(m, 256)))
+
+
+@memo
+def _add_row(p: int, c: int):
+    """The row taking a residue table entry a to a + c, digit-wise mod p: a
+    `bytes.translate` table, or a list indexed by a when p > 256.  With two
+    or more digits an entry, the row of c is that of c less its lowest
+    nonzero place, stepped once more there."""
+    if p * p > 256:  # one digit an entry: a rotation
+        row = list(range(c, p)) + list(range(c))
+        return row if p > 256 else bytes(row) + bytes(range(p, 256))
+    if not c:
+        return bytes(range(256))
+    place = 1
+    while not c // place % p:
+        place *= p
+    return _add_row(p, c - place).translate(_digit_step(p, place))
+
+
+def _residue_tables(K: _Ops, k: int, f, n: int) -> list:
+    """[(table, place)]: the residue rho(F) = -(X^(n+i) + sum_(j < n) c_j X^j)
+    * X^-n mod f, as the index of its i codes (the first most significant),
+    for every index F < q^n of n codes c_0, ..., c_(n-1) (c_0 most
+    significant), f monic irreducible of degree i over GF(q), q = p^k, f != X.
+
+    rho is affine over GF(p) in the base-p digits of F.  So the table starts
+    from rho(0) = -X^i mod f, and each digit of F, least significant first,
+    joins p copies of it, the copy for digit value v shifted v times by that
+    digit's residue -c*X^-s mod f (c the code of a power of w, s = 1..n).  A
+    residue is split into chunks of `_residue_digits(p)` base-p digits, one
+    table per chunk, worth `place` each, and a shift is one `bytes.translate`
+    by an `_add_row` (a list lookup when p > 256).  The first q^m entries are
+    the tables of m < n coefficients, as the digits of F come lowest first."""
+    p, q = K.p, K.q
+    minus_places = [K.neg(p ** e) for e in range(k)]  # -w^(k-1-e): a code's digits, lowest first
+    x_inv = K.scale(K.neg(K.inv(f[0])), f[1:])  # X^-1 mod f, from f = f_0 + X*(f_1 + ... X^(i-1))
+    gens, r = [], x_inv
+    for _ in range(n):  # X^-1, X^-2, ..., X^-n: the codes c_(n-1), ..., c_0
+        gens += [tuple_to_index(K.scale(c, r), q) for c in minus_places]
+        r = K.axpy(r[1:] + [0], r[0], x_inv)
+    start = tuple_to_index(f[:-1], q)  # -X^i mod f
+    if p < 256:
+        kind, shift, join = bytes, bytes.translate, b"".join
+    else:
+        kind, shift, join = (list, lambda t, row: list(map(row.__getitem__, t)),
+                             lambda parts: list(itertools.chain.from_iterable(parts)))
+    m = p ** _residue_digits(p)
+    tables, place = [], 1
+    while place < q ** (len(f) - 1):
+        table = kind([start // place % m])
+        for g in gens:
+            g = g // place % m
+            if not g:
+                table *= p
+                continue
+            row, parts = _add_row(p, g), [table]
+            for _ in range(p - 1):
+                parts.append(shift(parts[-1], row))
+            table = join(parts)
+        tables.append((table, place))
+        place *= m
+    return tables
+
+
+def _clear_multiples(irreducible: bytearray, tables, size: int, count: int) -> None:
+    """Clear F*size + rho(F) for every F < count, rho read from the residue
+    tables of `_residue_tables`: the indices of the multiples of degree d of
+    an f of degree i, size = q^i and count = q^(d-i).  With at most
+    `_MASK_COLUMNS` residues and count >= 64*size, each column L = r (a
+    stride of the array) is masked by one big-int AND; otherwise every index
+    is cleared one by one."""
+    if size <= _MASK_COLUMNS and count >= 64 * size and len(tables) == 1:
+        table = tables[0][0][:count]
+        keep = bytearray(b"\1") * 256
+        for r in range(size):
+            if r in table:
+                keep[r] = 0
+                column = (int.from_bytes(irreducible[r::size], "little")
+                          & int.from_bytes(table.translate(keep), "little"))
+                irreducible[r::size] = column.to_bytes(count, "little")
+                keep[r] = 1
+        return
+    at = range(0, count * size, size)
+    for table, place in tables:
+        table = itertools.islice(table, count)
+        at = map(operator.add, at, map(place.__mul__, table) if place > 1 else table)
+    for v in at:
+        irreducible[v] = 0
 
 
 def enumerate_irreducibles(ctx: FieldCtx, max_degree: int) -> list[Poly]:
@@ -1288,10 +1391,16 @@ def enumerate_irreducibles(ctx: FieldCtx, max_degree: int) -> list[Poly]:
     in grade-lex order.
 
     A sieve on indices: a monic polynomial of degree d without its leading 1
-    is a base-p number of d*k digits, and adding polynomials adds digits mod
-    p.  So the multiples Q*(L + X^(d-i)) of an irreducible Q of degree i <= d/2
-    are the index of X^(d-i)*Q plus the GF(p)-span of those of w^b*X^j*Q
-    (j < d-i, b < k), marked by `_span` in blocks of at most `_SPAN_BLOCK`.
+    is a base-q number of d digits, c_0 first, split as F*q^i + L with L its
+    top i coefficients.  For each irreducible Q != X of degree i <= d/2
+    found so far, the multiples have L = rho(F), an affine function of F
+    tabulated by `_residue_tables` (one byte an entry, built by
+    `bytes.translate`) once for max_degree, whose head serves every lower
+    degree, and cleared by `_clear_multiples`; those of X are the indices
+    with c_0 = 0.  What is left is irreducible.  The list is kept per field
+    (`_IRR_CACHE`), and a higher degree extends it.  Nothing bounds q^d here;
+    the class walk (`affine_ct.block_multisets`) refuses more than
+    MAX_DOMAIN candidates.
     """
     if max_degree < 1:
         raise ValueError("max_degree must be >= 1")
@@ -1300,25 +1409,27 @@ def enumerate_irreducibles(ctx: FieldCtx, max_degree: int) -> list[Poly]:
     if cached_deg >= max_degree:
         return [q for q in cached if q.degree <= max_degree]
     K = ctx.ops()
-    p, q = ctx.p, ctx.order
-    basis = [q // p ** (b + 1) for b in range(ctx.k)]  # the codes of w^b
-    low = max(1, int(math.log(_SPAN_BLOCK, p)))  # span rows in one block
+    q = ctx.order
     found = list(cached)
+    residues = {}  # per factor's codes: its residue tables for max_degree
+    new = Poly.__new__
     for d in range(cached_deg + 1, max_degree + 1):
-        n = d * ctx.k
         irreducible = bytearray(b"\1") * q ** d
         for Q in found:
-            i = len(Q.codes) - 1
+            f, i = Q.codes, len(Q.codes) - 1
             if 2 * i > d:
                 break
-            gens = [tuple_to_index(K.scale(c, Q.codes), q) * q ** (d - 1 - i - j)
-                    for j in range(d - i) for c in basis]
-            block = _span(p, n, tuple_to_index(Q.codes[:-1], q), gens[:low])
-            for shift in _span(p, n, 0, gens[low:]):
-                for v in digit_sums(block, [shift] * len(block), p, n) if shift else block:
-                    irreducible[v] = 0
-        found += [Poly.from_codes(ctx, lower + (K.one,)) for lower in
-                  itertools.compress(itertools.product(range(q), repeat=d), irreducible)]
+            if not f[0]:
+                irreducible[:q ** (d - 1)] = bytes(q ** (d - 1))
+                continue
+            tables = residues.get(f)
+            if tables is None:
+                tables = residues[f] = _residue_tables(K, ctx.k, f, max_degree - i)
+            _clear_multiples(irreducible, tables, q ** i, q ** (d - i))
+        for codes in itertools.compress(itertools.product(*[range(q)] * d, (K.one,)), irreducible):
+            P = new(Poly)
+            P.ctx, P.codes = ctx, codes
+            found.append(P)
     _IRR_CACHE[key] = (max_degree, found)
     return list(found)
 
@@ -1450,9 +1561,19 @@ def _poly_order(K: _Ops, f) -> int:
     y: X^(c + q*e) = X^c * (X^e)^q, by Horner on the base-q digits of the
     exponent.  The chain of the smallest l^a is raised up to a times, so that
     reaching 1 proves X^N = 1; every other chain stops after a - 1 raises.
+    A linear f = X - a needs neither: the order is that of a in GF(q)^*,
+    q - 1 divided by each prime while a to the quotient is still 1.
     """
     m = len(f) - 1
     q = K.q
+    if m == 1:  # X = -f_0 mod f: the multiplicative order of -f_0
+        a, order = K.neg(f[0]), q - 1
+        for prime, e in _unit_group_factors(q, 1):
+            for _ in range(e):
+                if _power(K.mul, a, order // prime, K.one) != K.one:
+                    break
+                order //= prime
+        return order
     rows = _frobenius_matrix(K, f)
     if not _is_irreducible(K, f, rows):
         raise ValueError("poly_order expects an irreducible polynomial")

@@ -637,6 +637,29 @@ def test_target_of_another_degree_exits_1_at_once(tmp_path, capsys, d):
                    f"in dimension {d} over GF(3)\n")
 
 
+def test_class_walk_above_the_limit_exits_2_at_once(tmp_path, capsys):
+    """A first witness over GF(1009)^3 would sieve 1009^3 candidate
+    polynomials for the class walk; the walk refuses it by the size rule
+    before the sieve allocates anything.  g = 2x has the fixed point 0 and
+    two cycles of length 504, and x1 x504^2038182 (the type of x -> 2x) lies
+    in the gamma sets of both lengths."""
+    from cosetmap import gf
+    gamma = "x1 x504^2038182"
+    job = {"p": 1009, "d": 3, "t": 1, "g": [2 * x % 1009 for x in range(1009)],
+           "gammas": [{"length": 1, "index": 1, "type": gamma},
+                      {"length": 504, "index": 1, "type": gamma},
+                      {"length": 504, "index": 2, "type": gamma}]}
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(job))
+    gf.clear_memos()
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "construct", "--job", str(path))
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == ("error: the class walk over GF(1009)^3 sieves 1009^3 polynomials, "
+                   "above the 1000000 limit\n")
+
+
 def test_target_for_a_huge_d_exits_1_at_once(tmp_path, capsys):
     """A d far beyond any table is refused by the first target's degree
     check, before a zero shift of length d is built."""

@@ -503,6 +503,19 @@ def test_constructors_build_no_vector_per_coset(monkeypatch):
     assert f.top == tuple(g)
 
 
+def test_construct_main_tests_the_base_map_for_completeness_once(monkeypatch):
+    """The digit-sum test of g runs once, up front: the map's coset map is g,
+    so the last self-check tests only the alphas, while `cw_is_complete`
+    still tests both halves."""
+    calls = []
+    real = cwaffine.is_complete_mapping
+    monkeypatch.setattr(cwaffine, "is_complete_mapping",
+                        lambda *args: calls.append(args) or real(*args))
+    f = construct_main(3, 1, 1, [1, 2, 0], {(3, 1): ct("x3")}, seed=0)
+    assert len(calls) == 1
+    assert cwaffine.cw_is_complete(f) and len(calls) == 2
+
+
 def test_construct_main_examples():
     # p=3, d=1, t=1: base 3-cycle lifted to a 9-cycle
     f = construct_main(3, 1, 1, [1, 2, 0], {(3, 1): ct("x3")}, seed=0)

@@ -191,6 +191,27 @@ def test_poly_order_matches_descent(q, max_degree):
             assert o == least, Q
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 25, 27, 1000003])
+def test_linear_poly_order_is_the_order_of_its_root(monkeypatch, q):
+    """ord(X - a) is the multiplicative order of a, read from the factors of
+    q - 1 with no Frobenius matrix and no Rabin test: equal to the descent for
+    every a of GF(q)^*, and for GF(1000003) for a = 1, -1 and 300 seeded a."""
+    from cosetmap import gf
+
+    def unused(*args):
+        raise AssertionError("a linear Q needs no Frobenius matrix or Rabin test")
+
+    ctx = field_of_order(q)
+    K = ctx.ops()
+    roots = range(1, q) if q < 100 else [1, q - 1] + random.Random(q).sample(range(2, q - 1), 300)
+    polys = [Poly.from_codes(ctx, (K.neg(a), K.one)) for a in roots]
+    want = [descent_poly_order(Q) for Q in polys]
+    gf.clear_memos()
+    monkeypatch.setattr(gf, "_frobenius_matrix", unused)
+    monkeypatch.setattr(gf, "_is_irreducible", unused)
+    assert [poly_order(Q) for Q in polys] == want
+
+
 def test_poly_order_refusals():
     F2, F3 = field(2), field(3)
     with pytest.raises(ValueError, match="irreducible"):

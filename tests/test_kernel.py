@@ -614,22 +614,35 @@ _WORKLOAD_SIEVES = [(2, 1, 6), (3, 1, 6), (5, 1, 5), (7, 1, 4), (2, 2, 3), (2, 3
                     (3, 2, 3), (5, 2, 2), (3, 3, 2)]
 
 
-@pytest.mark.parametrize("p,k,top", _WORKLOAD_SIEVES + [(11, 1, 3), (2, 4, 3), (7, 2, 2)])
-def test_irreducibles_match_the_cofactor_sieve(monkeypatch, p, k, top):
-    """The span sieve gives the per-cofactor sieve's list, codes and order,
-    from an empty cache, when extending a cached lower degree, and with
-    blocks of a few indices, so that every Q's span is shifted many times."""
+# GF(2)^10 marks residues of up to 2^5 by column masks and by indices,
+# GF(17)^4 reads residues of 17^2 from two byte tables, GF(257)^2 has list
+# tables (p > 256) and GF(251)^2 the widest byte rows.
+@pytest.mark.parametrize("p,k,top", _WORKLOAD_SIEVES + [(11, 1, 3), (2, 4, 3), (7, 2, 2)]
+                         + [(2, 1, 10), (67, 1, 2), (251, 1, 2), (257, 1, 2), (11, 2, 2),
+                            (17, 1, 4)])
+def test_irreducibles_match_the_cofactor_sieve(p, k, top):
+    """The residue-table sieve gives the per-cofactor sieve's list, codes and
+    order, from an empty cache and when extending a cached lower degree."""
     from helpers import cofactor_sieve_irreducibles
     ctx = field(p, k)
     want = [Q.codes for Q in cofactor_sieve_irreducibles(ctx, top)]
-    for block in (gf._SPAN_BLOCK, 4, 1):
-        monkeypatch.setattr(gf, "_SPAN_BLOCK", block)
-        gf.clear_memos()
-        assert [Q.codes for Q in enumerate_irreducibles(ctx, top)] == want
-        gf.clear_memos()
-        enumerate_irreducibles(ctx, max(1, top // 2))
-        assert [Q.codes for Q in enumerate_irreducibles(ctx, top)] == want
-        assert gf._IRR_CACHE[(p, k, ctx.modulus)][0] == top
+    gf.clear_memos()
+    assert [Q.codes for Q in enumerate_irreducibles(ctx, top)] == want
+    gf.clear_memos()
+    enumerate_irreducibles(ctx, max(1, top // 2))
+    assert [Q.codes for Q in enumerate_irreducibles(ctx, top)] == want
+    assert gf._IRR_CACHE[(p, k, ctx.modulus)][0] == top
+
+
+@pytest.mark.parametrize("p,k,top", [(2, 1, 8), (3, 1, 6), (5, 1, 4), (2, 2, 4), (3, 2, 3)])
+def test_irreducibles_from_one_digit_residue_chunks(monkeypatch, p, k, top):
+    """With one base-p digit per table entry, every residue of two or more
+    digits is read from several chunk tables, and the list does not change."""
+    want = [Q.codes for Q in enumerate_irreducibles(field(p, k), top)]
+    monkeypatch.setattr(gf, "_residue_digits", lambda p: 1)
+    gf.clear_memos()
+    assert [Q.codes for Q in enumerate_irreducibles(field(p, k), top)] == want
+    gf.clear_memos()
 
 
 @pytest.mark.parametrize("p,k", EXTENSION_FIELDS)
