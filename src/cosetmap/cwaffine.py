@@ -8,7 +8,8 @@ are addressed by the lexicographic index of u, points of V by the index of
 (w, u), which is w*p^t + u.  A map that is a permutation is an element of the
 wreath product of AGL(W) by the permutations of the cosets, and `cw_compose`
 is its multiplication.  Permutation and completeness tests, cycle types via
-forward cycle products, value tables and the constructors all live here.
+forward cycle products, value tables (from `gf._affine_table`) and the
+constructors all live here.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .affine_ct import _affine_type, product_members
 from .cgl import is_cgl, realize_gamma
 from .cycletype import CycleType, cycles_of, is_permutation
 from .errors import InfeasibleError
-from .gf import (FieldCtx, Poly, _power, _vecmat, check_size, digit_sums, field, index_to_tuple,
+from .gf import (FieldCtx, Poly, _affine_table, _power, _vecmat, check_size, field, index_to_tuple,
                  is_power, prime_power, tuple_to_index)
 from .linalg import MatrixQ, VectorQ, _identity, _matmul
 from .oracle import MapTable, is_complete_mapping
@@ -197,33 +198,14 @@ def cw_cycle_type(f: CosetWiseAffineMap) -> CycleType:
 # Value tables
 # ---------------------------------------------------------------------------
 
-def _affine_table(maps) -> list[int]:
-    """Index tables of the maps x -> x*M + shift of GF(p)^n, given as pairs
-    (M, shift) over one GF(p), interleaved: the image of the point x under
-    the u-th map sits at x*len(maps) + u.  Built one row of every M at a time,
-    on indices."""
-    M, _ = maps[0]
-    p, n, N = M.ctx.p, M.rows, len(maps)
-    table = [tuple_to_index(shift.codes, p) for _, shift in maps]
-    for rows in zip(*(M.codes for M, _ in maps)):
-        row = [tuple_to_index(r, p) for r in rows]
-        multiples = [[0] * N]  # a*row of each map, for a = 0..p-1
-        while len(multiples) < p:
-            multiples.append(digit_sums(multiples[-1], row, p, n))
-        blocks = [table[j:j + N] for j in range(0, len(table), N)]  # one per point so far
-        table = digit_sums([v for block in blocks for _ in range(p) for v in block],
-                           [m for ms in multiples for m in ms] * len(blocks), p, n)
-    return table
-
-
 def _table(f: CosetWiseAffineMap) -> list[int]:
     """Images of f on lexicographic indices of GF(p)^(d+t): the point w + u
     has index w*p^t + u, and so has the image of w under the u-th coset map
-    in `_affine_table`."""
+    in `gf._affine_table`."""
     s = f.splitting
     check_size(f"a value table of GF({s.p})^{s.n} has {s.p}^{s.n} points", s.p, s.n)
     nt = s.p ** s.t
-    table = _affine_table(f.per_coset)
+    table = _affine_table(s.p, s.d, [(alpha.codes, omega.codes) for alpha, omega in f.per_coset])
     return [v * nt + top for v, top in zip(table, f.top * s.p ** s.d)]
 
 
@@ -241,8 +223,7 @@ def conjugated_table(f: CosetWiseAffineMap, T: MatrixQ) -> MapTable:
     if T.ctx is not s.ctx or T.rows != s.n or not T.is_invertible():
         raise ValueError("basis change must be an invertible (d+t) matrix")
     images = _table(f)
-    zero = VectorQ.zero(s.ctx, s.n)
-    into, back = _affine_table([(T.inverse(), zero)]), _affine_table([(T, zero)])
+    into, back = (_affine_table(s.p, s.n, [(M.codes, (0,) * s.n)]) for M in (T.inverse(), T))
     return MapTable(len(images), [back[images[x]] for x in into])
 
 

@@ -10,8 +10,8 @@ Every path runs on integer codes; a polynomial is a sequence of codes, constant
 term first, with no trailing zeros.  `FieldCtx.ops()` gives the element
 arithmetic of one field (`_Ops`): plain residues for GF(p), and for GF(p^k)
 log/antilog tables of a primitive element g plus Zech logarithms for addition
-in odd characteristic (O(q) memory, built on first use by one GF(p)
-vector-matrix product per power of g).  Module functions build the rest on it
+in odd characteristic (O(q) memory, built on first use by walking 1 through
+the table of x -> x*g).  Module functions build the rest on it
 for every field: `_vecmat`, `_pcomb` (a + c*b), `_pmul`, `_horner` and one
 long-division loop (`_divide`) behind every quotient, remainder and gcd.
 Irreducibility is Rabin's test and factoring is squarefree, then
@@ -23,7 +23,8 @@ Frobenius orbits of GF(p^m).  `enumerate_irreducibles` sieves indices of
 monic polynomials, reading each small factor's multiples from residue tables
 built by `bytes.translate`.  On indices of GF(p)^n, `digit_sums` adds
 x + s*y with one table lookup per chunk of digits, and `digit_sum_pairs`
-both x + y and x - y in the same pass.  A value table or interpolation
+both x + y and x - y in the same pass; `_affine_table` tabulates x*M + shift
+on them, for field and value tables.  A value table or interpolation
 over all of GF(q) is one chirp-z transform on the powers of g (`_chirp_dft`):
 one packed int product.  `is_prime` and `factorize` share one Miller-Rabin
 core (`_composite`), exact below psi_13: factoring trial-divides to 1000 and
@@ -299,6 +300,24 @@ def digit_sums(xs, ys, p: int, n: int, s: int = 1) -> list[int]:
     return out
 
 
+def _affine_table(p: int, n: int, maps) -> list[int]:
+    """Index tables of the maps x -> x*M + shift of GF(p)^n, given as pairs
+    (rows of M, shift) of codes mod p, interleaved: the image of the point x
+    under the u-th map sits at x*len(maps) + u.  The rows are taken last to
+    first, each putting a digit in front of the points so far: the block of
+    points with digit a is the block with digit 0 plus a*row.  The blocks
+    come by doubling, the blocks below a plus a*row in one `digit_sums` pass."""
+    N = len(maps)
+    table = [tuple_to_index(shift, p) for _, shift in maps]
+    for rows in zip(*(M[::-1] for M, _ in maps)):
+        size = len(table)
+        row = [tuple_to_index(r, p) for r in rows] * (size // N)
+        while len(table) < p * size:
+            a = len(table) // size
+            table += digit_sums(table[:(p - a) * size], row * min(a, p - a), p, n, a)
+    return table
+
+
 def digit_sum_pairs(xs, ys, p: int, n: int) -> tuple[int, list[int]]:
     """(b, [(x + y) << b | (x - y)]) with b = (p^n).bit_length(), for each pair
     of indices x, y drawn from xs and ys in step, p odd: both sums of
@@ -430,8 +449,8 @@ def _prime_ops(p: int) -> _Ops:
 
 @memo
 def _build_tables(ctx: "FieldCtx"):
-    """(log, exp, zech) for a primitive element of GF(p^k), a primitive root
-    when k = 1.
+    """(log, exp, zech) for a primitive element g of GF(p^k), a primitive
+    root when k = 1; exp walks the code of 1 through the table of x -> x*g.
 
     exp has period q-1 over two periods, so a sum of two logs indexes it
     without reduction; zech[d] is the log of 1 + g^d (-1 where that is zero),
@@ -449,17 +468,16 @@ def _build_tables(ctx: "FieldCtx"):
     for g in itertools.chain(([0, 1],) if k > 1 else (), nonzero):
         if all(_ppowmod(fp, g, n // r, m) != [1] for r in primes):
             break
-    # row i: the coordinates of w^i * g, so a step from g^i to g^(i+1) is one
-    # vector-matrix product over GF(p)
+    # row i: the coordinates of w^i * g, the rows of x -> x*g
     rows = [(_pdivmod(fp, [0] * i + g, m)[1] + [0] * k)[:k] for i in range(k)]
+    times_g = _affine_table(p, k, [(rows, [0] * k)])
     log = [0] * q
     exp = [0] * (2 * n)
-    acc = [1] + [0] * (k - 1)
+    code = q // p  # the code of 1
     for i in range(n):
-        code = tuple_to_index(acc, p)
         exp[i] = exp[i + n] = code
         log[code] = i
-        acc = _vecmat(fp, acc, rows, k)
+        code = times_g[code]
     zech = None
     if p != 2 and k > 1:
         top = (p - 1) * (q // p)  # codes at or above have constant coordinate p-1

@@ -15,9 +15,9 @@ from cosetmap import (AffineMap, CosetWiseAffineMap, CycleType, InfeasibleError,
                       evaluate_poly_table, field, is_cgl,
                       one_cycle_map, one_cycle_polynomial)
 from cosetmap import affine_ct, cwaffine, gf
-from cosetmap.cwaffine import _affine_table, _forward_codes
+from cosetmap.cwaffine import _forward_codes
 from cosetmap.cycletype import ct_format, ct_of_permutation, cycles_of
-from cosetmap.gf import index_to_tuple, is_prime
+from cosetmap.gf import _affine_table, index_to_tuple, is_prime
 from cosetmap.oracle import is_complete_mapping
 from helpers import (coordinate_functions, cw_eval, cw_map, forward_product_by_then,
                      one_cycle_closed_form_images, one_cycle_reference_tables,
@@ -620,11 +620,14 @@ def test_conjugated_table_preserves_completeness_and_type():
 
 
 def test_affine_table_matches_pointwise_products():
-    """Row-at-a-time tables against x*M + v worked out point by point, for
-    singular and invertible M, up to GF(3)^7; several maps interleave."""
+    """Tables against x*M + v worked out point by point, for singular and
+    invertible M, up to GF(3)^7, and GF(67)^2, where a digit gets no sum
+    table; several maps interleave.  One-coordinate maps of GF(65537) have
+    the shape of a prime field's x -> x*g."""
     rng = random.Random(11)
     sizes = [(p, n, 4) for p in (2, 3, 5) for n in range(1, 5)]
     sizes += [(p, n, 2) for p in (2, 3) for n in range(5, 8)]
+    sizes += [(p, n, 3) for p in (7, 11) for n in range(1, 4)] + [(67, 1, 3), (67, 2, 2)]
     for p, n, count in sizes:
         ctx = field(p)
         maps = []
@@ -632,12 +635,17 @@ def test_affine_table_matches_pointwise_products():
             M = MatrixQ(ctx, tuple(tuple(rng.randrange(p) for _ in range(n))
                                    for _ in range(n)))
             v = VectorQ(ctx, [rng.randrange(p) for _ in range(n)])
-            assert _affine_table([(M, v)]) == pointwise_affine_table(M, v)
+            assert _affine_table(p, n, [(M.codes, v.codes)]) == pointwise_affine_table(M, v)
             maps.append((M, v))
         zero = VectorQ.zero(ctx, n)
-        assert _affine_table([(M, zero)]) == pointwise_affine_table(M, zero)
+        assert _affine_table(p, n, [(M.codes, zero.codes)]) == pointwise_affine_table(M, zero)
         tables = [pointwise_affine_table(M, v) for M, v in maps]
-        assert _affine_table(maps) == [table[x] for x in range(p ** n) for table in tables]
+        assert (_affine_table(p, n, [(M.codes, v.codes) for M, v in maps])
+                == [table[x] for x in range(p ** n) for table in tables])
+    F = field(65537)
+    for g, c in [(3, 0), (rng.randrange(65537), rng.randrange(65537)), (0, 5)]:
+        M, v = MatrixQ(F, ((g,),)), VectorQ(F, (c,))
+        assert _affine_table(65537, 1, [(M.codes, v.codes)]) == pointwise_affine_table(M, v)
 
 
 def test_a_value_table_above_the_limit_is_refused_before_it_is_built():

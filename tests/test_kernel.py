@@ -430,11 +430,16 @@ def test_dlog_is_the_least_exponent(p, k):
                 ctx.dlog(x)
 
 
-@pytest.mark.parametrize("p,k,modulus", [(3, 2, (1, 0, 1)), (2, 6, None), (5, 3, None)])
+@pytest.mark.parametrize("p,k,modulus", [(3, 2, (1, 0, 1)), (2, 6, None), (5, 3, None),
+                                         (2, 10, None), (3, 7, None), (7, 3, None),
+                                         (67, 2, None)])
 def test_tables_are_the_powers_of_a_primitive_element(p, k, modulus):
     """exp, log and zech against g^i mod the modulus by square-and-multiply;
     over GF(9) with modulus X^2 + 1 the class of X is not primitive, so the
-    table generator g is another element."""
+    table generator g is another element.  The fields cover every branch of
+    the digit sums behind the table of x -> x*g: XOR (p = 2), one chunk of
+    digits (3^2), several chunks (3^7, 7^3), and digits without a sum table
+    (67^2)."""
     ctx = field(p, k, modulus)
     log, exp, zech = gf._build_tables(ctx)
     q, n, m = ctx.order, ctx.order - 1, ctx.modulus
