@@ -15,7 +15,7 @@ from .gf import exact_int, json_fields, read_int
 
 
 class CycleType:
-    """Finite multiset {length -> count}, counts >= 1, arbitrary precision."""
+    """Finite multiset {length -> count} of ints (`gf.exact_int`), counts >= 1."""
 
     __slots__ = ("_cycles",)
 
@@ -29,8 +29,9 @@ class CycleType:
             items = cycles
         merged: dict[int, int] = {}
         for length, count in items:
-            length = int(length)
-            count = int(count)
+            if type(length) is not int or type(count) is not int:  # no float, bool or str
+                exact_int(length, "a cycle length")
+                exact_int(count, f"the count of x{length}")
             if length < 1:
                 raise ValueError("cycle lengths must be positive")
             if count < 0:

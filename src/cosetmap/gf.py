@@ -19,12 +19,13 @@ distinct-degree, then equal-degree (Cantor-Zassenhaus) factorisation; both
 work the same way over every GF(q).  They and `poly_order` take q-th powers
 modulo a polynomial from one Frobenius matrix; `degree_orders` gives the
 orders of all irreducibles of one degree over GF(p) from one pass over the
-Frobenius orbits of GF(p^m).  `enumerate_irreducibles` sieves indices of
-monic polynomials, reading each small factor's multiples from residue tables
-built by `bytes.translate`.  On indices of GF(p)^n, `digit_sums` adds
+Frobenius orbits of GF(p^m).  On indices of GF(p)^n, `digit_sums` adds
 x + s*y with one table lookup per chunk of digits, and `digit_sum_pairs`
 both x + y and x - y in the same pass; `_affine_table` tabulates x*M + shift
-on them, for field and value tables.  A value table or interpolation
+on them (one map into at most 256 points by `bytes.translate`): the field
+and value tables, and the residue chunks from which `enumerate_irreducibles`
+reads each small factor's multiples as it sieves indices of monic
+polynomials.  A value table or interpolation
 over all of GF(q) is one chirp-z transform on the powers of g (`_chirp_dft`):
 one packed int product.  `is_prime` and `factorize` share one Miller-Rabin
 core (`_composite`), exact below psi_13: factoring trial-divides to 1000 and
@@ -300,13 +301,27 @@ def digit_sums(xs, ys, p: int, n: int, s: int = 1) -> list[int]:
     return out
 
 
-def _affine_table(p: int, n: int, maps) -> list[int]:
-    """Index tables of the maps x -> x*M + shift of GF(p)^n, given as pairs
-    (rows of M, shift) of codes mod p, interleaved: the image of the point x
-    under the u-th map sits at x*len(maps) + u.  The rows are taken last to
-    first, each putting a digit in front of the points so far: the block of
-    points with digit a is the block with digit 0 plus a*row.  The blocks
-    come by doubling, the blocks below a plus a*row in one `digit_sums` pass."""
+def _affine_table(p: int, n: int, maps) -> list[int] | bytes:
+    """Index tables of the maps x -> x*M + shift into GF(p)^n, given as pairs
+    (rows of M, shift) of n codes mod p each, interleaved: the image of the
+    point x under the u-th map sits at x*len(maps) + u.  The rows are taken
+    last to first, each putting a digit in front of the points so far: the
+    block of points with digit a is the block with digit 0 plus a*row.  One
+    map into at most 256 points is bytes, each block the one below translated
+    by the `_add_row` of row; otherwise the blocks come by doubling, the
+    blocks below a plus a*row in one `digit_sums` pass."""
+    if len(maps) == 1 and p ** n <= 256:
+        (M, shift), = maps
+        table = bytes([tuple_to_index(shift, p)])
+        for c in (tuple_to_index(r, p) for r in reversed(M)):
+            if not c:
+                table *= p
+                continue
+            row, blocks = _add_row(p, c), [table]
+            for _ in range(p - 1):
+                blocks.append(blocks[-1].translate(row))
+            table = b"".join(blocks)
+        return table
     N = len(maps)
     table = [tuple_to_index(shift, p) for _, shift in maps]
     for rows in zip(*(M[::-1] for M, _ in maps)):
@@ -316,6 +331,33 @@ def _affine_table(p: int, n: int, maps) -> list[int]:
             a = len(table) // size
             table += digit_sums(table[:(p - a) * size], row * min(a, p - a), p, n, a)
     return table
+
+
+@memo
+def _digit_step(p: int, place: int) -> bytes:
+    """The translate row adding 1 at the base-p digit worth `place` to a byte
+    below p^w, w the largest with p^w <= 256 (the whole byte, whatever chunk
+    width the sieve uses), fixing the bytes from p^w up."""
+    m = p
+    while m * p <= 256:
+        m *= p
+    return (bytes(a - (p - 1) * place if a // place % p == p - 1 else a + place for a in range(m))
+            + bytes(range(m, 256)))
+
+
+@memo
+def _add_row(p: int, c: int) -> bytes:
+    """The translate row taking a byte a to a + c, digit-wise mod p, p <= 256.
+    With two or more digits a byte, the row of c is that of c less its lowest
+    nonzero place, stepped once more there."""
+    if p * p > 256:  # one digit a byte: a rotation
+        return bytes(range(c, p)) + bytes(range(c)) + bytes(range(p, 256))
+    if not c:
+        return bytes(range(256))
+    place = 1
+    while not c // place % p:
+        place *= p
+    return _add_row(p, c - place).translate(_digit_step(p, place))
 
 
 def digit_sum_pairs(xs, ys, p: int, n: int) -> tuple[int, list[int]]:
@@ -1299,38 +1341,11 @@ _MASK_COLUMNS = 12
 
 
 def _residue_digits(p: int) -> int:
-    """The most base-p digits of a residue one table entry holds: p^w <= 256,
-    so that an entry is a byte; 1 when p > 256 (a list entry)."""
+    """The most base-p digits of a residue chunk: the largest w with p^w <= 256, at least 1."""
     w = 1
     while p ** (w + 1) <= 256:
         w += 1
     return w
-
-
-@memo
-def _digit_step(p: int, place: int) -> bytes:
-    """The translate row adding 1 at the base-p digit worth `place` to a byte
-    below p^w, w = `_residue_digits(p)`, and fixing the bytes from p^w up."""
-    m = p ** _residue_digits(p)
-    return (bytes(a - (p - 1) * place if a // place % p == p - 1 else a + place for a in range(m))
-            + bytes(range(m, 256)))
-
-
-@memo
-def _add_row(p: int, c: int):
-    """The row taking a residue table entry a to a + c, digit-wise mod p: a
-    `bytes.translate` table, or a list indexed by a when p > 256.  With two
-    or more digits an entry, the row of c is that of c less its lowest
-    nonzero place, stepped once more there."""
-    if p * p > 256:  # one digit an entry: a rotation
-        row = list(range(c, p)) + list(range(c))
-        return row if p > 256 else bytes(row) + bytes(range(p, 256))
-    if not c:
-        return bytes(range(256))
-    place = 1
-    while not c // place % p:
-        place *= p
-    return _add_row(p, c - place).translate(_digit_step(p, place))
 
 
 def _residue_tables(K: _Ops, k: int, f, n: int) -> list:
@@ -1339,43 +1354,25 @@ def _residue_tables(K: _Ops, k: int, f, n: int) -> list:
     for every index F < q^n of n codes c_0, ..., c_(n-1) (c_0 most
     significant), f monic irreducible of degree i over GF(q), q = p^k, f != X.
 
-    rho is affine over GF(p) in the base-p digits of F.  So the table starts
-    from rho(0) = -X^i mod f, and each digit of F, least significant first,
-    joins p copies of it, the copy for digit value v shifted v times by that
-    digit's residue -c*X^-s mod f (c the code of a power of w, s = 1..n).  A
-    residue is split into chunks of `_residue_digits(p)` base-p digits, one
-    table per chunk, worth `place` each, and a shift is one `bytes.translate`
-    by an `_add_row` (a list lookup when p > 256).  The first q^m entries are
+    rho is affine over GF(p) in the base-p digits of F: rho(0) = -X^i mod f,
+    and a digit v of F, the coordinate at w^e of the code c_(n-s), adds v
+    times -w^e*X^-s mod f (s = 1..n).  The k*i base-p digits of a residue
+    are split into chunks of `_residue_digits(p)`, lowest first, each one
+    `_affine_table` of that map, worth `place`.  The first q^m entries are
     the tables of m < n coefficients, as the digits of F come lowest first."""
-    p, q = K.p, K.q
+    p = K.p
     minus_places = [K.neg(p ** e) for e in range(k)]  # -w^(k-1-e): a code's digits, lowest first
     x_inv = K.scale(K.neg(K.inv(f[0])), f[1:])  # X^-1 mod f, from f = f_0 + X*(f_1 + ... X^(i-1))
-    gens, r = [], x_inv
+    gens, r = [f[:-1]], x_inv  # -X^i mod f, then the rows of the map, the digits of F lowest first
     for _ in range(n):  # X^-1, X^-2, ..., X^-n: the codes c_(n-1), ..., c_0
-        gens += [tuple_to_index(K.scale(c, r), q) for c in minus_places]
+        gens += [K.scale(c, r) for c in minus_places]
         r = K.axpy(r[1:] + [0], r[0], x_inv)
-    start = tuple_to_index(f[:-1], q)  # -X^i mod f
-    if p < 256:
-        kind, shift, join = bytes, bytes.translate, b"".join
-    else:
-        kind, shift, join = (list, lambda t, row: list(map(row.__getitem__, t)),
-                             lambda parts: list(itertools.chain.from_iterable(parts)))
-    m = p ** _residue_digits(p)
-    tables, place = [], 1
-    while place < q ** (len(f) - 1):
-        table = kind([start // place % m])
-        for g in gens:
-            g = g // place % m
-            if not g:
-                table *= p
-                continue
-            row, parts = _add_row(p, g), [table]
-            for _ in range(p - 1):
-                parts.append(shift(parts[-1], row))
-            table = join(parts)
-        tables.append((table, place))
-        place *= m
-    return tables
+    if k > 1:  # base-p digits, most significant first
+        gens = [[d for c in g for d in index_to_tuple(c, p, k)] for g in gens]
+    start, rows, w = gens[0], gens[:0:-1], _residue_digits(p)
+    parts = [slice(max(0, top - w), top) for top in range(len(start), 0, -w)]  # lowest digits first
+    return [(_affine_table(p, len(start[part]), [([g[part] for g in rows], start[part])]),
+             p ** (len(start) - part.stop)) for part in parts]
 
 
 def _clear_multiples(irreducible: bytearray, tables, size: int, count: int) -> None:
@@ -1398,7 +1395,6 @@ def _clear_multiples(irreducible: bytearray, tables, size: int, count: int) -> N
         return
     at = range(0, count * size, size)
     for table, place in tables:
-        table = itertools.islice(table, count)
         at = map(operator.add, at, map(place.__mul__, table) if place > 1 else table)
     for v in at:
         irreducible[v] = 0
@@ -1412,12 +1408,11 @@ def enumerate_irreducibles(ctx: FieldCtx, max_degree: int) -> list[Poly]:
     is a base-q number of d digits, c_0 first, split as F*q^i + L with L its
     top i coefficients.  For each irreducible Q != X of degree i <= d/2
     found so far, the multiples have L = rho(F), an affine function of F
-    tabulated by `_residue_tables` (one byte an entry, built by
-    `bytes.translate`) once for max_degree, whose head serves every lower
-    degree, and cleared by `_clear_multiples`; those of X are the indices
-    with c_0 = 0.  What is left is irreducible.  The list is kept per field
-    (`_IRR_CACHE`), and a higher degree extends it.  Nothing bounds q^d here;
-    the class walk (`affine_ct.block_multisets`) refuses more than
+    tabulated by `_residue_tables` once for max_degree, whose head serves
+    every lower degree, and cleared by `_clear_multiples`; those of X are
+    the indices with c_0 = 0.  What is left is irreducible.  The list is kept
+    per field (`_IRR_CACHE`), and a higher degree extends it.  Nothing bounds
+    q^d here; the class walk (`affine_ct.block_multisets`) refuses more than
     MAX_DOMAIN candidates.
     """
     if max_degree < 1:

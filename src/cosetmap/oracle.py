@@ -46,15 +46,17 @@ def _sums_bijective(images, p: int, n: int, signs) -> list[bool]:
 
 
 class MapTable(Record):
-    """A map on {0..n-1} given by its image sequence, kept as a tuple."""
+    """A map on {0..n-1} given by its int images (`gf.exact_int`), kept as a tuple."""
 
     __slots__ = ("n", "images")
 
     def __init__(self, n: int, images):
-        check_size(f"a map table of {n} points", n)
+        check_size(f"a map table of {exact_int(n, 'n')} points", n)
         images = tuple(images)
         if len(images) != n:
             raise ValueError("image list length does not match domain size")
+        if not {int}.issuperset(map(type, images)):  # one pass in C
+            exact_int(next(v for v in images if type(v) is not int), "an image")
         if images and not (0 <= min(images) and max(images) < n):
             raise ValueError("image out of range")
         self._store(n, images)

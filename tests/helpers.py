@@ -6,6 +6,7 @@ exhaustive enumeration) independently of the library's structural code paths.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import random
 
@@ -707,3 +708,50 @@ def lagrange_interpolate(ctx, values) -> Poly:
         if y:
             result = K.axpy(result, K.neg(y), _horner(K, z, a)[0])
     return Poly.from_codes(ctx, result)
+
+
+def complete_mappings(p: int, n: int):
+    """Every complete mapping g of GF(p)^n (g and x -> g(x) + x both
+    bijective) as its image tuple on lexicographic indices, in lexicographic
+    order: a backtracking search that chooses g(0), g(1), ... in turn and
+    keeps the used images and the used sums x + g(x) as bit masks.  Digits
+    are added by hand; nothing of cosetmap is used."""
+    q = p ** n
+    places = [p ** j for j in range(n)]
+    add = [[sum((x // w + y // w) % p * w for w in places) for y in range(q)] for x in range(q)]
+    g = [0] * q
+
+    def extend(x, images, sums):
+        if x == q:
+            yield tuple(g)
+            return
+        free = ~images & ((1 << q) - 1)
+        while free:
+            low = free & -free
+            free ^= low
+            y = low.bit_length() - 1
+            if not sums >> add[x][y] & 1:
+                g[x] = y
+                yield from extend(x + 1, images | low, sums | 1 << add[x][y])
+
+    return extend(0, 0, 0)
+
+
+def complete_mapping_census(p: int, n: int) -> tuple[int, dict[str, int]]:
+    """(the number of complete mappings of GF(p)^n, {cycle type: how many
+    have it}) from `complete_mappings` and an orbit walk of each, the types
+    written as `CycleType` prints them ("x1^2 x5")."""
+    types = collections.Counter()
+    for g in complete_mappings(p, n):
+        lengths = collections.Counter()
+        seen = [False] * len(g)
+        for start in range(len(g)):
+            x, length = start, 0
+            while not seen[x]:
+                seen[x] = True
+                x, length = g[x], length + 1
+            if length:
+                lengths[length] += 1
+        types[" ".join(f"x{ell}" if c == 1 else f"x{ell}^{c}"
+                       for ell, c in sorted(lengths.items()))] += 1
+    return sum(types.values()), dict(types)

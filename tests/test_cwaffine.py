@@ -622,8 +622,10 @@ def test_conjugated_table_preserves_completeness_and_type():
 def test_affine_table_matches_pointwise_products():
     """Tables against x*M + v worked out point by point, for singular and
     invertible M, up to GF(3)^7, and GF(67)^2, where a digit gets no sum
-    table; several maps interleave.  One-coordinate maps of GF(65537) have
-    the shape of a prime field's x -> x*g."""
+    table; several maps interleave.  One map of at most 256 points is
+    tabulated by byte translation (as bytes, compared as a list): GF(13)^2,
+    GF(251)^1 and a map with an all-zero row among them.  One-coordinate maps
+    of GF(65537) have the shape of a prime field's x -> x*g."""
     rng = random.Random(11)
     sizes = [(p, n, 4) for p in (2, 3, 5) for n in range(1, 5)]
     sizes += [(p, n, 2) for p in (2, 3) for n in range(5, 8)]
@@ -635,13 +637,23 @@ def test_affine_table_matches_pointwise_products():
             M = MatrixQ(ctx, tuple(tuple(rng.randrange(p) for _ in range(n))
                                    for _ in range(n)))
             v = VectorQ(ctx, [rng.randrange(p) for _ in range(n)])
-            assert _affine_table(p, n, [(M.codes, v.codes)]) == pointwise_affine_table(M, v)
+            assert list(_affine_table(p, n, [(M.codes, v.codes)])) == pointwise_affine_table(M, v)
             maps.append((M, v))
         zero = VectorQ.zero(ctx, n)
-        assert _affine_table(p, n, [(M.codes, zero.codes)]) == pointwise_affine_table(M, zero)
+        assert list(_affine_table(p, n, [(M.codes, zero.codes)])) == pointwise_affine_table(M, zero)
         tables = [pointwise_affine_table(M, v) for M, v in maps]
         assert (_affine_table(p, n, [(M.codes, v.codes) for M, v in maps])
                 == [table[x] for x in range(p ** n) for table in tables])
+    for p, n in [(13, 1), (13, 2), (251, 1), (3, 5), (2, 8)]:
+        ctx = field(p)
+        for _ in range(3):
+            M = MatrixQ(ctx, tuple(tuple(rng.randrange(p) for _ in range(n))
+                                   for _ in range(n)))
+            v = VectorQ(ctx, [rng.randrange(p) for _ in range(n)])
+            assert list(_affine_table(p, n, [(M.codes, v.codes)])) == pointwise_affine_table(M, v)
+    F5 = field(5)
+    M, v = MatrixQ(F5, ((1, 2, 3), (0, 0, 0), (4, 0, 1))), VectorQ(F5, (2, 0, 3))
+    assert list(_affine_table(5, 3, [(M.codes, v.codes)])) == pointwise_affine_table(M, v)
     F = field(65537)
     for g, c in [(3, 0), (rng.randrange(65537), rng.randrange(65537)), (0, 5)]:
         M, v = MatrixQ(F, ((g,),)), VectorQ(F, (c,))

@@ -149,3 +149,18 @@ def test_from_json_takes_only_json_integers(obj, message):
     integers; nothing is truncated or parsed."""
     with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
         CycleType.from_json(obj)
+
+
+@pytest.mark.parametrize("cycles,message", [
+    ({2.7: 1}, "a cycle length must be an integer, not 2.7"),
+    ({2: 1.9}, "the count of x2 must be an integer, not 1.9"),
+    ({"3": 1}, "a cycle length must be an integer, not '3'"),
+    ({True: 1}, "a cycle length must be an integer, not True"),
+    ({2: False}, "the count of x2 must be an integer, not False"),
+    ([(4.0, 2)], "a cycle length must be an integer, not 4.0"),
+])
+def test_cycle_type_takes_only_ints(cycles, message):
+    """A length or count that is not an int is refused, not truncated or
+    parsed: {2.7: 1}, {2: 1.9} and {"3": 1} once read x2, x2 and x3."""
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        CycleType(cycles)

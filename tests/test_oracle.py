@@ -287,3 +287,16 @@ def test_csv_cells_must_be_ascii_digits():
                            ("0,1\n\n1,\n", 3, ""), ("0,1\n1,2.0\n", 2, "2.0")]:
         with pytest.raises(ValueError, match="^" + re.escape(f"CSV row {row}: {cell!r} is not")):
             load_table(bad)
+
+
+@pytest.mark.parametrize("n,images,message", [
+    (3, [0, 1.0, 2], "an image must be an integer, not 1.0"),
+    (3, [0, True, 2], "an image must be an integer, not True"),
+    (2, ["1", 0], "an image must be an integer, not '1'"),
+    (3.0, [0, 1, 2], "n must be an integer, not 3.0"),
+])
+def test_map_table_takes_only_ints(n, images, message):
+    """An n or image that is not an int is refused at construction: a float
+    image was once accepted, and `analyze` then raised TypeError."""
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        MapTable(n, images)
