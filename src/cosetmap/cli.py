@@ -43,6 +43,17 @@ def _emit(args, payload: dict, text_lines):
             print(line)
 
 
+def _emit_types(args, types) -> int:
+    """Print a sorted gamma set, its JSON built only under --format json;
+    exit 1 when it is empty."""
+    payload = {"gamma": [t.to_json() for t in types]} if args.format == "json" else {}
+    _emit(args, payload, map(ct_format, types))
+    if not types:
+        print("gamma set is empty", file=sys.stderr)
+        return 1
+    return 0
+
+
 def _read_input(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
@@ -67,20 +78,12 @@ def _cmd_gamma(args) -> int:
     else:
         M = serialize.json_matrix(ctx, read_json(args.matrix, "--matrix"))
         gs = affine_ct.gamma_of_matrix(M)
-    types = affine_ct.sorted_types(gs)
-    _emit(args, {"gamma": [t.to_json() for t in types]}, [ct_format(t) for t in types])
-    return 0
+    return _emit_types(args, affine_ct.sorted_types(gs))
 
 
 def _cmd_gamma_dpl(args) -> int:
     from . import affine_ct
-    gs = affine_ct.gamma_dpl(args.d, args.p, args.l)
-    types = affine_ct.sorted_types(gs)
-    _emit(args, {"gamma": [t.to_json() for t in types]}, [ct_format(t) for t in types])
-    if not types:
-        print("gamma set is empty", file=sys.stderr)
-        return 1
-    return 0
+    return _emit_types(args, affine_ct.sorted_types(affine_ct.gamma_dpl(args.d, args.p, args.l)))
 
 
 def _cmd_cgl_factor(args) -> int:

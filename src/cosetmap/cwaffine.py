@@ -73,7 +73,7 @@ class CosetWiseAffineMap:
         top = tuple(top)
         if len(top) != n:
             raise ValueError("top must have one entry per coset")
-        if not all(type(j) is int and 0 <= j < n for j in top):
+        if not ({int}.issuperset(map(type, top)) and 0 <= min(top) and max(top) < n):  # passes in C
             raise ValueError("top entry out of range")
         if len(per_coset) != n:
             raise ValueError("per-coset data must cover every coset exactly once")

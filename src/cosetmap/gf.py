@@ -23,14 +23,15 @@ Frobenius orbits of GF(p^m).  On indices of GF(p)^n, `digit_sums` adds
 x + s*y with one table lookup per chunk of digits, and `digit_sum_pairs`
 both x + y and x - y in the same pass; `_affine_table` tabulates x*M + shift
 on them (one map into at most 256 points by `bytes.translate`): the field
-and value tables, and the residue chunks from which `enumerate_irreducibles`
-reads each small factor's multiples as it sieves indices of monic
-polynomials.  A value table or interpolation
-over all of GF(q) is one chirp-z transform on the powers of g (`_chirp_dft`):
-one packed int product.  `is_prime` and `factorize` share one Miller-Rabin
-core (`_composite`), exact below psi_13: factoring trial-divides to 1000 and
-splits every part the core proves composite by Brent's rho within a step
-bound, and refuses a part it does not prove composite from psi_13 on.
+and value tables, the chunk tables of a + s*b that `digit_sums` reads, and
+the residue chunks from which `enumerate_irreducibles` reads each small
+factor's multiples as it sieves indices of monic polynomials.  A value
+table or interpolation over all of GF(q) is one chirp-z transform on the
+powers of g (`_chirp_dft`): one packed int product.  `is_prime` and
+`factorize` share one Miller-Rabin core (`_composite`), exact below psi_13:
+factoring trial-divides to 1000 and splits every part the core proves
+composite by Brent's rho within a step bound, and refuses a part it does
+not prove composite from psi_13 on.
 `check_size` is the one size rule: every refusal above `MAX_DOMAIN` goes
 through it.  `memo` is the one memo rule: every process-wide memo of the
 package is registered by it, and `clear_memos` empties them all.
@@ -282,7 +283,8 @@ def tuple_to_index(t, p: int) -> int:
 def digit_sums(xs, ys, p: int, n: int, s: int = 1) -> list[int]:
     """The index of x + s*y in GF(p)^n for each pair of indices x, y (below
     p^n) drawn from xs and ys in step: XOR when p = 2, otherwise one lookup
-    per chunk of digits in `_sum_table`.  s is taken mod p."""
+    per chunk of digits of `_sum_plan`, in an `_affine_table` of a + s*b on
+    that chunk.  s is taken mod p."""
     if n < 0:
         raise ValueError(f"dimension {n} is negative")
     s %= p
@@ -393,7 +395,9 @@ def _pair_plan(p: int, n: int) -> tuple[int, tuple[tuple[int, int, list[int] | N
 def _sum_plan(p: int, n: int, s: int) -> tuple[tuple[int, int, bytes | None], ...]:
     """The chunks of `digit_sums` on GF(p)^n, p odd: (place value, p^width,
     table) each.  A chunk has the most digits w with p^w <= 64, and the widths
-    are as even as possible; a single digit of p > 64 gets no table."""
+    are as even as possible; a single digit of p > 64 gets no table.  A
+    chunk's table is the `_affine_table` of (a, b) -> a + s*b, the index of
+    a + s*b at a*m + b: the unit rows for a's digits, then s times each."""
     w = 1
     while p ** (w + 1) <= 64:
         w += 1
@@ -402,21 +406,10 @@ def _sum_plan(p: int, n: int, s: int) -> tuple[tuple[int, int, bytes | None], ..
     for i in range(chunks):
         width = n // chunks + (i < n % chunks)
         m = p ** width
-        plan.append((place, m, _sum_table(p, width, s) if m <= 64 else None))
+        rows = [[c if j == k else 0 for k in range(width)] for c in (1, s) for j in range(width)]
+        plan.append((place, m, _affine_table(p, width, [(rows, [0] * width)]) if m <= 64 else None))
         place *= m
     return tuple(plan)
-
-
-@memo
-def _sum_table(p: int, w: int, s: int) -> bytes:
-    """The index of a + s*b in GF(p)^w at a*p^w + b, for indices a, b below
-    p^w: the digit-wise sums of w - 1 digits followed by one more digit."""
-    one = [(a + s * b) % p for a in range(p) for b in range(p)]
-    if w == 1:
-        return bytes(one)
-    head, m = _sum_table(p, w - 1, s), p ** (w - 1)
-    return bytes(head[a * m + b] * p + one[c * p + d]
-                 for a in range(m) for c in range(p) for b in range(m) for d in range(p))
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -1515,6 +1508,7 @@ def degree_orders(p: int, m: int, polys) -> dict[tuple, int]:
         raise ArithmeticError(f"the degree-{m} list over GF({p}) holds no primitive polynomial")
     # T_j, T_(j+1), ..., T_(j+m-1) as the base-p digits of the register's
     # state, T_j least significant; feed[state] is the next sum T_(j+m)
+    # (a comprehension: as the `_affine_table` of this linear map it ran slower)
     feed = [0]
     for k in range(m - 1, -1, -1):
         feed = [(v - f[k] * c) % p for v in feed for c in range(p)]

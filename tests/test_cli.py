@@ -10,7 +10,7 @@ import pytest
 from cosetmap import cli, cwaffine, serialize
 from cosetmap.cli import main
 from cosetmap.serialize import cwmap_from_json, format_poly, parse_poly, poly_to_json
-from cosetmap import Poly, VectorQ, ct_parse, field
+from cosetmap import CycleType, Poly, VectorQ, ct_parse, field
 from helpers import cw_map, reference_elem_from_json, reference_from_json, reference_to_json
 
 
@@ -74,6 +74,23 @@ def test_gamma_dpl_exit_codes(capsys):
     code, out, _ = run_cli(capsys, "gamma-dpl", "--d", "8", "--p", "3", "--l", "1")
     assert code == 0
     assert len(out.splitlines()) == 458
+
+
+def test_gamma_text_builds_no_json(capsys, monkeypatch):
+    """gamma and gamma-dpl as text print the same lines without building a
+    single type's JSON."""
+    requests = [("gamma", "--p", "3", "--poly", "X^2+X+1"),
+                ("gamma", "--p", "5", "--k", "2", "--poly", "X^3+X+1"),
+                ("gamma-dpl", "--d", "6", "--p", "3", "--l", "1")]
+    plain = [run_cli(capsys, *argv) for argv in requests]
+
+    def fail(self):
+        raise AssertionError("to_json called for text output")
+
+    monkeypatch.setattr(CycleType, "to_json", fail)
+    for argv, (code, out, err) in zip(requests, plain):
+        assert code == 0 and out and not err
+        assert run_cli(capsys, *argv) == (0, out, "")
 
 
 def test_gamma_dpl_from_block_signatures_at_scale(capsys):

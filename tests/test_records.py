@@ -274,6 +274,7 @@ def test_every_refusal_keeps_its_message():
             ((0, 1, 3), [pair] * 3, "top entry out of range"),
             ((0, -1, 2), [pair] * 3, "top entry out of range"),
             ((0, 1.0, 2), [pair] * 3, "top entry out of range"),
+            ((0, True, 2), [pair] * 3, "top entry out of range"),
             ((0, 1, 2), [pair] * 2, "per-coset data must cover every coset exactly once"),
             ((0, 1, 2), [(MatrixQ.identity(F5, 1), zero)] + [pair] * 2, "mismatched contexts"),
             ((0, 1, 2), [(I1, VectorQ(F5, (0,)))] + [pair] * 2, "mismatched contexts"),
