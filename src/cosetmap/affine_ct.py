@@ -13,7 +13,7 @@ import bisect
 import itertools
 
 from .cycletype import CycleType, weixu, weixu_all
-from .gf import (_ORDERS, MAX_DOMAIN, FieldCtx, Poly, _unit_group_factors, check_size,
+from .gf import (_ORDERS, FieldCtx, Poly, _unit_group_factors, check_size,
                  degree_orders, enumerate_irreducibles, factorize, field, memo, poly_order)
 from .linalg import AffineMap, MatrixQ, VectorQ, companion, elementary_divisors
 
@@ -161,11 +161,11 @@ def block_multisets(ctx: FieldCtx, d: int, complete: bool = False):
     A multiset lists its polynomials in enumeration order.  Multisets whose
     first polynomial comes later in that order come first; each recursion
     level picks the next polynomial actually used, so the depth is at most d.
-    Over a prime field the orders of all irreducibles of each degree
-    2 <= m <= d with p^m <= MAX_DOMAIN are worked out first, one
-    `degree_orders` pass per degree, for `poly_order` to read.  The sieve
-    behind the irreducibles has q^d candidates, and more than MAX_DOMAIN of
-    them are refused before it starts.
+    The sieve behind the irreducibles has q^d candidates, and more than
+    MAX_DOMAIN of them are refused before it starts.  Over a prime field the
+    orders of all irreducibles of each degree 2 <= m <= d (so p^m is within
+    that limit too) are worked out first, one `degree_orders` pass per
+    degree, for `poly_order` to read.
     """
     check_size(f"the class walk over GF({ctx.order})^{d} sieves {ctx.order}^{d} polynomials",
                ctx.order, d)
@@ -173,7 +173,7 @@ def block_multisets(ctx: FieldCtx, d: int, complete: bool = False):
     irred = [Q for Q in enumerate_irreducibles(ctx, d) if not _is_x(Q) and Q != skip]
     degrees = [int(Q.degree) for Q in irred]
     for m in range(2, d + 1):
-        if ctx.k > 1 or ctx.p ** m > MAX_DOMAIN:
+        if ctx.k > 1:
             break
         polys = [Q.codes for Q in irred[bisect.bisect_left(degrees, m):
                                         bisect.bisect_right(degrees, m)]]

@@ -59,14 +59,16 @@ class CosetWiseAffineMap:
 
     `top` is the coset map, an image table of coset indices (the
     lexicographic index of the label u in GF(p)^t), and `per_coset` holds one
-    pair (alpha_u, omega_u) per coset in that order.  A map that is a
-    permutation is the wreath element itself: `top` its top permutation and
-    the pairs its bottom maps.  The constructor refuses data over another
-    field than the splitting's.  `cw_cycle_type` keeps its answer in
-    `_cycle_type`, which equality ignores.
+    pair (alpha_u, omega_u) of a `MatrixQ` and a `VectorQ` per coset in that
+    order.  A map that is a permutation is the wreath element itself: `top`
+    its top permutation and the pairs its bottom maps.  The constructor
+    checks each distinct alpha and omega once, refuses data over another
+    field than the splitting's, and keeps the distinct alphas in order of
+    first appearance in `_alphas`; `cw_cycle_type` keeps its answer in
+    `_cycle_type`.  Equality ignores both.
     """
 
-    __slots__ = ("splitting", "top", "per_coset", "_cycle_type")
+    __slots__ = ("splitting", "top", "per_coset", "_alphas", "_cycle_type")
 
     def __init__(self, splitting: Splitting, top, per_coset):
         n = splitting.p ** splitting.t
@@ -78,22 +80,23 @@ class CosetWiseAffineMap:
         if len(per_coset) != n:
             raise ValueError("per-coset data must cover every coset exactly once")
         ctx, d = splitting.ctx, splitting.d
-        norm = []
-        for alpha, omega in per_coset:
-            if not isinstance(alpha, MatrixQ):
-                alpha = MatrixQ(ctx, alpha)
-            if not isinstance(omega, VectorQ):
-                omega = VectorQ(ctx, omega)
-            if alpha.ctx is not ctx or omega.ctx is not ctx:
-                raise ValueError("mismatched contexts")
-            if alpha.rows != d or alpha.cols != d:
-                raise ValueError("alpha blocks must be d x d")
-            if len(omega.codes) != d:
-                raise ValueError("omega is W-sized and nu is U-sized")
-            norm.append((alpha, omega))
+        per_coset = tuple(map(tuple, per_coset))
+        # each distinct object checked once; the dicts hold it, so its id stays unique
+        alphas = {id(alpha): alpha for alpha, _ in per_coset}
+        omegas = {id(omega): omega for _, omega in per_coset}
+        if not (all(isinstance(alpha, MatrixQ) for alpha in alphas.values())
+                and all(isinstance(omega, VectorQ) for omega in omegas.values())):
+            raise ValueError("per-coset data must be pairs of a MatrixQ and a VectorQ")
+        if any(x.ctx is not ctx for x in itertools.chain(alphas.values(), omegas.values())):
+            raise ValueError("mismatched contexts")
+        if any(alpha.rows != d or alpha.cols != d for alpha in alphas.values()):
+            raise ValueError("alpha blocks must be d x d")
+        if any(len(omega.codes) != d for omega in omegas.values()):
+            raise ValueError("omega is W-sized and nu is U-sized")
         self.splitting = splitting
         self.top = top
-        self.per_coset = tuple(norm)
+        self.per_coset = per_coset
+        self._alphas = tuple(alphas.values())
         self._cycle_type = None
 
     def data(self, u) -> tuple[MatrixQ, VectorQ, VectorQ]:
@@ -117,16 +120,11 @@ class CosetWiseAffineMap:
         return f"CosetWiseAffineMap(p={s.p}, d={s.d}, t={s.t})"
 
 
-def _alphas(f: CosetWiseAffineMap):
-    """The alpha blocks of f, each distinct object once."""
-    return {id(alpha): alpha for alpha, _ in f.per_coset}.values()
-
-
 def cw_is_permutation(f: CosetWiseAffineMap) -> bool:
     """Structural test: every alpha invertible and the coset map bijective."""
     if not is_permutation(f.top, len(f.top)):
         return False
-    return all(alpha.is_invertible() for alpha in _alphas(f))
+    return all(alpha.is_invertible() for alpha in f._alphas)
 
 
 def cw_is_complete(f: CosetWiseAffineMap) -> bool:
@@ -134,7 +132,7 @@ def cw_is_complete(f: CosetWiseAffineMap) -> bool:
     mapping of GF(p)^t."""
     s = f.splitting
     return (is_complete_mapping(f.top, s.p, s.t)
-            and all(is_cgl(alpha) for alpha in _alphas(f)))
+            and all(is_cgl(alpha) for alpha in f._alphas))
 
 
 def cw_compose(f1: CosetWiseAffineMap, f2: CosetWiseAffineMap) -> CosetWiseAffineMap:
@@ -292,7 +290,7 @@ def construct_main(p: int, d: int, t: int, g_images, gammas: dict,
 
     f = CosetWiseAffineMap(s, g_images, per)
     # the coset map is g, found complete above: only the alphas are left to check
-    if require_complete and not all(is_cgl(alpha) for alpha in _alphas(f)):
+    if require_complete and not all(is_cgl(alpha) for alpha in f._alphas):
         raise ArithmeticError("constructed map failed the completeness check")
     if not cw_is_permutation(f):
         raise ArithmeticError("constructed map is not a permutation")
@@ -318,9 +316,7 @@ def construct_sylow_type(q: int, target: CycleType, seed: int = 0) -> CosetWiseA
     if counts:
         raise ValueError("every cycle length must be a power of p at most p^k")
     if sum(a[i] * p ** i for i in range(k + 1)) != p ** k:
-        raise ValueError("cycle type does not have degree p^k")
-    if a[0] % p != 0:
-        raise ValueError("fixed-point count must be divisible by p")
+        raise ValueError("cycle type does not have degree p^k")  # so p divides a[0], as k >= 1
     Splitting(p, 1, k - 1)  # refuses too many cosets before the recursion
 
     g_images = [0]

@@ -397,17 +397,20 @@ def _sum_plan(p: int, n: int, s: int) -> tuple[tuple[int, int, bytes | None], ..
     table) each.  A chunk has the most digits w with p^w <= 64, and the widths
     are as even as possible; a single digit of p > 64 gets no table.  A
     chunk's table is the `_affine_table` of (a, b) -> a + s*b, the index of
-    a + s*b at a*m + b: the unit rows for a's digits, then s times each."""
+    a + s*b at a*m + b: the unit rows for a's digits, then s times each.
+    Chunks of one width share one table."""
     w = 1
     while p ** (w + 1) <= 64:
         w += 1
     chunks = -(-n // w)
-    plan, place = [], 1
+    plan, place, tables = [], 1, {}
     for i in range(chunks):
         width = n // chunks + (i < n % chunks)
         m = p ** width
-        rows = [[c if j == k else 0 for k in range(width)] for c in (1, s) for j in range(width)]
-        plan.append((place, m, _affine_table(p, width, [(rows, [0] * width)]) if m <= 64 else None))
+        if width not in tables:
+            rows = [[c if j == k else 0 for k in range(width)] for c in (1, s) for j in range(width)]
+            tables[width] = _affine_table(p, width, [(rows, [0] * width)]) if m <= 64 else None
+        plan.append((place, m, tables[width]))
         place *= m
     return tuple(plan)
 

@@ -400,7 +400,8 @@ def cw_map(s, triples):
     """The coset-wise map over the splitting s from the paper's data: one
     triple (alpha_u, omega_u, nu_u) per coset label u, in label order, sending
     w + u to (w*alpha_u + omega_u) + (u + nu_u).  The coset map u -> u + nu_u
-    is worked out digit by digit mod p."""
+    is worked out digit by digit mod p; alpha_u and omega_u given as rows and
+    entries are wrapped in `MatrixQ` and `VectorQ`."""
     from cosetmap import CosetWiseAffineMap
     triples = list(triples)
     top = []
@@ -409,7 +410,10 @@ def cw_map(s, triples):
         if len(nu) != s.t:
             raise ValueError("nu must have t coordinates")
         top.append(tuple_to_index([(a + b) % s.p for a, b in zip(u, nu)], s.p))
-    return CosetWiseAffineMap(s, top, [(alpha, omega) for alpha, omega, _ in triples])
+    return CosetWiseAffineMap(s, top, [
+        (alpha if isinstance(alpha, MatrixQ) else MatrixQ(s.ctx, alpha),
+         omega if isinstance(omega, VectorQ) else VectorQ(s.ctx, omega))
+        for alpha, omega, _ in triples])
 
 
 def wreath_mul(f1, f2):

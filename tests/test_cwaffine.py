@@ -254,6 +254,25 @@ def test_the_json_reader_orders_the_cosets_and_reads_nu_into_the_top():
             cwmap_from_json({**good, "cosets": cosets})
 
 
+def test_distinct_alphas_are_kept_on_the_map():
+    """Pairs given as lists are kept as tuples, the map equal to the one built
+    from tuples; the distinct alpha objects are kept in order of first
+    appearance, also by a copy: the one-cycle map's 3^4 cosets share one."""
+    f = one_cycle_map(3, 5)
+    I1 = f.per_coset[0][0]
+    assert len(f.per_coset) == 81 and f._alphas == (I1,) and f._alphas[0] is I1
+    as_lists = CosetWiseAffineMap(f.splitting, f.top, [list(pair) for pair in f.per_coset])
+    assert as_lists == f and all(type(pair) is tuple for pair in as_lists.per_coset)
+    assert as_lists._alphas[0] is I1
+    for g in [copy.deepcopy(f), pickle.loads(pickle.dumps(f))]:
+        assert len(g._alphas) == 1 and g._alphas[0] is g.per_coset[0][0]
+    F3 = field(3)
+    A, B = MatrixQ(F3, [[2]]), MatrixQ(F3, [[1]])
+    zero = VectorQ(F3, (0,))
+    g = CosetWiseAffineMap(Splitting(3, 1, 1), (0, 1, 2), [(A, zero), (B, zero), (A, zero)])
+    assert g._alphas == (A, B) and g._alphas[1] is B
+
+
 def test_wreath_identity_correspondence():
     """The identity of GF(3)^2 built from zero shifts is the identity wreath
     element: the identity top and identity bottom maps."""
@@ -706,7 +725,7 @@ def test_sylow_type_over_gf_p_is_the_shifted_identity():
         ctx = field(p)
         I1 = MatrixQ.identity(ctx, 1)
         for target, s in ((CycleType({1: p}), 0), (CycleType({p: 1}), 1)):
-            expected = CosetWiseAffineMap(Splitting(p, 1, 0), (0,), [(I1, (s,))])
+            expected = CosetWiseAffineMap(Splitting(p, 1, 0), (0,), [(I1, VectorQ(ctx, (s,)))])
             for seed in (0, 1, 7):
                 assert construct_sylow_type(p, target, seed=seed) == expected
 

@@ -73,8 +73,9 @@ def test_digit_sums_match_the_per_digit_reference():
 def test_digit_sum_tables_stay_small():
     """Every chunk covers at most 64 indices, so no table has more than 64^2
     entries; chunk widths differ by at most one, and a prime above 64 gets
-    single digits and no table.  Each distinct table holds, at a*m + b, the
-    digit-wise (a + s*b) mod p of the indices a, b below m = p^width."""
+    single digits and no table.  Chunks of one width in a plan share one
+    table object, which holds, at a*m + b, the digit-wise (a + s*b) mod p of
+    the indices a, b below m = p^width."""
     checked = set()
     for p in [3, 5, 7, 11, 13, 31, 61, 67, 101, 1009]:
         for n in range(13):
@@ -85,7 +86,9 @@ def test_digit_sum_tables_stay_small():
                                                           for i in range(len(plan))]
                 assert sum(widths) == n and max(widths, default=0) - min(widths, default=0) <= 1
                 assert len(plan) == -(-n // max([1] + [w for w in range(1, 7) if p ** w <= 64]))
+                shared = {}
                 for width, (_, m, table) in zip(widths, plan):
+                    assert shared.setdefault(width, table) is table
                     if p > 64:
                         assert m == p and table is None
                     else:

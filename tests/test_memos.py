@@ -6,8 +6,9 @@ import ast
 from pathlib import Path
 
 import cosetmap
-from cosetmap import (CosetWiseAffineMap, FieldCtx, Poly, Splitting, block_cycle_type, cli,
-                      cw_cycle_type, enumerate_irreducibles, field, gamma_dpl, gf, poly_order)
+from cosetmap import (CosetWiseAffineMap, FieldCtx, MatrixQ, Poly, Splitting, VectorQ,
+                      block_cycle_type, cli, cw_cycle_type, enumerate_irreducibles, field,
+                      gamma_dpl, gf, poly_order)
 from cosetmap.affine_ct import ct_acgl, ct_agl, first_witness, sorted_types, witness_map
 
 SRC = Path(cosetmap.__file__).resolve().parent
@@ -32,7 +33,9 @@ def _warm():
             poly_order(Q)
     block_cycle_type(Poly(field(3), (1, 1)), 2)
     gf.digit_sum_pairs([1, 2], [2, 2], 3, 2)
-    cw_cycle_type(CosetWiseAffineMap(Splitting(3, 1, 0), (0,), [([[1]], [1])]))
+    F3 = field(3)
+    cw_cycle_type(CosetWiseAffineMap(Splitting(3, 1, 0), (0,),
+                                     [(MatrixQ(F3, [[1]]), VectorQ(F3, [1]))]))
 
 
 def test_clear_memos_empties_every_registered_memo():

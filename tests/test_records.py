@@ -19,13 +19,14 @@ import pytest
 
 import cosetmap
 from cosetmap import (AffineMap, AnalysisReport, CglFactorization, CosetWiseAffineMap, MapTable,
-                      MatrixQ, Poly, Prcf, Splitting, VectorQ, analyze, ct_of_permutation,
-                      factor_into_cgl, field, one_cycle_map, prcf)
+                      MatrixQ, Poly, Prcf, Splitting, VectorQ, analyze, blow_up, charpoly,
+                      ct_of_permutation, cw_compose, enumerate_irreducibles, factor_into_cgl,
+                      field, gamma_dpl, one_cycle_map, prcf, two_fpf_product)
 from cosetmap._record import Record
 from cosetmap.cycletype import CycleType, ct_parse
-from cosetmap.gf import MAX_DOMAIN, read_json
+from cosetmap.gf import MAX_DOMAIN, factorize, prime_power, read_json
 from cosetmap.linalg import companion
-from cosetmap.oracle import load_table
+from cosetmap.oracle import is_complete_mapping, load_table
 from cosetmap.serialize import json_matrix, parse_poly
 
 FIELDS = {
@@ -276,6 +277,10 @@ def test_every_refusal_keeps_its_message():
             ((0, 1.0, 2), [pair] * 3, "top entry out of range"),
             ((0, True, 2), [pair] * 3, "top entry out of range"),
             ((0, 1, 2), [pair] * 2, "per-coset data must cover every coset exactly once"),
+            ((0, 1, 2), [([[1]], [1])] + [pair] * 2,
+             "per-coset data must be pairs of a MatrixQ and a VectorQ"),
+            ((0, 1, 2), [(I1, (0,))] + [pair] * 2,
+             "per-coset data must be pairs of a MatrixQ and a VectorQ"),
             ((0, 1, 2), [(MatrixQ.identity(F5, 1), zero)] + [pair] * 2, "mismatched contexts"),
             ((0, 1, 2), [(I1, VectorQ(F5, (0,)))] + [pair] * 2, "mismatched contexts"),
             ((0, 1, 2), [(I2, zero)] + [pair] * 2, "alpha blocks must be d x d"),
@@ -333,6 +338,50 @@ def test_every_refusal_keeps_its_message():
         Splitting(3, 1, 1, p=3)
     with pytest.raises(TypeError):
         MapTable(n=1, images=(0,), extra=1)
+
+
+def test_argument_refusals_keep_their_messages():
+    """The refusals of bad arguments to the public functions and methods."""
+    F3, F5, F9 = field(3), field(5), field(3, 2)
+    I1, I2, row = MatrixQ.identity(F3, 1), MatrixQ.identity(F3, 2), MatrixQ(F3, [[1, 2]])
+    for build, message in [
+        (lambda: gamma_dpl(0, 3, 1), "dimension and factor count must be >= 1"),
+        (lambda: gamma_dpl(1, 3, 0), "dimension and factor count must be >= 1"),
+        (lambda: factor_into_cgl(I1, 0), "factor count must be >= 1"),
+        (lambda: two_fpf_product(MatrixQ.zeros(F3, 1, 1)),
+         "only invertible matrices can be factored"),
+        (lambda: cw_compose(one_cycle_map(3, 1), one_cycle_map(3, 2)), "mismatched splittings"),
+        (lambda: one_cycle_map(3, 0), "k must be >= 1"),
+        (lambda: CycleType({0: 1}), "cycle lengths must be positive"),
+        (lambda: CycleType({1: -1}), "cycle counts must be nonnegative"),
+        (lambda: blow_up(0, CycleType({1: 1})), "blow-up factor must be positive"),
+        (lambda: factorize(0), "factorize expects a positive integer"),
+        (lambda: prime_power(6), "6 is not a prime power"),
+        (lambda: field(3, 1, (1, 1)), "prime fields take no modulus"),
+        (lambda: field(3, 2, (1, 0, 0, 1)), "modulus must be monic of degree k"),
+        (lambda: F3.gen(), "prime field has no distinguished generator"),
+        (lambda: F3.dlog(F3.one()), "prime field has no distinguished generator"),
+        (lambda: F9.dlog(F9.zero()), "dlog of zero"),
+        (lambda: F3.from_index(3), "index out of range"),
+        (lambda: Poly(F3, (1,)) + Poly(F5, (1,)), "mismatched coefficient contexts"),
+        (lambda: enumerate_irreducibles(F3, 0), "max_degree must be >= 1"),
+        (lambda: VectorQ(F3, (1,)) + VectorQ(F5, (1,)), "mismatched contexts"),
+        (lambda: VectorQ(F3, (1,)) + VectorQ(F3, (1, 1)), "dimension mismatch"),
+        (lambda: VectorQ(F3, (1,)) * I2, "dimension mismatch in vector-matrix product"),
+        (lambda: I1 + MatrixQ.identity(F5, 1), "mismatched contexts"),
+        (lambda: I1 + I2, "dimension mismatch"),
+        (lambda: I1 * I2, "dimension mismatch in matrix product"),
+        (lambda: row.det(), "determinant needs a square matrix"),
+        (lambda: row.has_no_eigenvalue(1), "eigenvalue test needs a square matrix"),
+        (lambda: row.inverse(), "inverse needs a square matrix"),
+        (lambda: charpoly(row), "characteristic polynomial needs a square matrix"),
+        (lambda: prcf(row), "canonical form needs a square matrix"),
+        (lambda: is_complete_mapping([0, 1, 2, 3], 4, 1), "4 is not prime"),
+        (lambda: parse_poly("x++1", F3), "malformed polynomial text 'x++1'"),
+        (lambda: parse_poly("w*x+1", F3), "generator powers need an extension field"),
+        (lambda: parse_poly("2w+1", F9), "w denotes the field generator, not the variable"),
+    ]:
+        _refused(build, message)
 
 
 def test_store_refuses_a_value_count_that_does_not_match_the_fields():
