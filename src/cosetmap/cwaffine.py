@@ -15,6 +15,7 @@ constructors all live here.
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 
 from ._record import Record
@@ -198,13 +199,36 @@ def cw_cycle_type(f: CosetWiseAffineMap) -> CycleType:
 
 def _table(f: CosetWiseAffineMap) -> list[int]:
     """Images of f on lexicographic indices of GF(p)^(d+t): the point w + u
-    has index w*p^t + u, and so has the image of w under the u-th coset map
-    in `gf._affine_table`."""
+    has index w*p^t + u, and its image is p^t times the image of w under the
+    u-th coset map, plus top(u).  Each distinct (alpha, omega) pair, by
+    identity, is tabulated once by `gf._affine_table` and scaled by p^t once:
+    one table each (bytes into at most 256 points), or, when the pairs
+    outnumber the points of W, one interleaved table of them all.  The
+    images are then read by one column slice per coset when the cosets are
+    fewer than the points of W, and by one row slice per point of W
+    otherwise."""
     s = f.splitting
     check_size(f"a value table of GF({s.p})^{s.n} has {s.p}^{s.n} points", s.p, s.n)
-    nt = s.p ** s.t
-    table = _affine_table(s.p, s.d, [(alpha.codes, omega.codes) for alpha, omega in f.per_coset])
-    return [v * nt + top for v, top in zip(table, f.top * s.p ** s.d)]
+    nt, nw = s.p ** s.t, s.p ** s.d
+    index = {}  # the objects stay in f.per_coset, so their ids stay unique
+    which = [index.setdefault((id(alpha), id(omega)), len(index)) for alpha, omega in f.per_coset]
+    blocks = [(alpha.codes, omega.codes) for alpha, omega in dict(zip(which, f.per_coset)).values()]
+    k = len(blocks)
+    if k > nw:
+        table = _affine_table(s.p, s.d, blocks)
+    else:
+        table = [0] * (nw * k)
+        for i, block in enumerate(blocks):
+            table[i::k] = _affine_table(s.p, s.d, [block])
+    table = list(map(nt.__mul__, table))  # the image of w under pair i at w*k + i
+    if nt < nw:
+        images = [0] * (nt * nw)
+        for u, i in enumerate(which):
+            images[u::nt] = table[i::k]
+    else:
+        images = itertools.chain.from_iterable(map(table[x * k:(x + 1) * k].__getitem__, which)
+                                               for x in range(nw))
+    return list(map(operator.add, images, itertools.cycle(f.top)))
 
 
 def cw_to_table(f: CosetWiseAffineMap) -> MapTable:

@@ -20,18 +20,18 @@ work the same way over every GF(q).  They and `poly_order` take q-th powers
 modulo a polynomial from one Frobenius matrix; `degree_orders` gives the
 orders of all irreducibles of one degree over GF(p) from one pass over the
 Frobenius orbits of GF(p^m).  On indices of GF(p)^n, `digit_sums` adds
-x + s*y with one table lookup per chunk of digits, and `digit_sum_pairs`
-both x + y and x - y in the same pass; `_affine_table` tabulates x*M + shift
-on them (one map into at most 256 points by `bytes.translate`): the field
-and value tables, the chunk tables of a + s*b that `digit_sums` reads, and
-the residue chunks from which `enumerate_irreducibles` reads each small
-factor's multiples as it sieves indices of monic polynomials.  A value
-table or interpolation over all of GF(q) is one chirp-z transform on the
-powers of g (`_chirp_dft`): one packed int product.  `is_prime` and
-`factorize` share one Miller-Rabin core (`_composite`), exact below psi_13:
-factoring trial-divides to 1000 and splits every part the core proves
-composite by Brent's rho within a step bound, and refuses a part it does
-not prove composite from psi_13 on.
+x + s*y with one table lookup per chunk of digits (the oracle's completeness
+test reads it only where its own byte planes do not fit: p = 2, p > 13);
+`_affine_table` tabulates x*M + shift on them (one map into at most 256
+points by `bytes.translate`): the field and value tables, the chunk tables
+of a + s*b that `digit_sums` reads, and the residue chunks from which
+`enumerate_irreducibles` reads each small factor's multiples as it sieves
+indices of monic polynomials.  A value table or interpolation over all of
+GF(q) is one chirp-z transform on the powers of g (`_chirp_dft`): one packed
+int product.  `is_prime` and `factorize` share one Miller-Rabin core
+(`_composite`), exact below psi_13: factoring trial-divides to 1000 and
+splits every part the core proves composite by Brent's rho within a step
+bound, and refuses a part it does not prove composite from psi_13 on.
 `check_size` is the one size rule: every refusal above `MAX_DOMAIN` goes
 through it.  `memo` is the one memo rule: every process-wide memo of the
 package is registered by it, and `clear_memos` empties them all.
@@ -360,35 +360,6 @@ def _add_row(p: int, c: int) -> bytes:
     while not c // place % p:
         place *= p
     return _add_row(p, c - place).translate(_digit_step(p, place))
-
-
-def digit_sum_pairs(xs, ys, p: int, n: int) -> tuple[int, list[int]]:
-    """(b, [(x + y) << b | (x - y)]) with b = (p^n).bit_length(), for each pair
-    of indices x, y drawn from xs and ys in step, p odd: both sums of
-    `digit_sums` in one pass, one lookup per chunk of digits in `_pair_plan`.
-    Each sum is below p^n <= 2^b, so the two never overlap."""
-    bits, plan = _pair_plan(p, n)
-    out = [0] * len(xs)
-    for place, m, table in plan:
-        if table is None:
-            out = [o + ((a + b) % p << bits | (a - b) % p) * place
-                   for o, a, b in zip(out, (x // place for x in xs), (y // place for y in ys))]
-        elif place == 1:
-            out = [table[x % m * m + y % m] for x, y in zip(xs, ys)]
-        else:
-            out = [o + table[x // place % m * m + y // place % m] for o, x, y in zip(out, xs, ys)]
-    return bits, out
-
-
-@memo
-def _pair_plan(p: int, n: int) -> tuple[int, tuple[tuple[int, int, list[int] | None], ...]]:
-    """(b, chunks) for `digit_sum_pairs`: the chunks of `_sum_plan`, each
-    table entry the pair a, a' of its s = 1 and s = -1 tables packed as
-    (a << b | a') * place, so that a chunk's lookup is added as it is."""
-    bits = (p ** n).bit_length()
-    return bits, tuple((place, m, None if t is None else
-                        [(a << bits | b) * place for a, b in zip(t, u)])
-                       for (place, m, t), (_, _, u) in zip(_sum_plan(p, n, 1), _sum_plan(p, n, -1)))
 
 
 @memo

@@ -4,19 +4,26 @@ Elements of GF(p)^n are indexed lexicographically by coordinate tuple with the
 first coordinate most significant; field elements GF(p^k) use the same rule on
 their coordinate tuples, so field maps and vector-space maps share tables.
 The codec is `gf.index_to_tuple`/`gf.tuple_to_index`.
+
+Whether x -> g(x) + s*x is a bijection is read on byte planes for odd
+p <= 13: each point's base-p digits, cut into chunks below 16, fill one byte
+each of a lane; a point's chunks and its image's share a byte as two nibbles,
+one `bytes.translate` maps every byte to the chunk of the sum, and the sums
+are distinct when the set of lanes has p^n members.  For p = 2 (XOR) and
+p > 13 the sums come from `gf.digit_sums`.
 """
 
 from __future__ import annotations
 
 import operator
-from itertools import repeat
+from array import array
 
 from ._record import Record
 from .cycletype import CycleType, cycles_of, is_permutation
 # MAX_DOMAIN is re-exported: the limit on map tables lives in gf
 from .gf import (MAX_DOMAIN, FieldCtx, Poly, _build_tables, _chirp_dft, check_size,
-                 digit_sum_pairs, digit_sums, exact_int, is_power, is_prime, json_fields,
-                 read_int, read_json)
+                 digit_sums, exact_int, is_power, is_prime, json_fields, memo, read_int,
+                 read_json)
 
 
 def is_complete_mapping(images, p: int, n: int) -> bool:
@@ -33,16 +40,60 @@ def is_complete_mapping(images, p: int, n: int) -> bool:
 
 def _sums_bijective(images, p: int, n: int, signs) -> list[bool]:
     """For each sign s, +1 or -1, whether x -> g(x) + s*x is a bijection, for
-    the bijection g of GF(p)^n with this image table.  Both sums come from
-    one pass (`digit_sum_pairs`); signs equal mod p (one sign, or p = 2)
-    share one `digit_sums` pass."""
+    the bijection g of GF(p)^n with this image table, each distinct sign mod
+    p tested once.  For odd p <= 13 and at most 8 chunks a test is one byte
+    translation of the planes of `_plane_pairs` and one set of their lanes;
+    otherwise it is one `digit_sums` pass (XOR when p = 2, which is faster
+    than planes there)."""
     size = p ** n
-    if len({s % p for s in signs}) == 1:
-        return [is_permutation(digit_sums(images, range(size), p, n, signs[0]), size)] * len(signs)
-    bits, packed = digit_sum_pairs(images, range(size), p, n)
-    return [is_permutation(map(operator.rshift, packed, repeat(bits)) if s == 1 else
-                           map(operator.and_, packed, repeat((1 << bits) - 1)), size)
-            for s in signs]
+    if size == 1:  # the one map of one point; `itemgetter` of one index is no tuple
+        return [True] * len(signs)
+    w = 2 if p == 3 else int(2 < p < 16)  # base-p digits below 16 in a chunk, 0 for none
+    if w and n <= 8 * w:
+        pairs, code = _plane_pairs(images, p, n, w)
+
+        def bijective(s):
+            return len(set(memoryview(pairs.translate(_plane_row(p, w, s))).cast(code))) == size
+    else:
+        def bijective(s):
+            return is_permutation(digit_sums(images, range(size), p, n, s), size)
+    verdicts = {s: bijective(s) for s in {s % p for s in signs}}
+    return [verdicts[s % p] for s in signs]
+
+
+_CODES = {array(t).itemsize: t for t in "QLIHB"}  # an unsigned type code per item size
+_BYTES = [bytes([a]) for a in range(16)]
+
+
+def _plane_pairs(images, p: int, n: int, w: int) -> tuple[bytes, str]:
+    """(planes, type code): the lane of point x, in the fewest of 1, 2, 4 or 8
+    bytes that hold its chunks of w base-p digits (p^w <= 16), one chunk a
+    byte, least significant first, holds x's chunks shifted up a nibble and
+    g(x)'s below them.  The identity's lanes are repeated blocks, g's are
+    gathered from them by one `itemgetter`, and the two are paired by one
+    int shift and or: a chunk is below 16, so no byte carries."""
+    size, m = p ** n, p ** w
+    chunks = -(-n // w)
+    item = 1 << (chunks - 1).bit_length()
+    code = _CODES[item]
+    ident = bytearray(item * size)
+    place = 1
+    for j in range(chunks):
+        mj = min(m, size // place)  # the top chunk may have fewer digits
+        ident[j::item] = b"".join([a * place for a in _BYTES[:mj]]) * (size // (place * mj))
+        place *= mj
+    lanes = array(code, operator.itemgetter(*images)(memoryview(ident).cast(code)))
+    pairs = int.from_bytes(ident, "little") << 4 | int.from_bytes(lanes, "little")
+    return pairs.to_bytes(item * size, "little"), code
+
+
+@memo
+def _plane_row(p: int, w: int, s: int) -> bytes:
+    """The translate row of `_plane_pairs`: the byte a << 4 | b, a and b
+    chunks of w base-p digits, to the chunk b + s*a, digit by digit mod p."""
+    places = [p ** i for i in range(w)]
+    return bytes(sum((b // q + s * (a // q)) % p * q for q in places)
+                 for a, b in (divmod(v, 16) for v in range(256)))
 
 
 class MapTable(Record):
@@ -116,9 +167,9 @@ class AnalysisReport(Record):
 def analyze(table: MapTable, p: int, dims: int) -> AnalysisReport:
     """Exhaustive report under the elementary-abelian law of GF(p)^dims
     (ValueError unless p is prime and the table has p^dims points): one
-    `is_permutation` pass tests the bijection, one pass of digit sums both the
-    complete and the orthomorphism property, and one walk of the cycles
-    (`cycles_of`) gives the cycle type."""
+    `is_permutation` pass tests the bijection, `_sums_bijective` the complete
+    and the orthomorphism property (one translation of one set of byte planes
+    each), and one walk of the cycles (`cycles_of`) gives the cycle type."""
     if p > 1 and not is_power(table.n, p, dims):
         raise ValueError("domain size must equal p^dims")
     if not is_prime(p):

@@ -17,7 +17,7 @@ from cosetmap import (AffineMap, CosetWiseAffineMap, CycleType, InfeasibleError,
 from cosetmap import affine_ct, cwaffine, gf
 from cosetmap.cwaffine import _forward_codes
 from cosetmap.cycletype import ct_format, ct_of_permutation, cycles_of
-from cosetmap.gf import _affine_table, index_to_tuple, is_prime
+from cosetmap.gf import _affine_table, index_to_tuple, is_prime, tuple_to_index
 from cosetmap.oracle import is_complete_mapping
 from helpers import (coordinate_functions, cw_eval, cw_map, forward_product_by_then,
                      one_cycle_closed_form_images, one_cycle_reference_tables,
@@ -636,6 +636,42 @@ def test_conjugated_table_preserves_completeness_and_type():
               MatrixQ.identity(field(3, 2), 2)]:
         with pytest.raises(ValueError):
             conjugated_table(f, T)
+
+
+@pytest.mark.parametrize("p,d,t", [(2, 2, 2), (2, 3, 1), (3, 1, 0), (3, 1, 2), (3, 2, 1),
+                                   (3, 1, 3), (5, 1, 1), (5, 2, 1), (7, 1, 1)])
+def test_value_tables_match_cw_eval_pointwise(p, d, t):
+    """`cw_to_table(f).images[i]` is the index of `cw_eval(f, point i)` for
+    every point, on maps whose cosets share one (alpha, omega) object, share
+    alpha but not omega, hold equal but distinct objects, or all-distinct
+    random blocks, with the cosets fewer than, as many as and more than the
+    points of W.  One `conjugated_table` per map is T^-1 f T worked out point
+    by point: x*T^-1, then f, then times T."""
+    rng = random.Random(p * 100 + d * 10 + t)
+    ctx, n = field(p), d + t
+    labels = list(itertools.product(range(p), repeat=t))
+    points = [VectorQ.from_codes(ctx, index_to_tuple(i, p, n)) for i in range(p ** n)]
+    A = MatrixQ(ctx, tuple(tuple(rng.randrange(p) for _ in range(d)) for _ in range(d)))
+    o = VectorQ(ctx, [rng.randrange(p) for _ in range(d)])
+    for kind in ("shared pair", "shared alpha", "equal objects", "distinct"):
+        nus = [VectorQ(ctx, [rng.randrange(p) for _ in range(t)]) for _ in labels]
+        if kind == "shared pair":
+            blocks = [(A, o)] * len(labels)
+        elif kind == "shared alpha":
+            blocks = [(A, VectorQ(ctx, [rng.randrange(p) for _ in range(d)])) for _ in labels]
+        elif kind == "equal objects":
+            blocks = [(MatrixQ.from_codes(ctx, A.codes), VectorQ.from_codes(ctx, o.codes))
+                      for _ in labels]
+        else:
+            blocks = [(random_invertible(ctx, d, rng),
+                       VectorQ(ctx, [rng.randrange(p) for _ in range(d)])) for _ in labels]
+        f = cw_map(Splitting(p, d, t), [(a, w, nu) for (a, w), nu in zip(blocks, nus)])
+        assert list(cw_to_table(f).images) == [tuple_to_index(cw_eval(f, x).codes, p)
+                                               for x in points], kind
+        T = random_invertible(ctx, n, rng)
+        T_inv = T.inverse()
+        assert list(conjugated_table(f, T).images) == [
+            tuple_to_index((cw_eval(f, x * T_inv) * T).codes, p) for x in points], kind
 
 
 def test_affine_table_matches_pointwise_products():

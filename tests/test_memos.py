@@ -6,8 +6,8 @@ import ast
 from pathlib import Path
 
 import cosetmap
-from cosetmap import (CosetWiseAffineMap, FieldCtx, MatrixQ, Poly, Splitting, VectorQ,
-                      block_cycle_type, cli, cw_cycle_type, enumerate_irreducibles, field,
+from cosetmap import (CosetWiseAffineMap, FieldCtx, MapTable, MatrixQ, Poly, Splitting, VectorQ,
+                      analyze, block_cycle_type, cli, cw_cycle_type, enumerate_irreducibles, field,
                       gamma_dpl, gf, poly_order)
 from cosetmap.affine_ct import ct_acgl, ct_agl, first_witness, sorted_types, witness_map
 
@@ -20,8 +20,8 @@ def _sizes() -> dict:
 
 
 def _warm():
-    """Gamma sets, witnesses, tables, irreducibles, orders, digit-sum plans
-    and forward types."""
+    """Gamma sets, witnesses, tables, irreducibles, orders, digit-sum plans,
+    plane rows and forward types."""
     gamma = sorted_types(ct_agl(3, 3))[-1]
     assert first_witness(gamma, 3, 3) is not None and witness_map(gamma, 3, 3) is not None
     ct_acgl(2, 3)
@@ -32,7 +32,8 @@ def _warm():
         if Q.codes[0]:
             poly_order(Q)
     block_cycle_type(Poly(field(3), (1, 1)), 2)
-    gf.digit_sum_pairs([1, 2], [2, 2], 3, 2)
+    for p, n in ((3, 2), (17, 1)):  # plane rows, then digit-sum plans
+        assert analyze(MapTable(p ** n, range(p ** n)), p, n).is_complete
     F3 = field(3)
     cw_cycle_type(CosetWiseAffineMap(Splitting(3, 1, 0), (0,),
                                      [(MatrixQ(F3, [[1]]), VectorQ(F3, [1]))]))
