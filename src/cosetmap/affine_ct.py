@@ -13,8 +13,8 @@ import bisect
 import itertools
 
 from .cycletype import CycleType, weixu, weixu_all
-from .gf import (_ORDERS, FieldCtx, Poly, _unit_group_factors, check_size,
-                 degree_orders, enumerate_irreducibles, factorize, field, memo, poly_order)
+from .gf import _ORDERS, FieldCtx, Poly, degree_orders, enumerate_irreducibles, field, poly_order
+from .kernel import _unit_group_factors, check_size, factorize, memo
 from .linalg import AffineMap, MatrixQ, VectorQ, companion, elementary_divisors
 
 

@@ -10,7 +10,8 @@ from ._record import Record
 from .affine_ct import ct_agl, gamma_dpl, product_members, witness_map
 from .cycletype import CycleType
 from .errors import InfeasibleError
-from .gf import FieldCtx, is_power
+from .gf import FieldCtx
+from .kernel import is_power
 from .linalg import MatrixQ, VectorQ, _inverse, _matmul, _without_eigenvalue
 
 

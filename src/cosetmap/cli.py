@@ -18,7 +18,8 @@ import sys
 # every subcommand uses these; each handler imports the other modules it calls
 from .cycletype import CycleType, ct_format, ct_parse
 from .errors import InfeasibleError
-from .gf import check_size, exact_int, field, json_fields, json_list, read_json
+from .gf import field
+from .kernel import check_size, exact_int, json_fields, json_list, read_json
 
 
 def _field_from_args(args):

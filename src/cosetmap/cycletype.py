@@ -11,11 +11,11 @@ from __future__ import annotations
 import math
 import re
 
-from .gf import exact_int, json_fields, read_int
+from .kernel import exact_int, json_fields, read_int
 
 
 class CycleType:
-    """Finite multiset {length -> count} of ints (`gf.exact_int`), counts >= 1."""
+    """Finite multiset {length -> count} of ints (`kernel.exact_int`), counts >= 1."""
 
     __slots__ = ("_cycles",)
 

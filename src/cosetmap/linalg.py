@@ -11,8 +11,9 @@ field's `ops()`; `MatrixQ`, `VectorQ` and `Poly` are built for return values.
 from __future__ import annotations
 
 from ._record import Record
-from .gf import (FieldCtx, FieldElement, Poly, _Ops, _horner, _pexact_div, _pmul, _power,
-                 _ppow, _trim, _vecmat, check_size, factor_monic, index_to_tuple)
+from .gf import FieldCtx, FieldElement, Poly, factor_monic
+from .kernel import (_Ops, _horner, _pexact_div, _pmul, _power, _ppow, _trim, _vecmat, check_size,
+                     index_to_tuple)
 
 
 # ---------------------------------------------------------------------------

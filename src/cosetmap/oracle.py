@@ -3,14 +3,15 @@
 Elements of GF(p)^n are indexed lexicographically by coordinate tuple with the
 first coordinate most significant; field elements GF(p^k) use the same rule on
 their coordinate tuples, so field maps and vector-space maps share tables.
-The codec is `gf.index_to_tuple`/`gf.tuple_to_index`.
+The codec is `kernel.index_to_tuple`/`kernel.tuple_to_index`.
 
 Whether x -> g(x) + s*x is a bijection is read on byte planes for odd
-p <= 13: each point's base-p digits, cut into chunks below 16, fill one byte
-each of a lane; a point's chunks and its image's share a byte as two nibbles,
-one `bytes.translate` maps every byte to the chunk of the sum, and the sums
-are distinct when the set of lanes has p^n members.  For p = 2 (XOR) and
-p > 13 the sums come from `gf.digit_sums`.
+p <= 13 from 64 points on: each point's base-p digits, cut into chunks below
+16, fill one byte each of a lane; a point's chunks and its image's share a
+byte as two nibbles, one `bytes.translate` maps every byte to the chunk of
+the sum, and the sums are distinct when the set of lanes has p^n members.
+For p = 2 (XOR), p > 13 and smaller tables the sums come from
+`kernel.digit_sums`.
 """
 
 from __future__ import annotations
@@ -20,10 +21,10 @@ from array import array
 
 from ._record import Record
 from .cycletype import CycleType, cycles_of, is_permutation
-# MAX_DOMAIN is re-exported: the limit on map tables lives in gf
-from .gf import (MAX_DOMAIN, FieldCtx, Poly, _build_tables, _chirp_dft, check_size,
-                 digit_sums, exact_int, is_power, is_prime, json_fields, memo, read_int,
-                 read_json)
+from .gf import FieldCtx, Poly
+# MAX_DOMAIN is re-exported: the limit on map tables lives in kernel
+from .kernel import (MAX_DOMAIN, _build_tables, _chirp_dft, check_size, digit_sums, exact_int,
+                     is_power, is_prime, json_fields, memo, read_int, read_json)
 
 
 def is_complete_mapping(images, p: int, n: int) -> bool:
@@ -41,15 +42,13 @@ def is_complete_mapping(images, p: int, n: int) -> bool:
 def _sums_bijective(images, p: int, n: int, signs) -> list[bool]:
     """For each sign s, +1 or -1, whether x -> g(x) + s*x is a bijection, for
     the bijection g of GF(p)^n with this image table, each distinct sign mod
-    p tested once.  For odd p <= 13 and at most 8 chunks a test is one byte
-    translation of the planes of `_plane_pairs` and one set of their lanes;
-    otherwise it is one `digit_sums` pass (XOR when p = 2, which is faster
-    than planes there)."""
+    p tested once.  For odd p <= 13, at most 8 chunks and at least
+    `_PLANE_POINTS` points a test is one byte translation of the planes of
+    `_plane_pairs` and one set of their lanes; otherwise it is one
+    `digit_sums` pass (XOR when p = 2, which is faster than planes there)."""
     size = p ** n
-    if size == 1:  # the one map of one point; `itemgetter` of one index is no tuple
-        return [True] * len(signs)
     w = 2 if p == 3 else int(2 < p < 16)  # base-p digits below 16 in a chunk, 0 for none
-    if w and n <= 8 * w:
+    if w and n <= 8 * w and size >= _PLANE_POINTS:
         pairs, code = _plane_pairs(images, p, n, w)
 
         def bijective(s):
@@ -61,6 +60,10 @@ def _sums_bijective(images, p: int, n: int, signs) -> list[bool]:
     return [verdicts[s % p] for s in signs]
 
 
+# Planes pay from 81 points (3^4) on; up to 49 (7^2) a `digit_sums` pass was
+# faster, its fixed cost being the smaller: 2.4-8.5 us against 5.3-11.8 us
+# for one sign at 3-49 points (2-vCPU VM, Python 3.11).
+_PLANE_POINTS = 64
 _CODES = {array(t).itemsize: t for t in "QLIHB"}  # an unsigned type code per item size
 _BYTES = [bytes([a]) for a in range(16)]
 
@@ -97,7 +100,7 @@ def _plane_row(p: int, w: int, s: int) -> bytes:
 
 
 class MapTable(Record):
-    """A map on {0..n-1} given by its int images (`gf.exact_int`), kept as a tuple."""
+    """A map on {0..n-1} given by its int images (`kernel.exact_int`), kept as a tuple."""
 
     __slots__ = ("n", "images")
 

@@ -3,7 +3,7 @@
 Field elements encode as a bare residue for prime fields and as the k-entry
 coordinate array (constant coordinate first) for extensions.  Polynomials
 encode as coefficient arrays, constant term first.  The JSON codecs work on
-element codes: encoders read `.codes` through `gf.index_to_tuple`; a vector,
+element codes: encoders read `.codes` through `kernel.index_to_tuple`; a vector,
 matrix, polynomial or element is read back by its constructor (`VectorQ`,
 `MatrixQ`, `Poly`, `FieldCtx.elem`), which hands each JSON value to
 `FieldCtx.code`, so coset-wise maps pass through no field element; a matrix
@@ -21,8 +21,9 @@ from __future__ import annotations
 
 import re
 
-from .gf import (FieldCtx, FieldElement, Poly, check_size, digit_sums, exact_int, field,
-                 index_to_tuple, json_fields, json_list, read_int, tuple_to_index)
+from .gf import FieldCtx, FieldElement, Poly, field
+from .kernel import (check_size, digit_sums, exact_int, index_to_tuple, json_fields, json_list,
+                     read_int, tuple_to_index)
 from .linalg import AffineMap, MatrixQ, VectorQ
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING without importing typing

@@ -11,7 +11,7 @@ import itertools
 import random
 
 from cosetmap import CycleType, MatrixQ, Poly, VectorQ
-from cosetmap.gf import _horner, index_to_tuple, tuple_to_index
+from cosetmap.kernel import _horner, index_to_tuple, tuple_to_index
 
 
 def quotient_affine_cycle_counts(Q: Poly, e: int, U: Poly) -> dict[int, int]:
@@ -203,7 +203,7 @@ def reference_analyze(table, p: int, dims: int):
     the bijection test, and the complete and orthomorphism tests by the
     pointwise `is_complete_table`, each of which repeats the bijection test."""
     from cosetmap.cycletype import ct_of_permutation
-    from cosetmap.gf import is_prime
+    from cosetmap.kernel import is_prime
     from cosetmap.oracle import AnalysisReport
     if p ** dims != table.n:
         raise ValueError("domain size must equal p^dims")
@@ -547,7 +547,7 @@ def cofactor_sieve_irreducibles(ctx, max_degree: int) -> list[Poly]:
     order, by marking every product Q*(L + X^(d-i)) one schoolbook product at
     a time (the library's sieve before it built each Q's multiples as one
     GF(p)-span of indices); no cache."""
-    from cosetmap.gf import _pmul
+    from cosetmap.kernel import _pmul
     K = ctx.ops()
     q = ctx.order
     one = (K.one,)
@@ -571,7 +571,7 @@ def descent_poly_order(Q: Poly) -> int:
     powers: X^(q^m - 1) = 1 first, then the exponent divided by each prime
     factor while X to the quotient is still 1 (the library's method before it
     powered through the Frobenius matrix)."""
-    from cosetmap.gf import factorize
+    from cosetmap.kernel import factorize
     x, one = Poly.x(Q.ctx), Poly.one(Q.ctx)
     n = Q.ctx.order ** int(Q.degree) - 1
     assert x.pow_mod(n, Q) == one
@@ -586,7 +586,7 @@ def scan_default_modulus(p: int, k: int) -> tuple[int, ...]:
     """The default modulus of GF(p^k) by the search the library ran before it
     started the constant term at 1: the first candidate c + (1,) for c in
     `itertools.product(range(p), repeat=k)` that is irreducible."""
-    from cosetmap.gf import _is_irreducible, _prime_ops
+    from cosetmap.kernel import _is_irreducible, _prime_ops
     fp = _prime_ops(p)
     return next(c + (1,) for c in itertools.product(range(p), repeat=k)
                 if _is_irreducible(fp, c + (1,)))
@@ -635,7 +635,7 @@ def reference_from_json(kind, ctx, obj):
 
 def moore_matrix(ctx) -> MatrixQ:
     """Rows indexed by basis power i, columns by Frobenius power j: w^(i*p^j)."""
-    from cosetmap.gf import _power
+    from cosetmap.kernel import _power
     if ctx.k < 2:
         raise ValueError("the Moore matrix needs an extension field")
     K, p, k = ctx.ops(), ctx.p, ctx.k

@@ -14,10 +14,10 @@ from cosetmap import (AffineMap, CosetWiseAffineMap, CycleType, InfeasibleError,
                       cw_is_permutation, cw_to_table,
                       evaluate_poly_table, field, is_cgl,
                       one_cycle_map, one_cycle_polynomial)
-from cosetmap import affine_ct, cwaffine, gf
+from cosetmap import affine_ct, cwaffine, gf, kernel
 from cosetmap.cwaffine import _forward_codes
 from cosetmap.cycletype import ct_format, ct_of_permutation, cycles_of
-from cosetmap.gf import _affine_table, index_to_tuple, is_prime, tuple_to_index
+from cosetmap.kernel import _affine_table, index_to_tuple, is_prime, tuple_to_index
 from cosetmap.oracle import is_complete_mapping
 from helpers import (coordinate_functions, cw_eval, cw_map, forward_product_by_then,
                      one_cycle_closed_form_images, one_cycle_reference_tables,
@@ -440,7 +440,7 @@ def test_construct_main_works_out_each_witness_type_once(monkeypatch):
         {acgl[0], acgl[1], long}, key=lambda t: t.cycles)
     entries = [w for _, first, _ in affine_ct._GAMMA_CACHE.values() for w in first.values()]
     assert entries and all(len(w) == 2 for w in entries)
-    assert not [name for name in gf._MEMOS if name.startswith("cosetmap.cwaffine")]
+    assert not [name for name in kernel._MEMOS if name.startswith("cosetmap.cwaffine")]
 
 
 def test_construct_main_completeness_check_fires_on_one_bad_factor(monkeypatch):
@@ -645,7 +645,9 @@ def test_value_tables_match_cw_eval_pointwise(p, d, t):
     every point, on maps whose cosets share one (alpha, omega) object, share
     alpha but not omega, hold equal but distinct objects, or all-distinct
     random blocks, with the cosets fewer than, as many as and more than the
-    points of W.  One `conjugated_table` per map is T^-1 f T worked out point
+    points of W (at (3, 1, 2) and (3, 1, 3) the distinct alphas of the last
+    two outnumber the points of W, which skips the keying by identity).  One
+    `conjugated_table` per map is T^-1 f T worked out point
     by point: x*T^-1, then f, then times T."""
     rng = random.Random(p * 100 + d * 10 + t)
     ctx, n = field(p), d + t

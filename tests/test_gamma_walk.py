@@ -16,7 +16,7 @@ from cosetmap import CycleType, InfeasibleError, Poly, field, gamma_dpl, realize
 from cosetmap import affine_ct, gf
 from cosetmap.affine_ct import (block_multisets, ct_acgl, ct_agl, first_witness,
                                 shift_class_types, sorted_types, witness_map)
-from cosetmap.gf import is_prime
+from cosetmap.kernel import is_prime
 from helpers import (gl_class_numbers, per_class_walk, reachable_affine_types,
                      recursive_block_multisets, scan_witness)
 

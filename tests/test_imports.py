@@ -2,6 +2,7 @@
 loads no submodule, and a CLI request loads only what its subcommand calls,
 while every public name stays the object its home module defines."""
 
+import ast
 import json
 import os
 import subprocess
@@ -51,6 +52,48 @@ def test_import_cosetmap_loads_no_submodule():
     out = fresh("import sys, cosetmap\n"
                 "print(sorted(m for m in sys.modules if m.startswith('cosetmap.')))\n")
     assert out.strip() == "[]"
+
+
+def fresh_loads(module: str) -> list[str]:
+    """The cosetmap submodules loaded by a fresh `import <module>`."""
+    return json.loads(fresh(f"import json, sys, {module}\n"
+                            "print(json.dumps(sorted(m for m in sys.modules "
+                            "if m.startswith('cosetmap.'))))\n"))
+
+
+def test_kernel_loads_no_other_module_of_the_package():
+    assert fresh_loads("cosetmap.kernel") == ["cosetmap.kernel"]
+
+
+def test_cycle_types_load_the_kernel_and_no_field():
+    loaded = fresh_loads("cosetmap.cycletype")
+    assert "cosetmap.kernel" in loaded and "cosetmap.gf" not in loaded
+
+
+def _top_level_names(path: Path) -> set[str]:
+    names = set()
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names |= {t.id for t in node.targets}
+        elif isinstance(node, ast.AnnAssign):
+            names.add(node.target.id)
+    return names
+
+
+def test_each_name_has_one_home_and_kernel_names_are_imported_from_kernel():
+    """No name is defined in both `gf` and `kernel`, and no module of the
+    package and no test imports a name that `kernel` defines through `gf`."""
+    pkg = Path(cosetmap.__file__).resolve().parent
+    kernel, gf = _top_level_names(pkg / "kernel.py"), _top_level_names(pkg / "gf.py")
+    assert kernel and gf and not kernel & gf
+    through_gf = [(path.name, alias.name)
+                  for path in [*pkg.glob("*.py"), *Path(__file__).resolve().parent.glob("*.py")]
+                  for node in ast.walk(ast.parse(path.read_text()))
+                  if isinstance(node, ast.ImportFrom) and node.module in ("gf", "cosetmap.gf")
+                  for alias in node.names if alias.name in kernel]
+    assert not through_gf, through_gf
 
 
 def test_gamma_dpl_loads_no_constructor_oracle_or_codec():

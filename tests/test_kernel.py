@@ -9,11 +9,11 @@ import time
 import pytest
 
 from cosetmap import MatrixQ, Poly, enumerate_irreducibles, factor_monic, field, is_irreducible
-from cosetmap import gf
+from cosetmap import gf, kernel
+from cosetmap.kernel import (MAX_DOMAIN as KERNEL_MAX_DOMAIN, _Ops, _convolve, _horner, _pcomb,
+                             _pdivmod, _pmul, _ppowmod, _sum_plan, _trim, _vecmat, digit_sums,
+                             factorize, index_to_tuple, is_prime, tuple_to_index)
 from cosetmap.oracle import MAX_DOMAIN
-from cosetmap.gf import (MAX_DOMAIN as GF_MAX_DOMAIN, _Ops, _convolve, _horner, _pcomb,
-                         _pdivmod, _pmul, _ppowmod, _sum_plan, _trim, _vecmat, digit_sums,
-                         factorize, index_to_tuple, is_prime, tuple_to_index)
 
 EXTENSION_FIELDS = [(2, 2), (2, 3), (3, 2), (5, 2), (3, 3)]
 
@@ -151,7 +151,7 @@ def test_field_elements_from_every_route_are_one_value():
 
 
 def _table_builds():
-    return gf._build_tables.cache_info().currsize, gf._field_ops.cache_info().currsize
+    return kernel._build_tables.cache_info().currsize, kernel._field_ops.cache_info().currsize
 
 
 def test_addition_above_the_table_limit_builds_no_tables():
@@ -285,10 +285,10 @@ def test_code_rows_match_coordinates():
 def test_ops_hold_only_the_element_arithmetic():
     """Rows and polynomials are combined by module functions shared by every
     field; `_Ops` keeps what differs between fields."""
-    from cosetmap import gf
     assert _Ops.__slots__ == ("p", "q", "one", "add", "neg", "mul", "inv", "root", "axpy",
                               "scale")
-    assert not any(hasattr(gf, name) for name in ("_row_poly_ops", "_padd", "_psub"))
+    assert not any(hasattr(mod, name) for mod in (gf, kernel)
+                   for name in ("_row_poly_ops", "_padd", "_psub"))
 
 
 def test_trial_division_matches_sympy():
@@ -413,9 +413,8 @@ def test_rho_refuses_a_part_its_step_bound_cannot_split(monkeypatch):
     ValueError naming the number and the bound; with the real bound,
     2^101 - 1 (about 6.8 million steps) still splits."""
     sympy = pytest.importorskip("sympy")
-    from cosetmap import gf
     n = sympy.nextprime(10 ** 9) * sympy.nextprime(10 ** 17)
-    monkeypatch.setattr(gf, "_RHO_STEPS", 1000)
+    monkeypatch.setattr(kernel, "_RHO_STEPS", 1000)
     start = time.perf_counter()
     with pytest.raises(ValueError, match=f"^cannot factor {n}: .* 1000 steps$"):
         factorize(n)
@@ -452,7 +451,7 @@ def test_tables_are_the_powers_of_a_primitive_element(p, k, modulus):
     digits (3^2), several chunks (3^7, 7^3), and digits without a sum table
     (67^2)."""
     ctx = field(p, k, modulus)
-    log, exp, zech = gf._build_tables(ctx)
+    log, exp, zech = kernel._build_tables(ctx)
     q, n, m = ctx.order, ctx.order - 1, ctx.modulus
     fp = field(p).ops()
     g = _trim(list(_coords(ctx, exp[1])))
@@ -474,7 +473,7 @@ def test_tables_are_the_powers_of_a_primitive_element(p, k, modulus):
 def test_prime_field_tables_are_the_powers_of_a_primitive_root(p):
     """GF(p) gets log and exp tables of its least primitive root, and no Zech
     table (its code arithmetic is on residues)."""
-    log, exp, zech = gf._build_tables(field(p))
+    log, exp, zech = kernel._build_tables(field(p))
     n = p - 1
     g = exp[1]
 
@@ -487,7 +486,7 @@ def test_prime_field_tables_are_the_powers_of_a_primitive_root(p):
 
 
 def test_packed_products_match_schoolbook():
-    """`gf._convolve` (one packed int product) equals the schoolbook product on
+    """`kernel._convolve` (one packed int product) equals the schoolbook product on
     codes, including digits of several bytes (GF(257), GF(65537)) and lanes of
     fewer bytes than the machine integers they are read through."""
     hypothesis = pytest.importorskip("hypothesis")
@@ -510,7 +509,7 @@ def test_large_extension_refuses_to_build_tables():
     built = _table_builds()
     ctx = field(2, 20, (1,) + (0,) * 16 + (1, 0, 0, 1))  # X^20 + X^17 + 1
     assert ctx.order > MAX_DOMAIN
-    assert MAX_DOMAIN is GF_MAX_DOMAIN  # the table limit lives in gf; oracle re-exports it
+    assert MAX_DOMAIN is KERNEL_MAX_DOMAIN  # the table limit lives in kernel; oracle re-exports it
     w = ctx.gen()
     assert (w + w).is_zero()  # coordinate arithmetic needs no tables
     assert w ** 0 == ctx.one() and _table_builds() == built

@@ -1,4 +1,4 @@
-"""The one memo rule: every process-wide memo is registered by `gf.memo`, and
+"""The one memo rule: every process-wide memo is registered by `kernel.memo`, and
 `gf.clear_memos()` empties them all without changing an answer or the
 interned field contexts."""
 
@@ -8,7 +8,7 @@ from pathlib import Path
 import cosetmap
 from cosetmap import (CosetWiseAffineMap, FieldCtx, MapTable, MatrixQ, Poly, Splitting, VectorQ,
                       analyze, block_cycle_type, cli, cw_cycle_type, enumerate_irreducibles, field,
-                      gamma_dpl, gf, poly_order)
+                      gamma_dpl, gf, kernel, poly_order)
 from cosetmap.affine_ct import ct_acgl, ct_agl, first_witness, sorted_types, witness_map
 
 SRC = Path(cosetmap.__file__).resolve().parent
@@ -16,7 +16,7 @@ SRC = Path(cosetmap.__file__).resolve().parent
 
 def _sizes() -> dict:
     return {name: len(kept) if isinstance(kept, dict) else kept.cache_info().currsize
-            for name, kept in gf._MEMOS.items()}
+            for name, kept in kernel._MEMOS.items()}
 
 
 def _warm():
@@ -32,7 +32,7 @@ def _warm():
         if Q.codes[0]:
             poly_order(Q)
     block_cycle_type(Poly(field(3), (1, 1)), 2)
-    for p, n in ((3, 2), (17, 1)):  # plane rows, then digit-sum plans
+    for p, n in ((3, 4), (17, 1)):  # plane rows (from 64 points on), then digit-sum plans
         assert analyze(MapTable(p ** n, range(p ** n)), p, n).is_complete
     F3 = field(3)
     cw_cycle_type(CosetWiseAffineMap(Splitting(3, 1, 0), (0,),
@@ -45,7 +45,7 @@ def test_clear_memos_empties_every_registered_memo():
     assert all(before.values()), [name for name, n in before.items() if not n]
     gf.clear_memos()
     assert not any(_sizes().values())
-    assert not any(kept is gf._CTX_CACHE for kept in gf._MEMOS.values())
+    assert not any(kept is gf._CTX_CACHE for kept in kernel._MEMOS.values())
 
 
 def test_contexts_survive_and_old_elements_mix_with_new():
@@ -78,11 +78,11 @@ def test_cli_output_is_byte_equal_after_clear_memos(capsys):
 
 def test_functools_caches_only_inside_memo():
     """`functools.cache` and `lru_cache` appear in the package source only
-    inside `gf.memo`."""
-    memo = next(node for node in ast.parse((SRC / "gf.py").read_text()).body
+    inside `kernel.memo`."""
+    memo = next(node for node in ast.parse((SRC / "kernel.py").read_text()).body
                 if isinstance(node, ast.FunctionDef) and node.name == "memo")
     found = [(path.name, i) for path in sorted(SRC.glob("*.py"))
              for i, line in enumerate(path.read_text().splitlines(), 1)
              if "functools.cache" in line or "lru_cache" in line]
-    assert found and all(name == "gf.py" and memo.lineno <= i <= memo.end_lineno
+    assert found and all(name == "kernel.py" and memo.lineno <= i <= memo.end_lineno
                          for name, i in found), found

@@ -7,7 +7,7 @@ import pytest
 
 from cosetmap import (MapTable, MatrixQ, Poly, VectorQ, analyze, ct, evaluate_poly_table, field,
                       interpolate, load_table)
-from cosetmap.gf import index_to_tuple, tuple_to_index
+from cosetmap.kernel import index_to_tuple, tuple_to_index
 from cosetmap.oracle import is_complete_mapping
 from helpers import (horner_poly_table, is_complete_table, lagrange_interpolate,
                      pointwise_affine_table, reference_analyze)
@@ -25,16 +25,18 @@ def test_index_round_trip():
 
 def test_plane_sums_match_one_digit_sum_pass_per_sign():
     """`_sums_bijective`'s verdicts, on byte planes for odd p <= 13 (13 the
-    largest such prime, 17 the smallest past it) and from `digit_sums`
-    otherwise, are those of one `digit_sums` pass per sign, for every order
-    of the signs, and `analyze`'s cycle type, read from its cycles, is
+    largest such prime, 17 the smallest past it) from `_PLANE_POINTS` points
+    on (3^3, 5^2 and 7^2 below it, 3^4, 11^2 and 5^3 above) and from
+    `digit_sums` otherwise, are those of one `digit_sums` pass per sign, for
+    every order of the signs, and `analyze`'s cycle type, read from its cycles, is
     `ct_of_permutation`'s; p = 67 has chunks with no table.  x -> c*x + shift
     with c in -3..3 is complete and an orthomorphism or not, as c is -1, 1 or
     neither; two shuffled permutations per domain are mostly neither."""
     from cosetmap.cycletype import ct_of_permutation
-    from cosetmap.gf import digit_sums
-    from cosetmap.oracle import _sums_bijective
+    from cosetmap.kernel import digit_sums
+    from cosetmap.oracle import _PLANE_POINTS, _sums_bijective
 
+    assert 7 ** 2 < _PLANE_POINTS <= 3 ** 4
     rng = random.Random(0)
     for p, n in [(p, n) for p in (2, 3, 5, 7, 11, 13, 17, 67) for n in range(7)
                  if p ** n <= 67 ** 2]:

@@ -24,7 +24,7 @@ from cosetmap import (AffineMap, AnalysisReport, CglFactorization, CosetWiseAffi
                       field, gamma_dpl, one_cycle_map, prcf, two_fpf_product)
 from cosetmap._record import Record
 from cosetmap.cycletype import CycleType, ct_parse
-from cosetmap.gf import MAX_DOMAIN, factorize, prime_power, read_json
+from cosetmap.kernel import MAX_DOMAIN, factorize, prime_power, read_json
 from cosetmap.linalg import companion
 from cosetmap.oracle import is_complete_mapping, load_table
 from cosetmap.serialize import json_matrix, parse_poly
