@@ -17,6 +17,7 @@ _EXPORTS = {
     "errors": "InfeasibleError",
     "gf": "FieldCtx FieldElement Poly enumerate_irreducibles factor_monic field field_of_order "
           "is_irreducible poly_order",
+    "kernel": "",
     "linalg": "AffineMap MatrixQ Prcf VectorQ charpoly companion elementary_divisors prcf",
     "oracle": "AnalysisReport MapTable analyze evaluate_poly_table interpolate load_table",
 }

@@ -201,22 +201,16 @@ def cw_cycle_type(f: CosetWiseAffineMap) -> CycleType:
 def _table(f: CosetWiseAffineMap) -> list[int]:
     """Images of f on lexicographic indices of GF(p)^(d+t): the point w + u
     has index w*p^t + u, and its image is p^t times the image of w under the
-    u-th coset map, plus top(u).  When the distinct alphas outnumber the
-    points of W, so do the distinct pairs, and keying them cannot pay: the
-    coset maps are tabulated as one interleaved `kernel._affine_table`, the
-    image of w under the u-th at w*p^t + u.  Otherwise each distinct (alpha,
-    omega) pair, by identity, is tabulated once and scaled by p^t once: one
-    table each (bytes into at most 256 points), or, when the pairs outnumber
-    the points of W, one interleaved table of them all.  The images are then
-    read by one column slice per coset when the cosets are fewer than the
-    points of W, and by one row slice per point of W otherwise."""
+    u-th coset map, plus top(u).  Each distinct (alpha, omega) pair, by
+    identity, is tabulated once by `kernel._affine_table` and scaled by p^t
+    once: one table each (bytes into at most 256 points), or, when the pairs
+    outnumber the points of W, one interleaved table of them all.  The
+    images are then read by one column slice per coset when the cosets are
+    fewer than the points of W, and by one row slice per point of W
+    otherwise."""
     s = f.splitting
     check_size(f"a value table of GF({s.p})^{s.n} has {s.p}^{s.n} points", s.p, s.n)
     nt, nw = s.p ** s.t, s.p ** s.d
-    if len(f._alphas) > nw:
-        table = _affine_table(s.p, s.d, [(alpha.codes, omega.codes)
-                                         for alpha, omega in f.per_coset])
-        return list(map(operator.add, map(nt.__mul__, table), itertools.cycle(f.top)))
     index = {}  # the objects stay in f.per_coset, so their ids stay unique
     which = [index.setdefault((id(alpha), id(omega)), len(index)) for alpha, omega in f.per_coset]
     blocks = [(alpha.codes, omega.codes) for alpha, omega in dict(zip(which, f.per_coset)).values()]

@@ -645,9 +645,7 @@ def test_value_tables_match_cw_eval_pointwise(p, d, t):
     every point, on maps whose cosets share one (alpha, omega) object, share
     alpha but not omega, hold equal but distinct objects, or all-distinct
     random blocks, with the cosets fewer than, as many as and more than the
-    points of W (at (3, 1, 2) and (3, 1, 3) the distinct alphas of the last
-    two outnumber the points of W, which skips the keying by identity).  One
-    `conjugated_table` per map is T^-1 f T worked out point
+    points of W.  One `conjugated_table` per map is T^-1 f T worked out point
     by point: x*T^-1, then f, then times T."""
     rng = random.Random(p * 100 + d * 10 + t)
     ctx, n = field(p), d + t

@@ -24,7 +24,7 @@ PUBLIC = """
     cw_is_complete cw_is_permutation cw_to_table cwaffine cycletype elementary_divisors
     enumerate_irreducibles errors evaluate_poly_table factor_into_cgl factor_monic field
     field_of_order gamma_dpl gamma_of_matrix gamma_of_poly gf interpolate is_cgl is_irreducible
-    linalg load_table one_cycle_map one_cycle_polynomial oracle poly_order prcf realize_gamma
+    kernel linalg load_table one_cycle_map one_cycle_polynomial oracle poly_order prcf realize_gamma
     sorted_types two_fpf_product weixu weixu_all
 """.split()
 
@@ -125,14 +125,15 @@ def test_public_names_are_their_home_modules_objects():
 
 
 def test_submodule_and_star_imports_in_a_fresh_process():
-    out = fresh("from cosetmap import cwaffine\n"
+    out = fresh("import cosetmap\n"
+                "print(cosetmap.kernel.__name__)\n"
+                "from cosetmap import cwaffine\n"
                 "print(cwaffine.__name__, callable(cwaffine.construct_main))\n"
                 "ns = {}\n"
                 "exec('from cosetmap import *', ns)\n"
-                "import cosetmap\n"
                 "print(sorted(set(ns) - {'__builtins__'}) == cosetmap.__all__)\n"
                 "print(all(ns[name] is getattr(cosetmap, name) for name in cosetmap.__all__))\n")
-    assert out.split() == ["cosetmap.cwaffine", "True", "True", "True"]
+    assert out.split() == ["cosetmap.kernel", "cosetmap.cwaffine", "True", "True", "True"]
 
 
 def test_unknown_attribute_raises_attribute_error():
