@@ -2,12 +2,12 @@
 
 The space splits as V = W + U with W the first d coordinates and U the last t.
 A map holds its coset map u -> top(u) and, per coset label u in GF(p)^t, an
-affine map (alpha_u, omega_u) of W, and sends w + u to
-(w*alpha_u + omega_u) + top(u); the paper's shift nu_u is top(u) - u.  Cosets
-are addressed by the lexicographic index of u, points of V by the index of
-(w, u), which is w*p^t + u.  A map that is a permutation is an element of the
-wreath product of AGL(W) by the permutations of the cosets, and `cw_compose`
-is its multiplication.  Permutation and completeness tests, cycle types via
+affine map (alpha_u, omega_u) of W, each distinct one held once, and sends
+w + u to (w*alpha_u + omega_u) + top(u); the paper's shift nu_u is
+top(u) - u.  Cosets are addressed by the lexicographic index of u, points of
+V by the index of (w, u), which is w*p^t + u.  A map that is a permutation is
+an element of the wreath product of AGL(W) by the permutations of the cosets,
+and `cw_compose` is its multiplication.  Permutation and completeness tests, cycle types via
 forward cycle products, value tables (from `kernel._affine_table`) and the
 constructors all live here.
 """
@@ -60,17 +60,20 @@ class CosetWiseAffineMap:
     """A coset-wise affine map over a splitting; immutable.
 
     `top` is the coset map, an image table of coset indices (the
-    lexicographic index of the label u in GF(p)^t), and `per_coset` holds one
-    pair (alpha_u, omega_u) of a `MatrixQ` and a `VectorQ` per coset in that
-    order.  A map that is a permutation is the wreath element itself: `top`
-    its top permutation and the pairs its bottom maps.  The constructor
-    checks each distinct alpha and omega once, refuses data over another
-    field than the splitting's, and keeps the distinct alphas in order of
-    first appearance in `_alphas`; `cw_cycle_type` keeps its answer in
-    `_cycle_type`.  Equality ignores both.
+    lexicographic index of the label u in GF(p)^t).  The map of W on each
+    coset is held once per distinct block: `blocks` holds the distinct pairs
+    (alpha, omega) of a `MatrixQ` and a `VectorQ`, and `block_of` the index
+    into `blocks` of each coset's pair, in coset-index order, so the pair of
+    coset i is `blocks[block_of[i]]`.  A map that is a permutation is the
+    wreath element itself: `top` its top permutation and the blocks its
+    bottom maps.  The constructor takes one pair per coset, finds the
+    distinct pairs by object identity, in order of first appearance,
+    checks each once, and refuses data over another field than the
+    splitting's; `cw_cycle_type` keeps its answer in `_cycle_type`.
+    Equality compares the pair of each coset and ignores how they are shared.
     """
 
-    __slots__ = ("splitting", "top", "per_coset", "_alphas", "_cycle_type")
+    __slots__ = ("splitting", "top", "blocks", "block_of", "_cycle_type")
 
     def __init__(self, splitting: Splitting, top, per_coset):
         n = splitting.p ** splitting.t
@@ -82,23 +85,23 @@ class CosetWiseAffineMap:
         if len(per_coset) != n:
             raise ValueError("per-coset data must cover every coset exactly once")
         ctx, d = splitting.ctx, splitting.d
-        per_coset = tuple(map(tuple, per_coset))
-        # each distinct object checked once; the dicts hold it, so its id stays unique
-        alphas = {id(alpha): alpha for alpha, _ in per_coset}
-        omegas = {id(omega): omega for _, omega in per_coset}
-        if not (all(isinstance(alpha, MatrixQ) for alpha in alphas.values())
-                and all(isinstance(omega, VectorQ) for omega in omegas.values())):
+        index = {}  # per_coset holds the objects, so their ids stay unique
+        block_of = tuple([index.setdefault((id(alpha), id(omega)), len(index))
+                          for alpha, omega in per_coset])
+        blocks = tuple(map(tuple, dict(zip(block_of, per_coset)).values()))
+        if not all(isinstance(alpha, MatrixQ) and isinstance(omega, VectorQ)
+                   for alpha, omega in blocks):
             raise ValueError("per-coset data must be pairs of a MatrixQ and a VectorQ")
-        if any(x.ctx is not ctx for x in itertools.chain(alphas.values(), omegas.values())):
+        if any(x.ctx is not ctx for block in blocks for x in block):
             raise ValueError("mismatched contexts")
-        if any(alpha.rows != d or alpha.cols != d for alpha in alphas.values()):
+        if any(alpha.rows != d or alpha.cols != d for alpha, _ in blocks):
             raise ValueError("alpha blocks must be d x d")
-        if any(len(omega.codes) != d for omega in omegas.values()):
+        if any(len(omega.codes) != d for _, omega in blocks):
             raise ValueError("omega is W-sized and nu is U-sized")
         self.splitting = splitting
         self.top = top
-        self.per_coset = per_coset
-        self._alphas = tuple(alphas.values())
+        self.blocks = blocks
+        self.block_of = block_of
         self._cycle_type = None
 
     def data(self, u) -> tuple[MatrixQ, VectorQ, VectorQ]:
@@ -109,13 +112,14 @@ class CosetWiseAffineMap:
             raise KeyError(u)
         i = tuple_to_index(u, s.p)
         nu = [(b - a) % s.p for a, b in zip(u, index_to_tuple(self.top[i], s.p, s.t))]
-        return (*self.per_coset[i], VectorQ.from_codes(s.ctx, nu))
+        return (*self.blocks[self.block_of[i]], VectorQ.from_codes(s.ctx, nu))
 
     def __eq__(self, other):
         return (isinstance(other, CosetWiseAffineMap)
                 and self.splitting == other.splitting
                 and self.top == other.top
-                and self.per_coset == other.per_coset)
+                and all(self.blocks[i] == other.blocks[j]
+                        for i, j in set(zip(self.block_of, other.block_of))))
 
     def __repr__(self):
         s = self.splitting
@@ -126,7 +130,7 @@ def cw_is_permutation(f: CosetWiseAffineMap) -> bool:
     """Structural test: every alpha invertible and the coset map bijective."""
     if not is_permutation(f.top, len(f.top)):
         return False
-    return all(alpha.is_invertible() for alpha in f._alphas)
+    return all(alpha.is_invertible() for alpha, _ in f.blocks)
 
 
 def cw_is_complete(f: CosetWiseAffineMap) -> bool:
@@ -134,19 +138,24 @@ def cw_is_complete(f: CosetWiseAffineMap) -> bool:
     mapping of GF(p)^t."""
     s = f.splitting
     return (is_complete_mapping(f.top, s.p, s.t)
-            and all(is_cgl(alpha) for alpha in f._alphas))
+            and all(is_cgl(alpha) for alpha, _ in f.blocks))
 
 
 def cw_compose(f1: CosetWiseAffineMap, f2: CosetWiseAffineMap) -> CosetWiseAffineMap:
     """Coset-wise map equal to applying f1 first, then f2: on permutations,
-    the product in the wreath product."""
+    the product in the wreath product.  Each distinct pair of blocks, f1's
+    on a coset and f2's on its image, is composed once."""
     if f1.splitting != f2.splitting:
         raise ValueError("mismatched splittings")
-    per = []
-    for (a1, o1), j in zip(f1.per_coset, f1.top):
-        a2, o2 = f2.per_coset[j]
-        per.append((a1 * a2, o1 * a2 + o2))
-    return CosetWiseAffineMap(f1.splitting, [f2.top[j] for j in f1.top], per)
+    index = {}  # (f1's block on a coset, f2's on its image) -> the composed block
+    which = [index.setdefault(pair, len(index))
+             for pair in zip(f1.block_of, map(f2.block_of.__getitem__, f1.top))]
+    blocks = []
+    for i, j in index:
+        (a1, o1), (a2, o2) = f1.blocks[i], f2.blocks[j]
+        blocks.append((a1 * a2, o1 * a2 + o2))
+    return CosetWiseAffineMap(f1.splitting, map(f2.top.__getitem__, f1.top),
+                              list(map(blocks.__getitem__, which)))
 
 
 # ---------------------------------------------------------------------------
@@ -155,19 +164,22 @@ def cw_compose(f1: CosetWiseAffineMap, f2: CosetWiseAffineMap) -> CosetWiseAffin
 
 def _forward_codes(f: CosetWiseAffineMap, cycles):
     """(matrix codes, shift codes) of each cycle's forward product: the coset
-    maps along the cycle composed in order, folded on codes.  An alpha equal
-    to the identity only adds its omega."""
+    maps along the cycle composed in order, folded on codes.  Each block is
+    looked at once: an alpha equal to the identity only adds its omega, and
+    a zero omega adds nothing."""
     d = f.splitting.d
     K = f.splitting.ctx.ops()
     identity = tuple(map(tuple, _identity(K, d)))
+    steps = [(None if alpha.codes == identity else alpha.codes,
+              None if omega.is_zero() else omega.codes) for alpha, omega in f.blocks]
     for cycle in cycles:
         A, v = identity, [0] * d
-        for i in cycle:
-            alpha, omega = f.per_coset[i]
-            if alpha.codes != identity:
-                A = alpha.codes if A is identity else _matmul(K, A, alpha.codes, d)
-                v = _vecmat(K, v, alpha.codes, d)
-            v = K.axpy(v, K.one, omega.codes)
+        for a, o in map(steps.__getitem__, map(f.block_of.__getitem__, cycle)):
+            if a is not None:
+                A = a if A is identity else _matmul(K, A, a, d)
+                v = _vecmat(K, v, a, d)
+            if o is not None:
+                v = K.axpy(v, K.one, o)
         yield tuple(map(tuple, A)), tuple(v)
 
 
@@ -176,21 +188,25 @@ def _blown_up(counts) -> CycleType:
     return CycleType((ell * l, k * c) for (ell, gamma), k in counts for l, c in gamma.cycles)
 
 
+def _tallied_type(f: CosetWiseAffineMap, cycles) -> CycleType:
+    """The cycle type of the permutation f from the cycles of its top: the
+    cycles tallied by (length, forward product), each forward product's type
+    read from the process-wide `affine_ct._affine_type`."""
+    counts = {}
+    for cycle, fwd in zip(cycles, _forward_codes(f, cycles)):
+        key = len(cycle), fwd
+        counts[key] = counts.get(key, 0) + 1
+    return _blown_up(((ell, _affine_type(f.splitting.ctx, *fwd)), k)
+                     for (ell, fwd), k in counts.items())
+
+
 def cw_cycle_type(f: CosetWiseAffineMap) -> CycleType:
     """Blow up the cycle type of each forward cycle product by its cycle
-    length and multiply.  Worked out once per map, from the cycles tallied by
-    (length, forward product), each forward product's type read from the
-    process-wide `affine_ct._affine_type`."""
+    length and multiply; worked out once per map."""
     if f._cycle_type is None:
         if not cw_is_permutation(f):
             raise ValueError("cycle type requires a permutation")
-        cycles = cycles_of(f.top)
-        counts = {}
-        for cycle, fwd in zip(cycles, _forward_codes(f, cycles)):
-            key = len(cycle), fwd
-            counts[key] = counts.get(key, 0) + 1
-        f._cycle_type = _blown_up(((ell, _affine_type(f.splitting.ctx, *fwd)), k)
-                                  for (ell, fwd), k in counts.items())
+        f._cycle_type = _tallied_type(f, cycles_of(f.top))
     return f._cycle_type
 
 
@@ -201,19 +217,16 @@ def cw_cycle_type(f: CosetWiseAffineMap) -> CycleType:
 def _table(f: CosetWiseAffineMap) -> list[int]:
     """Images of f on lexicographic indices of GF(p)^(d+t): the point w + u
     has index w*p^t + u, and its image is p^t times the image of w under the
-    u-th coset map, plus top(u).  Each distinct (alpha, omega) pair, by
-    identity, is tabulated once by `kernel._affine_table` and scaled by p^t
-    once: one table each (bytes into at most 256 points), or, when the pairs
-    outnumber the points of W, one interleaved table of them all.  The
-    images are then read by one column slice per coset when the cosets are
-    fewer than the points of W, and by one row slice per point of W
-    otherwise."""
+    u-th coset map, plus top(u).  Each block is tabulated once by
+    `kernel._affine_table` and scaled by p^t once: one table each (bytes
+    into at most 256 points), or, when the blocks outnumber the points of W,
+    one interleaved table of them all.  The images are then read by one
+    column slice per coset when the cosets are fewer than the points of W,
+    and by one row slice per point of W otherwise."""
     s = f.splitting
     check_size(f"a value table of GF({s.p})^{s.n} has {s.p}^{s.n} points", s.p, s.n)
     nt, nw = s.p ** s.t, s.p ** s.d
-    index = {}  # the objects stay in f.per_coset, so their ids stay unique
-    which = [index.setdefault((id(alpha), id(omega)), len(index)) for alpha, omega in f.per_coset]
-    blocks = [(alpha.codes, omega.codes) for alpha, omega in dict(zip(which, f.per_coset)).values()]
+    blocks = [(alpha.codes, omega.codes) for alpha, omega in f.blocks]
     k = len(blocks)
     if k > nw:
         table = _affine_table(s.p, s.d, blocks)
@@ -221,13 +234,13 @@ def _table(f: CosetWiseAffineMap) -> list[int]:
         table = [0] * (nw * k)
         for i, block in enumerate(blocks):
             table[i::k] = _affine_table(s.p, s.d, [block])
-    table = list(map(nt.__mul__, table))  # the image of w under pair i at w*k + i
+    table = list(map(nt.__mul__, table))  # the image of w under block i at w*k + i
     if nt < nw:
         images = [0] * (nt * nw)
-        for u, i in enumerate(which):
+        for u, i in enumerate(f.block_of):
             images[u::nt] = table[i::k]
     else:
-        images = itertools.chain.from_iterable(map(table[x * k:(x + 1) * k].__getitem__, which)
+        images = itertools.chain.from_iterable(map(table[x * k:(x + 1) * k].__getitem__, f.block_of)
                                                for x in range(nw))
     return list(map(operator.add, images, itertools.cycle(f.top)))
 
@@ -254,17 +267,6 @@ def conjugated_table(f: CosetWiseAffineMap, T: MatrixQ) -> MapTable:
 # The main constructor and its consequences
 # ---------------------------------------------------------------------------
 
-def _cycle_keys(cycles) -> list[tuple[int, int]]:
-    """(length, 1-based index among the cycles of that length) per cycle."""
-    counters: dict[int, int] = {}
-    keys = []
-    for cyc in cycles:
-        ell = len(cyc)
-        counters[ell] = counters.get(ell, 0) + 1
-        keys.append((ell, counters[ell]))
-    return keys
-
-
 def construct_main(p: int, d: int, t: int, g_images, gammas: dict,
                    seed: int = 0, require_complete: bool = True) -> CosetWiseAffineMap:
     """Build a coset-wise affine map whose cycle type is the product of the
@@ -283,7 +285,8 @@ def construct_main(p: int, d: int, t: int, g_images, gammas: dict,
         raise InfeasibleError("base map is not a complete mapping of GF(p)^t")
     s = Splitting(p, d, t)
     cycles = cycles_of(g_images)
-    keys = _cycle_keys(cycles)
+    counters = {}  # per cycle (length, 1-based index among the cycles of that length)
+    keys = [(len(cyc), next(counters.setdefault(len(cyc), itertools.count(1)))) for cyc in cycles]
     missing = [key for key in keys if key not in gammas]
     if missing:
         raise ValueError(f"no target type supplied for cycle {missing[0]}")
@@ -315,11 +318,12 @@ def construct_main(p: int, d: int, t: int, g_images, gammas: dict,
 
     f = CosetWiseAffineMap(s, g_images, per)
     # the coset map is g, found complete above: only the alphas are left to check
-    if require_complete and not all(is_cgl(alpha) for alpha in f._alphas):
+    if require_complete and not all(is_cgl(alpha) for alpha, _ in f.blocks):
         raise ArithmeticError("constructed map failed the completeness check")
     if not cw_is_permutation(f):
         raise ArithmeticError("constructed map is not a permutation")
-    if cw_cycle_type(f) != _blown_up(counts.items()):
+    f._cycle_type = _tallied_type(f, cycles)  # g's cycles, walked above
+    if f._cycle_type != _blown_up(counts.items()):
         raise ArithmeticError("constructed map has the wrong cycle type")
     return f
 
@@ -344,15 +348,16 @@ def construct_sylow_type(q: int, target: CycleType, seed: int = 0) -> CosetWiseA
         raise ValueError("cycle type does not have degree p^k")  # so p divides a[0], as k >= 1
     Splitting(p, 1, k - 1)  # refuses too many cosets before the recursion
 
+    # the type of the map one level down: x1 at k = 1, the one map of GF(p)^0
+    smaller = CycleType([(1, a[0] // p + a[1])] + [(p ** j, a[j + 1]) for j in range(1, k)])
     g_images = [0]
     if k > 1:
-        smaller = CycleType([(1, a[0] // p + a[1])] + [(p ** j, a[j + 1]) for j in range(1, k)])
         g_images = list(cw_to_table(construct_sylow_type(p ** (k - 1), smaller, seed=seed)).images)
 
     one_fixed = CycleType({1: p})
     long_cycle = CycleType({p: 1})
     gammas = {(ell, i): one_fixed if ell == 1 and i <= a[0] // p else long_cycle
-              for ell, i in _cycle_keys(cycles_of(g_images))}
+              for ell, count in smaller.cycles for i in range(1, count + 1)}
     return construct_main(p, 1, k - 1, g_images, gammas, seed=seed)
 
 

@@ -92,35 +92,35 @@ def poly_to_json(P: Poly) -> list:
 
 
 def cwmap_to_json(f: CosetWiseAffineMap) -> dict:
-    """The cosets in label order, each with its shift nu = top(u) - u."""
+    """The cosets in label order, each with its shift nu = top(u) - u; each
+    block is converted once."""
     s = f.splitting
     labels = s.coset_labels()
     nus = digit_sums(f.top, range(len(f.top)), s.p, s.t, -1)  # the index of top(u) - u
+    blocks = [(matrix_to_json(alpha), vector_to_json(omega)) for alpha, omega in f.blocks]
     cosets = []
-    for u, (alpha, omega), nu in zip(labels, f.per_coset, nus):
-        cosets.append({
-            "u": list(u),
-            "alpha": matrix_to_json(alpha),
-            "omega": vector_to_json(omega),
-            "nu": list(labels[nu]),
-        })
+    for u, b, nu in zip(labels, f.block_of, nus):
+        alpha, omega = blocks[b]
+        cosets.append({"u": list(u), "alpha": alpha, "omega": omega, "nu": list(labels[nu])})
     return {"p": s.p, "d": s.d, "t": s.t, "cosets": cosets}
 
 
 def cwmap_from_json(obj) -> CosetWiseAffineMap:
     """The map {"p", "d", "t", "cosets": [{"u", "alpha", "omega", "nu"}, ...]},
-    the entries in any order, each coset's u + nu read into its coset map;
-    ValueError naming the key that is missing or of the wrong JSON type."""
+    the entries in any order, each coset's u + nu read into its coset map and
+    equal (alpha, omega) pairs read into one block; ValueError naming the key
+    that is missing or of the wrong JSON type."""
     from .cwaffine import CosetWiseAffineMap, Splitting
     p, d, t, cosets = json_fields(obj, "a coset-wise map", ("p", "d", "t", "cosets"))
     s = Splitting(exact_int(p, "p"), exact_int(d, "d"), exact_int(t, "t"))
     ctx, p, t = s.ctx, s.p, s.t
-    top, per = [None] * p ** t, [None] * p ** t
+    top, per, shared = [None] * p ** t, [None] * p ** t, {}
     for item in json_list(cosets, "cosets"):
         u, alpha, omega, nu = json_fields(item, "an entry of cosets",
                                           ("u", "alpha", "omega", "nu"))
         u = tuple(exact_int(c, "a coset label digit") for c in json_list(u, "u"))
         pair = (json_matrix(ctx, alpha, "alpha"), VectorQ(ctx, json_list(omega, "omega")))
+        pair = shared.setdefault((pair[0].codes, pair[1].codes), pair)
         nu = VectorQ(ctx, json_list(nu, "nu")).codes
         if len(u) != t or not all(0 <= c < p for c in u):
             raise ValueError("per-coset data must cover every coset exactly once")

@@ -384,6 +384,12 @@ def pointwise_affine_table(M: MatrixQ, v: VectorQ) -> list[int]:
     return out
 
 
+def coset_pairs(f) -> list:
+    """The pair (alpha, omega) of each coset of the coset-wise map f, in
+    coset-index order: its blocks read through its block index per coset."""
+    return [f.blocks[i] for i in f.block_of]
+
+
 def forward_product_by_then(f, cycle):
     """The coset maps along `cycle` composed with `AffineMap.then`, one
     matrix and vector product per step: the reference for the code-row
@@ -392,7 +398,7 @@ def forward_product_by_then(f, cycle):
     ctx, d = f.splitting.ctx, f.splitting.d
     acc = AffineMap(MatrixQ.identity(ctx, d), VectorQ.zero(ctx, d))
     for i in cycle:
-        acc = acc.then(AffineMap(*f.per_coset[i]))
+        acc = acc.then(AffineMap(*f.blocks[f.block_of[i]]))
     return acc
 
 
@@ -424,8 +430,8 @@ def wreath_mul(f1, f2):
     from cosetmap import AffineMap, CosetWiseAffineMap
     if f1.splitting != f2.splitting:
         raise ValueError("mismatched splittings")
-    bottoms = [AffineMap(*f1.per_coset[i]).then(AffineMap(*f2.per_coset[j]))
-               for i, j in enumerate(f1.top)]
+    pairs1, pairs2 = coset_pairs(f1), coset_pairs(f2)
+    bottoms = [AffineMap(*pairs1[i]).then(AffineMap(*pairs2[j])) for i, j in enumerate(f1.top)]
     return CosetWiseAffineMap(f1.splitting, [f2.top[j] for j in f1.top],
                               [(b.matrix, b.shift) for b in bottoms])
 
@@ -623,7 +629,7 @@ def reference_to_json(value):
     return {"p": s.p, "d": s.d, "t": s.t, "cosets": [
         {"u": list(u), "alpha": reference_to_json(alpha), "omega": reference_to_json(omega),
          "nu": [(b - a) % s.p for a, b in zip(u, index_to_tuple(image, s.p, s.t))]}
-        for u, (alpha, omega), image in zip(s.coset_labels(), value.per_coset, value.top)]}
+        for u, (alpha, omega), image in zip(s.coset_labels(), coset_pairs(value), value.top)]}
 
 
 def reference_from_json(kind, ctx, obj):

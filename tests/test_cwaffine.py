@@ -19,7 +19,7 @@ from cosetmap.cwaffine import _forward_codes
 from cosetmap.cycletype import ct_format, ct_of_permutation, cycles_of
 from cosetmap.kernel import _affine_table, index_to_tuple, is_prime, tuple_to_index
 from cosetmap.oracle import is_complete_mapping
-from helpers import (coordinate_functions, cw_eval, cw_map, forward_product_by_then,
+from helpers import (coordinate_functions, coset_pairs, cw_eval, cw_map, forward_product_by_then,
                      one_cycle_closed_form_images, one_cycle_reference_tables,
                      pointwise_affine_table, random_complete_mapping, random_invertible,
                      reference_one_cycle_polynomial, sylow_type_targets, wreath_mul)
@@ -218,7 +218,7 @@ def test_data_refuses_a_label_outside_gf_p():
         s = f.splitting
         for i, u in enumerate(s.coset_labels()):
             alpha, omega, nu = f.data(u)
-            assert (alpha, omega) == f.per_coset[i]
+            assert (alpha, omega) == f.blocks[f.block_of[i]]
             image = index_to_tuple(f.top[i], s.p, s.t)
             assert nu.codes == tuple((b - a) % s.p for a, b in zip(u, image))
     f = one_cycle_map(3, 2)
@@ -234,6 +234,18 @@ def test_a_coset_label_listed_twice_is_refused():
     again = {**good["cosets"][0], "omega": [2]}
     with pytest.raises(ValueError, match=re.escape("cosets names the coset label [0] twice")):
         cwmap_from_json({**good, "cosets": good["cosets"] + [again]})
+
+
+def test_the_json_reader_reads_equal_pairs_into_one_block():
+    """Equal (alpha, omega) pairs read back as one block, so a map read back
+    holds as few blocks as the map written: 2 for the one-cycle map of
+    GF(5)^6, not one per coset."""
+    from cosetmap.serialize import cwmap_from_json, cwmap_to_json
+    f = one_cycle_map(5, 6)
+    again = cwmap_from_json(cwmap_to_json(f))
+    assert again == f and len(again.blocks) == 2 and again.block_of == f.block_of
+    g = random_cw_permutation(3, 1, 2, random.Random(8))
+    assert len(cwmap_from_json(cwmap_to_json(g)).blocks) == len(set(coset_pairs(g)))
 
 
 def test_the_json_reader_orders_the_cosets_and_reads_nu_into_the_top():
@@ -254,23 +266,32 @@ def test_the_json_reader_orders_the_cosets_and_reads_nu_into_the_top():
             cwmap_from_json({**good, "cosets": cosets})
 
 
-def test_distinct_alphas_are_kept_on_the_map():
-    """Pairs given as lists are kept as tuples, the map equal to the one built
-    from tuples; the distinct alpha objects are kept in order of first
-    appearance, also by a copy: the one-cycle map's 3^4 cosets share one."""
+def test_blocks_are_the_distinct_pairs_in_order_of_first_appearance():
+    """A map keeps one block per distinct (alpha, omega) pair of objects, in
+    order of first appearance, and one block index per coset: the one-cycle
+    map's 3^4 cosets share two blocks.  Pairs given as lists are kept as
+    tuples, the map equal to the one built from tuples; equal pairs of
+    distinct objects are distinct blocks of an equal map; copies and pickles
+    keep the sharing."""
     f = one_cycle_map(3, 5)
-    I1 = f.per_coset[0][0]
-    assert len(f.per_coset) == 81 and f._alphas == (I1,) and f._alphas[0] is I1
-    as_lists = CosetWiseAffineMap(f.splitting, f.top, [list(pair) for pair in f.per_coset])
-    assert as_lists == f and all(type(pair) is tuple for pair in as_lists.per_coset)
-    assert as_lists._alphas[0] is I1
+    I1, one_w, zero_w = f.blocks[0][0], f.blocks[0][1], f.blocks[1][1]
+    assert f.blocks == ((I1, one_w), (I1, zero_w)) and f.blocks[1][0] is I1
+    assert f.block_of == (0,) + (1,) * 80
+    as_lists = CosetWiseAffineMap(f.splitting, f.top, [list(pair) for pair in coset_pairs(f)])
+    assert as_lists == f and as_lists.block_of == f.block_of
+    assert all(type(pair) is tuple for pair in as_lists.blocks)
+    assert as_lists.blocks[0][0] is I1 and as_lists.blocks[1][1] is zero_w
     for g in [copy.deepcopy(f), pickle.loads(pickle.dumps(f))]:
-        assert len(g._alphas) == 1 and g._alphas[0] is g.per_coset[0][0]
+        assert g == f and g.block_of == f.block_of and len(g.blocks) == 2
+        assert g.blocks[0][0] is g.blocks[1][0]
     F3 = field(3)
     A, B = MatrixQ(F3, [[2]]), MatrixQ(F3, [[1]])
     zero = VectorQ(F3, (0,))
     g = CosetWiseAffineMap(Splitting(3, 1, 1), (0, 1, 2), [(A, zero), (B, zero), (A, zero)])
-    assert g._alphas == (A, B) and g._alphas[1] is B
+    assert g.blocks == ((A, zero), (B, zero)) and g.blocks[1][0] is B and g.block_of == (0, 1, 0)
+    h = CosetWiseAffineMap(g.splitting, g.top, [(A, zero), (B, zero), (MatrixQ(F3, [[2]]), zero)])
+    assert h.block_of == (0, 1, 2) and h == g and g == h
+    assert h != CosetWiseAffineMap(g.splitting, g.top, [(A, zero), (B, zero), (B, zero)])
 
 
 def test_wreath_identity_correspondence():
@@ -281,7 +302,7 @@ def test_wreath_identity_correspondence():
     I1 = MatrixQ.identity(F3, 1)
     ident = cw_map(s, [(I1, VectorQ(F3, (0,)), VectorQ(F3, (0,)))] * 3)
     assert ident.top == (0, 1, 2)
-    assert all(alpha == I1 and omega.is_zero() for alpha, omega in ident.per_coset)
+    assert all(alpha == I1 and omega.is_zero() for alpha, omega in ident.blocks)
     assert ident == CosetWiseAffineMap(s, range(3), [(I1, VectorQ(F3, (0,)))] * 3)
 
 
@@ -294,8 +315,9 @@ def test_wreath_round_trip_and_composition():
         p = rng.choice([2, 3])
         d, t = rng.choice([(1, 1), (1, 2), (2, 1)])
         f = random_cw_permutation(p, d, t, rng)
-        again = CosetWiseAffineMap(f.splitting, list(f.top), list(f.per_coset))
-        assert again == f and again.top == f.top and again.per_coset == f.per_coset
+        again = CosetWiseAffineMap(f.splitting, list(f.top), coset_pairs(f))
+        assert again == f and again.top == f.top
+        assert again.blocks == f.blocks and again.block_of == f.block_of
     for trial in range(100):
         p = rng.choice([2, 3])
         d, t = rng.choice([(1, 1), (1, 2), (2, 1)])
@@ -303,6 +325,7 @@ def test_wreath_round_trip_and_composition():
         f1, f2 = make(p, d, t, rng), make(p, d, t, rng)
         composed = cw_compose(f1, f2)
         assert composed == wreath_mul(f1, f2)
+        assert len(composed.blocks) <= len(f1.blocks) * len(f2.blocks)
         ctx = field(p)
         for i in range(p ** (d + t)):
             v = VectorQ(ctx, index_to_tuple(i, p, d + t))
@@ -343,7 +366,7 @@ def test_cw_cycle_type_is_worked_out_once_per_map(monkeypatch):
     for p, d, t in [(2, 1, 2), (3, 2, 1), (5, 1, 2), (3, 1, 3)]:
         calls.clear()
         f = random_cw_permutation(p, d, t, rng)
-        fresh = CosetWiseAffineMap(f.splitting, f.top, f.per_coset)
+        fresh = CosetWiseAffineMap(f.splitting, f.top, coset_pairs(f))
         kept = [copy.deepcopy(f), pickle.loads(pickle.dumps(f))]
         first = cw_cycle_type(f)
         n = len(calls)
@@ -366,8 +389,8 @@ def test_cw_cycle_type_is_worked_out_once_per_map(monkeypatch):
 
 @pytest.mark.parametrize("p,d,t", [(2, 2, 2), (3, 1, 2), (3, 2, 1), (5, 1, 1), (5, 2, 1)])
 def test_shared_and_equal_alphas_match_the_oracle(p, d, t):
-    """The structural tests see each distinct alpha object once, and the
-    forward products skip identity alphas: on maps whose alphas are one
+    """The structural tests see each block once, and the forward products
+    skip identity alphas and zero omegas: on maps whose alphas are one
     shared object, distinct objects with equal codes, or identities mixed
     with random blocks, the cycle type, bijectivity and completeness agree
     with the value table."""
@@ -489,7 +512,7 @@ def test_forward_product_matches_then_fold():
         if trial % 3 == 0:
             I = MatrixQ.identity(f.splitting.ctx, d)
             f = CosetWiseAffineMap(f.splitting, f.top, [(I if rng.random() < 0.6 else alpha, omega)
-                                                        for alpha, omega in f.per_coset])
+                                                        for alpha, omega in coset_pairs(f)])
         walk = [rng.randrange(p ** t) for _ in range(rng.randrange(1, 8))]
         for cycle in (walk, *cycles_of(f.top)):
             assert forward_product(f, cycle) == forward_product_by_then(f, cycle)
@@ -520,6 +543,22 @@ def test_constructors_build_no_vector_per_coset(monkeypatch):
     f = construct_main(3, 1, 2, g, {key: ct("x1^3") if key[0] == 1 else ct("x3")
                                     for key in [(1, 1), (1, 2), (1, 3), (3, 1), (3, 2)]})
     assert f.top == tuple(g)
+
+
+def test_construct_sylow_type_walks_each_level_once(monkeypatch):
+    """Each level of the Sylow-type recursion walks the cycles of its base
+    map once: its targets are keyed from the smaller cycle type, and its
+    cycle-type check tallies the cycles `construct_main` walked, so the
+    answer kept on the map costs no further walk."""
+    calls = []
+    real = cwaffine.cycles_of
+    monkeypatch.setattr(cwaffine, "cycles_of", lambda images: calls.append(1) or real(images))
+    for q, target in [(3 ** 6, ct("x3^3 x9^80")), (5 ** 3, ct("x5^5 x25^4")), (3, ct("x1^3")),
+                      (3, ct("x3"))]:
+        calls.clear()
+        f = construct_sylow_type(q, target)
+        assert cw_cycle_type(f) == target
+        assert len(calls) <= f.splitting.t + 1, (q, target, len(calls))
 
 
 def test_construct_main_tests_the_base_map_for_completeness_once(monkeypatch):
