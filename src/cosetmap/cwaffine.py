@@ -24,8 +24,7 @@ from .cgl import is_cgl, realize_gamma
 from .cycletype import CycleType, cycles_of, is_permutation
 from .errors import InfeasibleError
 from .gf import FieldCtx, Poly, field
-from .kernel import (_affine_table, _power, _vecmat, check_size, index_to_tuple, is_power,
-                     prime_power, tuple_to_index)
+from .kernel import _affine_table, _power, _vecmat, check_size, is_power, prime_power
 from .linalg import MatrixQ, VectorQ, _identity, _matmul
 from .oracle import MapTable, is_complete_mapping
 
@@ -61,37 +60,36 @@ class CosetWiseAffineMap:
 
     `top` is the coset map, an image table of coset indices (the
     lexicographic index of the label u in GF(p)^t).  The map of W on each
-    coset is held once per distinct block: `blocks` holds the distinct pairs
-    (alpha, omega) of a `MatrixQ` and a `VectorQ`, and `block_of` the index
-    into `blocks` of each coset's pair, in coset-index order, so the pair of
-    coset i is `blocks[block_of[i]]`.  A map that is a permutation is the
-    wreath element itself: `top` its top permutation and the blocks its
-    bottom maps.  The constructor takes one pair per coset, finds the
-    distinct pairs by object identity, in order of first appearance,
-    checks each once, and refuses data over another field than the
-    splitting's; `cw_cycle_type` keeps its answer in `_cycle_type`.
-    Equality compares the pair of each coset and ignores how they are shared.
+    coset is held once per block: `blocks` holds pairs (alpha, omega) of a
+    `MatrixQ` and a `VectorQ`, and `block_of` the index into `blocks` of
+    each coset's pair, in coset-index order, so the pair of coset i is
+    `blocks[block_of[i]]`.  A map that is a permutation is the wreath
+    element itself: `top` its top permutation and the blocks its bottom
+    maps.  The constructor takes the blocks and block indices as given:
+    `top` and `block_of` must hold one int per coset, `block_of` must use
+    every block and name no other, and each block is checked once, data
+    over another field than the splitting's refused; `cw_cycle_type` keeps
+    its answer in `_cycle_type`.  Equality compares the pair of each coset
+    and ignores how they are shared.
     """
 
     __slots__ = ("splitting", "top", "blocks", "block_of", "_cycle_type")
 
-    def __init__(self, splitting: Splitting, top, per_coset):
+    def __init__(self, splitting: Splitting, top, blocks, block_of):
         n = splitting.p ** splitting.t
-        top = tuple(top)
+        top, blocks, block_of = tuple(top), tuple(map(tuple, blocks)), tuple(block_of)
         if len(top) != n:
             raise ValueError("top must have one entry per coset")
         if not ({int}.issuperset(map(type, top)) and 0 <= min(top) and max(top) < n):  # passes in C
             raise ValueError("top entry out of range")
-        if len(per_coset) != n:
-            raise ValueError("per-coset data must cover every coset exactly once")
+        if len(block_of) != n:
+            raise ValueError("block_of must have one entry per coset")
+        if not ({int}.issuperset(map(type, block_of)) and set(block_of) == set(range(len(blocks)))):
+            raise ValueError("block_of must use every block and name no other")
         ctx, d = splitting.ctx, splitting.d
-        index = {}  # per_coset holds the objects, so their ids stay unique
-        block_of = tuple([index.setdefault((id(alpha), id(omega)), len(index))
-                          for alpha, omega in per_coset])
-        blocks = tuple(map(tuple, dict(zip(block_of, per_coset)).values()))
-        if not all(isinstance(alpha, MatrixQ) and isinstance(omega, VectorQ)
-                   for alpha, omega in blocks):
-            raise ValueError("per-coset data must be pairs of a MatrixQ and a VectorQ")
+        if not all(len(block) == 2 and isinstance(block[0], MatrixQ)
+                   and isinstance(block[1], VectorQ) for block in blocks):
+            raise ValueError("blocks must be pairs of a MatrixQ and a VectorQ")
         if any(x.ctx is not ctx for block in blocks for x in block):
             raise ValueError("mismatched contexts")
         if any(alpha.rows != d or alpha.cols != d for alpha, _ in blocks):
@@ -103,16 +101,6 @@ class CosetWiseAffineMap:
         self.blocks = blocks
         self.block_of = block_of
         self._cycle_type = None
-
-    def data(self, u) -> tuple[MatrixQ, VectorQ, VectorQ]:
-        """(alpha_u, omega_u, nu_u) of the coset with label u, a tuple of ints
-        in range(p); nu_u = top(u) - u, digit by digit."""
-        s = self.splitting
-        if len(u) != s.t or not all(type(c) is int and 0 <= c < s.p for c in u):
-            raise KeyError(u)
-        i = tuple_to_index(u, s.p)
-        nu = [(b - a) % s.p for a, b in zip(u, index_to_tuple(self.top[i], s.p, s.t))]
-        return (*self.blocks[self.block_of[i]], VectorQ.from_codes(s.ctx, nu))
 
     def __eq__(self, other):
         return (isinstance(other, CosetWiseAffineMap)
@@ -154,8 +142,7 @@ def cw_compose(f1: CosetWiseAffineMap, f2: CosetWiseAffineMap) -> CosetWiseAffin
     for i, j in index:
         (a1, o1), (a2, o2) = f1.blocks[i], f2.blocks[j]
         blocks.append((a1 * a2, o1 * a2 + o2))
-    return CosetWiseAffineMap(f1.splitting, map(f2.top.__getitem__, f1.top),
-                              list(map(blocks.__getitem__, which)))
+    return CosetWiseAffineMap(f1.splitting, map(f2.top.__getitem__, f1.top), blocks, which)
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +285,7 @@ def construct_main(p: int, d: int, t: int, g_images, gammas: dict,
     rng = random.Random(seed)
 
     counts = {}  # cycles per (ell, gamma)
-    per = [None] * p ** t
+    shared, block_of = {}, [0] * p ** t  # (alpha codes, omega codes) -> (block index, block)
     # results no seed reaches (ell = 1, or exceptional (d, p)) are reused; all seeds are drawn
     realized, exceptional = {}, product_members(d, p) is not None
     for cyc, key in zip(cycles, keys):
@@ -307,16 +294,19 @@ def construct_main(p: int, d: int, t: int, g_images, gammas: dict,
         sub_seed = rng.randrange(2 ** 32)
         memo = realized if ell == 1 or exceptional else {}
         if (gamma, ell) not in memo:
-            memo[gamma, ell] = realize_gamma(gamma, d, p, ell, seed=sub_seed,
-                                             require_complete=require_complete)
-        factors, w = memo[gamma, ell]
-        if zero_w is None:
-            zero_w = VectorQ.zero(ctx, d)
+            factors, w = realize_gamma(gamma, d, p, ell, seed=sub_seed,
+                                       require_complete=require_complete)
+            if zero_w is None:
+                zero_w = VectorQ.zero(ctx, d)
+            # the block index of each position in the cycle: factors repeat
+            # (the identity, for one), and equal blocks are held once
+            memo[gamma, ell] = [shared.setdefault((a.codes, o.codes), (len(shared), (a, o)))[0]
+                                for a, o in zip(factors, (zero_w,) * (ell - 1) + (w,))]
         counts[ell, gamma] = counts.get((ell, gamma), 0) + 1
-        for i, alpha, omega in zip(cyc, factors, (zero_w,) * (ell - 1) + (w,)):
-            per[i] = (alpha, omega)
+        for i, b in zip(cyc, memo[gamma, ell]):
+            block_of[i] = b
 
-    f = CosetWiseAffineMap(s, g_images, per)
+    f = CosetWiseAffineMap(s, g_images, [block for _, block in shared.values()], block_of)
     # the coset map is g, found complete above: only the alphas are left to check
     if require_complete and not all(is_cgl(alpha) for alpha, _ in f.blocks):
         raise ArithmeticError("constructed map failed the completeness check")
@@ -382,9 +372,9 @@ def one_cycle_map(p: int, k: int) -> CosetWiseAffineMap:
             c = i // step % p
             if c:
                 top[i] = i + ((c + 1) % p - c) * step + (step - 1) // (p - 1)
-    # the zero coset shifts by one
-    zero_w, one_w = VectorQ(s.ctx, (0,)), VectorQ(s.ctx, (1,))
-    return CosetWiseAffineMap(s, top, [(I1, one_w)] + [(I1, zero_w)] * (n - 1))
+    # the zero coset shifts by one, the others not; for k = 1 it is the only coset
+    blocks = [(I1, VectorQ(s.ctx, (1,))), (I1, VectorQ(s.ctx, (0,)))]
+    return CosetWiseAffineMap(s, top, blocks[:n], (0,) + (1,) * (n - 1))
 
 
 # ---------------------------------------------------------------------------

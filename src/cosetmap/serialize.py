@@ -4,24 +4,23 @@ Field elements encode as a bare residue for prime fields and as the k-entry
 coordinate array (constant coordinate first) for extensions.  Polynomials
 encode as coefficient arrays, constant term first.  The JSON codecs work on
 element codes: encoders read `.codes` through `kernel.index_to_tuple`; a vector,
-matrix, polynomial or element is read back by its constructor (`VectorQ`,
-`MatrixQ`, `Poly`, `FieldCtx.elem`), which hands each JSON value to
-`FieldCtx.code`, so coset-wise maps pass through no field element; a matrix
-reaches `MatrixQ` through `json_matrix`, the one reader of row lists.  Integer
-fields (p, k, d, t, modulus and label digits, coordinates) must be JSON
-integers.  `format_poly` reads codes too, through the discrete log of
-`FieldCtx`.  Polynomial text uses caret powers with `w` for the extension
-generator, e.g. `x^3 + 2*x + 1` or `w^16*x^18 + x + w^6`; when the generator
-X is not primitive for the modulus, a coefficient outside its powers is
-written as its coordinate list, constant coordinate first, e.g.
-`x^2 + x + [1, 1]`.
+matrix or polynomial is read back by its constructor (`VectorQ`, `MatrixQ`,
+`Poly`), which hands each JSON value to `FieldCtx.code`, so coset-wise maps
+pass through no field element; a matrix reaches `MatrixQ` through
+`json_matrix`, the one reader of row lists.  Integer fields (p, d, t, label
+digits, coordinates) must be JSON integers.  `format_poly` reads codes too,
+through the discrete log of `FieldCtx`.  Polynomial text uses caret powers
+with `w` for the extension generator, e.g. `x^3 + 2*x + 1` or
+`w^16*x^18 + x + w^6`; when the generator X is not primitive for the
+modulus, a coefficient outside its powers is written as its coordinate
+list, constant coordinate first, e.g. `x^2 + x + [1, 1]`.
 """
 
 from __future__ import annotations
 
 import re
 
-from .gf import FieldCtx, FieldElement, Poly, field
+from .gf import FieldCtx, Poly
 from .kernel import (check_size, digit_sums, exact_int, index_to_tuple, json_fields, json_list,
                      read_int, tuple_to_index)
 from .linalg import AffineMap, MatrixQ, VectorQ
@@ -42,24 +41,11 @@ def ctx_to_json(ctx: FieldCtx) -> dict:
     return out
 
 
-def ctx_from_json(obj) -> FieldCtx:
-    p, = json_fields(obj, "a field context", ("p",))
-    modulus = obj.get("modulus")
-    if modulus is not None:
-        modulus = tuple(exact_int(c, "a modulus coefficient")
-                        for c in json_list(modulus, "modulus"))
-    return field(exact_int(p, "p"), exact_int(obj.get("k", 1), "k"), modulus)
-
-
 def _codes_to_json(ctx: FieldCtx, codes) -> list:
     """The JSON form of each code: the residue, or the coordinate list."""
     if ctx.k == 1:
         return list(codes)
     return [list(index_to_tuple(c, ctx.p, ctx.k)) for c in codes]
-
-
-def elem_to_json(x: FieldElement):
-    return _codes_to_json(x.ctx, (x.index,))[0]
 
 
 def vector_to_json(v: VectorQ) -> list:
@@ -114,25 +100,25 @@ def cwmap_from_json(obj) -> CosetWiseAffineMap:
     p, d, t, cosets = json_fields(obj, "a coset-wise map", ("p", "d", "t", "cosets"))
     s = Splitting(exact_int(p, "p"), exact_int(d, "d"), exact_int(t, "t"))
     ctx, p, t = s.ctx, s.p, s.t
-    top, per, shared = [None] * p ** t, [None] * p ** t, {}
+    top, block_of, shared = [None] * p ** t, [None] * p ** t, {}  # codes -> (index, block)
     for item in json_list(cosets, "cosets"):
         u, alpha, omega, nu = json_fields(item, "an entry of cosets",
                                           ("u", "alpha", "omega", "nu"))
         u = tuple(exact_int(c, "a coset label digit") for c in json_list(u, "u"))
-        pair = (json_matrix(ctx, alpha, "alpha"), VectorQ(ctx, json_list(omega, "omega")))
-        pair = shared.setdefault((pair[0].codes, pair[1].codes), pair)
+        alpha, omega = json_matrix(ctx, alpha, "alpha"), VectorQ(ctx, json_list(omega, "omega"))
+        j = shared.setdefault((alpha.codes, omega.codes), (len(shared), (alpha, omega)))[0]
         nu = VectorQ(ctx, json_list(nu, "nu")).codes
         if len(u) != t or not all(0 <= c < p for c in u):
             raise ValueError("per-coset data must cover every coset exactly once")
         if len(nu) != t:
             raise ValueError("omega is W-sized and nu is U-sized")
         i = tuple_to_index(u, p)
-        if per[i] is not None:
+        if block_of[i] is not None:
             raise ValueError(f"cosets names the coset label {list(u)} twice")
-        top[i], per[i] = tuple_to_index([a + b for a, b in zip(u, nu)], p), pair
-    if None in per:
+        top[i], block_of[i] = tuple_to_index([a + b for a, b in zip(u, nu)], p), j
+    if None in block_of:
         raise ValueError("per-coset data must cover every coset exactly once")
-    return CosetWiseAffineMap(s, top, per)
+    return CosetWiseAffineMap(s, top, [block for _, block in shared.values()], block_of)
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +170,7 @@ def parse_poly(text: str, ctx: FieldCtx) -> Poly:
     s = s.replace("-", "+-")
     if s.startswith("+"):
         s = s[1:]
-    coeffs: dict[int, FieldElement] = {}
+    coeffs = {}  # exponent -> coefficient
     varname = None
     for raw in s.split("+"):
         if not raw:

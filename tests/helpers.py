@@ -402,13 +402,25 @@ def forward_product_by_then(f, cycle):
     return acc
 
 
+def cw_from_pairs(s, top, pairs):
+    """The coset-wise map over s with coset map `top` and the pair (alpha,
+    omega) of each coset, in coset-index order: one block per distinct pair
+    of objects, in order of first appearance.  Equal pairs of distinct
+    objects stay distinct blocks.  For building test inputs that are
+    naturally per coset."""
+    from cosetmap import CosetWiseAffineMap
+    pairs = list(pairs)
+    index = {}  # pairs holds the objects, so their ids stay unique
+    block_of = [index.setdefault((id(alpha), id(omega)), len(index)) for alpha, omega in pairs]
+    return CosetWiseAffineMap(s, top, dict(zip(block_of, pairs)).values(), block_of)
+
+
 def cw_map(s, triples):
     """The coset-wise map over the splitting s from the paper's data: one
     triple (alpha_u, omega_u, nu_u) per coset label u, in label order, sending
     w + u to (w*alpha_u + omega_u) + (u + nu_u).  The coset map u -> u + nu_u
     is worked out digit by digit mod p; alpha_u and omega_u given as rows and
     entries are wrapped in `MatrixQ` and `VectorQ`."""
-    from cosetmap import CosetWiseAffineMap
     triples = list(triples)
     top = []
     for u, (_, _, nu) in zip(s.coset_labels(), triples):
@@ -416,7 +428,7 @@ def cw_map(s, triples):
         if len(nu) != s.t:
             raise ValueError("nu must have t coordinates")
         top.append(tuple_to_index([(a + b) % s.p for a, b in zip(u, nu)], s.p))
-    return CosetWiseAffineMap(s, top, [
+    return cw_from_pairs(s, top, [
         (alpha if isinstance(alpha, MatrixQ) else MatrixQ(s.ctx, alpha),
          omega if isinstance(omega, VectorQ) else VectorQ(s.ctx, omega))
         for alpha, omega, _ in triples])
@@ -427,24 +439,26 @@ def wreath_mul(f1, f2):
     multiplication rule: the tops composed, and on each coset u the bottom
     map of u followed (`AffineMap.then`) by that of f1's top(u).  The
     reference for `cw_compose`."""
-    from cosetmap import AffineMap, CosetWiseAffineMap
+    from cosetmap import AffineMap
     if f1.splitting != f2.splitting:
         raise ValueError("mismatched splittings")
     pairs1, pairs2 = coset_pairs(f1), coset_pairs(f2)
     bottoms = [AffineMap(*pairs1[i]).then(AffineMap(*pairs2[j])) for i, j in enumerate(f1.top)]
-    return CosetWiseAffineMap(f1.splitting, [f2.top[j] for j in f1.top],
-                              [(b.matrix, b.shift) for b in bottoms])
+    return cw_from_pairs(f1.splitting, [f2.top[j] for j in f1.top],
+                         [(b.matrix, b.shift) for b in bottoms])
 
 
 def cw_eval(f, x: VectorQ) -> VectorQ:
     """The coset-wise map f at the point x = (w, u) of GF(p)^(d+t), from the
-    data of the coset of u: the pointwise reference for its value tables."""
+    block of the coset of u and its image under the top: the pointwise
+    reference for its value tables."""
     s = f.splitting
     if len(x) != s.n:
         raise ValueError("vector has the wrong dimension")
-    w, u = (VectorQ.from_codes(s.ctx, c) for c in (x.codes[:s.d], x.codes[s.d:]))
-    alpha, omega, nu = f.data(u.codes)
-    return VectorQ.from_codes(s.ctx, (w * alpha + omega).codes + (u + nu).codes)
+    w, u = VectorQ.from_codes(s.ctx, x.codes[:s.d]), x.codes[s.d:]
+    i = tuple_to_index(u, s.p)
+    alpha, omega = f.blocks[f.block_of[i]]
+    return VectorQ.from_codes(s.ctx, (w * alpha + omega).codes + index_to_tuple(f.top[i], s.p, s.t))
 
 
 def sylow_type_targets(p: int, k: int) -> list[CycleType]:

@@ -19,7 +19,8 @@ from cosetmap.cwaffine import _forward_codes
 from cosetmap.cycletype import ct_format, ct_of_permutation, cycles_of
 from cosetmap.kernel import _affine_table, index_to_tuple, is_prime, tuple_to_index
 from cosetmap.oracle import is_complete_mapping
-from helpers import (coordinate_functions, coset_pairs, cw_eval, cw_map, forward_product_by_then,
+from helpers import (coordinate_functions, coset_pairs, cw_eval, cw_from_pairs, cw_map,
+                     forward_product_by_then,
                      one_cycle_closed_form_images, one_cycle_reference_tables,
                      pointwise_affine_table, random_complete_mapping, random_invertible,
                      reference_one_cycle_polynomial, sylow_type_targets, wreath_mul)
@@ -207,24 +208,7 @@ def test_per_coset_data_over_another_field_is_refused():
     good = (MatrixQ.identity(F3, 1), VectorQ(F3, (0,)))
     for bad in [(MatrixQ.identity(F5, 1), good[1]), (good[0], VectorQ(F5, (0,)))]:
         with pytest.raises(ValueError, match="mismatched contexts"):
-            CosetWiseAffineMap(s, (0, 1, 2), [bad, good, good])
-
-
-def test_data_refuses_a_label_outside_gf_p():
-    # over GF(3) the labels (3,) and (-1,) used to read cosets (0,) and (2,),
-    # (True,) coset (1,), and (1.0,) raised TypeError
-    for f in [one_cycle_map(3, 2), one_cycle_map(5, 4), one_cycle_map(2, 3),
-              random_cw_map(3, 2, 2, random.Random(4))]:
-        s = f.splitting
-        for i, u in enumerate(s.coset_labels()):
-            alpha, omega, nu = f.data(u)
-            assert (alpha, omega) == f.blocks[f.block_of[i]]
-            image = index_to_tuple(f.top[i], s.p, s.t)
-            assert nu.codes == tuple((b - a) % s.p for a, b in zip(u, image))
-    f = one_cycle_map(3, 2)
-    for u in [(3,), (-1,), (0, 0), (), (1.0,), (True,)]:
-        with pytest.raises(KeyError):
-            f.data(u)
+            CosetWiseAffineMap(s, (0, 1, 2), [bad, good], (0, 1, 1))
 
 
 def test_a_coset_label_listed_twice_is_refused():
@@ -267,17 +251,28 @@ def test_the_json_reader_orders_the_cosets_and_reads_nu_into_the_top():
 
 
 def test_blocks_are_the_distinct_pairs_in_order_of_first_appearance():
-    """A map keeps one block per distinct (alpha, omega) pair of objects, in
-    order of first appearance, and one block index per coset: the one-cycle
-    map's 3^4 cosets share two blocks.  Pairs given as lists are kept as
-    tuples, the map equal to the one built from tuples; equal pairs of
-    distinct objects are distinct blocks of an equal map; copies and pickles
-    keep the sharing."""
+    """A map holds the blocks and block indices it is given.  The one-cycle
+    map of GF(p)^k holds two blocks, the zero coset's and the one the other
+    p^(k-1) - 1 cosets share, and one for k = 1, where the zero coset is the
+    only one; `construct_main` holds equal blocks once; the JSON reader reads
+    equal pairs into one block, in order of first appearance among its
+    entries.  Blocks given as lists are kept as tuples, the map equal to the
+    one built from tuples; equal blocks at two indices give a map equal to
+    the one that shares one; copies and pickles keep the sharing."""
+    from cosetmap.serialize import cwmap_from_json, cwmap_to_json
     f = one_cycle_map(3, 5)
     I1, one_w, zero_w = f.blocks[0][0], f.blocks[0][1], f.blocks[1][1]
     assert f.blocks == ((I1, one_w), (I1, zero_w)) and f.blocks[1][0] is I1
     assert f.block_of == (0,) + (1,) * 80
-    as_lists = CosetWiseAffineMap(f.splitting, f.top, [list(pair) for pair in coset_pairs(f)])
+    for p, k in [(2, 1), (3, 1), (7, 1), (2, 2), (3, 2), (2, 6), (5, 3)]:
+        g = one_cycle_map(p, k)
+        ctx = g.splitting.ctx
+        assert g.blocks[0] == (MatrixQ.identity(ctx, 1), VectorQ(ctx, (1,)))
+        assert len(g.blocks) == min(k, 2) and g.block_of == (0,) + (1,) * (p ** (k - 1) - 1)
+    h = construct_sylow_type(3 ** 6, ct("x729"))
+    assert len({(alpha.codes, omega.codes) for alpha, omega in h.blocks}) == len(h.blocks) <= 4
+    as_lists = CosetWiseAffineMap(f.splitting, f.top, [list(pair) for pair in f.blocks],
+                                  list(f.block_of))
     assert as_lists == f and as_lists.block_of == f.block_of
     assert all(type(pair) is tuple for pair in as_lists.blocks)
     assert as_lists.blocks[0][0] is I1 and as_lists.blocks[1][1] is zero_w
@@ -286,12 +281,19 @@ def test_blocks_are_the_distinct_pairs_in_order_of_first_appearance():
         assert g.blocks[0][0] is g.blocks[1][0]
     F3 = field(3)
     A, B = MatrixQ(F3, [[2]]), MatrixQ(F3, [[1]])
-    zero = VectorQ(F3, (0,))
-    g = CosetWiseAffineMap(Splitting(3, 1, 1), (0, 1, 2), [(A, zero), (B, zero), (A, zero)])
-    assert g.blocks == ((A, zero), (B, zero)) and g.blocks[1][0] is B and g.block_of == (0, 1, 0)
-    h = CosetWiseAffineMap(g.splitting, g.top, [(A, zero), (B, zero), (MatrixQ(F3, [[2]]), zero)])
-    assert h.block_of == (0, 1, 2) and h == g and g == h
-    assert h != CosetWiseAffineMap(g.splitting, g.top, [(A, zero), (B, zero), (B, zero)])
+    zero, one = VectorQ(F3, (0,)), VectorQ(F3, (1,))
+    s = Splitting(3, 1, 1)
+    g = CosetWiseAffineMap(s, (0, 1, 2), [(A, zero), (B, zero)], (0, 1, 0))
+    h = CosetWiseAffineMap(s, (0, 1, 2), [(A, zero), (B, zero), (MatrixQ(F3, [[2]]), zero)],
+                           (0, 1, 2))
+    assert len(h.blocks) == 3 and h == g and g == h
+    assert h != CosetWiseAffineMap(s, (0, 1, 2), [(A, zero), (B, zero)], (0, 1, 1))
+    again = cwmap_from_json(cwmap_to_json(h))
+    assert again == g and again.blocks == g.blocks and again.block_of == (0, 1, 0)
+    payload = cwmap_to_json(CosetWiseAffineMap(s, (0, 1, 2), [(A, zero), (B, zero), (A, one)],
+                                               (0, 1, 2)))
+    reread = cwmap_from_json({**payload, "cosets": payload["cosets"][::-1]})
+    assert reread.blocks == ((A, one), (B, zero), (A, zero)) and reread.block_of == (2, 1, 0)
 
 
 def test_wreath_identity_correspondence():
@@ -303,7 +305,7 @@ def test_wreath_identity_correspondence():
     ident = cw_map(s, [(I1, VectorQ(F3, (0,)), VectorQ(F3, (0,)))] * 3)
     assert ident.top == (0, 1, 2)
     assert all(alpha == I1 and omega.is_zero() for alpha, omega in ident.blocks)
-    assert ident == CosetWiseAffineMap(s, range(3), [(I1, VectorQ(F3, (0,)))] * 3)
+    assert ident == CosetWiseAffineMap(s, range(3), [(I1, VectorQ(F3, (0,)))], (0, 0, 0))
 
 
 def test_wreath_round_trip_and_composition():
@@ -315,7 +317,7 @@ def test_wreath_round_trip_and_composition():
         p = rng.choice([2, 3])
         d, t = rng.choice([(1, 1), (1, 2), (2, 1)])
         f = random_cw_permutation(p, d, t, rng)
-        again = CosetWiseAffineMap(f.splitting, list(f.top), coset_pairs(f))
+        again = CosetWiseAffineMap(f.splitting, list(f.top), list(f.blocks), list(f.block_of))
         assert again == f and again.top == f.top
         assert again.blocks == f.blocks and again.block_of == f.block_of
     for trial in range(100):
@@ -366,7 +368,7 @@ def test_cw_cycle_type_is_worked_out_once_per_map(monkeypatch):
     for p, d, t in [(2, 1, 2), (3, 2, 1), (5, 1, 2), (3, 1, 3)]:
         calls.clear()
         f = random_cw_permutation(p, d, t, rng)
-        fresh = CosetWiseAffineMap(f.splitting, f.top, coset_pairs(f))
+        fresh = CosetWiseAffineMap(f.splitting, f.top, f.blocks, f.block_of)
         kept = [copy.deepcopy(f), pickle.loads(pickle.dumps(f))]
         first = cw_cycle_type(f)
         n = len(calls)
@@ -511,8 +513,8 @@ def test_forward_product_matches_then_fold():
         f = random_cw_map(p, d, t, rng)
         if trial % 3 == 0:
             I = MatrixQ.identity(f.splitting.ctx, d)
-            f = CosetWiseAffineMap(f.splitting, f.top, [(I if rng.random() < 0.6 else alpha, omega)
-                                                        for alpha, omega in coset_pairs(f)])
+            f = cw_from_pairs(f.splitting, f.top, [(I if rng.random() < 0.6 else alpha, omega)
+                                                   for alpha, omega in coset_pairs(f)])
         walk = [rng.randrange(p ** t) for _ in range(rng.randrange(1, 8))]
         for cycle in (walk, *cycles_of(f.top)):
             assert forward_product(f, cycle) == forward_product_by_then(f, cycle)
@@ -800,7 +802,7 @@ def test_sylow_type_over_gf_p_is_the_shifted_identity():
         ctx = field(p)
         I1 = MatrixQ.identity(ctx, 1)
         for target, s in ((CycleType({1: p}), 0), (CycleType({p: 1}), 1)):
-            expected = CosetWiseAffineMap(Splitting(p, 1, 0), (0,), [(I1, VectorQ(ctx, (s,)))])
+            expected = CosetWiseAffineMap(Splitting(p, 1, 0), (0,), [(I1, VectorQ(ctx, (s,)))], (0,))
             for seed in (0, 1, 7):
                 assert construct_sylow_type(p, target, seed=seed) == expected
 

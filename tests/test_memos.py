@@ -6,10 +6,11 @@ import ast
 from pathlib import Path
 
 import cosetmap
-from cosetmap import (CosetWiseAffineMap, FieldCtx, MapTable, MatrixQ, Poly, Splitting, VectorQ,
+from cosetmap import (FieldCtx, MapTable, MatrixQ, Poly, Splitting, VectorQ,
                       analyze, block_cycle_type, cli, cw_cycle_type, enumerate_irreducibles, field,
                       gamma_dpl, gf, kernel, poly_order)
 from cosetmap.affine_ct import ct_acgl, ct_agl, first_witness, sorted_types, witness_map
+from helpers import cw_from_pairs
 
 SRC = Path(cosetmap.__file__).resolve().parent
 
@@ -35,8 +36,7 @@ def _warm():
     for p, n in ((3, 4), (17, 1)):  # plane rows (from 64 points on), then digit-sum plans
         assert analyze(MapTable(p ** n, range(p ** n)), p, n).is_complete
     F3 = field(3)
-    cw_cycle_type(CosetWiseAffineMap(Splitting(3, 1, 0), (0,),
-                                     [(MatrixQ(F3, [[1]]), VectorQ(F3, [1]))]))
+    cw_cycle_type(cw_from_pairs(Splitting(3, 1, 0), (0,), [(MatrixQ(F3, [[1]]), VectorQ(F3, [1]))]))
 
 
 def test_clear_memos_empties_every_registered_memo():

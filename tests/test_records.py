@@ -268,25 +268,32 @@ def test_every_refusal_keeps_its_message():
     _refused(lambda: Splitting(2, 1, 20),
              f"a splitting of GF(2)^21 has 2^20 cosets, above the {MAX_DOMAIN} limit")
     s, I1, zero = Splitting(3, 1, 1), MatrixQ.identity(F3, 1), VectorQ(F3, (0,))
-    pair = (I1, zero)
-    for top, per, message in [
-            ((0, 1), [pair] * 3, "top must have one entry per coset"),
-            ((0, 1, 2, 0), [pair] * 3, "top must have one entry per coset"),
-            ((0, 1, 3), [pair] * 3, "top entry out of range"),
-            ((0, -1, 2), [pair] * 3, "top entry out of range"),
-            ((0, 1.0, 2), [pair] * 3, "top entry out of range"),
-            ((0, True, 2), [pair] * 3, "top entry out of range"),
-            ((0, 1, 2), [pair] * 2, "per-coset data must cover every coset exactly once"),
-            ((0, 1, 2), [([[1]], [1])] + [pair] * 2,
-             "per-coset data must be pairs of a MatrixQ and a VectorQ"),
-            ((0, 1, 2), [(I1, (0,))] + [pair] * 2,
-             "per-coset data must be pairs of a MatrixQ and a VectorQ"),
-            ((0, 1, 2), [(MatrixQ.identity(F5, 1), zero)] + [pair] * 2, "mismatched contexts"),
-            ((0, 1, 2), [(I1, VectorQ(F5, (0,)))] + [pair] * 2, "mismatched contexts"),
-            ((0, 1, 2), [(I2, zero)] + [pair] * 2, "alpha blocks must be d x d"),
-            ((0, 1, 2), [(I1, VectorQ(F3, (0, 0)))] + [pair] * 2,
+    pair, first, uses = (I1, zero), (0, 0, 0), "block_of must use every block and name no other"
+    for top, blocks, block_of, message in [
+            ((0, 1), [pair], first, "top must have one entry per coset"),
+            ((0, 1, 2, 0), [pair], first, "top must have one entry per coset"),
+            ((0, 1, 3), [pair], first, "top entry out of range"),
+            ((0, -1, 2), [pair], first, "top entry out of range"),
+            ((0, 1.0, 2), [pair], first, "top entry out of range"),
+            ((0, True, 2), [pair], first, "top entry out of range"),
+            ((0, 1, 2), [pair], (0, 0), "block_of must have one entry per coset"),
+            ((0, 1, 2), [pair], (0, 0, 0, 0), "block_of must have one entry per coset"),
+            ((0, 1, 2), [pair, pair], (0, True, 1), uses),
+            ((0, 1, 2), [pair, pair], (0, 1.0, 1), uses),
+            ((0, 1, 2), [pair], (0, -1, 0), uses),
+            ((0, 1, 2), [pair], (0, 1, 0), uses),
+            ((0, 1, 2), [pair, pair], first, uses),
+            ((0, 1, 2), [pair, pair, pair], (0, 2, 0), uses),
+            ((0, 1, 2), [([[1]], [1])], first, "blocks must be pairs of a MatrixQ and a VectorQ"),
+            ((0, 1, 2), [(I1, (0,))], first, "blocks must be pairs of a MatrixQ and a VectorQ"),
+            ((0, 1, 2), [(I1, zero, zero)], first, "blocks must be pairs of a MatrixQ and a VectorQ"),
+            ((0, 1, 2), [(I1,)], first, "blocks must be pairs of a MatrixQ and a VectorQ"),
+            ((0, 1, 2), [pair, (MatrixQ.identity(F5, 1), zero)], (0, 1, 1), "mismatched contexts"),
+            ((0, 1, 2), [pair, (I1, VectorQ(F5, (0,)))], (0, 1, 1), "mismatched contexts"),
+            ((0, 1, 2), [pair, (I2, zero)], (0, 1, 1), "alpha blocks must be d x d"),
+            ((0, 1, 2), [pair, (I1, VectorQ(F3, (0, 0)))], (0, 1, 1),
              "omega is W-sized and nu is U-sized")]:
-        _refused(lambda: CosetWiseAffineMap(s, top, per), message)
+        _refused(lambda: CosetWiseAffineMap(s, top, blocks, block_of), message)
     _refused(lambda: MapTable(MAX_DOMAIN + 1, ()),
              f"a map table of {MAX_DOMAIN + 1} points, above the {MAX_DOMAIN} limit")
     _refused(lambda: MapTable(3, (0, 1)), "image list length does not match domain size")
