@@ -13,10 +13,10 @@ _EXPORTS = {
     "cwaffine": "CosetWiseAffineMap Splitting conjugated_table construct_main "
                 "construct_sylow_type cw_compose cw_cycle_type cw_is_complete cw_is_permutation "
                 "cw_to_table one_cycle_map one_cycle_polynomial",
-    "cycletype": "CycleType blow_up ct ct_format ct_mul ct_of_permutation ct_parse weixu weixu_all",
+    "cycletype": "CycleType ct ct_format ct_of_permutation ct_parse weixu weixu_all",
     "errors": "InfeasibleError",
-    "gf": "FieldCtx FieldElement Poly enumerate_irreducibles factor_monic field field_of_order "
-          "is_irreducible poly_order",
+    "gf": "FieldCtx FieldElement Poly enumerate_irreducibles factor_monic field is_irreducible "
+          "poly_order",
     "kernel": "",
     "linalg": "AffineMap MatrixQ Prcf VectorQ charpoly companion elementary_divisors prcf",
     "oracle": "AnalysisReport MapTable analyze evaluate_poly_table interpolate load_table",

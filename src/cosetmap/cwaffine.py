@@ -171,7 +171,8 @@ def _forward_codes(f: CosetWiseAffineMap, cycles):
 
 
 def _blown_up(counts) -> CycleType:
-    """The product of blow_up(ell, gamma)^k over the pairs ((ell, gamma), k)."""
+    """The cycle type that holds, for each pair ((ell, gamma), k), k copies
+    of gamma with every length multiplied by ell."""
     return CycleType((ell * l, k * c) for (ell, gamma), k in counts for l, c in gamma.cycles)
 
 

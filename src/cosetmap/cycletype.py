@@ -1,9 +1,8 @@
 """Cycle-type monomials and the operations that combine them.
 
 A cycle type records how many cycles of each length a permutation has, as the
-monomial x1^k1 x2^k2 ...; products of disjoint-support types multiply by adding
-counts, blow-ups stretch every length by a factor, and the star product
-combines the types of two permutations acting on a product set.
+monomial x1^k1 x2^k2 ...; the star product combines the types of two
+permutations acting on a product set.
 """
 
 from __future__ import annotations
@@ -11,7 +10,7 @@ from __future__ import annotations
 import math
 import re
 
-from .kernel import exact_int, json_fields, read_int
+from .kernel import exact_int, read_int
 
 
 class CycleType:
@@ -49,23 +48,6 @@ class CycleType:
         """Total number of permuted points."""
         return sum(l * k for l, k in self._cycles)
 
-    def count(self, length: int) -> int:
-        for l, k in self._cycles:
-            if l == length:
-                return k
-        return 0
-
-    def lengths(self) -> tuple[int, ...]:
-        return tuple(l for l, _ in self._cycles)
-
-    def __mul__(self, other: "CycleType") -> "CycleType":
-        return ct_mul(self, other)
-
-    def __pow__(self, n: int) -> "CycleType":
-        if n < 0:
-            raise ValueError("negative cycle-type power")
-        return CycleType((l, k * n) for l, k in self._cycles)
-
     def __eq__(self, other):
         return isinstance(other, CycleType) and self._cycles == other._cycles
 
@@ -77,18 +59,6 @@ class CycleType:
 
     def to_json(self) -> dict[str, int]:
         return {str(l): k for l, k in self._cycles}
-
-    @classmethod
-    def from_json(cls, obj) -> "CycleType":
-        """The type {"length": count, ...} as `to_json` writes it; ValueError
-        unless each length is a string of ASCII digits and each count a JSON
-        integer."""
-        json_fields(obj, "a cycle type", ())  # ValueError unless a JSON object
-        for l in obj:
-            if not (isinstance(l, str) and l.isascii() and l.isdigit()):
-                raise ValueError(f"a cycle length must be a string of digits, not {l!r}")
-        return cls((read_int(l, "a cycle length"), exact_int(k, f"the count of x{l}"))
-                   for l, k in obj.items())
 
 
 def is_permutation(values, n: int) -> bool:
@@ -130,21 +100,6 @@ def ct_of_permutation(images) -> CycleType:
     if not is_permutation(images, len(images)):
         raise ValueError("images do not describe a bijection")
     return CycleType((len(cyc), 1) for cyc in cycles_of(images))
-
-
-def ct_mul(a: CycleType, b: CycleType) -> CycleType:
-    """Disjoint-union product: counts add per length."""
-    merged = dict(a.cycles)
-    for l, k in b.cycles:
-        merged[l] = merged.get(l, 0) + k
-    return CycleType(merged)
-
-
-def blow_up(ell: int, gamma: CycleType) -> CycleType:
-    """Send every length n to ell*n, keeping counts."""
-    if ell < 1:
-        raise ValueError("blow-up factor must be positive")
-    return CycleType((ell * l, k) for l, k in gamma.cycles)
 
 
 def weixu(a: CycleType, b: CycleType) -> CycleType:

@@ -26,10 +26,10 @@ import operator
 import random
 
 from .kernel import (_MEMOS, _Ops, _affine_table, _build_tables, _ddf, _edf, _field_ops,
-                     _frobenius_matrix, _horner, _is_irreducible, _monic_tail, _pcomb, _pdivmod,
-                     _pmonic, _pmul, _power, _ppow, _ppowmod, _prime_ops, _reduce, _squarefree,
-                     _trim, _unit_group_factors, _vecmat, check_size, digit_sums, exact_int,
-                     index_to_tuple, is_prime, memo, prime_power, tuple_to_index)
+                     _frobenius_matrix, _is_irreducible, _monic_tail, _pdivmod, _pmul, _power,
+                     _ppow, _ppowmod, _prime_ops, _reduce, _squarefree, _trim,
+                     _unit_group_factors, _vecmat, check_size, digit_sums, exact_int,
+                     index_to_tuple, is_prime, memo, tuple_to_index)
 
 MINUS_INFINITY = float("-inf")  # degree of the zero polynomial
 
@@ -131,12 +131,6 @@ class FieldCtx:
             raise ValueError("prime field has no distinguished generator")
         return FieldElement(self, self.p ** (self.k - 2))
 
-    def elements(self):
-        """All elements in index order (lexicographic on coordinates,
-        first coordinate most significant)."""
-        for i in range(self.order):
-            yield FieldElement(self, i)
-
     def from_index(self, i: int) -> "FieldElement":
         if not 0 <= i < self.order:
             raise ValueError("index out of range")
@@ -198,10 +192,6 @@ def field(p: int, k: int = 1, modulus=None) -> FieldCtx:
     return ctx
 
 
-def field_of_order(q: int) -> FieldCtx:
-    return field(*prime_power(q))
-
-
 class FieldElement:
     """An element of GF(p^k), held as its code: the lexicographic index of its
     k residues mod p over the power basis (first coordinate most significant),
@@ -244,9 +234,6 @@ class FieldElement:
     def __sub__(self, other):
         return self._axpy(other, -1)
 
-    def __rsub__(self, other):
-        return self.ctx.elem(other) - self
-
     def __neg__(self):
         return self.ctx.zero() - self
 
@@ -264,15 +251,6 @@ class FieldElement:
             raise ZeroDivisionError("division by zero in field")
         ctx = self.ctx
         return FieldElement(ctx, ctx.ops().inv(self.index))
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        return self.ctx.elem(other) / self
 
     def __pow__(self, n: int):
         if n < 0:
@@ -331,14 +309,6 @@ class Poly:
     def zero(cls, ctx: FieldCtx) -> "Poly":
         return cls.from_codes(ctx, ())
 
-    @classmethod
-    def one(cls, ctx: FieldCtx) -> "Poly":
-        return cls(ctx, (1,))
-
-    @classmethod
-    def x(cls, ctx: FieldCtx) -> "Poly":
-        return cls(ctx, (0, 1))
-
     @property
     def coeffs(self) -> tuple[FieldElement, ...]:
         return tuple(FieldElement(self.ctx, c) for c in self.codes)
@@ -352,12 +322,6 @@ class Poly:
 
     def is_monic(self) -> bool:
         return bool(self.codes) and self.codes[-1] == self.ctx.p ** (self.ctx.k - 1)
-
-    @property
-    def leading(self) -> FieldElement:
-        if self.is_zero():
-            raise ValueError("zero polynomial has no leading coefficient")
-        return FieldElement(self.ctx, self.codes[-1])
 
     def coeff(self, i: int) -> FieldElement:
         return FieldElement(self.ctx, self.codes[i] if i < len(self.codes) else 0)
@@ -374,49 +338,12 @@ class Poly:
     def _new(self, codes) -> "Poly":
         return Poly.from_codes(self.ctx, codes)
 
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        K = self.ctx.ops()
-        return self._new(_pcomb(K, self.codes, K.one, o.codes))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        K = self.ctx.ops()
-        return self._new(_pcomb(K, self.codes, K.neg(K.one), o.codes))
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
-    def __neg__(self):
-        K = self.ctx.ops()
-        return self._new(K.scale(K.neg(K.one), self.codes))
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return self._new(_pmul(self.ctx.ops(), self.codes, o.codes))
-
-    __rmul__ = __mul__
-
     def __divmod__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return o
         q, r = _pdivmod(self.ctx.ops(), self.codes, o.codes)
         return self._new(q), self._new(r)
-
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
 
     def __pow__(self, n: int):
         if n < 0:
@@ -425,15 +352,6 @@ class Poly:
 
     def pow_mod(self, n: int, modulus: "Poly") -> "Poly":
         return self._new(_ppowmod(self.ctx.ops(), self.codes, n, self._coerce(modulus).codes))
-
-    def monic(self) -> "Poly":
-        if self.is_zero():
-            return self
-        return self._new(_pmonic(self.ctx.ops(), self.codes))
-
-    def __call__(self, x: FieldElement) -> FieldElement:
-        ctx = self.ctx
-        return FieldElement(ctx, _horner(ctx.ops(), self.codes, ctx.code(x))[1])
 
     def sort_key(self):
         """Grade-lex key: degree first, then coefficient indices constant-first."""

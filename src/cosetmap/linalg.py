@@ -203,25 +203,13 @@ class VectorQ:
     def __len__(self):
         return len(self.codes)
 
-    def __getitem__(self, i):
-        return self.entries[i]
-
     def __add__(self, other: "VectorQ") -> "VectorQ":
-        return self._axpy(other, 1)
-
-    def __sub__(self, other: "VectorQ") -> "VectorQ":
-        return self._axpy(other, -1)
-
-    def _axpy(self, other: "VectorQ", c: int) -> "VectorQ":
-        """self + c*other, entrywise."""
-        self._check_ctx(other)
+        if not isinstance(other, VectorQ) or other.ctx is not self.ctx:
+            raise ValueError("mismatched contexts")
         if len(other.codes) != len(self.codes):
             raise ValueError("dimension mismatch")
         K = self.ctx.ops()
-        return VectorQ.from_codes(self.ctx, K.axpy(self.codes, self.ctx.code(c), other.codes))
-
-    def __neg__(self):
-        return VectorQ.from_codes(self.ctx, map(self.ctx.ops().neg, self.codes))
+        return VectorQ.from_codes(self.ctx, K.axpy(self.codes, K.one, other.codes))
 
     def __mul__(self, M: "MatrixQ") -> "VectorQ":
         if not isinstance(M, MatrixQ):
@@ -232,10 +220,6 @@ class VectorQ:
 
     def is_zero(self) -> bool:
         return not any(self.codes)
-
-    def _check_ctx(self, other):
-        if not isinstance(other, VectorQ) or other.ctx is not self.ctx:
-            raise ValueError("mismatched contexts")
 
     def __eq__(self, other):
         return (isinstance(other, VectorQ)
@@ -253,8 +237,8 @@ class MatrixQ:
     (`codes`); immutable after construction.
 
     A square matrix keeps its characteristic polynomial once worked out; it
-    answers the determinant, invertibility and the eigenvalue tests, and takes
-    no part in equality or hashing.
+    answers invertibility and the eigenvalue tests, and takes no part in
+    equality or hashing.
     """
 
     __slots__ = ("ctx", "rows", "cols", "codes", "_chi")
@@ -285,10 +269,6 @@ class MatrixQ:
         return cls(ctx, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
 
     @classmethod
-    def zeros(cls, ctx: FieldCtx, rows: int, cols: int) -> "MatrixQ":
-        return cls(ctx, tuple((0,) * cols for _ in range(rows)))
-
-    @classmethod
     def block_diag(cls, blocks) -> "MatrixQ":
         blocks = list(blocks)
         n = sum(b.rows for b in blocks)
@@ -298,30 +278,8 @@ class MatrixQ:
             rows.extend([0] * off + list(r) + [0] * (n - off - b.cols) for r in b.codes)
         return cls.from_codes(blocks[0].ctx, rows, n)
 
-    def entry(self, i: int, j: int) -> FieldElement:
-        return FieldElement(self.ctx, self.codes[i][j])
-
     def is_square(self) -> bool:
         return self.rows == self.cols
-
-    def __add__(self, other: "MatrixQ") -> "MatrixQ":
-        return self._axpy(other, 1)
-
-    def __sub__(self, other: "MatrixQ") -> "MatrixQ":
-        return self._axpy(other, -1)
-
-    def _axpy(self, other: "MatrixQ", c: int) -> "MatrixQ":
-        """self + c*other, entrywise."""
-        if not isinstance(other, MatrixQ) or other.ctx is not self.ctx:
-            raise ValueError("mismatched contexts")
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("dimension mismatch")
-        K, c = self.ctx.ops(), self.ctx.code(c)
-        return MatrixQ.from_codes(self.ctx, [K.axpy(r1, c, r2)
-                                             for r1, r2 in zip(self.codes, other.codes)], self.cols)
-
-    def __neg__(self):
-        return MatrixQ.zeros(self.ctx, self.rows, self.cols) - self
 
     def __mul__(self, other):
         if isinstance(other, MatrixQ):
@@ -332,26 +290,12 @@ class MatrixQ:
                 other.cols)
         return NotImplemented
 
-    def __pow__(self, n: int) -> "MatrixQ":
-        if not self.is_square():
-            raise ValueError("matrix power needs a square matrix")
-        if n < 0:
-            return self.inverse() ** (-n)
-        return MatrixQ.from_codes(self.ctx, _matpow(self.ctx.ops(), self.codes, n), self.cols)
-
     def _chi_codes(self) -> list:
         """Codes of the characteristic polynomial of this square matrix,
         worked out on first use."""
         if self._chi is None:
             self._chi = _charpoly(self.ctx.ops(), self.codes)
         return self._chi
-
-    def det(self) -> FieldElement:
-        """(-1)^n chi(0)."""
-        if not self.is_square():
-            raise ValueError("determinant needs a square matrix")
-        c0 = self._chi_codes()[0]
-        return FieldElement(self.ctx, self.ctx.ops().neg(c0) if self.rows % 2 else c0)
 
     def rank(self) -> int:
         return len(_reduce_rows(self.ctx.ops(), [list(r) for r in self.codes], self.cols))
@@ -428,9 +372,6 @@ class AffineMap(Record):
     @property
     def dim(self):
         return self.matrix.rows
-
-    def __call__(self, x: VectorQ) -> VectorQ:
-        return x * self.matrix + self.shift
 
     def then(self, other: "AffineMap") -> "AffineMap":
         """Composite: apply self first, then other."""

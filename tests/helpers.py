@@ -11,7 +11,22 @@ import itertools
 import random
 
 from cosetmap import CycleType, MatrixQ, Poly, VectorQ
-from cosetmap.kernel import _horner, index_to_tuple, tuple_to_index
+from cosetmap.kernel import _horner, _pcomb, _pmul, index_to_tuple, tuple_to_index
+
+
+def ct_mul(a: CycleType, b: CycleType) -> CycleType:
+    """Disjoint-union product: counts add per length."""
+    merged = dict(a.cycles)
+    for l, k in b.cycles:
+        merged[l] = merged.get(l, 0) + k
+    return CycleType(merged)
+
+
+def blow_up(ell: int, gamma: CycleType) -> CycleType:
+    """Send every length n to ell*n, keeping counts."""
+    if ell < 1:
+        raise ValueError("blow-up factor must be positive")
+    return CycleType((ell * l, k) for l, k in gamma.cycles)
 
 
 def quotient_affine_cycle_counts(Q: Poly, e: int, U: Poly) -> dict[int, int]:
@@ -32,7 +47,7 @@ def quotient_affine_cycle_counts(Q: Poly, e: int, U: Poly) -> dict[int, int]:
              for a in range(q)]
 
     # X^n mod Q^e as an index vector of length n
-    xn = Poly.x(ctx) ** n % mod
+    xn = divmod(Poly(ctx, (0, 1)) ** n, mod)[1]
     rep = [xn.coeff(j).index for j in range(n)]
     u = [U.coeff(j).index for j in range(n)] if n else []
 
@@ -93,7 +108,8 @@ def block_case(Q: Poly, e: int, U: Poly) -> tuple[Poly, int, bool]:
     ctx = Q.ctx
     if Q != Poly(ctx, (-1, 1)):
         return Q, e, False  # generic
-    return Q, e, not U(ctx.one()).is_zero()  # nonunit or unit
+    K = ctx.ops()
+    return Q, e, bool(_horner(K, U.codes, K.one)[1])  # nonunit or unit
 
 
 def ceil_log(e: int, p: int) -> int:
@@ -592,7 +608,7 @@ def descent_poly_order(Q: Poly) -> int:
     factor while X to the quotient is still 1 (the library's method before it
     powered through the Frobenius matrix)."""
     from cosetmap.kernel import factorize
-    x, one = Poly.x(Q.ctx), Poly.one(Q.ctx)
+    x, one = Poly(Q.ctx, (0, 1)), Poly(Q.ctx, (1,))
     n = Q.ctx.order ** int(Q.degree) - 1
     assert x.pow_mod(n, Q) == one
     order = n
@@ -635,8 +651,8 @@ def reference_to_json(value):
     if isinstance(value, VectorQ):
         return [reference_elem_to_json(e) for e in value.entries]
     if isinstance(value, MatrixQ):
-        return [[reference_elem_to_json(value.entry(i, j)) for j in range(value.cols)]
-                for i in range(value.rows)]
+        return [[reference_elem_to_json(value.ctx.from_index(c)) for c in row]
+                for row in value.codes]
     if isinstance(value, Poly):
         return [reference_elem_to_json(c) for c in value.coeffs]
     s = value.splitting
@@ -678,32 +694,35 @@ def coordinate_functions(ctx) -> list[Poly]:
     return polys
 
 
-def _reduce_exponents(P: Poly) -> Poly:
+def _reduce_exponents(K, q: int, codes) -> list:
     """Reduce modulo Y^q - Y: fold Y^i onto Y^(i-q+1) for i >= q."""
-    K = P.ctx.ops()
-    q = P.ctx.order
-    codes = list(P.codes)
+    codes = list(codes)
     for i in range(len(codes) - 1, q - 1, -1):
         c = codes.pop()
         if c:
             codes[i - (q - 1)] = K.add(codes[i - (q - 1)], c)
-    return Poly.from_codes(P.ctx, codes)
+    return codes
 
 
 def reference_one_cycle_polynomial(ctx) -> Poly:
     """The one-cycle polynomial from the coordinate functionals: products of
-    the indicators 1 - pi_j^(p-1), each reduced modulo Y^q - Y."""
+    the indicators 1 - pi_j^(p-1), each reduced modulo Y^q - Y; on codes,
+    with the kernel's `_pcomb` (a + c*b) and `_pmul`."""
     if ctx.k == 1:
         return Poly(ctx, (1, 1))
-    p, k = ctx.p, ctx.k
+    K, p, k, q = ctx.ops(), ctx.p, ctx.k, ctx.order
     pis = coordinate_functions(ctx)
+
+    def indicator(j):  # 1 - pi_j^(p-1)
+        return _pcomb(K, [K.one], K.neg(K.one), (pis[j] ** (p - 1)).codes)
+
     # pi_j^(p-1) has degree q - q/p, so it needs no reduction modulo Y^q - Y;
     # w^i for i < k is a basis element, of code p^(k-1-i)
-    g = Poly.one(ctx) - pis[1] ** (p - 1)
+    g = indicator(1)
     for j in range(2, k):
-        indicator = Poly.one(ctx) - pis[j] ** (p - 1)
-        g = _reduce_exponents(indicator * (Poly.from_codes(ctx, (p ** (k - j),)) + g))
-    return _reduce_exponents(Poly.x(ctx) + Poly.from_codes(ctx, (1,)) + g)
+        g = _reduce_exponents(K, q, _pmul(K, indicator(j), _pcomb(K, [p ** (k - j)], K.one, g)))
+    # Y + w^(k-1) + g
+    return Poly.from_codes(ctx, _reduce_exponents(K, q, _pcomb(K, [1, K.one], K.one, g)))
 
 
 def horner_poly_table(P: Poly) -> list[int]:

@@ -19,9 +19,9 @@ def test_is_cgl_examples():
 
 
 def test_code_row_completeness_matches_determinants():
-    """is_cgl and has_no_eigenvalue(1) against det(M) != 0 and det(M +- I) != 0, asked twice
-    so that the second answer reads the matrix's stored characteristic
-    polynomial."""
+    """is_cgl and has_no_eigenvalue(1) against det(M) != 0 and det(M +- I) != 0,
+    each read as full elimination rank, asked twice so that the second answer
+    reads the matrix's stored characteristic polynomial."""
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
 
@@ -36,11 +36,18 @@ def test_code_row_completeness_matches_determinants():
         rows = data.draw(st.lists(codes, min_size=d, max_size=d))
         if kind == "singular":
             rows[-1] = rows[0] if d > 1 else [0]
-        M = {"I": I, "-I": -I}.get(kind) or MatrixQ.from_codes(ctx, rows)
-        invertible = not M.det().is_zero()
+        minus_I = MatrixQ(ctx, [[-1 if i == j else 0 for j in range(d)] for i in range(d)])
+        M = {"I": I, "-I": minus_I}.get(kind) or MatrixQ.from_codes(ctx, rows)
+
+        def invertible_plus(c):  # whether M + c*I has full rank
+            return MatrixQ(ctx, [[ctx.from_index(a) + (c if i == j else 0)
+                                  for j, a in enumerate(row)]
+                                 for i, row in enumerate(M.codes)]).rank() == d
+
+        invertible = invertible_plus(0)
         for _ in range(2):
-            assert is_cgl(M) == (invertible and not (M + I).det().is_zero())
-            assert M.has_no_eigenvalue(1) == (invertible and not (M - I).det().is_zero())
+            assert is_cgl(M) == (invertible and invertible_plus(1))
+            assert M.has_no_eigenvalue(1) == (invertible and invertible_plus(-1))
 
     check()
 
@@ -79,8 +86,8 @@ def _exhaustive_product_set(ctx, d):
 
 @pytest.mark.parametrize("d,q", [(1, 2), (1, 3), (1, 5), (2, 2), (2, 3)])
 def test_product_set_small(d, q):
-    from cosetmap import field_of_order
-    ctx = field_of_order(q)
+    from cosetmap.kernel import prime_power
+    ctx = field(*prime_power(q))
     got, _ = _exhaustive_product_set(ctx, d)
     members = product_members(d, q)
     if members is None:
@@ -136,7 +143,7 @@ def test_factorization_checks_a_lone_factor_among_identities():
             CglFactorization(tuple(ids[:j] + [F] + ids[j:]), F * F)
     with pytest.raises(ValueError, match="do not multiply"):
         CglFactorization((I,) * 4, F)
-    assert CglFactorization((F, I, F, I, F), F ** 3).factors == (F, I, F, I, F)
+    assert CglFactorization((F, I, F, I, F), F * F * F).factors == (F, I, F, I, F)
 
 
 @pytest.mark.parametrize("d,p,ell", [(2, 3, 2), (2, 3, 3), (3, 2, 2), (3, 2, 4),
@@ -191,8 +198,8 @@ def test_two_fpf_product():
 def test_two_fpf_covers_group(d, q):
     # over GF(2)^1, GF(3)^1 and GF(2)^2 the products are the members of the
     # two-fold complete product set, and two_fpf_product refuses the rest
-    from cosetmap import field_of_order
-    ctx = field_of_order(q)
+    from cosetmap.kernel import prime_power
+    ctx = field(*prime_power(q))
     fpf = [M for M in all_invertible_matrices(ctx, d) if M.has_no_eigenvalue(1)]
     products = set()
     for A in fpf:

@@ -8,8 +8,8 @@ import re
 import pytest
 
 from cosetmap import (AffineMap, CosetWiseAffineMap, CycleType, InfeasibleError, MatrixQ, Poly,
-                      Splitting, VectorQ, analyze, blow_up, conjugated_table,
-                      construct_main, construct_sylow_type, ct, ct_mul, cw_compose,
+                      Splitting, VectorQ, analyze, conjugated_table,
+                      construct_main, construct_sylow_type, ct, cw_compose,
                       cw_cycle_type, cw_is_complete,
                       cw_is_permutation, cw_to_table,
                       evaluate_poly_table, field, is_cgl,
@@ -17,9 +17,10 @@ from cosetmap import (AffineMap, CosetWiseAffineMap, CycleType, InfeasibleError,
 from cosetmap import affine_ct, cwaffine, gf, kernel
 from cosetmap.cwaffine import _forward_codes
 from cosetmap.cycletype import ct_format, ct_of_permutation, cycles_of
-from cosetmap.kernel import _affine_table, index_to_tuple, is_prime, tuple_to_index
+from cosetmap.kernel import _affine_table, _horner, index_to_tuple, is_prime, tuple_to_index
 from cosetmap.oracle import is_complete_mapping
-from helpers import (coordinate_functions, coset_pairs, cw_eval, cw_from_pairs, cw_map,
+from helpers import (blow_up, coordinate_functions, coset_pairs, ct_mul, cw_eval, cw_from_pairs,
+                     cw_map,
                      forward_product_by_then,
                      one_cycle_closed_form_images, one_cycle_reference_tables,
                      pointwise_affine_table, random_complete_mapping, random_invertible,
@@ -193,7 +194,7 @@ def test_cw_cycle_type_matches_table_cycles(p, d, t):
 def test_singular_alpha_is_not_permutation():
     F2 = field(2)
     s = Splitting(2, 1, 1)
-    f = cw_map(s, [(MatrixQ.zeros(F2, 1, 1), VectorQ(F2, (0,)), VectorQ(F2, (0,))),
+    f = cw_map(s, [(MatrixQ(F2, [[0]]), VectorQ(F2, (0,)), VectorQ(F2, (0,))),
                    (MatrixQ.identity(F2, 1), VectorQ(F2, (0,)), VectorQ(F2, (0,)))])
     assert not cw_is_permutation(f)
     with pytest.raises(ValueError):
@@ -405,7 +406,7 @@ def test_shared_and_equal_alphas_match_the_oracle(p, d, t):
         rng.shuffle(perm)
         nus = [tuple((b - a) % p for a, b in zip(u, v)) for u, v in zip(labels, perm)]
         omegas = [VectorQ(ctx, [rng.randrange(p) for _ in range(d)]) for _ in labels]
-        A = random_invertible(ctx, d, rng) if trial % 3 else MatrixQ.zeros(ctx, d, d)
+        A = random_invertible(ctx, d, rng) if trial % 3 else MatrixQ(ctx, [[0] * d] * d)
         blocks = {
             "shared": [A] * len(labels),
             "equal codes": [MatrixQ.from_codes(ctx, A.codes) for _ in labels],
@@ -673,7 +674,7 @@ def test_conjugated_table_preserves_completeness_and_type():
         T = random_invertible(F3, 2, rng)
         report = analyze(conjugated_table(f, T), 3, 2)
         assert report.is_complete and report.cycle_type == ct("x9")
-    for T in [MatrixQ.zeros(F3, 2, 2), MatrixQ.identity(F3, 3),
+    for T in [MatrixQ(F3, [[0, 0], [0, 0]]), MatrixQ.identity(F3, 3),
               MatrixQ.identity(field(3, 2), 2)]:
         with pytest.raises(ValueError):
             conjugated_table(f, T)
@@ -831,18 +832,22 @@ def test_coordinate_functions_duality():
         ctx = field(p, k)
         pis = coordinate_functions(ctx)
         w = ctx.gen()
+        K = ctx.ops()
+
+        def at(P, x):
+            return ctx.from_index(_horner(K, P.codes, x.index)[1])
+
         for i in range(k):
             for j in range(k):
-                val = pis[i](w ** j)
-                assert val == (ctx.one() if i == j else ctx.zero())
+                assert at(pis[i], w ** j) == (ctx.one() if i == j else ctx.zero())
         # each pi is GF(p)-linear and lands in the prime subfield
         rng = random.Random(p * k)
         for _ in range(20):
             x = ctx.from_index(rng.randrange(ctx.order))
             y = ctx.from_index(rng.randrange(ctx.order))
             for i in range(k):
-                assert pis[i](x + y) == pis[i](x) + pis[i](y)
-                assert pis[i](x).coeffs[1:] == (0,) * (k - 1)
+                assert at(pis[i], x + y) == at(pis[i], x) + at(pis[i], y)
+                assert at(pis[i], x).coeffs[1:] == (0,) * (k - 1)
 
 
 def test_coordinate_functions_golden_gf27():
@@ -901,9 +906,10 @@ def test_field_vector_bridge():
     assert F27.elem(VectorQ(F3, (0, 1, 0)).codes) == F27.gen()
     f = one_cycle_map(3, 3)
     P = one_cycle_polynomial(F27)
-    for x in F27.elements():
+    for x in map(F27.from_index, range(27)):
         assert F27.elem(VectorQ(F3, x.coeffs).codes) == x
-        assert F27.elem(cw_eval(f, VectorQ(F3, x.coeffs)).codes) == P(x)
+        assert F27.code(cw_eval(f, VectorQ(F3, x.coeffs)).codes) == \
+            _horner(F27.ops(), P.codes, x.index)[1]
 
 
 def test_no_two_cycles_and_char2_fixed_points():
@@ -923,5 +929,5 @@ def test_no_two_cycles_and_char2_fixed_points():
     f = construct_main(2, 2, 2, g, gammas, seed=5)
     report = analyze(cw_to_table(f), 2, 4)
     assert report.is_complete
-    assert report.cycle_type.count(2) == 0
+    assert 2 not in dict(report.cycle_type.cycles)
     assert len(report.fixed_points) == 1

@@ -11,6 +11,7 @@ import pytest
 from cosetmap import (AffineMap, MatrixQ, Poly, VectorQ, affine_cycle_type, companion,
                       elementary_divisors, enumerate_irreducibles, field, gamma_of_matrix,
                       prcf)
+from cosetmap.kernel import _pmul
 from helpers import (all_invertible_matrices, brute_affine_cycle_counts, krylov_minpoly,
                      prcf_affine_cycle_type, prcf_gamma, random_invertible)
 from test_prcf_digest import corpus
@@ -57,7 +58,8 @@ def _shifts(A, rng):
     """Zero, a random shift and a random shift in the image of A - I."""
     ctx, n = A.ctx, A.rows
     q = ctx.order
-    N = A - MatrixQ.identity(ctx, n)
+    N = MatrixQ(ctx, [[ctx.from_index(a) - (1 if i == j else 0) for j, a in enumerate(row)]
+                      for i, row in enumerate(A.codes)])
     return [VectorQ.zero(ctx, n),
             VectorQ(ctx, [rng.randrange(q) for _ in range(n)]),
             VectorQ(ctx, [rng.randrange(q) for _ in range(n)]) * N]
@@ -139,10 +141,11 @@ def test_every_affine_map_of_small_groups_matches_canonical_form_path(p, d):
 def _divisor_minpoly(A):
     """The product of Q^e over the largest block (Q, e) of each Q among the
     elementary divisors of A."""
-    m = Poly.one(A.ctx)
+    K = A.ctx.ops()
+    m = [K.one]
     for Q, e in dict(elementary_divisors(A)[0]).items():   # exponents ascend per Q
-        m = m * Q ** e
-    return m
+        m = _pmul(K, m, (Q ** e).codes)
+    return Poly.from_codes(A.ctx, m)
 
 
 def test_minpoly_matches_krylov_reference_on_the_digest_corpus():

@@ -19,11 +19,11 @@ SRC = str(Path(cosetmap.__file__).resolve().parents[1])
 PUBLIC = """
     AffineMap AnalysisReport CglFactorization CosetWiseAffineMap CycleType FieldCtx FieldElement
     InfeasibleError MapTable MatrixQ Poly Prcf Splitting VectorQ affine_ct affine_cycle_type
-    analyze block_cycle_type blow_up cgl charpoly companion conjugated_table construct_main
-    construct_sylow_type ct ct_format ct_mul ct_of_permutation ct_parse cw_compose cw_cycle_type
+    analyze block_cycle_type cgl charpoly companion conjugated_table construct_main
+    construct_sylow_type ct ct_format ct_of_permutation ct_parse cw_compose cw_cycle_type
     cw_is_complete cw_is_permutation cw_to_table cwaffine cycletype elementary_divisors
     enumerate_irreducibles errors evaluate_poly_table factor_into_cgl factor_monic field
-    field_of_order gamma_dpl gamma_of_matrix gamma_of_poly gf interpolate is_cgl is_irreducible
+    gamma_dpl gamma_of_matrix gamma_of_poly gf interpolate is_cgl is_irreducible
     kernel linalg load_table one_cycle_map one_cycle_polynomial oracle poly_order prcf realize_gamma
     sorted_types two_fpf_product weixu weixu_all
 """.split()

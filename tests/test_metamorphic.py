@@ -41,7 +41,7 @@ def random_affine(ctx, n: int, rng: random.Random) -> AffineMap:
 def inverse(g: AffineMap) -> AffineMap:
     """x -> (x - c)*T^-1 for g = x -> x*T + c."""
     T_inv = g.matrix.inverse()
-    return AffineMap(T_inv, -(g.shift * T_inv))
+    return AffineMap(T_inv, VectorQ(g.ctx, [-e for e in (g.shift * T_inv).entries]))
 
 
 def power_type(ctype: CycleType, j: int) -> CycleType:

@@ -33,8 +33,9 @@ def block_triangular_pair(p: int, d: int, t: int, rng: random.Random):
     whole = AffineMap(MatrixQ.from_codes(ctx, rows), VectorQ.from_codes(ctx, v1.codes + v2.codes))
     per = []
     for u in itertools.product(range(p), repeat=t):
+        minus_u = VectorQ(ctx, [-c for c in u])
         u = VectorQ(ctx, u)
-        per.append((A, u * C + v1, u * B + v2 - u))
+        per.append((A, u * C + v1, u * B + v2 + minus_u))
     return whole, cw_map(Splitting(p, d, t), per)
 
 
