@@ -191,6 +191,14 @@ def brute_affine_cycle_counts(M: MatrixQ, w: VectorQ) -> dict[int, int]:
     return counts
 
 
+def plus_scalar(M: MatrixQ, c) -> MatrixQ:
+    """M + c*I for a square M and an int or element c, entry by entry in
+    element arithmetic."""
+    ctx = M.ctx
+    return MatrixQ(ctx, [[ctx.from_index(a) + (c if i == j else 0) for j, a in enumerate(row)]
+                         for i, row in enumerate(M.codes)])
+
+
 def all_invertible_matrices(ctx, d: int):
     q = ctx.order
     for idx in itertools.product(range(q), repeat=d * d):

@@ -7,7 +7,8 @@ from cosetmap import (AffineMap, CglFactorization, InfeasibleError, MatrixQ,
                       factor_into_cgl, field, gamma_dpl, gamma_of_matrix, is_cgl,
                       realize_gamma, two_fpf_product)
 from cosetmap.affine_ct import product_members
-from helpers import all_invertible_matrices, explicit_member_realization, random_invertible
+from helpers import (all_invertible_matrices, explicit_member_realization, plus_scalar,
+                     random_invertible)
 
 
 def test_is_cgl_examples():
@@ -38,16 +39,10 @@ def test_code_row_completeness_matches_determinants():
             rows[-1] = rows[0] if d > 1 else [0]
         minus_I = MatrixQ(ctx, [[-1 if i == j else 0 for j in range(d)] for i in range(d)])
         M = {"I": I, "-I": minus_I}.get(kind) or MatrixQ.from_codes(ctx, rows)
-
-        def invertible_plus(c):  # whether M + c*I has full rank
-            return MatrixQ(ctx, [[ctx.from_index(a) + (c if i == j else 0)
-                                  for j, a in enumerate(row)]
-                                 for i, row in enumerate(M.codes)]).rank() == d
-
-        invertible = invertible_plus(0)
+        invertible = M.rank() == d
         for _ in range(2):
-            assert is_cgl(M) == (invertible and invertible_plus(1))
-            assert M.has_no_eigenvalue(1) == (invertible and invertible_plus(-1))
+            assert is_cgl(M) == (invertible and plus_scalar(M, 1).rank() == d)
+            assert M.has_no_eigenvalue(1) == (invertible and plus_scalar(M, -1).rank() == d)
 
     check()
 

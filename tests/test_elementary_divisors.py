@@ -13,7 +13,7 @@ from cosetmap import (AffineMap, MatrixQ, Poly, VectorQ, affine_cycle_type, comp
                       prcf)
 from cosetmap.kernel import _pmul
 from helpers import (all_invertible_matrices, brute_affine_cycle_counts, krylov_minpoly,
-                     prcf_affine_cycle_type, prcf_gamma, random_invertible)
+                     plus_scalar, prcf_affine_cycle_type, prcf_gamma, random_invertible)
 from test_prcf_digest import corpus
 
 FIELDS = [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2)]
@@ -58,8 +58,7 @@ def _shifts(A, rng):
     """Zero, a random shift and a random shift in the image of A - I."""
     ctx, n = A.ctx, A.rows
     q = ctx.order
-    N = MatrixQ(ctx, [[ctx.from_index(a) - (1 if i == j else 0) for j, a in enumerate(row)]
-                      for i, row in enumerate(A.codes)])
+    N = plus_scalar(A, -1)
     return [VectorQ.zero(ctx, n),
             VectorQ(ctx, [rng.randrange(q) for _ in range(n)]),
             VectorQ(ctx, [rng.randrange(q) for _ in range(n)]) * N]

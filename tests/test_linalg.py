@@ -7,7 +7,7 @@ from cosetmap import (AffineMap, MatrixQ, Poly, VectorQ, charpoly, companion,
                       field, prcf)
 from cosetmap.kernel import _pmul, _ppow
 from cosetmap.linalg import _poly_at
-from helpers import all_invertible_matrices, moore_matrix, random_invertible
+from helpers import all_invertible_matrices, moore_matrix, plus_scalar, random_invertible
 
 
 def test_mat_arith_basics():
@@ -141,11 +141,9 @@ def test_invertibility_and_eigenvalue_block_characterizations():
         for _ in range(30):
             A = MatrixQ(ctx, tuple(tuple(ctx.from_index(rng.randrange(p)) for _ in range(3))
                                    for _ in range(3)))
-            A_plus_I = MatrixQ(ctx, [[a + (i == j) for j, a in enumerate(row)]
-                                     for i, row in enumerate(A.codes)])
             blocks = prcf(A).blocks
             assert A.is_invertible() == all(Q != x for Q, _ in blocks)
-            assert A_plus_I.is_invertible() == all(Q != xp1 for Q, _ in blocks)
+            assert plus_scalar(A, 1).is_invertible() == all(Q != xp1 for Q, _ in blocks)
 
 
 def _check_chi_answers_against_rank(M):
@@ -156,9 +154,7 @@ def _check_chi_answers_against_rank(M):
     invertible = M.rank() == n
     no_eig = {}
     for c in map(ctx.from_index, range(ctx.order)):
-        M_minus_cI = MatrixQ(ctx, [[ctx.from_index(a) - (c if i == j else ctx.zero())
-                                    for j, a in enumerate(row)] for i, row in enumerate(M.codes)])
-        no_eig[c] = invertible and M_minus_cI.rank() == n
+        no_eig[c] = invertible and plus_scalar(M, -c).rank() == n
     for _ in range(2):
         assert M.is_invertible() == invertible
         for c, expected in no_eig.items():
@@ -251,8 +247,8 @@ def test_left_kernel():
 
 
 def test_charpoly_det_rank_match_sympy():
-    """charpoly, det (read off charpoly) and rank over GF(p), p <= 7, n <= 8, against sympy's
-    DomainMatrix: random matrices, singular products B*C of rank < n, and
+    """charpoly, det (read off charpoly) and rank over GF(p), p <= 7, n <= 8,
+    against sympy's DomainMatrix: random matrices, singular products B*C of rank < n, and
     conjugates of triangular matrices with two diagonal values."""
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
